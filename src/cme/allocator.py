@@ -16,9 +16,20 @@ channel satisfies w_i * delta'(mu_i) = nu, i.e.
 and nu is pinned down by the budget, which always binds (delta' > 0, so
 leftover attention is never optimal once any channel has positive value).
 
-``water_fill`` finds nu by bisection.  ``gradient_oracle`` solves the
-same program by an unrelated route -- accelerated projected gradient
-ascent in the primal -- and exists so the two can certify each other.
+For a fixed active set the budget equation is linear in log nu, so nu has
+a closed form (Boyd & Vandenberghe, *Convex Optimization*, section 5.5.3).
+With a_1 >= a_2 >= ... the values log(beta * w_i) sorted in descending
+order and the top k channels active,
+
+    log nu = level_k = (a_1 + ... + a_k - beta*M) / k,
+
+and the optimal active set is the largest k with a_k > level_k.  One sort
+and one prefix sum find it -- the same trick as the simplex projection in
+``project_budget_box`` (Duchi et al., ICML 2008).  ``water_fill`` (one
+channel set) and ``water_fill_batch`` (one solve per row) share that
+solver.  ``gradient_oracle`` solves the same program by an unrelated route
+-- accelerated projected gradient ascent in the primal -- and exists so the
+two can certify each other.
 """
 
 from __future__ import annotations
@@ -71,63 +82,50 @@ def _objective(rates: np.ndarray, weights: np.ndarray, beta: float) -> float:
     return float(np.dot(weights, -np.expm1(-beta * rates)))
 
 
-def _rates_at(nu: float, weights: np.ndarray, beta: float) -> np.ndarray:
-    """Water-filling rates at multiplier nu; channels with beta*w <= nu get 0."""
-    rates = np.zeros_like(weights)
-    pos = weights > 0.0
-    rates[pos] = np.maximum(0.0, np.log(beta * weights[pos] / nu) / beta)
-    return rates
+def _water_fill_rows(W: np.ndarray, budget: float, beta: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of the module docstring, row by row; returns (rates, log nu).
 
-
-def water_fill(ch: WeightedChannels, d: DelayParams,
-               budget_rtol: float = 1e-12, max_iter: int = 200) -> AllocationSolution:
-    """Exact budget split by bisection on the water-filling multiplier.
-
-    The spent budget sum(mu_i(nu)) is continuous and strictly decreasing in
-    nu on the bracket (0, beta*max w], reaching 0 at the right end, so the
-    root is found by shrinking the left end geometrically until it overshoots
-    the budget and then bisecting until the budget residual drops below
-    budget_rtol * budget.
+    Every row must hold a positive weight.  Zero weights enter as
+    log(0) = -inf, sort last and never become active.
     """
-    w, budget, beta = ch.weights, ch.budget, d.beta
+    a = beta * W
+    with np.errstate(divide="ignore"):
+        np.log(a, out=a)
+    desc = np.sort(a, axis=1)[:, ::-1]
+    level = np.cumsum(desc, axis=1)
+    level -= beta * budget
+    level /= np.arange(1, W.shape[1] + 1)
+    k_star = W.shape[1] - 1 - np.argmax((desc > level)[:, ::-1], axis=1)
+    log_nu = level[np.arange(W.shape[0]), k_star]
+    a -= log_nu[:, None]
+    np.maximum(a, 0.0, out=a)
+    a /= beta
+    return a, log_nu
+
+
+def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
+    """Exact budget split in closed form, no iteration.
+
+    Sorts a_i = log(beta * w_i), reads log nu off the prefix sums for the
+    largest consistent active set (Boyd & Vandenberghe, *Convex
+    Optimization*, section 5.5.3; derivation in the module docstring) and
+    returns mu_i = max(0, a_i - log nu) / beta, so zero-weight channels get
+    exactly 0.
+    """
+    w = ch.weights
     if not np.any(w > 0.0):
         raise DegenerateWeightsError("all channel weights are zero")
-
-    nu_hi = beta * float(np.max(w))
-    nu_lo = nu_hi / 2.0
-    for _ in range(4096):
-        if np.sum(_rates_at(nu_lo, w, beta)) > budget:
-            break
-        nu_lo /= 2.0
-    else:  # pragma: no cover - budget would have to exceed ~1e1200
-        raise ArithmeticError("could not bracket the water-filling multiplier")
-
-    nu = nu_lo
-    for _ in range(max_iter):
-        nu = 0.5 * (nu_lo + nu_hi)
-        spent = np.sum(_rates_at(nu, w, beta))
-        if abs(spent - budget) < budget_rtol * budget:
-            break
-        if spent > budget:
-            nu_lo = nu
-        else:
-            nu_hi = nu
-    else:  # pragma: no cover - 200 halvings collapse any double bracket
-        raise ArithmeticError(
-            f"water-filling bisection stalled with budget residual {spent - budget:g}"
-        )
-
-    rates = _rates_at(nu, w, beta)
-    return AllocationSolution(rates=rates, multiplier=float(nu),
-                              objective=_objective(rates, w, beta))
+    rates, log_nu = _water_fill_rows(w[None, :], ch.budget, d.beta)
+    return AllocationSolution(rates=rates[0], multiplier=float(np.exp(log_nu[0])),
+                              objective=_objective(rates[0], w, d.beta))
 
 
-def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams,
-                     budget_rtol: float = 1e-12, max_iter: int = 200
+def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise water filling: one independent solve per row of (k, n) weights.
 
-    Same dual bisection as ``water_fill``, run on all rows at once.  Exists
+    The same closed form as ``water_fill``, run on all rows at once.  Exists
     because inner re-solves of the influencer's split (one per candidate
     topic) dominate the imperfect-information runtime.  Returns (rates, nu).
     """
@@ -138,38 +136,7 @@ def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams,
         raise InvalidInputError("channel weights must be finite and nonnegative")
     if not np.all(np.max(W, axis=1) > 0.0):
         raise DegenerateWeightsError("a row has all channel weights zero")
-    beta = d.beta
-
-    # log(beta*W) with zero-weight channels pinned to -inf so they never activate
-    with np.errstate(divide="ignore"):
-        logbw = np.where(W > 0.0, np.log(beta * np.maximum(W, 1e-300)), -np.inf)
-
-    def spent(log_nu):
-        return np.sum(np.maximum(0.0, logbw - log_nu[:, None]), axis=1) / beta
-
-    log_hi = np.max(logbw, axis=1)
-    log_lo = log_hi - math.log(2.0)
-    for _ in range(4096):
-        short = spent(log_lo) <= budget
-        if not np.any(short):
-            break
-        log_lo = np.where(short, log_lo - math.log(2.0), log_lo)
-    else:  # pragma: no cover
-        raise ArithmeticError("could not bracket the water-filling multipliers")
-
-    log_nu = log_lo.copy()
-    for _ in range(max_iter):
-        log_nu = 0.5 * (log_lo + log_hi)
-        s = spent(log_nu)
-        if np.all(np.abs(s - budget) < budget_rtol * budget):
-            break
-        over = s > budget
-        log_lo = np.where(over, log_nu, log_lo)
-        log_hi = np.where(over, log_hi, log_nu)
-    else:  # pragma: no cover
-        raise ArithmeticError("batched water-filling bisection stalled")
-
-    rates = np.maximum(0.0, logbw - log_nu[:, None]) / beta
+    rates, log_nu = _water_fill_rows(W, budget, d.beta)
     return rates, np.exp(log_nu)
 
 
@@ -219,7 +186,7 @@ def gradient_oracle(ch: WeightedChannels, d: DelayParams,
 
     Runs Nesterov-accelerated ascent with fixed step 1/L (L = beta^2 * max w,
     the gradient's Lipschitz constant) from the zero allocation, keeping the
-    best feasible iterate seen.  Shares no machinery with the dual bisection,
+    best feasible iterate seen.  Shares no machinery with the closed form,
     so agreement between the two certifies both.  The reported multiplier is
     the largest marginal value w_i * delta'(mu_i) on active channels.
     """

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .allocator import water_fill_batch
 from .bestresponse import (
     GameMode,
     TopicGrid,
@@ -340,8 +341,6 @@ def _imperfect_producer_gap(dense: DenseAllocation, cfg: MarketConfig,
                             grid: TopicGrid) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
     re-solved rate at the best grid topic vs. at the current topic."""
-    from .allocator import water_fill_batch
-
     if float(np.sum(dense.mu_i)) == 0.0:
         return 0.0  # uniform fallback: every topic scores the same
     d_i = discount(dense.mu_i, cfg.delay)

@@ -11,9 +11,9 @@ is good and lands with consumer y.
 
 Attention paid at rate mu is discounted by delta(mu) = 1 - exp(-beta*mu),
 the probability that content is consumed before it goes stale.  The
-inverse of delta's derivative, ``deriv_inverse``, is the workhorse of
-every budget-allocation solve in this package: it maps a target marginal
-value back to the attention rate that achieves it.
+inverse of delta's derivative, ``deriv_inverse``, maps a target marginal
+value back to the attention rate that achieves it -- the scalar form of
+the water-filling rate rule that ``cme.allocator`` applies in closed form.
 """
 
 from __future__ import annotations

@@ -41,6 +41,13 @@ class TestWaterFill:
         sol = water_fill(ch, DelayParams(beta=2.0))
         np.testing.assert_allclose(sol.rates, [1.5, 0.0, 0.0], atol=1e-12)
 
+    def test_large_budget_single_channel_takes_everything(self):
+        # nu = exp(-150) and below: out of reach of a linear-scale search on nu
+        for budget in (150.0, 1000.0):
+            ch = WeightedChannels(weights=np.array([1.0, 0.0]), budget=budget)
+            sol = water_fill(ch, DelayParams(beta=1.0))
+            np.testing.assert_array_equal(sol.rates, [budget, 0.0])
+
     def test_two_channel_corner_closed_form(self):
         # beta=1, w=(1, 0.2), M=1.  The interior candidate would need
         # log(w1*w2) - 2*log(nu) = M, i.e. nu ~ 0.271, but then channel 2's
@@ -144,6 +151,42 @@ class TestBatch:
                 sol = water_fill(WeightedChannels(weights=W[i], budget=budget), d)
                 np.testing.assert_allclose(rates[i], sol.rates, atol=1e-10)
                 assert abs(nu[i] - sol.multiplier) < 1e-9 * sol.multiplier
+
+
+def bisection_reference(W, budget, beta):
+    """Row-wise log-domain bisection on nu: the reference for the closed form."""
+    with np.errstate(divide="ignore"):
+        logbw = np.log(beta * W)
+
+    def spent(log_nu):
+        return np.sum(np.maximum(0.0, logbw - log_nu[:, None]), axis=1) / beta
+
+    hi = np.max(logbw, axis=1)
+    lo = hi - beta * budget - 1.0  # the top channel alone overspends here
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        over = spent(mid) > budget
+        lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+    log_nu = 0.5 * (lo + hi)
+    return np.maximum(0.0, logbw - log_nu[:, None]) / beta, np.exp(log_nu)
+
+
+class TestAgainstBisection:
+    def test_closed_form_matches_bisection(self):
+        # 200 batches x 10 rows: zero weights, magnitudes 1e-3..1e3,
+        # beta*M from 1e-2 to 1e2
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 51))
+            W = rng.uniform(0.0, 1.0, (10, n)) * 10.0 ** rng.uniform(-3, 3, (10, n))
+            W[rng.uniform(size=W.shape) < 0.2] = 0.0
+            W[np.max(W, axis=1) == 0.0, int(rng.integers(0, n))] = 1.0
+            beta = float(rng.uniform(0.2, 5.0))
+            budget = 10.0 ** float(rng.uniform(-2, 2)) / beta
+            rates, nu = water_fill_batch(W, budget, DelayParams(beta=beta))
+            ref_rates, ref_nu = bisection_reference(W, budget, beta)
+            np.testing.assert_allclose(rates, ref_rates, rtol=0.0, atol=1e-10 * budget)
+            np.testing.assert_allclose(nu, ref_nu, rtol=1e-9)
 
 
 class TestProjection:

@@ -219,13 +219,25 @@ def test_certificate_self_consistent_through_public_types():
 def test_certificate_tolerance_scaling():
     cfg = symmetric_pair()
     eq = run_dynamics(cfg, GameMode.PERFECT, params=FAST, search=SEARCH).omega
-    tight = check_nash(eq, cfg, GameMode.PERFECT, tol=1e-15,
-                       producer_tol=1e-15, search=SEARCH)
-    assert not tight.holds  # finite-precision residuals exceed an absurd tol
+    tight = check_nash(eq, cfg, GameMode.PERFECT, tol=0.0,
+                       producer_tol=0.0, search=SEARCH)
+    assert not tight.holds  # rounding leaves residuals above zero tolerance
+    assert max(tight.residuals.values()) < 1e-14
     loose = check_nash(eq, cfg, GameMode.PERFECT, tol=1.0, producer_tol=1.0,
                        search=SEARCH)
     assert loose.holds
     assert loose.max_residual <= 1.0
+
+
+@pytest.mark.parametrize("mode, m", [(GameMode.PROXY, 300.0), (GameMode.PERFECT, 1000.0)])
+def test_huge_consumer_budget_certifies(mode, m):
+    # consumer multipliers here are 1e-65 and below
+    cfg = MarketConfig(
+        dim=1, interests=(TopicPoint((0.2,)), TopicPoint((0.8,)), TopicPoint((0.5,))),
+        m=m, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5,
+        kernel=KernelParams(a_f=1.0, a_g=3.0), delay=DelayParams(beta=1.0), seed=7)
+    res = run_dynamics(cfg, mode, params=FAST)
+    assert res.certificate.holds, res.certificate.residuals
 
 
 # ---------------------------------------------------------------------------
