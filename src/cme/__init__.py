@@ -33,7 +33,6 @@ from .equilibrium import (
     NashCertificate,
     PriceOfInfluence,
     ProxyEquivalenceReport,
-    Schedule,
     check_nash,
     price_of_influence,
     proxy_equivalence_report,
@@ -92,7 +91,6 @@ __all__ = [
     "ProxyEquivalenceReport",
     "Scenario",
     "ScenarioError",
-    "Schedule",
     "SweepSpec",
     "TopicPoint",
     "TopicSearchParams",

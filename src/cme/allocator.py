@@ -71,11 +71,13 @@ class WeightedChannels:
 
 @dataclass(frozen=True)
 class AllocationSolution:
-    """Optimal rates, the shared multiplier nu, and the attained objective."""
+    """Optimal rates, the shared multiplier nu, and the attained objective.
+    log nu is kept too: nu underflows to 0.0 once beta*M per channel passes ~745."""
 
     rates: np.ndarray
     multiplier: float
     objective: float
+    log_multiplier: float
 
 
 def _objective(rates: np.ndarray, weights: np.ndarray, beta: float) -> float:
@@ -117,8 +119,10 @@ def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
     if not np.any(w > 0.0):
         raise DegenerateWeightsError("all channel weights are zero")
     rates, log_nu = _water_fill_rows(w[None, :], ch.budget, d.beta)
-    return AllocationSolution(rates=rates[0], multiplier=float(np.exp(log_nu[0])),
-                              objective=_objective(rates[0], w, d.beta))
+    log_nu = float(log_nu[0])
+    return AllocationSolution(rates=rates[0], multiplier=float(np.exp(log_nu)),
+                              objective=_objective(rates[0], w, d.beta),
+                              log_multiplier=log_nu)
 
 
 def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
@@ -212,4 +216,5 @@ def gradient_oracle(ch: WeightedChannels, d: DelayParams,
     active = best_x > 1e-12 * budget
     grad = w * beta * np.exp(-beta * best_x)
     nu = float(np.max(grad[active])) if np.any(active) else beta * float(np.max(w))
-    return AllocationSolution(rates=best_x, multiplier=nu, objective=best_f)
+    return AllocationSolution(rates=best_x, multiplier=nu, objective=best_f,
+                              log_multiplier=math.log(nu) if nu > 0.0 else -math.inf)

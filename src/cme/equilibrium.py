@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -35,11 +34,14 @@ from .bestresponse import (
     TopicGrid,
     TopicSearchParams,
     consumer_br_dense,
+    follower_weights,
+    grid_best,
+    imperfect_producer_round,
     influencer_br_dense,
-    producer_br_imperfect_dense,
-    producer_br_perfect_dense,
+    producer_block,
+    support_weights,
 )
-from .kernels import InvalidInputError, discount, discount_deriv, pairwise_distances
+from .kernels import InvalidInputError, discount, discount_deriv
 from .market import (
     DenseAllocation,
     MarketAllocation,
@@ -47,35 +49,20 @@ from .market import (
     allocation_from_dense,
     consumer_utilities,
     dense_from_allocation,
+    influencer_followed_match,
     match_matrix,
 )
-
-
-class Schedule(Enum):
-    ROUND_ROBIN = "round_robin"
-    JACOBI = "jacobi"
-
-    @classmethod
-    def parse(cls, text: str) -> "Schedule":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise InvalidInputError(
-                f"unknown schedule {text!r}; expected round_robin or jacobi") from None
 
 
 @dataclass(frozen=True)
 class DynamicsParams:
     """Iteration controls.  eps_alloc defaults to 1e-8 * M; eps_potential
-    defaults to the relative rule 1e-10 * |potential| per round.  The Jacobi
-    schedule (simultaneous updates) is experimental and carries no
-    convergence guarantee; round_robin is the supported default."""
+    defaults to the relative rule 1e-10 * |potential| per round."""
 
     max_rounds: int = 500
     eps_alloc: float | None = None
     eps_potential: float | None = None
     restarts: int = 2
-    schedule: Schedule = Schedule.ROUND_ROBIN
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -131,12 +118,6 @@ class EquilibriumResult:
     degenerate_producers: frozenset[int]
 
 
-def _as_dense_copy(omega: MarketAllocation, cfg: MarketConfig) -> DenseAllocation:
-    d = dense_from_allocation(omega, cfg)
-    return DenseAllocation(d.lam.copy(), d.mu_i.copy(), d.direct.copy(),
-                           d.mu_infl.copy(), d.X.copy())
-
-
 def default_init(cfg: MarketConfig, mode: GameMode) -> DenseAllocation:
     """Uniform rates over each agent's channels; every producer starts at
     its own interest."""
@@ -174,58 +155,34 @@ def random_init(cfg: MarketConfig, mode: GameMode, rng: np.random.Generator
 
 
 def _sup_change(a: DenseAllocation, b: DenseAllocation) -> float:
-    return max(
-        float(np.max(np.abs(a.lam - b.lam))),
-        float(np.max(np.abs(a.mu_i - b.mu_i))),
-        float(np.max(np.abs(a.direct - b.direct))),
-        float(np.max(np.abs(a.mu_infl - b.mu_infl))),
-        float(np.max(np.abs(a.X - b.X))),
-    )
+    return max(float(np.max(np.abs(u - v))) for u, v in zip(a, b))
 
 
 def _copy(d: DenseAllocation) -> DenseAllocation:
-    return DenseAllocation(d.lam.copy(), d.mu_i.copy(), d.direct.copy(),
-                           d.mu_infl.copy(), d.X.copy())
+    return DenseAllocation(*(x.copy() for x in d))
 
 
 def _one_round(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
-               grid: TopicGrid, schedule: Schedule) -> set[int]:
-    """Apply one full best-response round in place; returns the indices of
+               grid: TopicGrid) -> set[int]:
+    """Apply one full best-response round in place -- the influencer, then
+    every consumer, then the producers as one block; returns the indices of
     producers whose topic objective was degenerate this round."""
-    n = cfg.n
-    source = _copy(state) if schedule is Schedule.JACOBI else state
+    B = match_matrix(state.X, cfg)
+    state.mu_infl[:] = influencer_br_dense(state.mu_i, B, cfg)
 
-    B = match_matrix(source.X, cfg)
-    state.mu_infl[:] = influencer_br_dense(source.mu_i, B, cfg)
+    delta_infl = discount(state.mu_infl, cfg.delay)
+    for y in range(cfg.n):
+        state.lam[y], state.mu_i[y], state.direct[y, :] = \
+            consumer_br_dense(y, delta_infl, B, cfg, mode)
 
-    delta_infl = discount(source.mu_infl if schedule is Schedule.JACOBI else state.mu_infl,
-                          cfg.delay)
-    for y in range(n):
-        lam_y, mu_i_y, direct_row = consumer_br_dense(y, delta_infl, B, cfg, mode)
-        state.lam[y] = lam_y
-        state.mu_i[y] = mu_i_y
-        state.direct[y, :] = direct_row
-
-    degenerate: set[int] = set()
-    live = source if schedule is Schedule.JACOBI else state
-    d_i = discount(live.mu_i, cfg.delay)
-    d_infl = discount(live.mu_infl, cfg.delay)
-    d_direct = discount(live.direct, cfg.delay)
-    new_X = state.X if schedule is not Schedule.JACOBI else state.X.copy()
-    for z in range(n):
-        if mode is GameMode.IMPERFECT:
-            topic_source = live.X if schedule is Schedule.JACOBI else state.X
-            x, _, degen = producer_br_imperfect_dense(
-                z, live.mu_i, topic_source, grid, cfg, prev_x=topic_source[z])
-        else:
-            x, _, degen = producer_br_perfect_dense(
-                z, d_i, float(d_infl[z]), d_direct[:, z], grid, cfg,
-                prev_x=live.X[z])
-        new_X[z] = x
-        if degen:
-            degenerate.add(z)
-    state.X[:] = new_X
-    return degenerate
+    if mode is GameMode.IMPERFECT:
+        degenerate = imperfect_producer_round(state.mu_i, state.X, grid, cfg)
+    else:
+        W = support_weights(state.mu_i, state.mu_infl, state.direct, cfg)
+        block = producer_block(W, grid, cfg, prev=state.X)
+        state.X[:] = block.topics
+        degenerate = block.degenerate
+    return set(np.flatnonzero(degenerate).tolist())
 
 
 def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
@@ -278,9 +235,9 @@ def _residuals(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
 
     # --- producer topic optimality, certified on the grid ---
     if mode is GameMode.IMPERFECT:
-        res["a_producer_topic"] = _imperfect_producer_gap(dense, cfg, grid)
+        res["a_producer_topic"] = _imperfect_producer_gap(dense, cfg, grid, B)
     else:
-        res["a_producer_topic"] = _support_producer_gap(dense, cfg, grid, B, d_i, d_infl)
+        res["a_producer_topic"] = _support_producer_gap(dense, cfg, grid, B)
 
     # --- budgets ---
     spent = dense.lam + dense.mu_i + dense.direct.sum(axis=1)
@@ -310,7 +267,7 @@ def _residuals(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
         res["e_direct_optimal"] = gated_max(dense.direct > gate_m, shortfall)
 
     # --- influencer allocation marginals ---
-    gamma = cfg.r_p * (B @ d_i - np.diagonal(B) * d_i)
+    gamma = cfg.r_p * influencer_followed_match(d_i, B)
     g_marginal = discount_deriv(dense.mu_infl, d) * gamma
     best = float(np.max(g_marginal)) if n else 0.0
     res["g_influencer_allocation"] = gated_max(dense.mu_infl > gate_infl,
@@ -318,53 +275,39 @@ def _residuals(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
     return res
 
 
+def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
+    """Largest max(0, best - current) / best over producers with best > 0."""
+    ok = best > 0.0
+    if not np.any(ok):
+        return 0.0
+    return float(np.max(np.maximum(0.0, best[ok] - current[ok]) / best[ok]))
+
+
 def _support_producer_gap(dense: DenseAllocation, cfg: MarketConfig, grid: TopicGrid,
-                          B: np.ndarray, d_i: np.ndarray, d_infl: np.ndarray) -> float:
+                          B: np.ndarray) -> float:
     """Perfect/proxy condition (a): relative grid gap of each producer's support."""
-    d_direct = discount(dense.direct, cfg.delay)
-    worst = 0.0
-    for z in range(cfg.n):
-        wv = d_infl[z] * d_i + d_direct[:, z]
-        wv[z] = 0.0
-        grid_best = float(np.max(grid.Q[:, z] * (grid.P @ wv)))
-        if grid_best <= 0.0:
-            continue
-        dist = pairwise_distances(dense.X[z][None, :], cfg.interest_array())[0]
-        current = math.exp(-cfg.kernel.a_g * dist[z]) \
-            * float(np.exp(-cfg.kernel.a_f * dist) @ wv)
-        gap = max(0.0, grid_best - current) / grid_best
-        worst = max(worst, gap)
-    return worst
+    W = support_weights(dense.mu_i, dense.mu_infl, dense.direct, cfg)
+    best = grid_best(W, grid)
+    # B[z] already holds g(d(x(z), z)) * f(d(x(z), y)) at the current topics
+    return _relative_gap(best, np.einsum("zy,yz->z", B, W))
 
 
 def _imperfect_producer_gap(dense: DenseAllocation, cfg: MarketConfig,
-                            grid: TopicGrid) -> float:
+                            grid: TopicGrid, B: np.ndarray) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
-    re-solved rate at the best grid topic vs. at the current topic."""
+    re-solved rate at the best grid topic vs. at the current topic.  That
+    rate grows with z's match mass, so row z of one batch solve puts z at its
+    best grid mass; the last row is the influencer at the current topics."""
     if float(np.sum(dense.mu_i)) == 0.0:
         return 0.0  # uniform fallback: every topic scores the same
+    n = cfg.n
     d_i = discount(dense.mu_i, cfg.delay)
-    B = match_matrix(dense.X, cfg)
-    gamma = cfg.r_p * (B @ d_i - np.diagonal(B) * d_i)
-    worst = 0.0
-    for z in range(cfg.n):
-        d_i_masked = d_i.copy()
-        d_i_masked[z] = 0.0
-        cand = cfg.r_p * grid.Q[:, z] * (grid.P @ d_i_masked)
-        dist = pairwise_distances(dense.X[z][None, :], cfg.interest_array())[0]
-        cur_gamma = cfg.r_p * math.exp(-cfg.kernel.a_g * dist[z]) \
-            * float(np.exp(-cfg.kernel.a_f * dist) @ d_i_masked)
-        W = np.tile(gamma, (len(cand) + 1, 1))
-        W[:-1, z] = cand
-        W[-1, z] = cur_gamma
-        rates, _ = water_fill_batch(W, cfg.m_infl, cfg.delay)
-        scores = discount(rates[:, z], cfg.delay)
-        best = float(np.max(scores[:-1]))
-        if best <= 0.0:
-            continue
-        gap = max(0.0, best - float(scores[-1])) / best
-        worst = max(worst, gap)
-    return worst
+    rows = np.tile(cfg.r_p * influencer_followed_match(d_i, B), (n + 1, 1))
+    diag = np.arange(n)
+    rows[diag, diag] = cfg.r_p * grid_best(follower_weights(d_i), grid)
+    rates, _ = water_fill_batch(rows, cfg.m_infl, cfg.delay)
+    return _relative_gap(discount(rates[diag, diag], cfg.delay),
+                         discount(rates[n], cfg.delay))
 
 
 def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
@@ -385,7 +328,7 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
     starts: list[DenseAllocation] = []
     if init is not None:
         init.validate(cfg)
-        starts.append(_as_dense_copy(init, cfg))
+        starts.append(dense_from_allocation(init, cfg))
     else:
         starts.append(default_init(cfg, mode))
     for k in range(params.restarts):
@@ -393,7 +336,7 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
         starts.append(random_init(cfg, mode, rng))
     for omega in extra_inits:
         omega.validate(cfg)
-        starts.append(_as_dense_copy(omega, cfg))
+        starts.append(dense_from_allocation(omega, cfg))
 
     return [_run_single(start, cfg, mode, params, grid) for start in starts]
 
@@ -414,7 +357,7 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
 
     for rnd in range(1, params.max_rounds + 1):
         before = _copy(state)
-        degenerate = _one_round(state, cfg, mode, grid, params.schedule)
+        degenerate = _one_round(state, cfg, mode, grid)
         rounds_used = rnd
 
         B = match_matrix(state.X, cfg)

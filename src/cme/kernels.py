@@ -147,5 +147,8 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"expected (n, dim) point stacks of equal dim, got {a.shape} and {b.shape}"
         )
+    if a.shape[1] == 1:
+        # == sqrt(d*d) bit for bit, except where d*d underflows and exp(-a*d) is 1.0
+        return np.abs(a - b.T)
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -79,13 +79,17 @@ class MarketConfig:
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed}")
         object.__setattr__(self, "interests", interests)
+        Y = np.array([p.coords for p in interests], dtype=float)
+        Y.setflags(write=False)
+        object.__setattr__(self, "_interest_array", Y)
 
     @property
     def n(self) -> int:
         return len(self.interests)
 
     def interest_array(self) -> np.ndarray:
-        return np.array([p.coords for p in self.interests], dtype=float)
+        """The (N, dim) interests, built once per config and read-only."""
+        return self._interest_array
 
 
 @dataclass(frozen=True)
@@ -191,16 +195,26 @@ class DenseAllocation(NamedTuple):
     X: np.ndarray
 
 
-def dense_from_allocation(omega: MarketAllocation, cfg: MarketConfig) -> DenseAllocation:
-    n = cfg.n
-    lam = np.array([c.lambda_out for c in omega.consumers], dtype=float)
-    mu_i = np.array([c.mu_infl_follow for c in omega.consumers], dtype=float)
+def consumer_arrays(consumers, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda_out, mu_infl_follow, direct) of N consumer allocations as fresh arrays."""
+    lam = np.array([c.lambda_out for c in consumers], dtype=float)
+    mu_i = np.array([c.mu_infl_follow for c in consumers], dtype=float)
     direct = np.zeros((n, n))
-    for y, c in enumerate(omega.consumers):
+    for y, c in enumerate(consumers):
         for z, r in c.mu_direct.items():
             direct[y, z] = r
-    X = np.array([p.coords for p in omega.content.x], dtype=float)
-    return DenseAllocation(lam, mu_i, direct, np.array(omega.influencer.mu), X)
+    return lam, mu_i, direct
+
+
+def content_array(content: ContentAssignment) -> np.ndarray:
+    return np.array([p.coords for p in content.x], dtype=float)
+
+
+def dense_from_allocation(omega: MarketAllocation, cfg: MarketConfig) -> DenseAllocation:
+    """Fresh arrays: the result shares no memory with `omega`."""
+    lam, mu_i, direct = consumer_arrays(omega.consumers, cfg.n)
+    return DenseAllocation(lam, mu_i, direct, np.array(omega.influencer.mu),
+                           content_array(omega.content))
 
 
 def allocation_from_dense(dense: DenseAllocation, cfg: MarketConfig) -> MarketAllocation:
@@ -240,23 +254,22 @@ def consumer_utilities(dense: DenseAllocation, cfg: MarketConfig,
     return cfg.r_p * (d_i * via_infl + direct) + cfg.r_0 * cfg.b_0 * discount(dense.lam, d)
 
 
-def influencer_followed_match(dense: DenseAllocation, cfg: MarketConfig,
-                              B: np.ndarray | None = None) -> np.ndarray:
+def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
     """gamma(z)/r_p without the r_p scale: sum over y != z of delta(mu_i(y)) * B[z, y].
 
     This is each producer's follower-weighted match mass as seen from the
     influencer's chair; r_p * this vector is the influencer's channel weights.
     """
-    if B is None:
-        B = match_matrix(dense.X, cfg)
-    d_i = discount(dense.mu_i, cfg.delay)
     return B @ d_i - np.diagonal(B) * d_i
 
 
 def influencer_utility_dense(dense: DenseAllocation, cfg: MarketConfig,
                              B: np.ndarray | None = None) -> float:
     d_infl = discount(dense.mu_infl, cfg.delay)
-    return cfg.r_p * float(np.dot(d_infl, influencer_followed_match(dense, cfg, B)))
+    if B is None:
+        B = match_matrix(dense.X, cfg)
+    d_i = discount(dense.mu_i, cfg.delay)
+    return cfg.r_p * float(np.dot(d_infl, influencer_followed_match(d_i, B)))
 
 
 def producer_support_dense(z: int, dense: DenseAllocation, cfg: MarketConfig,
@@ -307,8 +320,3 @@ def producer_support_via_influencer(z: int, omega: MarketAllocation,
 def social_welfare(omega: MarketAllocation, cfg: MarketConfig) -> float:
     """Total consumer utility; exact potential for unilateral deviations."""
     return float(consumer_utilities(dense_from_allocation(omega, cfg), cfg).sum())
-
-
-def social_welfare_dense(dense: DenseAllocation, cfg: MarketConfig,
-                         B: np.ndarray | None = None) -> float:
-    return float(consumer_utilities(dense, cfg, B).sum())

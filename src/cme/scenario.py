@@ -46,7 +46,6 @@ from .equilibrium import (
     DynamicsParams,
     EquilibriumResult,
     NashCertificate,
-    Schedule,
     price_of_influence,
 )
 from .kernels import DelayParams, KernelParams, TopicPoint
@@ -156,7 +155,7 @@ _SECTIONS = {
     "scenario": {"name", "modes", "seed"},
     "market": {"dim", "m", "m_infl", "r_p", "r_0", "b_0", "a_f", "a_g", "beta"},
     "interests": {"kind", "points", "n", "centers", "spread"},
-    "dynamics": {"max_rounds", "eps_alloc", "eps_potential", "restarts", "schedule"},
+    "dynamics": {"max_rounds", "eps_alloc", "eps_potential", "restarts"},
     "search": {"grid_resolution", "refine_iters"},
     "sweep": {"n_values", "m_infl_rule", "k_infl", "replicates"},
 }
@@ -277,8 +276,6 @@ def parse_scenario(path: str | os.PathLike, _cp=None) -> Scenario:
             eps_alloc=_get(cp, path, "dynamics", "eps_alloc", float, None),
             eps_potential=_get(cp, path, "dynamics", "eps_potential", float, None),
             restarts=_get(cp, path, "dynamics", "restarts", int, 2),
-            schedule=Schedule.parse(
-                _get(cp, path, "dynamics", "schedule", str, "round_robin")),
         )
         search = TopicSearchParams(
             grid_resolution=_get(cp, path, "search", "grid_resolution", int, 256),

@@ -48,6 +48,13 @@ class TestWaterFill:
             sol = water_fill(ch, DelayParams(beta=1.0))
             np.testing.assert_array_equal(sol.rates, [budget, 0.0])
 
+    def test_log_multiplier_survives_underflow(self):
+        # log nu = (log(beta * 1) - beta * M) / 1 = -1000; nu itself underflows
+        sol = water_fill(WeightedChannels(weights=np.array([1.0, 0.0]), budget=1000.0),
+                         DelayParams(beta=1.0))
+        assert sol.log_multiplier == pytest.approx(-1000.0, rel=1e-9)
+        assert sol.multiplier == math.exp(sol.log_multiplier)
+
     def test_two_channel_corner_closed_form(self):
         # beta=1, w=(1, 0.2), M=1.  The interior candidate would need
         # log(w1*w2) - 2*log(nu) = M, i.e. nu ~ 0.271, but then channel 2's

@@ -1,4 +1,5 @@
-"""Best responses vs. brute-force oracles and closed-form cases."""
+"""Best responses vs. brute-force oracles, closed-form cases, and the
+per-producer searches the producer block replaced (tests/reference_search.py)."""
 
 import math
 
@@ -14,6 +15,8 @@ from cme.bestresponse import (
     producer_best_response_imperfect,
     producer_best_response_perfect,
     producer_best_response_surrogate,
+    producer_block,
+    support_weights,
 )
 from cme.kernels import (
     DelayParams,
@@ -29,12 +32,15 @@ from cme.market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    allocation_from_dense,
     consumer_utility,
+    dense_from_allocation,
     influencer_utility,
     match_matrix,
     producer_support,
 )
 from markets_util import random_allocation, random_config
+from reference_search import exact_imperfect_search, perfect_search, saturated
 
 SEARCH = TopicSearchParams(grid_resolution=128, refine_iters=40)
 
@@ -304,21 +310,23 @@ class TestProducerImperfectAndSurrogate:
         assert choice.topic == prev
 
     def test_agrees_with_surrogate_argmax(self):
+        # reference: the exact search, one influencer re-solve per candidate
         rng = np.random.default_rng(43)
         hits = 0
         for _ in range(8):
             cfg = random_config(rng, dim=1, n_min=3, n_max=8)
             omega = random_allocation(rng, cfg, spend_fraction=1.0)
             z = int(rng.integers(0, cfg.n))
-            full = producer_best_response_imperfect(
-                z, omega.consumers, omega.content, cfg, SEARCH)
+            d = dense_from_allocation(omega, cfg)
+            x, value, degenerate = exact_imperfect_search(
+                z, d.mu_i, d.X, TopicGrid(cfg, SEARCH), cfg)
             fast = producer_best_response_surrogate(
                 z, omega.consumers, cfg, SEARCH)
-            if full.degenerate or full.value <= 0.0:
+            if degenerate or value <= 0.0:
                 continue
             hits += 1
             cell = 1.0 / (SEARCH.grid_resolution - 1)
-            assert abs(full.topic.coords[0] - fast.topic.coords[0]) <= cell + 1e-12
+            assert abs(x[0] - fast.topic.coords[0]) <= cell + 1e-12
         assert hits >= 5  # the agreement case must actually be exercised
 
     def test_two_member_market_matches_perfect_argmax(self):
@@ -358,6 +366,116 @@ class TestProducerImperfectAndSurrogate:
             ConsumerAllocation(c.lambda_out, 0.0, c.mu_direct) for c in omega.consumers)
         choice = producer_best_response_surrogate(1, consumers, cfg, SEARCH)
         assert choice.degenerate
+
+
+def _dense_market(rng, dim, case):
+    """A random market state; some cases zero channels or every follow rate."""
+    cfg = random_config(rng, n_min=3, n_max=7, dim=dim)
+    d = dense_from_allocation(random_allocation(rng, cfg), cfg)
+    if case == 1:  # zero-weight channels
+        d.mu_i[::2] = 0.0
+        d.direct[:, 1] = 0.0
+        d.mu_infl[2] = 0.0
+    elif case == 2:  # nobody follows the influencer
+        d.mu_i[:] = 0.0
+    elif case == 3:  # nobody follows anyone: every support objective is zero
+        d.mu_i[:] = 0.0
+        d.direct[:] = 0.0
+    return cfg, d
+
+
+def _search(dim):
+    return SEARCH if dim == 1 else TopicSearchParams(grid_resolution=24)
+
+
+class TestProducerBlockAgainstReference:
+    """The block against one search per producer, on seeded random markets."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_perfect_block_matches_per_producer_search(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for case in range(6):
+            cfg, d = _dense_market(rng, dim, case)
+            grid = TopicGrid(cfg, _search(dim))
+            W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
+            d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
+            d_direct = discount(d.direct, cfg.delay)
+            for prev in (d.X, None):
+                block = producer_block(W, grid, cfg, prev=prev)
+                for z in range(cfg.n):
+                    x, value, degenerate = perfect_search(
+                        z, d_i, float(d_infl[z]), d_direct[:, z], grid, cfg,
+                        prev_x=None if prev is None else prev[z])
+                    assert block.degenerate[z] == degenerate
+                    np.testing.assert_allclose(block.topics[z], x, rtol=0.0, atol=1e-9)
+                    assert cfg.r_p * block.values[z] == pytest.approx(value, rel=1e-9, abs=0.0)
+            if case == 3:
+                assert block.degenerate.all()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_imperfect_search_matches_exact_reference(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        compared = 0
+        for case in range(5):
+            cfg, d = _dense_market(rng, dim, case)
+            grid = TopicGrid(cfg, _search(dim))
+            omega = allocation_from_dense(d, cfg)
+            for z in range(cfg.n):
+                got = producer_best_response_imperfect(
+                    z, omega.consumers, omega.content, cfg, _search(dim),
+                    prev=omega.content.x[z])
+                x, value, degenerate = exact_imperfect_search(
+                    z, d.mu_i, d.X, grid, cfg, prev_x=d.X[z])
+                assert got.degenerate == degenerate
+                assert got.value == pytest.approx(value, rel=1e-9, abs=0.0)
+                if saturated(value, cfg):
+                    continue
+                compared += 1
+                np.testing.assert_allclose(got.topic.as_array(), x, rtol=0.0, atol=1e-9)
+        assert compared >= 15
+
+    def test_exact_grid_ties_break_alike(self):
+        # producer 0 at 0.5, followers at 0.25 / 0.75, every weight exactly
+        # 1.0 (delta saturates): the grid nodes 0.25 and 0.75 tie bit for
+        # bit whatever the summation order, and beat every other node
+        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.5, 0.25, 0.75)),
+                           m=100.0, m_infl=100.0, r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=8.0, a_g=0.5))
+        mu_i, mu_infl = np.array([0.0, 50.0, 50.0]), np.full(3, 50.0)
+        W = support_weights(mu_i, mu_infl, np.zeros((3, 3)), cfg)
+        assert W[1, 0] == W[2, 0] == 1.0
+        d_i = discount(mu_i, cfg.delay)
+        for refine, prev in ((10, None), (0, None), (0, np.array([[0.75], [0.25], [0.75]]))):
+            grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
+            vals = grid.Q[:, 0] * (grid.P @ W[:, 0])
+            assert vals[2] == vals[6] == vals.max()
+            block = producer_block(W, grid, cfg, prev=prev)
+            x, value, _ = perfect_search(0, d_i, 1.0, np.zeros(3), grid, cfg,
+                                         prev_x=None if prev is None else prev[0])
+            assert block.topics[0, 0] == x[0]
+            assert block.values[0] == value
+            # the scan takes the first node of the tie; a tied incumbent stays
+            assert abs(x[0] - (0.25 if prev is None else 0.75)) <= grid.cell / 2
+
+    def test_saturated_rate_is_flat_only_for_the_exact_search(self):
+        # the influencer's budget is so large that delta of every candidate's
+        # re-solved rate rounds to 1.0: the exact search cannot tell topics
+        # apart and keeps the incumbent; the match-mass search moves, and
+        # scores the same 1.0
+        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.2, 0.5, 0.8)),
+                           m=1.0, m_infl=3000.0, r_p=1.0, r_0=1.0, b_0=0.5)
+        consumers = tuple(ConsumerAllocation(0.5, 0.5, {}) for _ in range(3))
+        content = ContentAssignment(x=(TopicPoint((0.0,)),) * 3)
+        d = dense_from_allocation(MarketAllocation(
+            consumers, InfluencerAllocation(mu=np.full(3, 1000.0)), content), cfg)
+        x, value, degenerate = exact_imperfect_search(
+            1, d.mu_i, d.X, TopicGrid(cfg, SEARCH), cfg, prev_x=d.X[1])
+        assert (value, degenerate, x[0]) == (1.0, False, 0.0)
+        got = producer_best_response_imperfect(1, consumers, content, cfg, SEARCH,
+                                               prev=content.x[1])
+        mass = producer_best_response_surrogate(1, consumers, cfg, SEARCH)
+        assert got.value == 1.0 and not got.degenerate
+        assert got.topic == mass.topic and mass.topic.coords[0] > 0.3
 
 
 class TestSearchParams:

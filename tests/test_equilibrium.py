@@ -10,15 +10,17 @@ controlled perturbations.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_search as ref
+from cme import equilibrium
 from cme.allocator import WeightedChannels, water_fill
-from cme.bestresponse import GameMode, TopicSearchParams
+from cme.bestresponse import GameMode, TopicGrid, TopicSearchParams
 from cme.equilibrium import (
     DynamicsParams,
-    Schedule,
     check_nash,
     price_of_influence,
     proxy_equivalence_report,
@@ -31,9 +33,11 @@ from cme.market import (
     MarketAllocation,
     MarketConfig,
     dense_from_allocation,
+    match_matrix,
     social_welfare,
 )
-from markets_util import random_config
+from cme.scenario import parse_scenario
+from markets_util import random_allocation, random_config
 
 SEARCH = TopicSearchParams(grid_resolution=64, refine_iters=30)
 FAST = DynamicsParams(restarts=0)
@@ -300,15 +304,6 @@ def test_round_cap_reports_nonconvergence():
     assert len(res.potential_trace) == 2
 
 
-def test_jacobi_schedule_runs_and_validates():
-    cfg = symmetric_pair()
-    res = run_dynamics(cfg, GameMode.PERFECT,
-                       params=DynamicsParams(restarts=0, schedule=Schedule.JACOBI),
-                       search=SEARCH)
-    res.omega.validate(cfg)
-    assert res.rounds_used >= 1
-
-
 def test_deterministic_repeat():
     rng = np.random.default_rng(41)
     cfg = random_config(rng, n_max=4, dim=1)
@@ -329,6 +324,123 @@ def test_params_validation():
         DynamicsParams(eps_alloc=0.0)
     with pytest.raises(InvalidInputError):
         DynamicsParams(restarts=-1)
-    with pytest.raises(InvalidInputError):
-        Schedule.parse("gauss")
-    assert Schedule.parse(" Jacobi ") is Schedule.JACOBI
+
+
+# ---------------------------------------------------------------------------
+# the producer block against the per-producer rounds it replaced
+# (tests/reference_search.py)
+# ---------------------------------------------------------------------------
+
+
+def _search(dim):
+    return SEARCH if dim == 1 else TopicSearchParams(grid_resolution=24)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_rounds_match_the_per_producer_round(mode, dim):
+    rng = np.random.default_rng(80 + 3 * dim + list(GameMode).index(mode))
+    compared = 0
+    for _ in range(4):
+        cfg = random_config(rng, n_min=3, n_max=6, dim=dim)
+        grid = TopicGrid(cfg, _search(dim))
+        new = equilibrium.random_init(cfg, mode, rng)
+        old = equilibrium._copy(new)
+        for _ in range(3):
+            values = []
+            degenerate_old = ref.gauss_seidel_round(old, cfg, mode, grid, values)
+            degenerate_new = equilibrium._one_round(new, cfg, mode, grid)
+            if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
+                break  # flat exact objective: the topics part by design
+            compared += 1
+            assert degenerate_new == degenerate_old
+            for a, b in zip(new, old):
+                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * max(cfg.m, cfg.m_infl))
+    assert compared >= 6
+
+
+def test_imperfect_round_moves_producers_in_order():
+    # a producer that moves can push a later one out of the influencer's
+    # active set: the per-producer round re-solves the influencer at the
+    # current topics, so the block must update each mover's channel weight
+    # before it tries the next producer
+    rng = np.random.default_rng(100)
+    degenerate_rounds = 0
+    for _ in range(40):
+        cfg = random_config(rng, n_min=3, n_max=6, dim=1)
+        grid = TopicGrid(cfg, SEARCH)
+        new = equilibrium.random_init(cfg, GameMode.IMPERFECT, rng)
+        old = equilibrium._copy(new)
+        values = []
+        degenerate_old = ref.gauss_seidel_round(old, cfg, GameMode.IMPERFECT, grid, values)
+        degenerate_new = equilibrium._one_round(new, cfg, GameMode.IMPERFECT, grid)
+        if any(ref.saturated(v, cfg) for v in values):
+            continue
+        assert degenerate_new == degenerate_old
+        np.testing.assert_allclose(new.X, old.X, rtol=0.0, atol=1e-9)
+        degenerate_rounds += bool(degenerate_old)
+    assert degenerate_rounds >= 2
+
+
+def _reference_run(cfg, mode, params, search):
+    """run_dynamics on the per-producer round and certificate; None when the
+    exact imperfect objective ever saturated (see reference_search.saturated)."""
+    values = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_one_round",
+                   lambda state, cfg, mode, grid: ref.gauss_seidel_round(
+                       state, cfg, mode, grid, values))
+        mp.setattr(equilibrium, "_imperfect_producer_gap", ref.imperfect_gap)
+        mp.setattr(equilibrium, "_support_producer_gap", ref.support_gap)
+        res = run_dynamics(cfg, mode, params=params, search=search)
+    if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
+        return None
+    return res
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_runs_match_the_per_producer_dynamics(mode):
+    rng = np.random.default_rng(90 + list(GameMode).index(mode))
+    scn = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "symmetric.scn")
+    cases = [(scn.build_config(), scn.dynamics, scn.search)]
+    cases += [(random_config(rng, n_min=3, n_max=5, dim=dim), FAST, _search(dim))
+              for dim in (1, 1, 1, 2, 2)]
+    compared = 0
+    for cfg, params, search in cases:
+        old = _reference_run(cfg, mode, params, search)
+        if old is None:
+            continue
+        new = run_dynamics(cfg, mode, params=params, search=search)
+        compared += 1
+        assert new.welfare == pytest.approx(old.welfare, rel=1e-9, abs=0.0)
+        assert new.potential_trace == pytest.approx(old.potential_trace, rel=1e-9, abs=0.0)
+        assert new.degenerate_producers == old.degenerate_producers
+        assert new.certificate.holds == old.certificate.holds
+        np.testing.assert_allclose(dense_from_allocation(new.omega, cfg).X,
+                                   dense_from_allocation(old.omega, cfg).X, atol=1e-9)
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_certificate_gaps_match_the_per_producer_gaps(dim):
+    rng = np.random.default_rng(95 + dim)
+    for case in range(6):
+        cfg = random_config(rng, n_min=3, n_max=7, dim=dim)
+        grid = TopicGrid(cfg, _search(dim))
+        if case < 2:  # equilibria: gaps at or near zero
+            mode = (GameMode.PERFECT, GameMode.IMPERFECT)[case]
+            res = run_dynamics(cfg, mode, params=FAST, search=_search(dim))
+            d = dense_from_allocation(res.omega, cfg)
+        else:
+            d = dense_from_allocation(random_allocation(rng, cfg), cfg)
+        if case == 3:  # zero-weight channels
+            d.mu_i[::2] = 0.0
+            d.direct[:, 1] = 0.0
+            d.mu_infl[2] = 0.0
+        elif case == 4:  # nobody follows the influencer
+            d.mu_i[:] = 0.0
+        B = match_matrix(d.X, cfg)
+        assert equilibrium._imperfect_producer_gap(d, cfg, grid, B) == pytest.approx(
+            ref.imperfect_gap(d, cfg, grid), rel=0.0, abs=1e-12)
+        assert equilibrium._support_producer_gap(d, cfg, grid, B) == pytest.approx(
+            ref.support_gap(d, cfg, grid), rel=0.0, abs=1e-12)

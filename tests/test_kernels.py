@@ -54,6 +54,14 @@ class TestTopicSpace:
                 d = distance(TopicPoint(tuple(a[i])), TopicPoint(tuple(b[j])))
                 assert abs(mat[i, j] - d) < 1e-14
 
+    def test_pairwise_distances_in_dim_one_equal_the_general_formula(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(0, 1, (50, 1)), rng.uniform(0, 1, (40, 1))
+        b[:5] = a[:5]  # zero distances too
+        diff = a[:, None, :] - b[None, :, :]
+        general = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        assert np.array_equal(pairwise_distances(a, b), general)
+
 
 class TestKernels:
     def test_perfect_match_has_probability_one(self):

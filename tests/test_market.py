@@ -244,6 +244,14 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             MarketConfig(dim=1, interests=(p, p), m=1, m_infl=1, r_p=1, r_0=1, b_0=1.5)
 
+    def test_interest_array_is_cached_and_read_only(self):
+        cfg = random_config(np.random.default_rng(5))
+        Y = cfg.interest_array()
+        assert Y is cfg.interest_array()
+        assert Y.tolist() == [list(p.coords) for p in cfg.interests]
+        with pytest.raises(ValueError, match="read-only"):
+            Y[0, 0] = 0.5
+
     def test_budget_overrun_rejected(self):
         cfg = self._simple_cfg()
         omega = MarketAllocation(

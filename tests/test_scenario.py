@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cme.bestresponse import GameMode
-from cme.equilibrium import Schedule
 from cme.kernels import TopicPoint
 from cme.market import dense_from_allocation, social_welfare
 from cme.scenario import (
@@ -64,7 +63,6 @@ def test_parse_minimal_scenario_defaults(tmp_path):
     assert scn.r_p == 1.0 and scn.b_0 == 0.5
     assert scn.kernel.a_f == 2.0 and scn.delay.beta == 1.0
     assert scn.dynamics.max_rounds == 500 and scn.dynamics.restarts == 2
-    assert scn.dynamics.schedule is Schedule.ROUND_ROBIN
     assert scn.search.grid_resolution == 256
     cfg = scn.build_config()
     assert cfg.n == 2
@@ -111,6 +109,13 @@ def test_malformed_scenarios_name_the_field(tmp_path, mangle, fragment):
     path = write(tmp_path, "bad.scn", mangle(MINIMAL))
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(path)
+
+
+def test_schedule_key_is_unknown(tmp_path):
+    # round-robin is the only schedule, so there is no key to choose one
+    text = MINIMAL + "\n[dynamics]\nschedule = round_robin\n"
+    with pytest.raises(ScenarioError, match="unknown key 'schedule'"):
+        parse_scenario(write(tmp_path, "sched.scn", text))
 
 
 def test_sweep_requires_sampled_interests(tmp_path):
