@@ -8,6 +8,13 @@ no direct channels and producers compete for the influencer's attention.
 Consumers and the influencer face weighted-channel programs and delegate
 to the water-filling allocator.
 
+Consumers are solved as one block.  Within a round each consumer's channel
+weights depend only on (B, delta(mu_infl)), so ``consumers_br_dense``
+builds them for all consumers at once -- the outside source r_0 * B_0, the
+influencer r_p * (B^T delta(mu_infl) - diag(B) * delta(mu_infl)), and the
+direct channels r_p * B^T with the self channel at weight 0 -- and runs the
+allocator's closed form on row chunks of that table.
+
 Producers are searched as one block.  Producer z's objective at topic x is
 g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of W holds z's
 consumer weights: delta(mu_infl(z)) * delta(mu_i(y)) + delta(mu_direct(y, z))
@@ -20,6 +27,13 @@ strictly better.  Exact grid ties go to the lexicographically smallest
 node; a column that is zero on the whole grid is degenerate and keeps its
 incumbent.  Each objective reads only its own topic, so the block equals N
 one-producer searches (Monderer & Shapley, *Potential Games*, 1996).
+
+The polish evaluates ``_bracket_objective``.  In dim 1 the interest kernel
+exp(-a_f * |t - y|) is semiseparable (Vandebril, Van Barel & Mastronardi,
+*Matrix Computations and Semiseparable Matrices*, 2008): the interests
+outside a producer's bracket [lo, hi] fold into two virtual interests at
+lo and hi, weighted by sums taken once, so a golden step costs O(m) for
+the m interests inside the bracket, not O(N).
 
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
@@ -39,11 +53,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .allocator import WeightedChannels, water_fill
+from .allocator import WeightedChannels, _water_fill_rows, water_fill
 from .kernels import InvalidInputError, TopicPoint, discount, pairwise_distances
 from .market import (
     ConsumerAllocation,
     ContentAssignment,
+    DenseAllocation,
     InfluencerAllocation,
     MarketConfig,
     consumer_arrays,
@@ -156,28 +171,55 @@ def influencer_br_dense(mu_i: np.ndarray, B: np.ndarray, cfg: MarketConfig) -> n
     return sol.rates
 
 
+def _consumer_rates(ys: np.ndarray, delta_infl: np.ndarray, B: np.ndarray,
+                    cfg: MarketConfig, mode: GameMode) -> np.ndarray:
+    """Optimal splits of consumers ys in one closed-form solve, (k, N + 2) rates.
+
+    Columns are the outside source (weight r_0*B_0, always positive, so no
+    row is degenerate), the influencer (weight r_p * sum_{z != y} B[z,y] *
+    delta(mu_infl(z))) and one direct channel per producer z with weight
+    r_p * B[z, y], zero on the self channel, which therefore gets rate 0
+    exactly.  Proxy consumers hold no direct channels: (k, 2) rates.
+    """
+    Bt = B[:, ys].T
+    w_infl = Bt @ delta_infl - B[ys, ys] * delta_infl[ys]
+    weights = np.empty((ys.size, 2 if mode is GameMode.PROXY else cfg.n + 2))
+    weights[:, 0] = cfg.r_0 * cfg.b_0
+    weights[:, 1] = cfg.r_p * w_infl
+    if mode is not GameMode.PROXY:
+        np.multiply(Bt, cfg.r_p, out=weights[:, 2:])
+        weights[np.arange(ys.size), 2 + ys] = 0.0
+    return _water_fill_rows(weights, cfg.m, cfg.delay.beta)[0]
+
+
+def consumers_br_dense(state: DenseAllocation, delta_infl: np.ndarray, B: np.ndarray,
+                       cfg: MarketConfig, mode: GameMode) -> None:
+    """Every consumer's best response, in place on state's lam, mu_i and direct.
+
+    Within a round the consumers depend only on (B, delta(mu_infl)), not on
+    each other, so they are solved as one block, in row chunks of _CHUNK
+    outside proxy mode: (_CHUNK, N + 2) temporaries keep a round's peak
+    memory flat.
+    """
+    ys = np.arange(cfg.n)
+    if mode is GameMode.PROXY:
+        rates = _consumer_rates(ys, delta_infl, B, cfg, mode)
+        state.lam[:], state.mu_i[:] = rates[:, 0], rates[:, 1]
+        state.direct[:] = 0.0
+        return
+    for sl in _chunks(cfg.n):
+        rates = _consumer_rates(ys[sl], delta_infl, B, cfg, mode)
+        state.lam[sl], state.mu_i[sl] = rates[:, 0], rates[:, 1]
+        state.direct[sl] = rates[:, 2:]
+
+
 def consumer_br_dense(y: int, delta_infl: np.ndarray, B: np.ndarray,
                       cfg: MarketConfig, mode: GameMode
                       ) -> tuple[float, float, np.ndarray]:
-    """Optimal split of consumer y's budget; returns (lambda, mu_i, direct row).
-
-    Channels are the outside source (weight r_0*B_0, always positive), the
-    influencer (weight r_p * sum_{z != y} B[z,y] * delta(mu_infl(z))), and --
-    outside proxy mode -- one direct channel per other producer with weight
-    r_p * B[z, y].  Proxy mode consumers hold no direct channels at all.
-    """
-    n = cfg.n
-    w_infl = cfg.r_p * (float(B[:, y] @ delta_infl) - B[y, y] * delta_infl[y])
-    direct_row = np.zeros(n)
-    if mode is GameMode.PROXY:
-        weights = np.array([cfg.r_0 * cfg.b_0, w_infl])
-        sol = water_fill(WeightedChannels(weights=weights, budget=cfg.m), cfg.delay)
-        return float(sol.rates[0]), float(sol.rates[1]), direct_row
-    others = np.arange(n) != y
-    weights = np.concatenate(([cfg.r_0 * cfg.b_0, w_infl], cfg.r_p * B[others, y]))
-    sol = water_fill(WeightedChannels(weights=weights, budget=cfg.m), cfg.delay)
-    direct_row[others] = sol.rates[2:]
-    return float(sol.rates[0]), float(sol.rates[1]), direct_row
+    """The block restricted to consumer y: (lambda, mu_i, direct row)."""
+    rates = _consumer_rates(np.array([y]), delta_infl, B, cfg, mode)[0]
+    direct_row = np.zeros(cfg.n) if mode is GameMode.PROXY else rates[2:]
+    return float(rates[0]), float(rates[1]), direct_row
 
 
 def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
@@ -198,8 +240,9 @@ def follower_weights(d_i: np.ndarray) -> np.ndarray:
 
 
 def _chunks(k: int) -> list[slice]:
-    """Producer chunks of _CHUNK columns: a chunk's (G, c) scan is a small
-    level-3 BLAS product, and its (c, N) polish tables stay small too."""
+    """Chunks of _CHUNK producers or consumers: a producer chunk's (G, c)
+    scan is a small level-3 BLAS product, and its (c, N) polish tables and
+    a consumer chunk's (c, N + 2) weights stay small too."""
     return [slice(s, s + _CHUNK) for s in range(0, k, _CHUNK)]
 
 
@@ -227,12 +270,54 @@ def _objective(T: np.ndarray, W: np.ndarray, cols: np.ndarray,
     return q * np.einsum("jy,yj->j", D, W)
 
 
-def _golden_block(f, lo: np.ndarray, hi: np.ndarray, iters: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _bracket_objective(W: np.ndarray, cols: np.ndarray, lo: np.ndarray,
+                       hi: np.ndarray, cfg: MarketConfig):
+    """``_objective`` in dim 1 for topics t[j] inside [lo[j], hi[j]], at
+    O(k * m) per call, m being the most interests strictly inside a bracket.
+
+    The kernel exp(-a_f * |t - y|) is semiseparable: for an interest y <= lo
+    it is exp(-a_f * (t - lo)) * exp(-a_f * (lo - y)), and for y >= hi it is
+    exp(-a_f * (hi - t)) * exp(-a_f * (y - hi)).  So the interests outside
+    a bracket act as two virtual interests at lo and hi, weighted by the
+    sums out_l and out_r of their second factors, taken once.  With the
+    interests strictly inside, they fill a (k, m + 2) table padded with
+    zero weights.  Every exp factor is at most 1, so nothing overflows
+    whatever a_f is.
+    """
+    a_f = cfg.kernel.a_f
+    y = cfg.interest_array()[:, 0]
+
+    def outside(gap):  # gap (k, N): how far each interest lies beyond an edge
+        K = np.exp(-a_f * np.abs(gap))
+        K[gap < 0.0] = 0.0
+        return np.einsum("jy,yj->j", K, W)
+
+    order = np.argsort(y)
+    ys = y[order]
+    first = np.searchsorted(ys, lo, side="right")
+    stop = np.searchsorted(ys, hi, side="left")
+    idx = first[:, None] + np.arange(int(np.max(stop - first, initial=0)))
+    inside = idx < stop[:, None]
+    idx = np.minimum(idx, y.size - 1)
+    w_in = np.where(inside, W[order[idx], np.arange(cols.size)[:, None]], 0.0)
+    y_tab = np.column_stack((lo, hi, ys[idx]))
+    w_tab = np.column_stack((outside(lo[:, None] - y), outside(y - hi[:, None]), w_in))
+    y_self = y[cols]
+
+    def f(t):
+        K = np.abs(t[:, None] - y_tab)
+        K *= -a_f
+        np.exp(K, out=K)
+        return np.exp(-cfg.kernel.a_g * np.abs(t - y_self)) * np.einsum("jm,jm->j", w_tab, K)
+
+    return f
+
+
+def _golden_block(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
     """Golden-section maximization of f on each [lo[j], hi[j]] in lockstep.
 
     Each element takes exactly the branches a scalar golden-section search
-    would take on its own; returns the best point seen and its value.
+    would take on its own; returns the best point seen.
     """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
@@ -249,7 +334,7 @@ def _golden_block(f, lo: np.ndarray, hi: np.ndarray, iters: int
         fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
         up = ft > best_f
         best_x, best_f = np.where(up, t, best_x), np.where(up, ft, best_f)
-    return best_x, best_f
+    return best_x
 
 
 def producer_block(W: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
@@ -261,7 +346,9 @@ def producer_block(W: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
     producer keeps its incumbent (the smallest grid node when prev is None),
     and any other keeps it unless a candidate is strictly better.  Scan,
     polish and incumbent check run in chunks of _CHUNK producers, so the
-    temporaries are (G, _CHUNK) and (_CHUNK, N) tables.
+    temporaries are (G, _CHUNK) and (_CHUNK, N) tables.  The polish searches
+    on ``_bracket_objective``; its best point is evaluated once more with
+    ``_objective``, the formula every value and comparison here uses.
     """
     cols = np.arange(cfg.n) if cols is None else np.asarray(cols)
     k = cols.size
@@ -275,19 +362,17 @@ def producer_block(W: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
         best_on_grid[sl] = vals[best, np.arange(best.size)]
         topics[sl] = grid.points[best]
         values[sl] = best_on_grid[sl]
-
-        def objective(T, sl=sl):
-            return _objective(T, W[:, sl], cols[sl], cfg)
-
         if refine:
             lo = grid.points[np.maximum(best - 1, 0), 0]
             hi = grid.points[np.minimum(best + 1, last), 0]
-            x, fx = _golden_block(lambda t: objective(t[:, None]), lo, hi, refine)
+            f = _bracket_objective(W[:, sl], cols[sl], lo, hi, cfg)
+            x = np.clip(_golden_block(f, lo, hi, refine), 0.0, 1.0)
+            fx = _objective(x[:, None], W[:, sl], cols[sl], cfg)
             up = fx > values[sl]
-            topics[sl][up, 0] = np.clip(x[up], 0.0, 1.0)
+            topics[sl][up, 0] = x[up]
             values[sl][up] = fx[up]
         if prev is not None:
-            at_prev = objective(prev[sl])
+            at_prev = _objective(prev[sl], W[:, sl], cols[sl], cfg)
             keep = at_prev >= values[sl]  # move only on strict improvement
             topics[sl][keep] = prev[sl][keep]
             values[sl][keep] = at_prev[keep]
@@ -306,9 +391,9 @@ def _resolved_rate(gamma: np.ndarray, z: int, weight: float, cfg: MarketConfig) 
 
 
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
-                             cfg: MarketConfig) -> np.ndarray:
+                             cfg: MarketConfig, B: np.ndarray) -> np.ndarray:
     """One imperfect-regime producer pass, in place on X; returns the
-    degenerate mask.
+    degenerate mask.  B is ``match_matrix(X, cfg)`` on entry.
 
     Producers move in index order, each against the influencer's channel
     weights at the current topics (see the module docstring).  When nobody
@@ -319,7 +404,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
         return np.ones(cfg.n, dtype=bool)
     d_i = discount(mu_i, cfg.delay)
     block = producer_block(follower_weights(d_i), grid, cfg, prev=X)
-    gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(X, cfg))
+    gamma = cfg.r_p * influencer_followed_match(d_i, B)
     degenerate = block.degenerate.copy()
     for z in np.flatnonzero(~degenerate):
         if _resolved_rate(gamma, z, cfg.r_p * block.grid_best[z], cfg) > 0.0:

@@ -33,7 +33,7 @@ from .bestresponse import (
     GameMode,
     TopicGrid,
     TopicSearchParams,
-    consumer_br_dense,
+    consumers_br_dense,
     follower_weights,
     grid_best,
     imperfect_producer_round,
@@ -163,20 +163,16 @@ def _copy(d: DenseAllocation) -> DenseAllocation:
 
 
 def _one_round(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
-               grid: TopicGrid) -> set[int]:
+               grid: TopicGrid, B: np.ndarray) -> set[int]:
     """Apply one full best-response round in place -- the influencer, then
-    every consumer, then the producers as one block; returns the indices of
-    producers whose topic objective was degenerate this round."""
-    B = match_matrix(state.X, cfg)
+    the consumers as one block, then the producers as one block; returns the
+    indices of producers whose topic objective was degenerate this round.
+    B is ``match_matrix(state.X, cfg)`` on entry."""
     state.mu_infl[:] = influencer_br_dense(state.mu_i, B, cfg)
-
-    delta_infl = discount(state.mu_infl, cfg.delay)
-    for y in range(cfg.n):
-        state.lam[y], state.mu_i[y], state.direct[y, :] = \
-            consumer_br_dense(y, delta_infl, B, cfg, mode)
+    consumers_br_dense(state, discount(state.mu_infl, cfg.delay), B, cfg, mode)
 
     if mode is GameMode.IMPERFECT:
-        degenerate = imperfect_producer_round(state.mu_i, state.X, grid, cfg)
+        degenerate = imperfect_producer_round(state.mu_i, state.X, grid, cfg, B)
     else:
         W = support_weights(state.mu_i, state.mu_infl, state.direct, cfg)
         block = producer_block(W, grid, cfg, prev=state.X)
@@ -354,15 +350,17 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
     rounds_used = 0
     best_cert: NashCertificate | None = None
     best_state: DenseAllocation | None = None
+    best_phi = phi
 
     for rnd in range(1, params.max_rounds + 1):
         before = _copy(state)
-        degenerate = _one_round(state, cfg, mode, grid)
+        degenerate = _one_round(state, cfg, mode, grid, B)
         rounds_used = rnd
+        change = _sup_change(before, state)
+        del before
 
         B = match_matrix(state.X, cfg)
         new_phi = float(consumer_utilities(state, cfg, B).sum())
-        change = _sup_change(before, state)
         dphi = abs(new_phi - phi)
         phi = new_phi
         trace.append(phi)
@@ -372,7 +370,7 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
             if change < cert_window or near_cap:
                 cert = check_nash(None, cfg, mode, _grid=grid, _dense=state)
                 if best_cert is None or cert.max_residual < best_cert.max_residual:
-                    best_cert, best_state = cert, _copy(state)
+                    best_cert, best_state, best_phi = cert, _copy(state), phi
             if change < eps_alloc:
                 converged = True
                 break
@@ -385,12 +383,12 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
                 converged = True
                 break
 
+    del B  # dead past the last round: free it before the certificate's tables
     if mode is GameMode.IMPERFECT and best_cert is not None:
-        cert, final = best_cert, best_state
+        cert, final, welfare = best_cert, best_state, best_phi
     else:
-        final = state
+        final, welfare = state, phi  # phi is already the welfare at state
         cert = check_nash(None, cfg, mode, _grid=grid, _dense=final)
-    welfare = float(consumer_utilities(final, cfg).sum())
     return EquilibriumResult(
         omega=allocation_from_dense(final, cfg),
         welfare=welfare,

@@ -219,8 +219,10 @@ def dense_from_allocation(omega: MarketAllocation, cfg: MarketConfig) -> DenseAl
 
 def allocation_from_dense(dense: DenseAllocation, cfg: MarketConfig) -> MarketAllocation:
     consumers = []
-    for y in range(cfg.n):
-        direct = {z: float(r) for z, r in enumerate(dense.direct[y]) if z != y and r > 0.0}
+    for y, row in enumerate(dense.direct):
+        nz = np.flatnonzero(row > 0.0)
+        nz = nz[nz != y]
+        direct = dict(zip(nz.tolist(), row[nz].tolist()))
         consumers.append(ConsumerAllocation(
             lambda_out=float(dense.lam[y]),
             mu_infl_follow=float(dense.mu_i[y]),

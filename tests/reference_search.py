@@ -1,14 +1,17 @@
-"""Compact copies of the per-producer code that the producer block replaced.
+"""Compact copies of the per-agent code that the consumer and producer
+blocks replaced.
 
 They are the references of the differential tests in test_bestresponse.py
 and test_equilibrium.py:
 
-- ``perfect_search``: one producer's grid scan, golden-section polish and
-  incumbent rule on its realized support;
+- ``consumer_br`` and ``consumer_round``: one water-filling solve per
+  consumer over its own channels;
+- ``perfect_search``: one producer's grid scan, golden-section polish on
+  the direct objective and incumbent rule on its realized support;
 - ``exact_imperfect_search``: one producer's search on the influencer's
   re-solved rate, one water-filling re-solve per candidate topic;
-- ``gauss_seidel_round``: a full round with one search per producer in
-  index order (drop-in for ``equilibrium._one_round``);
+- ``gauss_seidel_round``: a full round with one solve per consumer and one
+  search per producer in index order (drop-in for ``equilibrium._one_round``);
 - ``imperfect_gap`` and ``support_gap``: certificate condition (a) with a
   (G + 1)-row re-solve and a scalar support evaluation per producer (drop-ins
   for ``equilibrium._imperfect_producer_gap`` / ``_support_producer_gap``).
@@ -18,10 +21,39 @@ import math
 
 import numpy as np
 
-from cme.allocator import water_fill_batch
-from cme.bestresponse import GameMode, consumer_br_dense, influencer_br_dense
+from cme.allocator import WeightedChannels, water_fill, water_fill_batch
+from cme.bestresponse import GameMode, influencer_br_dense
 from cme.kernels import discount, pairwise_distances
 from cme.market import match_matrix
+
+
+def consumer_br(y, delta_infl, B, cfg, mode):
+    """(lambda, mu_i, direct row) of consumer y.
+
+    Channels are the outside source (weight r_0*B_0), the influencer (weight
+    r_p * sum_{z != y} B[z,y] * delta(mu_infl(z))) and, outside proxy mode,
+    one direct channel per other producer with weight r_p * B[z, y].
+    """
+    n = cfg.n
+    w_infl = cfg.r_p * (float(B[:, y] @ delta_infl) - B[y, y] * delta_infl[y])
+    direct_row = np.zeros(n)
+    if mode is GameMode.PROXY:
+        weights = np.array([cfg.r_0 * cfg.b_0, w_infl])
+        sol = water_fill(WeightedChannels(weights=weights, budget=cfg.m), cfg.delay)
+        return float(sol.rates[0]), float(sol.rates[1]), direct_row
+    others = np.arange(n) != y
+    weights = np.concatenate(([cfg.r_0 * cfg.b_0, w_infl], cfg.r_p * B[others, y]))
+    sol = water_fill(WeightedChannels(weights=weights, budget=cfg.m), cfg.delay)
+    direct_row[others] = sol.rates[2:]
+    return float(sol.rates[0]), float(sol.rates[1]), direct_row
+
+
+def consumer_round(state, delta_infl, B, cfg, mode):
+    """Every consumer's best response, one at a time, in place on state
+    (drop-in for ``bestresponse.consumers_br_dense``)."""
+    for y in range(cfg.n):
+        state.lam[y], state.mu_i[y], state.direct[y, :] = \
+            consumer_br(y, delta_infl, B, cfg, mode)
 
 
 def golden_max(f, lo, hi, iters):
@@ -132,10 +164,7 @@ def gauss_seidel_round(state, cfg, mode, grid, values=None):
     `values`, when given, collects each producer's objective value."""
     B = match_matrix(state.X, cfg)
     state.mu_infl[:] = influencer_br_dense(state.mu_i, B, cfg)
-    delta_infl = discount(state.mu_infl, cfg.delay)
-    for y in range(cfg.n):
-        state.lam[y], state.mu_i[y], state.direct[y, :] = \
-            consumer_br_dense(y, delta_infl, B, cfg, mode)
+    consumer_round(state, discount(state.mu_infl, cfg.delay), B, cfg, mode)
     degenerate = set()
     d_i = discount(state.mu_i, cfg.delay)
     d_infl = discount(state.mu_infl, cfg.delay)

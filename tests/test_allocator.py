@@ -10,6 +10,7 @@ from cme.allocator import (
     DegenerateWeightsError,
     WeightedChannels,
     gradient_oracle,
+    gradient_oracle_batch,
     kkt_residuals,
     project_budget_box,
     water_fill,
@@ -126,14 +127,24 @@ class TestWaterFill:
 class TestMutualConsistency:
     def test_water_fill_against_gradient_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(60):
-            ch, d = random_instance(rng)
+        instances = [random_instance(rng) for _ in range(60)]
+        for (ch, d), go in zip(instances, gradient_oracle_batch(instances)):
             wf = water_fill(ch, d)
-            go = gradient_oracle(ch, d)
             scale = max(1.0, abs(wf.objective))
             # neither route may beat the other beyond tolerance
             assert wf.objective >= go.objective - 1e-6 * scale
             assert abs(wf.objective - go.objective) <= 1e-6 * scale
+
+    def test_oracle_batch_rows_match_single_runs(self):
+        # a row padded with zero-weight channels runs as it would alone
+        rng = np.random.default_rng(15)
+        instances = [random_instance(rng, n_max=12) for _ in range(12)]
+        for (ch, d), go in zip(instances, gradient_oracle_batch(instances, iters=300)):
+            alone = gradient_oracle(ch, d, iters=300)
+            assert go.rates.shape == (ch.n,)
+            np.testing.assert_allclose(go.rates, alone.rates, rtol=0.0, atol=1e-12 * ch.budget)
+            assert go.objective == pytest.approx(alone.objective, rel=1e-12)
+            assert np.all(go.rates[ch.weights == 0.0] == 0.0)
 
     def test_oracle_zero_weight_channels_stay_near_zero(self):
         rng = np.random.default_rng(8)
@@ -204,6 +215,13 @@ class TestProjection:
     def test_negatives_clip_when_budget_slack(self):
         v = np.array([-0.3, 0.4])
         np.testing.assert_array_equal(project_budget_box(v, 1.0), [0.0, 0.4])
+
+    def test_rows_project_independently(self):
+        rng = np.random.default_rng(16)
+        V = rng.normal(0.0, 2.0, (20, 7))
+        budgets = rng.uniform(0.5, 3.0, 20)
+        for v, budget, p in zip(V, budgets, project_budget_box(V, budgets)):
+            np.testing.assert_array_equal(p, project_budget_box(v, budget))
 
     def test_projection_is_closest_feasible_point(self):
         rng = np.random.default_rng(10)

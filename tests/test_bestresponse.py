@@ -1,5 +1,6 @@
 """Best responses vs. brute-force oracles, closed-form cases, and the
-per-producer searches the producer block replaced (tests/reference_search.py)."""
+per-agent code the consumer and producer blocks replaced
+(tests/reference_search.py)."""
 
 import math
 
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 from cme.bestresponse import (
+    _CHUNK,
     GameMode,
     TopicGrid,
     TopicSearchParams,
+    _bracket_objective,
+    _objective,
     consumer_best_response,
+    consumers_br_dense,
     influencer_best_response,
     producer_best_response_imperfect,
     producer_best_response_perfect,
@@ -29,6 +34,7 @@ from cme.kernels import (
 from cme.market import (
     ConsumerAllocation,
     ContentAssignment,
+    DenseAllocation,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
@@ -40,7 +46,7 @@ from cme.market import (
     producer_support,
 )
 from markets_util import random_allocation, random_config
-from reference_search import exact_imperfect_search, perfect_search, saturated
+from reference_search import consumer_round, exact_imperfect_search, perfect_search, saturated
 
 SEARCH = TopicSearchParams(grid_resolution=128, refine_iters=40)
 
@@ -476,6 +482,70 @@ class TestProducerBlockAgainstReference:
         mass = producer_best_response_surrogate(1, consumers, cfg, SEARCH)
         assert got.value == 1.0 and not got.degenerate
         assert got.topic == mass.topic and mass.topic.coords[0] > 0.3
+
+
+class TestConsumerBlockAgainstReference:
+    """The consumer block against one water-filling solve per consumer."""
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("mode", list(GameMode))
+    def test_block_matches_per_consumer_solves(self, mode, n):
+        rng = np.random.default_rng(110 + n + 3 * list(GameMode).index(mode))
+        for case in range(3):
+            cfg = random_config(rng, n_min=n, n_max=n)
+            B = match_matrix(rng.uniform(0.0, 1.0, (n, cfg.dim)), cfg)
+            mu_infl = rng.dirichlet(np.ones(n)) * cfg.m_infl
+            if case == 1:  # zero-weight channels
+                B[rng.uniform(size=B.shape) < 0.3] = 0.0
+                mu_infl[::3] = 0.0
+            elif case == 2:  # the influencer relays nothing: nobody follows it
+                mu_infl[:] = 0.0
+            delta_infl = discount(mu_infl, cfg.delay)
+            # stale rates on entry, the direct diagonal included
+            lam, mu_i = rng.uniform(0.0, 1.0, (2, n))
+            new = DenseAllocation(lam, mu_i, rng.uniform(0.0, 1.0, (n, n)), mu_infl,
+                                  np.zeros((n, cfg.dim)))
+            old = DenseAllocation(*(a.copy() for a in new))
+            consumers_br_dense(new, delta_infl, B, cfg, mode)
+            consumer_round(old, delta_infl, B, cfg, mode)
+            for a, b in zip(new[:3], old[:3]):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * cfg.m)
+            assert np.all(np.diagonal(new.direct) == 0.0)
+            spent = new.lam + new.mu_i + new.direct.sum(axis=1)
+            assert np.max(np.abs(spent - cfg.m)) <= 1e-9
+            if mode is GameMode.PROXY:
+                assert np.all(new.direct == 0.0)
+            if case == 2:
+                assert np.all(new.mu_i == 0.0)
+
+
+class TestBracketObjective:
+    """The polish's semiseparable objective against the direct formula."""
+
+    @pytest.mark.parametrize("a_f", [0.5, 3.0, 5000.0])
+    def test_matches_direct_objective(self, a_f):
+        rng = np.random.default_rng(int(a_f) + 120)
+        grid_nodes = np.linspace(0.0, 1.0, 16)
+        # interests on grid nodes (exactly at bracket edges), at 0 and 1,
+        # and a sparse random rest, so some brackets hold no interest at all
+        y = np.concatenate((grid_nodes[[0, 4, 5, 15]], rng.uniform(0.0, 1.0, 8)))
+        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y),
+                           m=1.0, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=a_f, a_g=1.5))
+        best = np.repeat(np.arange(16), 3)  # brackets at 0 and at 1 included
+        lo = grid_nodes[np.maximum(best - 1, 0)]
+        hi = grid_nodes[np.minimum(best + 1, 15)]
+        cols = rng.integers(0, y.size, best.size)
+        W = rng.uniform(0.0, 2.0, (y.size, best.size))
+        W[rng.uniform(size=W.shape) < 0.2] = 0.0
+        W[cols, np.arange(best.size)] = 0.0
+        f = _bracket_objective(W, cols, lo, hi, cfg)
+        checked = 0
+        for t in (lo, hi, lo + rng.uniform(0.0, 1.0, best.size) * (hi - lo)):
+            direct = _objective(t[:, None], W, cols, cfg)
+            np.testing.assert_allclose(f(t), direct, rtol=1e-12, atol=0.0)
+            checked += np.count_nonzero(direct)
+        assert checked > best.size
 
 
 class TestSearchParams:

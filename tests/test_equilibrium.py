@@ -349,7 +349,8 @@ def test_rounds_match_the_per_producer_round(mode, dim):
         for _ in range(3):
             values = []
             degenerate_old = ref.gauss_seidel_round(old, cfg, mode, grid, values)
-            degenerate_new = equilibrium._one_round(new, cfg, mode, grid)
+            degenerate_new = equilibrium._one_round(new, cfg, mode, grid,
+                                                    match_matrix(new.X, cfg))
             if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
                 break  # flat exact objective: the topics part by design
             compared += 1
@@ -373,7 +374,8 @@ def test_imperfect_round_moves_producers_in_order():
         old = equilibrium._copy(new)
         values = []
         degenerate_old = ref.gauss_seidel_round(old, cfg, GameMode.IMPERFECT, grid, values)
-        degenerate_new = equilibrium._one_round(new, cfg, GameMode.IMPERFECT, grid)
+        degenerate_new = equilibrium._one_round(new, cfg, GameMode.IMPERFECT, grid,
+                                                 match_matrix(new.X, cfg))
         if any(ref.saturated(v, cfg) for v in values):
             continue
         assert degenerate_new == degenerate_old
@@ -388,7 +390,7 @@ def _reference_run(cfg, mode, params, search):
     values = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibrium, "_one_round",
-                   lambda state, cfg, mode, grid: ref.gauss_seidel_round(
+                   lambda state, cfg, mode, grid, B: ref.gauss_seidel_round(
                        state, cfg, mode, grid, values))
         mp.setattr(equilibrium, "_imperfect_producer_gap", ref.imperfect_gap)
         mp.setattr(equilibrium, "_support_producer_gap", ref.support_gap)

@@ -17,7 +17,9 @@ from cme.market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    allocation_from_dense,
     consumer_utility,
+    dense_from_allocation,
     influencer_utility,
     match_matrix,
     producer_support,
@@ -226,6 +228,34 @@ class TestPotentialIdentity:
             u_chord = t * consumer_utility(y, with_rates(a), cfg) \
                 + (1 - t) * consumer_utility(y, with_rates(b), cfg)
             assert u_mix >= u_chord - 1e-12
+
+
+class TestDenseRoundTrip:
+    def test_allocation_from_dense_round_trips(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            cfg = random_config(rng)
+            omega = random_allocation(rng, cfg)
+            dense = dense_from_allocation(omega, cfg)
+            back = allocation_from_dense(dense, cfg)
+            for a, b in zip(back.consumers, omega.consumers):
+                # same keys in the same order, same bits
+                assert list(a.mu_direct.items()) == list(b.mu_direct.items())
+                assert (a.lambda_out, a.mu_infl_follow) == (b.lambda_out, b.mu_infl_follow)
+            again = dense_from_allocation(back, cfg)
+            for u, v in zip(again, dense):
+                np.testing.assert_array_equal(u, v)
+
+    def test_zero_rates_and_the_self_channel_are_dropped(self):
+        cfg = random_config(np.random.default_rng(13), n_min=4)
+        dense = dense_from_allocation(random_allocation(np.random.default_rng(14), cfg), cfg)
+        dense.direct[:, 1] = 0.0
+        dense.direct[2, 2] = 0.25
+        back = allocation_from_dense(dense, cfg)
+        for y, c in enumerate(back.consumers):
+            expected = [z for z in range(cfg.n) if z not in (1, y)]
+            assert list(c.mu_direct) == expected
+            assert all(type(z) is int and type(r) is float for z, r in c.mu_direct.items())
 
 
 class TestValidation:
