@@ -64,6 +64,7 @@ from .market import (
     consumer_arrays,
     content_array,
     influencer_followed_match,
+    influencer_relayed_match,
     match_matrix,
 )
 
@@ -171,23 +172,21 @@ def influencer_br_dense(mu_i: np.ndarray, B: np.ndarray, cfg: MarketConfig) -> n
     return sol.rates
 
 
-def _consumer_rates(ys: np.ndarray, delta_infl: np.ndarray, B: np.ndarray,
+def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
                     cfg: MarketConfig, mode: GameMode) -> np.ndarray:
     """Optimal splits of consumers ys in one closed-form solve, (k, N + 2) rates.
 
     Columns are the outside source (weight r_0*B_0, always positive, so no
-    row is degenerate), the influencer (weight r_p * sum_{z != y} B[z,y] *
-    delta(mu_infl(z))) and one direct channel per producer z with weight
-    r_p * B[z, y], zero on the self channel, which therefore gets rate 0
-    exactly.  Proxy consumers hold no direct channels: (k, 2) rates.
+    row is degenerate), the influencer (weight r_p * relayed[y], see
+    ``influencer_relayed_match``) and one direct channel per producer z with
+    weight r_p * B[z, y], zero on the self channel, which therefore gets
+    rate 0 exactly.  Proxy consumers hold no direct channels: (k, 2) rates.
     """
-    Bt = B[:, ys].T
-    w_infl = Bt @ delta_infl - B[ys, ys] * delta_infl[ys]
     weights = np.empty((ys.size, 2 if mode is GameMode.PROXY else cfg.n + 2))
     weights[:, 0] = cfg.r_0 * cfg.b_0
-    weights[:, 1] = cfg.r_p * w_infl
+    weights[:, 1] = cfg.r_p * relayed[ys]
     if mode is not GameMode.PROXY:
-        np.multiply(Bt, cfg.r_p, out=weights[:, 2:])
+        np.multiply(B[:, ys].T, cfg.r_p, out=weights[:, 2:])
         weights[np.arange(ys.size), 2 + ys] = 0.0
     return _water_fill_rows(weights, cfg.m, cfg.delay.beta)[0]
 
@@ -202,24 +201,16 @@ def consumers_br_dense(state: DenseAllocation, delta_infl: np.ndarray, B: np.nda
     memory flat.
     """
     ys = np.arange(cfg.n)
+    relayed = influencer_relayed_match(delta_infl, B)
     if mode is GameMode.PROXY:
-        rates = _consumer_rates(ys, delta_infl, B, cfg, mode)
+        rates = _consumer_rates(ys, relayed, B, cfg, mode)
         state.lam[:], state.mu_i[:] = rates[:, 0], rates[:, 1]
         state.direct[:] = 0.0
         return
     for sl in _chunks(cfg.n):
-        rates = _consumer_rates(ys[sl], delta_infl, B, cfg, mode)
+        rates = _consumer_rates(ys[sl], relayed, B, cfg, mode)
         state.lam[sl], state.mu_i[sl] = rates[:, 0], rates[:, 1]
         state.direct[sl] = rates[:, 2:]
-
-
-def consumer_br_dense(y: int, delta_infl: np.ndarray, B: np.ndarray,
-                      cfg: MarketConfig, mode: GameMode
-                      ) -> tuple[float, float, np.ndarray]:
-    """The block restricted to consumer y: (lambda, mu_i, direct row)."""
-    rates = _consumer_rates(np.array([y]), delta_infl, B, cfg, mode)[0]
-    direct_row = np.zeros(cfg.n) if mode is GameMode.PROXY else rates[2:]
-    return float(rates[0]), float(rates[1]), direct_row
 
 
 def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
@@ -430,11 +421,13 @@ def influencer_best_response(lambda_all: Sequence[ConsumerAllocation],
 def consumer_best_response(y: int, mu_infl: InfluencerAllocation,
                            x_all: ContentAssignment, cfg: MarketConfig,
                            mode: GameMode) -> ConsumerAllocation:
+    """The consumer block restricted to consumer y."""
     B = match_matrix(content_array(x_all), cfg)
-    delta_infl = discount(mu_infl.mu, cfg.delay)
-    lam, mu_i, direct_row = consumer_br_dense(y, delta_infl, B, cfg, mode)
-    direct = {z: float(r) for z, r in enumerate(direct_row) if r > 0.0}
-    return ConsumerAllocation(lambda_out=lam, mu_infl_follow=mu_i, mu_direct=direct)
+    relayed = influencer_relayed_match(discount(mu_infl.mu, cfg.delay), B)
+    rates = _consumer_rates(np.array([y]), relayed, B, cfg, mode)[0]
+    direct = {z: float(r) for z, r in enumerate(rates[2:]) if r > 0.0}
+    return ConsumerAllocation(lambda_out=float(rates[0]), mu_infl_follow=float(rates[1]),
+                              mu_direct=direct)
 
 
 def _one_producer(z: int, W: np.ndarray, cfg: MarketConfig, search: TopicSearchParams,

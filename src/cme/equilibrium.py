@@ -7,6 +7,9 @@ a weak improvement and the trace is nondecreasing; convergence there means
 the allocation stopped moving and the potential stalled.  The imperfect
 regime is a plain fixed-point iteration with no monotone quantity -- rounds
 are capped and the iterate with the smallest certificate residual is kept.
+Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
+``_best`` picks: the certified run with the largest welfare, or, when none
+certifies, the run with the smallest certificate residual.
 
 ``check_nash`` evaluates the first-order equilibrium conditions of the
 requested regime on any admissible allocation and returns one named
@@ -50,34 +53,33 @@ from .market import (
     consumer_utilities,
     dense_from_allocation,
     influencer_followed_match,
+    influencer_relayed_match,
     match_matrix,
 )
 
 
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Iteration controls.  eps_alloc defaults to 1e-8 * M; eps_potential
-    defaults to the relative rule 1e-10 * |potential| per round."""
+    """Iteration controls.  A run stops once no rate moves by 1e-8 * M in a
+    round and, in perfect/proxy mode, the potential moves by at most
+    1e-10 * |potential|."""
 
     max_rounds: int = 500
-    eps_alloc: float | None = None
-    eps_potential: float | None = None
     restarts: int = 2
 
     def __post_init__(self):
         if self.max_rounds < 1:
             raise InvalidInputError("max_rounds must be at least 1")
-        if self.eps_alloc is not None and not self.eps_alloc > 0.0:
-            raise InvalidInputError("eps_alloc must be positive when given")
-        if self.eps_potential is not None and not self.eps_potential > 0.0:
-            raise InvalidInputError("eps_potential must be positive when given")
         if self.restarts < 0:
             raise InvalidInputError("restarts must be nonnegative")
 
 
-def _tol_ratio(value: float, tol: float) -> float:
-    if tol > 0.0:
-        return value / tol
+def _tol_ratio(name: str, value: float, tol: float, producer_tol: float) -> float:
+    """Residual-to-tolerance ratio: `a_...` residuals are compared against
+    producer_tol, the rest against tol."""
+    t = producer_tol if name.startswith("a_") else tol
+    if t > 0.0:
+        return value / t
     return math.inf if value > 0.0 else 0.0
 
 
@@ -99,10 +101,7 @@ class NashCertificate:
 
     def worst(self) -> tuple[str, float]:
         return max(self.residuals.items(),
-                   key=lambda kv: _tol_ratio(kv[1], self._tol_for(kv[0])))
-
-    def _tol_for(self, name: str) -> float:
-        return self.producer_tol if name.startswith("a_") else self.tol
+                   key=lambda kv: _tol_ratio(*kv, self.tol, self.producer_tol))
 
 
 @dataclass(frozen=True)
@@ -140,15 +139,11 @@ def random_init(cfg: MarketConfig, mode: GameMode, rng: np.random.Generator
                 ) -> DenseAllocation:
     n = cfg.n
     direct = np.zeros((n, n))
-    if mode is GameMode.PROXY:
-        split = rng.dirichlet(np.ones(2), size=n) * cfg.m
-        lam, mu_i = split[:, 0].copy(), split[:, 1].copy()
-    else:
-        split = rng.dirichlet(np.ones(n + 1), size=n) * cfg.m
-        lam, mu_i = split[:, 0].copy(), split[:, 1].copy()
-        for y in range(n):
-            direct[y, :y] = split[y, 2:y + 2]
-            direct[y, y + 1:] = split[y, y + 2:]
+    split = rng.dirichlet(np.ones(2 if mode is GameMode.PROXY else n + 1), size=n) * cfg.m
+    lam, mu_i = split[:, 0].copy(), split[:, 1].copy()
+    if mode is not GameMode.PROXY:
+        # row-major off-diagonal order: row y's entries skip column y
+        direct[~np.eye(n, dtype=bool)] = split[:, 2:].ravel()
     mu_infl = rng.dirichlet(np.ones(n)) * cfg.m_infl
     X = rng.uniform(0.0, 1.0, (n, cfg.dim))
     return DenseAllocation(lam, mu_i, direct, mu_infl, X)
@@ -183,22 +178,21 @@ def _one_round(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
 
 def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                tol: float = 1e-6, producer_tol: float = 1e-3,
-               search: TopicSearchParams | None = None,
-               _grid: TopicGrid | None = None,
-               _dense: DenseAllocation | None = None) -> NashCertificate:
+               search: TopicSearchParams | None = None) -> NashCertificate:
     """First-order equilibrium certificate for the requested regime."""
     if tol < 0.0 or producer_tol < 0.0:
         raise InvalidInputError("tolerances must be nonnegative")
-    if _dense is None:
-        omega.validate(cfg)
-        dense = dense_from_allocation(omega, cfg)
-    else:
-        dense = _dense
-    grid = _grid if _grid is not None else TopicGrid(cfg, search or TopicSearchParams())
+    omega.validate(cfg)
+    return _certify(dense_from_allocation(omega, cfg), cfg, mode,
+                    TopicGrid(cfg, search or TopicSearchParams()), tol, producer_tol)
+
+
+def _certify(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
+             grid: TopicGrid, tol: float = 1e-6, producer_tol: float = 1e-3
+             ) -> NashCertificate:
     res = _residuals(dense, cfg, mode, grid)
-    max_ratio = max(
-        _tol_ratio(value, producer_tol if name.startswith("a_") else tol)
-        for name, value in res.items())
+    max_ratio = max(_tol_ratio(name, value, tol, producer_tol)
+                    for name, value in res.items())
     return NashCertificate(mode=mode, residuals=res, tol=tol,
                            producer_tol=producer_tol, max_residual=max_ratio,
                            holds=max_ratio <= 1.0)
@@ -213,7 +207,7 @@ def _residuals(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
     d_infl = discount(dense.mu_infl, d)
 
     # marginal utilities of the three channel kinds, per consumer
-    S = B.T @ d_infl - np.diagonal(B) * d_infl        # follower value ahead of mu_i
+    S = influencer_relayed_match(d_infl, B)           # follower value ahead of mu_i
     m_out = discount_deriv(dense.lam, d) * cfg.r_0 * cfg.b_0
     m_infl = discount_deriv(dense.mu_i, d) * cfg.r_p * S
     m_dir = discount_deriv(dense.direct, d) * cfg.r_p * B.T
@@ -307,26 +301,19 @@ def _imperfect_producer_gap(dense: DenseAllocation, cfg: MarketConfig,
 
 
 def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
-                     init: MarketAllocation | None = None,
                      params: DynamicsParams | None = None,
                      search: TopicSearchParams | None = None,
                      extra_inits: Sequence[MarketAllocation] = ()
                      ) -> list[EquilibriumResult]:
     """Run the dynamics once per starting point and return every result.
 
-    Starting points are: `init` (or the uniform default), then
-    `params.restarts` seeded random allocations, then any `extra_inits`.
+    Starting points are: the uniform default, then `params.restarts` seeded
+    random allocations, then any `extra_inits`.
     """
     params = params or DynamicsParams()
-    search = search or TopicSearchParams()
-    grid = TopicGrid(cfg, search)
+    grid = TopicGrid(cfg, search or TopicSearchParams())
 
-    starts: list[DenseAllocation] = []
-    if init is not None:
-        init.validate(cfg)
-        starts.append(dense_from_allocation(init, cfg))
-    else:
-        starts.append(default_init(cfg, mode))
+    starts = [default_init(cfg, mode)]
     for k in range(params.restarts):
         rng = np.random.default_rng([cfg.seed, 1000 + k])
         starts.append(random_init(cfg, mode, rng))
@@ -334,13 +321,13 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
         omega.validate(cfg)
         starts.append(dense_from_allocation(omega, cfg))
 
-    return [_run_single(start, cfg, mode, params, grid) for start in starts]
+    return [_run_single(start, cfg, mode, params.max_rounds, grid) for start in starts]
 
 
 def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
-                params: DynamicsParams, grid: TopicGrid) -> EquilibriumResult:
-    eps_alloc = params.eps_alloc if params.eps_alloc is not None else 1e-8 * cfg.m
-    cert_window = max(1e-3 * max(cfg.m, cfg.m_infl), eps_alloc)
+                max_rounds: int, grid: TopicGrid) -> EquilibriumResult:
+    rate_tol = 1e-8 * cfg.m
+    cert_window = 1e-3 * max(cfg.m, cfg.m_infl)
 
     B = match_matrix(state.X, cfg)
     phi = float(consumer_utilities(state, cfg, B).sum())
@@ -352,7 +339,7 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
     best_state: DenseAllocation | None = None
     best_phi = phi
 
-    for rnd in range(1, params.max_rounds + 1):
+    for rnd in range(1, max_rounds + 1):
         before = _copy(state)
         degenerate = _one_round(state, cfg, mode, grid, B)
         rounds_used = rnd
@@ -366,29 +353,24 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
         trace.append(phi)
 
         if mode is GameMode.IMPERFECT:
-            near_cap = rnd >= params.max_rounds - 25
+            near_cap = rnd >= max_rounds - 25
             if change < cert_window or near_cap:
-                cert = check_nash(None, cfg, mode, _grid=grid, _dense=state)
+                cert = _certify(state, cfg, mode, grid)
                 if best_cert is None or cert.max_residual < best_cert.max_residual:
                     best_cert, best_state, best_phi = cert, _copy(state), phi
-            if change < eps_alloc:
+            if change < rate_tol:
                 converged = True
                 break
-        else:
-            if params.eps_potential is not None:
-                pot_ok = dphi <= params.eps_potential
-            else:
-                pot_ok = dphi <= 1e-10 * abs(phi)
-            if change < eps_alloc and pot_ok:
-                converged = True
-                break
+        elif change < rate_tol and dphi <= 1e-10 * abs(phi):
+            converged = True
+            break
 
     del B  # dead past the last round: free it before the certificate's tables
     if mode is GameMode.IMPERFECT and best_cert is not None:
         cert, final, welfare = best_cert, best_state, best_phi
     else:
         final, welfare = state, phi  # phi is already the welfare at state
-        cert = check_nash(None, cfg, mode, _grid=grid, _dense=final)
+        cert = _certify(final, cfg, mode, grid)
     return EquilibriumResult(
         omega=allocation_from_dense(final, cfg),
         welfare=welfare,
@@ -401,28 +383,20 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
 
 
 def run_dynamics(cfg: MarketConfig, mode: GameMode,
-                 init: MarketAllocation | None = None,
                  params: DynamicsParams | None = None,
                  search: TopicSearchParams | None = None) -> EquilibriumResult:
-    """Best-response dynamics with restarts; returns the best run.
-
-    Perfect/proxy runs are ranked by welfare (the potential).  Imperfect
-    runs that certify are ranked by welfare too; if none certifies, the run
-    with the smallest certificate residual is reported (honest failure).
-    """
-    results = run_dynamics_all(cfg, mode, init=init, params=params, search=search)
-    if mode is GameMode.IMPERFECT:
-        certified = [r for r in results if r.certificate.holds]
-        if certified:
-            return max(certified, key=lambda r: r.welfare)
-        return min(results, key=lambda r: r.certificate.max_residual)
-    return max(results, key=lambda r: r.welfare)
+    """Best-response dynamics with restarts; returns the run `_best` picks."""
+    return _best(run_dynamics_all(cfg, mode, params=params, search=search))
 
 
-def _best_certified(results: Sequence[EquilibriumResult]) -> EquilibriumResult:
+def _best(results: Sequence[EquilibriumResult]) -> EquilibriumResult:
+    """The reported run: the certified run with the largest welfare; if none
+    certifies, the run with the smallest certificate residual (honest
+    failure)."""
     certified = [r for r in results if r.certificate.holds]
-    pool = certified if certified else list(results)
-    return max(pool, key=lambda r: r.welfare)
+    if certified:
+        return max(certified, key=lambda r: r.welfare)
+    return min(results, key=lambda r: r.certificate.max_residual)
 
 
 @dataclass(frozen=True)
@@ -441,14 +415,15 @@ def price_of_influence(cfg: MarketConfig, params: DynamicsParams | None = None,
                        search: TopicSearchParams | None = None) -> PriceOfInfluence:
     """Welfare of the best certified perfect equilibrium minus imperfect.
 
-    The imperfect solve runs first and its best allocation seeds one extra
-    perfect-mode start; since perfect-mode dynamics never lower the
-    potential, the reported gap cannot go meaningfully negative.  A gap
-    below -1e-9 is therefore a solver failure and raises.
+    Both regimes report the run `_best` picks.  The imperfect solve runs
+    first and its allocation seeds one extra perfect-mode start; since
+    perfect-mode dynamics never lower the potential, the gap cannot go
+    meaningfully negative while a perfect run certifies.  A gap below -1e-9
+    is therefore a solver failure and raises.
     """
-    imperfect = _best_certified(
+    imperfect = _best(
         run_dynamics_all(cfg, GameMode.IMPERFECT, params=params, search=search))
-    perfect = _best_certified(
+    perfect = _best(
         run_dynamics_all(cfg, GameMode.PERFECT, params=params, search=search,
                          extra_inits=(imperfect.omega,)))
     poi = perfect.welfare - imperfect.welfare

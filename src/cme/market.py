@@ -250,10 +250,18 @@ def consumer_utilities(dense: DenseAllocation, cfg: MarketConfig,
     d_infl = discount(dense.mu_infl, d)
     d_i = discount(dense.mu_i, d)
     d_dir = discount(dense.direct, d)
-    # per consumer y: sum over z != y of B[z,y] * delta(mu_infl(z))
-    via_infl = B.T @ d_infl - np.diagonal(B) * d_infl
+    via_infl = influencer_relayed_match(d_infl, B)
     direct = np.sum(B.T * d_dir, axis=1)  # diagonal contributes 0: direct[y,y] == 0
     return cfg.r_p * (d_i * via_infl + direct) + cfg.r_0 * cfg.b_0 * discount(dense.lam, d)
+
+
+def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per consumer y: sum over z != y of delta(mu_infl(z)) * B[z, y].
+
+    This is the influencer channel's value to each consumer without the r_p
+    scale; the transpose twin of ``influencer_followed_match``.
+    """
+    return B.T @ d_infl - np.diagonal(B) * d_infl
 
 
 def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:

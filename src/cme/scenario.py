@@ -155,7 +155,7 @@ _SECTIONS = {
     "scenario": {"name", "modes", "seed"},
     "market": {"dim", "m", "m_infl", "r_p", "r_0", "b_0", "a_f", "a_g", "beta"},
     "interests": {"kind", "points", "n", "centers", "spread"},
-    "dynamics": {"max_rounds", "eps_alloc", "eps_potential", "restarts"},
+    "dynamics": {"max_rounds", "restarts"},
     "search": {"grid_resolution", "refine_iters"},
     "sweep": {"n_values", "m_infl_rule", "k_infl", "replicates"},
 }
@@ -273,8 +273,6 @@ def parse_scenario(path: str | os.PathLike, _cp=None) -> Scenario:
     try:
         dynamics = DynamicsParams(
             max_rounds=_get(cp, path, "dynamics", "max_rounds", int, 500),
-            eps_alloc=_get(cp, path, "dynamics", "eps_alloc", float, None),
-            eps_potential=_get(cp, path, "dynamics", "eps_potential", float, None),
             restarts=_get(cp, path, "dynamics", "restarts", int, 2),
         )
         search = TopicSearchParams(
@@ -529,11 +527,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | os.PathLike,
 
     dat_path = out_dir / f"{spec.base.name}.dat"
     dat_lines = ["# N median_relative_poi"]
-    for n in spec.n_values:
-        vals = [r["relative_poi"] for r in rows
-                if r["n"] == n and not math.isnan(r["relative_poi"])]
-        if vals:
-            dat_lines.append(f"{n} {_g17(statistics.median(vals))}")
+    dat_lines += [f"{n} {_g17(med)}" for n, med in _medians(rows).items()]
     dat_path.write_text("\n".join(dat_lines) + "\n", encoding="utf-8")
 
     row_paths = []
@@ -549,9 +543,14 @@ def run_sweep(spec: SweepSpec, out_dir: str | os.PathLike,
 
 def median_relative_poi(output: SweepOutput) -> dict[int, float]:
     """Median relative welfare gap per community size, from a sweep run."""
+    return _medians(output.rows)
+
+
+def _medians(rows) -> dict[int, float]:
+    """Median relative_poi per N, in increasing N, over the rows that have one."""
     medians: dict[int, float] = {}
-    for n in sorted({r["n"] for r in output.rows}):
-        vals = [r["relative_poi"] for r in output.rows
+    for n in sorted({r["n"] for r in rows}):
+        vals = [r["relative_poi"] for r in rows
                 if r["n"] == n and not math.isnan(r["relative_poi"])]
         if vals:
             medians[n] = statistics.median(vals)

@@ -284,14 +284,40 @@ def test_proxy_equivalence_report_fields():
 # ---------------------------------------------------------------------------
 
 
-def test_restart_count_and_selection():
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_restart_count_and_selection(mode):
     cfg = even_line(3)
-    results = run_dynamics_all(cfg, GameMode.PERFECT,
-                               params=DynamicsParams(restarts=2), search=SEARCH)
+    params = DynamicsParams(restarts=2)
+    results = run_dynamics_all(cfg, mode, params=params, search=SEARCH)
     assert len(results) == 3
-    best = run_dynamics(cfg, GameMode.PERFECT,
-                        params=DynamicsParams(restarts=2), search=SEARCH)
-    assert best.welfare == max(r.welfare for r in results)
+    best = run_dynamics(cfg, mode, params=params, search=SEARCH)
+    picked = equilibrium._best(results)
+    assert best.welfare == picked.welfare
+    assert best.certificate == picked.certificate
+    if mode is GameMode.PERFECT:
+        assert best.welfare == max(r.welfare for r in results)
+
+
+def _result(welfare, max_residual):
+    cert = equilibrium.NashCertificate(
+        mode=GameMode.PERFECT, residuals={"b_consumer_budget": max_residual * 1e-6},
+        tol=1e-6, producer_tol=1e-3, max_residual=max_residual,
+        holds=max_residual <= 1.0)
+    return equilibrium.EquilibriumResult(
+        omega=None, welfare=welfare, potential_trace=(welfare,), certificate=cert,
+        rounds_used=1, converged=True, degenerate_producers=frozenset())
+
+
+def test_best_selection_rule():
+    # a certified run beats an uncertified run with more welfare
+    certified, richer = _result(1.0, 0.5), _result(2.0, 3.0)
+    assert equilibrium._best([richer, certified]) is certified
+    # none certifies: the smallest residual wins
+    runs = [_result(3.0, 5.0), _result(1.0, 1.5), _result(2.0, 2.0)]
+    assert equilibrium._best(runs) is runs[1]
+    # among certified runs, the largest welfare wins
+    runs = [_result(1.0, 0.1), _result(2.0, 0.9), _result(3.0, 4.0), _result(1.5, 0.0)]
+    assert equilibrium._best(runs) is runs[1]
 
 
 def test_round_cap_reports_nonconvergence():
@@ -321,9 +347,26 @@ def test_params_validation():
     with pytest.raises(InvalidInputError):
         DynamicsParams(max_rounds=0)
     with pytest.raises(InvalidInputError):
-        DynamicsParams(eps_alloc=0.0)
-    with pytest.raises(InvalidInputError):
         DynamicsParams(restarts=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_random_init_matches_the_per_row_fill(n):
+    cfg = even_line(n)
+    for mode in GameMode:
+        new = equilibrium.random_init(cfg, mode, np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        split = rng.dirichlet(np.ones(2 if mode is GameMode.PROXY else n + 1), size=n) * cfg.m
+        direct = np.zeros((n, n))
+        if mode is not GameMode.PROXY:
+            for y in range(n):
+                direct[y, :y] = split[y, 2:y + 2]
+                direct[y, y + 1:] = split[y, y + 2:]
+        assert np.array_equal(new.lam, split[:, 0])
+        assert np.array_equal(new.mu_i, split[:, 1])
+        assert np.array_equal(new.direct, direct)
+        assert np.array_equal(new.mu_infl, rng.dirichlet(np.ones(n)) * cfg.m_infl)
+        assert np.array_equal(new.X, rng.uniform(0.0, 1.0, (n, cfg.dim)))
 
 
 # ---------------------------------------------------------------------------

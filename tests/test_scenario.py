@@ -111,10 +111,12 @@ def test_malformed_scenarios_name_the_field(tmp_path, mangle, fragment):
         parse_scenario(path)
 
 
-def test_schedule_key_is_unknown(tmp_path):
-    # round-robin is the only schedule, so there is no key to choose one
-    text = MINIMAL + "\n[dynamics]\nschedule = round_robin\n"
-    with pytest.raises(ScenarioError, match="unknown key 'schedule'"):
+@pytest.mark.parametrize("key", ["schedule", "eps_alloc", "eps_potential"])
+def test_schedule_key_is_unknown(tmp_path, key):
+    # round-robin is the only schedule and the stopping rules are fixed, so
+    # there is no key to choose either
+    text = MINIMAL + f"\n[dynamics]\n{key} = 1\n"
+    with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
         parse_scenario(write(tmp_path, "sched.scn", text))
 
 
