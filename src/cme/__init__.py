@@ -49,12 +49,10 @@ from .kernels import (
     discount_deriv,
 )
 from .market import (
-    ConsumerAllocation,
-    ContentAssignment,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
-    consumer_utility,
+    consumer_utilities,
     influencer_utility,
     producer_support,
     social_welfare,
@@ -72,8 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationSolution",
-    "ConsumerAllocation",
-    "ContentAssignment",
     "DegenerateWeightsError",
     "DelayParams",
     "DomainError",
@@ -97,7 +93,7 @@ __all__ = [
     "WeightedChannels",
     "check_nash",
     "consumer_best_response",
-    "consumer_utility",
+    "consumer_utilities",
     "discount",
     "discount_deriv",
     "gradient_oracle",

@@ -49,20 +49,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .allocator import WeightedChannels, _water_fill_rows, water_fill
 from .kernels import InvalidInputError, TopicPoint, discount, pairwise_distances
 from .market import (
-    ConsumerAllocation,
-    ContentAssignment,
-    DenseAllocation,
     InfluencerAllocation,
+    MarketAllocation,
     MarketConfig,
-    consumer_arrays,
-    content_array,
     influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
@@ -191,26 +187,27 @@ def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
     return _water_fill_rows(weights, cfg.m, cfg.delay.beta)[0]
 
 
-def consumers_br_dense(state: DenseAllocation, delta_infl: np.ndarray, B: np.ndarray,
-                       cfg: MarketConfig, mode: GameMode) -> None:
-    """Every consumer's best response, in place on state's lam, mu_i and direct.
+def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
+                       mode: GameMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every consumer's best response as fresh (lam, mu_i, direct) arrays.
 
     Within a round the consumers depend only on (B, delta(mu_infl)), not on
     each other, so they are solved as one block, in row chunks of _CHUNK
     outside proxy mode: (_CHUNK, N + 2) temporaries keep a round's peak
     memory flat.
     """
-    ys = np.arange(cfg.n)
+    n = cfg.n
+    ys = np.arange(n)
     relayed = influencer_relayed_match(delta_infl, B)
     if mode is GameMode.PROXY:
         rates = _consumer_rates(ys, relayed, B, cfg, mode)
-        state.lam[:], state.mu_i[:] = rates[:, 0], rates[:, 1]
-        state.direct[:] = 0.0
-        return
-    for sl in _chunks(cfg.n):
+        return rates[:, 0].copy(), rates[:, 1].copy(), np.zeros((n, n))
+    lam, mu_i, direct = np.empty(n), np.empty(n), np.empty((n, n))
+    for sl in _chunks(n):
         rates = _consumer_rates(ys[sl], relayed, B, cfg, mode)
-        state.lam[sl], state.mu_i[sl] = rates[:, 0], rates[:, 1]
-        state.direct[sl] = rates[:, 2:]
+        lam[sl], mu_i[sl] = rates[:, 0], rates[:, 1]
+        direct[sl] = rates[:, 2:]
+    return lam, mu_i, direct
 
 
 def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
@@ -407,27 +404,27 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
 
 
 # ---------------------------------------------------------------------------
-# typed wrappers over the dense cores
+# one-agent calls of the blocks, on a MarketAllocation
 # ---------------------------------------------------------------------------
 
-def influencer_best_response(lambda_all: Sequence[ConsumerAllocation],
-                             x_all: ContentAssignment,
-                             cfg: MarketConfig) -> InfluencerAllocation:
-    _, mu_i, _ = consumer_arrays(lambda_all, cfg.n)
-    B = match_matrix(content_array(x_all), cfg)
-    return InfluencerAllocation(mu=influencer_br_dense(mu_i, B, cfg))
+def influencer_best_response(omega: MarketAllocation, cfg: MarketConfig
+                             ) -> InfluencerAllocation:
+    """The influencer's optimal rates against omega's follow rates and topics."""
+    return InfluencerAllocation(
+        mu=influencer_br_dense(omega.mu_i, match_matrix(omega.X, cfg), cfg))
 
 
-def consumer_best_response(y: int, mu_infl: InfluencerAllocation,
-                           x_all: ContentAssignment, cfg: MarketConfig,
-                           mode: GameMode) -> ConsumerAllocation:
-    """The consumer block restricted to consumer y."""
-    B = match_matrix(content_array(x_all), cfg)
-    relayed = influencer_relayed_match(discount(mu_infl.mu, cfg.delay), B)
+def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
+                           mode: GameMode) -> MarketAllocation:
+    """omega with consumer y's rates replaced by its best response to omega's
+    influencer rates and topics: the consumer block restricted to y."""
+    B = match_matrix(omega.X, cfg)
+    relayed = influencer_relayed_match(discount(omega.mu_infl, cfg.delay), B)
     rates = _consumer_rates(np.array([y]), relayed, B, cfg, mode)[0]
-    direct = {z: float(r) for z, r in enumerate(rates[2:]) if r > 0.0}
-    return ConsumerAllocation(lambda_out=float(rates[0]), mu_infl_follow=float(rates[1]),
-                              mu_direct=direct)
+    lam, mu_i, direct = omega.lam.copy(), omega.mu_i.copy(), omega.direct.copy()
+    lam[y], mu_i[y] = rates[0], rates[1]
+    direct[y] = rates[2:] if mode is not GameMode.PROXY else 0.0
+    return MarketAllocation(lam, mu_i, direct, omega.influencer, omega.X)
 
 
 def _one_producer(z: int, W: np.ndarray, cfg: MarketConfig, search: TopicSearchParams,
@@ -445,30 +442,28 @@ def _support_choice(block: ProducerBlock, cfg: MarketConfig) -> ProducerChoice:
     return _choice(block.topics[0], cfg.r_p * block.values[0], block.degenerate[0])
 
 
-def producer_best_response_perfect(z: int, mu_infl: InfluencerAllocation,
-                                   lambda_all: Sequence[ConsumerAllocation],
-                                   cfg: MarketConfig, search: TopicSearchParams,
+def producer_best_response_perfect(z: int, omega: MarketAllocation, cfg: MarketConfig,
+                                   search: TopicSearchParams,
                                    prev: TopicPoint | None = None) -> ProducerChoice:
-    _, mu_i, direct = consumer_arrays(lambda_all, cfg.n)
-    W = support_weights(mu_i, mu_infl.mu, direct, cfg)
+    """Topic maximizing z's support under omega's rates; prev is the incumbent."""
+    W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
     return _support_choice(_one_producer(z, W, cfg, search, prev), cfg)
 
 
-def producer_best_response_imperfect(z: int, lambda_all: Sequence[ConsumerAllocation],
-                                     x_all: ContentAssignment, cfg: MarketConfig,
+def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: MarketConfig,
                                      search: TopicSearchParams,
                                      prev: TopicPoint | None = None) -> ProducerChoice:
     """Topic maximizing the influencer's re-solved rate on z, the others at
-    `x_all`, found on the match mass; the value is delta of that rate.  A
-    zero rate at the best grid mass is degenerate, and so is the Assumption-4
-    fallback (nobody follows the influencer), which scores every topic alike.
+    omega's topics, found on the match mass; the value is delta of that rate.
+    A zero rate at the best grid mass is degenerate, and so is the
+    Assumption-4 fallback (nobody follows the influencer), which scores
+    every topic alike.
     """
-    _, mu_i, _ = consumer_arrays(lambda_all, cfg.n)
-    d_i = discount(mu_i, cfg.delay)
+    d_i = discount(omega.mu_i, cfg.delay)
     block = _one_producer(z, follower_weights(d_i), cfg, search, prev)
-    if float(np.sum(mu_i)) == 0.0:
+    if float(np.sum(omega.mu_i)) == 0.0:
         return _choice(block.topics[0], discount(cfg.m_infl / cfg.n, cfg.delay), True)
-    gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(content_array(x_all), cfg))
+    gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(omega.X, cfg))
     if block.degenerate[0] or \
             _resolved_rate(gamma, z, cfg.r_p * block.grid_best[0], cfg) == 0.0:
         keep = np.zeros(cfg.dim) if prev is None else prev.as_array()
@@ -477,9 +472,9 @@ def producer_best_response_imperfect(z: int, lambda_all: Sequence[ConsumerAlloca
     return _choice(block.topics[0], discount(rate, cfg.delay), False)
 
 
-def producer_best_response_surrogate(z: int, lambda_all: Sequence[ConsumerAllocation],
-                                     cfg: MarketConfig, search: TopicSearchParams,
+def producer_best_response_surrogate(z: int, omega: MarketAllocation, cfg: MarketConfig,
+                                     search: TopicSearchParams,
                                      prev: TopicPoint | None = None) -> ProducerChoice:
-    _, mu_i, _ = consumer_arrays(lambda_all, cfg.n)
-    W = follower_weights(discount(mu_i, cfg.delay))
+    """Topic maximizing z's follower-weighted match mass under omega's follow rates."""
+    W = follower_weights(discount(omega.mu_i, cfg.delay))
     return _support_choice(_one_producer(z, W, cfg, search, prev), cfg)

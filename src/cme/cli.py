@@ -19,7 +19,14 @@ import sys
 from pathlib import Path
 
 from .bestresponse import GameMode, TopicSearchParams
-from .equilibrium import check_nash, price_of_influence, proxy_equivalence_report, run_dynamics
+from .equilibrium import (
+    PRODUCER_TOL,
+    TOL,
+    check_nash,
+    price_of_influence,
+    proxy_equivalence_report,
+    run_dynamics,
+)
 from .kernels import InvalidInputError
 from .scenario import (
     ScenarioError,
@@ -73,8 +80,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     payload = load_result(args.result)
-    cfg = config_from_dict(payload["config"])
-    omega = allocation_from_dict(payload["allocation"])
+    try:
+        cfg = config_from_dict(payload["config"])
+        omega = allocation_from_dict(payload["allocation"])
+    except ScenarioError as exc:
+        raise ScenarioError(f"{args.result}: {exc}") from None
     mode = GameMode.parse(args.mode or payload["mode"])
     cert = check_nash(omega, cfg, mode, tol=args.tol,
                       producer_tol=args.producer_tol,
@@ -91,9 +101,11 @@ def _cmd_sweep(args) -> int:
     base = _apply_overrides(spec.base, args)
     spec = dataclasses.replace(spec, base=base)
     output = run_sweep(spec, out_dir=args.out)
-    failed = sum(1 for r in output.rows if r["converged_flags"].startswith("error"))
+    failed = [r for r in output.rows if r["error"] is not None]
     print(f"wrote {output.csv_path} ({len(output.rows)} rows"
-          + (f", {failed} failed" if failed else "") + ")")
+          + (f", {len(failed)} failed" if failed else "") + ")")
+    for r in failed:
+        print(f"  N={r['n']:4d}  replicate {r['replicate']} failed: {r['error']}")
     print(f"wrote {output.dat_path}")
     for n, med in median_relative_poi(output).items():
         print(f"  N={n:4d}  median relative poi = {med:.6g}")
@@ -184,13 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("result", help="path to a result .json from solve")
     sp.add_argument("--mode", choices=_MODE_NAMES,
                     help="check under this regime (default: the result's)")
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="tolerance for rate conditions (default 1e-6)")
-    sp.add_argument("--producer-tol", type=float, default=1e-3,
+    sp.add_argument("--tol", type=float, default=TOL,
+                    help="tolerance for rate conditions (default %(default)g)")
+    sp.add_argument("--producer-tol", type=float, default=PRODUCER_TOL,
                     help="relative tolerance for producer grid gaps "
-                         "(default 1e-3)")
-    sp.add_argument("--grid", type=int, default=256,
-                    help="topic-grid resolution for producer conditions")
+                         "(default %(default)g)")
+    sp.add_argument("--grid", type=int, default=TopicSearchParams.grid_resolution,
+                    help="topic-grid resolution for producer conditions "
+                         "(default %(default)d)")
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("sweep", help="run a community-size sweep")
@@ -206,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare-modes",
                         help="solve all regimes and cross-check proxy conditions")
     sp.add_argument("scenario", help="path to a .scn file")
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="tolerance for the proxy cross-certificates")
+    sp.add_argument("--tol", type=float, default=TOL,
+                    help="tolerance for the proxy cross-certificates "
+                         "(default %(default)g)")
     common(sp)
     sp.set_defaults(func=_cmd_compare_modes)
     return p

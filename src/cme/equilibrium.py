@@ -7,6 +7,9 @@ a weak improvement and the trace is nondecreasing; convergence there means
 the allocation stopped moving and the potential stalled.  The imperfect
 regime is a plain fixed-point iteration with no monotone quantity -- rounds
 are capped and the iterate with the smallest certificate residual is kept.
+Each round returns a new ``MarketAllocation``; states are read-only, so a
+run never writes into an array it was handed, and ``price_of_influence``
+starts one perfect run from the imperfect result itself.
 Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
 ``_best`` picks: the certified run with the largest welfare, or, when none
 certifies, the run with the smallest certificate residual.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,16 +49,19 @@ from .bestresponse import (
 )
 from .kernels import InvalidInputError, discount, discount_deriv
 from .market import (
-    DenseAllocation,
+    InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
-    allocation_from_dense,
-    consumer_utilities,
-    dense_from_allocation,
     influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
+    social_welfare,
 )
+
+# Default certificate tolerances: absolute for the rate conditions, relative
+# for the producer grid gaps (`a_...`).
+TOL = 1e-6
+PRODUCER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ class EquilibriumResult:
     degenerate_producers: frozenset[int]
 
 
-def default_init(cfg: MarketConfig, mode: GameMode) -> DenseAllocation:
+def default_init(cfg: MarketConfig, mode: GameMode) -> MarketAllocation:
     """Uniform rates over each agent's channels; every producer starts at
     its own interest."""
     n = cfg.n
@@ -132,11 +138,12 @@ def default_init(cfg: MarketConfig, mode: GameMode) -> DenseAllocation:
         direct = np.full((n, n), share)
         np.fill_diagonal(direct, 0.0)
     mu_infl = np.full(n, cfg.m_infl / n)
-    return DenseAllocation(lam, mu_i, direct, mu_infl, cfg.interest_array().copy())
+    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl),
+                            cfg.interest_array())
 
 
 def random_init(cfg: MarketConfig, mode: GameMode, rng: np.random.Generator
-                ) -> DenseAllocation:
+                ) -> MarketAllocation:
     n = cfg.n
     direct = np.zeros((n, n))
     split = rng.dirichlet(np.ones(2 if mode is GameMode.PROXY else n + 1), size=n) * cfg.m
@@ -146,51 +153,49 @@ def random_init(cfg: MarketConfig, mode: GameMode, rng: np.random.Generator
         direct[~np.eye(n, dtype=bool)] = split[:, 2:].ravel()
     mu_infl = rng.dirichlet(np.ones(n)) * cfg.m_infl
     X = rng.uniform(0.0, 1.0, (n, cfg.dim))
-    return DenseAllocation(lam, mu_i, direct, mu_infl, X)
+    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X)
 
 
-def _sup_change(a: DenseAllocation, b: DenseAllocation) -> float:
-    return max(float(np.max(np.abs(u - v))) for u, v in zip(a, b))
+def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
+    return max(float(np.max(np.abs(getattr(a, f) - getattr(b, f))))
+               for f in ("lam", "mu_i", "direct", "mu_infl", "X"))
 
 
-def _copy(d: DenseAllocation) -> DenseAllocation:
-    return DenseAllocation(*(x.copy() for x in d))
-
-
-def _one_round(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
-               grid: TopicGrid, B: np.ndarray) -> set[int]:
-    """Apply one full best-response round in place -- the influencer, then
-    the consumers as one block, then the producers as one block; returns the
-    indices of producers whose topic objective was degenerate this round.
-    B is ``match_matrix(state.X, cfg)`` on entry."""
-    state.mu_infl[:] = influencer_br_dense(state.mu_i, B, cfg)
-    consumers_br_dense(state, discount(state.mu_infl, cfg.delay), B, cfg, mode)
+def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
+               grid: TopicGrid, B: np.ndarray) -> tuple[MarketAllocation, set[int]]:
+    """One full best-response round -- the influencer, then the consumers as
+    one block, then the producers as one block.  Returns the next state and
+    the indices of producers whose topic objective was degenerate this round.
+    B is ``match_matrix(state.X, cfg)``."""
+    mu_infl = influencer_br_dense(state.mu_i, B, cfg)
+    lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
 
     if mode is GameMode.IMPERFECT:
-        degenerate = imperfect_producer_round(state.mu_i, state.X, grid, cfg, B)
+        X = state.X.copy()
+        degenerate = imperfect_producer_round(mu_i, X, grid, cfg, B)
     else:
-        W = support_weights(state.mu_i, state.mu_infl, state.direct, cfg)
+        W = support_weights(mu_i, mu_infl, direct, cfg)
         block = producer_block(W, grid, cfg, prev=state.X)
-        state.X[:] = block.topics
-        degenerate = block.degenerate
-    return set(np.flatnonzero(degenerate).tolist())
+        X, degenerate = block.topics, block.degenerate
+    return (MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X),
+            set(np.flatnonzero(degenerate).tolist()))
 
 
 def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-               tol: float = 1e-6, producer_tol: float = 1e-3,
+               tol: float = TOL, producer_tol: float = PRODUCER_TOL,
                search: TopicSearchParams | None = None) -> NashCertificate:
     """First-order equilibrium certificate for the requested regime."""
     if tol < 0.0 or producer_tol < 0.0:
         raise InvalidInputError("tolerances must be nonnegative")
     omega.validate(cfg)
-    return _certify(dense_from_allocation(omega, cfg), cfg, mode,
-                    TopicGrid(cfg, search or TopicSearchParams()), tol, producer_tol)
+    return _certify(omega, cfg, mode, TopicGrid(cfg, search or TopicSearchParams()),
+                    tol, producer_tol)
 
 
-def _certify(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
-             grid: TopicGrid, tol: float = 1e-6, producer_tol: float = 1e-3
+def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
+             grid: TopicGrid, tol: float = TOL, producer_tol: float = PRODUCER_TOL
              ) -> NashCertificate:
-    res = _residuals(dense, cfg, mode, grid)
+    res = _residuals(omega, cfg, mode, grid)
     max_ratio = max(_tol_ratio(name, value, tol, producer_tol)
                     for name, value in res.items())
     return NashCertificate(mode=mode, residuals=res, tol=tol,
@@ -198,19 +203,19 @@ def _certify(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
                            holds=max_ratio <= 1.0)
 
 
-def _residuals(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
+def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                grid: TopicGrid) -> dict[str, float]:
     n = cfg.n
     d = cfg.delay
-    B = match_matrix(dense.X, cfg)
-    d_i = discount(dense.mu_i, d)
-    d_infl = discount(dense.mu_infl, d)
+    B = match_matrix(omega.X, cfg)
+    d_i = discount(omega.mu_i, d)
+    d_infl = discount(omega.mu_infl, d)
 
     # marginal utilities of the three channel kinds, per consumer
     S = influencer_relayed_match(d_infl, B)           # follower value ahead of mu_i
-    m_out = discount_deriv(dense.lam, d) * cfg.r_0 * cfg.b_0
-    m_infl = discount_deriv(dense.mu_i, d) * cfg.r_p * S
-    m_dir = discount_deriv(dense.direct, d) * cfg.r_p * B.T
+    m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
+    m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * S
+    m_dir = discount_deriv(omega.direct, d) * cfg.r_p * B.T
     np.fill_diagonal(m_dir, -np.inf)                  # no self channel
     m_dir_best = np.max(m_dir, axis=1)
 
@@ -225,42 +230,42 @@ def _residuals(dense: DenseAllocation, cfg: MarketConfig, mode: GameMode,
 
     # --- producer topic optimality, certified on the grid ---
     if mode is GameMode.IMPERFECT:
-        res["a_producer_topic"] = _imperfect_producer_gap(dense, cfg, grid, B)
+        res["a_producer_topic"] = _imperfect_producer_gap(omega, cfg, grid, B)
     else:
-        res["a_producer_topic"] = _support_producer_gap(dense, cfg, grid, B)
+        res["a_producer_topic"] = _support_producer_gap(omega, cfg, grid, B)
 
     # --- budgets ---
-    spent = dense.lam + dense.mu_i + dense.direct.sum(axis=1)
-    infl_budget = abs(float(dense.mu_infl.sum()) - cfg.m_infl)
+    spent = omega.lam + omega.mu_i + omega.direct.sum(axis=1)
+    infl_budget = abs(float(omega.mu_infl.sum()) - cfg.m_infl)
     if mode is GameMode.PROXY:
-        res["b_direct_rates_zero"] = float(dense.direct.sum())
-        res["c_consumer_budget"] = float(np.max(np.abs(dense.lam + dense.mu_i - cfg.m)))
+        res["b_direct_rates_zero"] = float(omega.direct.sum())
+        res["c_consumer_budget"] = float(np.max(np.abs(omega.lam + omega.mu_i - cfg.m)))
     else:
         res["b_consumer_budget"] = float(np.max(np.abs(spent - cfg.m)))
     res["f_influencer_budget"] = infl_budget
 
     # --- consumer channel marginals (KKT comparisons, gated on activity) ---
     if mode is GameMode.PROXY:
-        res["d_outside_optimal"] = gated_max(dense.lam > gate_m,
+        res["d_outside_optimal"] = gated_max(omega.lam > gate_m,
                                              np.maximum(0.0, m_infl - m_out))
-        res["e_influencer_optimal"] = gated_max(dense.mu_i > gate_m,
+        res["e_influencer_optimal"] = gated_max(omega.mu_i > gate_m,
                                                 np.maximum(0.0, m_out - m_infl))
     else:
         best_rival_out = np.maximum(m_infl, m_dir_best)
-        res["c_outside_optimal"] = gated_max(dense.lam > gate_m,
+        res["c_outside_optimal"] = gated_max(omega.lam > gate_m,
                                              np.maximum(0.0, best_rival_out - m_out))
         best_rival_infl = np.maximum(m_out, m_dir_best)
-        res["d_influencer_optimal"] = gated_max(dense.mu_i > gate_m,
+        res["d_influencer_optimal"] = gated_max(omega.mu_i > gate_m,
                                                 np.maximum(0.0, best_rival_infl - m_infl))
         rival = np.maximum(np.maximum(m_out, m_infl), m_dir_best)
         shortfall = np.maximum(0.0, rival[:, None] - m_dir)
-        res["e_direct_optimal"] = gated_max(dense.direct > gate_m, shortfall)
+        res["e_direct_optimal"] = gated_max(omega.direct > gate_m, shortfall)
 
     # --- influencer allocation marginals ---
     gamma = cfg.r_p * influencer_followed_match(d_i, B)
-    g_marginal = discount_deriv(dense.mu_infl, d) * gamma
+    g_marginal = discount_deriv(omega.mu_infl, d) * gamma
     best = float(np.max(g_marginal)) if n else 0.0
-    res["g_influencer_allocation"] = gated_max(dense.mu_infl > gate_infl,
+    res["g_influencer_allocation"] = gated_max(omega.mu_infl > gate_infl,
                                                np.maximum(0.0, best - g_marginal))
     return res
 
@@ -273,25 +278,25 @@ def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
     return float(np.max(np.maximum(0.0, best[ok] - current[ok]) / best[ok]))
 
 
-def _support_producer_gap(dense: DenseAllocation, cfg: MarketConfig, grid: TopicGrid,
+def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, grid: TopicGrid,
                           B: np.ndarray) -> float:
     """Perfect/proxy condition (a): relative grid gap of each producer's support."""
-    W = support_weights(dense.mu_i, dense.mu_infl, dense.direct, cfg)
+    W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
     best = grid_best(W, grid)
     # B[z] already holds g(d(x(z), z)) * f(d(x(z), y)) at the current topics
     return _relative_gap(best, np.einsum("zy,yz->z", B, W))
 
 
-def _imperfect_producer_gap(dense: DenseAllocation, cfg: MarketConfig,
+def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig,
                             grid: TopicGrid, B: np.ndarray) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
     re-solved rate at the best grid topic vs. at the current topic.  That
     rate grows with z's match mass, so row z of one batch solve puts z at its
     best grid mass; the last row is the influencer at the current topics."""
-    if float(np.sum(dense.mu_i)) == 0.0:
+    if float(np.sum(omega.mu_i)) == 0.0:
         return 0.0  # uniform fallback: every topic scores the same
     n = cfg.n
-    d_i = discount(dense.mu_i, cfg.delay)
+    d_i = discount(omega.mu_i, cfg.delay)
     rows = np.tile(cfg.r_p * influencer_followed_match(d_i, B), (n + 1, 1))
     diag = np.arange(n)
     rows[diag, diag] = cfg.r_p * grid_best(follower_weights(d_i), grid)
@@ -308,46 +313,45 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
     """Run the dynamics once per starting point and return every result.
 
     Starting points are: the uniform default, then `params.restarts` seeded
-    random allocations, then any `extra_inits`.
+    random allocations, then any `extra_inits`.  Each start is built when
+    its run begins, so no start outlives its run's first round.
     """
     params = params or DynamicsParams()
     grid = TopicGrid(cfg, search or TopicSearchParams())
-
-    starts = [default_init(cfg, mode)]
-    for k in range(params.restarts):
-        rng = np.random.default_rng([cfg.seed, 1000 + k])
-        starts.append(random_init(cfg, mode, rng))
     for omega in extra_inits:
         omega.validate(cfg)
-        starts.append(dense_from_allocation(omega, cfg))
 
+    starts: list[Callable[[], MarketAllocation]] = [lambda: default_init(cfg, mode)]
+    starts += [lambda k=k: random_init(cfg, mode, np.random.default_rng([cfg.seed, 1000 + k]))
+               for k in range(params.restarts)]
+    starts += [lambda omega=omega: omega for omega in extra_inits]
     return [_run_single(start, cfg, mode, params.max_rounds, grid) for start in starts]
 
 
-def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
-                max_rounds: int, grid: TopicGrid) -> EquilibriumResult:
+def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
+                mode: GameMode, max_rounds: int, grid: TopicGrid) -> EquilibriumResult:
     rate_tol = 1e-8 * cfg.m
     cert_window = 1e-3 * max(cfg.m, cfg.m_infl)
 
+    state = start()
     B = match_matrix(state.X, cfg)
-    phi = float(consumer_utilities(state, cfg, B).sum())
+    phi = social_welfare(state, cfg, B)
     trace = [phi]
     degenerate: set[int] = set()
     converged = False
     rounds_used = 0
     best_cert: NashCertificate | None = None
-    best_state: DenseAllocation | None = None
+    best_state: MarketAllocation | None = None
     best_phi = phi
 
     for rnd in range(1, max_rounds + 1):
-        before = _copy(state)
-        degenerate = _one_round(state, cfg, mode, grid, B)
+        new, degenerate = _one_round(state, cfg, mode, grid, B)
         rounds_used = rnd
-        change = _sup_change(before, state)
-        del before
+        change = _sup_change(state, new)
+        state = new  # drops the previous state
 
         B = match_matrix(state.X, cfg)
-        new_phi = float(consumer_utilities(state, cfg, B).sum())
+        new_phi = social_welfare(state, cfg, B)
         dphi = abs(new_phi - phi)
         phi = new_phi
         trace.append(phi)
@@ -357,7 +361,7 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
             if change < cert_window or near_cap:
                 cert = _certify(state, cfg, mode, grid)
                 if best_cert is None or cert.max_residual < best_cert.max_residual:
-                    best_cert, best_state, best_phi = cert, _copy(state), phi
+                    best_cert, best_state, best_phi = cert, state, phi
             if change < rate_tol:
                 converged = True
                 break
@@ -372,7 +376,7 @@ def _run_single(state: DenseAllocation, cfg: MarketConfig, mode: GameMode,
         final, welfare = state, phi  # phi is already the welfare at state
         cert = _certify(final, cfg, mode, grid)
     return EquilibriumResult(
-        omega=allocation_from_dense(final, cfg),
+        omega=final,
         welfare=welfare,
         potential_trace=tuple(trace),
         certificate=cert,
@@ -460,15 +464,12 @@ class ProxyEquivalenceReport:
 
 def proxy_equivalence_report(cfg: MarketConfig, params: DynamicsParams | None = None,
                              search: TopicSearchParams | None = None,
-                             tol: float = 1e-6, producer_tol: float = 1e-3
+                             tol: float = TOL, producer_tol: float = PRODUCER_TOL
                              ) -> ProxyEquivalenceReport:
     """Solve all three regimes and cross-certify against the proxy conditions."""
     perfect = run_dynamics(cfg, GameMode.PERFECT, params=params, search=search)
     imperfect = run_dynamics(cfg, GameMode.IMPERFECT, params=params, search=search)
     proxy = run_dynamics(cfg, GameMode.PROXY, params=params, search=search)
-
-    def direct_mass(result: EquilibriumResult) -> float:
-        return float(sum(sum(c.mu_direct.values()) for c in result.omega.consumers))
 
     return ProxyEquivalenceReport(
         perfect=perfect, imperfect=imperfect, proxy=proxy,
@@ -476,6 +477,6 @@ def proxy_equivalence_report(cfg: MarketConfig, params: DynamicsParams | None = 
                                        tol=tol, producer_tol=producer_tol, search=search),
         imperfect_under_proxy=check_nash(imperfect.omega, cfg, GameMode.PROXY,
                                          tol=tol, producer_tol=producer_tol, search=search),
-        direct_rate_mass_perfect=direct_mass(perfect),
-        direct_rate_mass_imperfect=direct_mass(imperfect),
+        direct_rate_mass_perfect=float(perfect.omega.direct.sum()),
+        direct_rate_mass_imperfect=float(imperfect.omega.direct.sum()),
     )

@@ -1,21 +1,24 @@
 """Market state: who produces what, who listens at which rate, and the payoffs.
 
 A community of N members sits in the topic space; each member is both a
-producer (it picks one content topic x(z)) and a consumer (it splits an
+producer (it picks one content topic X[z]) and a consumer (it splits an
 attention budget M over channels).  A consumer y's channels are: an
-outside source of fixed quality B_0 at rate lambda_out, the influencer
-at rate mu_infl_follow, and each other producer z directly at rate
-mu_direct[z].  The influencer splits its own budget M_infl over the
-producers and relays their content to its followers.
+outside source of fixed quality B_0 at rate lam[y], the influencer at
+rate mu_i[y], and each other producer z directly at rate direct[y, z].
+The influencer splits its own budget M_infl over the producers, at rate
+mu_infl[z] on producer z, and relays their content to its followers.
+``MarketAllocation`` holds these arrays.
 
 Consumer utility adds three terms: content relayed by the influencer
 (discounted twice -- once for the influencer's production rate on z,
 once for the consumer's rate on the influencer), content consumed
 directly, and the outside source:
 
-    U_c(y) = r_p * sum_{z != y} B(z|y) * delta(mu_infl(z)) * delta(mu_infl_follow(y))
-           + r_p * sum_{z != y} B(z|y) * delta(mu_direct(y, z))
-           + r_0 * B_0 * delta(lambda_out(y))
+    U_c(y) = r_p * sum_{z != y} B[z, y] * delta(mu_infl[z]) * delta(mu_i[y])
+           + r_p * sum_{z != y} B[z, y] * delta(direct[y, z])
+           + r_0 * B_0 * delta(lam[y])
+
+with B[z, y] = g(d(X[z], z)) * f(d(X[z], y)), the ``match_matrix``.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations: whichever single agent (consumer, producer, or influencer)
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -93,27 +95,6 @@ class MarketConfig:
 
 
 @dataclass(frozen=True)
-class ConsumerAllocation:
-    """One consumer's attention split; mu_direct maps producer index -> rate."""
-
-    lambda_out: float
-    mu_infl_follow: float
-    mu_direct: Mapping[int, float]
-
-    def __post_init__(self):
-        if self.lambda_out < 0.0 or self.mu_infl_follow < 0.0:
-            raise InvalidInputError("attention rates must be nonnegative")
-        direct = {int(z): float(r) for z, r in dict(self.mu_direct).items()}
-        for z, r in direct.items():
-            if r < 0.0 or not math.isfinite(r):
-                raise InvalidInputError(f"direct rate on producer {z} is {r}")
-        object.__setattr__(self, "mu_direct", direct)
-
-    def total(self) -> float:
-        return self.lambda_out + self.mu_infl_follow + sum(self.mu_direct.values())
-
-
-@dataclass(frozen=True)
 class InfluencerAllocation:
     """The influencer's production rates, one per community member."""
 
@@ -130,107 +111,68 @@ class InfluencerAllocation:
 
 
 @dataclass(frozen=True)
-class ContentAssignment:
-    """Topic choice x(z) of every producer."""
-
-    x: tuple[TopicPoint, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-
-
-@dataclass(frozen=True)
 class MarketAllocation:
-    """Full market state: all consumers, the influencer, and all topics."""
+    """Full market state as arrays; every array is read-only.
 
-    consumers: tuple[ConsumerAllocation, ...]
-    influencer: InfluencerAllocation
-    content: ContentAssignment
+    lam         (N,)      consumer y's rate on the outside source
+    mu_i        (N,)      consumer y's rate on the influencer
+    direct      (N, N)    direct[y, z] is consumer y's rate on producer z
+    influencer            the influencer's rates, ``influencer.mu`` (N,)
+    X           (N, dim)  X[z] is producer z's content topic
 
-    def __post_init__(self):
-        object.__setattr__(self, "consumers", tuple(self.consumers))
-
-    def validate(self, cfg: MarketConfig) -> None:
-        """Raise InvalidInputError naming the first violated invariant."""
-        n = cfg.n
-        if len(self.consumers) != n:
-            raise InvalidInputError(
-                f"expected {n} consumer allocations, got {len(self.consumers)}")
-        if self.influencer.mu.size != n:
-            raise InvalidInputError(
-                f"expected {n} influencer rates, got {self.influencer.mu.size}")
-        if len(self.content.x) != n:
-            raise InvalidInputError(
-                f"expected {n} content topics, got {len(self.content.x)}")
-        for z, p in enumerate(self.content.x):
-            if p.dim != cfg.dim:
-                raise InvalidInputError(
-                    f"content topic of producer {z} has dimension {p.dim}, expected {cfg.dim}")
-        for y, c in enumerate(self.consumers):
-            if y in c.mu_direct:
-                raise InvalidInputError(f"consumer {y} holds a direct rate on itself")
-            for z in c.mu_direct:
-                if not (0 <= z < n):
-                    raise InvalidInputError(f"consumer {y} rates unknown producer {z}")
-            if c.total() > cfg.m + BUDGET_TOL:
-                raise InvalidInputError(
-                    f"consumer {y} spends {c.total():.12g} > budget {cfg.m:.12g}")
-        spent = float(self.influencer.mu.sum())
-        if spent > cfg.m_infl + BUDGET_TOL:
-            raise InvalidInputError(
-                f"influencer spends {spent:.12g} > budget {cfg.m_infl:.12g}")
-
-
-class DenseAllocation(NamedTuple):
-    """Array view of a MarketAllocation used by all the numerics.
-
-    direct[y, z] is consumer y's rate on producer z (zero diagonal);
-    X stacks the content topics as an (N, dim) array.
+    Construction only converts; ``validate`` checks a state against a
+    config (shapes, signs, the zero diagonal of direct, topics in the unit
+    box, budgets).
     """
 
     lam: np.ndarray
     mu_i: np.ndarray
     direct: np.ndarray
-    mu_infl: np.ndarray
+    influencer: InfluencerAllocation
     X: np.ndarray
 
+    def __post_init__(self):
+        for name in ("lam", "mu_i", "direct", "X"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
-def consumer_arrays(consumers, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda_out, mu_infl_follow, direct) of N consumer allocations as fresh arrays."""
-    lam = np.array([c.lambda_out for c in consumers], dtype=float)
-    mu_i = np.array([c.mu_infl_follow for c in consumers], dtype=float)
-    direct = np.zeros((n, n))
-    for y, c in enumerate(consumers):
-        for z, r in c.mu_direct.items():
-            direct[y, z] = r
-    return lam, mu_i, direct
+    @property
+    def mu_infl(self) -> np.ndarray:
+        """The influencer's rates, ``influencer.mu``."""
+        return self.influencer.mu
 
-
-def content_array(content: ContentAssignment) -> np.ndarray:
-    return np.array([p.coords for p in content.x], dtype=float)
-
-
-def dense_from_allocation(omega: MarketAllocation, cfg: MarketConfig) -> DenseAllocation:
-    """Fresh arrays: the result shares no memory with `omega`."""
-    lam, mu_i, direct = consumer_arrays(omega.consumers, cfg.n)
-    return DenseAllocation(lam, mu_i, direct, np.array(omega.influencer.mu),
-                           content_array(omega.content))
-
-
-def allocation_from_dense(dense: DenseAllocation, cfg: MarketConfig) -> MarketAllocation:
-    consumers = []
-    for y, row in enumerate(dense.direct):
-        nz = np.flatnonzero(row > 0.0)
-        nz = nz[nz != y]
-        direct = dict(zip(nz.tolist(), row[nz].tolist()))
-        consumers.append(ConsumerAllocation(
-            lambda_out=float(dense.lam[y]),
-            mu_infl_follow=float(dense.mu_i[y]),
-            mu_direct=direct))
-    content = ContentAssignment(x=tuple(TopicPoint(tuple(row)) for row in dense.X))
-    return MarketAllocation(consumers=tuple(consumers),
-                            influencer=InfluencerAllocation(mu=dense.mu_infl.copy()),
-                            content=content)
+    def validate(self, cfg: MarketConfig) -> None:
+        """Raise InvalidInputError naming the field of the first violated invariant."""
+        n = cfg.n
+        for name, a, shape in (("lam", self.lam, (n,)), ("mu_i", self.mu_i, (n,)),
+                               ("direct", self.direct, (n, n)),
+                               ("influencer.mu", self.mu_infl, (n,)),
+                               ("X", self.X, (n, cfg.dim))):
+            if a.shape != shape:
+                raise InvalidInputError(f"{name} has shape {a.shape}, expected {shape}")
+            ok = (a >= 0.0) & ((a <= 1.0) if name == "X" else (a < math.inf))
+            if not ok.all():
+                at = tuple(int(i) for i in np.argwhere(~ok)[0])
+                what = "outside the unit box [0, 1]" if name == "X" else "negative or not finite"
+                raise InvalidInputError(
+                    f"{name}[{', '.join(map(str, at))}] = {float(a[at])!r} is {what}")
+        self_rated = np.flatnonzero(np.diagonal(self.direct))
+        if self_rated.size:
+            y = self_rated[0]
+            raise InvalidInputError(
+                f"direct[{y}, {y}] = {float(self.direct[y, y])!r}: "
+                f"consumer {y} holds a direct rate on itself")
+        spent = self.lam + self.mu_i + self.direct.sum(axis=1)
+        over = np.flatnonzero(spent > cfg.m + BUDGET_TOL)
+        if over.size:
+            y = over[0]
+            raise InvalidInputError(
+                f"consumer {y} spends {spent[y]:.12g} > budget {cfg.m:.12g}")
+        spent_infl = float(self.mu_infl.sum())
+        if spent_infl > cfg.m_infl + BUDGET_TOL:
+            raise InvalidInputError(
+                f"influencer spends {spent_infl:.12g} > budget {cfg.m_infl:.12g}")
 
 
 def match_matrix(X: np.ndarray, cfg: MarketConfig) -> np.ndarray:
@@ -241,18 +183,22 @@ def match_matrix(X: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     return quality[:, None] * np.exp(-cfg.kernel.a_f * D)
 
 
-def consumer_utilities(dense: DenseAllocation, cfg: MarketConfig,
+def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
                        B: np.ndarray | None = None) -> np.ndarray:
-    """All N consumer utilities at once."""
+    """All N consumer utilities at once; B defaults to ``match_matrix(omega.X, cfg)``."""
     if B is None:
-        B = match_matrix(dense.X, cfg)
+        B = match_matrix(omega.X, cfg)
     d = cfg.delay
-    d_infl = discount(dense.mu_infl, d)
-    d_i = discount(dense.mu_i, d)
-    d_dir = discount(dense.direct, d)
-    via_infl = influencer_relayed_match(d_infl, B)
-    direct = np.sum(B.T * d_dir, axis=1)  # diagonal contributes 0: direct[y,y] == 0
-    return cfg.r_p * (d_i * via_infl + direct) + cfg.r_0 * cfg.b_0 * discount(dense.lam, d)
+    via_infl = influencer_relayed_match(discount(omega.mu_infl, d), B)
+    direct = np.sum(B.T * discount(omega.direct, d), axis=1)  # direct[y, y] == 0
+    return (cfg.r_p * (discount(omega.mu_i, d) * via_infl + direct)
+            + cfg.r_0 * cfg.b_0 * discount(omega.lam, d))
+
+
+def social_welfare(omega: MarketAllocation, cfg: MarketConfig,
+                   B: np.ndarray | None = None) -> float:
+    """Total consumer utility; exact potential for unilateral deviations."""
+    return float(consumer_utilities(omega, cfg, B).sum())
 
 
 def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -273,60 +219,32 @@ def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
     return B @ d_i - np.diagonal(B) * d_i
 
 
-def influencer_utility_dense(dense: DenseAllocation, cfg: MarketConfig,
-                             B: np.ndarray | None = None) -> float:
-    d_infl = discount(dense.mu_infl, cfg.delay)
+def influencer_utility(omega: MarketAllocation, cfg: MarketConfig,
+                       B: np.ndarray | None = None) -> float:
+    """The influencer's objective: total relayed consumption it mediates."""
     if B is None:
-        B = match_matrix(dense.X, cfg)
-    d_i = discount(dense.mu_i, cfg.delay)
-    return cfg.r_p * float(np.dot(d_infl, influencer_followed_match(d_i, B)))
-
-
-def producer_support_dense(z: int, dense: DenseAllocation, cfg: MarketConfig,
-                           B: np.ndarray | None = None) -> float:
-    if B is None:
-        B = match_matrix(dense.X, cfg)
+        B = match_matrix(omega.X, cfg)
     d = cfg.delay
-    d_i = discount(dense.mu_i, d)
-    d_infl_z = discount(float(dense.mu_infl[z]), d)
-    d_dir_z = discount(dense.direct[:, z], d)
-    terms = B[z] * (d_infl_z * d_i + d_dir_z)
+    return cfg.r_p * float(np.dot(discount(omega.mu_infl, d),
+                                  influencer_followed_match(discount(omega.mu_i, d), B)))
+
+
+def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,
+                     B: np.ndarray | None = None) -> float:
+    """Producer z's objective: consumption of z's content via both routes."""
+    if B is None:
+        B = match_matrix(omega.X, cfg)
+    d = cfg.delay
+    terms = B[z] * (discount(float(omega.mu_infl[z]), d) * discount(omega.mu_i, d)
+                    + discount(omega.direct[:, z], d))
     return cfg.r_p * float(terms.sum() - terms[z])
 
 
-def producer_support_via_influencer_dense(z: int, dense: DenseAllocation,
-                                          cfg: MarketConfig,
-                                          B: np.ndarray | None = None) -> float:
-    if B is None:
-        B = match_matrix(dense.X, cfg)
-    d = cfg.delay
-    d_i = discount(dense.mu_i, d)
-    d_infl_z = discount(float(dense.mu_infl[z]), d)
-    terms = B[z] * d_i
-    return cfg.r_p * d_infl_z * float(terms.sum() - terms[z])
-
-
-def consumer_utility(y: int, omega: MarketAllocation, cfg: MarketConfig) -> float:
-    """Consumer y's expected utility under the full allocation."""
-    return float(consumer_utilities(dense_from_allocation(omega, cfg), cfg)[y])
-
-
-def influencer_utility(omega: MarketAllocation, cfg: MarketConfig) -> float:
-    """The influencer's objective: total relayed consumption it mediates."""
-    return influencer_utility_dense(dense_from_allocation(omega, cfg), cfg)
-
-
-def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig) -> float:
-    """Producer z's objective: consumption of z's content via both routes."""
-    return producer_support_dense(z, dense_from_allocation(omega, cfg), cfg)
-
-
-def producer_support_via_influencer(z: int, omega: MarketAllocation,
-                                    cfg: MarketConfig) -> float:
+def producer_support_via_influencer(z: int, omega: MarketAllocation, cfg: MarketConfig,
+                                    B: np.ndarray | None = None) -> float:
     """The influencer-mediated share of producer z's support."""
-    return producer_support_via_influencer_dense(z, dense_from_allocation(omega, cfg), cfg)
-
-
-def social_welfare(omega: MarketAllocation, cfg: MarketConfig) -> float:
-    """Total consumer utility; exact potential for unilateral deviations."""
-    return float(consumer_utilities(dense_from_allocation(omega, cfg), cfg).sum())
+    if B is None:
+        B = match_matrix(omega.X, cfg)
+    d = cfg.delay
+    terms = B[z] * discount(omega.mu_i, d)
+    return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum() - terms[z])

@@ -49,13 +49,7 @@ from .equilibrium import (
     price_of_influence,
 )
 from .kernels import DelayParams, KernelParams, TopicPoint
-from .market import (
-    ConsumerAllocation,
-    ContentAssignment,
-    InfluencerAllocation,
-    MarketAllocation,
-    MarketConfig,
-)
+from .market import InfluencerAllocation, MarketAllocation, MarketConfig
 
 
 class ScenarioError(ValueError):
@@ -203,6 +197,15 @@ def _get(cp, path, section, key, kind, default):
     return default
 
 
+def _given(cp, path, section, **kinds) -> dict:
+    """The keys of `section` that the file sets, converted, as keyword
+    arguments: the keys it leaves out keep their dataclass defaults."""
+    if section not in cp:
+        return {}
+    return {key: _conv(path, section, key, cp[section][key], kind)
+            for key, kind in kinds.items() if key in cp[section]}
+
+
 def _parse_points(path: Path, section: str, key: str, raw: str, dim: int
                   ) -> tuple[TopicPoint, ...]:
     pts = []
@@ -272,21 +275,16 @@ def parse_scenario(path: str | os.PathLike, _cp=None) -> Scenario:
 
     try:
         dynamics = DynamicsParams(
-            max_rounds=_get(cp, path, "dynamics", "max_rounds", int, 500),
-            restarts=_get(cp, path, "dynamics", "restarts", int, 2),
-        )
+            **_given(cp, path, "dynamics", max_rounds=int, restarts=int))
         search = TopicSearchParams(
-            grid_resolution=_get(cp, path, "search", "grid_resolution", int, 256),
-            refine_iters=_get(cp, path, "search", "refine_iters", int, 40),
-        )
+            **_given(cp, path, "search", grid_resolution=int, refine_iters=int))
         return Scenario(
             name=name, modes=modes, seed=seed, dim=dim, m=m, m_infl=m_infl,
             r_p=_get(cp, path, "market", "r_p", float, 1.0),
             r_0=_get(cp, path, "market", "r_0", float, 1.0),
             b_0=_get(cp, path, "market", "b_0", float, 0.5),
-            kernel=KernelParams(a_f=_get(cp, path, "market", "a_f", float, 2.0),
-                                a_g=_get(cp, path, "market", "a_g", float, 2.0)),
-            delay=DelayParams(beta=_get(cp, path, "market", "beta", float, 1.0)),
+            kernel=KernelParams(**_given(cp, path, "market", a_f=float, a_g=float)),
+            delay=DelayParams(**_given(cp, path, "market", beta=float)),
             interests=interests, dynamics=dynamics, search=search)
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
@@ -346,38 +344,64 @@ def config_to_dict(cfg: MarketConfig) -> dict:
     }
 
 
+def _field(d, key: str, where: str):
+    try:
+        return d[key]
+    except (KeyError, TypeError):
+        raise ScenarioError(f"{where} lacks '{key}'") from None
+
+
 def config_from_dict(d: dict) -> MarketConfig:
+    def get(key):
+        return _field(d, key, "config")
+
     return MarketConfig(
-        dim=d["dim"],
-        interests=tuple(TopicPoint(tuple(p)) for p in d["interests"]),
-        m=d["m"], m_infl=d["m_infl"], r_p=d["r_p"], r_0=d["r_0"], b_0=d["b_0"],
-        kernel=KernelParams(a_f=d["a_f"], a_g=d["a_g"]),
-        delay=DelayParams(beta=d["beta"]), seed=d["seed"])
+        dim=get("dim"),
+        interests=tuple(TopicPoint(tuple(p)) for p in get("interests")),
+        m=get("m"), m_infl=get("m_infl"), r_p=get("r_p"), r_0=get("r_0"), b_0=get("b_0"),
+        kernel=KernelParams(a_f=get("a_f"), a_g=get("a_g")),
+        delay=DelayParams(beta=get("beta")), seed=get("seed"))
 
 
 def allocation_to_dict(omega: MarketAllocation) -> dict:
-    return {
-        "consumers": [
-            {"lambda_out": c.lambda_out, "mu_infl_follow": c.mu_infl_follow,
-             "mu_direct": {str(z): r for z, r in sorted(c.mu_direct.items())}}
-            for c in omega.consumers
-        ],
-        "influencer": [float(v) for v in omega.influencer.mu],
-        "content": [list(p.coords) for p in omega.content.x],
-    }
+    """JSON form: per consumer its outside and influencer rates and its
+    positive direct rates keyed by producer index, then the influencer's
+    rates and the content topics."""
+    consumers = []
+    for y, row in enumerate(omega.direct):
+        nz = np.flatnonzero(row > 0.0)
+        consumers.append({
+            "lambda_out": float(omega.lam[y]), "mu_infl_follow": float(omega.mu_i[y]),
+            "mu_direct": {str(z): r for z, r in zip(nz.tolist(), row[nz].tolist())}})
+    return {"consumers": consumers,
+            "influencer": omega.mu_infl.tolist(),
+            "content": omega.X.tolist()}
 
 
 def allocation_from_dict(d: dict) -> MarketAllocation:
+    """Inverse of ``allocation_to_dict``; a missing key or a direct rate on
+    an unknown producer raises ScenarioError naming it.  Values are checked
+    by ``MarketAllocation.validate``."""
+    consumers = _field(d, "consumers", "allocation")
+    n = len(consumers)
+    lam, mu_i, direct = np.zeros(n), np.zeros(n), np.zeros((n, n))
+    for y, c in enumerate(consumers):
+        where = f"allocation consumer {y}"
+        lam[y] = _field(c, "lambda_out", where)
+        mu_i[y] = _field(c, "mu_infl_follow", where)
+        for key, r in _field(c, "mu_direct", where).items():
+            try:
+                z = int(key)
+            except ValueError:
+                raise ScenarioError(
+                    f"{where}: mu_direct key {key!r} is not a producer index") from None
+            if not 0 <= z < n:
+                raise ScenarioError(f"{where} rates unknown producer {z}")
+            direct[y, z] = r
     return MarketAllocation(
-        consumers=tuple(
-            ConsumerAllocation(lambda_out=c["lambda_out"],
-                               mu_infl_follow=c["mu_infl_follow"],
-                               mu_direct={int(z): r
-                                          for z, r in c["mu_direct"].items()})
-            for c in d["consumers"]),
-        influencer=InfluencerAllocation(mu=np.array(d["influencer"], dtype=float)),
-        content=ContentAssignment(x=tuple(TopicPoint(tuple(p))
-                                          for p in d["content"])))
+        lam, mu_i, direct,
+        InfluencerAllocation(mu=np.array(_field(d, "influencer", "allocation"), dtype=float)),
+        np.array(_field(d, "content", "allocation"), dtype=float))
 
 
 def certificate_to_dict(cert: NashCertificate) -> dict:
@@ -447,7 +471,7 @@ def _sweep_row(args: tuple[SweepSpec, int, int]) -> dict:
                 "phi_perfect": math.nan, "phi_imperfect": math.nan,
                 "poi": math.nan, "relative_poi": math.nan,
                 "converged_flags": f"error={type(exc).__name__}",
-                "detail": None}
+                "error": f"{type(exc).__name__}: {exc}", "detail": None}
     flags = (f"perfect={int(rec.perfect.converged)}"
              f";imperfect={int(rec.imperfect.converged)}")
     detail = {
@@ -465,7 +489,7 @@ def _sweep_row(args: tuple[SweepSpec, int, int]) -> dict:
     return {"n": n, "m_infl": cfg.m_infl, "replicate": replicate,
             "phi_perfect": rec.phi_perfect, "phi_imperfect": rec.phi_imperfect,
             "poi": rec.poi, "relative_poi": rec.relative_poi,
-            "converged_flags": flags, "detail": detail}
+            "converged_flags": flags, "error": None, "detail": detail}
 
 
 def worker_count(n_tasks: int, workers: int | None = None) -> int:

@@ -3,13 +3,7 @@
 import numpy as np
 
 from cme.kernels import DelayParams, KernelParams, TopicPoint
-from cme.market import (
-    ConsumerAllocation,
-    ContentAssignment,
-    InfluencerAllocation,
-    MarketAllocation,
-    MarketConfig,
-)
+from cme.market import InfluencerAllocation, MarketAllocation, MarketConfig
 
 
 def random_config(rng, n_max=12, n_min=2, dim=None) -> MarketConfig:
@@ -31,21 +25,36 @@ def random_config(rng, n_max=12, n_min=2, dim=None) -> MarketConfig:
     )
 
 
-def random_consumer(rng, y, cfg, spend_fraction=None) -> ConsumerAllocation:
-    n = cfg.n
+def random_consumer(rng, y, cfg, spend_fraction=None):
+    """(lam, mu_i, direct row) of a random consumer y; the row is 0 at y."""
     frac = float(rng.uniform(0.2, 1.0)) if spend_fraction is None else spend_fraction
-    split = rng.dirichlet(np.ones(n + 1)) * frac * cfg.m
-    direct = {z: float(split[2 + z - (z > y)]) for z in range(n) if z != y}
-    return ConsumerAllocation(lambda_out=float(split[0]),
-                              mu_infl_follow=float(split[1]),
-                              mu_direct=direct)
+    split = rng.dirichlet(np.ones(cfg.n + 1)) * frac * cfg.m
+    return float(split[0]), float(split[1]), np.insert(split[2:], y, 0.0)
 
 
 def random_allocation(rng, cfg, spend_fraction=None) -> MarketAllocation:
     n = cfg.n
-    consumers = tuple(random_consumer(rng, y, cfg, spend_fraction) for y in range(n))
+    lam, mu_i, rows = zip(*(random_consumer(rng, y, cfg, spend_fraction) for y in range(n)))
     frac = float(rng.uniform(0.2, 1.0)) if spend_fraction is None else spend_fraction
     infl = InfluencerAllocation(mu=rng.dirichlet(np.ones(n)) * frac * cfg.m_infl)
-    content = ContentAssignment(
-        x=tuple(TopicPoint(tuple(rng.uniform(0, 1, cfg.dim))) for _ in range(n)))
-    return MarketAllocation(consumers=consumers, influencer=infl, content=content)
+    X = np.array([rng.uniform(0, 1, cfg.dim) for _ in range(n)])
+    return MarketAllocation(np.array(lam), np.array(mu_i), np.stack(rows), infl, X)
+
+
+def with_consumer(omega, y, lam=None, mu_i=None, direct=None) -> MarketAllocation:
+    """omega with consumer y's given rates replaced (direct: its whole row)."""
+    lams, mu_is, directs = omega.lam.copy(), omega.mu_i.copy(), omega.direct.copy()
+    if lam is not None:
+        lams[y] = lam
+    if mu_i is not None:
+        mu_is[y] = mu_i
+    if direct is not None:
+        directs[y] = direct
+    return MarketAllocation(lams, mu_is, directs, omega.influencer, omega.X)
+
+
+def with_topic(omega, z, x) -> MarketAllocation:
+    """omega with producer z's topic replaced by x (a TopicPoint or coordinates)."""
+    X = omega.X.copy()
+    X[z] = getattr(x, "coords", x)
+    return MarketAllocation(omega.lam, omega.mu_i, omega.direct, omega.influencer, X)

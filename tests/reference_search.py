@@ -5,7 +5,8 @@ They are the references of the differential tests in test_bestresponse.py
 and test_equilibrium.py:
 
 - ``consumer_br`` and ``consumer_round``: one water-filling solve per
-  consumer over its own channels;
+  consumer over its own channels (``consumer_round`` is a drop-in for
+  ``bestresponse.consumers_br_dense``);
 - ``perfect_search``: one producer's grid scan, golden-section polish on
   the direct objective and incumbent rule on its realized support;
 - ``exact_imperfect_search``: one producer's search on the influencer's
@@ -24,7 +25,7 @@ import numpy as np
 from cme.allocator import WeightedChannels, water_fill, water_fill_batch
 from cme.bestresponse import GameMode, influencer_br_dense
 from cme.kernels import discount, pairwise_distances
-from cme.market import match_matrix
+from cme.market import InfluencerAllocation, MarketAllocation, match_matrix
 
 
 def consumer_br(y, delta_infl, B, cfg, mode):
@@ -48,12 +49,10 @@ def consumer_br(y, delta_infl, B, cfg, mode):
     return float(sol.rates[0]), float(sol.rates[1]), direct_row
 
 
-def consumer_round(state, delta_infl, B, cfg, mode):
-    """Every consumer's best response, one at a time, in place on state
-    (drop-in for ``bestresponse.consumers_br_dense``)."""
-    for y in range(cfg.n):
-        state.lam[y], state.mu_i[y], state.direct[y, :] = \
-            consumer_br(y, delta_infl, B, cfg, mode)
+def consumer_round(delta_infl, B, cfg, mode):
+    """Every consumer's best response, one at a time, as (lam, mu_i, direct)."""
+    lam, mu_i, rows = zip(*(consumer_br(y, delta_infl, B, cfg, mode) for y in range(cfg.n)))
+    return np.array(lam), np.array(mu_i), np.stack(rows)
 
 
 def golden_max(f, lo, hi, iters):
@@ -160,28 +159,29 @@ def saturated(value, cfg):
 
 
 def gauss_seidel_round(state, cfg, mode, grid, values=None):
-    """One round with one producer search at a time, in index order;
-    `values`, when given, collects each producer's objective value."""
+    """One round with one producer search at a time, in index order; returns
+    (next state, degenerate producers).  `values`, when given, collects each
+    producer's objective value."""
     B = match_matrix(state.X, cfg)
-    state.mu_infl[:] = influencer_br_dense(state.mu_i, B, cfg)
-    consumer_round(state, discount(state.mu_infl, cfg.delay), B, cfg, mode)
+    mu_infl = influencer_br_dense(state.mu_i, B, cfg)
+    lam, mu_i, direct = consumer_round(discount(mu_infl, cfg.delay), B, cfg, mode)
+    X = state.X.copy()
     degenerate = set()
-    d_i = discount(state.mu_i, cfg.delay)
-    d_infl = discount(state.mu_infl, cfg.delay)
-    d_direct = discount(state.direct, cfg.delay)
+    d_i = discount(mu_i, cfg.delay)
+    d_infl = discount(mu_infl, cfg.delay)
+    d_direct = discount(direct, cfg.delay)
     for z in range(cfg.n):
         if mode is GameMode.IMPERFECT:
-            x, value, degen = exact_imperfect_search(z, state.mu_i, state.X, grid, cfg,
-                                                     prev_x=state.X[z])
+            x, value, degen = exact_imperfect_search(z, mu_i, X, grid, cfg, prev_x=X[z])
         else:
             x, value, degen = perfect_search(z, d_i, float(d_infl[z]), d_direct[:, z],
-                                             grid, cfg, prev_x=state.X[z])
+                                             grid, cfg, prev_x=X[z])
         if values is not None:
             values.append(value)
-        state.X[z] = x
+        X[z] = x
         if degen:
             degenerate.add(z)
-    return degenerate
+    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X), degenerate
 
 
 def imperfect_gap(dense, cfg, grid, B=None):

@@ -6,6 +6,7 @@ success it prints one `ACCEPTANCE k: PASS — ...` summary line (visible with
 pytest -s or in captured output).
 """
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -18,13 +19,13 @@ from cme.bestresponse import GameMode, TopicGrid, TopicSearchParams
 from cme.equilibrium import DynamicsParams, proxy_equivalence_report, run_dynamics
 from cme.kernels import DelayParams, KernelParams, TopicPoint, discount
 from cme.market import (
-    DenseAllocation,
+    InfluencerAllocation,
+    MarketAllocation,
     MarketConfig,
     consumer_utilities,
-    dense_from_allocation,
-    influencer_utility_dense,
+    influencer_utility,
     match_matrix,
-    producer_support_dense,
+    producer_support,
 )
 from cme.scenario import InterestSpec, median_relative_poi, parse_sweep, run_sweep
 from markets_util import random_allocation, random_config
@@ -42,44 +43,42 @@ def test_acceptance_1_potential_identity():
     for _ in range(20):
         cfg = random_config(rng, n_max=15, n_min=3)
         n = cfg.n
-        dense = dense_from_allocation(random_allocation(rng, cfg), cfg)
+        omega = random_allocation(rng, cfg)
         for _ in range(50):
-            B = match_matrix(dense.X, cfg)
-            phi0 = float(consumer_utilities(dense, cfg, B).sum())
+            B = match_matrix(omega.X, cfg)
+            phi0 = float(consumer_utilities(omega, cfg, B).sum())
             kind = int(rng.integers(0, 3))
             if kind == 0:
                 y = int(rng.integers(n))
-                u0 = float(consumer_utilities(dense, cfg, B)[y])
+                u0 = float(consumer_utilities(omega, cfg, B)[y])
                 split = rng.dirichlet(np.ones(n + 1)) * rng.uniform(0.0, 1.0) * cfg.m
-                lam, mu_i = dense.lam.copy(), dense.mu_i.copy()
-                direct = dense.direct.copy()
+                lam, mu_i = omega.lam.copy(), omega.mu_i.copy()
+                direct = omega.direct.copy()
                 lam[y], mu_i[y] = split[0], split[1]
                 row = np.zeros(n)
                 row[:y], row[y + 1:] = split[2:y + 2], split[y + 2:]
                 direct[y] = row
-                new = DenseAllocation(lam, mu_i, direct, dense.mu_infl, dense.X)
+                new = MarketAllocation(lam, mu_i, direct, omega.influencer, omega.X)
                 u1 = float(consumer_utilities(new, cfg, B)[y])
                 phi1 = float(consumer_utilities(new, cfg, B).sum())
             elif kind == 1:
-                u0 = influencer_utility_dense(dense, cfg, B)
+                u0 = influencer_utility(omega, cfg, B)
                 mu_infl = rng.dirichlet(np.ones(n)) * rng.uniform(0.0, 1.0) * cfg.m_infl
-                new = DenseAllocation(dense.lam, dense.mu_i, dense.direct,
-                                      mu_infl, dense.X)
-                u1 = influencer_utility_dense(new, cfg, B)
+                new = dataclasses.replace(omega, influencer=InfluencerAllocation(mu=mu_infl))
+                u1 = influencer_utility(new, cfg, B)
                 phi1 = float(consumer_utilities(new, cfg, B).sum())
             else:
                 z = int(rng.integers(n))
-                u0 = producer_support_dense(z, dense, cfg, B)
-                X = dense.X.copy()
+                u0 = producer_support(z, omega, cfg, B)
+                X = omega.X.copy()
                 X[z] = rng.uniform(0.0, 1.0, cfg.dim)
-                new = DenseAllocation(dense.lam, dense.mu_i, dense.direct,
-                                      dense.mu_infl, X)
+                new = dataclasses.replace(omega, X=X)
                 B1 = match_matrix(X, cfg)
-                u1 = producer_support_dense(z, new, cfg, B1)
+                u1 = producer_support(z, new, cfg, B1)
                 phi1 = float(consumer_utilities(new, cfg, B1).sum())
             worst = max(worst, abs((phi1 - phi0) - (u1 - u0)))
             deviations += 1
-            dense = new  # random-walk the state so deviations compound
+            omega = new  # random-walk the state so deviations compound
     elapsed = time.perf_counter() - t0
     assert deviations == 1000
     assert worst <= 1e-9, f"potential identity violated by {worst:g}"
@@ -148,13 +147,13 @@ def test_acceptance_4_influencer_facing_argmax_matches_topics():
         if not res.certificate.holds:
             continue
         certified += 1
-        dense = dense_from_allocation(res.omega, cfg)
-        if float(dense.mu_i.sum()) == 0.0:
+        omega = res.omega
+        if float(omega.mu_i.sum()) == 0.0:
             continue  # nobody follows: topic choice is unconstrained
         grid = TopicGrid(cfg, search)
-        d_i = discount(dense.mu_i, cfg.delay)
+        d_i = discount(omega.mu_i, cfg.delay)
         for z in range(cfg.n):
-            if dense.mu_infl[z] <= 1e-12 * cfg.m_infl:
+            if omega.mu_infl[z] <= 1e-12 * cfg.m_infl:
                 continue
             d_m = d_i.copy()
             d_m[z] = 0.0
@@ -162,7 +161,7 @@ def test_acceptance_4_influencer_facing_argmax_matches_topics():
                 continue  # no follower mass besides z itself
             scores = grid.Q[:, z] * (grid.P @ d_m)
             best = int(np.argmax(scores))
-            gap = abs(float(grid.points[best][0]) - float(dense.X[z][0]))
+            gap = abs(float(grid.points[best][0]) - float(omega.X[z][0]))
             assert gap <= grid.cell + 1e-12, \
                 f"argmax {gap:g} away from topic (cell {grid.cell:g})"
             checked += 1
@@ -247,9 +246,9 @@ def test_acceptance_7_budget_saturation_everywhere():
             spent_infl = float(np.sum(res.omega.influencer.mu))
             assert abs(spent_infl - cfg.m_infl) <= 1e-9, \
                 f"influencer budget off by {spent_infl - cfg.m_infl:g}"
-            for c in res.omega.consumers:
-                assert abs(c.total() - cfg.m) <= 1e-9, \
-                    f"consumer budget off by {c.total() - cfg.m:g}"
+            spent = res.omega.lam + res.omega.mu_i + res.omega.direct.sum(axis=1)
+            off = float(np.max(np.abs(spent - cfg.m)))
+            assert off <= 1e-9, f"consumer budget off by {off:g}"
     elapsed = time.perf_counter() - t0
     assert certified >= total - 2, f"only {certified}/{total} certified"
     print(f"ACCEPTANCE 7: PASS — {certified}/{total} equilibria certified, "

@@ -2,6 +2,7 @@
 per-agent code the consumer and producer blocks replaced
 (tests/reference_search.py)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,20 +33,15 @@ from cme.kernels import (
     match_prob,
 )
 from cme.market import (
-    ConsumerAllocation,
-    ContentAssignment,
-    DenseAllocation,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
-    allocation_from_dense,
-    consumer_utility,
-    dense_from_allocation,
+    consumer_utilities,
     influencer_utility,
     match_matrix,
     producer_support,
 )
-from markets_util import random_allocation, random_config
+from markets_util import random_allocation, random_config, with_consumer, with_topic
 from reference_search import consumer_round, exact_imperfect_search, perfect_search, saturated
 
 SEARCH = TopicSearchParams(grid_resolution=128, refine_iters=40)
@@ -78,17 +74,16 @@ class TestInfluencerBestResponse:
         rng = np.random.default_rng(31)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg, spend_fraction=0.5)
-        consumers = tuple(
-            ConsumerAllocation(c.lambda_out, 0.0, c.mu_direct) for c in omega.consumers)
-        br = influencer_best_response(consumers, omega.content, cfg)
+        br = influencer_best_response(dataclasses.replace(omega, mu_i=np.zeros(cfg.n)), cfg)
         np.testing.assert_allclose(br.mu, cfg.m_infl / cfg.n, atol=1e-15)
 
     def test_symmetric_market_splits_evenly(self):
         point = TopicPoint((0.5,))
         cfg = MarketConfig(dim=1, interests=(point,) * 4, m=1.0, m_infl=2.0,
                            r_p=1.0, r_0=1.0, b_0=0.5)
-        consumers = tuple(ConsumerAllocation(0.2, 0.8, {}) for _ in range(4))
-        br = influencer_best_response(consumers, ContentAssignment(x=(point,) * 4), cfg)
+        omega = MarketAllocation(np.full(4, 0.2), np.full(4, 0.8), np.zeros((4, 4)),
+                                 InfluencerAllocation(mu=np.zeros(4)), np.full((4, 1), 0.5))
+        br = influencer_best_response(omega, cfg)
         np.testing.assert_allclose(br.mu, 0.5, atol=1e-11)
         assert abs(br.mu.sum() - cfg.m_infl) < 1e-12 * cfg.m_infl
 
@@ -97,10 +92,8 @@ class TestInfluencerBestResponse:
         for _ in range(3):
             cfg = random_config(rng, n_min=3, n_max=3)
             omega = random_allocation(rng, cfg)
-            br = influencer_best_response(omega.consumers, omega.content, cfg)
-            new = MarketAllocation(consumers=omega.consumers, influencer=br,
-                                   content=omega.content)
-            attained = influencer_utility(new, cfg)
+            br = influencer_best_response(omega, cfg)
+            attained = influencer_utility(dataclasses.replace(omega, influencer=br), cfg)
 
             # brute force over the whole budget simplex at step 1e-3 * budget
             steps = 1000
@@ -109,8 +102,8 @@ class TestInfluencerBestResponse:
             keep = (i + j) <= steps
             rates = np.stack([i[keep] * h, j[keep] * h,
                               cfg.m_infl - (i[keep] + j[keep]) * h], axis=1)
-            B = match_matrix(np.array([p.coords for p in omega.content.x]), cfg)
-            d_i = discount(np.array([c.mu_infl_follow for c in omega.consumers]), cfg.delay)
+            B = match_matrix(omega.X, cfg)
+            d_i = discount(omega.mu_i, cfg.delay)
             gamma = cfg.r_p * (B @ d_i - np.diagonal(B) * d_i)
             best = float(np.max((-np.expm1(-cfg.delay.beta * rates)) @ gamma))
             assert attained >= best - 1e-5
@@ -120,14 +113,12 @@ class TestInfluencerBestResponse:
         rng = np.random.default_rng(33)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
-        br = influencer_best_response(omega.consumers, omega.content, cfg)
-        attained = influencer_utility(
-            MarketAllocation(omega.consumers, br, omega.content), cfg)
+        br = influencer_best_response(omega, cfg)
+        attained = influencer_utility(dataclasses.replace(omega, influencer=br), cfg)
         for _ in range(100):
             alt = InfluencerAllocation(
                 mu=rng.dirichlet(np.ones(cfg.n)) * rng.uniform(0, 1) * cfg.m_infl)
-            alt_val = influencer_utility(
-                MarketAllocation(omega.consumers, alt, omega.content), cfg)
+            alt_val = influencer_utility(dataclasses.replace(omega, influencer=alt), cfg)
             assert attained >= alt_val - 1e-9
 
 
@@ -136,19 +127,21 @@ class TestConsumerBestResponse:
         rng = np.random.default_rng(34)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
-        br = consumer_best_response(0, omega.influencer, omega.content, cfg,
-                                    GameMode.PROXY)
-        assert br.mu_direct == {}
-        assert abs(br.total() - cfg.m) < 1e-12 * cfg.m
+        br = consumer_best_response(0, omega, cfg, GameMode.PROXY)
+        assert np.all(br.direct[0] == 0.0)
+        assert abs(br.lam[0] + br.mu_i[0] - cfg.m) < 1e-12 * cfg.m
+        for y in range(1, cfg.n):  # the other consumers keep their rates
+            assert (br.lam[y], br.mu_i[y]) == (omega.lam[y], omega.mu_i[y])
+        assert np.array_equal(br.direct[1:], omega.direct[1:])
 
     def test_idle_influencer_pushes_attention_elsewhere(self):
         rng = np.random.default_rng(35)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
-        silent = InfluencerAllocation(mu=np.zeros(cfg.n))
-        br = consumer_best_response(1, silent, omega.content, cfg, GameMode.PROXY)
-        assert br.mu_infl_follow == 0.0
-        assert abs(br.lambda_out - cfg.m) < 1e-12
+        silent = dataclasses.replace(omega, influencer=InfluencerAllocation(mu=np.zeros(cfg.n)))
+        br = consumer_best_response(1, silent, cfg, GameMode.PROXY)
+        assert br.mu_i[1] == 0.0
+        assert abs(br.lam[1] - cfg.m) < 1e-12
 
     def test_two_channel_split_matches_golden_section_oracle(self):
         rng = np.random.default_rng(36)
@@ -156,14 +149,13 @@ class TestConsumerBestResponse:
             cfg = random_config(rng)
             omega = random_allocation(rng, cfg, spend_fraction=1.0)
             y = int(rng.integers(0, cfg.n))
-            br = consumer_best_response(y, omega.influencer, omega.content, cfg,
-                                        GameMode.PROXY)
-            B = match_matrix(np.array([p.coords for p in omega.content.x]), cfg)
-            d_infl = discount(omega.influencer.mu, cfg.delay)
+            br = consumer_best_response(y, omega, cfg, GameMode.PROXY)
+            B = match_matrix(omega.X, cfg)
+            d_infl = discount(omega.mu_infl, cfg.delay)
             w_out = cfg.r_0 * cfg.b_0
             w_infl = cfg.r_p * (float(B[:, y] @ d_infl) - B[y, y] * d_infl[y])
             s = golden_split(w_out, w_infl, cfg.m, cfg.delay.beta)
-            assert abs(br.lambda_out - s) < 1e-6 * max(1.0, cfg.m)
+            assert abs(br.lam[y] - s) < 1e-6 * max(1.0, cfg.m)
 
     def test_dominant_influencer_starves_direct_channels(self):
         # Everyone sits on one point, the influencer saturates every producer,
@@ -173,12 +165,12 @@ class TestConsumerBestResponse:
         point = TopicPoint((0.5,))
         cfg = MarketConfig(dim=1, interests=(point,) * 8, m=0.2, m_infl=80.0,
                            r_p=1.0, r_0=1.0, b_0=0.1)
-        infl = InfluencerAllocation(mu=np.full(8, 10.0))
-        br = consumer_best_response(3, infl, ContentAssignment(x=(point,) * 8),
-                                    cfg, GameMode.PERFECT)
-        assert br.mu_direct == {}
-        assert br.lambda_out == 0.0
-        assert abs(br.mu_infl_follow - cfg.m) < 1e-12
+        omega = MarketAllocation(np.zeros(8), np.zeros(8), np.zeros((8, 8)),
+                                 InfluencerAllocation(mu=np.full(8, 10.0)), np.full((8, 1), 0.5))
+        br = consumer_best_response(3, omega, cfg, GameMode.PERFECT)
+        assert np.all(br.direct[3] == 0.0)
+        assert br.lam[3] == 0.0
+        assert abs(br.mu_i[3] - cfg.m) < 1e-12
 
     def test_weakly_beats_random_alternatives(self):
         rng = np.random.default_rng(37)
@@ -186,24 +178,14 @@ class TestConsumerBestResponse:
         omega = random_allocation(rng, cfg)
         y = 0
         for mode in (GameMode.PERFECT, GameMode.PROXY):
-            br = consumer_best_response(y, omega.influencer, omega.content, cfg, mode)
-            consumers = list(omega.consumers)
-            consumers[y] = br
-            attained = consumer_utility(
-                y, MarketAllocation(tuple(consumers), omega.influencer, omega.content), cfg)
+            br = consumer_best_response(y, omega, cfg, mode)
+            attained = consumer_utilities(br, cfg)[y]
             for _ in range(100):
                 split = rng.dirichlet(np.ones(cfg.n + 1)) * cfg.m
-                if mode is GameMode.PROXY:
-                    alt = ConsumerAllocation(float(split[0]), float(split[1]), {})
-                else:
-                    direct = {z: float(split[2 + z - (z > y)])
-                              for z in range(cfg.n) if z != y}
-                    alt = ConsumerAllocation(float(split[0]), float(split[1]), direct)
-                consumers[y] = alt
-                alt_val = consumer_utility(
-                    y, MarketAllocation(tuple(consumers), omega.influencer,
-                                        omega.content), cfg)
-                assert attained >= alt_val - 1e-9
+                row = np.zeros(cfg.n) if mode is GameMode.PROXY \
+                    else np.insert(split[2:], y, 0.0)
+                alt = with_consumer(omega, y, split[0], split[1], row)
+                assert attained >= consumer_utilities(alt, cfg)[y] - 1e-9
 
 
 class TestProducerPerfect:
@@ -215,9 +197,9 @@ class TestProducerPerfect:
         cfg = MarketConfig(dim=1, interests=(z_int, y_int), m=1.0, m_infl=1.0,
                            r_p=1.0, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(a_f=2.0, a_g=2.0))
-        consumers = (ConsumerAllocation(0, 0, {}), ConsumerAllocation(0, 0, {0: 0.5}))
-        choice = producer_best_response_perfect(
-            0, InfluencerAllocation(mu=np.zeros(2)), consumers, cfg, SEARCH)
+        omega = MarketAllocation(np.zeros(2), np.zeros(2), np.array([[0.0, 0.0], [0.5, 0.0]]),
+                                 InfluencerAllocation(mu=np.zeros(2)), cfg.interest_array())
+        choice = producer_best_response_perfect(0, omega, cfg, SEARCH)
         plateau = cfg.r_p * discount(0.5, cfg.delay) * math.exp(-2.0 * 0.6)
         assert not choice.degenerate
         assert abs(choice.value - plateau) < 1e-9
@@ -230,8 +212,7 @@ class TestProducerPerfect:
                            r_p=cfg.r_p, r_0=cfg.r_0, b_0=cfg.b_0,
                            kernel=KernelParams(a_f=0.5, a_g=500.0), delay=cfg.delay)
         omega = random_allocation(rng, cfg, spend_fraction=1.0)
-        choice = producer_best_response_perfect(
-            2, omega.influencer, omega.consumers, cfg, SEARCH)
+        choice = producer_best_response_perfect(2, omega, cfg, SEARCH)
         cell = 1.0 / (SEARCH.grid_resolution - 1)
         assert abs(choice.topic.coords[0] - cfg.interests[2].coords[0]) <= cell
 
@@ -241,15 +222,10 @@ class TestProducerPerfect:
             cfg = random_config(rng)
             omega = random_allocation(rng, cfg)
             z = int(rng.integers(0, cfg.n))
-            choice = producer_best_response_perfect(
-                z, omega.influencer, omega.consumers, cfg, SEARCH)
+            choice = producer_best_response_perfect(z, omega, cfg, SEARCH)
 
             def support_at(x):
-                content = list(omega.content.x)
-                content[z] = x
-                new = MarketAllocation(omega.consumers, omega.influencer,
-                                       ContentAssignment(x=tuple(content)))
-                return producer_support(z, new, cfg)
+                return producer_support(z, with_topic(omega, z, x), cfg)
 
             # scalar scan over a fresh grid, then compare attained values
             axis = np.linspace(0, 1, SEARCH.grid_resolution)
@@ -263,14 +239,13 @@ class TestProducerPerfect:
     def test_degenerate_without_any_attention_keeps_previous(self):
         rng = np.random.default_rng(40)
         cfg = random_config(rng)
-        idle = tuple(ConsumerAllocation(cfg.m, 0.0, {}) for _ in range(cfg.n))
+        idle = MarketAllocation(np.full(cfg.n, cfg.m), np.zeros(cfg.n), np.zeros((cfg.n, cfg.n)),
+                                InfluencerAllocation(mu=np.zeros(cfg.n)), cfg.interest_array())
         prev = TopicPoint(tuple(0.37 for _ in range(cfg.dim)))
-        choice = producer_best_response_perfect(
-            1, InfluencerAllocation(mu=np.zeros(cfg.n)), idle, cfg, SEARCH, prev=prev)
+        choice = producer_best_response_perfect(1, idle, cfg, SEARCH, prev=prev)
         assert choice.degenerate
         assert choice.topic == prev
-        no_prev = producer_best_response_perfect(
-            1, InfluencerAllocation(mu=np.zeros(cfg.n)), idle, cfg, SEARCH)
+        no_prev = producer_best_response_perfect(1, idle, cfg, SEARCH)
         assert no_prev.degenerate
         assert all(c == 0.0 for c in no_prev.topic.coords)
 
@@ -279,15 +254,10 @@ class TestProducerPerfect:
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
         z = 1
-        choice = producer_best_response_perfect(
-            z, omega.influencer, omega.consumers, cfg, SEARCH)
+        choice = producer_best_response_perfect(z, omega, cfg, SEARCH)
 
         def support_at(x):
-            content = list(omega.content.x)
-            content[z] = x
-            return producer_support(
-                z, MarketAllocation(omega.consumers, omega.influencer,
-                                    ContentAssignment(x=tuple(content))), cfg)
+            return producer_support(z, with_topic(omega, z, x), cfg)
 
         attained = support_at(choice.topic)
         for _ in range(100):
@@ -298,20 +268,16 @@ class TestProducerPerfect:
 class TestProducerImperfectAndSurrogate:
     def _resolved_delta(self, z, x, omega, cfg):
         """delta of the influencer's re-solved rate on z given z plays x."""
-        content = list(omega.content.x)
-        content[z] = x
-        br = influencer_best_response(omega.consumers, ContentAssignment(tuple(content)), cfg)
+        br = influencer_best_response(with_topic(omega, z, x), cfg)
         return discount(float(br.mu[z]), cfg.delay)
 
     def test_assumption_four_trigger_is_degenerate(self):
         rng = np.random.default_rng(42)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
-        consumers = tuple(
-            ConsumerAllocation(c.lambda_out, 0.0, c.mu_direct) for c in omega.consumers)
-        prev = omega.content.x[0]
+        prev = TopicPoint(tuple(omega.X[0]))
         choice = producer_best_response_imperfect(
-            0, consumers, omega.content, cfg, SEARCH, prev=prev)
+            0, dataclasses.replace(omega, mu_i=np.zeros(cfg.n)), cfg, SEARCH, prev=prev)
         assert choice.degenerate
         assert choice.topic == prev
 
@@ -323,11 +289,9 @@ class TestProducerImperfectAndSurrogate:
             cfg = random_config(rng, dim=1, n_min=3, n_max=8)
             omega = random_allocation(rng, cfg, spend_fraction=1.0)
             z = int(rng.integers(0, cfg.n))
-            d = dense_from_allocation(omega, cfg)
             x, value, degenerate = exact_imperfect_search(
-                z, d.mu_i, d.X, TopicGrid(cfg, SEARCH), cfg)
-            fast = producer_best_response_surrogate(
-                z, omega.consumers, cfg, SEARCH)
+                z, omega.mu_i, omega.X, TopicGrid(cfg, SEARCH), cfg)
+            fast = producer_best_response_surrogate(z, omega, cfg, SEARCH)
             if degenerate or value <= 0.0:
                 continue
             hits += 1
@@ -341,14 +305,11 @@ class TestProducerImperfectAndSurrogate:
         # monotone in B, so both regimes pick the same topic.
         rng = np.random.default_rng(44)
         cfg = random_config(rng, dim=1, n_min=2, n_max=2)
-        consumers = (ConsumerAllocation(0.1, cfg.m - 0.1, {}),
-                     ConsumerAllocation(0.1, cfg.m - 0.1, {}))
-        omega = random_allocation(rng, cfg)
-        imperfect = producer_best_response_imperfect(
-            0, consumers, omega.content, cfg, SEARCH)
-        perfect = producer_best_response_perfect(
-            0, InfluencerAllocation(mu=np.array([cfg.m_infl, 0.0])), consumers,
-            cfg, SEARCH)
+        omega = MarketAllocation(np.full(2, 0.1), np.full(2, cfg.m - 0.1), np.zeros((2, 2)),
+                                 InfluencerAllocation(mu=np.array([cfg.m_infl, 0.0])),
+                                 random_allocation(rng, cfg).X)
+        imperfect = producer_best_response_imperfect(0, omega, cfg, SEARCH)
+        perfect = producer_best_response_perfect(0, omega, cfg, SEARCH)
         cell = 1.0 / (SEARCH.grid_resolution - 1)
         assert abs(imperfect.topic.coords[0] - perfect.topic.coords[0]) <= cell + 1e-12
 
@@ -357,8 +318,7 @@ class TestProducerImperfectAndSurrogate:
         cfg = random_config(rng, dim=1, n_min=3, n_max=6)
         omega = random_allocation(rng, cfg, spend_fraction=1.0)
         z = 2
-        choice = producer_best_response_imperfect(
-            z, omega.consumers, omega.content, cfg, SEARCH)
+        choice = producer_best_response_imperfect(z, omega, cfg, SEARCH)
         attained = self._resolved_delta(z, choice.topic, omega, cfg)
         for _ in range(60):
             alt = TopicPoint(tuple(rng.uniform(0, 1, 1)))
@@ -368,26 +328,27 @@ class TestProducerImperfectAndSurrogate:
         rng = np.random.default_rng(46)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
-        consumers = tuple(
-            ConsumerAllocation(c.lambda_out, 0.0, c.mu_direct) for c in omega.consumers)
-        choice = producer_best_response_surrogate(1, consumers, cfg, SEARCH)
+        choice = producer_best_response_surrogate(
+            1, dataclasses.replace(omega, mu_i=np.zeros(cfg.n)), cfg, SEARCH)
         assert choice.degenerate
 
 
 def _dense_market(rng, dim, case):
     """A random market state; some cases zero channels or every follow rate."""
     cfg = random_config(rng, n_min=3, n_max=7, dim=dim)
-    d = dense_from_allocation(random_allocation(rng, cfg), cfg)
+    omega = random_allocation(rng, cfg)
+    mu_i, direct, mu_infl = omega.mu_i.copy(), omega.direct.copy(), omega.mu_infl.copy()
     if case == 1:  # zero-weight channels
-        d.mu_i[::2] = 0.0
-        d.direct[:, 1] = 0.0
-        d.mu_infl[2] = 0.0
+        mu_i[::2] = 0.0
+        direct[:, 1] = 0.0
+        mu_infl[2] = 0.0
     elif case == 2:  # nobody follows the influencer
-        d.mu_i[:] = 0.0
+        mu_i[:] = 0.0
     elif case == 3:  # nobody follows anyone: every support objective is zero
-        d.mu_i[:] = 0.0
-        d.direct[:] = 0.0
-    return cfg, d
+        mu_i[:] = 0.0
+        direct[:] = 0.0
+    return cfg, MarketAllocation(omega.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl),
+                                 omega.X)
 
 
 def _search(dim):
@@ -425,11 +386,9 @@ class TestProducerBlockAgainstReference:
         for case in range(5):
             cfg, d = _dense_market(rng, dim, case)
             grid = TopicGrid(cfg, _search(dim))
-            omega = allocation_from_dense(d, cfg)
             for z in range(cfg.n):
                 got = producer_best_response_imperfect(
-                    z, omega.consumers, omega.content, cfg, _search(dim),
-                    prev=omega.content.x[z])
+                    z, d, cfg, _search(dim), prev=TopicPoint(tuple(d.X[z])))
                 x, value, degenerate = exact_imperfect_search(
                     z, d.mu_i, d.X, grid, cfg, prev_x=d.X[z])
                 assert got.degenerate == degenerate
@@ -470,16 +429,13 @@ class TestProducerBlockAgainstReference:
         # scores the same 1.0
         cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.2, 0.5, 0.8)),
                            m=1.0, m_infl=3000.0, r_p=1.0, r_0=1.0, b_0=0.5)
-        consumers = tuple(ConsumerAllocation(0.5, 0.5, {}) for _ in range(3))
-        content = ContentAssignment(x=(TopicPoint((0.0,)),) * 3)
-        d = dense_from_allocation(MarketAllocation(
-            consumers, InfluencerAllocation(mu=np.full(3, 1000.0)), content), cfg)
+        d = MarketAllocation(np.full(3, 0.5), np.full(3, 0.5), np.zeros((3, 3)),
+                             InfluencerAllocation(mu=np.full(3, 1000.0)), np.zeros((3, 1)))
         x, value, degenerate = exact_imperfect_search(
             1, d.mu_i, d.X, TopicGrid(cfg, SEARCH), cfg, prev_x=d.X[1])
         assert (value, degenerate, x[0]) == (1.0, False, 0.0)
-        got = producer_best_response_imperfect(1, consumers, content, cfg, SEARCH,
-                                               prev=content.x[1])
-        mass = producer_best_response_surrogate(1, consumers, cfg, SEARCH)
+        got = producer_best_response_imperfect(1, d, cfg, SEARCH, prev=TopicPoint((0.0,)))
+        mass = producer_best_response_surrogate(1, d, cfg, SEARCH)
         assert got.value == 1.0 and not got.degenerate
         assert got.topic == mass.topic and mass.topic.coords[0] > 0.3
 
@@ -501,22 +457,16 @@ class TestConsumerBlockAgainstReference:
             elif case == 2:  # the influencer relays nothing: nobody follows it
                 mu_infl[:] = 0.0
             delta_infl = discount(mu_infl, cfg.delay)
-            # stale rates on entry, the direct diagonal included
-            lam, mu_i = rng.uniform(0.0, 1.0, (2, n))
-            new = DenseAllocation(lam, mu_i, rng.uniform(0.0, 1.0, (n, n)), mu_infl,
-                                  np.zeros((n, cfg.dim)))
-            old = DenseAllocation(*(a.copy() for a in new))
-            consumers_br_dense(new, delta_infl, B, cfg, mode)
-            consumer_round(old, delta_infl, B, cfg, mode)
-            for a, b in zip(new[:3], old[:3]):
+            lam, mu_i, direct = consumers_br_dense(delta_infl, B, cfg, mode)
+            for a, b in zip((lam, mu_i, direct), consumer_round(delta_infl, B, cfg, mode)):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * cfg.m)
-            assert np.all(np.diagonal(new.direct) == 0.0)
-            spent = new.lam + new.mu_i + new.direct.sum(axis=1)
+            assert np.all(np.diagonal(direct) == 0.0)
+            spent = lam + mu_i + direct.sum(axis=1)
             assert np.max(np.abs(spent - cfg.m)) <= 1e-9
             if mode is GameMode.PROXY:
-                assert np.all(new.direct == 0.0)
+                assert np.all(direct == 0.0)
             if case == 2:
-                assert np.all(new.mu_i == 0.0)
+                assert np.all(mu_i == 0.0)
 
 
 class TestBracketObjective:

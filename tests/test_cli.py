@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cme import scenario
 from cme.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -143,3 +144,45 @@ def test_seed_override_changes_sampled_market(tmp_path, capsys):
     ib = json.loads((tmp_path / "b" / "u_perfect.json").read_text())
     assert ia["config"]["interests"] != ib["config"]["interests"]
     assert ia["config"]["seed"] == 1 and ib["config"]["seed"] == 2
+
+
+@pytest.mark.parametrize("edit, key", [
+    pytest.param(lambda p: p["allocation"]["consumers"][0]["mu_direct"].update({"abc": 0.1}),
+                 "'abc'", id="non-integer-producer"),
+    pytest.param(lambda p: p["allocation"]["consumers"][1].pop("lambda_out"),
+                 "'lambda_out'", id="missing-rate"),
+    pytest.param(lambda p: p["config"].pop("m"), "'m'", id="missing-config-key"),
+    pytest.param(lambda p: p["allocation"]["consumers"][0]["mu_direct"].update({"5": 0.1}),
+                 "unknown producer 5", id="unknown-producer"),
+    pytest.param(lambda p: p["allocation"]["consumers"][1].update({"lambda_out": -0.5}),
+                 "lam[1]", id="negative-rate"),
+])
+def test_check_malformed_result_exits_2_naming_file_and_key(tmp_path, capsys, edit, key):
+    run(["solve", SYMMETRIC, "--mode", "perfect", "--out", str(tmp_path)]
+        + FAST, capsys)
+    path = tmp_path / "symmetric_perfect.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    code, out, err = run(["check", str(path), "--grid", "64"], capsys)
+    assert code == 2
+    assert key in err
+    if key != "lam[1]":  # bad values are caught by validation, past the file
+        assert str(path) in err
+
+
+def test_sweep_prints_each_failed_row(tmp_path, capsys, monkeypatch):
+    def fail(cfg, params=None, search=None):
+        raise ArithmeticError(f"no equilibrium at N={cfg.n}")
+
+    monkeypatch.setenv("CME_THREADS", "1")
+    monkeypatch.setattr(scenario, "price_of_influence", fail)
+    code, out, _ = run(["sweep", str(FIXTURES / "determinism.swp"),
+                        "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "(4 rows, 4 failed)" in out
+    for n, rep in ((3, 0), (3, 1), (4, 0), (4, 1)):
+        assert (f"N={n:4d}  replicate {rep} failed: "
+                f"ArithmeticError: no equilibrium at N={n}") in out
+    rows = (tmp_path / "determinism.csv").read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["error=ArithmeticError"] * 4

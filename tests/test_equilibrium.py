@@ -28,19 +28,14 @@ from cme.equilibrium import (
     run_dynamics_all,
 )
 from cme.kernels import DelayParams, InvalidInputError, KernelParams, TopicPoint, discount
-from cme.market import (
-    ConsumerAllocation,
-    MarketAllocation,
-    MarketConfig,
-    dense_from_allocation,
-    match_matrix,
-    social_welfare,
-)
+from cme.market import InfluencerAllocation, MarketAllocation, MarketConfig, match_matrix, \
+    social_welfare
 from cme.scenario import parse_scenario
-from markets_util import random_allocation, random_config
+from markets_util import random_allocation, random_config, with_consumer
 
 SEARCH = TopicSearchParams(grid_resolution=64, refine_iters=30)
 FAST = DynamicsParams(restarts=0)
+FIELDS = ("lam", "mu_i", "direct", "mu_infl", "X")
 
 
 def symmetric_pair(m_infl=2.0) -> MarketConfig:
@@ -85,8 +80,7 @@ def test_symmetric_proxy_matches_scalar_water_fill():
     np.testing.assert_allclose(res.omega.influencer.mu, cfg.m_infl / 2.0,
                                atol=1e-9)
     # producers: own interest is the unique argmax, held exactly
-    for z, c in enumerate(res.omega.content.x):
-        assert c.coords == cfg.interests[z].coords
+    assert np.array_equal(res.omega.X, cfg.interest_array())
 
     # consumers: independent two-channel water-fill against known weights
     b_cross = math.exp(-cfg.kernel.a_f * 0.6)
@@ -94,10 +88,9 @@ def test_symmetric_proxy_matches_scalar_water_fill():
     expect = water_fill(WeightedChannels(np.array([cfg.r_0 * cfg.b_0,
                                                    cfg.r_p * s]), cfg.m),
                         cfg.delay)
-    for c in res.omega.consumers:
-        assert c.mu_direct == {}
-        assert c.lambda_out == pytest.approx(expect.rates[0], abs=1e-9)
-        assert c.mu_infl_follow == pytest.approx(expect.rates[1], abs=1e-9)
+    assert np.all(res.omega.direct == 0.0)
+    np.testing.assert_allclose(res.omega.lam, expect.rates[0], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(res.omega.mu_i, expect.rates[1], rtol=0.0, atol=1e-9)
 
     assert res.certificate.holds
     assert res.certificate.mode is GameMode.PROXY
@@ -110,8 +103,8 @@ def test_symmetric_perfect_certified_and_fast():
     assert res.certificate.holds
     assert_nondecreasing(res.potential_trace, scale=abs(res.potential_trace[-1]))
     # all three channel kinds active in this market
-    c = res.omega.consumers[0]
-    assert c.lambda_out > 0 and c.mu_infl_follow > 0 and c.mu_direct
+    omega = res.omega
+    assert omega.lam[0] > 0 and omega.mu_i[0] > 0 and omega.direct[0].any()
 
 
 def test_symmetric_imperfect_certified():
@@ -119,8 +112,7 @@ def test_symmetric_imperfect_certified():
     res = run_dynamics(cfg, GameMode.IMPERFECT, params=FAST, search=SEARCH)
     assert res.converged
     assert res.certificate.holds
-    for z, c in enumerate(res.omega.content.x):
-        assert c.coords == cfg.interests[z].coords
+    assert np.array_equal(res.omega.X, cfg.interest_array())
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +144,8 @@ def test_budgets_saturated_at_equilibrium():
         res = run_dynamics(cfg, mode, params=FAST, search=SEARCH)
         assert float(np.sum(res.omega.influencer.mu)) == pytest.approx(
             cfg.m_infl, abs=1e-9 * cfg.m_infl)
-        for c in res.omega.consumers:
-            assert c.total() == pytest.approx(cfg.m, abs=1e-9 * cfg.m)
+        spent = res.omega.lam + res.omega.mu_i + res.omega.direct.sum(axis=1)
+        np.testing.assert_allclose(spent, cfg.m, rtol=0.0, atol=1e-9 * cfg.m)
 
 
 def test_random_perfect_instances_certify():
@@ -170,27 +162,12 @@ def test_random_perfect_instances_certify():
 # ---------------------------------------------------------------------------
 
 
-def _shift_consumer(omega: MarketAllocation, y: int, **changes) -> MarketAllocation:
-    consumers = list(omega.consumers)
-    old = consumers[y]
-    consumers[y] = ConsumerAllocation(
-        lambda_out=changes.get("lambda_out", old.lambda_out),
-        mu_infl_follow=changes.get("mu_infl_follow", old.mu_infl_follow),
-        mu_direct=changes.get("mu_direct", old.mu_direct),
-    )
-    return MarketAllocation(consumers=tuple(consumers),
-                            influencer=omega.influencer,
-                            content=omega.content)
-
-
 def test_perturbed_rates_fail_with_named_condition():
     cfg = symmetric_pair()
     eq = run_dynamics(cfg, GameMode.PERFECT, params=FAST, search=SEARCH).omega
-    c0 = eq.consumers[0]
     h = 0.1 * cfg.m
-    assert c0.lambda_out > h  # the shift below stays feasible
-    bad = _shift_consumer(eq, 0, lambda_out=c0.lambda_out - h,
-                          mu_infl_follow=c0.mu_infl_follow + h)
+    assert eq.lam[0] > h  # the shift below stays feasible
+    bad = with_consumer(eq, 0, lam=eq.lam[0] - h, mu_i=eq.mu_i[0] + h)
     cert = check_nash(bad, cfg, GameMode.PERFECT, search=SEARCH)
     assert not cert.holds
     name, value = cert.worst()
@@ -201,10 +178,8 @@ def test_perturbed_rates_fail_with_named_condition():
 def test_proxy_certificate_reports_direct_mass():
     cfg = symmetric_pair()
     eq = run_dynamics(cfg, GameMode.PROXY, params=FAST, search=SEARCH).omega
-    c0 = eq.consumers[0]
     eps = 1e-3
-    bad = _shift_consumer(eq, 0, lambda_out=c0.lambda_out - eps,
-                          mu_direct={1: eps})
+    bad = with_consumer(eq, 0, lam=eq.lam[0] - eps, direct=np.array([0.0, eps]))
     cert = check_nash(bad, cfg, GameMode.PROXY, search=SEARCH)
     assert not cert.holds
     assert cert.residuals["b_direct_rates_zero"] == pytest.approx(eps, rel=1e-12)
@@ -338,9 +313,8 @@ def test_deterministic_repeat():
     b = run_dynamics(cfg, GameMode.IMPERFECT,
                      params=DynamicsParams(restarts=1), search=SEARCH)
     assert a.potential_trace == b.potential_trace
-    da, db = dense_from_allocation(a.omega, cfg), dense_from_allocation(b.omega, cfg)
-    for x, y in zip(da, db):
-        assert np.array_equal(x, y)
+    for f in FIELDS:
+        assert np.array_equal(getattr(a.omega, f), getattr(b.omega, f))
 
 
 def test_params_validation():
@@ -387,19 +361,19 @@ def test_rounds_match_the_per_producer_round(mode, dim):
     for _ in range(4):
         cfg = random_config(rng, n_min=3, n_max=6, dim=dim)
         grid = TopicGrid(cfg, _search(dim))
-        new = equilibrium.random_init(cfg, mode, rng)
-        old = equilibrium._copy(new)
+        new = old = equilibrium.random_init(cfg, mode, rng)
         for _ in range(3):
             values = []
-            degenerate_old = ref.gauss_seidel_round(old, cfg, mode, grid, values)
-            degenerate_new = equilibrium._one_round(new, cfg, mode, grid,
-                                                    match_matrix(new.X, cfg))
+            old, degenerate_old = ref.gauss_seidel_round(old, cfg, mode, grid, values)
+            new, degenerate_new = equilibrium._one_round(new, cfg, mode, grid,
+                                                         match_matrix(new.X, cfg))
             if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
                 break  # flat exact objective: the topics part by design
             compared += 1
             assert degenerate_new == degenerate_old
-            for a, b in zip(new, old):
-                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * max(cfg.m, cfg.m_infl))
+            for f in FIELDS:
+                np.testing.assert_allclose(getattr(new, f), getattr(old, f), rtol=1e-9,
+                                           atol=1e-9 * max(cfg.m, cfg.m_infl))
     assert compared >= 6
 
 
@@ -413,12 +387,12 @@ def test_imperfect_round_moves_producers_in_order():
     for _ in range(40):
         cfg = random_config(rng, n_min=3, n_max=6, dim=1)
         grid = TopicGrid(cfg, SEARCH)
-        new = equilibrium.random_init(cfg, GameMode.IMPERFECT, rng)
-        old = equilibrium._copy(new)
+        start = equilibrium.random_init(cfg, GameMode.IMPERFECT, rng)
         values = []
-        degenerate_old = ref.gauss_seidel_round(old, cfg, GameMode.IMPERFECT, grid, values)
-        degenerate_new = equilibrium._one_round(new, cfg, GameMode.IMPERFECT, grid,
-                                                 match_matrix(new.X, cfg))
+        old, degenerate_old = ref.gauss_seidel_round(start, cfg, GameMode.IMPERFECT, grid,
+                                                     values)
+        new, degenerate_new = equilibrium._one_round(start, cfg, GameMode.IMPERFECT, grid,
+                                                     match_matrix(start.X, cfg))
         if any(ref.saturated(v, cfg) for v in values):
             continue
         assert degenerate_new == degenerate_old
@@ -461,8 +435,7 @@ def test_runs_match_the_per_producer_dynamics(mode):
         assert new.potential_trace == pytest.approx(old.potential_trace, rel=1e-9, abs=0.0)
         assert new.degenerate_producers == old.degenerate_producers
         assert new.certificate.holds == old.certificate.holds
-        np.testing.assert_allclose(dense_from_allocation(new.omega, cfg).X,
-                                   dense_from_allocation(old.omega, cfg).X, atol=1e-9)
+        np.testing.assert_allclose(new.omega.X, old.omega.X, atol=1e-9)
     assert compared >= 4
 
 
@@ -474,18 +447,39 @@ def test_certificate_gaps_match_the_per_producer_gaps(dim):
         grid = TopicGrid(cfg, _search(dim))
         if case < 2:  # equilibria: gaps at or near zero
             mode = (GameMode.PERFECT, GameMode.IMPERFECT)[case]
-            res = run_dynamics(cfg, mode, params=FAST, search=_search(dim))
-            d = dense_from_allocation(res.omega, cfg)
+            d = run_dynamics(cfg, mode, params=FAST, search=_search(dim)).omega
         else:
-            d = dense_from_allocation(random_allocation(rng, cfg), cfg)
+            d = random_allocation(rng, cfg)
+        mu_i, direct, mu_infl = d.mu_i.copy(), d.direct.copy(), d.mu_infl.copy()
         if case == 3:  # zero-weight channels
-            d.mu_i[::2] = 0.0
-            d.direct[:, 1] = 0.0
-            d.mu_infl[2] = 0.0
+            mu_i[::2] = 0.0
+            direct[:, 1] = 0.0
+            mu_infl[2] = 0.0
         elif case == 4:  # nobody follows the influencer
-            d.mu_i[:] = 0.0
+            mu_i[:] = 0.0
+        d = MarketAllocation(d.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl), d.X)
         B = match_matrix(d.X, cfg)
         assert equilibrium._imperfect_producer_gap(d, cfg, grid, B) == pytest.approx(
             ref.imperfect_gap(d, cfg, grid), rel=0.0, abs=1e-12)
         assert equilibrium._support_producer_gap(d, cfg, grid, B) == pytest.approx(
             ref.support_gap(d, cfg, grid), rel=0.0, abs=1e-12)
+
+
+def test_runs_leave_their_inputs_alone():
+    # every state a run builds or returns is read-only, so a round that wrote
+    # into the state it was handed would raise
+    cfg = even_line(4)
+    rec = price_of_influence(cfg, params=FAST, search=SEARCH)
+    for res in (rec.perfect, rec.imperfect):
+        assert not any(getattr(res.omega, f).flags.writeable for f in FIELDS)
+    start = random_allocation(np.random.default_rng(5), cfg)
+    before = [getattr(start, f).copy() for f in FIELDS]
+    runs = run_dynamics_all(cfg, GameMode.PERFECT, params=FAST, search=SEARCH,
+                            extra_inits=(start,))
+    assert len(runs) == 2
+    for f, b in zip(FIELDS, before):
+        assert np.array_equal(getattr(start, f), b)
+    wide = MarketAllocation(start.lam, start.mu_i, np.zeros((4, 5)), start.influencer, start.X)
+    with pytest.raises(InvalidInputError, match="direct has shape"):
+        run_dynamics_all(cfg, GameMode.PERFECT, params=FAST, search=SEARCH,
+                         extra_inits=(wide,))

@@ -1,5 +1,8 @@
 """Utilities, the potential identity, and allocation invariants."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -12,35 +15,35 @@ from cme.kernels import (
     match_prob,
 )
 from cme.market import (
-    ConsumerAllocation,
-    ContentAssignment,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
-    allocation_from_dense,
-    consumer_utility,
-    dense_from_allocation,
+    consumer_utilities,
     influencer_utility,
     match_matrix,
     producer_support,
     producer_support_via_influencer,
     social_welfare,
 )
-from markets_util import random_allocation, random_config, random_consumer
+from markets_util import random_allocation, random_config, random_consumer, with_consumer, with_topic
 
 
 # -- brute-force scalar reimplementations (the oracle for the vector core) --
 
+def _match(omega, cfg, z, y):
+    return match_prob(TopicPoint(tuple(omega.X[z])), cfg.interests[z], cfg.interests[y],
+                      cfg.kernel)
+
+
 def brute_consumer_utility(y, omega, cfg):
-    c = omega.consumers[y]
-    total = cfg.r_0 * cfg.b_0 * discount(c.lambda_out, cfg.delay)
+    total = cfg.r_0 * cfg.b_0 * discount(float(omega.lam[y]), cfg.delay)
     for z in range(cfg.n):
         if z == y:
             continue
-        b = match_prob(omega.content.x[z], cfg.interests[z], cfg.interests[y], cfg.kernel)
-        total += cfg.r_p * b * discount(float(omega.influencer.mu[z]), cfg.delay) \
-            * discount(c.mu_infl_follow, cfg.delay)
-        total += cfg.r_p * b * discount(c.mu_direct.get(z, 0.0), cfg.delay)
+        b = _match(omega, cfg, z, y)
+        total += cfg.r_p * b * discount(float(omega.mu_infl[z]), cfg.delay) \
+            * discount(float(omega.mu_i[y]), cfg.delay)
+        total += cfg.r_p * b * discount(float(omega.direct[y, z]), cfg.delay)
     return total
 
 
@@ -50,9 +53,9 @@ def brute_influencer_utility(omega, cfg):
         for y in range(cfg.n):
             if y == z:
                 continue
-            b = match_prob(omega.content.x[z], cfg.interests[z], cfg.interests[y], cfg.kernel)
-            total += cfg.r_p * b * discount(float(omega.influencer.mu[z]), cfg.delay) \
-                * discount(omega.consumers[y].mu_infl_follow, cfg.delay)
+            total += cfg.r_p * _match(omega, cfg, z, y) \
+                * discount(float(omega.mu_infl[z]), cfg.delay) \
+                * discount(float(omega.mu_i[y]), cfg.delay)
     return total
 
 
@@ -61,10 +64,10 @@ def brute_producer_support(z, omega, cfg):
     for y in range(cfg.n):
         if y == z:
             continue
-        b = match_prob(omega.content.x[z], cfg.interests[z], cfg.interests[y], cfg.kernel)
-        total += cfg.r_p * b * discount(float(omega.influencer.mu[z]), cfg.delay) \
-            * discount(omega.consumers[y].mu_infl_follow, cfg.delay)
-        total += cfg.r_p * b * discount(omega.consumers[y].mu_direct.get(z, 0.0), cfg.delay)
+        b = _match(omega, cfg, z, y)
+        total += cfg.r_p * b * discount(float(omega.mu_infl[z]), cfg.delay) \
+            * discount(float(omega.mu_i[y]), cfg.delay)
+        total += cfg.r_p * b * discount(float(omega.direct[y, z]), cfg.delay)
     return total
 
 
@@ -77,7 +80,7 @@ class TestUtilitiesAgainstBruteForce:
             welfare = 0.0
             for y in range(cfg.n):
                 expect = brute_consumer_utility(y, omega, cfg)
-                assert abs(consumer_utility(y, omega, cfg) - expect) < 1e-12
+                assert abs(consumer_utilities(omega, cfg)[y] - expect) < 1e-12
                 welfare += expect
             assert abs(social_welfare(omega, cfg) - welfare) < 1e-10
             assert abs(influencer_utility(omega, cfg)
@@ -93,9 +96,8 @@ class TestUtilitiesAgainstBruteForce:
         for z in range(cfg.n):
             via = producer_support_via_influencer(z, omega, cfg)
             direct_only = sum(
-                cfg.r_p
-                * match_prob(omega.content.x[z], cfg.interests[z], cfg.interests[y], cfg.kernel)
-                * discount(omega.consumers[y].mu_direct.get(z, 0.0), cfg.delay)
+                cfg.r_p * _match(omega, cfg, z, y)
+                * discount(float(omega.direct[y, z]), cfg.delay)
                 for y in range(cfg.n) if y != z)
             assert abs(producer_support(z, omega, cfg) - (via + direct_only)) < 1e-12
 
@@ -103,12 +105,10 @@ class TestUtilitiesAgainstBruteForce:
         rng = np.random.default_rng(23)
         cfg = random_config(rng, dim=2)
         omega = random_allocation(rng, cfg)
-        B = match_matrix(np.array([p.coords for p in omega.content.x]), cfg)
+        B = match_matrix(omega.X, cfg)
         for z in range(cfg.n):
             for y in range(cfg.n):
-                expect = match_prob(omega.content.x[z], cfg.interests[z],
-                                    cfg.interests[y], cfg.kernel)
-                assert abs(B[z, y] - expect) < 1e-14
+                assert abs(B[z, y] - _match(omega, cfg, z, y)) < 1e-14
 
 
 class TestClosedForms:
@@ -131,35 +131,27 @@ class TestClosedForms:
                            r_p=1.7, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(2.0, 2.0), delay=DelayParams(1.0))
         omega = MarketAllocation(
-            consumers=(
-                ConsumerAllocation(lambda_out=0.0, mu_infl_follow=cfg.m, mu_direct={}),
-                ConsumerAllocation(lambda_out=0.0, mu_infl_follow=0.0, mu_direct={}),
-            ),
+            lam=np.zeros(2), mu_i=np.array([cfg.m, 0.0]), direct=np.zeros((2, 2)),
             influencer=InfluencerAllocation(mu=np.array([0.0, cfg.m_infl])),
-            content=ContentAssignment(x=(point, point)),
+            X=np.full((2, 1), 0.5),
         )
         omega.validate(cfg)
         expect = cfg.r_p * discount(cfg.m_infl, cfg.delay) * discount(cfg.m, cfg.delay)
-        assert abs(consumer_utility(0, omega, cfg) - expect) < 1e-14
-        assert consumer_utility(1, omega, cfg) == 0.0
+        u = consumer_utilities(omega, cfg)
+        assert abs(u[0] - expect) < 1e-14
+        assert u[1] == 0.0
 
     def test_more_attention_never_hurts(self):
         rng = np.random.default_rng(25)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg, spend_fraction=0.4)
-        base = consumer_utility(1, omega, cfg)
-        c = omega.consumers[1]
-        for bumped in (
-            ConsumerAllocation(c.lambda_out + 0.1, c.mu_infl_follow, c.mu_direct),
-            ConsumerAllocation(c.lambda_out, c.mu_infl_follow + 0.1, c.mu_direct),
-            ConsumerAllocation(c.lambda_out, c.mu_infl_follow,
-                               {**c.mu_direct, 0: c.mu_direct.get(0, 0.0) + 0.1}),
-        ):
-            consumers = list(omega.consumers)
-            consumers[1] = bumped
-            more = MarketAllocation(consumers=tuple(consumers),
-                                    influencer=omega.influencer, content=omega.content)
-            assert consumer_utility(1, more, cfg) >= base
+        base = consumer_utilities(omega, cfg)[1]
+        row = omega.direct[1].copy()
+        row[0] += 0.1
+        for more in (with_consumer(omega, 1, lam=omega.lam[1] + 0.1),
+                     with_consumer(omega, 1, mu_i=omega.mu_i[1] + 0.1),
+                     with_consumer(omega, 1, direct=row)):
+            assert consumer_utilities(more, cfg)[1] >= base
 
 
 class TestPotentialIdentity:
@@ -171,12 +163,9 @@ class TestPotentialIdentity:
             cfg = random_config(rng)
             omega = random_allocation(rng, cfg)
             y = int(rng.integers(0, cfg.n))
-            consumers = list(omega.consumers)
-            consumers[y] = random_consumer(rng, y, cfg)
-            new = MarketAllocation(consumers=tuple(consumers),
-                                   influencer=omega.influencer, content=omega.content)
+            new = with_consumer(omega, y, *random_consumer(rng, y, cfg))
             d_phi = social_welfare(new, cfg) - social_welfare(omega, cfg)
-            d_own = consumer_utility(y, new, cfg) - consumer_utility(y, omega, cfg)
+            d_own = consumer_utilities(new, cfg)[y] - consumer_utilities(omega, cfg)[y]
             assert abs(d_phi - d_own) < 1e-9
 
     def test_influencer_deviation(self):
@@ -185,9 +174,7 @@ class TestPotentialIdentity:
             cfg = random_config(rng)
             omega = random_allocation(rng, cfg)
             new_mu = rng.dirichlet(np.ones(cfg.n)) * rng.uniform(0.1, 1.0) * cfg.m_infl
-            new = MarketAllocation(consumers=omega.consumers,
-                                   influencer=InfluencerAllocation(mu=new_mu),
-                                   content=omega.content)
+            new = dataclasses.replace(omega, influencer=InfluencerAllocation(mu=new_mu))
             d_phi = social_welfare(new, cfg) - social_welfare(omega, cfg)
             d_own = influencer_utility(new, cfg) - influencer_utility(omega, cfg)
             assert abs(d_phi - d_own) < 1e-9
@@ -198,11 +185,7 @@ class TestPotentialIdentity:
             cfg = random_config(rng)
             omega = random_allocation(rng, cfg)
             z = int(rng.integers(0, cfg.n))
-            x = list(omega.content.x)
-            x[z] = TopicPoint(tuple(rng.uniform(0, 1, cfg.dim)))
-            new = MarketAllocation(consumers=omega.consumers,
-                                   influencer=omega.influencer,
-                                   content=ContentAssignment(x=tuple(x)))
+            new = with_topic(omega, z, rng.uniform(0, 1, cfg.dim))
             d_phi = social_welfare(new, cfg) - social_welfare(omega, cfg)
             d_own = producer_support(z, new, cfg) - producer_support(z, omega, cfg)
             assert abs(d_phi - d_own) < 1e-9
@@ -214,54 +197,30 @@ class TestPotentialIdentity:
         y = 2 % cfg.n
 
         def with_rates(vec):
-            consumers = list(omega.consumers)
-            direct = {z: float(vec[2 + z - (z > y)]) for z in range(cfg.n) if z != y}
-            consumers[y] = ConsumerAllocation(float(vec[0]), float(vec[1]), direct)
-            return MarketAllocation(consumers=tuple(consumers),
-                                    influencer=omega.influencer, content=omega.content)
+            return with_consumer(omega, y, vec[0], vec[1], np.insert(vec[2:], y, 0.0))
 
         for _ in range(50):
             a = rng.dirichlet(np.ones(cfg.n + 1)) * rng.uniform(0.1, 1.0) * cfg.m
             b = rng.dirichlet(np.ones(cfg.n + 1)) * rng.uniform(0.1, 1.0) * cfg.m
             t = rng.uniform(0.0, 1.0)
-            u_mix = consumer_utility(y, with_rates(t * a + (1 - t) * b), cfg)
-            u_chord = t * consumer_utility(y, with_rates(a), cfg) \
-                + (1 - t) * consumer_utility(y, with_rates(b), cfg)
+            u_mix = consumer_utilities(with_rates(t * a + (1 - t) * b), cfg)[y]
+            u_chord = t * consumer_utilities(with_rates(a), cfg)[y] \
+                + (1 - t) * consumer_utilities(with_rates(b), cfg)[y]
             assert u_mix >= u_chord - 1e-12
-
-
-class TestDenseRoundTrip:
-    def test_allocation_from_dense_round_trips(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            cfg = random_config(rng)
-            omega = random_allocation(rng, cfg)
-            dense = dense_from_allocation(omega, cfg)
-            back = allocation_from_dense(dense, cfg)
-            for a, b in zip(back.consumers, omega.consumers):
-                # same keys in the same order, same bits
-                assert list(a.mu_direct.items()) == list(b.mu_direct.items())
-                assert (a.lambda_out, a.mu_infl_follow) == (b.lambda_out, b.mu_infl_follow)
-            again = dense_from_allocation(back, cfg)
-            for u, v in zip(again, dense):
-                np.testing.assert_array_equal(u, v)
-
-    def test_zero_rates_and_the_self_channel_are_dropped(self):
-        cfg = random_config(np.random.default_rng(13), n_min=4)
-        dense = dense_from_allocation(random_allocation(np.random.default_rng(14), cfg), cfg)
-        dense.direct[:, 1] = 0.0
-        dense.direct[2, 2] = 0.25
-        back = allocation_from_dense(dense, cfg)
-        for y, c in enumerate(back.consumers):
-            expected = [z for z in range(cfg.n) if z not in (1, y)]
-            assert list(c.mu_direct) == expected
-            assert all(type(z) is int and type(r) is float for z, r in c.mu_direct.items())
 
 
 class TestValidation:
     def _simple_cfg(self):
         return MarketConfig(dim=1, interests=(TopicPoint((0.2,)), TopicPoint((0.8,))),
                             m=1.0, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5)
+
+    def _omega(self, **fields):
+        """A feasible two-member state with the given fields replaced."""
+        state = dict(lam=np.zeros(2), mu_i=np.zeros(2), direct=np.zeros((2, 2)),
+                     influencer=InfluencerAllocation(mu=np.zeros(2)),
+                     X=np.array([[0.2], [0.8]]))
+        state.update(fields)
+        return MarketAllocation(**state)
 
     def test_config_validation(self):
         p = TopicPoint((0.5,))
@@ -282,44 +241,62 @@ class TestValidation:
         with pytest.raises(ValueError, match="read-only"):
             Y[0, 0] = 0.5
 
+    def test_arrays_are_read_only(self):
+        omega = self._omega(lam=[0.1, 0.2])
+        omega.validate(self._simple_cfg())
+        assert omega.lam.dtype == float and omega.mu_infl is omega.influencer.mu
+        for a in (omega.lam, omega.mu_i, omega.direct, omega.mu_infl, omega.X):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+
     def test_budget_overrun_rejected(self):
-        cfg = self._simple_cfg()
-        omega = MarketAllocation(
-            consumers=(ConsumerAllocation(0.9, 0.2, {}), ConsumerAllocation(0, 0, {})),
-            influencer=InfluencerAllocation(mu=np.zeros(2)),
-            content=ContentAssignment(x=cfg.interests))
-        with pytest.raises(InvalidInputError, match="consumer 0"):
-            omega.validate(cfg)
-
-    def test_self_direct_rate_rejected(self):
-        cfg = self._simple_cfg()
-        omega = MarketAllocation(
-            consumers=(ConsumerAllocation(0, 0, {0: 0.1}), ConsumerAllocation(0, 0, {})),
-            influencer=InfluencerAllocation(mu=np.zeros(2)),
-            content=ContentAssignment(x=cfg.interests))
-        with pytest.raises(InvalidInputError, match="itself"):
-            omega.validate(cfg)
-
-    def test_unknown_producer_rejected(self):
-        cfg = self._simple_cfg()
-        omega = MarketAllocation(
-            consumers=(ConsumerAllocation(0, 0, {5: 0.1}), ConsumerAllocation(0, 0, {})),
-            influencer=InfluencerAllocation(mu=np.zeros(2)),
-            content=ContentAssignment(x=cfg.interests))
-        with pytest.raises(InvalidInputError, match="unknown producer"):
-            omega.validate(cfg)
+        omega = self._omega(lam=np.array([0.5, 0.0]), mu_i=np.array([0.2, 0.0]),
+                            direct=np.array([[0.0, 0.4], [0.0, 0.0]]))
+        with pytest.raises(InvalidInputError, match="consumer 0 spends"):
+            omega.validate(self._simple_cfg())
 
     def test_influencer_overrun_rejected(self):
-        cfg = self._simple_cfg()
-        omega = MarketAllocation(
-            consumers=(ConsumerAllocation(0, 0, {}), ConsumerAllocation(0, 0, {})),
-            influencer=InfluencerAllocation(mu=np.array([0.8, 0.3])),
-            content=ContentAssignment(x=cfg.interests))
-        with pytest.raises(InvalidInputError, match="influencer"):
-            omega.validate(cfg)
+        omega = self._omega(influencer=InfluencerAllocation(mu=np.array([0.8, 0.3])))
+        with pytest.raises(InvalidInputError, match="influencer spends"):
+            omega.validate(self._simple_cfg())
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ConsumerAllocation(-0.1, 0.0, {})
-        with pytest.raises(InvalidInputError):
-            InfluencerAllocation(mu=np.array([0.1, -0.2]))
+    def test_self_direct_rate_rejected(self):
+        omega = self._omega(direct=np.array([[0.0, 0.0], [0.0, 0.1]]))
+        with pytest.raises(InvalidInputError, match=r"direct\[1, 1\].*itself"):
+            omega.validate(self._simple_cfg())
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("lam", np.zeros(3), "lam"),
+        ("mu_i", np.zeros((2, 1)), "mu_i"),
+        ("direct", np.zeros((2, 3)), "direct"),  # a rate on an unknown producer
+        ("influencer", InfluencerAllocation(mu=np.zeros(3)), "influencer.mu"),
+        ("X", np.full((3, 1), 0.5), "X"),
+        ("X", np.full((2, 2), 0.5), "X"),  # topics of the wrong dimension
+        ("X", np.full(2, 0.5), "X"),
+    ])
+    def test_wrong_shape_rejected(self, field, value, name):
+        omega = self._omega(**{field: value})
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(name)} has shape"):
+            omega.validate(self._simple_cfg())
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("field, index", [("lam", (1,)), ("mu_i", (0,)),
+                                              ("direct", (0, 1))])
+    def test_bad_rate_rejected(self, field, index, bad):
+        a = np.zeros((2, 2) if field == "direct" else 2)
+        a[index] = bad
+        omega = self._omega(**{field: a})
+        where = re.escape(f"{field}[{', '.join(map(str, index))}]")
+        with pytest.raises(InvalidInputError, match=rf"^{where} = .* negative or not finite"):
+            omega.validate(self._simple_cfg())
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_bad_influencer_rate_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="influencer rates"):
+            InfluencerAllocation(mu=np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan])
+    def test_topic_outside_unit_box_rejected(self, bad):
+        omega = self._omega(X=np.array([[0.2], [bad]]))
+        with pytest.raises(InvalidInputError, match=r"^X\[1, 0\] = .* outside the unit box"):
+            omega.validate(self._simple_cfg())

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cme import scenario
 from cme.bestresponse import GameMode
 from cme.kernels import TopicPoint
-from cme.market import dense_from_allocation, social_welfare
+from cme.market import social_welfare
 from cme.scenario import (
     CSV_HEADER,
     InterestSpec,
@@ -200,9 +201,18 @@ def test_config_and_allocation_round_trip(tmp_path):
     omega = random_allocation(rng, cfg)
     omega2 = allocation_from_dict(
         json.loads(json.dumps(allocation_to_dict(omega))))
-    d1, d2 = dense_from_allocation(omega, cfg), dense_from_allocation(omega2, cfg)
-    for a, b in zip(d1, d2):
-        assert np.array_equal(a, b)
+    for f in ("lam", "mu_i", "direct", "mu_infl", "X"):
+        assert np.array_equal(getattr(omega, f), getattr(omega2, f))
+
+
+@pytest.mark.parametrize("key, match", [("7", "unknown producer 7"), ("-1", "unknown producer -1"),
+                                        ("x", "mu_direct key 'x'")])
+def test_allocation_from_dict_rejects_unknown_producers(key, match):
+    d = {"consumers": [{"lambda_out": 0.5, "mu_infl_follow": 0.5, "mu_direct": {key: 0.1}},
+                       {"lambda_out": 0.5, "mu_infl_follow": 0.5, "mu_direct": {}}],
+         "influencer": [0.5, 0.5], "content": [[0.2], [0.8]]}
+    with pytest.raises(ScenarioError, match=match):
+        allocation_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +238,8 @@ def test_small_sweep_outputs(tmp_path):
     meds = median_relative_poi(out)
     assert set(meds) == {3, 4}
 
+    assert all(r["error"] is None for r in out.rows)
+
     # every stored row re-validates: welfare == social_welfare(allocation)
     assert len(out.row_paths) == 4
     for p in out.row_paths:
@@ -249,6 +261,17 @@ def test_sweep_byte_identical_across_worker_counts(tmp_path):
     for pa, pb in zip(a.row_paths, b.row_paths):
         assert pa.name == pb.name
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_failed_sweep_row_keeps_the_message(tmp_path, monkeypatch):
+    def fail(cfg, params=None, search=None):
+        raise ArithmeticError("dynamics failed")
+
+    monkeypatch.setattr(scenario, "price_of_influence", fail)
+    out = run_sweep(parse_sweep(FIXTURES / "determinism.swp"), out_dir=tmp_path, workers=1)
+    assert [r["error"] for r in out.rows] == ["ArithmeticError: dynamics failed"] * 4
+    assert all(r["converged_flags"] == "error=ArithmeticError" for r in out.rows)
+    assert out.row_paths == ()
 
 
 def test_worker_count_env_override(monkeypatch):
