@@ -13,7 +13,6 @@ from .allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
-    gradient_oracle,
     kkt_residuals,
     water_fill,
 )
@@ -41,7 +40,6 @@ from .equilibrium import (
 )
 from .kernels import (
     DelayParams,
-    DomainError,
     InvalidInputError,
     KernelParams,
     TopicPoint,
@@ -72,7 +70,6 @@ __all__ = [
     "AllocationSolution",
     "DegenerateWeightsError",
     "DelayParams",
-    "DomainError",
     "DynamicsParams",
     "EquilibriumResult",
     "GameMode",
@@ -96,7 +93,6 @@ __all__ = [
     "consumer_utilities",
     "discount",
     "discount_deriv",
-    "gradient_oracle",
     "influencer_best_response",
     "influencer_utility",
     "kkt_residuals",

@@ -23,17 +23,25 @@ consumer weights: delta(mu_infl(z)) * delta(mu_i(y)) + delta(mu_direct(y, z))
 with (G, N) @ (N, N) products taken in column chunks, polishes each best
 cell by golden-section search (dim 1; each column takes the branches a
 scalar search would take), and keeps the incumbent unless a candidate is
-strictly better.  Exact grid ties go to the lexicographically smallest
-node; a column that is zero on the whole grid is degenerate and keeps its
-incumbent.  Each objective reads only its own topic, so the block equals N
-one-producer searches (Monderer & Shapley, *Potential Games*, 1996).
+strictly better.  The incumbent's objective is the caller's: the round
+reads it from the match matrix B it already holds (row z of B dotted with
+column z of W), the very formula ``_objective`` evaluates.  Exact grid
+ties go to the lexicographically smallest node; a column that is zero on
+the whole grid is degenerate and keeps its incumbent.  Each objective
+reads only its own topic, so the block equals N one-producer searches
+(Monderer & Shapley, *Potential Games*, 1996).
 
 The polish evaluates ``_bracket_objective``.  In dim 1 the interest kernel
 exp(-a_f * |t - y|) is semiseparable (Vandebril, Van Barel & Mastronardi,
 *Matrix Computations and Semiseparable Matrices*, 2008): the interests
 outside a producer's bracket [lo, hi] fold into two virtual interests at
 lo and hi, weighted by sums taken once, so a golden step costs O(m) for
-the m interests inside the bracket, not O(N).
+the m interests inside the bracket, not O(N).  Those sums read their
+kernel factors from the grid table P, since lo and hi are grid nodes.
+The golden steps run once per batch of producers, not once per chunk: a
+batch holds as many producers, in order, as keep its padded bracket
+tables within one chunk's (_CHUNK, N + 2) elements, which is every
+producer when the brackets are narrow and _CHUNK of them at worst.
 
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
@@ -62,6 +70,7 @@ from .market import (
     influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
+    support_weights,
 )
 
 
@@ -102,6 +111,8 @@ class TopicGrid:
     P       (G, N)   interest kernel f at each (node, member) pair
     Q       (G, N)   production kernel g at each (node, member) pair
     cell    per-axis spacing, the resolution quantum of every grid argmax
+    order   (N,)     interests sorted by first coordinate (the dim-1 polish's)
+    y_sorted (N,)    those first coordinates, ascending
     """
 
     def __init__(self, cfg: MarketConfig, search: TopicSearchParams):
@@ -111,12 +122,15 @@ class TopicGrid:
             pts = axis[:, None]
         else:
             pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        D = pairwise_distances(pts, cfg.interest_array())
+        Y = cfg.interest_array()
+        D = pairwise_distances(pts, Y)
         self.points = pts
         self.P = np.exp(-cfg.kernel.a_f * D)
         self.Q = np.exp(-cfg.kernel.a_g * D)
         self.cell = 1.0 / (r - 1)
         self.refine_iters = search.refine_iters
+        self.order = np.argsort(Y[:, 0])
+        self.y_sorted = Y[self.order, 0]
 
 
 class ProducerChoice(NamedTuple):
@@ -210,16 +224,6 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
     return lam, mu_i, direct
 
 
-def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
-                    cfg: MarketConfig) -> np.ndarray:
-    """Perfect/proxy producer weights, (N, N): column z is
-    delta(mu_infl(z)) * delta(mu_i) + delta(direct[:, z]), zero at z."""
-    W = discount(direct, cfg.delay)
-    W += np.outer(discount(mu_i, cfg.delay), discount(mu_infl, cfg.delay))
-    np.fill_diagonal(W, 0.0)
-    return W
-
-
 def follower_weights(d_i: np.ndarray) -> np.ndarray:
     """Imperfect producer weights, (N, N): column z is delta(mu_i), zero at z."""
     W = np.repeat(d_i[:, None], d_i.size, axis=1)
@@ -250,46 +254,54 @@ def grid_best(W: np.ndarray, grid: TopicGrid) -> np.ndarray:
 
 def _objective(T: np.ndarray, W: np.ndarray, cols: np.ndarray,
                cfg: MarketConfig) -> np.ndarray:
-    """Objective of producer cols[j] at topic T[j] against weight column W[:, j]."""
+    """Objective of producer cols[j] at topic T[j] against weight column W[:, j].
+
+    Row j is built as ``match_matrix`` builds B's rows (the quality g times
+    f, then one dot with W), so at T = X[cols] it equals the round's
+    einsum("zy,yz->z", B, W) bit for bit.
+    """
     D = pairwise_distances(T, cfg.interest_array())
     q = np.exp(-cfg.kernel.a_g * D[np.arange(len(cols)), cols])
     D *= -cfg.kernel.a_f
     np.exp(D, out=D)
-    return q * np.einsum("jy,yj->j", D, W)
+    D *= q[:, None]
+    return np.einsum("jy,yj->j", D, W)
 
 
-def _bracket_objective(W: np.ndarray, cols: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray, cfg: MarketConfig):
-    """``_objective`` in dim 1 for topics t[j] inside [lo[j], hi[j]], at
-    O(k * m) per call, m being the most interests strictly inside a bracket.
+def _bracket_objective(W: np.ndarray, cols: np.ndarray, lo_idx: np.ndarray,
+                       hi_idx: np.ndarray, grid: TopicGrid, cfg: MarketConfig):
+    """``_objective`` in dim 1 for topics t[j] inside the bracket between
+    grid nodes lo_idx[j] < hi_idx[j], at O(k * m) per call, m being the most
+    interests strictly inside a bracket.
 
     The kernel exp(-a_f * |t - y|) is semiseparable: for an interest y <= lo
     it is exp(-a_f * (t - lo)) * exp(-a_f * (lo - y)), and for y >= hi it is
     exp(-a_f * (hi - t)) * exp(-a_f * (y - hi)).  So the interests outside
     a bracket act as two virtual interests at lo and hi, weighted by the
-    sums out_l and out_r of their second factors, taken once.  With the
-    interests strictly inside, they fill a (k, m + 2) table padded with
+    sums out_l and out_r of their second factors, taken once in chunks of
+    _CHUNK producers.  Those factors are grid.P's rows at lo and hi.  With
+    the interests strictly inside, they fill a (k, m + 2) table padded with
     zero weights.  Every exp factor is at most 1, so nothing overflows
     whatever a_f is.
     """
     a_f = cfg.kernel.a_f
     y = cfg.interest_array()[:, 0]
-
-    def outside(gap):  # gap (k, N): how far each interest lies beyond an edge
-        K = np.exp(-a_f * np.abs(gap))
-        K[gap < 0.0] = 0.0
-        return np.einsum("jy,yj->j", K, W)
-
-    order = np.argsort(y)
-    ys = y[order]
-    first = np.searchsorted(ys, lo, side="right")
-    stop = np.searchsorted(ys, hi, side="left")
+    lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
+    k = cols.size
+    out = np.empty((k, 2))
+    for sl in _chunks(k):
+        left = np.where(y <= lo[sl, None], grid.P[lo_idx[sl]], 0.0)
+        out[sl, 0] = np.einsum("jy,yj->j", left, W[:, sl])
+        right = np.where(y >= hi[sl, None], grid.P[hi_idx[sl]], 0.0)
+        out[sl, 1] = np.einsum("jy,yj->j", right, W[:, sl])
+    first = np.searchsorted(grid.y_sorted, lo, side="right")
+    stop = np.searchsorted(grid.y_sorted, hi, side="left")
     idx = first[:, None] + np.arange(int(np.max(stop - first, initial=0)))
     inside = idx < stop[:, None]
     idx = np.minimum(idx, y.size - 1)
-    w_in = np.where(inside, W[order[idx], np.arange(cols.size)[:, None]], 0.0)
-    y_tab = np.column_stack((lo, hi, ys[idx]))
-    w_tab = np.column_stack((outside(lo[:, None] - y), outside(y - hi[:, None]), w_in))
+    w_in = np.where(inside, W[grid.order[idx], np.arange(k)[:, None]], 0.0)
+    y_tab = np.column_stack((lo, hi, grid.y_sorted[idx]))
+    w_tab = np.column_stack((out, w_in))
     y_self = y[cols]
 
     def f(t):
@@ -325,45 +337,68 @@ def _golden_block(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
     return best_x
 
 
+def _polish_batches(grid: TopicGrid, lo: np.ndarray, hi: np.ndarray) -> list[slice]:
+    """Consecutive runs of producers whose padded (k, m + 2) bracket tables
+    hold at most _CHUNK * (N + 2) elements, m being the most interests
+    strictly inside a bracket of the run.  Each run is as long as fits."""
+    m = (np.searchsorted(grid.y_sorted, hi, side="left")
+         - np.searchsorted(grid.y_sorted, lo, side="right"))
+    budget = _CHUNK * (grid.y_sorted.size + 2)
+    batches, s = [], 0
+    while s < m.size:
+        width = np.maximum.accumulate(m[s:]) + 2
+        # k * width grows with k, so the runs that fit form a prefix
+        e = s + int(np.count_nonzero(np.arange(1, width.size + 1) * width <= budget))
+        batches.append(slice(s, e))
+        s = e
+    return batches
+
+
 def producer_block(W: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
-                   prev: np.ndarray | None = None, cols=None) -> ProducerBlock:
+                   prev: np.ndarray | None = None, prev_value: np.ndarray | None = None,
+                   cols=None) -> ProducerBlock:
     """Best topics of producers `cols` (default: all N) against weight columns W.
 
     Column j of W (N, k) weighs producer cols[j]'s consumers and is zero at
-    cols[j].  prev (k, dim) holds the incumbent topics: a degenerate
-    producer keeps its incumbent (the smallest grid node when prev is None),
-    and any other keeps it unless a candidate is strictly better.  Scan,
-    polish and incumbent check run in chunks of _CHUNK producers, so the
-    temporaries are (G, _CHUNK) and (_CHUNK, N) tables.  The polish searches
-    on ``_bracket_objective``; its best point is evaluated once more with
-    ``_objective``, the formula every value and comparison here uses.
+    cols[j].  prev (k, dim) holds the incumbent topics and prev_value (k,)
+    their objective values, which the caller supplies (``_objective`` at
+    prev, or the same numbers read from the match matrix at prev): a
+    degenerate producer keeps its incumbent (the smallest grid node when
+    prev is None), and any other keeps it unless a candidate is strictly
+    better.  The scan and the final evaluation run in chunks of _CHUNK
+    producers, so their temporaries are (G, _CHUNK) and (_CHUNK, N) tables;
+    the polish runs on ``_bracket_objective`` over ``_polish_batches``.
+    The polish's best point is evaluated once more with ``_objective``, the
+    formula every value and comparison here uses.
     """
     cols = np.arange(cfg.n) if cols is None else np.asarray(cols)
     k = cols.size
-    topics = np.empty((k, cfg.dim))
-    values, best_on_grid = np.empty(k), np.empty(k)
-    refine = grid.refine_iters if cfg.dim == 1 else 0
-    last = len(grid.points) - 1
+    best = np.empty(k, dtype=np.intp)
+    best_on_grid = np.empty(k)
     for sl in _chunks(k):
         vals = _grid_objective(W[:, sl], grid, cols[sl])
-        best = np.argmax(vals, axis=0)
-        best_on_grid[sl] = vals[best, np.arange(best.size)]
-        topics[sl] = grid.points[best]
-        values[sl] = best_on_grid[sl]
-        if refine:
-            lo = grid.points[np.maximum(best - 1, 0), 0]
-            hi = grid.points[np.minimum(best + 1, last), 0]
-            f = _bracket_objective(W[:, sl], cols[sl], lo, hi, cfg)
-            x = np.clip(_golden_block(f, lo, hi, refine), 0.0, 1.0)
-            fx = _objective(x[:, None], W[:, sl], cols[sl], cfg)
-            up = fx > values[sl]
-            topics[sl][up, 0] = x[up]
-            values[sl][up] = fx[up]
-        if prev is not None:
-            at_prev = _objective(prev[sl], W[:, sl], cols[sl], cfg)
-            keep = at_prev >= values[sl]  # move only on strict improvement
-            topics[sl][keep] = prev[sl][keep]
-            values[sl][keep] = at_prev[keep]
+        best[sl] = np.argmax(vals, axis=0)
+        best_on_grid[sl] = vals[best[sl], np.arange(vals.shape[1])]
+    topics = grid.points[best]
+    values = best_on_grid.copy()
+    if cfg.dim == 1 and grid.refine_iters:
+        lo_idx = np.maximum(best - 1, 0)
+        hi_idx = np.minimum(best + 1, len(grid.points) - 1)
+        lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
+        x = np.empty(k)
+        for sl in _polish_batches(grid, lo, hi):
+            f = _bracket_objective(W[:, sl], cols[sl], lo_idx[sl], hi_idx[sl], grid, cfg)
+            x[sl] = _golden_block(f, lo[sl], hi[sl], grid.refine_iters)
+        np.clip(x, 0.0, 1.0, out=x)
+        fx = np.concatenate([_objective(x[sl, None], W[:, sl], cols[sl], cfg)
+                             for sl in _chunks(k)])
+        up = fx > values
+        topics[up, 0] = x[up]
+        values[up] = fx[up]
+    if prev is not None:
+        keep = prev_value >= values  # move only on strict improvement
+        topics[keep] = prev[keep]
+        values[keep] = prev_value[keep]
     degen = best_on_grid <= 0.0
     topics[degen] = grid.points[0] if prev is None else prev[degen]
     values[degen] = 0.0
@@ -391,8 +426,9 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     if float(np.sum(mu_i)) == 0.0:
         return np.ones(cfg.n, dtype=bool)
     d_i = discount(mu_i, cfg.delay)
-    block = producer_block(follower_weights(d_i), grid, cfg, prev=X)
-    gamma = cfg.r_p * influencer_followed_match(d_i, B)
+    mass = influencer_followed_match(d_i, B)  # each incumbent's objective
+    block = producer_block(follower_weights(d_i), grid, cfg, prev=X, prev_value=mass)
+    gamma = cfg.r_p * mass
     degenerate = block.degenerate.copy()
     for z in np.flatnonzero(~degenerate):
         if _resolved_rate(gamma, z, cfg.r_p * block.grid_best[z], cfg) > 0.0:
@@ -430,8 +466,13 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
 def _one_producer(z: int, W: np.ndarray, cfg: MarketConfig, search: TopicSearchParams,
                   prev: TopicPoint | None) -> ProducerBlock:
     """The block restricted to producer z, with weight column W[:, z]."""
-    return producer_block(W[:, [z]], TopicGrid(cfg, search), cfg, cols=[z],
-                          prev=None if prev is None else prev.as_array()[None, :])
+    w, cols = W[:, [z]], np.array([z])
+    grid = TopicGrid(cfg, search)
+    if prev is None:
+        return producer_block(w, grid, cfg, cols=cols)
+    x = prev.as_array()[None, :]
+    return producer_block(w, grid, cfg, prev=x, prev_value=_objective(x, w, cols, cfg),
+                          cols=cols)
 
 
 def _choice(x: np.ndarray, val: float, degen: bool) -> ProducerChoice:

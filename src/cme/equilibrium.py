@@ -45,17 +45,18 @@ from .bestresponse import (
     imperfect_producer_round,
     influencer_br_dense,
     producer_block,
-    support_weights,
 )
 from .kernels import InvalidInputError, discount, discount_deriv
 from .market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    _utilities,
     influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
     social_welfare,
+    support_weights,
 )
 
 # Default certificate tolerances: absolute for the rate conditions, relative
@@ -162,23 +163,36 @@ def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
 
 
 def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-               grid: TopicGrid, B: np.ndarray) -> tuple[MarketAllocation, set[int]]:
+               grid: TopicGrid, B: np.ndarray
+               ) -> tuple[MarketAllocation, set[int], np.ndarray, float]:
     """One full best-response round -- the influencer, then the consumers as
-    one block, then the producers as one block.  Returns the next state and
-    the indices of producers whose topic objective was degenerate this round.
-    B is ``match_matrix(state.X, cfg)``."""
+    one block, then the producers as one block.  B is
+    ``match_matrix(state.X, cfg)``.  Returns the next state, the indices of
+    producers whose topic objective was degenerate this round, the next
+    state's match matrix and its potential (``social_welfare``).
+
+    The next state's ``support_weights`` W give its potential with the next
+    B.  In perfect/proxy mode W is also the producers' weights, and the
+    incumbents' objectives are read from B.  W dies with the round, before
+    the caller compares the two states.
+    """
     mu_infl = influencer_br_dense(state.mu_i, B, cfg)
     lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
 
     if mode is GameMode.IMPERFECT:
         X = state.X.copy()
         degenerate = imperfect_producer_round(mu_i, X, grid, cfg, B)
+        # built after the producer pass, whose own (N, N) weights are gone
+        W = support_weights(mu_i, mu_infl, direct, cfg)
     else:
         W = support_weights(mu_i, mu_infl, direct, cfg)
-        block = producer_block(W, grid, cfg, prev=state.X)
+        block = producer_block(W, grid, cfg, prev=state.X,
+                               prev_value=np.einsum("zy,yz->z", B, W))
         X, degenerate = block.topics, block.degenerate
+    B = match_matrix(X, cfg)
+    phi = float(_utilities(B, W, lam, cfg).sum())  # == social_welfare(next state, cfg, B)
     return (MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X),
-            set(np.flatnonzero(degenerate).tolist()))
+            set(np.flatnonzero(degenerate).tolist()), B, phi)
 
 
 def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
@@ -345,13 +359,10 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
     best_phi = phi
 
     for rnd in range(1, max_rounds + 1):
-        new, degenerate = _one_round(state, cfg, mode, grid, B)
+        new, degenerate, B, new_phi = _one_round(state, cfg, mode, grid, B)
         rounds_used = rnd
         change = _sup_change(state, new)
         state = new  # drops the previous state
-
-        B = match_matrix(state.X, cfg)
-        new_phi = social_welfare(state, cfg, B)
         dphi = abs(new_phi - phi)
         phi = new_phi
         trace.append(phi)

@@ -1,19 +1,17 @@
 """Topic space, matching kernels, and the delay discount.
 
 Community members and the content they produce live in the unit box
-[0, 1]^dim (dim is 1 or 2) under the Euclidean metric.  Two
-exponential-of-distance kernels turn distance into probabilities:
-``interest_prob`` is the chance a consumer with main interest y likes
-content on topic x, ``production_quality`` is the chance a producer
-with main interest z makes good content on topic x, and ``match_prob``
-is their product -- the chance a piece of z's content on topic x both
-is good and lands with consumer y.
+[0, 1]^dim (dim is 1 or 2) under the Euclidean metric, and
+``pairwise_distances`` measures it.  Two exponential-of-distance kernels
+turn distance into probabilities: f(d) = exp(-a_f * d) is the chance a
+consumer with main interest y likes content on topic x at d = d(x, y),
+g(d) = exp(-a_g * d) is the chance a producer with main interest z makes
+good content on topic x at d = d(x, z), and their product is the chance a
+piece of z's content on topic x both is good and lands with consumer y
+(``cme.market.match_matrix``).
 
 Attention paid at rate mu is discounted by delta(mu) = 1 - exp(-beta*mu),
-the probability that content is consumed before it goes stale.  The
-inverse of delta's derivative, ``deriv_inverse``, maps a target marginal
-value back to the attention rate that achieves it -- the scalar form of
-the water-filling rate rule that ``cme.allocator`` applies in closed form.
+the probability that content is consumed before it goes stale.
 """
 
 from __future__ import annotations
@@ -26,10 +24,6 @@ import numpy as np
 
 class InvalidInputError(ValueError):
     """An argument violates a structural precondition (dimension, sign, range)."""
-
-
-class DomainError(ValueError):
-    """A scalar argument lies outside the mathematical domain of the map."""
 
 
 @dataclass(frozen=True)
@@ -82,28 +76,6 @@ class DelayParams:
             raise InvalidInputError(f"beta must be positive and finite, got {self.beta}")
 
 
-def distance(x: TopicPoint, y: TopicPoint) -> float:
-    """Euclidean distance between two topic points of equal dimension."""
-    if x.dim != y.dim:
-        raise InvalidInputError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return math.dist(x.coords, y.coords)
-
-
-def interest_prob(x: TopicPoint, y: TopicPoint, k: KernelParams) -> float:
-    """Probability f(d(x, y)) that a consumer with interest y likes topic x."""
-    return math.exp(-k.a_f * distance(x, y))
-
-
-def production_quality(x: TopicPoint, z: TopicPoint, k: KernelParams) -> float:
-    """Probability g(d(x, z)) that a producer with interest z does topic x well."""
-    return math.exp(-k.a_g * distance(x, z))
-
-
-def match_prob(x: TopicPoint, z: TopicPoint, y: TopicPoint, k: KernelParams) -> float:
-    """Chance that z's content on topic x is good *and* appeals to consumer y."""
-    return production_quality(x, z, k) * interest_prob(x, y, k)
-
-
 def discount(mu, p: DelayParams):
     """Delay discount delta(mu) = 1 - exp(-beta*mu) for rates mu >= 0.
 
@@ -112,7 +84,9 @@ def discount(mu, p: DelayParams):
     m = np.asarray(mu, dtype=float)
     if np.any(m < 0.0) or not np.all(np.isfinite(m)):
         raise InvalidInputError("attention rates must be finite and nonnegative")
-    out = -np.expm1(-p.beta * m)
+    out = np.multiply(m, -p.beta, out=np.empty_like(m))  # the one buffer
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -125,20 +99,6 @@ def discount_deriv(mu, p: DelayParams):
     return float(out) if out.ndim == 0 else out
 
 
-def deriv_inverse(b: float, p: DelayParams) -> float:
-    """Rate mu with delta'(mu) = b, defined for 0 < b <= beta.
-
-    Values outside the domain are hard errors by design: callers that
-    water-fill must themselves clamp channels whose marginal value at
-    rate zero is already below the target (those channels get rate 0).
-    """
-    if not (0.0 < b <= p.beta):
-        raise DomainError(
-            f"delta' takes values in (0, beta={p.beta}]; no rate has delta'(mu) = {b}"
-        )
-    return math.log(p.beta / b) / p.beta
-
-
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between two (n, dim) stacks of points."""
     a = np.asarray(a, dtype=float)
@@ -149,6 +109,7 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if a.shape[1] == 1:
         # == sqrt(d*d) bit for bit, except where d*d underflows and exp(-a*d) is 1.0
-        return np.abs(a - b.T)
+        d = a - b.T
+        return np.abs(d, out=d)
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

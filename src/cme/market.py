@@ -18,13 +18,23 @@ directly, and the outside source:
            + r_p * sum_{z != y} B[z, y] * delta(direct[y, z])
            + r_0 * B_0 * delta(lam[y])
 
-with B[z, y] = g(d(X[z], z)) * f(d(X[z], y)), the ``match_matrix``.
+with B[z, y] = g(d(X[z], z)) * f(d(X[z], y)), the ``match_matrix``.  The
+two peer terms share the ``support_weights``
+W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]), zero
+at z = y, so
+
+    U_c(y) = r_p * sum_{z != y} B[z, y] * W[y, z] + r_0 * B_0 * delta(lam[y]),
+
+which is how ``consumer_utilities`` computes it: one delta(direct) per
+state, shared with the perfect/proxy producers, whose objective at topic x
+is column z of W weighted by the match of x.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
-deviations: whichever single agent (consumer, producer, or influencer)
-changes its strategy, the welfare moves by exactly that agent's own
-objective change.  That identity is what the equilibrium search and the
-certificates lean on, and it is pinned by tests.
+deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
+agent (consumer, producer, or influencer) changes its strategy, the
+welfare moves by exactly that agent's own objective change.  That identity
+is what the equilibrium search and the certificates lean on, and it is
+pinned by tests.
 """
 
 from __future__ import annotations
@@ -176,11 +186,25 @@ class MarketAllocation:
 
 
 def match_matrix(X: np.ndarray, cfg: MarketConfig) -> np.ndarray:
-    """B[z, y] = g(d(x(z), z)) * f(d(x(z), y)): producer rows, consumer columns."""
-    Y = cfg.interest_array()
-    D = pairwise_distances(np.asarray(X, dtype=float), Y)
-    quality = np.exp(-cfg.kernel.a_g * np.diagonal(D))
-    return quality[:, None] * np.exp(-cfg.kernel.a_f * D)
+    """B[z, y] = g(d(x(z), z)) * f(d(x(z), y)): producer rows, consumer
+    columns, built in place in the one (N, N) distance buffer."""
+    B = pairwise_distances(np.asarray(X, dtype=float), cfg.interest_array())
+    quality = np.exp(-cfg.kernel.a_g * np.diagonal(B))
+    B *= -cfg.kernel.a_f
+    np.exp(B, out=B)
+    B *= quality[:, None]
+    return B
+
+
+def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
+                    cfg: MarketConfig) -> np.ndarray:
+    """The peer weights W (N, N) of the welfare and of the perfect/proxy
+    producers: W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]),
+    zero at z = y."""
+    W = discount(direct, cfg.delay)
+    W += np.outer(discount(mu_i, cfg.delay), discount(mu_infl, cfg.delay))
+    np.fill_diagonal(W, 0.0)
+    return W
 
 
 def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
@@ -188,11 +212,16 @@ def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
     """All N consumer utilities at once; B defaults to ``match_matrix(omega.X, cfg)``."""
     if B is None:
         B = match_matrix(omega.X, cfg)
-    d = cfg.delay
-    via_infl = influencer_relayed_match(discount(omega.mu_infl, d), B)
-    direct = np.sum(B.T * discount(omega.direct, d), axis=1)  # direct[y, y] == 0
-    return (cfg.r_p * (discount(omega.mu_i, d) * via_infl + direct)
-            + cfg.r_0 * cfg.b_0 * discount(omega.lam, d))
+    W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+    return _utilities(B, W, omega.lam, cfg)
+
+
+def _utilities(B: np.ndarray, W: np.ndarray, lam: np.ndarray,
+               cfg: MarketConfig) -> np.ndarray:
+    """r_p * sum_z B[z, y] * W[y, z] + r_0 * B_0 * delta(lam[y]) for every y,
+    W being ``support_weights`` of the same state."""
+    return (cfg.r_p * np.einsum("zy,yz->y", B, W)
+            + cfg.r_0 * cfg.b_0 * discount(lam, cfg.delay))
 
 
 def social_welfare(omega: MarketAllocation, cfg: MarketConfig,

@@ -351,16 +351,45 @@ def _field(d, key: str, where: str):
         raise ScenarioError(f"{where} lacks '{key}'") from None
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(d, key: str, where: str, kind=float):
+    """d[key] as a float (or, with kind=int, an integer): JSON numbers only."""
+    v = _field(d, key, where)
+    if not (_is_number(v) and (kind is float or isinstance(v, int))):
+        what = "a number" if kind is float else "an integer"
+        raise ScenarioError(f"{where} '{key}' must be {what}, got {v!r}")
+    return kind(v)
+
+
+def _numbers(d, key: str, where: str, ndim: int) -> np.ndarray:
+    """d[key] as a float array: a list of numbers (ndim 1) or a list of
+    equally long lists of numbers (ndim 2)."""
+    v = _field(d, key, where)
+    rows = v if ndim == 2 else [v]
+    if not (isinstance(v, list) and all(isinstance(r, list) for r in rows)
+            and all(_is_number(x) for r in rows for x in r)):
+        what = "a list of numbers" if ndim == 1 else "a list of lists of numbers"
+        raise ScenarioError(f"{where} '{key}' must be {what}")
+    if len({len(r) for r in rows}) > 1:
+        raise ScenarioError(f"{where} '{key}' has rows of unequal length")
+    return np.array(v, dtype=float)
+
+
 def config_from_dict(d: dict) -> MarketConfig:
-    def get(key):
-        return _field(d, key, "config")
+    """Inverse of ``config_to_dict``; a missing or wrongly typed value
+    raises ScenarioError naming its key."""
+    def num(key):
+        return _number(d, key, "config")
 
     return MarketConfig(
-        dim=get("dim"),
-        interests=tuple(TopicPoint(tuple(p)) for p in get("interests")),
-        m=get("m"), m_infl=get("m_infl"), r_p=get("r_p"), r_0=get("r_0"), b_0=get("b_0"),
-        kernel=KernelParams(a_f=get("a_f"), a_g=get("a_g")),
-        delay=DelayParams(beta=get("beta")), seed=get("seed"))
+        dim=_number(d, "dim", "config", int),
+        interests=tuple(TopicPoint(tuple(p)) for p in _numbers(d, "interests", "config", 2)),
+        m=num("m"), m_infl=num("m_infl"), r_p=num("r_p"), r_0=num("r_0"), b_0=num("b_0"),
+        kernel=KernelParams(a_f=num("a_f"), a_g=num("a_g")),
+        delay=DelayParams(beta=num("beta")), seed=_number(d, "seed", "config", int))
 
 
 def allocation_to_dict(omega: MarketAllocation) -> dict:
@@ -379,17 +408,22 @@ def allocation_to_dict(omega: MarketAllocation) -> dict:
 
 
 def allocation_from_dict(d: dict) -> MarketAllocation:
-    """Inverse of ``allocation_to_dict``; a missing key or a direct rate on
-    an unknown producer raises ScenarioError naming it.  Values are checked
-    by ``MarketAllocation.validate``."""
+    """Inverse of ``allocation_to_dict``; a missing or wrongly typed value,
+    or a direct rate on an unknown producer, raises ScenarioError naming
+    it.  Values are checked by ``MarketAllocation.validate``."""
     consumers = _field(d, "consumers", "allocation")
+    if not isinstance(consumers, list):
+        raise ScenarioError("allocation 'consumers' must be a list")
     n = len(consumers)
     lam, mu_i, direct = np.zeros(n), np.zeros(n), np.zeros((n, n))
     for y, c in enumerate(consumers):
         where = f"allocation consumer {y}"
-        lam[y] = _field(c, "lambda_out", where)
-        mu_i[y] = _field(c, "mu_infl_follow", where)
-        for key, r in _field(c, "mu_direct", where).items():
+        lam[y] = _number(c, "lambda_out", where)
+        mu_i[y] = _number(c, "mu_infl_follow", where)
+        rates = _field(c, "mu_direct", where)
+        if not isinstance(rates, dict):
+            raise ScenarioError(f"{where} 'mu_direct' must map producer indices to rates")
+        for key in rates:
             try:
                 z = int(key)
             except ValueError:
@@ -397,11 +431,11 @@ def allocation_from_dict(d: dict) -> MarketAllocation:
                     f"{where}: mu_direct key {key!r} is not a producer index") from None
             if not 0 <= z < n:
                 raise ScenarioError(f"{where} rates unknown producer {z}")
-            direct[y, z] = r
+            direct[y, z] = _number(rates, key, f"{where} mu_direct")
     return MarketAllocation(
         lam, mu_i, direct,
-        InfluencerAllocation(mu=np.array(_field(d, "influencer", "allocation"), dtype=float)),
-        np.array(_field(d, "content", "allocation"), dtype=float))
+        InfluencerAllocation(mu=_numbers(d, "influencer", "allocation", 1)),
+        _numbers(d, "content", "allocation", 2))
 
 
 def certificate_to_dict(cert: NashCertificate) -> dict:

@@ -1,0 +1,146 @@
+"""Independent scalar and iterative references that only the tests use.
+
+- ``distance``, ``interest_prob``, ``production_quality`` and
+  ``match_prob``: the topic-space kernels one pair of points at a time, the
+  oracles of ``cme.kernels.pairwise_distances`` and ``cme.market.match_matrix``;
+- ``deriv_inverse``: the rate at which delta' takes a given value, the
+  scalar form of the water-filling rate rule, and ``DomainError``, which
+  it raises outside delta's range;
+- ``project_budget_box``, ``gradient_oracle`` and ``gradient_oracle_batch``:
+  accelerated projected gradient ascent on the allocation program, a route
+  that shares no machinery with ``cme.allocator``'s closed form, so
+  agreement between the two certifies both.
+"""
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from cme.allocator import AllocationSolution, DegenerateWeightsError, WeightedChannels
+from cme.kernels import DelayParams, InvalidInputError, KernelParams, TopicPoint
+
+
+class DomainError(ValueError):
+    """A scalar argument lies outside the mathematical domain of the map."""
+
+
+def distance(x: TopicPoint, y: TopicPoint) -> float:
+    """Euclidean distance between two topic points of equal dimension."""
+    if x.dim != y.dim:
+        raise InvalidInputError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    return math.dist(x.coords, y.coords)
+
+
+def interest_prob(x: TopicPoint, y: TopicPoint, k: KernelParams) -> float:
+    """Probability f(d(x, y)) that a consumer with interest y likes topic x."""
+    return math.exp(-k.a_f * distance(x, y))
+
+
+def production_quality(x: TopicPoint, z: TopicPoint, k: KernelParams) -> float:
+    """Probability g(d(x, z)) that a producer with interest z does topic x well."""
+    return math.exp(-k.a_g * distance(x, z))
+
+
+def match_prob(x: TopicPoint, z: TopicPoint, y: TopicPoint, k: KernelParams) -> float:
+    """Chance that z's content on topic x is good *and* appeals to consumer y."""
+    return production_quality(x, z, k) * interest_prob(x, y, k)
+
+
+def deriv_inverse(b: float, p: DelayParams) -> float:
+    """Rate mu with delta'(mu) = b, defined for 0 < b <= beta.
+
+    Values outside the domain are hard errors by design: callers that
+    water-fill must themselves clamp channels whose marginal value at
+    rate zero is already below the target (those channels get rate 0).
+    """
+    if not (0.0 < b <= p.beta):
+        raise DomainError(
+            f"delta' takes values in (0, beta={p.beta}]; no rate has delta'(mu) = {b}"
+        )
+    return math.log(p.beta / b) / p.beta
+
+
+def project_budget_box(v: np.ndarray, budget) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum(x) <= budget}, row by row.
+
+    v is one vector or a (k, n) stack; budget is a scalar or one per row.
+    """
+    v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, v.shape[-1])
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), rows.shape[:1])
+    clipped = np.maximum(rows, 0.0)
+    # rows over budget go onto the simplex {x >= 0, sum(x) = budget}: sort,
+    # find the largest prefix whose shifted values stay positive, shift, clip
+    u = np.sort(rows, axis=1)[:, ::-1]
+    excess = np.cumsum(u, axis=1)
+    excess -= budget[:, None]
+    n = rows.shape[1]
+    rho = n - 1 - np.argmax((u - excess / np.arange(1, n + 1) > 0.0)[:, ::-1], axis=1)
+    theta = excess[np.arange(rows.shape[0]), rho] / (rho + 1.0)
+    over = clipped.sum(axis=1) > budget
+    out = np.where(over[:, None], np.maximum(rows - theta[:, None], 0.0), clipped)
+    return out.reshape(v.shape)
+
+
+def gradient_oracle(ch: WeightedChannels, d: DelayParams,
+                    iters: int = 4000) -> AllocationSolution:
+    """Independent check on ``water_fill``: accelerated projected gradient ascent.
+
+    Runs Nesterov-accelerated ascent with fixed step 1/L (L = beta^2 * max w,
+    the gradient's Lipschitz constant) from the zero allocation, keeping the
+    best feasible iterate seen.  Shares no machinery with the closed form,
+    so agreement between the two certifies both.  The reported multiplier is
+    the largest marginal value w_i * delta'(mu_i) on active channels.
+    """
+    return gradient_oracle_batch([(ch, d)], iters)[0]
+
+
+def gradient_oracle_batch(instances: Sequence[tuple[WeightedChannels, DelayParams]],
+                          iters: int = 4000) -> list[AllocationSolution]:
+    """``gradient_oracle`` on many (channels, delay) instances in lockstep.
+
+    The weights are stacked into one (k, n) array, padded with zero weights;
+    each row takes its own step, budget and beta.  A padded channel's
+    gradient is exactly 0, so its rate stays exactly 0 and the row's
+    iterates are those of its own unpadded run, up to rounding.
+    """
+    if not instances:
+        raise InvalidInputError("expected at least one instance")
+    W = np.zeros((len(instances), max(ch.n for ch, _ in instances)))
+    for row, (ch, _) in zip(W, instances):
+        if not np.any(ch.weights > 0.0):
+            raise DegenerateWeightsError("all channel weights are zero")
+        row[:ch.n] = ch.weights
+    budget = np.array([ch.budget for ch, _ in instances])
+    beta = np.array([[d.beta] for _, d in instances])
+    step = 1.0 / (beta * beta * np.max(W, axis=1, keepdims=True))
+    w_beta = W * beta
+
+    def objective(x):
+        return np.einsum("ij,ij->i", W, -np.expm1(-beta * x))
+
+    x = np.zeros_like(W)
+    y = x.copy()
+    best_x, best_f = x, objective(x)
+    t = 1.0
+    for _ in range(iters):
+        grad = w_beta * np.exp(-beta * y)  # y may dip outside the box; exp is fine
+        x_new = project_budget_box(y + step * grad, budget)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        f = objective(x)
+        up = f > best_f
+        best_x, best_f = np.where(up[:, None], x, best_x), np.where(up, f, best_f)
+
+    solutions = []
+    for (ch, d), rates, obj in zip(instances, best_x, best_f):
+        rates = rates[:ch.n].copy()
+        active = rates > 1e-12 * ch.budget
+        grad = ch.weights * d.beta * np.exp(-d.beta * rates)
+        nu = float(np.max(grad[active])) if np.any(active) else d.beta * float(np.max(ch.weights))
+        solutions.append(AllocationSolution(
+            rates=rates, multiplier=nu, objective=float(obj),
+            log_multiplier=math.log(nu) if nu > 0.0 else -math.inf))
+    return solutions

@@ -25,7 +25,7 @@ import numpy as np
 from cme.allocator import WeightedChannels, water_fill, water_fill_batch
 from cme.bestresponse import GameMode, influencer_br_dense
 from cme.kernels import discount, pairwise_distances
-from cme.market import InfluencerAllocation, MarketAllocation, match_matrix
+from cme.market import InfluencerAllocation, MarketAllocation, match_matrix, social_welfare
 
 
 def consumer_br(y, delta_infl, B, cfg, mode):
@@ -160,8 +160,8 @@ def saturated(value, cfg):
 
 def gauss_seidel_round(state, cfg, mode, grid, values=None):
     """One round with one producer search at a time, in index order; returns
-    (next state, degenerate producers).  `values`, when given, collects each
-    producer's objective value."""
+    (next state, degenerate producers, its match matrix, its welfare).
+    `values`, when given, collects each producer's objective value."""
     B = match_matrix(state.X, cfg)
     mu_infl = influencer_br_dense(state.mu_i, B, cfg)
     lam, mu_i, direct = consumer_round(discount(mu_infl, cfg.delay), B, cfg, mode)
@@ -181,7 +181,9 @@ def gauss_seidel_round(state, cfg, mode, grid, values=None):
         X[z] = x
         if degen:
             degenerate.add(z)
-    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X), degenerate
+    new = MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X)
+    B = match_matrix(X, cfg)
+    return new, degenerate, B, social_welfare(new, cfg, B)
 
 
 def imperfect_gap(dense, cfg, grid, B=None):

@@ -9,14 +9,12 @@ from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
-    gradient_oracle,
-    gradient_oracle_batch,
     kkt_residuals,
-    project_budget_box,
     water_fill,
     water_fill_batch,
 )
 from cme.kernels import DelayParams, InvalidInputError
+from oracles import gradient_oracle, gradient_oracle_batch, project_budget_box
 
 
 def random_instance(rng, n_max=50):

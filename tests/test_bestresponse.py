@@ -15,8 +15,10 @@ from cme.bestresponse import (
     TopicSearchParams,
     _bracket_objective,
     _objective,
+    _polish_batches,
     consumer_best_response,
     consumers_br_dense,
+    follower_weights,
     influencer_best_response,
     producer_best_response_imperfect,
     producer_best_response_perfect,
@@ -30,13 +32,13 @@ from cme.kernels import (
     KernelParams,
     TopicPoint,
     discount,
-    match_prob,
 )
 from cme.market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
     consumer_utilities,
+    influencer_followed_match,
     influencer_utility,
     match_matrix,
     producer_support,
@@ -355,6 +357,14 @@ def _search(dim):
     return SEARCH if dim == 1 else TopicSearchParams(grid_resolution=24)
 
 
+def _incumbent(prev, W, cfg):
+    """producer_block's incumbent arguments as a round passes them: the
+    topics and their objectives read from the match matrix at prev."""
+    if prev is None:
+        return {}
+    return {"prev": prev, "prev_value": np.einsum("zy,yz->z", match_matrix(prev, cfg), W)}
+
+
 class TestProducerBlockAgainstReference:
     """The block against one search per producer, on seeded random markets."""
 
@@ -368,7 +378,7 @@ class TestProducerBlockAgainstReference:
             d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
             d_direct = discount(d.direct, cfg.delay)
             for prev in (d.X, None):
-                block = producer_block(W, grid, cfg, prev=prev)
+                block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
                 for z in range(cfg.n):
                     x, value, degenerate = perfect_search(
                         z, d_i, float(d_infl[z]), d_direct[:, z], grid, cfg,
@@ -414,7 +424,7 @@ class TestProducerBlockAgainstReference:
             grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
             vals = grid.Q[:, 0] * (grid.P @ W[:, 0])
             assert vals[2] == vals[6] == vals.max()
-            block = producer_block(W, grid, cfg, prev=prev)
+            block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
             x, value, _ = perfect_search(0, d_i, 1.0, np.zeros(3), grid, cfg,
                                          prev_x=None if prev is None else prev[0])
             assert block.topics[0, 0] == x[0]
@@ -438,6 +448,89 @@ class TestProducerBlockAgainstReference:
         mass = producer_best_response_surrogate(1, d, cfg, SEARCH)
         assert got.value == 1.0 and not got.degenerate
         assert got.topic == mass.topic and mass.topic.coords[0] > 0.3
+
+
+class TestIncumbentValue:
+    """The round reads each incumbent's objective from its match matrix B,
+    where ``producer_block`` used to evaluate ``_objective`` at prev."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [5, _CHUNK + 11])
+    def test_support_value_from_b_is_the_objective_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(130 + n + dim)
+        for _ in range(3):
+            cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
+            d = random_allocation(rng, cfg)
+            W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
+            from_b = np.einsum("zy,yz->z", match_matrix(d.X, cfg), W)
+            cols = np.arange(n)
+            chunked = np.concatenate([_objective(d.X[sl], W[:, sl], cols[sl], cfg)
+                                      for sl in (slice(0, _CHUNK), slice(_CHUNK, n))])
+            assert np.array_equal(from_b, chunked)
+
+    def test_follower_mass_from_b_matches_the_objective(self):
+        # the imperfect round passes influencer_followed_match(d_i, B), a
+        # matrix-vector product minus the diagonal term: equal to the
+        # objective up to rounding, bounded by 4 * N ulps of the mass
+        rng = np.random.default_rng(135)
+        for dim in (1, 2):
+            cfg = random_config(rng, n_min=_CHUNK + 5, n_max=_CHUNK + 5, dim=dim)
+            d = random_allocation(rng, cfg)
+            d_i = discount(d.mu_i, cfg.delay)
+            B = match_matrix(d.X, cfg)
+            mass = influencer_followed_match(d_i, B)
+            direct = _objective(d.X, follower_weights(d_i), np.arange(cfg.n), cfg)
+            bound = 4 * cfg.n * np.finfo(float).eps * (B @ d_i)
+            assert np.all(np.abs(mass - direct) <= bound)
+
+
+class TestBatchedPolish:
+    """The polish runs over batches of producers padded to the batch's widest
+    bracket; at N > _CHUNK a dense cluster forces several batches."""
+
+    def test_batches_match_per_producer_search_on_two_clusters(self):
+        rng = np.random.default_rng(140)
+        n = 3 * _CHUNK + 8
+        # a tight cluster (all inside one bracket) first, then a wide one (a
+        # few per bracket): the batches pad to different widths
+        y = np.concatenate((np.clip(rng.normal(0.3, 0.002, n // 2), 0.0, 1.0),
+                            rng.uniform(0.55, 0.95, n - n // 2)))
+        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y),
+                           m=1.0, m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=3.0, a_g=6.0))
+        d = random_allocation(rng, cfg, spend_fraction=1.0)
+        W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
+        grid = TopicGrid(cfg, SEARCH)
+
+        best = np.argmax(grid.Q * (grid.P @ W), axis=0)
+        lo_idx = np.maximum(best - 1, 0)
+        hi_idx = np.minimum(best + 1, len(grid.points) - 1)
+        lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
+        batches = _polish_batches(grid, lo, hi)
+        inside = (np.searchsorted(grid.y_sorted, hi, side="left")
+                  - np.searchsorted(grid.y_sorted, lo, side="right"))
+        widths = [int(inside[sl].max()) for sl in batches]
+        assert len(batches) >= 2 and len(set(widths)) >= 2
+        assert all((sl.stop - sl.start) * (w + 2) <= _CHUNK * (n + 2)
+                   for sl, w in zip(batches, widths))
+        cols = np.arange(n)
+        for sl in batches:  # padded rows evaluate as their own bracket alone
+            f = _bracket_objective(W[:, sl], cols[sl], lo_idx[sl], hi_idx[sl], grid, cfg)
+            t = lo[sl] + rng.uniform(0.0, 1.0, sl.stop - sl.start) * (hi[sl] - lo[sl])
+            np.testing.assert_allclose(f(t), _objective(t[:, None], W[:, sl], cols[sl], cfg),
+                                       rtol=1e-12, atol=0.0)
+
+        d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
+        d_direct = discount(d.direct, cfg.delay)
+        for prev in (d.X, None):
+            block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
+            for z in range(n):
+                x, value, degenerate = perfect_search(
+                    z, d_i, float(d_infl[z]), d_direct[:, z], grid, cfg,
+                    prev_x=None if prev is None else prev[z])
+                assert block.degenerate[z] == degenerate
+                np.testing.assert_allclose(block.topics[z], x, rtol=0.0, atol=1e-9)
+                assert cfg.r_p * block.values[z] == pytest.approx(value, rel=1e-9, abs=0.0)
 
 
 class TestConsumerBlockAgainstReference:
@@ -483,13 +576,14 @@ class TestBracketObjective:
                            m=1.0, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(a_f=a_f, a_g=1.5))
         best = np.repeat(np.arange(16), 3)  # brackets at 0 and at 1 included
-        lo = grid_nodes[np.maximum(best - 1, 0)]
-        hi = grid_nodes[np.minimum(best + 1, 15)]
+        lo_idx, hi_idx = np.maximum(best - 1, 0), np.minimum(best + 1, 15)
+        lo, hi = grid_nodes[lo_idx], grid_nodes[hi_idx]
         cols = rng.integers(0, y.size, best.size)
         W = rng.uniform(0.0, 2.0, (y.size, best.size))
         W[rng.uniform(size=W.shape) < 0.2] = 0.0
         W[cols, np.arange(best.size)] = 0.0
-        f = _bracket_objective(W, cols, lo, hi, cfg)
+        grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=16))
+        f = _bracket_objective(W, cols, lo_idx, hi_idx, grid, cfg)
         checked = 0
         for t in (lo, hi, lo + rng.uniform(0.0, 1.0, best.size) * (hi - lo)):
             direct = _objective(t[:, None], W, cols, cfg)

@@ -156,6 +156,13 @@ def test_seed_override_changes_sampled_market(tmp_path, capsys):
                  "unknown producer 5", id="unknown-producer"),
     pytest.param(lambda p: p["allocation"]["consumers"][1].update({"lambda_out": -0.5}),
                  "lam[1]", id="negative-rate"),
+    pytest.param(lambda p: p["allocation"]["consumers"][1].update({"lambda_out": "0.5"}),
+                 "'lambda_out'", id="string-rate"),
+    pytest.param(lambda p: p["config"].update({"m": "1.0"}), "'m'", id="string-config-value"),
+    pytest.param(lambda p: p["allocation"]["consumers"][0].update({"mu_direct": [0.1, 0.2]}),
+                 "'mu_direct'", id="list-for-direct-rates"),
+    pytest.param(lambda p: p["allocation"]["content"][0].append(0.5),
+                 "'content'", id="ragged-content"),
 ])
 def test_check_malformed_result_exits_2_naming_file_and_key(tmp_path, capsys, edit, key):
     run(["solve", SYMMETRIC, "--mode", "perfect", "--out", str(tmp_path)]

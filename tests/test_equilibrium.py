@@ -10,6 +10,7 @@ controlled perturbations.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from cme.equilibrium import (
 )
 from cme.kernels import DelayParams, InvalidInputError, KernelParams, TopicPoint, discount
 from cme.market import InfluencerAllocation, MarketAllocation, MarketConfig, match_matrix, \
-    social_welfare
+    social_welfare, support_weights
 from cme.scenario import parse_scenario
 from markets_util import random_allocation, random_config, with_consumer
 
@@ -364,9 +365,9 @@ def test_rounds_match_the_per_producer_round(mode, dim):
         new = old = equilibrium.random_init(cfg, mode, rng)
         for _ in range(3):
             values = []
-            old, degenerate_old = ref.gauss_seidel_round(old, cfg, mode, grid, values)
-            new, degenerate_new = equilibrium._one_round(new, cfg, mode, grid,
-                                                         match_matrix(new.X, cfg))
+            old, degenerate_old, _, _ = ref.gauss_seidel_round(old, cfg, mode, grid, values)
+            new, degenerate_new, _, _ = equilibrium._one_round(new, cfg, mode, grid,
+                                                               match_matrix(new.X, cfg))
             if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
                 break  # flat exact objective: the topics part by design
             compared += 1
@@ -389,16 +390,72 @@ def test_imperfect_round_moves_producers_in_order():
         grid = TopicGrid(cfg, SEARCH)
         start = equilibrium.random_init(cfg, GameMode.IMPERFECT, rng)
         values = []
-        old, degenerate_old = ref.gauss_seidel_round(start, cfg, GameMode.IMPERFECT, grid,
-                                                     values)
-        new, degenerate_new = equilibrium._one_round(start, cfg, GameMode.IMPERFECT, grid,
-                                                     match_matrix(start.X, cfg))
+        old, degenerate_old, _, _ = ref.gauss_seidel_round(start, cfg, GameMode.IMPERFECT,
+                                                           grid, values)
+        new, degenerate_new, _, _ = equilibrium._one_round(start, cfg, GameMode.IMPERFECT,
+                                                           grid, match_matrix(start.X, cfg))
         if any(ref.saturated(v, cfg) for v in values):
             continue
         assert degenerate_new == degenerate_old
         np.testing.assert_allclose(new.X, old.X, rtol=0.0, atol=1e-9)
         degenerate_rounds += bool(degenerate_old)
     assert degenerate_rounds >= 2
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_round_returns_the_next_match_matrix_and_potential(mode):
+    rng = np.random.default_rng(150 + list(GameMode).index(mode))
+    for dim in (1, 1, 2):
+        cfg = random_config(rng, n_min=3, n_max=8, dim=dim)
+        grid = TopicGrid(cfg, _search(dim))
+        state = equilibrium.random_init(cfg, mode, rng)
+        for _ in range(2):
+            state, _, B, phi = equilibrium._one_round(state, cfg, mode, grid,
+                                                      match_matrix(state.X, cfg))
+            assert np.array_equal(B, match_matrix(state.X, cfg))
+            assert phi == social_welfare(state, cfg, B)
+
+
+def test_round_keeps_a_tied_incumbent():
+    # producer 0 at 0.5 between mirror members at 0.25 and 0.75; budgets so
+    # large that every delta rounds to 1.0, so W is 2.0 off the diagonal
+    # and the grid node 0.25 ties bit for bit with the incumbent at 0.75,
+    # whose value the round reads from B: the incumbent stays
+    cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.5, 0.25, 0.75)),
+                       m=100.0, m_infl=100.0, r_p=1.0, r_0=1.0, b_0=0.5,
+                       kernel=KernelParams(a_f=8.0, a_g=0.5), delay=DelayParams(beta=10.0))
+    state = MarketAllocation(np.full(3, 25.0), np.full(3, 25.0), 25.0 * (1.0 - np.eye(3)),
+                             InfluencerAllocation(mu=np.full(3, 100.0 / 3)),
+                             np.array([[0.75], [0.25], [0.75]]))
+    for refine in (0, 10):
+        grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
+        new, degenerate, _, _ = equilibrium._one_round(state, cfg, GameMode.PERFECT, grid,
+                                                       match_matrix(state.X, cfg))
+        W = support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
+        assert np.all(W + 2.0 * np.eye(3) == 2.0)
+        assert not degenerate and new.X[0, 0] == 0.75
+
+
+def test_perfect_run_peak_memory():
+    # A perfect round holds five (N, N) float tables at its peak: the
+    # previous and next direct rates, the previous and next B, and the
+    # producers' weights W.  W must be gone before _sup_change adds its two
+    # difference tables.  Measured peak at N = 400 before the round read
+    # its potential from W: 5.14 tables of 8 * N**2 bytes; a W kept alive
+    # through _sup_change reaches 6.
+    n = 400
+    cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=1)
+    grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=64, refine_iters=20))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = equilibrium._run_single(lambda: equilibrium.default_init(cfg, GameMode.PERFECT),
+                                      cfg, GameMode.PERFECT, 4, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.rounds_used >= 2
+    assert peak <= 5.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
 
 
 def _reference_run(cfg, mode, params, search):

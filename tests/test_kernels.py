@@ -7,17 +7,19 @@ import pytest
 
 from cme.kernels import (
     DelayParams,
-    DomainError,
     InvalidInputError,
     KernelParams,
     TopicPoint,
-    deriv_inverse,
     discount,
     discount_deriv,
+    pairwise_distances,
+)
+from oracles import (
+    DomainError,
+    deriv_inverse,
     distance,
     interest_prob,
     match_prob,
-    pairwise_distances,
     production_quality,
 )
 

@@ -12,7 +12,6 @@ from cme.kernels import (
     KernelParams,
     TopicPoint,
     discount,
-    match_prob,
 )
 from cme.market import (
     InfluencerAllocation,
@@ -25,7 +24,10 @@ from cme.market import (
     producer_support_via_influencer,
     social_welfare,
 )
+from cme.bestresponse import GameMode
+from cme.equilibrium import random_init
 from markets_util import random_allocation, random_config, random_consumer, with_consumer, with_topic
+from oracles import match_prob
 
 
 # -- brute-force scalar reimplementations (the oracle for the vector core) --
@@ -109,6 +111,44 @@ class TestUtilitiesAgainstBruteForce:
         for z in range(cfg.n):
             for y in range(cfg.n):
                 assert abs(B[z, y] - _match(omega, cfg, z, y)) < 1e-14
+
+
+def three_term_utilities(omega, cfg):
+    """U_c(y) term by term: relayed, direct, outside (the formula
+    ``consumer_utilities`` evaluated before it read the support weights)."""
+    B = match_matrix(omega.X, cfg)
+    d = cfg.delay
+    d_infl = discount(omega.mu_infl, d)
+    relayed = B.T @ d_infl - np.diagonal(B) * d_infl
+    direct = np.sum(B.T * discount(omega.direct, d), axis=1)
+    return (cfg.r_p * (discount(omega.mu_i, d) * relayed + direct)
+            + cfg.r_0 * cfg.b_0 * discount(omega.lam, d))
+
+
+class TestUtilitiesFromSupportWeights:
+    """consumer_utilities reads one support-weight table; the three-term
+    formula is its reference."""
+
+    @pytest.mark.parametrize("mode", list(GameMode))
+    @pytest.mark.parametrize("case", ["random", "nobody_follows", "zero_weight_channels"])
+    def test_matches_three_term_formula(self, mode, case):
+        rng = np.random.default_rng(25 + 3 * list(GameMode).index(mode))
+        for _ in range(6):
+            cfg = random_config(rng, n_max=80)
+            omega = random_init(cfg, mode, rng)
+            mu_i, mu_infl, direct = omega.mu_i.copy(), omega.mu_infl.copy(), omega.direct.copy()
+            if case == "nobody_follows":
+                mu_i[:] = 0.0
+            elif case == "zero_weight_channels":
+                mu_infl[::2] = 0.0
+                direct[:, 1] = 0.0
+                direct[::3] = 0.0
+            omega = MarketAllocation(omega.lam, mu_i, direct,
+                                     InfluencerAllocation(mu=mu_infl), omega.X)
+            got = consumer_utilities(omega, cfg)
+            np.testing.assert_allclose(got, three_term_utilities(omega, cfg),
+                                       rtol=1e-12, atol=0.0)
+            assert social_welfare(omega, cfg) == float(got.sum())
 
 
 class TestClosedForms:
