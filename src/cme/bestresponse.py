@@ -16,20 +16,24 @@ direct channels r_p * B^T with the self channel at weight 0 -- and runs the
 allocator's closed form on row chunks of that table.
 
 Producers are searched as one block.  Producer z's objective at topic x is
-g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of W holds z's
-consumer weights: delta(mu_infl(z)) * delta(mu_i(y)) + delta(mu_direct(y, z))
-(perfect/proxy, ``support_weights``) or delta(mu_i(y)) (imperfect,
-``follower_weights``).  ``producer_block`` scans the grid for all columns
-with (G, N) @ (N, N) products taken in column chunks, polishes each best
-cell by golden-section search (dim 1; each column takes the branches a
-scalar search would take), and keeps the incumbent unless a candidate is
-strictly better.  The incumbent's objective is the caller's: the round
-reads it from the match matrix B it already holds (row z of B dotted with
-column z of W), the very formula ``_objective`` evaluates.  Exact grid
-ties go to the lexicographically smallest node; a column that is zero on
-the whole grid is degenerate and keeps its incumbent.  Each objective
-reads only its own topic, so the block equals N one-producer searches
-(Monderer & Shapley, *Potential Games*, 1996).
+g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of the
+``market.PeerWeights`` W holds z's consumer weights: delta(mu_i(y)) *
+delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
+``support_weights``) or delta(mu_i(y)) (imperfect, the rank-one weights
+with v = 1).  W is never a table: ``producer_block`` scans the grid in
+column chunks as ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
+(G, r) @ (r, chunk) product over the r consumers holding a direct rate,
+times Q -- O(G * N) per scan when nobody holds one; ``market.less_own``
+sums the cells that z's own term dominates again without it.  It
+polishes each best cell by golden-section search (dim 1; each column
+takes the branches a scalar search would take), and keeps the incumbent
+unless a candidate is strictly better.  The incumbent's objective is the
+caller's: the round reads it from the match matrix B it already holds
+(``PeerWeights.producer_values``), the very formula ``_objective``
+evaluates.  Exact grid ties go to the lexicographically smallest node; a
+column that is zero on the whole grid is degenerate and keeps its
+incumbent.  Each objective reads only its own topic, so the block equals N
+one-producer searches (Monderer & Shapley, *Potential Games*, 1996).
 
 The polish evaluates ``_bracket_objective``.  In dim 1 the interest kernel
 exp(-a_f * |t - y|) is semiseparable (Vandebril, Van Barel & Mastronardi,
@@ -37,7 +41,8 @@ exp(-a_f * |t - y|) is semiseparable (Vandebril, Van Barel & Mastronardi,
 outside a producer's bracket [lo, hi] fold into two virtual interests at
 lo and hi, weighted by sums taken once, so a golden step costs O(m) for
 the m interests inside the bracket, not O(N).  Those sums read their
-kernel factors from the grid table P, since lo and hi are grid nodes.
+kernel factors from the grid table P, since lo and hi are grid nodes, and
+their rank-one part from two per-node sums built once per block.
 The golden steps run once per batch of producers, not once per chunk: a
 batch holds as many producers, in order, as keep its padded bracket
 tables within one chunk's (_CHUNK, N + 2) elements, which is every
@@ -67,8 +72,10 @@ from .market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    PeerWeights,
     influencer_followed_match,
     influencer_relayed_match,
+    less_own,
     match_matrix,
     support_weights,
 )
@@ -217,98 +224,151 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
         rates = _consumer_rates(ys, relayed, B, cfg, mode)
         return rates[:, 0].copy(), rates[:, 1].copy(), np.zeros((n, n))
     lam, mu_i, direct = np.empty(n), np.empty(n), np.empty((n, n))
-    for sl in _chunks(n):
+    for sl in chunks(n):
         rates = _consumer_rates(ys[sl], relayed, B, cfg, mode)
         lam[sl], mu_i[sl] = rates[:, 0], rates[:, 1]
         direct[sl] = rates[:, 2:]
     return lam, mu_i, direct
 
 
-def follower_weights(d_i: np.ndarray) -> np.ndarray:
-    """Imperfect producer weights, (N, N): column z is delta(mu_i), zero at z."""
-    W = np.repeat(d_i[:, None], d_i.size, axis=1)
-    np.fill_diagonal(W, 0.0)
-    return W
+def chunks(k: int, start: int = 0) -> list[slice]:
+    """Chunks of _CHUNK of the k producers or consumers from `start`: a
+    producer chunk's (G, c) scan and (c, N) evaluation tables, a consumer
+    chunk's (c, N + 2) weights and a row chunk of two direct-rate tables'
+    difference stay small."""
+    return [slice(s, min(s + _CHUNK, start + k)) for s in range(start, start + k, _CHUNK)]
 
 
-def _chunks(k: int) -> list[slice]:
-    """Chunks of _CHUNK producers or consumers: a producer chunk's (G, c)
-    scan is a small level-3 BLAS product, and its (c, N) polish tables and
-    a consumer chunk's (c, N + 2) weights stay small too."""
-    return [slice(s, s + _CHUNK) for s in range(0, k, _CHUNK)]
+def _scan_factors(weights: PeerWeights, grid: TopicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid scan's per-weights factors: P @ u (G,) and P's columns at
+    the weights' rows (G, r)."""
+    return grid.P @ weights.u, weights.at_rows(grid.P)
 
 
-def _grid_objective(W: np.ndarray, grid: TopicGrid, cols: np.ndarray) -> np.ndarray:
-    """(G, k) objective of producers `cols` (weight columns W) at every grid node."""
-    vals = grid.P @ W
+def _grid_objective(weights: PeerWeights, grid: TopicGrid, cols: slice,
+                    factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(G, k) objective of producers `cols` at every grid node:
+    ((P @ u)[g] - P[g, z] * u[z]) * v[z] plus the rows term, times Q[g, z].
+    The self term leaves before v scales the sum, as in
+    ``PeerWeights.producer_values`` and by ``market.less_own``, so a column
+    whose only weight is z's own scans to exactly 0 (degenerate)."""
+    Pu, P_rows = factors
+    u = weights.u
+    z = np.arange(u.size)[cols]
+    vals = less_own(Pu[:, None], grid.P[:, cols] * u[cols], lambda g, j: (grid.P[g] * u, z[j]))
+    vals *= weights.v[cols]
+    if weights.rows.size:
+        vals += P_rows @ weights.S[:, cols]
     vals *= grid.Q[:, cols]
     return vals
 
 
-def grid_best(W: np.ndarray, grid: TopicGrid) -> np.ndarray:
-    """Best grid objective of every producer, weight columns W (N, N)."""
-    cols = np.arange(W.shape[1])
-    return np.concatenate([_grid_objective(W[:, sl], grid, cols[sl]).max(axis=0)
-                           for sl in _chunks(cols.size)])
+def grid_best(weights: PeerWeights, grid: TopicGrid) -> np.ndarray:
+    """Best grid objective of every producer under `weights`."""
+    factors = _scan_factors(weights, grid)
+    return np.concatenate([_grid_objective(weights, grid, c, factors).max(axis=0)
+                           for c in chunks(weights.u.size)])
 
 
-def _objective(T: np.ndarray, W: np.ndarray, cols: np.ndarray,
+def _objective(T: np.ndarray, weights: PeerWeights, cols: slice,
                cfg: MarketConfig) -> np.ndarray:
-    """Objective of producer cols[j] at topic T[j] against weight column W[:, j].
+    """Objective of the j-th producer of `cols` at topic T[j].
 
     Row j is built as ``match_matrix`` builds B's rows (the quality g times
-    f, then one dot with W), so at T = X[cols] it equals the round's
-    einsum("zy,yz->z", B, W) bit for bit.
+    f), then ``PeerWeights.producer_values`` weighs it, so at T = X[cols] it
+    equals ``weights.producer_values(B)`` bit for bit.
     """
+    z = np.arange(cfg.n)[cols]
     D = pairwise_distances(T, cfg.interest_array())
-    q = np.exp(-cfg.kernel.a_g * D[np.arange(len(cols)), cols])
+    q = np.exp(-cfg.kernel.a_g * D[np.arange(z.size), z])
     D *= -cfg.kernel.a_f
     np.exp(D, out=D)
     D *= q[:, None]
-    return np.einsum("jy,yj->j", D, W)
+    return weights.producer_values(D, cols)
 
 
-def _bracket_objective(W: np.ndarray, cols: np.ndarray, lo_idx: np.ndarray,
-                       hi_idx: np.ndarray, grid: TopicGrid, cfg: MarketConfig):
-    """``_objective`` in dim 1 for topics t[j] inside the bracket between
-    grid nodes lo_idx[j] < hi_idx[j], at O(k * m) per call, m being the most
-    interests strictly inside a bracket.
+def _edge_sums(weights: PeerWeights, grid: TopicGrid,
+               cfg: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Two (G,) sums of P[g, y] * u[y], over the interests y <= node g and
+    over those >= node g: the rank-one part of every bracket's outside sums."""
+    y, x = cfg.interest_array()[:, 0], grid.points[:, 0, None]
+    return (np.where(y <= x, grid.P, 0.0) @ weights.u,
+            np.where(y >= x, grid.P, 0.0) @ weights.u)
+
+
+def _bracket_tables(weights: PeerWeights, cols: slice, lo_idx: np.ndarray,
+                    hi_idx: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
+                    edges: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, m + 2) interest and weight tables of ``_bracket_objective``:
+    column 0 is lo with the outside sum out_l, column 1 hi with out_r, then
+    the interests strictly inside each bracket, padded with zero weights;
+    edges is ``_edge_sums``.
 
     The kernel exp(-a_f * |t - y|) is semiseparable: for an interest y <= lo
     it is exp(-a_f * (t - lo)) * exp(-a_f * (lo - y)), and for y >= hi it is
     exp(-a_f * (hi - t)) * exp(-a_f * (y - hi)).  So the interests outside
     a bracket act as two virtual interests at lo and hi, weighted by the
-    sums out_l and out_r of their second factors, taken once in chunks of
-    _CHUNK producers.  Those factors are grid.P's rows at lo and hi.  With
-    the interests strictly inside, they fill a (k, m + 2) table padded with
-    zero weights.  Every exp factor is at most 1, so nothing overflows
+    sums out_l and out_r of their second factors times their weights.
+    Those factors are grid.P's rows at lo and hi: the rank-one part of each
+    sum is v[z] times the node's edge sum less z's own term
+    (``market.less_own``), and the rows term is taken in chunks of _CHUNK
+    producers.  Every exp factor is at most 1, so nothing overflows
     whatever a_f is.
     """
-    a_f = cfg.kernel.a_f
     y = cfg.interest_array()[:, 0]
+    z = np.arange(cfg.n)[cols]
+    k = z.size
     lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
-    k = cols.size
+    u, v_z = weights.u, weights.v[cols]
     out = np.empty((k, 2))
-    for sl in _chunks(k):
-        left = np.where(y <= lo[sl, None], grid.P[lo_idx[sl]], 0.0)
-        out[sl, 0] = np.einsum("jy,yj->j", left, W[:, sl])
-        right = np.where(y >= hi[sl, None], grid.P[hi_idx[sl]], 0.0)
-        out[sl, 1] = np.einsum("jy,yj->j", right, W[:, sl])
+    for s, (idx, edge, beyond) in enumerate(((lo_idx, lo, np.less_equal),
+                                             (hi_idx, hi, np.greater_equal))):
+        own = np.where(beyond(y[z], edge), grid.P[idx, z] * u[z], 0.0)
+        out[:, s] = less_own(edges[s][idx], own, lambda j: (
+            np.where(beyond(y, edge[j, None]), grid.P[idx[j]], 0.0) * u, z[j]))
+    out *= v_z[:, None]
+    rows = weights.rows
+    if rows.size:
+        y_rows = y[rows]
+        for sl, c in zip(chunks(k), chunks(k, z[0])):
+            S = weights.S[:, c]
+            left = np.where(y_rows <= lo[sl, None], grid.P[np.ix_(lo_idx[sl], rows)], 0.0)
+            out[sl, 0] += np.einsum("ji,ij->j", left, S)
+            right = np.where(y_rows >= hi[sl, None], grid.P[np.ix_(hi_idx[sl], rows)], 0.0)
+            out[sl, 1] += np.einsum("ji,ij->j", right, S)
     first = np.searchsorted(grid.y_sorted, lo, side="right")
     stop = np.searchsorted(grid.y_sorted, hi, side="left")
     idx = first[:, None] + np.arange(int(np.max(stop - first, initial=0)))
     inside = idx < stop[:, None]
-    idx = np.minimum(idx, y.size - 1)
-    w_in = np.where(inside, W[grid.order[idx], np.arange(k)[:, None]], 0.0)
-    y_tab = np.column_stack((lo, hi, grid.y_sorted[idx]))
-    w_tab = np.column_stack((out, w_in))
-    y_self = y[cols]
+    ys = grid.order[np.minimum(idx, y.size - 1)]
+    w_in = u[ys] * v_z[:, None]
+    if rows.size:
+        pos = np.full(y.size, -1)
+        pos[rows] = np.arange(rows.size)
+        at = pos[ys]
+        held = at >= 0
+        w_in[held] += weights.S[at[held], np.broadcast_to(z[:, None], ys.shape)[held]]
+    w_in[~inside | (ys == z[:, None])] = 0.0
+    return np.column_stack((lo, hi, y[ys])), np.column_stack((out, w_in))
+
+
+def _bracket_objective(weights: PeerWeights, cols: slice, lo_idx: np.ndarray,
+                       hi_idx: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
+                       edges: tuple[np.ndarray, np.ndarray]):
+    """``_objective`` in dim 1 for topics t[j] inside the bracket between
+    grid nodes lo_idx[j] < hi_idx[j] of the j-th producer of `cols`, at
+    O(k * m) per call on the ``_bracket_tables``, m being the most
+    interests strictly inside a bracket."""
+    a_f, a_g = cfg.kernel.a_f, cfg.kernel.a_g
+    y_tab, w_tab = _bracket_tables(weights, cols, lo_idx, hi_idx, grid, cfg, edges)
+    y_self = cfg.interest_array()[cols, 0]
 
     def f(t):
         K = np.abs(t[:, None] - y_tab)
         K *= -a_f
         np.exp(K, out=K)
-        return np.exp(-cfg.kernel.a_g * np.abs(t - y_self)) * np.einsum("jm,jm->j", w_tab, K)
+        return np.exp(-a_g * np.abs(t - y_self)) * np.einsum("jm,jm->j", w_tab, K)
 
     return f
 
@@ -354,29 +414,31 @@ def _polish_batches(grid: TopicGrid, lo: np.ndarray, hi: np.ndarray) -> list[sli
     return batches
 
 
-def producer_block(W: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
+def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
                    prev: np.ndarray | None = None, prev_value: np.ndarray | None = None,
-                   cols=None) -> ProducerBlock:
-    """Best topics of producers `cols` (default: all N) against weight columns W.
+                   cols: slice = slice(None)) -> ProducerBlock:
+    """Best topics of the producers `cols` (a slice, default all N) under
+    the peer weights.
 
-    Column j of W (N, k) weighs producer cols[j]'s consumers and is zero at
-    cols[j].  prev (k, dim) holds the incumbent topics and prev_value (k,)
-    their objective values, which the caller supplies (``_objective`` at
-    prev, or the same numbers read from the match matrix at prev): a
-    degenerate producer keeps its incumbent (the smallest grid node when
-    prev is None), and any other keeps it unless a candidate is strictly
-    better.  The scan and the final evaluation run in chunks of _CHUNK
-    producers, so their temporaries are (G, _CHUNK) and (_CHUNK, N) tables;
-    the polish runs on ``_bracket_objective`` over ``_polish_batches``.
-    The polish's best point is evaluated once more with ``_objective``, the
-    formula every value and comparison here uses.
+    prev (k, dim) holds the incumbent topics and prev_value (k,) their
+    objective values, which the caller supplies (``_objective`` at prev,
+    or the same numbers from ``weights.producer_values`` on the match
+    matrix at prev): a degenerate producer keeps its incumbent (the
+    smallest grid node when prev is None), and any other keeps it unless a
+    candidate is strictly better.  The scan and the final evaluation run in
+    chunks of _CHUNK producers, so their temporaries are (G, _CHUNK) and
+    (_CHUNK, N) tables; the polish runs on ``_bracket_objective`` over
+    ``_polish_batches``.  The polish's best point is evaluated once more
+    with ``_objective``, the formula every value and comparison here uses.
     """
-    cols = np.arange(cfg.n) if cols is None else np.asarray(cols)
-    k = cols.size
+    start, stop, _ = cols.indices(cfg.n)
+    k = stop - start
+    parts = list(zip(chunks(k), chunks(k, start)))
+    factors = _scan_factors(weights, grid)
     best = np.empty(k, dtype=np.intp)
     best_on_grid = np.empty(k)
-    for sl in _chunks(k):
-        vals = _grid_objective(W[:, sl], grid, cols[sl])
+    for sl, c in parts:
+        vals = _grid_objective(weights, grid, c, factors)
         best[sl] = np.argmax(vals, axis=0)
         best_on_grid[sl] = vals[best[sl], np.arange(vals.shape[1])]
     topics = grid.points[best]
@@ -385,13 +447,14 @@ def producer_block(W: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
         lo_idx = np.maximum(best - 1, 0)
         hi_idx = np.minimum(best + 1, len(grid.points) - 1)
         lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
+        edges = _edge_sums(weights, grid, cfg)
         x = np.empty(k)
         for sl in _polish_batches(grid, lo, hi):
-            f = _bracket_objective(W[:, sl], cols[sl], lo_idx[sl], hi_idx[sl], grid, cfg)
+            f = _bracket_objective(weights, slice(start + sl.start, start + sl.stop),
+                                   lo_idx[sl], hi_idx[sl], grid, cfg, edges)
             x[sl] = _golden_block(f, lo[sl], hi[sl], grid.refine_iters)
         np.clip(x, 0.0, 1.0, out=x)
-        fx = np.concatenate([_objective(x[sl, None], W[:, sl], cols[sl], cfg)
-                             for sl in _chunks(k)])
+        fx = np.concatenate([_objective(x[sl, None], weights, c, cfg) for sl, c in parts])
         up = fx > values
         topics[up, 0] = x[up]
         values[up] = fx[up]
@@ -427,7 +490,8 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
         return np.ones(cfg.n, dtype=bool)
     d_i = discount(mu_i, cfg.delay)
     mass = influencer_followed_match(d_i, B)  # each incumbent's objective
-    block = producer_block(follower_weights(d_i), grid, cfg, prev=X, prev_value=mass)
+    block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg,
+                           prev=X, prev_value=mass)
     gamma = cfg.r_p * mass
     degenerate = block.degenerate.copy()
     for z in np.flatnonzero(~degenerate):
@@ -463,16 +527,16 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
     return MarketAllocation(lam, mu_i, direct, omega.influencer, omega.X)
 
 
-def _one_producer(z: int, W: np.ndarray, cfg: MarketConfig, search: TopicSearchParams,
-                  prev: TopicPoint | None) -> ProducerBlock:
-    """The block restricted to producer z, with weight column W[:, z]."""
-    w, cols = W[:, [z]], np.array([z])
+def _one_producer(z: int, weights: PeerWeights, cfg: MarketConfig,
+                  search: TopicSearchParams, prev: TopicPoint | None) -> ProducerBlock:
+    """The block restricted to producer z."""
+    cols = slice(z, z + 1)
     grid = TopicGrid(cfg, search)
     if prev is None:
-        return producer_block(w, grid, cfg, cols=cols)
+        return producer_block(weights, grid, cfg, cols=cols)
     x = prev.as_array()[None, :]
-    return producer_block(w, grid, cfg, prev=x, prev_value=_objective(x, w, cols, cfg),
-                          cols=cols)
+    return producer_block(weights, grid, cfg, prev=x,
+                          prev_value=_objective(x, weights, cols, cfg), cols=cols)
 
 
 def _choice(x: np.ndarray, val: float, degen: bool) -> ProducerChoice:
@@ -487,8 +551,8 @@ def producer_best_response_perfect(z: int, omega: MarketAllocation, cfg: MarketC
                                    search: TopicSearchParams,
                                    prev: TopicPoint | None = None) -> ProducerChoice:
     """Topic maximizing z's support under omega's rates; prev is the incumbent."""
-    W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    return _support_choice(_one_producer(z, W, cfg, search, prev), cfg)
+    weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+    return _support_choice(_one_producer(z, weights, cfg, search, prev), cfg)
 
 
 def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: MarketConfig,
@@ -501,7 +565,7 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
     every topic alike.
     """
     d_i = discount(omega.mu_i, cfg.delay)
-    block = _one_producer(z, follower_weights(d_i), cfg, search, prev)
+    block = _one_producer(z, PeerWeights.rank_one(d_i, np.ones(cfg.n)), cfg, search, prev)
     if float(np.sum(omega.mu_i)) == 0.0:
         return _choice(block.topics[0], discount(cfg.m_infl / cfg.n, cfg.delay), True)
     gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(omega.X, cfg))
@@ -517,5 +581,5 @@ def producer_best_response_surrogate(z: int, omega: MarketAllocation, cfg: Marke
                                      search: TopicSearchParams,
                                      prev: TopicPoint | None = None) -> ProducerChoice:
     """Topic maximizing z's follower-weighted match mass under omega's follow rates."""
-    W = follower_weights(discount(omega.mu_i, cfg.delay))
-    return _support_choice(_one_producer(z, W, cfg, search, prev), cfg)
+    weights = PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
+    return _support_choice(_one_producer(z, weights, cfg, search, prev), cfg)

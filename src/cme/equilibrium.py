@@ -39,8 +39,8 @@ from .bestresponse import (
     GameMode,
     TopicGrid,
     TopicSearchParams,
+    chunks,
     consumers_br_dense,
-    follower_weights,
     grid_best,
     imperfect_producer_round,
     influencer_br_dense,
@@ -51,12 +51,15 @@ from .market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    PeerWeights,
     _utilities,
     influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
+    rated_rows,
     social_welfare,
     support_weights,
+    take_rows,
 )
 
 # Default certificate tolerances: absolute for the rate conditions, relative
@@ -158,8 +161,13 @@ def random_init(cfg: MarketConfig, mode: GameMode, rng: np.random.Generator
 
 
 def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
-    return max(float(np.max(np.abs(getattr(a, f) - getattr(b, f))))
-               for f in ("lam", "mu_i", "direct", "mu_infl", "X"))
+    """Largest change of any rate or topic; direct rates in row chunks, so
+    no (N, N) difference table is built."""
+    change = max(float(np.max(np.abs(getattr(a, f) - getattr(b, f))))
+                 for f in ("lam", "mu_i", "mu_infl", "X"))
+    for sl in chunks(a.direct.shape[0]):
+        change = max(change, float(np.max(np.abs(a.direct[sl] - b.direct[sl]))))
+    return change
 
 
 def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
@@ -171,26 +179,22 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     producers whose topic objective was degenerate this round, the next
     state's match matrix and its potential (``social_welfare``).
 
-    The next state's ``support_weights`` W give its potential with the next
-    B.  In perfect/proxy mode W is also the producers' weights, and the
-    incumbents' objectives are read from B.  W dies with the round, before
-    the caller compares the two states.
+    The next state's ``support_weights`` give its potential with the next
+    B.  In perfect/proxy mode they are also the producers' weights, and the
+    incumbents' objectives are read from B.
     """
     mu_infl = influencer_br_dense(state.mu_i, B, cfg)
     lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
-
+    weights = support_weights(mu_i, mu_infl, direct, cfg)
     if mode is GameMode.IMPERFECT:
         X = state.X.copy()
         degenerate = imperfect_producer_round(mu_i, X, grid, cfg, B)
-        # built after the producer pass, whose own (N, N) weights are gone
-        W = support_weights(mu_i, mu_infl, direct, cfg)
     else:
-        W = support_weights(mu_i, mu_infl, direct, cfg)
-        block = producer_block(W, grid, cfg, prev=state.X,
-                               prev_value=np.einsum("zy,yz->z", B, W))
+        block = producer_block(weights, grid, cfg, prev=state.X,
+                               prev_value=weights.producer_values(B))
         X, degenerate = block.topics, block.degenerate
     B = match_matrix(X, cfg)
-    phi = float(_utilities(B, W, lam, cfg).sum())  # == social_welfare(next state, cfg, B)
+    phi = float(_utilities(B, weights, lam, cfg).sum())  # == social_welfare(next state, cfg, B)
     return (MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X),
             set(np.flatnonzero(degenerate).tolist()), B, phi)
 
@@ -229,9 +233,16 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     S = influencer_relayed_match(d_infl, B)           # follower value ahead of mu_i
     m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
     m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * S
-    m_dir = discount_deriv(omega.direct, d) * cfg.r_p * B.T
-    np.fill_diagonal(m_dir, -np.inf)                  # no self channel
-    m_dir_best = np.max(m_dir, axis=1)
+    # the direct marginals delta'(direct[y, z]) * r_p * B[z, y], z != y: on a
+    # row with no direct rate they are beta * r_p * B[z, y], so its best is
+    # beta * r_p times the column's off-diagonal max (rounding is monotone)
+    rows = rated_rows(omega.direct)
+    direct = take_rows(omega.direct, rows)
+    m_dir_best = (d.beta * cfg.r_p) * np.max(B, axis=0, where=~np.eye(n, dtype=bool),
+                                             initial=-np.inf)
+    m_dir = discount_deriv(direct, d) * cfg.r_p * take_rows(B, rows, axis=1).T
+    m_dir[np.arange(rows.size), rows] = -np.inf       # no self channel
+    m_dir_best[rows] = np.max(m_dir, axis=1)
 
     gate_m = 1e-12 * cfg.m
     gate_infl = 1e-12 * cfg.m_infl
@@ -272,8 +283,8 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         res["d_influencer_optimal"] = gated_max(omega.mu_i > gate_m,
                                                 np.maximum(0.0, best_rival_infl - m_infl))
         rival = np.maximum(np.maximum(m_out, m_infl), m_dir_best)
-        shortfall = np.maximum(0.0, rival[:, None] - m_dir)
-        res["e_direct_optimal"] = gated_max(omega.direct > gate_m, shortfall)
+        shortfall = np.maximum(0.0, rival[rows, None] - m_dir)
+        res["e_direct_optimal"] = gated_max(direct > gate_m, shortfall)
 
     # --- influencer allocation marginals ---
     gamma = cfg.r_p * influencer_followed_match(d_i, B)
@@ -295,10 +306,9 @@ def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
 def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, grid: TopicGrid,
                           B: np.ndarray) -> float:
     """Perfect/proxy condition (a): relative grid gap of each producer's support."""
-    W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    best = grid_best(W, grid)
+    weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
     # B[z] already holds g(d(x(z), z)) * f(d(x(z), y)) at the current topics
-    return _relative_gap(best, np.einsum("zy,yz->z", B, W))
+    return _relative_gap(grid_best(weights, grid), weights.producer_values(B))
 
 
 def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig,
@@ -313,7 +323,7 @@ def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig,
     d_i = discount(omega.mu_i, cfg.delay)
     rows = np.tile(cfg.r_p * influencer_followed_match(d_i, B), (n + 1, 1))
     diag = np.arange(n)
-    rows[diag, diag] = cfg.r_p * grid_best(follower_weights(d_i), grid)
+    rows[diag, diag] = cfg.r_p * grid_best(PeerWeights.rank_one(d_i, np.ones(n)), grid)
     rates, _ = water_fill_batch(rows, cfg.m_infl, cfg.delay)
     return _relative_gap(discount(rates[diag, diag], cfg.delay),
                          discount(rates[n], cfg.delay))

@@ -23,11 +23,21 @@ two peer terms share the ``support_weights``
 W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]), zero
 at z = y, so
 
-    U_c(y) = r_p * sum_{z != y} B[z, y] * W[y, z] + r_0 * B_0 * delta(lam[y]),
+    U_c(y) = r_p * sum_{z != y} B[z, y] * W[y, z] + r_0 * B_0 * delta(lam[y]).
 
-which is how ``consumer_utilities`` computes it: one delta(direct) per
-state, shared with the perfect/proxy producers, whose objective at topic x
-is column z of W weighted by the match of x.
+W is a rank-one matrix u v^T (u = delta(mu_i), v = delta(mu_infl)) plus
+delta(direct), which is zero on the row of every consumer holding no
+direct rate.  ``PeerWeights`` keeps exactly that: u, v, the rows holding
+a direct rate and delta(direct) on those rows, never the (N, N) table.  A
+product with W is a product with u or v, minus the self term at z = y,
+plus one product over those rows; at full density it costs what the dense
+table did.  Where the self term is most of a sum, ``less_own`` sums that
+entry again without it, so no entry is left as rounding noise.  The same
+structure with v = 1 and no rows is the imperfect producers' weights,
+delta(mu_i[y]) for every producer z != y.
+``consumer_utilities`` and the perfect/proxy producers read one
+``support_weights`` per state: a producer's objective at topic x is its
+column of W weighted by the match of x.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
@@ -196,15 +206,96 @@ def match_matrix(X: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     return B
 
 
+def less_own(total: np.ndarray, own: np.ndarray, terms) -> np.ndarray:
+    """total - own, where total sums the terms of a row and own is its term
+    at one column z; own is overwritten with the result.
+
+    Where own is more than half of total, the difference would keep little
+    but rounding noise (a member whose own weight dominates the sum, as
+    under a sharply peaked kernel), so those entries are summed again
+    without it: ``terms(*idx)`` gives their (f, N) terms and the (f,)
+    columns z, idx being ``np.nonzero`` of the entries.  Each entry reads
+    only its own row, so any chunking of the rows gives the same floats.
+    """
+    redo = own > 0.5 * total
+    out = np.subtract(total, own, out=own)
+    if redo.any():
+        redo = np.nonzero(redo)
+        T, z = terms(*redo)
+        T[np.arange(z.size), z] = 0.0
+        out[redo] = T.sum(axis=1)
+    return out
+
+
+def rated_rows(direct: np.ndarray) -> np.ndarray:
+    """The consumers holding any direct rate, ascending."""
+    return np.flatnonzero(direct.any(axis=1))
+
+
+def take_rows(A: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """A's entries at ``rows`` along ``axis``; A itself, not a copy, when
+    rows holds every one of them."""
+    return A if rows.size == A.shape[axis] else np.take(A, rows, axis=axis)
+
+
+@dataclass(frozen=True)
+class PeerWeights:
+    """Peer weights W[y, z] = u[y] * v[z] + S[i, z] where y = rows[i] (the
+    S term is absent on every other row), zero at z = y; never built as a
+    table.
+
+    u     (N,)     the consumer factor of the rank-one term
+    v     (N,)     the producer factor of the rank-one term
+    rows  (r,)     the consumers the S term applies to, ascending
+    S     (r, N)   their extra weights, zero at their own column
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    rows: np.ndarray
+    S: np.ndarray
+
+    @classmethod
+    def rank_one(cls, u: np.ndarray, v: np.ndarray) -> "PeerWeights":
+        """W[y, z] = u[y] * v[z], zero at z = y."""
+        return cls(u, v, np.empty(0, dtype=np.intp), np.empty((0, u.size)))
+
+    def at_rows(self, A: np.ndarray) -> np.ndarray:
+        """A's columns at ``rows``."""
+        return take_rows(A, self.rows, axis=1)
+
+    def producer_values(self, D: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """sum_y D[j, y] * W[y, z_j] for the producers z_j of ``cols``, D
+        (k, N) holding their match rows: each producer's objective at its
+        topic, and with D = B every incumbent's.  Row j depends only on D[j],
+        so any chunking of the producers gives the same floats."""
+        z = np.arange(self.u.size)[cols]
+        vals = less_own(np.einsum("zy,y->z", D, self.u), D[np.arange(z.size), z] * self.u[z],
+                        lambda j: (D[j] * self.u, z[j]))
+        vals *= self.v[cols]
+        if self.rows.size:
+            vals += np.einsum("zi,iz->z", self.at_rows(D), self.S[:, cols])
+        return vals
+
+    def consumer_values(self, B: np.ndarray) -> np.ndarray:
+        """sum_z B[z, y] * W[y, z] for every consumer y, B being the
+        (N, N) match matrix: the transpose twin of ``producer_values``."""
+        vals = influencer_relayed_match(self.v, B)
+        vals *= self.u
+        if self.rows.size:
+            vals[self.rows] += np.einsum("zi,iz->i", self.at_rows(B), self.S)
+        return vals
+
+
 def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
-                    cfg: MarketConfig) -> np.ndarray:
-    """The peer weights W (N, N) of the welfare and of the perfect/proxy
-    producers: W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]),
-    zero at z = y."""
-    W = discount(direct, cfg.delay)
-    W += np.outer(discount(mu_i, cfg.delay), discount(mu_infl, cfg.delay))
-    np.fill_diagonal(W, 0.0)
-    return W
+                    cfg: MarketConfig) -> PeerWeights:
+    """The peer weights W of the welfare and of the perfect/proxy producers:
+    W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]),
+    zero at z = y, with delta(direct) kept on the rows holding a rate."""
+    rows = rated_rows(direct)
+    d = cfg.delay
+    return PeerWeights(discount(mu_i, d), discount(mu_infl, d), rows,
+                       discount(take_rows(direct, rows), d))
 
 
 def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
@@ -212,15 +303,15 @@ def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
     """All N consumer utilities at once; B defaults to ``match_matrix(omega.X, cfg)``."""
     if B is None:
         B = match_matrix(omega.X, cfg)
-    W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    return _utilities(B, W, omega.lam, cfg)
+    weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+    return _utilities(B, weights, omega.lam, cfg)
 
 
-def _utilities(B: np.ndarray, W: np.ndarray, lam: np.ndarray,
+def _utilities(B: np.ndarray, weights: PeerWeights, lam: np.ndarray,
                cfg: MarketConfig) -> np.ndarray:
     """r_p * sum_z B[z, y] * W[y, z] + r_0 * B_0 * delta(lam[y]) for every y,
     W being ``support_weights`` of the same state."""
-    return (cfg.r_p * np.einsum("zy,yz->y", B, W)
+    return (cfg.r_p * weights.consumer_values(B)
             + cfg.r_0 * cfg.b_0 * discount(lam, cfg.delay))
 
 
@@ -236,7 +327,7 @@ def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
     This is the influencer channel's value to each consumer without the r_p
     scale; the transpose twin of ``influencer_followed_match``.
     """
-    return B.T @ d_infl - np.diagonal(B) * d_infl
+    return less_own(B.T @ d_infl, np.diagonal(B) * d_infl, lambda y: (B[:, y].T * d_infl, y))
 
 
 def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -245,7 +336,7 @@ def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
     This is each producer's follower-weighted match mass as seen from the
     influencer's chair; r_p * this vector is the influencer's channel weights.
     """
-    return B @ d_i - np.diagonal(B) * d_i
+    return less_own(B @ d_i, np.diagonal(B) * d_i, lambda z: (B[z] * d_i, z))
 
 
 def influencer_utility(omega: MarketAllocation, cfg: MarketConfig,
@@ -266,7 +357,8 @@ def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,
     d = cfg.delay
     terms = B[z] * (discount(float(omega.mu_infl[z]), d) * discount(omega.mu_i, d)
                     + discount(omega.direct[:, z], d))
-    return cfg.r_p * float(terms.sum() - terms[z])
+    terms[z] = 0.0  # z's own term, zeroed rather than subtracted (see less_own)
+    return cfg.r_p * float(terms.sum())
 
 
 def producer_support_via_influencer(z: int, omega: MarketAllocation, cfg: MarketConfig,
@@ -276,4 +368,5 @@ def producer_support_via_influencer(z: int, omega: MarketAllocation, cfg: Market
         B = match_matrix(omega.X, cfg)
     d = cfg.delay
     terms = B[z] * discount(omega.mu_i, d)
-    return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum() - terms[z])
+    terms[z] = 0.0
+    return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum())

@@ -6,6 +6,10 @@
 - ``deriv_inverse``: the rate at which delta' takes a given value, the
   scalar form of the water-filling rate rule, and ``DomainError``, which
   it raises outside delta's range;
+- ``dense_support_weights``, ``dense_weights`` and ``dense_objective``: the
+  peer weights W as the (N, N) table, from the rates or from a
+  ``cme.market.PeerWeights``, and a producer objective read from a column
+  of it, the oracles of every product with ``PeerWeights``;
 - ``project_budget_box``, ``gradient_oracle`` and ``gradient_oracle_batch``:
   accelerated projected gradient ascent on the allocation program, a route
   that shares no machinery with ``cme.allocator``'s closed form, so
@@ -18,7 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from cme.allocator import AllocationSolution, DegenerateWeightsError, WeightedChannels
-from cme.kernels import DelayParams, InvalidInputError, KernelParams, TopicPoint
+from cme.kernels import (
+    DelayParams,
+    InvalidInputError,
+    KernelParams,
+    TopicPoint,
+    discount,
+    pairwise_distances,
+)
 
 
 class DomainError(ValueError):
@@ -59,6 +70,32 @@ def deriv_inverse(b: float, p: DelayParams) -> float:
             f"delta' takes values in (0, beta={p.beta}]; no rate has delta'(mu) = {b}"
         )
     return math.log(p.beta / b) / p.beta
+
+
+def dense_support_weights(mu_i, mu_infl, direct, cfg) -> np.ndarray:
+    """W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]),
+    zero at z = y, as one (N, N) table."""
+    W = discount(direct, cfg.delay)
+    W += np.outer(discount(mu_i, cfg.delay), discount(mu_infl, cfg.delay))
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+def dense_weights(weights) -> np.ndarray:
+    """The (N, N) table of a ``PeerWeights``: u v^T plus S on its rows,
+    zero on the diagonal."""
+    W = np.outer(weights.u, weights.v)
+    W[weights.rows] += weights.S
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+def dense_objective(T, W, z, cfg) -> np.ndarray:
+    """Objective of producer z[j] at topic T[j] against column z[j] of the
+    table W: g(d(T[j], z[j])) * sum_y f(d(T[j], y)) * W[y, z[j]]."""
+    D = pairwise_distances(T, cfg.interest_array())
+    q = np.exp(-cfg.kernel.a_g * D[np.arange(len(z)), z])
+    return q * np.einsum("jy,yj->j", np.exp(-cfg.kernel.a_f * D), W[:, z])
 
 
 def project_budget_box(v: np.ndarray, budget) -> np.ndarray:

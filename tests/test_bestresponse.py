@@ -14,11 +14,16 @@ from cme.bestresponse import (
     TopicGrid,
     TopicSearchParams,
     _bracket_objective,
+    _bracket_tables,
+    _edge_sums,
+    _grid_objective,
     _objective,
     _polish_batches,
+    _scan_factors,
+    chunks,
     consumer_best_response,
     consumers_br_dense,
-    follower_weights,
+    grid_best,
     influencer_best_response,
     producer_best_response_imperfect,
     producer_best_response_perfect,
@@ -37,6 +42,7 @@ from cme.market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    PeerWeights,
     consumer_utilities,
     influencer_followed_match,
     influencer_utility,
@@ -44,6 +50,7 @@ from cme.market import (
     producer_support,
 )
 from markets_util import random_allocation, random_config, with_consumer, with_topic
+from oracles import dense_objective, dense_support_weights, dense_weights
 from reference_search import consumer_round, exact_imperfect_search, perfect_search, saturated
 
 SEARCH = TopicSearchParams(grid_resolution=128, refine_iters=40)
@@ -362,7 +369,7 @@ def _incumbent(prev, W, cfg):
     topics and their objectives read from the match matrix at prev."""
     if prev is None:
         return {}
-    return {"prev": prev, "prev_value": np.einsum("zy,yz->z", match_matrix(prev, cfg), W)}
+    return {"prev": prev, "prev_value": W.producer_values(match_matrix(prev, cfg))}
 
 
 class TestProducerBlockAgainstReference:
@@ -418,11 +425,12 @@ class TestProducerBlockAgainstReference:
                            kernel=KernelParams(a_f=8.0, a_g=0.5))
         mu_i, mu_infl = np.array([0.0, 50.0, 50.0]), np.full(3, 50.0)
         W = support_weights(mu_i, mu_infl, np.zeros((3, 3)), cfg)
-        assert W[1, 0] == W[2, 0] == 1.0
+        dense = dense_support_weights(mu_i, mu_infl, np.zeros((3, 3)), cfg)
+        assert dense[1, 0] == dense[2, 0] == 1.0
         d_i = discount(mu_i, cfg.delay)
         for refine, prev in ((10, None), (0, None), (0, np.array([[0.75], [0.25], [0.75]]))):
             grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
-            vals = grid.Q[:, 0] * (grid.P @ W[:, 0])
+            vals = grid.Q[:, 0] * (grid.P @ dense[:, 0])
             assert vals[2] == vals[6] == vals.max()
             block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
             x, value, _ = perfect_search(0, d_i, 1.0, np.zeros(3), grid, cfg,
@@ -462,9 +470,8 @@ class TestIncumbentValue:
             cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
             d = random_allocation(rng, cfg)
             W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
-            from_b = np.einsum("zy,yz->z", match_matrix(d.X, cfg), W)
-            cols = np.arange(n)
-            chunked = np.concatenate([_objective(d.X[sl], W[:, sl], cols[sl], cfg)
+            from_b = W.producer_values(match_matrix(d.X, cfg))
+            chunked = np.concatenate([_objective(d.X[sl], W, sl, cfg)
                                       for sl in (slice(0, _CHUNK), slice(_CHUNK, n))])
             assert np.array_equal(from_b, chunked)
 
@@ -479,7 +486,7 @@ class TestIncumbentValue:
             d_i = discount(d.mu_i, cfg.delay)
             B = match_matrix(d.X, cfg)
             mass = influencer_followed_match(d_i, B)
-            direct = _objective(d.X, follower_weights(d_i), np.arange(cfg.n), cfg)
+            direct = _objective(d.X, PeerWeights.rank_one(d_i, np.ones(cfg.n)), slice(None), cfg)
             bound = 4 * cfg.n * np.finfo(float).eps * (B @ d_i)
             assert np.all(np.abs(mass - direct) <= bound)
 
@@ -502,7 +509,7 @@ class TestBatchedPolish:
         W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
         grid = TopicGrid(cfg, SEARCH)
 
-        best = np.argmax(grid.Q * (grid.P @ W), axis=0)
+        best = np.argmax(grid.Q * (grid.P @ dense_weights(W)), axis=0)
         lo_idx = np.maximum(best - 1, 0)
         hi_idx = np.minimum(best + 1, len(grid.points) - 1)
         lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
@@ -513,11 +520,11 @@ class TestBatchedPolish:
         assert len(batches) >= 2 and len(set(widths)) >= 2
         assert all((sl.stop - sl.start) * (w + 2) <= _CHUNK * (n + 2)
                    for sl, w in zip(batches, widths))
-        cols = np.arange(n)
+        edges = _edge_sums(W, grid, cfg)
         for sl in batches:  # padded rows evaluate as their own bracket alone
-            f = _bracket_objective(W[:, sl], cols[sl], lo_idx[sl], hi_idx[sl], grid, cfg)
+            f = _bracket_objective(W, sl, lo_idx[sl], hi_idx[sl], grid, cfg, edges)
             t = lo[sl] + rng.uniform(0.0, 1.0, sl.stop - sl.start) * (hi[sl] - lo[sl])
-            np.testing.assert_allclose(f(t), _objective(t[:, None], W[:, sl], cols[sl], cfg),
+            np.testing.assert_allclose(f(t), _objective(t[:, None], W, sl, cfg),
                                        rtol=1e-12, atol=0.0)
 
         d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
@@ -562,6 +569,17 @@ class TestConsumerBlockAgainstReference:
                 assert np.all(mu_i == 0.0)
 
 
+def _random_weights(rng, n, rows):
+    """PeerWeights with u, v and S uniform on [0, 2) and about 20% of each
+    zero; u and v overlap, so most producers have a self term to leave out."""
+    u, v = rng.uniform(0.0, 2.0, (2, n))
+    S = rng.uniform(0.0, 2.0, (rows.size, n))
+    for a in (u, v, S):
+        a[rng.uniform(size=a.shape) < 0.2] = 0.0
+    S[np.arange(rows.size), rows] = 0.0
+    return PeerWeights(u, v, rows, S)
+
+
 class TestBracketObjective:
     """The polish's semiseparable objective against the direct formula."""
 
@@ -575,21 +593,154 @@ class TestBracketObjective:
         cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y),
                            m=1.0, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(a_f=a_f, a_g=1.5))
-        best = np.repeat(np.arange(16), 3)  # brackets at 0 and at 1 included
-        lo_idx, hi_idx = np.maximum(best - 1, 0), np.minimum(best + 1, 15)
-        lo, hi = grid_nodes[lo_idx], grid_nodes[hi_idx]
-        cols = rng.integers(0, y.size, best.size)
-        W = rng.uniform(0.0, 2.0, (y.size, best.size))
-        W[rng.uniform(size=W.shape) < 0.2] = 0.0
-        W[cols, np.arange(best.size)] = 0.0
+        # every node's bracket three times (the brackets at 0 and at 1
+        # included), each producer taking a random share of them
+        best = rng.permutation(np.repeat(np.arange(16), 3)).reshape(-1, y.size)
+        W = _random_weights(rng, y.size, np.sort(rng.choice(y.size, 7, replace=False)))
+        dense = dense_weights(W)
         grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=16))
-        f = _bracket_objective(W, cols, lo_idx, hi_idx, grid, cfg)
+        edges = _edge_sums(W, grid, cfg)
+        # below 2.2e-308 (a_f = 5000 reaches it) a float holds only whole
+        # multiples of the smallest subnormal, so no two formulas agree
+        # there to a relative 1e-12; each may round a sum of subnormal
+        # terms by a few of those steps
+        subnormal = 4 * np.finfo(float).smallest_subnormal
         checked = 0
-        for t in (lo, hi, lo + rng.uniform(0.0, 1.0, best.size) * (hi - lo)):
-            direct = _objective(t[:, None], W, cols, cfg)
-            np.testing.assert_allclose(f(t), direct, rtol=1e-12, atol=0.0)
-            checked += np.count_nonzero(direct)
+        for b in best:
+            lo_idx, hi_idx = np.maximum(b - 1, 0), np.minimum(b + 1, 15)
+            lo, hi = grid_nodes[lo_idx], grid_nodes[hi_idx]
+            f = _bracket_objective(W, slice(None), lo_idx, hi_idx, grid, cfg, edges)
+            for t in (lo, hi, lo + rng.uniform(0.0, 1.0, y.size) * (hi - lo)):
+                direct = _objective(t[:, None], W, slice(None), cfg)
+                np.testing.assert_allclose(f(t), direct, rtol=1e-12, atol=subnormal)
+                np.testing.assert_allclose(
+                    direct, dense_objective(t[:, None], dense, np.arange(y.size), cfg),
+                    rtol=1e-12, atol=subnormal)
+                checked += np.count_nonzero(direct)
         assert checked > best.size
+
+
+class TestPeerWeightsAgainstDense:
+    """Every product with PeerWeights against the same product with the
+    (N, N) table, on direct rates held by every, a tenth and no consumer,
+    with nobody following the influencer, with zero weights in v and under
+    a sharply peaked interest kernel."""
+
+    @staticmethod
+    def _market(n, dim, density, case):
+        rng = np.random.default_rng(160 + n + 7 * dim + 3 * case
+                                    + {"all": 0, "tenth": 1, "none": 2}[density])
+        cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
+        if case == 3:  # a producer's own term dominates its column near its
+            # interest; exp(-450 * sqrt(2)) is still a normal float
+            cfg = dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, a_f=450.0))
+        if dim == 1:  # every third interest on a grid node: bracket edges
+            y = cfg.interest_array()[:, 0].copy()
+            y[::3] = np.round(y[::3] * (SEARCH.grid_resolution - 1)) / (SEARCH.grid_resolution - 1)
+            cfg = dataclasses.replace(cfg, interests=tuple(TopicPoint((v,)) for v in y))
+        d = random_allocation(rng, cfg)
+        mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.copy()
+        if density == "tenth":
+            direct[rng.uniform(size=n) >= 0.1] = 0.0
+        elif density == "none":
+            direct[:] = 0.0
+        if case == 1:  # nobody follows the influencer: u = 0
+            mu_i[:] = 0.0
+        elif case == 2:  # zero entries in v
+            mu_infl[rng.uniform(size=n) < 0.3] = 0.0
+        d = MarketAllocation(d.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl), d.X)
+        W = support_weights(mu_i, mu_infl, direct, cfg)
+        dense = dense_support_weights(mu_i, mu_infl, direct, cfg)
+        assert np.array_equal(dense_weights(W), dense)
+        assert W.rows.size == np.count_nonzero(direct.any(axis=1))
+        return rng, cfg, d, W, dense
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3])
+    @pytest.mark.parametrize("density", ["all", "tenth", "none"])
+    @pytest.mark.parametrize("n,dim", [(_CHUNK - 1, 1), (_CHUNK, 2), (_CHUNK + 1, 1)])
+    def test_products_match_the_table(self, n, dim, density, case):
+        rng, cfg, d, W, dense = self._market(n, dim, density, case)
+        grid = TopicGrid(cfg, _search(dim))
+        close = dict(rtol=1e-12, atol=0.0)
+
+        scan = grid.Q * (grid.P @ dense)
+        factors = _scan_factors(W, grid)
+        got = np.concatenate([_grid_objective(W, grid, c, factors) for c in chunks(n)],
+                             axis=1)
+        np.testing.assert_allclose(got, scan, **close)
+        np.testing.assert_allclose(grid_best(W, grid), scan.max(axis=0), **close)
+
+        B = match_matrix(d.X, cfg)
+        np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense),
+                                   **close)
+        np.testing.assert_allclose(W.consumer_values(B), np.einsum("zy,yz->y", B, dense),
+                                   **close)
+        followers = dense_weights(PeerWeights.rank_one(W.u, np.ones(n)))
+        np.testing.assert_allclose(influencer_followed_match(W.u, B),
+                                   np.einsum("zy,yz->z", B, followers), **close)
+        T = rng.uniform(0.0, 1.0, (n, dim))
+        np.testing.assert_allclose(_objective(T, W, slice(None), cfg),
+                                   dense_objective(T, dense, np.arange(n), cfg), **close)
+        if case == 1:
+            assert np.all(got == 0.0) == (density == "none")
+
+        if dim == 1:
+            # brackets one node off each producer's own interest, so the
+            # interests on nodes sit on their own bracket's edge
+            g = len(grid.points)
+            own = np.round(cfg.interest_array()[:, 0] * (g - 1)).astype(int)
+            best = np.clip(own + rng.choice([-1, 1], n), 1, g - 2)
+            lo_idx, hi_idx = best - 1, best + 1
+            lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
+            y_tab, w_tab = _bracket_tables(W, slice(None), lo_idx, hi_idx, grid, cfg,
+                                           _edge_sums(W, grid, cfg))
+            y = cfg.interest_array()[:, 0]
+            out_l = np.einsum("jy,yj->j", np.where(y <= lo[:, None], grid.P[lo_idx], 0.0),
+                              dense)
+            out_r = np.einsum("jy,yj->j", np.where(y >= hi[:, None], grid.P[hi_idx], 0.0),
+                              dense)
+            np.testing.assert_allclose(w_tab[:, 0], out_l, **close)
+            np.testing.assert_allclose(w_tab[:, 1], out_r, **close)
+            assert np.array_equal(y_tab[:, :2], np.column_stack((lo, hi)))
+            y_sorted = y[grid.order]
+            for j in range(n):
+                inside = grid.order[(y_sorted > lo[j]) & (y_sorted < hi[j])]
+                m = inside.size
+                np.testing.assert_allclose(w_tab[j, 2:2 + m], dense[inside, j], **close)
+                assert np.all(w_tab[j, 2 + m:] == 0.0)
+
+    def test_a_faint_follower_keeps_a_producer_alive(self):
+        # producer 0's only other follower weighs 1e-30, so its term is lost
+        # in (P @ u)[g] at every node and (P @ u - P * u)[g, 0] rounds to 0;
+        # summed again without the own term, the column keeps it
+        cfg = MarketConfig(dim=1, interests=(TopicPoint((0.25,)), TopicPoint((0.75,))),
+                           m=1.0, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=50.0, a_g=1.0))
+        W = PeerWeights.rank_one(np.array([1.0, 1e-30]), np.array([1.0, 0.5]))
+        dense = dense_weights(W)
+        grid = TopicGrid(cfg, SEARCH)
+        close = dict(rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grid_best(W, grid), (grid.Q * (grid.P @ dense)).max(axis=0),
+                                   **close)
+        B = match_matrix(np.array([[0.75], [0.25]]), cfg)
+        np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense), **close)
+        np.testing.assert_allclose(W.consumer_values(B), np.einsum("zy,yz->y", B, dense), **close)
+        block = producer_block(W, grid, cfg)
+        assert not block.degenerate.any() and abs(block.topics[0, 0] - 0.75) < grid.cell
+
+    def test_a_producer_followed_only_by_itself_is_degenerate(self):
+        # z's own follow rate cancels exactly in (P @ u - P * u) * v, so a
+        # column that is zero in the table scans to exactly zero
+        rng = np.random.default_rng(170)
+        cfg = random_config(rng, n_min=9, n_max=9, dim=1)
+        u = np.zeros(cfg.n)
+        u[4] = 0.7
+        W = PeerWeights.rank_one(u, rng.uniform(0.5, 1.0, cfg.n))
+        grid = TopicGrid(cfg, SEARCH)
+        best = grid_best(W, grid)
+        assert best[4] == 0.0 and np.all(np.delete(best, 4) > 0.0)
+        block = producer_block(W, grid, cfg)
+        assert list(np.flatnonzero(block.degenerate)) == [4]
 
 
 class TestSearchParams:

@@ -19,7 +19,7 @@ import pytest
 import reference_search as ref
 from cme import equilibrium
 from cme.allocator import WeightedChannels, water_fill
-from cme.bestresponse import GameMode, TopicGrid, TopicSearchParams
+from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams, grid_best
 from cme.equilibrium import (
     DynamicsParams,
     check_nash,
@@ -28,11 +28,26 @@ from cme.equilibrium import (
     run_dynamics,
     run_dynamics_all,
 )
-from cme.kernels import DelayParams, InvalidInputError, KernelParams, TopicPoint, discount
-from cme.market import InfluencerAllocation, MarketAllocation, MarketConfig, match_matrix, \
-    social_welfare, support_weights
+from cme.kernels import (
+    DelayParams,
+    InvalidInputError,
+    KernelParams,
+    TopicPoint,
+    discount,
+    discount_deriv,
+)
+from cme.market import (
+    InfluencerAllocation,
+    MarketAllocation,
+    MarketConfig,
+    influencer_relayed_match,
+    match_matrix,
+    social_welfare,
+    support_weights,
+)
 from cme.scenario import parse_scenario
 from markets_util import random_allocation, random_config, with_consumer
+from oracles import dense_support_weights
 
 SEARCH = TopicSearchParams(grid_resolution=64, refine_iters=30)
 FAST = DynamicsParams(restarts=0)
@@ -207,6 +222,46 @@ def test_certificate_tolerance_scaling():
                        search=SEARCH)
     assert loose.holds
     assert loose.max_residual <= 1.0
+
+
+def _dense_direct_residuals(omega, cfg):
+    """Conditions c, d and e with every direct marginal in one (N, N)
+    table, the self channel masked out."""
+    d = cfg.delay
+    B = match_matrix(omega.X, cfg)
+    m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
+    m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * influencer_relayed_match(
+        discount(omega.mu_infl, d), B)
+    m_dir = discount_deriv(omega.direct, d) * cfg.r_p * B.T
+    np.fill_diagonal(m_dir, -np.inf)
+    m_dir_best = np.max(m_dir, axis=1)
+    rival = np.maximum(np.maximum(m_out, m_infl), m_dir_best)
+    shortfall = np.maximum(0.0, rival[:, None] - m_dir)[omega.direct > 1e-12 * cfg.m]
+    return {
+        "c_outside_optimal": float(np.max(np.maximum(
+            0.0, np.maximum(m_infl, m_dir_best) - m_out)[omega.lam > 1e-12 * cfg.m])),
+        "d_influencer_optimal": float(np.max(np.maximum(
+            0.0, np.maximum(m_out, m_dir_best) - m_infl)[omega.mu_i > 1e-12 * cfg.m])),
+        "e_direct_optimal": float(np.max(shortfall)) if shortfall.size else 0.0,
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
+def test_direct_marginals_match_the_dense_table(mode, dim):
+    # the certificate reads delta'(direct) only on the rows holding a direct
+    # rate; every other row's best direct marginal is beta * r_p times its
+    # column's off-diagonal max of B: the same floats as the full table
+    rng = np.random.default_rng(175 + dim + 2 * list(GameMode).index(mode))
+    for keep in (1.0, 0.1, 0.0):
+        for _ in range(3):
+            cfg = random_config(rng, n_min=6, n_max=30, dim=dim)
+            d = random_allocation(rng, cfg)
+            direct = d.direct * (rng.uniform(size=(cfg.n, 1)) < keep)
+            d = MarketAllocation(d.lam, d.mu_i, direct, d.influencer, d.X)
+            got = check_nash(d, cfg, mode, search=_search(dim)).residuals
+            for name, value in _dense_direct_residuals(d, cfg).items():
+                assert got[name] == value, name
 
 
 @pytest.mark.parametrize("mode, m", [(GameMode.PROXY, 300.0), (GameMode.PERFECT, 1000.0)])
@@ -416,33 +471,56 @@ def test_round_returns_the_next_match_matrix_and_potential(mode):
             assert phi == social_welfare(state, cfg, B)
 
 
-def test_round_keeps_a_tied_incumbent():
-    # producer 0 at 0.5 between mirror members at 0.25 and 0.75; budgets so
-    # large that every delta rounds to 1.0, so W is 2.0 off the diagonal
-    # and the grid node 0.25 ties bit for bit with the incumbent at 0.75,
-    # whose value the round reads from B: the incumbent stays
-    cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.5, 0.25, 0.75)),
+@pytest.mark.parametrize("a_f", [8.0, 1e-17])
+def test_round_keeps_a_tied_incumbent(a_f):
+    # producer 2 at 0.5 between mirror members at 0.25 and 0.75; budgets so
+    # large that every delta rounds to 1.0, so W is 2.0 off the diagonal,
+    # and a quality kernel so flat that g rounds to 1.0.  At the mirror
+    # topics 0.25 and 0.75 each sum adds the two members' terms in swapped
+    # order, then producer 2's own: the same floats.  So the grid node 0.25
+    # ties bit for bit with the incumbent at 0.75, whose value the round
+    # reads from B, and the incumbent stays.  At a_f = 1e-17 every exp
+    # rounds to 1.0 as well and every topic ties
+    cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.25, 0.75, 0.5)),
                        m=100.0, m_infl=100.0, r_p=1.0, r_0=1.0, b_0=0.5,
-                       kernel=KernelParams(a_f=8.0, a_g=0.5), delay=DelayParams(beta=10.0))
+                       kernel=KernelParams(a_f=a_f, a_g=1e-17), delay=DelayParams(beta=10.0))
     state = MarketAllocation(np.full(3, 25.0), np.full(3, 25.0), 25.0 * (1.0 - np.eye(3)),
                              InfluencerAllocation(mu=np.full(3, 100.0 / 3)),
-                             np.array([[0.75], [0.25], [0.75]]))
+                             np.array([[0.25], [0.75], [0.75]]))
     for refine in (0, 10):
         grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
         new, degenerate, _, _ = equilibrium._one_round(state, cfg, GameMode.PERFECT, grid,
                                                        match_matrix(state.X, cfg))
+        dense = dense_support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
+        assert np.all(dense + 2.0 * np.eye(3) == 2.0)
+        first = np.argmax(grid.Q[:, 2] * (grid.P @ dense[:, 2]))
+        assert grid.points[first, 0] < 0.75  # the grid's pick is another topic
         W = support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
-        assert np.all(W + 2.0 * np.eye(3) == 2.0)
-        assert not degenerate and new.X[0, 0] == 0.75
+        assert grid_best(W, grid)[2] == W.producer_values(match_matrix(state.X, cfg))[2]
+        assert not degenerate and new.X[2, 0] == 0.75
+
+
+def test_sup_change_reads_every_row_chunk():
+    # direct is compared in row chunks of _CHUNK: a change in any row, the
+    # first, the first of the second chunk or the last, is the largest
+    rng = np.random.default_rng(180)
+    cfg = random_config(rng, n_min=2 * _CHUNK + 5, n_max=2 * _CHUNK + 5, dim=1)
+    a = random_allocation(rng, cfg)
+    for y in (0, _CHUNK, cfg.n - 1):
+        direct = a.direct.copy()
+        direct[y, (y + 1) % cfg.n] += 0.5
+        b = MarketAllocation(a.lam, a.mu_i, direct, a.influencer, a.X)
+        assert equilibrium._sup_change(a, b) == float(np.max(np.abs(a.direct - direct)))
 
 
 def test_perfect_run_peak_memory():
-    # A perfect round holds five (N, N) float tables at its peak: the
-    # previous and next direct rates, the previous and next B, and the
-    # producers' weights W.  W must be gone before _sup_change adds its two
-    # difference tables.  Measured peak at N = 400 before the round read
-    # its potential from W: 5.14 tables of 8 * N**2 bytes; a W kept alive
-    # through _sup_change reaches 6.
+    # A perfect round holds four (N, N) float tables at its peak: the
+    # previous and next direct rates and the previous and next B.  The peer
+    # weights hold delta(direct) only on the rows with a direct rate (none
+    # after the first round here) and _sup_change compares direct in row
+    # chunks.  Measured peak at N = 400: 4.15 tables of 8 * N**2 bytes; 5.14
+    # while the round built W as an (N, N) table and _sup_change built two
+    # (N, N) difference tables.
     n = 400
     cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=1)
     grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=64, refine_iters=20))
@@ -455,7 +533,7 @@ def test_perfect_run_peak_memory():
     finally:
         tracemalloc.stop()
     assert res.rounds_used >= 2
-    assert peak <= 5.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
+    assert peak <= 4.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
 
 
 def _reference_run(cfg, mode, params, search):
