@@ -27,6 +27,25 @@ and the optimal active set is the largest k with a_k > level_k.  One sort
 and one prefix sum find it -- the same trick as the Euclidean projection
 onto the simplex (Duchi et al., ICML 2008).  ``water_fill`` (one channel
 set) and ``water_fill_batch`` (one solve per row) share that solver.
+
+With C_k = a_1 + ... + a_k the test a_k > level_k reads
+
+    key_k = C_k - k * a_k  <  beta * M,
+
+and key_k is nondecreasing in k (key_{k+1} - key_k = k * (a_k - a_{k+1})),
+so the active count is a binary search.  ``SortedChannels`` keeps one sort,
+its prefix sums, key_k and key_up_k = C_k - (k + 1) * a_k, and finds channel
+z's rate once its weight alone is replaced by w' with lookups.  Let
+a' = log(beta * w') and count z as active.  The channel at sorted position
+j != z is then active iff key_up_j < beta * M - a' when j lies ahead of z's
+old entry, and iff key_j < beta * M - a' + a_z behind it (its prefix sum
+loses a_z); both tests are monotone in j.  With m other channels active and
+S their sum of a, z's rate is
+
+    (beta * M + m * a' - S) / ((m + 1) * beta),
+
+positive exactly when a' lies above the water level of the other channels,
+i.e. when z is active after the replacement, and then it is z's rate.
 """
 
 from __future__ import annotations
@@ -126,9 +145,10 @@ def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise water filling: one independent solve per row of (k, n) weights.
 
-    The same closed form as ``water_fill``, run on all rows at once.  Exists
-    because inner re-solves of the influencer's split (one per candidate
-    topic) dominate the imperfect-information runtime.  Returns (rates, nu).
+    The same closed form as ``water_fill``, run on all rows at once.  The
+    engine no longer calls it; it stays public as the tests' reference for
+    ``SortedChannels`` and for the per-producer re-solves it replaced.
+    Returns (rates, nu).
     """
     W = np.asarray(weight_rows, dtype=float)
     if W.ndim != 2 or W.size == 0:
@@ -139,6 +159,106 @@ def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
         raise DegenerateWeightsError("a row has all channel weights zero")
     rates, log_nu = _water_fill_rows(W, budget, d.beta)
     return rates, np.exp(log_nu)
+
+
+class SortedChannels:
+    """One channel set in one descending sort of a = log(beta * w), kept so
+    that a single weight can be replaced by lookups (module docstring).
+
+    weights  (n,)    the current weights w
+    a        (n,)    log(beta * w), -inf for a zero weight
+    s        (n,)    a sorted in descending order; zero weights sort last
+    order    (n,)    the channel at each sorted position; pos is its inverse
+    C        (n + 1) prefix sums of s, C[0] = 0, held at C[f] past the f
+                     positive weights
+    key      (n,)    C_k - k * s_k at position k - 1 (the full set's test)
+    key_up   (n,)    C_k - (k + 1) * s_k (the test with a channel added ahead)
+
+    Both keys are +inf past the f positive weights, which are never active.
+    With no positive weight the split is uniform, the fallback the
+    influencer takes when nobody's attention is worth anything to it.
+    """
+
+    def __init__(self, weights: np.ndarray, budget: float, d: DelayParams):
+        self.weights = np.array(weights, dtype=float)
+        self.budget, self.beta = budget, d.beta
+        self._bm = d.beta * budget
+        with np.errstate(divide="ignore"):
+            self.a = np.log(d.beta * self.weights)
+        n = self.a.size
+        self.order = np.argsort(-self.a)
+        self.s = self.a[self.order]
+        self.pos = np.empty(n, dtype=np.intp)
+        self.pos[self.order] = np.arange(n)
+        self.f = int(np.count_nonzero(self.weights > 0.0))
+        self.C = np.zeros(n + 1)
+        self.key = np.empty(n)
+        self.key_up = np.empty(n)
+        self._rebuild(0)
+
+    def _rebuild(self, start: int) -> None:
+        """Prefix sums and keys from sorted position `start` on, summed in
+        the order a fresh build sums them."""
+        s, C, f = self.s, self.C, self.f
+        if start < f:
+            run = s[start:f].copy()
+            run[0] += C[start]
+            np.cumsum(run, out=C[start + 1:f + 1])
+        C[f + 1:] = C[f]
+        k = np.arange(start + 1, f + 1)
+        self.key[start:f] = C[start + 1:f + 1] - k * s[start:f]
+        self.key_up[start:f] = C[start + 1:f + 1] - (k + 1) * s[start:f]
+        self.key[max(start, f):] = np.inf
+        self.key_up[max(start, f):] = np.inf
+
+    def rates(self) -> np.ndarray:
+        """The optimal split of the budget over the current weights."""
+        n = self.a.size
+        if not self.f:
+            return np.full(n, self.budget / n)
+        k = int(np.searchsorted(self.key, self._bm))  # key_1 = 0 < beta*M
+        level = (self.C[k] - self._bm) / k
+        return np.maximum(self.a - level, 0.0) / self.beta
+
+    def rates_with(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Rate of channel z[j] in the optimal split once its weight alone is
+        w[j], for every j at once; the other weights stay as they are."""
+        z, w = np.asarray(z), np.asarray(w, dtype=float)
+        p = self.pos[z]
+        sp = self.s[p]
+        zero = w <= 0.0
+        a = np.log(self.beta * np.where(zero, 1.0, w))
+        t = self._bm - a
+        # m other channels active with z counted in: those ahead of z's old
+        # position by key_up, then any behind it by key (module docstring)
+        ahead = np.searchsorted(self.key_up, t)
+        behind = np.searchsorted(self.key, t + sp)
+        m = np.where(behind > p + 1, behind - 1, np.minimum(ahead, p))
+        S = np.where(m <= p, self.C[m], self.C[m + 1] - sp)
+        rate = np.maximum((self._bm + m * a - S) / ((m + 1) * self.beta), 0.0)
+        rate[zero] = 0.0
+        rate[zero & (self.f - np.isfinite(sp) == 0)] = self.budget / self.a.size
+        return rate
+
+    def replace(self, z: int, w: float) -> None:
+        """Set channel z's weight to w: one deletion and one insertion in the
+        sort, then the sums and keys from the first changed position."""
+        p = int(self.pos[z])
+        a_new = float(np.log(self.beta * w)) if w > 0.0 else -math.inf
+        n = self.a.size
+        above = n - int(np.searchsorted(self.s[::-1], a_new, side="right"))
+        q = above - (p < above)  # z's position among the other channels
+        s, order = self.s, self.order
+        if q <= p:
+            s[q + 1:p + 1], order[q + 1:p + 1] = s[q:p], order[q:p]
+        else:
+            s[p:q], order[p:q] = s[p + 1:q + 1], order[p + 1:q + 1]
+        s[q], order[q] = a_new, z
+        lo, hi = min(p, q), max(p, q) + 1
+        self.pos[order[lo:hi]] = np.arange(lo, hi)
+        self.f += int(w > 0.0) - int(self.weights[z] > 0.0)
+        self.weights[z], self.a[z] = w, a_new
+        self._rebuild(lo)
 
 
 def kkt_residuals(sol: AllocationSolution, ch: WeightedChannels,

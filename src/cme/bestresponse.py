@@ -51,10 +51,14 @@ producer when the brackets are narrow and _CHUNK of them at worst.
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
 increasing while z is active, so both share their argmax whenever z earns
-attention at its best grid mass.  ``imperfect_producer_round`` re-solves the
-influencer once per producer, in order, at that mass: a zero rate makes the
-producer degenerate, otherwise it moves and its weight is updated before
-the next producer (Gauss-Seidel).
+attention at its best grid mass.  ``imperfect_producer_round`` sorts the
+influencer's weights once (``allocator.SortedChannels``) and asks whether
+each producer is active at that mass: a few binary searches per producer,
+no re-solve.  An inactive producer is degenerate; an active one moves.
+Each producer sees the earlier producers' moves (Gauss-Seidel), so the
+answers are taken against two bracketing weight sets, and only the
+producers on which they disagree are asked again, in order, with the moves
+before them written into the sort.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import WeightedChannels, _water_fill_rows, water_fill
+from .allocator import SortedChannels, WeightedChannels, _water_fill_rows, water_fill
 from .kernels import InvalidInputError, TopicPoint, discount, pairwise_distances
 from .market import (
     InfluencerAllocation,
@@ -177,14 +181,14 @@ _CHUNK = 64
 def influencer_br_dense(mu_i: np.ndarray, B: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     """Optimal influencer rates given consumer follow rates and topics.
 
-    Channel z is worth r_p * sum_{y != z} delta(mu_i(y)) * B[z, y].  When no
-    consumer follows the influencer at all, every weight is zero and the
-    uniform split of the budget is the pinned-down fallback.
+    Channel z is worth r_p * sum_{y != z} delta(mu_i(y)) * B[z, y].  When
+    every weight is zero -- nobody follows the influencer, or no follower's
+    match with any other producer is above 0 -- the uniform split of the
+    budget is the pinned-down fallback.
     """
-    n = cfg.n
-    if float(np.sum(mu_i)) == 0.0:
-        return np.full(n, cfg.m_infl / n)
     gamma = cfg.r_p * influencer_followed_match(discount(mu_i, cfg.delay), B)
+    if not np.any(gamma > 0.0):
+        return np.full(cfg.n, cfg.m_infl / cfg.n)
     sol = water_fill(WeightedChannels(weights=gamma, budget=cfg.m_infl), cfg.delay)
     return sol.rates
 
@@ -468,38 +472,43 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
     return ProducerBlock(topics, values, best_on_grid)
 
 
-def _resolved_rate(gamma: np.ndarray, z: int, weight: float, cfg: MarketConfig) -> float:
-    """The influencer's re-solved rate on z once z's channel weight is `weight`."""
-    w = gamma.copy()
-    w[z] = weight
-    return float(water_fill(WeightedChannels(weights=w, budget=cfg.m_infl),
-                            cfg.delay).rates[z])
-
-
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
                              cfg: MarketConfig, B: np.ndarray) -> np.ndarray:
     """One imperfect-regime producer pass, in place on X; returns the
     degenerate mask.  B is ``match_matrix(X, cfg)`` on entry.
 
     Producers move in index order, each against the influencer's channel
-    weights at the current topics (see the module docstring).  When nobody
-    follows the influencer its split is the uniform fallback whatever the
-    topics, so every producer is degenerate.
+    weights at the current topics, with the earlier producers' moves in
+    them (see the module docstring).  A move only raises a weight, so when
+    producer z's turn comes the others' weights lie between the incumbents'
+    and those with every candidate move made, and z's rate is nonincreasing
+    in them: z is surely active if it is active against the second set and
+    surely inactive if it is inactive against the first.  Only the
+    producers in between are asked again in order, against the incumbents'
+    weights with the moves before them written in.  When nobody follows the
+    influencer every producer's mass is 0, so all are degenerate.
     """
-    if float(np.sum(mu_i)) == 0.0:
-        return np.ones(cfg.n, dtype=bool)
     d_i = discount(mu_i, cfg.delay)
     mass = influencer_followed_match(d_i, B)  # each incumbent's objective
     block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg,
                            prev=X, prev_value=mass)
-    gamma = cfg.r_p * mass
+    todo = np.flatnonzero(~block.degenerate)
+    at_best = cfg.r_p * block.grid_best[todo]
+    old, new = cfg.r_p * mass, cfg.r_p * block.values
+    channels = SortedChannels(old, cfg.m_infl, cfg.delay)
+    active = channels.rates_with(todo, at_best) > 0.0
+    moves = new[todo] != old[todo]
+    if np.any(moves):
+        raised = SortedChannels(np.maximum(old, new), cfg.m_infl, cfg.delay)
+        applied = 0
+        for i in np.flatnonzero(active & ~(raised.rates_with(todo, at_best) > 0.0)):
+            for k in applied + np.flatnonzero(moves[applied:i] & active[applied:i]):
+                channels.replace(todo[k], new[todo[k]])
+            applied = i
+            active[i] = channels.rates_with(todo[i:i + 1], at_best[i:i + 1])[0] > 0.0
     degenerate = block.degenerate.copy()
-    for z in np.flatnonzero(~degenerate):
-        if _resolved_rate(gamma, z, cfg.r_p * block.grid_best[z], cfg) > 0.0:
-            X[z] = block.topics[z]
-            gamma[z] = cfg.r_p * block.values[z]
-        else:
-            degenerate[z] = True
+    degenerate[todo[~active]] = True
+    X[todo[active]] = block.topics[todo[active]]
     return degenerate
 
 
@@ -561,20 +570,18 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
     """Topic maximizing the influencer's re-solved rate on z, the others at
     omega's topics, found on the match mass; the value is delta of that rate.
     A zero rate at the best grid mass is degenerate, and so is the
-    Assumption-4 fallback (nobody follows the influencer), which scores
-    every topic alike.
+    Assumption-4 fallback (every influencer weight zero, z's best mass
+    included), which scores every topic alike at delta(M_infl / N).
     """
     d_i = discount(omega.mu_i, cfg.delay)
     block = _one_producer(z, PeerWeights.rank_one(d_i, np.ones(cfg.n)), cfg, search, prev)
-    if float(np.sum(omega.mu_i)) == 0.0:
-        return _choice(block.topics[0], discount(cfg.m_infl / cfg.n, cfg.delay), True)
     gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(omega.X, cfg))
-    if block.degenerate[0] or \
-            _resolved_rate(gamma, z, cfg.r_p * block.grid_best[0], cfg) == 0.0:
+    at_best, at_value = SortedChannels(gamma, cfg.m_infl, cfg.delay).rates_with(
+        np.array([z, z]), cfg.r_p * np.array([block.grid_best[0], block.values[0]]))
+    if block.degenerate[0] or at_best == 0.0:
         keep = np.zeros(cfg.dim) if prev is None else prev.as_array()
-        return _choice(keep, 0.0, True)
-    rate = _resolved_rate(gamma, z, cfg.r_p * block.values[0], cfg)
-    return _choice(block.topics[0], discount(rate, cfg.delay), False)
+        return _choice(keep, discount(at_best, cfg.delay), True)
+    return _choice(block.topics[0], discount(at_value, cfg.delay), False)
 
 
 def producer_best_response_surrogate(z: int, omega: MarketAllocation, cfg: MarketConfig,

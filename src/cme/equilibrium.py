@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocator import water_fill_batch
+from .allocator import SortedChannels
 from .bestresponse import (
     GameMode,
     TopicGrid,
@@ -315,18 +315,15 @@ def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig,
                             grid: TopicGrid, B: np.ndarray) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
     re-solved rate at the best grid topic vs. at the current topic.  That
-    rate grows with z's match mass, so row z of one batch solve puts z at its
-    best grid mass; the last row is the influencer at the current topics."""
-    if float(np.sum(omega.mu_i)) == 0.0:
-        return 0.0  # uniform fallback: every topic scores the same
-    n = cfg.n
+    rate grows with z's match mass, so one sort of the current weights gives
+    every producer's rate at its best grid mass and the current split.  With
+    every weight zero the split is uniform (``influencer_br_dense``)."""
     d_i = discount(omega.mu_i, cfg.delay)
-    rows = np.tile(cfg.r_p * influencer_followed_match(d_i, B), (n + 1, 1))
-    diag = np.arange(n)
-    rows[diag, diag] = cfg.r_p * grid_best(PeerWeights.rank_one(d_i, np.ones(n)), grid)
-    rates, _ = water_fill_batch(rows, cfg.m_infl, cfg.delay)
-    return _relative_gap(discount(rates[diag, diag], cfg.delay),
-                         discount(rates[n], cfg.delay))
+    channels = SortedChannels(cfg.r_p * influencer_followed_match(d_i, B), cfg.m_infl,
+                              cfg.delay)
+    best = grid_best(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid)
+    at_best = channels.rates_with(np.arange(cfg.n), cfg.r_p * best)
+    return _relative_gap(discount(at_best, cfg.delay), discount(channels.rates(), cfg.delay))
 
 
 def run_dynamics_all(cfg: MarketConfig, mode: GameMode,

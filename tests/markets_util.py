@@ -25,6 +25,15 @@ def random_config(rng, n_max=12, n_min=2, dim=None) -> MarketConfig:
     )
 
 
+def far_pair(m_infl=2.0) -> MarketConfig:
+    """Two members at 0 and 1 whose interest kernel exp(-800 * 1) is 0: with
+    producers at their own interests no follower matches another producer,
+    so every influencer weight is 0."""
+    return MarketConfig(dim=1, interests=(TopicPoint((0.0,)), TopicPoint((1.0,))), m=1.0,
+                        m_infl=m_infl, r_p=1.0, r_0=1.0, b_0=0.5,
+                        kernel=KernelParams(a_f=800.0, a_g=1.0))
+
+
 def random_consumer(rng, y, cfg, spend_fraction=None):
     """(lam, mu_i, direct row) of a random consumer y; the row is 0 at y."""
     frac = float(rng.uniform(0.2, 1.0)) if spend_fraction is None else spend_fraction

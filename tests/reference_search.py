@@ -13,6 +13,9 @@ and test_equilibrium.py:
   re-solved rate, one water-filling re-solve per candidate topic;
 - ``gauss_seidel_round``: a full round with one solve per consumer and one
   search per producer in index order (drop-in for ``equilibrium._one_round``);
+- ``imperfect_round``: the imperfect producer pass with one water-filling
+  re-solve of the influencer per producer (drop-in for
+  ``bestresponse.imperfect_producer_round``);
 - ``imperfect_gap`` and ``support_gap``: certificate condition (a) with a
   (G + 1)-row re-solve and a scalar support evaluation per producer (drop-ins
   for ``equilibrium._imperfect_producer_gap`` / ``_support_producer_gap``).
@@ -23,9 +26,10 @@ import math
 import numpy as np
 
 from cme.allocator import WeightedChannels, water_fill, water_fill_batch
-from cme.bestresponse import GameMode, influencer_br_dense
+from cme.bestresponse import GameMode, influencer_br_dense, producer_block
 from cme.kernels import discount, pairwise_distances
-from cme.market import InfluencerAllocation, MarketAllocation, match_matrix, social_welfare
+from cme.market import (InfluencerAllocation, MarketAllocation, PeerWeights,
+                        influencer_followed_match, match_matrix, social_welfare)
 
 
 def consumer_br(y, delta_infl, B, cfg, mode):
@@ -184,6 +188,34 @@ def gauss_seidel_round(state, cfg, mode, grid, values=None):
     new = MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X)
     B = match_matrix(X, cfg)
     return new, degenerate, B, social_welfare(new, cfg, B)
+
+
+def resolved_rate(gamma, z, weight, cfg):
+    """The influencer's re-solved rate on z once z's channel weight is `weight`."""
+    w = gamma.copy()
+    w[z] = weight
+    return float(water_fill(WeightedChannels(weights=w, budget=cfg.m_infl),
+                            cfg.delay).rates[z])
+
+
+def imperfect_round(mu_i, X, grid, cfg, B):
+    """One imperfect producer pass in place on X, one re-solve per producer;
+    returns the degenerate mask."""
+    if float(np.sum(mu_i)) == 0.0:
+        return np.ones(cfg.n, dtype=bool)
+    d_i = discount(mu_i, cfg.delay)
+    mass = influencer_followed_match(d_i, B)
+    block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg,
+                           prev=X, prev_value=mass)
+    gamma = cfg.r_p * mass
+    degenerate = block.degenerate.copy()
+    for z in np.flatnonzero(~degenerate):
+        if resolved_rate(gamma, z, cfg.r_p * block.grid_best[z], cfg) > 0.0:
+            X[z] = block.topics[z]
+            gamma[z] = cfg.r_p * block.values[z]
+        else:
+            degenerate[z] = True
+    return degenerate
 
 
 def imperfect_gap(dense, cfg, grid, B=None):

@@ -8,6 +8,7 @@ import pytest
 from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
+    SortedChannels,
     WeightedChannels,
     kkt_residuals,
     water_fill,
@@ -203,6 +204,104 @@ class TestAgainstBisection:
             ref_rates, ref_nu = bisection_reference(W, budget, beta)
             np.testing.assert_allclose(rates, ref_rates, rtol=0.0, atol=1e-10 * budget)
             np.testing.assert_allclose(nu, ref_nu, rtol=1e-9)
+
+
+def sorted_channels_row(rng, kind, n):
+    """Weights, budget and beta of one SortedChannels test row; the kinds
+    are exact ties, zero weights, one lone positive weight, weights over
+    600 decades, and beta * M past 745, where nu = exp(log nu) underflows."""
+    beta = float(rng.uniform(0.3, 3.0))
+    budget = float(rng.uniform(0.1, 10.0))
+    if kind == "ties":
+        w = rng.choice([0.5, 1.0, 2.0], n)
+    elif kind == "zeros":
+        w = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.4)
+    elif kind == "lone":
+        w = np.zeros(n)
+        w[rng.integers(n)] = float(rng.uniform(0.1, 2.0))
+    elif kind == "decades":
+        # the closed form rounds log nu by about eps * max |log(beta * w)|,
+        # up to 1.5e-13 here, so beta * M stays at 1 or more
+        w = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        budget = float(rng.uniform(1.0, 10.0)) / beta
+    else:  # "huge"
+        w = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        budget = float(rng.uniform(750.0, 5000.0)) / beta
+    return w, budget, DelayParams(beta=beta)
+
+
+def reference_rates(W, budget, d):
+    """water_fill_batch row by row, with the uniform split on all-zero rows."""
+    rates = np.full(W.shape, budget / W.shape[1])
+    live = np.max(W, axis=1) > 0.0
+    if np.any(live):
+        rates[live] = water_fill_batch(W[live], budget, d)[0]
+    return rates
+
+
+KINDS = ("ties", "zeros", "lone", "decades", "huge")
+SIZES = (1, 2, 3, 7, 40, 200)
+
+
+class TestSortedChannels:
+    """One sort answers every one-weight replacement as water_fill would."""
+
+    def test_rates_with_matches_water_fill(self):
+        rng = np.random.default_rng(21)
+        answers = np.zeros(2, dtype=int)  # clear inactive, clear active
+        for kind in KINDS:
+            for n in SIZES:
+                for _ in range(4):
+                    w, budget, d = sorted_channels_row(rng, kind, n)
+                    ch = SortedChannels(w, budget, d)
+                    # each channel's new weight: zero, a tie with another
+                    # channel, or a fresh draw on the row's scale
+                    pick = rng.integers(0, 3, n)
+                    new = np.where(pick == 0, 0.0, np.where(
+                        pick == 1, w[rng.integers(n, size=n)],
+                        rng.permutation(w) * rng.uniform(0.5, 2.0, n)))
+                    W = np.tile(w, (n, 1))
+                    W[np.arange(n), np.arange(n)] = new
+                    expect = reference_rates(W, budget, d)[np.arange(n), np.arange(n)]
+                    got = ch.rates_with(np.arange(n), new)
+                    np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12 * budget)
+                    # one side may round a rate of a few ulps to 0
+                    near = (np.maximum(got, expect) <= 1e-12 * budget)
+                    assert np.array_equal(got[~near] > 0.0, expect[~near] > 0.0)
+                    answers += np.bincount(expect > 0.0, minlength=2)
+                    np.testing.assert_allclose(ch.rates(), reference_rates(w[None], budget, d)[0],
+                                               rtol=0.0, atol=1e-12 * budget)
+        assert np.all(answers >= 100), answers  # both answers occur often
+
+    def test_all_zero_weights_split_uniformly(self):
+        ch = SortedChannels(np.zeros(4), 2.0, DelayParams(beta=1.5))
+        np.testing.assert_array_equal(ch.rates(), 0.5)
+        np.testing.assert_array_equal(ch.rates_with(np.arange(4), np.zeros(4)), 0.5)
+        np.testing.assert_allclose(ch.rates_with(np.array([1, 2]), np.array([3.0, 1e-300])), 2.0,
+                                   rtol=1e-15)
+        ch = SortedChannels(np.array([0.0, 1.0, 0.0]), 2.0, DelayParams())
+        np.testing.assert_array_equal(ch.rates_with(np.array([0, 1]), np.zeros(2)), [0.0, 2.0 / 3])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replace_chains_match_fresh_builds(self, kind):
+        rng = np.random.default_rng(22 + KINDS.index(kind))
+        for n in SIZES:
+            w, budget, d = sorted_channels_row(rng, kind, n)
+            ch = SortedChannels(w, budget, d)
+            for _ in range(12):
+                z = int(rng.integers(n))
+                w[z] = (0.0, float(rng.choice(w)), float(rng.uniform(0.0, 3.0) * np.max(w)),
+                        float(rng.uniform(0.0, 1.0) * np.min(w)))[int(rng.integers(4))]
+                ch.replace(z, w[z])
+                fresh = SortedChannels(w, budget, d)
+                for field in ("weights", "a", "s", "C", "key", "key_up", "f"):
+                    assert np.array_equal(getattr(ch, field), getattr(fresh, field)), field
+                assert np.array_equal(ch.order[ch.pos], np.arange(n))
+                assert np.array_equal(ch.a[ch.order], ch.s)
+                np.testing.assert_array_equal(ch.rates(), fresh.rates())
+                new = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
+                np.testing.assert_array_equal(ch.rates_with(np.arange(n), new),
+                                              fresh.rates_with(np.arange(n), new))
 
 
 class TestProjection:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from cme import allocator
 from cme.bestresponse import (
     _CHUNK,
     GameMode,
@@ -24,6 +25,7 @@ from cme.bestresponse import (
     consumer_best_response,
     consumers_br_dense,
     grid_best,
+    imperfect_producer_round,
     influencer_best_response,
     producer_best_response_imperfect,
     producer_best_response_perfect,
@@ -49,9 +51,16 @@ from cme.market import (
     match_matrix,
     producer_support,
 )
-from markets_util import random_allocation, random_config, with_consumer, with_topic
+from markets_util import far_pair, random_allocation, random_config, with_consumer, with_topic
 from oracles import dense_objective, dense_support_weights, dense_weights
-from reference_search import consumer_round, exact_imperfect_search, perfect_search, saturated
+from reference_search import (
+    consumer_round,
+    exact_imperfect_search,
+    imperfect_round,
+    perfect_search,
+    resolved_rate,
+    saturated,
+)
 
 SEARCH = TopicSearchParams(grid_resolution=128, refine_iters=40)
 
@@ -85,6 +94,17 @@ class TestInfluencerBestResponse:
         omega = random_allocation(rng, cfg, spend_fraction=0.5)
         br = influencer_best_response(dataclasses.replace(omega, mu_i=np.zeros(cfg.n)), cfg)
         np.testing.assert_allclose(br.mu, cfg.m_infl / cfg.n, atol=1e-15)
+
+    def test_uniform_fallback_when_no_follower_match_is_positive(self):
+        # both members follow the influencer, but exp(-800) underflows to 0,
+        # so neither producer's followers match it and every weight is 0
+        cfg = far_pair()
+        omega = MarketAllocation(np.full(2, 0.3), np.full(2, 0.3), np.zeros((2, 2)),
+                                 InfluencerAllocation(mu=np.array([2.0, 0.0])),
+                                 cfg.interest_array())
+        assert not np.any(influencer_followed_match(discount(omega.mu_i, cfg.delay),
+                                                    match_matrix(omega.X, cfg)))
+        np.testing.assert_array_equal(influencer_best_response(omega, cfg).mu, 1.0)
 
     def test_symmetric_market_splits_evenly(self):
         point = TopicPoint((0.5,))
@@ -290,6 +310,20 @@ class TestProducerImperfectAndSurrogate:
         assert choice.degenerate
         assert choice.topic == prev
 
+    def test_all_zero_weights_score_the_uniform_split(self):
+        # every influencer weight is 0 at the current topics; producer 1's
+        # follower (consumer 0) makes it worth the whole budget at topic 0,
+        # while producer 0's only other consumer follows nobody, so its
+        # topic cannot earn a weight and the influencer stays uniform
+        cfg = far_pair()
+        omega = MarketAllocation(np.full(2, 0.3), np.array([0.3, 0.0]), np.zeros((2, 2)),
+                                 InfluencerAllocation(mu=np.ones(2)), cfg.interest_array())
+        lone = producer_best_response_imperfect(0, omega, cfg, SEARCH, prev=TopicPoint((0.0,)))
+        assert lone == (TopicPoint((0.0,)), discount(1.0, cfg.delay), True)
+        moved = producer_best_response_imperfect(1, omega, cfg, SEARCH)
+        assert moved.topic.coords[0] < 1e-2 and not moved.degenerate
+        assert moved.value == pytest.approx(discount(2.0, cfg.delay), rel=1e-15)
+
     def test_agrees_with_surrogate_argmax(self):
         # reference: the exact search, one influencer re-solve per candidate
         rng = np.random.default_rng(43)
@@ -456,6 +490,78 @@ class TestProducerBlockAgainstReference:
         mass = producer_best_response_surrogate(1, d, cfg, SEARCH)
         assert got.value == 1.0 and not got.degenerate
         assert got.topic == mass.topic and mass.topic.coords[0] > 0.3
+
+
+def _round_market(rng, t):
+    """Market t of the round's differential test: dim 1 and 2 in turn, and
+    by t // 2 mod 6 a plain market, zeroed follow rates, nobody following,
+    a steep kernel with a small influencer budget (one channel takes all of
+    it), twin members on grid nodes (exactly tied weights and grid values),
+    and a budget so large that every follower's delta rounds to 1."""
+    dim, case = 1 + t % 2, (t // 2) % 6
+    cfg = random_config(rng, n_min=2, n_max=9, dim=dim)
+    if case == 3:
+        cfg = dataclasses.replace(cfg, m_infl=float(rng.uniform(0.01, 0.2)), kernel=KernelParams(
+            a_f=float(rng.uniform(20.0, 60.0)), a_g=float(rng.uniform(0.5, 4.0))))
+    elif case == 4:
+        half = rng.integers(0, 17, size=(int(rng.integers(1, 5)), dim)) / 16.0
+        cfg = dataclasses.replace(cfg, interests=tuple(TopicPoint(tuple(p))
+                                                       for p in np.concatenate((half, half))))
+    omega = random_allocation(rng, cfg)
+    mu_i, X = omega.mu_i.copy(), omega.X.copy()
+    if case == 1:
+        mu_i[rng.uniform(size=cfg.n) < 0.5] = 0.0
+    elif case == 2:
+        mu_i[:] = 0.0
+    elif case == 4:
+        mu_i[:] = cfg.m / 2
+        X = np.tile(rng.integers(0, 17, size=(cfg.n // 2, dim)) / 16.0, (2, 1))
+    elif case == 5:
+        mu_i[:] = 40.0 / cfg.delay.beta
+    search = TopicSearchParams(grid_resolution=33, refine_iters=8) if dim == 1 else \
+        TopicSearchParams(grid_resolution=17)
+    return cfg, mu_i, X, TopicGrid(cfg, search)
+
+
+class TestImperfectRoundAgainstReference:
+    """The sorted-channel round against one influencer re-solve per producer."""
+
+    def test_round_matches_one_re_solve_per_producer(self, monkeypatch):
+        replaced = []
+        replace = allocator.SortedChannels.replace
+        monkeypatch.setattr(allocator.SortedChannels, "replace",
+                            lambda self, z, w: (replaced.append(z), replace(self, z, w)))
+        rng = np.random.default_rng(160)
+        walked = saturating = degenerate = tied = 0
+        for t in range(600):
+            cfg, mu_i, X, grid = _round_market(rng, t)
+            B = match_matrix(X, cfg)
+            got, expect = X.copy(), X.copy()
+            before = len(replaced)
+            # the second round starts where the first ended: the mass
+            # objective reads no other producer's topic, so nobody moves
+            for _ in range(2):
+                got_degenerate = imperfect_producer_round(mu_i, got, grid, cfg,
+                                                          match_matrix(got, cfg))
+                expect_degenerate = imperfect_round(mu_i, expect, grid, cfg,
+                                                    match_matrix(expect, cfg))
+                assert np.array_equal(got, expect)
+                assert np.array_equal(got_degenerate, expect_degenerate)
+            walked += len(replaced) > before
+            degenerate += bool(np.any(got_degenerate & ~np.all(got_degenerate)))
+            if np.any(mu_i > 0.0):
+                gamma = cfg.r_p * influencer_followed_match(discount(mu_i, cfg.delay), B)
+                at_best = cfg.r_p * grid_best(PeerWeights.rank_one(
+                    discount(mu_i, cfg.delay), np.ones(cfg.n)), grid)
+                tied += np.unique(gamma[gamma > 0.0]).size < np.count_nonzero(gamma > 0.0)
+                saturating += any(resolved_rate(gamma, z, at_best[z], cfg)
+                                  >= cfg.m_infl * (1.0 - 1e-12)
+                                  for z in np.flatnonzero(at_best > 0.0))
+        # the ordered walk (rounds whose answer needs an earlier move),
+        # mixed degenerate rounds, tied weights and lone active channels
+        # all occur
+        counts = (walked, degenerate, tied, saturating)
+        assert min(counts) >= 60, counts
 
 
 class TestIncumbentValue:

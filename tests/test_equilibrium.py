@@ -46,7 +46,7 @@ from cme.market import (
     support_weights,
 )
 from cme.scenario import parse_scenario
-from markets_util import random_allocation, random_config, with_consumer
+from markets_util import far_pair, random_allocation, random_config, with_consumer
 from oracles import dense_support_weights
 
 SEARCH = TopicSearchParams(grid_resolution=64, refine_iters=30)
@@ -278,6 +278,28 @@ def test_huge_consumer_budget_certifies(mode, m):
 # ---------------------------------------------------------------------------
 # price of influence and proxy equivalence
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_runs_with_followers_but_no_positive_influencer_weight(mode):
+    # both members follow the influencer at the start, yet every weight of
+    # its channels is 0: it splits evenly, and the consumers then follow
+    # nobody
+    cfg = far_pair()
+    res = run_dynamics(cfg, mode, params=FAST, search=SEARCH)
+    np.testing.assert_array_equal(res.omega.mu_infl, 1.0)
+    assert res.certificate.holds and res.degenerate_producers == {0, 1}
+
+
+def test_certificate_with_followers_but_no_positive_influencer_weight():
+    # each producer alone can earn the whole budget at the other's interest,
+    # against the even split at the current topics
+    cfg = far_pair()
+    cert = check_nash(equilibrium.default_init(cfg, GameMode.IMPERFECT), cfg,
+                      GameMode.IMPERFECT, search=SEARCH)
+    top, even = discount(cfg.m_infl, cfg.delay), discount(cfg.m_infl / 2, cfg.delay)
+    assert cert.residuals["a_producer_topic"] == pytest.approx((top - even) / top, rel=1e-12)
+    assert cert.residuals["g_influencer_allocation"] == 0.0
 
 
 def test_price_of_influence_symmetric_market_is_zero():
