@@ -20,38 +20,33 @@ g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of the
 ``market.PeerWeights`` W holds z's consumer weights: delta(mu_i(y)) *
 delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
 ``support_weights``) or delta(mu_i(y)) (imperfect, the rank-one weights
-with v = 1).  W is never a table: ``producer_block`` scans the grid in
-column chunks as ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
-(G, r) @ (r, chunk) product over the r consumers holding a direct rate,
-times Q -- O(G * N) per scan when nobody holds one; ``market.less_own``
-sums the cells that z's own term dominates again without it.  It
-polishes each best cell by golden-section search (dim 1; each column
-takes the branches a scalar search would take), and keeps the incumbent
-unless a candidate is strictly better.  The incumbent's objective is the
-caller's: the round reads it from the match matrix B it already holds
-(``PeerWeights.producer_values``), the very formula ``_objective``
-evaluates.  Exact grid ties go to the lexicographically smallest node; a
-column that is zero on the whole grid is degenerate and keeps its
-incumbent.  Each objective reads only its own topic, so the block equals N
-one-producer searches (Monderer & Shapley, *Potential Games*, 1996).
+with v = 1).  W is never a table: ``producer_block`` scans the candidate
+topics in tiles of at most _TILE kernel-table entries, each tile's
+objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
+(g, r) @ (r, k) product over the r consumers holding a direct rate, times
+Q -- O(G * N) per scan when nobody holds one; ``market.less_own`` sums the
+cells that z's own term dominates again without it.  A running argmax with
+strict > keeps the first best candidate.  The winner is valued once more
+with ``_objective``, the formula of ``PeerWeights.producer_values``, from
+which a round reads the incumbent's value, and the incumbent stays unless
+the winner is strictly better.  A producer whose objective is zero at
+every candidate is degenerate and keeps its incumbent.  Each objective
+reads only its own topic, so the block equals N one-producer searches
+(Monderer & Shapley, *Potential Games*, 1996).
 
-The polish evaluates ``_bracket_objective``.  In dim 1 the interest kernel
-exp(-a_f * |t - y|) is semiseparable (Vandebril, Van Barel & Mastronardi,
-*Matrix Computations and Semiseparable Matrices*, 2008): the interests
-outside a producer's bracket [lo, hi] fold into two virtual interests at
-lo and hi, weighted by sums taken once, so a golden step costs O(m) for
-the m interests inside the bracket, not O(N).  Those sums read their
-kernel factors from the grid table P, since lo and hi are grid nodes, and
-their rank-one part from two per-node sums built once per block.
-The golden steps run once per batch of producers, not once per chunk: a
-batch holds as many producers, in order, as keep its padded bracket
-tables within one chunk's (_CHUNK, N + 2) elements, which is every
-producer when the brackets are narrow and _CHUNK of them at worst.
+In dim 1 the candidates are the N + 2 breakpoints {0, 1} and the
+interests, and the search is exact.  Between two neighbouring breakpoints
+each |x - y| is linear in x, so z's objective there is a sum of terms
+c * exp(s * x) with c >= 0 (W >= 0): a convex function, whose maximum
+over the segment lies on one of its ends.  A tile's kernel tables are
+built from its distances, since stored ones would be (N + 2) x N.  In
+dim 2 the candidates are a uniform grid with stored (G, N) tables, and the
+search is exact only to the grid's resolution.
 
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
 increasing while z is active, so both share their argmax whenever z earns
-attention at its best grid mass.  ``imperfect_producer_round`` sorts the
+attention at its best candidate mass.  ``imperfect_producer_round`` sorts the
 influencer's weights once (``allocator.SortedChannels``) and asks whether
 each producer is active at that mass: a few binary searches per producer,
 no re-solve.  An inactive producer is degenerate; an active one moves.
@@ -63,7 +58,6 @@ before them written into the sort.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -102,7 +96,9 @@ class GameMode(Enum):
 
 @dataclass(frozen=True)
 class TopicSearchParams:
-    """Grid density per axis and golden-section polish iterations (dim 1)."""
+    """Nodes per axis of the dim-2 candidate grid.  Neither field has any
+    effect in dim 1, where the candidates are the breakpoints (module
+    docstring); refine_iters is still validated, and nothing reads it."""
 
     grid_resolution: int = 256
     refine_iters: int = 40
@@ -116,32 +112,36 @@ class TopicSearchParams:
 
 
 class TopicGrid:
-    """Candidate topics with precomputed kernel values against all interests.
+    """The candidate topics of the producer search.
 
-    points  (G, dim) grid nodes in lexicographic order
-    P       (G, N)   interest kernel f at each (node, member) pair
-    Q       (G, N)   production kernel g at each (node, member) pair
-    cell    per-axis spacing, the resolution quantum of every grid argmax
-    order   (N,)     interests sorted by first coordinate (the dim-1 polish's)
-    y_sorted (N,)    those first coordinates, ascending
+    points  (G, dim) candidates in lexicographic order: in dim 1 the N + 2
+            breakpoints {0, 1} and the interests, sorted (a repeated
+            interest is only a tie); in dim 2 a uniform grid of
+            grid_resolution nodes per axis
+    P, Q    (G, N) interest kernel f and production kernel g at each
+            (candidate, member) pair, stored in dim 2 only; ``tables``
+            builds them per tile in dim 1
     """
 
     def __init__(self, cfg: MarketConfig, search: TopicSearchParams):
-        r = search.grid_resolution
-        axis = np.linspace(0.0, 1.0, r)
+        self._cfg = cfg
+        self.P = self.Q = None
         if cfg.dim == 1:
-            pts = axis[:, None]
+            self.points = np.sort(np.concatenate(([0.0, 1.0], cfg.interest_array()[:, 0])))[:, None]
         else:
-            pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        Y = cfg.interest_array()
-        D = pairwise_distances(pts, Y)
-        self.points = pts
-        self.P = np.exp(-cfg.kernel.a_f * D)
-        self.Q = np.exp(-cfg.kernel.a_g * D)
-        self.cell = 1.0 / (r - 1)
-        self.refine_iters = search.refine_iters
-        self.order = np.argsort(Y[:, 0])
-        self.y_sorted = Y[self.order, 0]
+            axis = np.linspace(0.0, 1.0, search.grid_resolution)
+            self.points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            self.P, self.Q = self.tables(slice(None))
+
+    def tables(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """P and Q at the candidates `rows`, (g, N) each."""
+        if self.P is not None:
+            return self.P[rows], self.Q[rows]
+        kernel = self._cfg.kernel
+        D = pairwise_distances(self.points[rows], self._cfg.interest_array())
+        Q = np.exp(-kernel.a_g * D)
+        D *= -kernel.a_f
+        return np.exp(D, out=D), Q
 
 
 class ProducerChoice(NamedTuple):
@@ -158,7 +158,8 @@ class ProducerBlock(NamedTuple):
 
     topics     (k, dim) chosen topic per producer
     values     (k,)     objective at the chosen topic (0 when degenerate)
-    grid_best  (k,)     best objective on the grid; <= 0 means degenerate
+    grid_best  (k,)     best scanned objective over the candidates; <= 0
+                        means degenerate
     """
 
     topics: np.ndarray
@@ -170,8 +171,8 @@ class ProducerBlock(NamedTuple):
         return self.grid_best <= 0.0
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK = 64
+_TILE = _CHUNK * 256  # kernel-table entries per tile of the candidate scan
 
 
 # ---------------------------------------------------------------------------
@@ -237,41 +238,49 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
 
 def chunks(k: int, start: int = 0) -> list[slice]:
     """Chunks of _CHUNK of the k producers or consumers from `start`: a
-    producer chunk's (G, c) scan and (c, N) evaluation tables, a consumer
-    chunk's (c, N + 2) weights and a row chunk of two direct-rate tables'
+    producer chunk's (c, N) evaluation tables, a consumer chunk's
+    (c, N + 2) weights and a row chunk of two direct-rate tables'
     difference stay small."""
     return [slice(s, min(s + _CHUNK, start + k)) for s in range(start, start + k, _CHUNK)]
 
 
-def _scan_factors(weights: PeerWeights, grid: TopicGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The grid scan's per-weights factors: P @ u (G,) and P's columns at
-    the weights' rows (G, r)."""
-    return grid.P @ weights.u, weights.at_rows(grid.P)
-
-
-def _grid_objective(weights: PeerWeights, grid: TopicGrid, cols: slice,
-                    factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(G, k) objective of producers `cols` at every grid node:
-    ((P @ u)[g] - P[g, z] * u[z]) * v[z] plus the rows term, times Q[g, z].
-    The self term leaves before v scales the sum, as in
-    ``PeerWeights.producer_values`` and by ``market.less_own``, so a column
-    whose only weight is z's own scans to exactly 0 (degenerate)."""
-    Pu, P_rows = factors
+def _tile_objective(weights: PeerWeights, P: np.ndarray, Q: np.ndarray,
+                    cols: slice) -> np.ndarray:
+    """(g, k) objective of producers `cols` at the g candidates of a tile
+    whose kernel tables are P and Q: ((P @ u)[g] - P[g, z] * u[z]) * v[z]
+    plus the rows term, times Q[g, z].  The self term leaves before v
+    scales the sum, as in ``PeerWeights.producer_values`` and by
+    ``market.less_own``, so a column whose only weight is z's own scans to
+    exactly 0 (degenerate)."""
     u = weights.u
     z = np.arange(u.size)[cols]
-    vals = less_own(Pu[:, None], grid.P[:, cols] * u[cols], lambda g, j: (grid.P[g] * u, z[j]))
+    vals = less_own((P @ u)[:, None], P[:, cols] * u[cols], lambda g, j: (P[g] * u, z[j]))
     vals *= weights.v[cols]
     if weights.rows.size:
-        vals += P_rows @ weights.S[:, cols]
-    vals *= grid.Q[:, cols]
+        vals += weights.at_rows(P) @ weights.S[:, cols]
+    vals *= Q[:, cols]
     return vals
 
 
+def _scan(weights: PeerWeights, grid: TopicGrid, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Index and objective of the best candidate of each producer of
+    `cols`: a running argmax over tiles of at most _TILE (g, N) table
+    entries, where strict > keeps the first best candidate."""
+    k = len(range(*cols.indices(weights.u.size)))
+    best, value = np.zeros(k, dtype=np.intp), np.full(k, -np.inf)
+    step = max(1, _TILE // weights.u.size)
+    for s in range(0, len(grid.points), step):
+        vals = _tile_objective(weights, *grid.tables(slice(s, s + step)), cols)
+        top = vals.max(axis=0)
+        up = np.flatnonzero(top > value)
+        best[up] = s + np.argmax(vals[:, up], axis=0)
+        value[up] = top[up]
+    return best, value
+
+
 def grid_best(weights: PeerWeights, grid: TopicGrid) -> np.ndarray:
-    """Best grid objective of every producer under `weights`."""
-    factors = _scan_factors(weights, grid)
-    return np.concatenate([_grid_objective(weights, grid, c, factors).max(axis=0)
-                           for c in chunks(weights.u.size)])
+    """Best scanned objective of every producer under `weights`."""
+    return _scan(weights, grid, slice(None))[1]
 
 
 def _objective(T: np.ndarray, weights: PeerWeights, cols: slice,
@@ -291,133 +300,6 @@ def _objective(T: np.ndarray, weights: PeerWeights, cols: slice,
     return weights.producer_values(D, cols)
 
 
-def _edge_sums(weights: PeerWeights, grid: TopicGrid,
-               cfg: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Two (G,) sums of P[g, y] * u[y], over the interests y <= node g and
-    over those >= node g: the rank-one part of every bracket's outside sums."""
-    y, x = cfg.interest_array()[:, 0], grid.points[:, 0, None]
-    return (np.where(y <= x, grid.P, 0.0) @ weights.u,
-            np.where(y >= x, grid.P, 0.0) @ weights.u)
-
-
-def _bracket_tables(weights: PeerWeights, cols: slice, lo_idx: np.ndarray,
-                    hi_idx: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
-                    edges: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, m + 2) interest and weight tables of ``_bracket_objective``:
-    column 0 is lo with the outside sum out_l, column 1 hi with out_r, then
-    the interests strictly inside each bracket, padded with zero weights;
-    edges is ``_edge_sums``.
-
-    The kernel exp(-a_f * |t - y|) is semiseparable: for an interest y <= lo
-    it is exp(-a_f * (t - lo)) * exp(-a_f * (lo - y)), and for y >= hi it is
-    exp(-a_f * (hi - t)) * exp(-a_f * (y - hi)).  So the interests outside
-    a bracket act as two virtual interests at lo and hi, weighted by the
-    sums out_l and out_r of their second factors times their weights.
-    Those factors are grid.P's rows at lo and hi: the rank-one part of each
-    sum is v[z] times the node's edge sum less z's own term
-    (``market.less_own``), and the rows term is taken in chunks of _CHUNK
-    producers.  Every exp factor is at most 1, so nothing overflows
-    whatever a_f is.
-    """
-    y = cfg.interest_array()[:, 0]
-    z = np.arange(cfg.n)[cols]
-    k = z.size
-    lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
-    u, v_z = weights.u, weights.v[cols]
-    out = np.empty((k, 2))
-    for s, (idx, edge, beyond) in enumerate(((lo_idx, lo, np.less_equal),
-                                             (hi_idx, hi, np.greater_equal))):
-        own = np.where(beyond(y[z], edge), grid.P[idx, z] * u[z], 0.0)
-        out[:, s] = less_own(edges[s][idx], own, lambda j: (
-            np.where(beyond(y, edge[j, None]), grid.P[idx[j]], 0.0) * u, z[j]))
-    out *= v_z[:, None]
-    rows = weights.rows
-    if rows.size:
-        y_rows = y[rows]
-        for sl, c in zip(chunks(k), chunks(k, z[0])):
-            S = weights.S[:, c]
-            left = np.where(y_rows <= lo[sl, None], grid.P[np.ix_(lo_idx[sl], rows)], 0.0)
-            out[sl, 0] += np.einsum("ji,ij->j", left, S)
-            right = np.where(y_rows >= hi[sl, None], grid.P[np.ix_(hi_idx[sl], rows)], 0.0)
-            out[sl, 1] += np.einsum("ji,ij->j", right, S)
-    first = np.searchsorted(grid.y_sorted, lo, side="right")
-    stop = np.searchsorted(grid.y_sorted, hi, side="left")
-    idx = first[:, None] + np.arange(int(np.max(stop - first, initial=0)))
-    inside = idx < stop[:, None]
-    ys = grid.order[np.minimum(idx, y.size - 1)]
-    w_in = u[ys] * v_z[:, None]
-    if rows.size:
-        pos = np.full(y.size, -1)
-        pos[rows] = np.arange(rows.size)
-        at = pos[ys]
-        held = at >= 0
-        w_in[held] += weights.S[at[held], np.broadcast_to(z[:, None], ys.shape)[held]]
-    w_in[~inside | (ys == z[:, None])] = 0.0
-    return np.column_stack((lo, hi, y[ys])), np.column_stack((out, w_in))
-
-
-def _bracket_objective(weights: PeerWeights, cols: slice, lo_idx: np.ndarray,
-                       hi_idx: np.ndarray, grid: TopicGrid, cfg: MarketConfig,
-                       edges: tuple[np.ndarray, np.ndarray]):
-    """``_objective`` in dim 1 for topics t[j] inside the bracket between
-    grid nodes lo_idx[j] < hi_idx[j] of the j-th producer of `cols`, at
-    O(k * m) per call on the ``_bracket_tables``, m being the most
-    interests strictly inside a bracket."""
-    a_f, a_g = cfg.kernel.a_f, cfg.kernel.a_g
-    y_tab, w_tab = _bracket_tables(weights, cols, lo_idx, hi_idx, grid, cfg, edges)
-    y_self = cfg.interest_array()[cols, 0]
-
-    def f(t):
-        K = np.abs(t[:, None] - y_tab)
-        K *= -a_f
-        np.exp(K, out=K)
-        return np.exp(-a_g * np.abs(t - y_self)) * np.einsum("jm,jm->j", w_tab, K)
-
-    return f
-
-
-def _golden_block(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
-    """Golden-section maximization of f on each [lo[j], hi[j]] in lockstep.
-
-    Each element takes exactly the branches a scalar golden-section search
-    would take on its own; returns the best point seen.
-    """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    left = fc >= fd
-    best_x, best_f = np.where(left, c, d), np.where(left, fc, fd)
-    for _ in range(iters):
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        t = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        ft = f(t)
-        c, d = np.where(left, t, d), np.where(left, c, t)
-        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
-        up = ft > best_f
-        best_x, best_f = np.where(up, t, best_x), np.where(up, ft, best_f)
-    return best_x
-
-
-def _polish_batches(grid: TopicGrid, lo: np.ndarray, hi: np.ndarray) -> list[slice]:
-    """Consecutive runs of producers whose padded (k, m + 2) bracket tables
-    hold at most _CHUNK * (N + 2) elements, m being the most interests
-    strictly inside a bracket of the run.  Each run is as long as fits."""
-    m = (np.searchsorted(grid.y_sorted, hi, side="left")
-         - np.searchsorted(grid.y_sorted, lo, side="right"))
-    budget = _CHUNK * (grid.y_sorted.size + 2)
-    batches, s = [], 0
-    while s < m.size:
-        width = np.maximum.accumulate(m[s:]) + 2
-        # k * width grows with k, so the runs that fit form a prefix
-        e = s + int(np.count_nonzero(np.arange(1, width.size + 1) * width <= budget))
-        batches.append(slice(s, e))
-        s = e
-    return batches
-
-
 def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
                    prev: np.ndarray | None = None, prev_value: np.ndarray | None = None,
                    cols: slice = slice(None)) -> ProducerBlock:
@@ -427,49 +309,25 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
     prev (k, dim) holds the incumbent topics and prev_value (k,) their
     objective values, which the caller supplies (``_objective`` at prev,
     or the same numbers from ``weights.producer_values`` on the match
-    matrix at prev): a degenerate producer keeps its incumbent (the
-    smallest grid node when prev is None), and any other keeps it unless a
-    candidate is strictly better.  The scan and the final evaluation run in
-    chunks of _CHUNK producers, so their temporaries are (G, _CHUNK) and
-    (_CHUNK, N) tables; the polish runs on ``_bracket_objective`` over
-    ``_polish_batches``.  The polish's best point is evaluated once more
-    with ``_objective``, the formula every value and comparison here uses.
+    matrix at prev): a degenerate producer keeps its incumbent (the first
+    candidate when prev is None), and any other keeps it unless the best
+    candidate is strictly better.  That candidate is valued with
+    ``_objective``, in chunks of _CHUNK producers, so candidate and
+    incumbent are compared by one formula.
     """
     start, stop, _ = cols.indices(cfg.n)
-    k = stop - start
-    parts = list(zip(chunks(k), chunks(k, start)))
-    factors = _scan_factors(weights, grid)
-    best = np.empty(k, dtype=np.intp)
-    best_on_grid = np.empty(k)
-    for sl, c in parts:
-        vals = _grid_objective(weights, grid, c, factors)
-        best[sl] = np.argmax(vals, axis=0)
-        best_on_grid[sl] = vals[best[sl], np.arange(vals.shape[1])]
+    best, scanned = _scan(weights, grid, cols)
     topics = grid.points[best]
-    values = best_on_grid.copy()
-    if cfg.dim == 1 and grid.refine_iters:
-        lo_idx = np.maximum(best - 1, 0)
-        hi_idx = np.minimum(best + 1, len(grid.points) - 1)
-        lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
-        edges = _edge_sums(weights, grid, cfg)
-        x = np.empty(k)
-        for sl in _polish_batches(grid, lo, hi):
-            f = _bracket_objective(weights, slice(start + sl.start, start + sl.stop),
-                                   lo_idx[sl], hi_idx[sl], grid, cfg, edges)
-            x[sl] = _golden_block(f, lo[sl], hi[sl], grid.refine_iters)
-        np.clip(x, 0.0, 1.0, out=x)
-        fx = np.concatenate([_objective(x[sl, None], weights, c, cfg) for sl, c in parts])
-        up = fx > values
-        topics[up, 0] = x[up]
-        values[up] = fx[up]
+    values = np.concatenate([_objective(topics[sl], weights, c, cfg)
+                             for sl, c in zip(chunks(stop - start), chunks(stop - start, start))])
     if prev is not None:
         keep = prev_value >= values  # move only on strict improvement
         topics[keep] = prev[keep]
         values[keep] = prev_value[keep]
-    degen = best_on_grid <= 0.0
+    degen = scanned <= 0.0
     topics[degen] = grid.points[0] if prev is None else prev[degen]
     values[degen] = 0.0
-    return ProducerBlock(topics, values, best_on_grid)
+    return ProducerBlock(topics, values, scanned)
 
 
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
@@ -569,7 +427,7 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
                                      prev: TopicPoint | None = None) -> ProducerChoice:
     """Topic maximizing the influencer's re-solved rate on z, the others at
     omega's topics, found on the match mass; the value is delta of that rate.
-    A zero rate at the best grid mass is degenerate, and so is the
+    A zero rate at the best candidate mass is degenerate, and so is the
     Assumption-4 fallback (every influencer weight zero, z's best mass
     included), which scores every topic alike at delta(M_infl / N).
     """

@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restarts", type=int,
                         help="override the number of random restarts")
         sp.add_argument("--grid", type=int,
-                        help="override the topic-grid resolution")
+                        help="override the topic-grid resolution (dim 2 only)")
         sp.add_argument("--out", default=".", help="output directory")
 
     sp = sub.add_parser("solve", help="compute equilibria for a scenario")
@@ -202,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative tolerance for producer grid gaps "
                          "(default %(default)g)")
     sp.add_argument("--grid", type=int, default=TopicSearchParams.grid_resolution,
-                    help="topic-grid resolution for producer conditions "
-                         "(default %(default)d)")
+                    help="topic-grid resolution for producer conditions, "
+                         "dim 2 only (default %(default)d)")
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("sweep", help="run a community-size sweep")

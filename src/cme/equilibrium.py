@@ -18,8 +18,11 @@ certifies, the run with the smallest certificate residual.
 requested regime on any admissible allocation and returns one named
 residual per condition.  Budget and marginal-utility conditions are exact
 KKT statements; producer topic optimality is certified against the search
-grid, whose resolution bounds what any grid-based argmax can promise, so
-that residual is relative and carries its own tolerance.
+candidates.  In dim 1 those are the breakpoints, on one of which each
+objective's maximum over [0, 1] lies (``bestresponse``), so that residual
+is an exact relative gap; in dim 2 they are the grid, whose resolution
+bounds what any grid-based argmax can promise, so it is a relative grid
+gap.  Either way it is relative and carries its own tolerance.
 
 ``price_of_influence`` compares the best certified welfare of the perfect
 and imperfect regimes; ``proxy_equivalence_report`` checks whether those
@@ -63,7 +66,7 @@ from .market import (
 )
 
 # Default certificate tolerances: absolute for the rate conditions, relative
-# for the producer grid gaps (`a_...`).
+# for the producer topic gaps (`a_...`).
 TOL = 1e-6
 PRODUCER_TOL = 1e-3
 
@@ -98,7 +101,7 @@ class NashCertificate:
     """Named residuals, one per lettered condition of the regime's
     equilibrium characterization.  Rate conditions are absolute residuals
     compared against `tol`; the producer topic condition (`a_...`) is a
-    relative grid gap compared against `producer_tol`.  `max_residual` is
+    relative gap over the search candidates compared against `producer_tol`.  `max_residual` is
     the largest residual-to-tolerance ratio, so `holds == (max_residual <= 1)`.
     """
 
@@ -253,7 +256,7 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
 
     res: dict[str, float] = {}
 
-    # --- producer topic optimality, certified on the grid ---
+    # --- producer topic optimality, certified on the search candidates ---
     if mode is GameMode.IMPERFECT:
         res["a_producer_topic"] = _imperfect_producer_gap(omega, cfg, grid, B)
     else:
@@ -305,7 +308,8 @@ def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
 
 def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, grid: TopicGrid,
                           B: np.ndarray) -> float:
-    """Perfect/proxy condition (a): relative grid gap of each producer's support."""
+    """Perfect/proxy condition (a): relative gap of each producer's support
+    between its best candidate and its current topic."""
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
     # B[z] already holds g(d(x(z), z)) * f(d(x(z), y)) at the current topics
     return _relative_gap(grid_best(weights, grid), weights.producer_values(B))
@@ -314,9 +318,9 @@ def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, grid: Topi
 def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig,
                             grid: TopicGrid, B: np.ndarray) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
-    re-solved rate at the best grid topic vs. at the current topic.  That
+    re-solved rate at the best candidate topic vs. at the current topic.  That
     rate grows with z's match mass, so one sort of the current weights gives
-    every producer's rate at its best grid mass and the current split.  With
+    every producer's rate at its best candidate mass and the current split.  With
     every weight zero the split is uniform (``influencer_br_dense``)."""
     d_i = discount(omega.mu_i, cfg.delay)
     channels = SortedChannels(cfg.r_p * influencer_followed_match(d_i, B), cfg.m_infl,

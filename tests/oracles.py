@@ -10,6 +10,8 @@
   peer weights W as the (N, N) table, from the rates or from a
   ``cme.market.PeerWeights``, and a producer objective read from a column
   of it, the oracles of every product with ``PeerWeights``;
+- ``dense_tables``: the kernel tables P and Q at a stack of candidate
+  topics, built whole, the oracle of the producer scan's tiles;
 - ``project_budget_box``, ``gradient_oracle`` and ``gradient_oracle_batch``:
   accelerated projected gradient ascent on the allocation program, a route
   that shares no machinery with ``cme.allocator``'s closed form, so
@@ -96,6 +98,13 @@ def dense_objective(T, W, z, cfg) -> np.ndarray:
     D = pairwise_distances(T, cfg.interest_array())
     q = np.exp(-cfg.kernel.a_g * D[np.arange(len(z)), z])
     return q * np.einsum("jy,yj->j", np.exp(-cfg.kernel.a_f * D), W[:, z])
+
+
+def dense_tables(points, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(G, N) tables of f and g at each (point, member) pair: the objective
+    of every producer at every point is Q * (P @ W) for the table W."""
+    D = pairwise_distances(points, cfg.interest_array())
+    return np.exp(-cfg.kernel.a_f * D), np.exp(-cfg.kernel.a_g * D)
 
 
 def project_budget_box(v: np.ndarray, budget) -> np.ndarray:

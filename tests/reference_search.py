@@ -7,8 +7,13 @@ and test_equilibrium.py:
 - ``consumer_br`` and ``consumer_round``: one water-filling solve per
   consumer over its own channels (``consumer_round`` is a drop-in for
   ``bestresponse.consumers_br_dense``);
-- ``perfect_search``: one producer's grid scan, golden-section polish on
-  the direct objective and incumbent rule on its realized support;
+- ``candidates``: the exact rule's candidate topics, built here on their
+  own terms in dim 1 (0, 1 and every interest) and the grid's nodes in
+  dim 2;
+- ``perfect_search``: one producer's exact search, the dense objective at
+  every candidate, and the incumbent rule on its realized support;
+- ``old_search``: the dim-1 search the breakpoints replaced, a 256-node
+  grid scan and a golden-section polish of the best cell;
 - ``exact_imperfect_search``: one producer's search on the influencer's
   re-solved rate, one water-filling re-solve per candidate topic;
 - ``gauss_seidel_round``: a full round with one solve per consumer and one
@@ -17,8 +22,9 @@ and test_equilibrium.py:
   re-solve of the influencer per producer (drop-in for
   ``bestresponse.imperfect_producer_round``);
 - ``imperfect_gap`` and ``support_gap``: certificate condition (a) with a
-  (G + 1)-row re-solve and a scalar support evaluation per producer (drop-ins
-  for ``equilibrium._imperfect_producer_gap`` / ``_support_producer_gap``).
+  re-solve per candidate and a scalar support evaluation per producer
+  (drop-ins for ``equilibrium._imperfect_producer_gap`` /
+  ``_support_producer_gap``).
 """
 
 import math
@@ -82,27 +88,42 @@ def golden_max(f, lo, hi, iters):
     return best_x, best_f
 
 
-def pick_topic(grid, vals, objective, cfg, prev_x):
-    """Argmax, polish (dim 1), degenerate rule and incumbent rule."""
+def candidates(grid, cfg):
+    """(G, dim) candidate topics: 0, 1 and every interest, sorted, in dim 1;
+    the grid's nodes in dim 2."""
+    if cfg.dim == 1:
+        return np.sort(np.concatenate(([0.0, 1.0], cfg.interest_array()[:, 0])))[:, None]
+    return grid.points
+
+
+def pick_topic(points, vals, objective, prev_x):
+    """Argmax (the first of a tie), degenerate rule and incumbent rule."""
     best = int(np.argmax(vals))
     best_val = float(vals[best])
     if best_val <= 0.0:
-        keep = grid.points[0] if prev_x is None else np.asarray(prev_x, float)
+        keep = points[0] if prev_x is None else np.asarray(prev_x, float)
         return keep.copy(), 0.0, True
-    x_best = grid.points[best].copy()
-    if cfg.dim == 1 and grid.refine_iters > 0:
-        lo = grid.points[max(best - 1, 0), 0]
-        hi = grid.points[min(best + 1, len(grid.points) - 1), 0]
-        x_ref, val_ref = golden_max(
-            lambda t: float(objective(np.array([[t]]))[0]), lo, hi, grid.refine_iters)
-        if val_ref > best_val:
-            x_best, best_val = np.array([min(max(x_ref, 0.0), 1.0)]), val_ref
     if prev_x is not None:
         prev = np.asarray(prev_x, dtype=float)
         val_prev = float(objective(prev[None, :])[0])
         if val_prev >= best_val:
             return prev.copy(), val_prev, False
-    return x_best, best_val, False
+    return points[best].copy(), best_val, False
+
+
+def old_search(objective, resolution=256, iters=40):
+    """(topic, value) of the dim-1 grid scan of `resolution` nodes and the
+    golden-section polish of its best cell."""
+    axis = np.linspace(0.0, 1.0, resolution)
+    vals = objective(axis[:, None])
+    best = int(np.argmax(vals))
+    x_best, best_val = axis[best], float(vals[best])
+    x_ref, val_ref = golden_max(lambda t: float(objective(np.array([[t]]))[0]),
+                                axis[max(best - 1, 0)], axis[min(best + 1, resolution - 1)],
+                                iters)
+    if val_ref > best_val:
+        x_best, best_val = x_ref, val_ref
+    return x_best, best_val
 
 
 def support_objective(z, wv, cfg):
@@ -119,16 +140,18 @@ def perfect_search(z, d_i, d_infl_z, d_direct_z, grid, cfg, prev_x=None):
     """(topic, r_p * support, degenerate) of producer z, rates held fixed."""
     wv = d_infl_z * d_i + d_direct_z
     wv[z] = 0.0
-    vals = grid.Q[:, z] * (grid.P @ wv)
-    x, val, degen = pick_topic(grid, vals, support_objective(z, wv, cfg), cfg, prev_x)
+    objective = support_objective(z, wv, cfg)
+    points = candidates(grid, cfg)
+    x, val, degen = pick_topic(points, objective(points), objective, prev_x)
     return x, cfg.r_p * val, degen
 
 
 def exact_imperfect_search(z, mu_i, X, grid, cfg, prev_x=None):
     """(topic, delta of the re-solved rate, degenerate) of producer z."""
     n = cfg.n
+    points = candidates(grid, cfg)
     if float(np.sum(mu_i)) == 0.0:
-        keep = grid.points[0] if prev_x is None else np.asarray(prev_x, float)
+        keep = points[0] if prev_x is None else np.asarray(prev_x, float)
         return keep.copy(), float(discount(cfg.m_infl / n, cfg.delay)), True
     d_i = discount(mu_i, cfg.delay)
     B = match_matrix(X, cfg)
@@ -145,8 +168,7 @@ def exact_imperfect_search(z, mu_i, X, grid, cfg, prev_x=None):
     def scores(pts):
         return resolved(cfg.r_p * support_objective(z, d_i_masked, cfg)(pts))
 
-    vals = resolved(cfg.r_p * grid.Q[:, z] * (grid.P @ d_i_masked))
-    return pick_topic(grid, vals, scores, cfg, prev_x)
+    return pick_topic(points, scores(points), scores, prev_x)
 
 
 def saturated(value, cfg):
@@ -228,8 +250,9 @@ def imperfect_gap(dense, cfg, grid, B=None):
     for z in range(cfg.n):
         d_i_masked = d_i.copy()
         d_i_masked[z] = 0.0
-        cand = cfg.r_p * grid.Q[:, z] * (grid.P @ d_i_masked)
-        cur_gamma = cfg.r_p * float(support_objective(z, d_i_masked, cfg)(dense.X[z][None, :])[0])
+        objective = support_objective(z, d_i_masked, cfg)
+        cand = cfg.r_p * objective(candidates(grid, cfg))
+        cur_gamma = cfg.r_p * float(objective(dense.X[z][None, :])[0])
         W = np.tile(gamma, (len(cand) + 1, 1))
         W[:-1, z] = cand
         W[-1, z] = cur_gamma
@@ -249,8 +272,9 @@ def support_gap(dense, cfg, grid, B=None):
     for z in range(cfg.n):
         wv = d_infl[z] * d_i + d_direct[:, z]
         wv[z] = 0.0
-        grid_best = float(np.max(grid.Q[:, z] * (grid.P @ wv)))
-        if grid_best > 0.0:
-            current = float(support_objective(z, wv, cfg)(dense.X[z][None, :])[0])
-            worst = max(worst, max(0.0, grid_best - current) / grid_best)
+        objective = support_objective(z, wv, cfg)
+        best = float(np.max(objective(candidates(grid, cfg))))
+        if best > 0.0:
+            current = float(objective(dense.X[z][None, :])[0])
+            worst = max(worst, max(0.0, best - current) / best)
     return worst

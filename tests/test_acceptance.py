@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cme.allocator import kkt_residuals, water_fill
-from cme.bestresponse import GameMode, TopicGrid, TopicSearchParams
+from cme.bestresponse import GameMode, TopicSearchParams
 from cme.equilibrium import DynamicsParams, proxy_equivalence_report, run_dynamics
 from cme.kernels import DelayParams, KernelParams, TopicPoint, discount
 from cme.market import (
@@ -136,6 +136,9 @@ def test_acceptance_4_influencer_facing_argmax_matches_topics():
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     search = TopicSearchParams(grid_resolution=256)
+    # the score's own 256-node grid: the engine's dim-1 search has no grid
+    axis = np.linspace(0.0, 1.0, 256)
+    cell = 1.0 / 255
     params = DynamicsParams(restarts=0)
     certified = 0
     attempts = 0
@@ -151,7 +154,8 @@ def test_acceptance_4_influencer_facing_argmax_matches_topics():
         omega = res.omega
         if float(omega.mu_i.sum()) == 0.0:
             continue  # nobody follows: topic choice is unconstrained
-        grid = TopicGrid(cfg, search)
+        dist = np.abs(axis[:, None] - cfg.interest_array()[:, 0])
+        P, Q = np.exp(-cfg.kernel.a_f * dist), np.exp(-cfg.kernel.a_g * dist)
         d_i = discount(omega.mu_i, cfg.delay)
         for z in range(cfg.n):
             if omega.mu_infl[z] <= 1e-12 * cfg.m_infl:
@@ -160,11 +164,11 @@ def test_acceptance_4_influencer_facing_argmax_matches_topics():
             d_m[z] = 0.0
             if float(d_m.sum()) <= 0.0:
                 continue  # no follower mass besides z itself
-            scores = grid.Q[:, z] * (grid.P @ d_m)
+            scores = Q[:, z] * (P @ d_m)
             best = int(np.argmax(scores))
-            gap = abs(float(grid.points[best][0]) - float(omega.X[z][0]))
-            assert gap <= grid.cell + 1e-12, \
-                f"argmax {gap:g} away from topic (cell {grid.cell:g})"
+            gap = abs(float(axis[best]) - float(omega.X[z][0]))
+            assert gap <= cell + 1e-12, \
+                f"argmax {gap:g} away from topic (cell {cell:g})"
             checked += 1
     elapsed = time.perf_counter() - t0
     assert checked > 0

@@ -11,16 +11,12 @@ import pytest
 from cme import allocator
 from cme.bestresponse import (
     _CHUNK,
+    _TILE,
     GameMode,
     TopicGrid,
     TopicSearchParams,
-    _bracket_objective,
-    _bracket_tables,
-    _edge_sums,
-    _grid_objective,
     _objective,
-    _polish_batches,
-    _scan_factors,
+    _tile_objective,
     chunks,
     consumer_best_response,
     consumers_br_dense,
@@ -52,17 +48,18 @@ from cme.market import (
     producer_support,
 )
 from markets_util import far_pair, random_allocation, random_config, with_consumer, with_topic
-from oracles import dense_objective, dense_support_weights, dense_weights
+from oracles import dense_objective, dense_support_weights, dense_tables, dense_weights
 from reference_search import (
     consumer_round,
     exact_imperfect_search,
     imperfect_round,
+    old_search,
     perfect_search,
     resolved_rate,
     saturated,
 )
 
-SEARCH = TopicSearchParams(grid_resolution=128, refine_iters=40)
+SEARCH = TopicSearchParams(grid_resolution=128)
 
 
 def golden_split(w1, w2, budget, beta, iters=300):
@@ -450,10 +447,10 @@ class TestProducerBlockAgainstReference:
                 np.testing.assert_allclose(got.topic.as_array(), x, rtol=0.0, atol=1e-9)
         assert compared >= 15
 
-    def test_exact_grid_ties_break_alike(self):
+    def test_exact_ties_break_alike(self):
         # producer 0 at 0.5, followers at 0.25 / 0.75, every weight exactly
-        # 1.0 (delta saturates): the grid nodes 0.25 and 0.75 tie bit for
-        # bit whatever the summation order, and beat every other node
+        # 1.0 (delta saturates): the candidates 0.25 and 0.75 tie bit for
+        # bit whatever the summation order, and beat every other candidate
         cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.5, 0.25, 0.75)),
                            m=100.0, m_infl=100.0, r_p=1.0, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(a_f=8.0, a_g=0.5))
@@ -462,17 +459,19 @@ class TestProducerBlockAgainstReference:
         dense = dense_support_weights(mu_i, mu_infl, np.zeros((3, 3)), cfg)
         assert dense[1, 0] == dense[2, 0] == 1.0
         d_i = discount(mu_i, cfg.delay)
-        for refine, prev in ((10, None), (0, None), (0, np.array([[0.75], [0.25], [0.75]]))):
-            grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
-            vals = grid.Q[:, 0] * (grid.P @ dense[:, 0])
-            assert vals[2] == vals[6] == vals.max()
+        grid = TopicGrid(cfg, SEARCH)
+        assert np.array_equal(grid.points[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
+        P, Q = dense_tables(grid.points, cfg)
+        vals = Q[:, 0] * (P @ dense[:, 0])
+        assert vals[1] == vals[3] == vals.max()
+        for prev in (None, np.array([[0.75], [0.25], [0.75]])):
             block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
             x, value, _ = perfect_search(0, d_i, 1.0, np.zeros(3), grid, cfg,
                                          prev_x=None if prev is None else prev[0])
             assert block.topics[0, 0] == x[0]
             assert block.values[0] == value
-            # the scan takes the first node of the tie; a tied incumbent stays
-            assert abs(x[0] - (0.25 if prev is None else 0.75)) <= grid.cell / 2
+            # the scan takes the first candidate of the tie; a tied incumbent stays
+            assert x[0] == (0.25 if prev is None else 0.75)
 
     def test_saturated_rate_is_flat_only_for_the_exact_search(self):
         # the influencer's budget is so large that delta of every candidate's
@@ -518,9 +517,7 @@ def _round_market(rng, t):
         X = np.tile(rng.integers(0, 17, size=(cfg.n // 2, dim)) / 16.0, (2, 1))
     elif case == 5:
         mu_i[:] = 40.0 / cfg.delay.beta
-    search = TopicSearchParams(grid_resolution=33, refine_iters=8) if dim == 1 else \
-        TopicSearchParams(grid_resolution=17)
-    return cfg, mu_i, X, TopicGrid(cfg, search)
+    return cfg, mu_i, X, TopicGrid(cfg, TopicSearchParams(grid_resolution=17))
 
 
 class TestImperfectRoundAgainstReference:
@@ -597,53 +594,152 @@ class TestIncumbentValue:
             assert np.all(np.abs(mass - direct) <= bound)
 
 
-class TestBatchedPolish:
-    """The polish runs over batches of producers padded to the batch's widest
-    bracket; at N > _CHUNK a dense cluster forces several batches."""
+class TestTiledScan:
+    """The scan walks the candidates in tiles of _TILE // N rows: at N = 200
+    the 202 candidates take three tiles."""
 
-    def test_batches_match_per_producer_search_on_two_clusters(self):
-        rng = np.random.default_rng(140)
-        n = 3 * _CHUNK + 8
-        # a tight cluster (all inside one bracket) first, then a wide one (a
-        # few per bracket): the batches pad to different widths
-        y = np.concatenate((np.clip(rng.normal(0.3, 0.002, n // 2), 0.0, 1.0),
-                            rng.uniform(0.55, 0.95, n - n // 2)))
+    N = 200
+
+    def _market(self, rng, a_f, a_g):
+        y = rng.uniform(0.0, 1.0, self.N)
         cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y),
-                           m=1.0, m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
-                           kernel=KernelParams(a_f=3.0, a_g=6.0))
+                           m=1.0, m_infl=float(self.N), r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=a_f, a_g=a_g))
         d = random_allocation(rng, cfg, spend_fraction=1.0)
-        W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
+        return cfg, d, support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
+
+    def test_block_matches_per_producer_search(self):
+        # quality decays faster than interest, so the picks spread over
+        # every tile; every consumer holds direct rates (the rows term)
+        rng = np.random.default_rng(140)
+        cfg, d, W = self._market(rng, 3.0, 6.0)
         grid = TopicGrid(cfg, SEARCH)
-
-        best = np.argmax(grid.Q * (grid.P @ dense_weights(W)), axis=0)
-        lo_idx = np.maximum(best - 1, 0)
-        hi_idx = np.minimum(best + 1, len(grid.points) - 1)
-        lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
-        batches = _polish_batches(grid, lo, hi)
-        inside = (np.searchsorted(grid.y_sorted, hi, side="left")
-                  - np.searchsorted(grid.y_sorted, lo, side="right"))
-        widths = [int(inside[sl].max()) for sl in batches]
-        assert len(batches) >= 2 and len(set(widths)) >= 2
-        assert all((sl.stop - sl.start) * (w + 2) <= _CHUNK * (n + 2)
-                   for sl, w in zip(batches, widths))
-        edges = _edge_sums(W, grid, cfg)
-        for sl in batches:  # padded rows evaluate as their own bracket alone
-            f = _bracket_objective(W, sl, lo_idx[sl], hi_idx[sl], grid, cfg, edges)
-            t = lo[sl] + rng.uniform(0.0, 1.0, sl.stop - sl.start) * (hi[sl] - lo[sl])
-            np.testing.assert_allclose(f(t), _objective(t[:, None], W, sl, cfg),
-                                       rtol=1e-12, atol=0.0)
-
+        rows = _TILE // self.N
         d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
         d_direct = discount(d.direct, cfg.delay)
         for prev in (d.X, None):
             block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
-            for z in range(n):
+            for z in range(self.N):
                 x, value, degenerate = perfect_search(
                     z, d_i, float(d_infl[z]), d_direct[:, z], grid, cfg,
                     prev_x=None if prev is None else prev[z])
                 assert block.degenerate[z] == degenerate
                 np.testing.assert_allclose(block.topics[z], x, rtol=0.0, atol=1e-9)
                 assert cfg.r_p * block.values[z] == pytest.approx(value, rel=1e-9, abs=0.0)
+        picks = np.searchsorted(grid.points[:, 0], block.topics[:, 0])
+        assert set(picks // rows) == {0, 1, 2}
+
+    def test_ties_go_to_the_first_candidate_across_tiles(self):
+        # every exp rounds to 1.0 and one consumer alone follows, so each
+        # sum holds one nonzero term: every candidate of every tile ties
+        # bit for bit, in any summation order, and the first, 0, must win
+        rng = np.random.default_rng(141)
+        cfg, _, _ = self._market(rng, 1e-17, 1e-17)
+        u = np.zeros(self.N)
+        u[7] = 0.5
+        W = PeerWeights.rank_one(u, rng.uniform(0.5, 1.0, self.N))
+        block = producer_block(W, TopicGrid(cfg, SEARCH), cfg)
+        assert list(np.flatnonzero(block.degenerate)) == [7]
+        assert np.all(block.topics == 0.0)
+
+
+    def test_a_last_tile_of_one_candidate_is_scanned(self):
+        # dim 2, 24 x 24 nodes and N = 142: tiles of 115 rows leave the
+        # last node, (1, 1), alone in the sixth tile; the producer living
+        # there, whose quality decays fastest, picks it
+        rng = np.random.default_rng(142)
+        n = 142
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+        pts[0] = 1.0
+        cfg = MarketConfig(dim=2, interests=tuple(TopicPoint(tuple(p)) for p in pts),
+                           m=1.0, m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=1.0, a_g=40.0))
+        grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=24))
+        assert len(grid.points) % (_TILE // n) == 1
+        d = random_allocation(rng, cfg, spend_fraction=1.0)
+        W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
+        block = producer_block(W, grid, cfg)
+        assert block.topics[0].tolist() == [1.0, 1.0]
+
+
+def _breakpoint_market(rng, t):
+    """Dim-1 market t of the exact-search test as (cfg, mu_i, mu_infl,
+    direct).  By t mod 8: a plain market, zero-weight channels, nobody
+    following the influencer, nobody following anyone, twin members (every
+    interest repeated: exact ties), members at 0 and at 1 with one of them
+    repeated, a steep kernel (a_f up to 800), and kernels so flat that
+    every exp rounds to 1.0 (every candidate ties, up to the summation
+    order of a matrix product)."""
+    case = t % 8
+    cfg = random_config(rng, n_min=2, n_max=9, dim=1)
+    y = cfg.interest_array()[:, 0].copy()
+    kernel = cfg.kernel
+    if case == 4:
+        y = np.repeat(y[:(y.size + 1) // 2], 2)[:y.size]
+    elif case == 5:
+        y[0], y[-1] = 0.0, 1.0
+        y[1 % y.size] = rng.choice([0.0, 1.0])
+    elif case == 6:
+        kernel = KernelParams(a_f=float(rng.uniform(100.0, 800.0)),
+                              a_g=float(rng.uniform(0.5, 800.0)))
+    elif case == 7:
+        kernel = KernelParams(a_f=1e-17, a_g=1e-17)
+    cfg = dataclasses.replace(cfg, interests=tuple(TopicPoint((v,)) for v in y), kernel=kernel)
+    d = random_allocation(rng, cfg)
+    mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.copy()
+    if case == 1:
+        mu_i[::2] = 0.0
+        direct[:, 1] = 0.0
+        mu_infl[rng.integers(cfg.n)] = 0.0
+    elif case in (2, 3):
+        mu_i[:] = 0.0
+        if case == 3:
+            direct[:] = 0.0
+    return cfg, mu_i, mu_infl, direct
+
+
+class TestExactSearch:
+    """The dim-1 search over the breakpoints against a brute-force grid of
+    10^5 + 1 nodes and against the 256-node grid scan with golden-section
+    polish that it replaced (``reference_search.old_search``), on 504
+    random markets under the weights of all three modes."""
+
+    def test_block_beats_the_fine_grid_and_the_old_search(self):
+        rng = np.random.default_rng(190)
+        fine = np.linspace(0.0, 1.0, 10**5 + 1)
+        rel = 1e-12
+        # a_f = 800 takes some values below 2.2e-308, where a float holds
+        # only whole multiples of the smallest subnormal, so no two
+        # formulas agree there to a relative 1e-12
+        tiny = 4 * np.finfo(float).smallest_subnormal
+        lower = degenerate = 0
+        for t in range(504):
+            cfg, mu_i, mu_infl, direct = _breakpoint_market(rng, t)
+            grid = TopicGrid(cfg, SEARCH)
+            a_f, a_g = cfg.kernel.a_f, cfg.kernel.a_g
+            y = cfg.interest_array()[:, 0]
+            dist = np.abs(y[:, None] - fine)  # (N, nodes): each producer's scan is a row
+            P, Q = np.exp(-a_f * dist), np.exp(-a_g * dist)
+            d_i = discount(mu_i, cfg.delay)
+            for W in (support_weights(mu_i, mu_infl, direct, cfg),
+                      support_weights(mu_i, mu_infl, np.zeros_like(direct), cfg),
+                      PeerWeights.rank_one(d_i, np.ones(cfg.n))):
+                block = producer_block(W, grid, cfg)
+                dense = dense_weights(W)
+                np.testing.assert_allclose(
+                    block.values, dense_objective(block.topics, dense, np.arange(cfg.n), cfg),
+                    rtol=rel, atol=tiny)
+                brute = dense.T @ P
+                brute *= Q
+                assert np.all(block.values >= brute.max(axis=1) * (1.0 - rel) - tiny)
+                degenerate += int(np.count_nonzero(block.degenerate))
+                for z in np.flatnonzero(~block.degenerate):
+                    _, old = old_search(lambda T: np.exp(-a_g * np.abs(T[:, 0] - y[z]))
+                                        * (np.exp(-a_f * np.abs(T - y)) @ dense[:, z]))
+                    assert block.values[z] >= old * (1.0 - rel) - tiny
+                    lower += old < block.values[z] * (1.0 - rel)
+        # the old search stops short of most maxima; some producers are degenerate
+        assert lower >= 1000 and degenerate >= 100, (lower, degenerate)
 
 
 class TestConsumerBlockAgainstReference:
@@ -686,46 +782,6 @@ def _random_weights(rng, n, rows):
     return PeerWeights(u, v, rows, S)
 
 
-class TestBracketObjective:
-    """The polish's semiseparable objective against the direct formula."""
-
-    @pytest.mark.parametrize("a_f", [0.5, 3.0, 5000.0])
-    def test_matches_direct_objective(self, a_f):
-        rng = np.random.default_rng(int(a_f) + 120)
-        grid_nodes = np.linspace(0.0, 1.0, 16)
-        # interests on grid nodes (exactly at bracket edges), at 0 and 1,
-        # and a sparse random rest, so some brackets hold no interest at all
-        y = np.concatenate((grid_nodes[[0, 4, 5, 15]], rng.uniform(0.0, 1.0, 8)))
-        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y),
-                           m=1.0, m_infl=1.0, r_p=1.0, r_0=1.0, b_0=0.5,
-                           kernel=KernelParams(a_f=a_f, a_g=1.5))
-        # every node's bracket three times (the brackets at 0 and at 1
-        # included), each producer taking a random share of them
-        best = rng.permutation(np.repeat(np.arange(16), 3)).reshape(-1, y.size)
-        W = _random_weights(rng, y.size, np.sort(rng.choice(y.size, 7, replace=False)))
-        dense = dense_weights(W)
-        grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=16))
-        edges = _edge_sums(W, grid, cfg)
-        # below 2.2e-308 (a_f = 5000 reaches it) a float holds only whole
-        # multiples of the smallest subnormal, so no two formulas agree
-        # there to a relative 1e-12; each may round a sum of subnormal
-        # terms by a few of those steps
-        subnormal = 4 * np.finfo(float).smallest_subnormal
-        checked = 0
-        for b in best:
-            lo_idx, hi_idx = np.maximum(b - 1, 0), np.minimum(b + 1, 15)
-            lo, hi = grid_nodes[lo_idx], grid_nodes[hi_idx]
-            f = _bracket_objective(W, slice(None), lo_idx, hi_idx, grid, cfg, edges)
-            for t in (lo, hi, lo + rng.uniform(0.0, 1.0, y.size) * (hi - lo)):
-                direct = _objective(t[:, None], W, slice(None), cfg)
-                np.testing.assert_allclose(f(t), direct, rtol=1e-12, atol=subnormal)
-                np.testing.assert_allclose(
-                    direct, dense_objective(t[:, None], dense, np.arange(y.size), cfg),
-                    rtol=1e-12, atol=subnormal)
-                checked += np.count_nonzero(direct)
-        assert checked > best.size
-
-
 class TestPeerWeightsAgainstDense:
     """Every product with PeerWeights against the same product with the
     (N, N) table, on direct rates held by every, a tenth and no consumer,
@@ -740,10 +796,6 @@ class TestPeerWeightsAgainstDense:
         if case == 3:  # a producer's own term dominates its column near its
             # interest; exp(-450 * sqrt(2)) is still a normal float
             cfg = dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, a_f=450.0))
-        if dim == 1:  # every third interest on a grid node: bracket edges
-            y = cfg.interest_array()[:, 0].copy()
-            y[::3] = np.round(y[::3] * (SEARCH.grid_resolution - 1)) / (SEARCH.grid_resolution - 1)
-            cfg = dataclasses.replace(cfg, interests=tuple(TopicPoint((v,)) for v in y))
         d = random_allocation(rng, cfg)
         mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.copy()
         if density == "tenth":
@@ -769,10 +821,10 @@ class TestPeerWeightsAgainstDense:
         grid = TopicGrid(cfg, _search(dim))
         close = dict(rtol=1e-12, atol=0.0)
 
-        scan = grid.Q * (grid.P @ dense)
-        factors = _scan_factors(W, grid)
-        got = np.concatenate([_grid_objective(W, grid, c, factors) for c in chunks(n)],
-                             axis=1)
+        P, Q = dense_tables(grid.points, cfg)
+        scan = Q * (P @ dense)
+        got = np.concatenate([_tile_objective(W, *grid.tables(slice(None)), c)
+                              for c in chunks(n)], axis=1)
         np.testing.assert_allclose(got, scan, **close)
         np.testing.assert_allclose(grid_best(W, grid), scan.max(axis=0), **close)
 
@@ -790,30 +842,6 @@ class TestPeerWeightsAgainstDense:
         if case == 1:
             assert np.all(got == 0.0) == (density == "none")
 
-        if dim == 1:
-            # brackets one node off each producer's own interest, so the
-            # interests on nodes sit on their own bracket's edge
-            g = len(grid.points)
-            own = np.round(cfg.interest_array()[:, 0] * (g - 1)).astype(int)
-            best = np.clip(own + rng.choice([-1, 1], n), 1, g - 2)
-            lo_idx, hi_idx = best - 1, best + 1
-            lo, hi = grid.points[lo_idx, 0], grid.points[hi_idx, 0]
-            y_tab, w_tab = _bracket_tables(W, slice(None), lo_idx, hi_idx, grid, cfg,
-                                           _edge_sums(W, grid, cfg))
-            y = cfg.interest_array()[:, 0]
-            out_l = np.einsum("jy,yj->j", np.where(y <= lo[:, None], grid.P[lo_idx], 0.0),
-                              dense)
-            out_r = np.einsum("jy,yj->j", np.where(y >= hi[:, None], grid.P[hi_idx], 0.0),
-                              dense)
-            np.testing.assert_allclose(w_tab[:, 0], out_l, **close)
-            np.testing.assert_allclose(w_tab[:, 1], out_r, **close)
-            assert np.array_equal(y_tab[:, :2], np.column_stack((lo, hi)))
-            y_sorted = y[grid.order]
-            for j in range(n):
-                inside = grid.order[(y_sorted > lo[j]) & (y_sorted < hi[j])]
-                m = inside.size
-                np.testing.assert_allclose(w_tab[j, 2:2 + m], dense[inside, j], **close)
-                assert np.all(w_tab[j, 2 + m:] == 0.0)
 
     def test_a_faint_follower_keeps_a_producer_alive(self):
         # producer 0's only other follower weighs 1e-30, so its term is lost
@@ -825,14 +853,14 @@ class TestPeerWeightsAgainstDense:
         W = PeerWeights.rank_one(np.array([1.0, 1e-30]), np.array([1.0, 0.5]))
         dense = dense_weights(W)
         grid = TopicGrid(cfg, SEARCH)
+        P, Q = dense_tables(grid.points, cfg)
         close = dict(rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(grid_best(W, grid), (grid.Q * (grid.P @ dense)).max(axis=0),
-                                   **close)
+        np.testing.assert_allclose(grid_best(W, grid), (Q * (P @ dense)).max(axis=0), **close)
         B = match_matrix(np.array([[0.75], [0.25]]), cfg)
         np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense), **close)
         np.testing.assert_allclose(W.consumer_values(B), np.einsum("zy,yz->y", B, dense), **close)
         block = producer_block(W, grid, cfg)
-        assert not block.degenerate.any() and abs(block.topics[0, 0] - 0.75) < grid.cell
+        assert not block.degenerate.any() and block.topics[0, 0] == 0.75
 
     def test_a_producer_followed_only_by_itself_is_degenerate(self):
         # z's own follow rate cancels exactly in (P @ u - P * u) * v, so a
@@ -857,6 +885,14 @@ class TestSearchParams:
             TopicSearchParams(refine_iters=-1)
         with pytest.raises(InvalidInputError):
             GameMode.parse("osmosis")
+
+    def test_dim1_candidates_are_the_breakpoints(self):
+        # 0, 1 and every interest, sorted; a repeated value is only a tie
+        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.3, 1.0, 0.3, 0.7)),
+                           m=1, m_infl=1, r_p=1, r_0=1, b_0=0.5)
+        grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=8))
+        assert grid.points.shape == (6, 1)
+        assert grid.points[:, 0].tolist() == [0.0, 0.3, 0.3, 0.7, 1.0, 1.0]
 
     def test_grid_is_lexicographic(self):
         cfg = MarketConfig(dim=2, interests=(TopicPoint((0.1, 0.2)),

@@ -10,6 +10,9 @@ controlled perturbations.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,9 +20,9 @@ import numpy as np
 import pytest
 
 import reference_search as ref
-from cme import equilibrium
+from cme import bestresponse, equilibrium
 from cme.allocator import WeightedChannels, water_fill
-from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams, grid_best
+from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams
 from cme.equilibrium import (
     DynamicsParams,
     check_nash,
@@ -49,7 +52,7 @@ from cme.scenario import parse_scenario
 from markets_util import far_pair, random_allocation, random_config, with_consumer
 from oracles import dense_support_weights
 
-SEARCH = TopicSearchParams(grid_resolution=64, refine_iters=30)
+SEARCH = TopicSearchParams(grid_resolution=64)
 FAST = DynamicsParams(restarts=0)
 FIELDS = ("lam", "mu_i", "direct", "mu_infl", "X")
 
@@ -493,33 +496,58 @@ def test_round_returns_the_next_match_matrix_and_potential(mode):
             assert phi == social_welfare(state, cfg, B)
 
 
-@pytest.mark.parametrize("a_f", [8.0, 1e-17])
-def test_round_keeps_a_tied_incumbent(a_f):
-    # producer 2 at 0.5 between mirror members at 0.25 and 0.75; budgets so
-    # large that every delta rounds to 1.0, so W is 2.0 off the diagonal,
-    # and a quality kernel so flat that g rounds to 1.0.  At the mirror
-    # topics 0.25 and 0.75 each sum adds the two members' terms in swapped
-    # order, then producer 2's own: the same floats.  So the grid node 0.25
-    # ties bit for bit with the incumbent at 0.75, whose value the round
-    # reads from B, and the incumbent stays.  At a_f = 1e-17 every exp
-    # rounds to 1.0 as well and every topic ties
-    cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in (0.25, 0.75, 0.5)),
+@pytest.mark.parametrize("members,a_f,a_g,z", [((0.25, 0.75, 0.5), 8.0, 1e-17, 2),
+                                               ((0.25, 0.75, 0.5), 1e-17, 1e-17, 2),
+                                               ((0.5, 0.25, 0.75), 8.0, 0.5, 0)])
+def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
+    # producer z at 0.5 between mirror members at 0.25 and 0.75, its
+    # incumbent at 0.75; budgets so large that every delta rounds to 1.0,
+    # so W is 2.0 off the diagonal.  The candidate 0.25 mirrors the
+    # incumbent, so the one formula that values both (``_objective`` and
+    # ``producer_values`` on B) adds the same terms, and the incumbent
+    # stays.  With z last, each sum adds the two members' terms in swapped
+    # order, then z's own: the same floats, and with a_g = 1e-17 the scan
+    # reads the same value too.  With z first, the scan's own formula
+    # reads 0.25 about 2.2e-16 above the incumbent.  At a_f = 1e-17 every
+    # exp rounds to 1.0 as well and every topic ties
+    cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in members),
                        m=100.0, m_infl=100.0, r_p=1.0, r_0=1.0, b_0=0.5,
-                       kernel=KernelParams(a_f=a_f, a_g=1e-17), delay=DelayParams(beta=10.0))
+                       kernel=KernelParams(a_f=a_f, a_g=a_g), delay=DelayParams(beta=10.0))
+    X = np.array(members)[:, None]
+    X[z] = 0.75
     state = MarketAllocation(np.full(3, 25.0), np.full(3, 25.0), 25.0 * (1.0 - np.eye(3)),
-                             InfluencerAllocation(mu=np.full(3, 100.0 / 3)),
-                             np.array([[0.25], [0.75], [0.75]]))
-    for refine in (0, 10):
-        grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9, refine_iters=refine))
-        new, degenerate, _, _ = equilibrium._one_round(state, cfg, GameMode.PERFECT, grid,
-                                                       match_matrix(state.X, cfg))
-        dense = dense_support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
-        assert np.all(dense + 2.0 * np.eye(3) == 2.0)
-        first = np.argmax(grid.Q[:, 2] * (grid.P @ dense[:, 2]))
-        assert grid.points[first, 0] < 0.75  # the grid's pick is another topic
-        W = support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
-        assert grid_best(W, grid)[2] == W.producer_values(match_matrix(state.X, cfg))[2]
-        assert not degenerate and new.X[2, 0] == 0.75
+                             InfluencerAllocation(mu=np.full(3, 100.0 / 3)), X)
+    grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9))
+    new, degenerate, _, _ = equilibrium._one_round(state, cfg, GameMode.PERFECT, grid,
+                                                   match_matrix(state.X, cfg))
+    dense = dense_support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
+    assert np.all(dense + 2.0 * np.eye(3) == 2.0)
+    W = support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
+    col = slice(z, z + 1)
+    first = grid.points[bestresponse._scan(W, grid, col)[0]]
+    assert first[0, 0] < 0.75  # the scan's pick is another topic
+    assert (bestresponse._objective(first, W, col, cfg)[0]
+            == W.producer_values(match_matrix(state.X, cfg))[z])
+    assert not degenerate and new.X[z, 0] == 0.75
+
+
+def test_dim1_solve_imports_no_module_lazily():
+    # every fresh sweep worker pays for a module the solve imports on first
+    # use (numpy.ma, behind np.unique, costs about 20 ms and 4 MB there);
+    # restarts = 0, since random starts load numpy.random by design
+    script = (
+        "import sys\n"
+        "import cme\n"
+        "loaded = set(sys.modules)\n"
+        "cfg = cme.MarketConfig(dim=1, interests=tuple(cme.TopicPoint((v,)) for v in\n"
+        "                       (0.1, 0.4, 0.45, 0.9)), m=1.0, m_infl=2.0, r_p=1.0, r_0=1.0,\n"
+        "                       b_0=0.5)\n"
+        "cme.price_of_influence(cfg, params=cme.DynamicsParams(restarts=0))\n"
+        "print(sorted(set(sys.modules) - loaded))\n")
+    src = Path(equilibrium.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sup_change_reads_every_row_chunk():
@@ -545,7 +573,7 @@ def test_perfect_run_peak_memory():
     # (N, N) difference tables.
     n = 400
     cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=1)
-    grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=64, refine_iters=20))
+    grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=64))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -9,6 +9,7 @@ import pytest
 
 from cme import scenario
 from cme.bestresponse import GameMode
+from cme.equilibrium import run_dynamics
 from cme.kernels import TopicPoint
 from cme.market import social_welfare
 from cme.scenario import (
@@ -119,6 +120,28 @@ def test_schedule_key_is_unknown(tmp_path, key):
     text = MINIMAL + f"\n[dynamics]\n{key} = 1\n"
     with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
         parse_scenario(write(tmp_path, "sched.scn", text))
+
+
+def test_refine_iters_still_parses_and_changes_nothing(tmp_path):
+    # the step count of the former dim-1 golden-section polish: an old file
+    # that sets it still parses, a negative value is still an error, and
+    # the answers are the same as without it
+    text = (FIXTURES / "symmetric.scn").read_text(encoding="utf-8")
+    assert "refine_iters" not in text
+    plain = parse_scenario(FIXTURES / "symmetric.scn")
+    keyed = parse_scenario(write(tmp_path, "symmetric.scn",
+                                 text.replace("[search]\n", "[search]\nrefine_iters = 7\n")))
+    assert keyed.search.refine_iters == 7
+    with pytest.raises(ScenarioError, match="refine_iters"):
+        parse_scenario(write(tmp_path, "bad.scn",
+                             text.replace("[search]\n", "[search]\nrefine_iters = -1\n")))
+    for mode in plain.modes:
+        a, b = (run_dynamics(s.build_config(), mode, params=s.dynamics, search=s.search)
+                for s in (plain, keyed))
+        assert a.welfare == b.welfare and a.potential_trace == b.potential_trace
+        assert a.certificate == b.certificate
+        for f in ("lam", "mu_i", "direct", "mu_infl", "X"):
+            assert np.array_equal(getattr(a.omega, f), getattr(b.omega, f))
 
 
 def test_sweep_requires_sampled_interests(tmp_path):
