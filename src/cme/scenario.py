@@ -36,6 +36,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -542,6 +543,36 @@ def worker_count(n_tasks: int, workers: int | None = None) -> int:
     return min(workers, max(1, n_tasks))
 
 
+# The sweep's pool, kept for later calls: ((worker count, pid), pool).  Forking
+# and joining the workers costs more than the rows of a small sweep; the pid
+# keeps a forked child off its parent's pool.
+_kept_pool: tuple[tuple[int, int], ProcessPoolExecutor] | None = None
+
+
+def _pooled_rows(tasks: list, count: int) -> list[dict]:
+    """The rows of `tasks` from the kept pool, made anew for another count.
+
+    `_sweep_row` keeps a row's errors in the row, so a broken pool means a
+    worker died: the pool is replaced and the rows run once more.
+    """
+    global _kept_pool
+    key = (count, os.getpid())
+    for last in (False, True):
+        if _kept_pool is not None and _kept_pool[0] != key:
+            if _kept_pool[0][1] == key[1]:
+                _kept_pool[1].shutdown(cancel_futures=True)
+            _kept_pool = None
+        if _kept_pool is None:
+            _kept_pool = (key, ProcessPoolExecutor(max_workers=count))
+        try:
+            return list(_kept_pool[1].map(_sweep_row, tasks))
+        except BaseException as exc:
+            _kept_pool[1].shutdown(wait=False, cancel_futures=True)
+            _kept_pool = None
+            if last or not isinstance(exc, BrokenProcessPool):
+                raise
+
+
 @dataclass(frozen=True)
 class SweepOutput:
     csv_path: Path
@@ -560,7 +591,9 @@ def run_sweep(spec: SweepSpec, out_dir: str | os.PathLike,
     per row (the stored allocations let welfare be re-validated later).
 
     Rows are computed in a process pool but written in (N, replicate) order,
-    so output bytes do not depend on the worker count.
+    so output bytes do not depend on the worker count.  The pool stays up for
+    later calls with the same count until the interpreter exits; its workers
+    are forked at the first and run the package as it was loaded then.
     """
     out_dir = Path(out_dir)
     tasks = [(spec, n, rep) for n in spec.n_values
@@ -569,8 +602,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | os.PathLike,
     if count == 1:
         rows = [_sweep_row(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+        rows = _pooled_rows(tasks, count)
     rows.sort(key=lambda r: (r["n"], r["replicate"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)

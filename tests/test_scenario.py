@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,21 @@ def test_sweep_byte_identical_across_worker_counts(tmp_path):
     for pa, pb in zip(a.row_paths, b.row_paths):
         assert pa.name == pb.name
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_sweep_pool_is_kept_and_a_broken_one_replaced(tmp_path):
+    spec = parse_sweep(FIXTURES / "determinism.swp")
+    a = run_sweep(spec, out_dir=tmp_path / "a", workers=2)
+    pool = scenario._kept_pool[1]
+    b = run_sweep(spec, out_dir=tmp_path / "b", workers=2)
+    assert scenario._kept_pool[1] is pool
+    with pytest.raises(BrokenProcessPool):  # a worker dies between sweeps
+        pool.submit(os._exit, 1).result()
+    c = run_sweep(spec, out_dir=tmp_path / "c", workers=2)
+    assert scenario._kept_pool[1] is not pool
+    d = run_sweep(spec, out_dir=tmp_path / "d", workers=3)
+    assert scenario._kept_pool[0][0] == 3
+    assert len({o.csv_path.read_bytes() for o in (a, b, c, d)}) == 1
 
 
 def test_failed_sweep_row_keeps_the_message(tmp_path, monkeypatch):
