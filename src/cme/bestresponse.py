@@ -26,11 +26,13 @@ objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
 (g, r) @ (r, k) product over the r consumers holding a direct rate, times
 Q -- O(G * N) per scan when nobody holds one; ``market.less_own`` sums the
 cells that z's own term dominates again without it.  A running argmax with
-strict > keeps the first best candidate.  The winner is valued once more
-with ``_objective``, the formula of ``PeerWeights.producer_values``, from
-which a round reads the incumbent's value, and the incumbent stays unless
-the winner is strictly better.  A producer whose objective is zero at
-every candidate is degenerate and keeps its incumbent.  Each objective
+strict > keeps the first best candidate.  A winner other than the
+incumbent is valued once more with ``_objective``, the formula of
+``PeerWeights.producer_values``, from which a round reads the incumbent's
+value, and the incumbent stays unless the winner is strictly better; a
+winner that is the incumbent keeps the incumbent's value, which in the
+perfect/proxy regimes is the same float.  A producer whose objective is
+zero at every candidate is degenerate and keeps its incumbent.  Each objective
 reads only its own topic, so the block equals N one-producer searches
 (Monderer & Shapley, *Potential Games*, 1996).
 
@@ -283,21 +285,16 @@ def grid_best(weights: PeerWeights, grid: TopicGrid) -> np.ndarray:
     return _scan(weights, grid, slice(None))[1]
 
 
-def _objective(T: np.ndarray, weights: PeerWeights, cols: slice,
+def _objective(T: np.ndarray, weights: PeerWeights, cols: slice | np.ndarray,
                cfg: MarketConfig) -> np.ndarray:
-    """Objective of the j-th producer of `cols` at topic T[j].
+    """Objective of the j-th producer of `cols` (a slice or indices) at
+    topic T[j].
 
-    Row j is built as ``match_matrix`` builds B's rows (the quality g times
-    f), then ``PeerWeights.producer_values`` weighs it, so at T = X[cols] it
-    equals ``weights.producer_values(B)`` bit for bit.
+    ``match_matrix`` builds row j, then ``PeerWeights.producer_values``
+    weighs it, so at T = X[cols] it equals ``weights.producer_values(B)``
+    bit for bit.
     """
-    z = np.arange(cfg.n)[cols]
-    D = pairwise_distances(T, cfg.interest_array())
-    q = np.exp(-cfg.kernel.a_g * D[np.arange(z.size), z])
-    D *= -cfg.kernel.a_f
-    np.exp(D, out=D)
-    D *= q[:, None]
-    return weights.producer_values(D, cols)
+    return weights.producer_values(match_matrix(T, cfg, np.arange(cfg.n)[cols]), cols)
 
 
 def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
@@ -311,15 +308,20 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
     or the same numbers from ``weights.producer_values`` on the match
     matrix at prev): a degenerate producer keeps its incumbent (the first
     candidate when prev is None), and any other keeps it unless the best
-    candidate is strictly better.  That candidate is valued with
-    ``_objective``, in chunks of _CHUNK producers, so candidate and
-    incumbent are compared by one formula.
+    candidate is strictly better.  A best candidate other than the
+    incumbent is valued with ``_objective``, in chunks of _CHUNK
+    producers, so candidate and incumbent are compared by one formula; one
+    equal to the incumbent keeps prev_value.
     """
-    start, stop, _ = cols.indices(cfg.n)
+    start = cols.indices(cfg.n)[0]
     best, scanned = _scan(weights, grid, cols)
     topics = grid.points[best]
-    values = np.concatenate([_objective(topics[sl], weights, c, cfg)
-                             for sl, c in zip(chunks(stop - start), chunks(stop - start, start))])
+    if prev is None:
+        values, valued = np.empty(best.size), np.arange(best.size)
+    else:
+        values, valued = prev_value.copy(), np.flatnonzero(np.any(topics != prev, axis=1))
+    for sl in chunks(valued.size):
+        values[valued[sl]] = _objective(topics[valued[sl]], weights, start + valued[sl], cfg)
     if prev is not None:
         keep = prev_value >= values  # move only on strict improvement
         topics[keep] = prev[keep]
@@ -331,9 +333,12 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
 
 
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
-                             cfg: MarketConfig, B: np.ndarray) -> np.ndarray:
+                             cfg: MarketConfig, B: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """One imperfect-regime producer pass, in place on X; returns the
-    degenerate mask.  B is ``match_matrix(X, cfg)`` on entry.
+    degenerate mask and each producer's best scanned match mass (the
+    ``grid_best`` of the pass's weights).  B is ``match_matrix(X, cfg)`` on
+    entry.
 
     Producers move in index order, each against the influencer's channel
     weights at the current topics, with the earlier producers' moves in
@@ -367,7 +372,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     degenerate = block.degenerate.copy()
     degenerate[todo[~active]] = True
     X[todo[active]] = block.topics[todo[active]]
-    return degenerate
+    return degenerate, block.grid_best
 
 
 # ---------------------------------------------------------------------------

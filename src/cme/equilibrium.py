@@ -9,7 +9,11 @@ regime is a plain fixed-point iteration with no monotone quantity -- rounds
 are capped and the iterate with the smallest certificate residual is kept.
 Each round returns a new ``MarketAllocation``; states are read-only, so a
 run never writes into an array it was handed, and ``price_of_influence``
-starts one perfect run from the imperfect result itself.
+starts one perfect run from the imperfect result itself.  A run builds one
+match matrix B at its start and owns it: each round rebuilds in place only
+the rows of the producers whose topic changed, and the run certifies a
+state from the B and the candidate scan of the round that built it, the
+arrays ``check_nash`` builds afresh for the same state.
 Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
 ``_best`` picks: the certified run with the largest welfare, or, when none
 certifies, the run with the smallest certificate residual.
@@ -175,12 +179,17 @@ def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
 
 def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                grid: TopicGrid, B: np.ndarray
-               ) -> tuple[MarketAllocation, set[int], np.ndarray, float]:
+               ) -> tuple[MarketAllocation, set[int], float, np.ndarray]:
     """One full best-response round -- the influencer, then the consumers as
     one block, then the producers as one block.  B is
-    ``match_matrix(state.X, cfg)``.  Returns the next state, the indices of
-    producers whose topic objective was degenerate this round, the next
-    state's match matrix and its potential (``social_welfare``).
+    ``match_matrix(state.X, cfg)`` on entry and the next state's match
+    matrix on return: the round updates it in place, rebuilding with
+    ``match_matrix`` only the rows of the producers whose topic changed, so
+    no caller may hold B for the state it was handed.  Returns the next
+    state, the indices of producers whose topic objective was degenerate
+    this round, the next state's potential (``social_welfare``) and each
+    producer's best scanned objective, the ``grid_best`` of the next
+    state's producer weights, which ``_certify`` takes with B.
 
     The next state's ``support_weights`` give its potential with the next
     B.  In perfect/proxy mode they are also the producers' weights, and the
@@ -191,15 +200,16 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     weights = support_weights(mu_i, mu_infl, direct, cfg)
     if mode is GameMode.IMPERFECT:
         X = state.X.copy()
-        degenerate = imperfect_producer_round(mu_i, X, grid, cfg, B)
+        degenerate, scanned = imperfect_producer_round(mu_i, X, grid, cfg, B)
     else:
         block = producer_block(weights, grid, cfg, prev=state.X,
                                prev_value=weights.producer_values(B))
-        X, degenerate = block.topics, block.degenerate
-    B = match_matrix(X, cfg)
+        X, degenerate, scanned = block.topics, block.degenerate, block.grid_best
+    moved = np.flatnonzero(np.any(X != state.X, axis=1))
+    B[moved] = match_matrix(X[moved], cfg, moved)
     phi = float(_utilities(B, weights, lam, cfg).sum())  # == social_welfare(next state, cfg, B)
     return (MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X),
-            set(np.flatnonzero(degenerate).tolist()), B, phi)
+            set(np.flatnonzero(degenerate).tolist()), phi, scanned)
 
 
 def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
@@ -209,14 +219,22 @@ def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     if tol < 0.0 or producer_tol < 0.0:
         raise InvalidInputError("tolerances must be nonnegative")
     omega.validate(cfg)
-    return _certify(omega, cfg, mode, TopicGrid(cfg, search or TopicSearchParams()),
-                    tol, producer_tol)
+    if mode is GameMode.IMPERFECT:
+        weights = PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
+    else:
+        weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+    scanned = grid_best(weights, TopicGrid(cfg, search or TopicSearchParams()))
+    return _certify(omega, cfg, mode, match_matrix(omega.X, cfg), scanned, tol, producer_tol)
 
 
 def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-             grid: TopicGrid, tol: float = TOL, producer_tol: float = PRODUCER_TOL
-             ) -> NashCertificate:
-    res = _residuals(omega, cfg, mode, grid)
+             B: np.ndarray, scanned: np.ndarray, tol: float = TOL,
+             producer_tol: float = PRODUCER_TOL) -> NashCertificate:
+    """The certificate of omega from its match matrix B and the
+    ``grid_best`` of its producer weights (the perfect/proxy
+    ``support_weights``, the imperfect rank-one weights with v = 1); a
+    round returns both for the state it builds."""
+    res = _residuals(omega, cfg, mode, B, scanned)
     max_ratio = max(_tol_ratio(name, value, tol, producer_tol)
                     for name, value in res.items())
     return NashCertificate(mode=mode, residuals=res, tol=tol,
@@ -225,10 +243,9 @@ def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
 
 
 def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-               grid: TopicGrid) -> dict[str, float]:
+               B: np.ndarray, scanned: np.ndarray) -> dict[str, float]:
     n = cfg.n
     d = cfg.delay
-    B = match_matrix(omega.X, cfg)
     d_i = discount(omega.mu_i, d)
     d_infl = discount(omega.mu_infl, d)
 
@@ -258,9 +275,9 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
 
     # --- producer topic optimality, certified on the search candidates ---
     if mode is GameMode.IMPERFECT:
-        res["a_producer_topic"] = _imperfect_producer_gap(omega, cfg, grid, B)
+        res["a_producer_topic"] = _imperfect_producer_gap(omega, cfg, B, scanned)
     else:
-        res["a_producer_topic"] = _support_producer_gap(omega, cfg, grid, B)
+        res["a_producer_topic"] = _support_producer_gap(omega, cfg, B, scanned)
 
     # --- budgets ---
     spent = omega.lam + omega.mu_i + omega.direct.sum(axis=1)
@@ -306,27 +323,27 @@ def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
     return float(np.max(np.maximum(0.0, best[ok] - current[ok]) / best[ok]))
 
 
-def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, grid: TopicGrid,
-                          B: np.ndarray) -> float:
+def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, B: np.ndarray,
+                          scanned: np.ndarray) -> float:
     """Perfect/proxy condition (a): relative gap of each producer's support
-    between its best candidate and its current topic."""
+    between its best candidate (`scanned`) and its current topic."""
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
     # B[z] already holds g(d(x(z), z)) * f(d(x(z), y)) at the current topics
-    return _relative_gap(grid_best(weights, grid), weights.producer_values(B))
+    return _relative_gap(scanned, weights.producer_values(B))
 
 
-def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig,
-                            grid: TopicGrid, B: np.ndarray) -> float:
+def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig, B: np.ndarray,
+                            scanned: np.ndarray) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
     re-solved rate at the best candidate topic vs. at the current topic.  That
     rate grows with z's match mass, so one sort of the current weights gives
-    every producer's rate at its best candidate mass and the current split.  With
-    every weight zero the split is uniform (``influencer_br_dense``)."""
+    every producer's rate at its best candidate mass (`scanned`) and the
+    current split.  With every weight zero the split is uniform
+    (``influencer_br_dense``)."""
     d_i = discount(omega.mu_i, cfg.delay)
     channels = SortedChannels(cfg.r_p * influencer_followed_match(d_i, B), cfg.m_infl,
                               cfg.delay)
-    best = grid_best(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid)
-    at_best = channels.rates_with(np.arange(cfg.n), cfg.r_p * best)
+    at_best = channels.rates_with(np.arange(cfg.n), cfg.r_p * scanned)
     return _relative_gap(discount(at_best, cfg.delay), discount(channels.rates(), cfg.delay))
 
 
@@ -370,7 +387,7 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
     best_phi = phi
 
     for rnd in range(1, max_rounds + 1):
-        new, degenerate, B, new_phi = _one_round(state, cfg, mode, grid, B)
+        new, degenerate, new_phi, scanned = _one_round(state, cfg, mode, grid, B)
         rounds_used = rnd
         change = _sup_change(state, new)
         state = new  # drops the previous state
@@ -381,7 +398,7 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
         if mode is GameMode.IMPERFECT:
             near_cap = rnd >= max_rounds - 25
             if change < cert_window or near_cap:
-                cert = _certify(state, cfg, mode, grid)
+                cert = _certify(state, cfg, mode, B, scanned)
                 if best_cert is None or cert.max_residual < best_cert.max_residual:
                     best_cert, best_state, best_phi = cert, state, phi
             if change < rate_tol:
@@ -391,12 +408,11 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
             converged = True
             break
 
-    del B  # dead past the last round: free it before the certificate's tables
     if mode is GameMode.IMPERFECT and best_cert is not None:
         cert, final, welfare = best_cert, best_state, best_phi
     else:
         final, welfare = state, phi  # phi is already the welfare at state
-        cert = _certify(final, cfg, mode, grid)
+        cert = _certify(final, cfg, mode, B, scanned)
     return EquilibriumResult(
         omega=final,
         welfare=welfare,

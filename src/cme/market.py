@@ -195,11 +195,16 @@ class MarketAllocation:
                 f"influencer spends {spent_infl:.12g} > budget {cfg.m_infl:.12g}")
 
 
-def match_matrix(X: np.ndarray, cfg: MarketConfig) -> np.ndarray:
+def match_matrix(X: np.ndarray, cfg: MarketConfig,
+                 producers: np.ndarray | None = None) -> np.ndarray:
     """B[z, y] = g(d(x(z), z)) * f(d(x(z), y)): producer rows, consumer
-    columns, built in place in the one (N, N) distance buffer."""
+    columns, built in place in the one (N, N) distance buffer.  With
+    ``producers`` (k,) given, X holds only their topics and the result only
+    their k rows: every entry reads one topic and one interest, so those
+    rows are the full table's bit for bit."""
     B = pairwise_distances(np.asarray(X, dtype=float), cfg.interest_array())
-    quality = np.exp(-cfg.kernel.a_g * np.diagonal(B))
+    own = np.diagonal(B) if producers is None else B[np.arange(B.shape[0]), producers]
+    quality = np.exp(-cfg.kernel.a_g * own)
     B *= -cfg.kernel.a_f
     np.exp(B, out=B)
     B *= quality[:, None]

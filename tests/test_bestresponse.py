@@ -538,8 +538,8 @@ class TestImperfectRoundAgainstReference:
             # the second round starts where the first ended: the mass
             # objective reads no other producer's topic, so nobody moves
             for _ in range(2):
-                got_degenerate = imperfect_producer_round(mu_i, got, grid, cfg,
-                                                          match_matrix(got, cfg))
+                got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg,
+                                                             match_matrix(got, cfg))
                 expect_degenerate = imperfect_round(mu_i, expect, grid, cfg,
                                                     match_matrix(expect, cfg))
                 assert np.array_equal(got, expect)
@@ -592,6 +592,23 @@ class TestIncumbentValue:
             direct = _objective(d.X, PeerWeights.rank_one(d_i, np.ones(cfg.n)), slice(None), cfg)
             bound = 4 * cfg.n * np.finfo(float).eps * (B @ d_i)
             assert np.all(np.abs(mass - direct) <= bound)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_pick_at_the_incumbent_keeps_its_value(self, dim):
+        # incumbents at the scan's own picks, valued one ulp low (as the
+        # imperfect round's mass may be): no winner is valued again, so
+        # nobody makes an ulp-sized move to the topic it holds
+        rng = np.random.default_rng(138 + dim)
+        cfg = random_config(rng, n_min=_CHUNK + 5, n_max=_CHUNK + 5, dim=dim)
+        d = random_allocation(rng, cfg)
+        grid = TopicGrid(cfg, _search(dim))
+        for W in (support_weights(d.mu_i, d.mu_infl, d.direct, cfg),
+                  PeerWeights.rank_one(discount(d.mu_i, cfg.delay), np.ones(cfg.n))):
+            first = producer_block(W, grid, cfg)
+            low = np.nextafter(first.values, 0.0)
+            block = producer_block(W, grid, cfg, prev=first.topics, prev_value=low)
+            assert np.array_equal(block.topics, first.topics)
+            assert np.array_equal(block.values, low)
 
 
 class TestTiledScan:

@@ -22,7 +22,7 @@ import pytest
 import reference_search as ref
 from cme import bestresponse, equilibrium
 from cme.allocator import WeightedChannels, water_fill
-from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams
+from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams, grid_best
 from cme.equilibrium import (
     DynamicsParams,
     check_nash,
@@ -43,6 +43,7 @@ from cme.market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    PeerWeights,
     influencer_relayed_match,
     match_matrix,
     social_welfare,
@@ -482,18 +483,40 @@ def test_imperfect_round_moves_producers_in_order():
     assert degenerate_rounds >= 2
 
 
+def _producer_weights(omega, cfg, mode):
+    if mode is GameMode.IMPERFECT:
+        return PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
+    return support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+
+
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_round_returns_the_next_match_matrix_and_potential(mode):
+    # each round's B is fed to the next, as _run_single does: the round
+    # rebuilds only the rows of the producers that moved, in place.  The
+    # second leg restarts from the first's state with every other topic
+    # redrawn, so some producers move and some stay
     rng = np.random.default_rng(150 + list(GameMode).index(mode))
-    for dim in (1, 1, 2):
-        cfg = random_config(rng, n_min=3, n_max=8, dim=dim)
-        grid = TopicGrid(cfg, _search(dim))
-        state = equilibrium.random_init(cfg, mode, rng)
+    for dim in (1, 2):
+        movers = set()
         for _ in range(2):
-            state, _, B, phi = equilibrium._one_round(state, cfg, mode, grid,
-                                                      match_matrix(state.X, cfg))
-            assert np.array_equal(B, match_matrix(state.X, cfg))
-            assert phi == social_welfare(state, cfg, B)
+            cfg = random_config(rng, n_min=3, n_max=8, dim=dim)
+            grid = TopicGrid(cfg, _search(dim))
+            state = equilibrium.random_init(cfg, mode, rng)
+            for rounds in (3, 2):
+                B = match_matrix(state.X, cfg)
+                for _ in range(rounds):
+                    before = state.X
+                    state, _, phi, scanned = equilibrium._one_round(state, cfg, mode, grid, B)
+                    moved = np.count_nonzero(np.any(state.X != before, axis=1))
+                    movers.add("none" if moved == 0 else "some" if moved < cfg.n else "all")
+                    assert np.array_equal(B, match_matrix(state.X, cfg))
+                    assert phi == social_welfare(state, cfg, B)
+                    assert np.array_equal(
+                        scanned, grid_best(_producer_weights(state, cfg, mode), grid))
+                X = state.X.copy()
+                X[::2] = rng.uniform(0.0, 1.0, X[::2].shape)
+                state = MarketAllocation(state.lam, state.mu_i, state.direct, state.influencer, X)
+        assert {"none", "some"} <= movers, movers
 
 
 @pytest.mark.parametrize("members,a_f,a_g,z", [((0.25, 0.75, 0.5), 8.0, 1e-17, 2),
@@ -563,14 +586,69 @@ def test_sup_change_reads_every_row_chunk():
         assert equilibrium._sup_change(a, b) == float(np.max(np.abs(a.direct - direct)))
 
 
+def _assert_fresh_certificate(res, cfg, mode, search):
+    fresh = check_nash(res.omega, cfg, mode, search=search)
+    assert res.certificate.residuals == fresh.residuals
+    assert res.certificate == fresh
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_certificates_equal_a_fresh_check_nash(dim):
+    # a run certifies from the B and the scan of the round that built its
+    # state; check_nash builds both afresh, and every residual must agree
+    rng = np.random.default_rng(190 + dim)
+    for mode in GameMode:
+        cfg = random_config(rng, n_min=3, n_max=7, dim=dim)
+        _assert_fresh_certificate(run_dynamics(cfg, mode, params=FAST, search=_search(dim)),
+                                  cfg, mode, _search(dim))
+    cfg = random_config(rng, n_min=3, n_max=6, dim=dim)
+    rec = price_of_influence(cfg, params=FAST, search=_search(dim))
+    _assert_fresh_certificate(rec.perfect, cfg, GameMode.PERFECT, _search(dim))
+    _assert_fresh_certificate(rec.imperfect, cfg, GameMode.IMPERFECT, _search(dim))
+
+
+def test_imperfect_certificate_from_an_earlier_round_equals_check_nash(monkeypatch):
+    # this run's smallest residual is round 2's of 3, and round 3 moves
+    # producers, so it rewrites rows of the B that certificate read
+    states = []
+    one_round = equilibrium._one_round
+    monkeypatch.setattr(equilibrium, "_one_round",
+                        lambda *args: (out := one_round(*args), states.append(out[0]))[0])
+    cfg = random_config(np.random.default_rng(306), n_min=3, n_max=6, dim=1)
+    res = run_dynamics(cfg, GameMode.IMPERFECT, params=DynamicsParams(max_rounds=3, restarts=0),
+                       search=SEARCH)
+    assert len(states) == 3 and res.omega is states[1]
+    assert not np.array_equal(states[2].X, res.omega.X)
+    _assert_fresh_certificate(res, cfg, GameMode.IMPERFECT, SEARCH)
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_a_run_builds_b_once_and_scans_once_per_round(mode, monkeypatch):
+    # the start builds the one full match matrix, a round rebuilds the
+    # movers' rows and scans the candidates once, and the certificate reads
+    # the last round's B and scan
+    full, scans = [], []
+    build, scan = equilibrium.match_matrix, bestresponse._scan
+    monkeypatch.setattr(equilibrium, "match_matrix", lambda X, cfg, producers=None: (
+        full.append(producers is None), build(X, cfg, producers))[1])
+    monkeypatch.setattr(bestresponse, "_scan", lambda *args: (scans.append(1), scan(*args))[1])
+    cfg = random_config(np.random.default_rng(200), n_min=5, n_max=5, dim=1)
+    runs = run_dynamics_all(cfg, mode, params=DynamicsParams(restarts=1), search=SEARCH)
+    assert sum(full) == len(runs) == 2
+    assert len(scans) == sum(r.rounds_used for r in runs)
+
+
 def test_perfect_run_peak_memory():
-    # A perfect round holds four (N, N) float tables at its peak: the
-    # previous and next direct rates and the previous and next B.  The peer
-    # weights hold delta(direct) only on the rows with a direct rate (none
-    # after the first round here) and _sup_change compares direct in row
-    # chunks.  Measured peak at N = 400: 4.15 tables of 8 * N**2 bytes; 5.14
-    # while the round built W as an (N, N) table and _sup_change built two
-    # (N, N) difference tables.
+    # A perfect round holds three (N, N) float tables at its peak, in the
+    # consumer block: the previous and next direct rates and B, which the
+    # round updates in place and the certificate reads.  The rest is the
+    # consumer block's row-chunk temporaries.  The peer weights hold
+    # delta(direct) only on the rows with a direct rate (none after the
+    # first round here) and _sup_change compares direct in row chunks.
+    # Measured peak at N = 400: 3.92 tables of 8 * N**2 bytes; 4.14 while
+    # each round built the next B beside the previous one, 5.14 while the
+    # round built W as an (N, N) table and _sup_change built two (N, N)
+    # difference tables.
     n = 400
     cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=1)
     grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=64))
@@ -583,19 +661,25 @@ def test_perfect_run_peak_memory():
     finally:
         tracemalloc.stop()
     assert res.rounds_used >= 2
-    assert peak <= 4.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
+    assert peak <= 4.0 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
 
 
 def _reference_run(cfg, mode, params, search):
     """run_dynamics on the per-producer round and certificate; None when the
     exact imperfect objective ever saturated (see reference_search.saturated)."""
     values = []
+    grid = TopicGrid(cfg, search)
+
+    def one_round(state, cfg, mode, grid, B):
+        new, degenerate, B[...], phi = ref.gauss_seidel_round(state, cfg, mode, grid, values)
+        return new, degenerate, phi, None
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equilibrium, "_one_round",
-                   lambda state, cfg, mode, grid, B: ref.gauss_seidel_round(
-                       state, cfg, mode, grid, values))
-        mp.setattr(equilibrium, "_imperfect_producer_gap", ref.imperfect_gap)
-        mp.setattr(equilibrium, "_support_producer_gap", ref.support_gap)
+        mp.setattr(equilibrium, "_one_round", one_round)
+        mp.setattr(equilibrium, "_imperfect_producer_gap",
+                   lambda omega, cfg, B, scanned: ref.imperfect_gap(omega, cfg, grid))
+        mp.setattr(equilibrium, "_support_producer_gap",
+                   lambda omega, cfg, B, scanned: ref.support_gap(omega, cfg, grid))
         res = run_dynamics(cfg, mode, params=params, search=search)
     if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
         return None
@@ -644,9 +728,11 @@ def test_certificate_gaps_match_the_per_producer_gaps(dim):
             mu_i[:] = 0.0
         d = MarketAllocation(d.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl), d.X)
         B = match_matrix(d.X, cfg)
-        assert equilibrium._imperfect_producer_gap(d, cfg, grid, B) == pytest.approx(
+        follow = grid_best(_producer_weights(d, cfg, GameMode.IMPERFECT), grid)
+        support = grid_best(_producer_weights(d, cfg, GameMode.PERFECT), grid)
+        assert equilibrium._imperfect_producer_gap(d, cfg, B, follow) == pytest.approx(
             ref.imperfect_gap(d, cfg, grid), rel=0.0, abs=1e-12)
-        assert equilibrium._support_producer_gap(d, cfg, grid, B) == pytest.approx(
+        assert equilibrium._support_producer_gap(d, cfg, B, support) == pytest.approx(
             ref.support_gap(d, cfg, grid), rel=0.0, abs=1e-12)
 
 
