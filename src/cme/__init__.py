@@ -13,7 +13,6 @@ from .allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
-    kkt_residuals,
     water_fill,
 )
 from .bestresponse import (
@@ -24,7 +23,6 @@ from .bestresponse import (
     influencer_best_response,
     producer_best_response_imperfect,
     producer_best_response_perfect,
-    producer_best_response_surrogate,
 )
 from .equilibrium import (
     DynamicsParams,
@@ -95,13 +93,11 @@ __all__ = [
     "discount_deriv",
     "influencer_best_response",
     "influencer_utility",
-    "kkt_residuals",
     "parse_scenario",
     "parse_sweep",
     "price_of_influence",
     "producer_best_response_imperfect",
     "producer_best_response_perfect",
-    "producer_best_response_surrogate",
     "producer_support",
     "proxy_equivalence_report",
     "run_dynamics",

@@ -25,8 +25,9 @@ order and the top k channels active,
 
 and the optimal active set is the largest k with a_k > level_k.  One sort
 and one prefix sum find it -- the same trick as the Euclidean projection
-onto the simplex (Duchi et al., ICML 2008).  ``water_fill`` (one channel
-set) and ``water_fill_batch`` (one solve per row) share that solver.
+onto the simplex (Duchi et al., ICML 2008).  ``_water_fill_rows`` runs it
+on a stack of channel sets at once, one per row; ``water_fill`` is its
+one-row call, and every full split the engine solves goes through it.
 
 With C_k = a_1 + ... + a_k the test a_k > level_k reads
 
@@ -141,26 +142,6 @@ def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
                               log_multiplier=log_nu)
 
 
-def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise water filling: one independent solve per row of (k, n) weights.
-
-    The same closed form as ``water_fill``, run on all rows at once.  The
-    engine no longer calls it; it stays public as the tests' reference for
-    ``SortedChannels`` and for the per-producer re-solves it replaced.
-    Returns (rates, nu).
-    """
-    W = np.asarray(weight_rows, dtype=float)
-    if W.ndim != 2 or W.size == 0:
-        raise InvalidInputError("expected a nonempty (k, n) weight matrix")
-    if np.any(W < 0.0) or not np.all(np.isfinite(W)):
-        raise InvalidInputError("channel weights must be finite and nonnegative")
-    if not np.all(np.max(W, axis=1) > 0.0):
-        raise DegenerateWeightsError("a row has all channel weights zero")
-    rates, log_nu = _water_fill_rows(W, budget, d.beta)
-    return rates, np.exp(log_nu)
-
-
 class SortedChannels:
     """One channel set in one descending sort of a = log(beta * w), kept so
     that a single weight can be replaced by lookups (module docstring).
@@ -175,8 +156,11 @@ class SortedChannels:
     key_up   (n,)    C_k - (k + 1) * s_k (the test with a channel added ahead)
 
     Both keys are +inf past the f positive weights, which are never active.
-    With no positive weight the split is uniform, the fallback the
-    influencer takes when nobody's attention is worth anything to it.
+    It answers only one-weight replacements (``rates_with``, ``replace``);
+    the full split over the current weights is ``water_fill``'s.  When a
+    replacement leaves no positive weight, the rate is the uniform split,
+    the fallback the influencer takes when nobody's attention is worth
+    anything to it (``bestresponse.influencer_br_dense``).
     """
 
     def __init__(self, weights: np.ndarray, budget: float, d: DelayParams):
@@ -210,15 +194,6 @@ class SortedChannels:
         self.key_up[start:f] = C[start + 1:f + 1] - (k + 1) * s[start:f]
         self.key[max(start, f):] = np.inf
         self.key_up[max(start, f):] = np.inf
-
-    def rates(self) -> np.ndarray:
-        """The optimal split of the budget over the current weights."""
-        n = self.a.size
-        if not self.f:
-            return np.full(n, self.budget / n)
-        k = int(np.searchsorted(self.key, self._bm))  # key_1 = 0 < beta*M
-        level = (self.C[k] - self._bm) / k
-        return np.maximum(self.a - level, 0.0) / self.beta
 
     def rates_with(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Rate of channel z[j] in the optimal split once its weight alone is
@@ -260,27 +235,3 @@ class SortedChannels:
         self.weights[z], self.a[z] = w, a_new
         self._rebuild(lo)
 
-
-def kkt_residuals(sol: AllocationSolution, ch: WeightedChannels,
-                  d: DelayParams) -> dict[str, float]:
-    """Named first-order optimality residuals of a candidate solution.
-
-    stationarity          |w_i * delta'(mu_i) - nu| on active channels
-    dual_feasibility      max(0, w_i * delta'(mu_i) - nu) everywhere
-    complementary_slack   mu_i * max(0, nu - w_i * delta'(mu_i))
-    primal_feasibility    |sum mu_i - budget| and any negative rate
-    """
-    w, beta = ch.weights, d.beta
-    mu = np.asarray(sol.rates, dtype=float)
-    grad = w * beta * np.exp(-beta * mu)
-    active = mu > 0.0
-    stationarity = float(np.max(np.abs(grad[active] - sol.multiplier))) if np.any(active) else 0.0
-    dual = float(np.max(np.maximum(0.0, grad - sol.multiplier)))
-    comp = float(np.max(mu * np.maximum(0.0, sol.multiplier - grad)))
-    primal = abs(float(np.sum(mu)) - ch.budget) + max(0.0, -float(np.min(mu)))
-    return {
-        "stationarity": stationarity,
-        "dual_feasibility": dual,
-        "complementary_slack": comp,
-        "primal_feasibility": primal,
-    }

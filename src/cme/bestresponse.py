@@ -238,12 +238,11 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
     return lam, mu_i, direct
 
 
-def chunks(k: int, start: int = 0) -> list[slice]:
-    """Chunks of _CHUNK of the k producers or consumers from `start`: a
-    producer chunk's (c, N) evaluation tables, a consumer chunk's
-    (c, N + 2) weights and a row chunk of two direct-rate tables'
-    difference stay small."""
-    return [slice(s, min(s + _CHUNK, start + k)) for s in range(start, start + k, _CHUNK)]
+def chunks(k: int) -> list[slice]:
+    """Chunks of _CHUNK of k producers or consumers: a producer chunk's
+    (c, N) evaluation tables, a consumer chunk's (c, N + 2) weights and a
+    row chunk of two direct-rate tables' difference stay small."""
+    return [slice(s, min(s + _CHUNK, k)) for s in range(0, k, _CHUNK)]
 
 
 def _tile_objective(weights: PeerWeights, P: np.ndarray, Q: np.ndarray,
@@ -415,16 +414,13 @@ def _choice(x: np.ndarray, val: float, degen: bool) -> ProducerChoice:
     return ProducerChoice(topic=TopicPoint(tuple(x)), value=float(val), degenerate=bool(degen))
 
 
-def _support_choice(block: ProducerBlock, cfg: MarketConfig) -> ProducerChoice:
-    return _choice(block.topics[0], cfg.r_p * block.values[0], block.degenerate[0])
-
-
 def producer_best_response_perfect(z: int, omega: MarketAllocation, cfg: MarketConfig,
                                    search: TopicSearchParams,
                                    prev: TopicPoint | None = None) -> ProducerChoice:
     """Topic maximizing z's support under omega's rates; prev is the incumbent."""
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    return _support_choice(_one_producer(z, weights, cfg, search, prev), cfg)
+    block = _one_producer(z, weights, cfg, search, prev)
+    return _choice(block.topics[0], cfg.r_p * block.values[0], block.degenerate[0])
 
 
 def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: MarketConfig,
@@ -446,10 +442,3 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
         return _choice(keep, discount(at_best, cfg.delay), True)
     return _choice(block.topics[0], discount(at_value, cfg.delay), False)
 
-
-def producer_best_response_surrogate(z: int, omega: MarketAllocation, cfg: MarketConfig,
-                                     search: TopicSearchParams,
-                                     prev: TopicPoint | None = None) -> ProducerChoice:
-    """Topic maximizing z's follower-weighted match mass under omega's follow rates."""
-    weights = PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
-    return _support_choice(_one_producer(z, weights, cfg, search, prev), cfg)

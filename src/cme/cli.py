@@ -31,7 +31,6 @@ from .kernels import InvalidInputError
 from .scenario import (
     ScenarioError,
     allocation_from_dict,
-    allocation_to_dict,
     certificate_to_dict,
     config_from_dict,
     config_to_dict,
@@ -39,6 +38,7 @@ from .scenario import (
     median_relative_poi,
     parse_scenario,
     parse_sweep,
+    regime_to_dict,
     result_to_dict,
     run_sweep,
     write_json,
@@ -123,12 +123,8 @@ def _cmd_poi(args) -> int:
         "phi_imperfect": rec.phi_imperfect,
         "poi": rec.poi,
         "relative_poi": rec.relative_poi,
-        "perfect": {"converged": rec.perfect.converged,
-                    "certificate": certificate_to_dict(rec.perfect.certificate),
-                    "allocation": allocation_to_dict(rec.perfect.omega)},
-        "imperfect": {"converged": rec.imperfect.converged,
-                      "certificate": certificate_to_dict(rec.imperfect.certificate),
-                      "allocation": allocation_to_dict(rec.imperfect.omega)},
+        "perfect": regime_to_dict(rec.perfect),
+        "imperfect": regime_to_dict(rec.imperfect),
     }
     path = Path(args.out) / f"{scn.name}_poi.json"
     write_json(payload, path)

@@ -337,14 +337,15 @@ def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig, B: np.nd
     """Imperfect condition (a): for each producer, delta of the influencer's
     re-solved rate at the best candidate topic vs. at the current topic.  That
     rate grows with z's match mass, so one sort of the current weights gives
-    every producer's rate at its best candidate mass (`scanned`) and the
-    current split.  With every weight zero the split is uniform
-    (``influencer_br_dense``)."""
+    every producer's rate at its best candidate mass (`scanned`).  The rates
+    at the current topics are the influencer's best response to them,
+    ``influencer_br_dense``, uniform when every weight is zero."""
     d_i = discount(omega.mu_i, cfg.delay)
     channels = SortedChannels(cfg.r_p * influencer_followed_match(d_i, B), cfg.m_infl,
                               cfg.delay)
     at_best = channels.rates_with(np.arange(cfg.n), cfg.r_p * scanned)
-    return _relative_gap(discount(at_best, cfg.delay), discount(channels.rates(), cfg.delay))
+    current = influencer_br_dense(omega.mu_i, B, cfg)
+    return _relative_gap(discount(at_best, cfg.delay), discount(current, cfg.delay))
 
 
 def run_dynamics_all(cfg: MarketConfig, mode: GameMode,

@@ -365,13 +365,3 @@ def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,
     terms[z] = 0.0  # z's own term, zeroed rather than subtracted (see less_own)
     return cfg.r_p * float(terms.sum())
 
-
-def producer_support_via_influencer(z: int, omega: MarketAllocation, cfg: MarketConfig,
-                                    B: np.ndarray | None = None) -> float:
-    """The influencer-mediated share of producer z's support."""
-    if B is None:
-        B = match_matrix(omega.X, cfg)
-    d = cfg.delay
-    terms = B[z] * discount(omega.mu_i, d)
-    terms[z] = 0.0
-    return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum())

@@ -446,19 +446,25 @@ def certificate_to_dict(cert: NashCertificate) -> dict:
             "residuals": dict(sorted(cert.residuals.items()))}
 
 
+def regime_to_dict(res: EquilibriumResult) -> dict:
+    """One equilibrium's welfare, convergence flag, certificate and
+    allocation: a regime's block of a ``cme poi`` file and of a sweep row
+    JSON, and the core of ``result_to_dict``."""
+    return {"welfare": res.welfare, "converged": res.converged,
+            "certificate": certificate_to_dict(res.certificate),
+            "allocation": allocation_to_dict(res.omega)}
+
+
 def result_to_dict(scenario_name: str, mode: GameMode, cfg: MarketConfig,
                    res: EquilibriumResult) -> dict:
     return {
         "scenario": scenario_name,
         "mode": mode.value,
         "config": config_to_dict(cfg),
-        "welfare": res.welfare,
-        "converged": res.converged,
         "rounds_used": res.rounds_used,
         "degenerate_producers": sorted(res.degenerate_producers),
         "potential_trace": list(res.potential_trace),
-        "allocation": allocation_to_dict(res.omega),
-        "certificate": certificate_to_dict(res.certificate),
+        **regime_to_dict(res),
     }
 
 
@@ -511,14 +517,8 @@ def _sweep_row(args: tuple[SweepSpec, int, int]) -> dict:
              f";imperfect={int(rec.imperfect.converged)}")
     detail = {
         "config": config_to_dict(cfg),
-        "perfect": {"welfare": rec.perfect.welfare,
-                    "converged": rec.perfect.converged,
-                    "certificate": certificate_to_dict(rec.perfect.certificate),
-                    "allocation": allocation_to_dict(rec.perfect.omega)},
-        "imperfect": {"welfare": rec.imperfect.welfare,
-                      "converged": rec.imperfect.converged,
-                      "certificate": certificate_to_dict(rec.imperfect.certificate),
-                      "allocation": allocation_to_dict(rec.imperfect.omega)},
+        "perfect": regime_to_dict(rec.perfect),
+        "imperfect": regime_to_dict(rec.imperfect),
         "poi": rec.poi, "relative_poi": rec.relative_poi,
     }
     return {"n": n, "m_infl": cfg.m_infl, "replicate": replicate,

@@ -15,7 +15,16 @@
 - ``project_budget_box``, ``gradient_oracle`` and ``gradient_oracle_batch``:
   accelerated projected gradient ascent on the allocation program, a route
   that shares no machinery with ``cme.allocator``'s closed form, so
-  agreement between the two certifies both.
+  agreement between the two certifies both;
+- ``kkt_residuals``: the named first-order optimality residuals of a
+  candidate split;
+- ``water_fill_batch``: the engine's closed form, ``cme.allocator``'s
+  ``_water_fill_rows``, behind input checks, one independent solve per
+  row, the reference for the one-weight-replaced rates of
+  ``cme.allocator.SortedChannels`` and for one influencer re-solve per
+  candidate in ``reference_search``;
+- ``producer_support_via_influencer``: the influencer-relayed share of a
+  producer's support, the other half of ``cme.market.producer_support``.
 """
 
 import math
@@ -23,7 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from cme.allocator import AllocationSolution, DegenerateWeightsError, WeightedChannels
+from cme.allocator import (
+    AllocationSolution,
+    DegenerateWeightsError,
+    WeightedChannels,
+    _water_fill_rows,
+)
 from cme.kernels import (
     DelayParams,
     InvalidInputError,
@@ -32,6 +46,7 @@ from cme.kernels import (
     discount,
     pairwise_distances,
 )
+from cme.market import match_matrix
 
 
 class DomainError(ValueError):
@@ -190,3 +205,53 @@ def gradient_oracle_batch(instances: Sequence[tuple[WeightedChannels, DelayParam
             rates=rates, multiplier=nu, objective=float(obj),
             log_multiplier=math.log(nu) if nu > 0.0 else -math.inf))
     return solutions
+
+
+def kkt_residuals(sol: AllocationSolution, ch: WeightedChannels,
+                  d: DelayParams) -> dict[str, float]:
+    """Named first-order optimality residuals of a candidate solution.
+
+    stationarity          |w_i * delta'(mu_i) - nu| on active channels
+    dual_feasibility      max(0, w_i * delta'(mu_i) - nu) everywhere
+    complementary_slack   mu_i * max(0, nu - w_i * delta'(mu_i))
+    primal_feasibility    |sum mu_i - budget| and any negative rate
+    """
+    w, beta = ch.weights, d.beta
+    mu = np.asarray(sol.rates, dtype=float)
+    grad = w * beta * np.exp(-beta * mu)
+    active = mu > 0.0
+    stationarity = float(np.max(np.abs(grad[active] - sol.multiplier))) if np.any(active) else 0.0
+    dual = float(np.max(np.maximum(0.0, grad - sol.multiplier)))
+    comp = float(np.max(mu * np.maximum(0.0, sol.multiplier - grad)))
+    primal = abs(float(np.sum(mu)) - ch.budget) + max(0.0, -float(np.min(mu)))
+    return {
+        "stationarity": stationarity,
+        "dual_feasibility": dual,
+        "complementary_slack": comp,
+        "primal_feasibility": primal,
+    }
+
+
+def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise water filling: one independent solve per row of (k, n)
+    weights, by the engine's closed form.  Returns (rates, nu)."""
+    W = np.asarray(weight_rows, dtype=float)
+    if W.ndim != 2 or W.size == 0:
+        raise InvalidInputError("expected a nonempty (k, n) weight matrix")
+    if np.any(W < 0.0) or not np.all(np.isfinite(W)):
+        raise InvalidInputError("channel weights must be finite and nonnegative")
+    if not np.all(np.max(W, axis=1) > 0.0):
+        raise DegenerateWeightsError("a row has all channel weights zero")
+    rates, log_nu = _water_fill_rows(W, budget, d.beta)
+    return rates, np.exp(log_nu)
+
+
+def producer_support_via_influencer(z, omega, cfg, B=None) -> float:
+    """The influencer-mediated share of producer z's support."""
+    if B is None:
+        B = match_matrix(omega.X, cfg)
+    d = cfg.delay
+    terms = B[z] * discount(omega.mu_i, d)
+    terms[z] = 0.0
+    return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum())

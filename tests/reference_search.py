@@ -31,11 +31,12 @@ import math
 
 import numpy as np
 
-from cme.allocator import WeightedChannels, water_fill, water_fill_batch
+from cme.allocator import WeightedChannels, water_fill
 from cme.bestresponse import GameMode, influencer_br_dense, producer_block
 from cme.kernels import discount, pairwise_distances
 from cme.market import (InfluencerAllocation, MarketAllocation, PeerWeights,
                         influencer_followed_match, match_matrix, social_welfare)
+from oracles import water_fill_batch
 
 
 def consumer_br(y, delta_infl, B, cfg, mode):

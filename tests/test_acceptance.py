@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cme.allocator import kkt_residuals, water_fill
+from cme.allocator import water_fill
 from cme.bestresponse import GameMode, TopicSearchParams
 from cme.equilibrium import DynamicsParams, proxy_equivalence_report, run_dynamics
 from cme.kernels import DelayParams, KernelParams, TopicPoint, discount
@@ -29,7 +29,7 @@ from cme.market import (
 )
 from cme.scenario import InterestSpec, median_relative_poi, parse_sweep, run_sweep
 from markets_util import random_allocation, random_config
-from oracles import gradient_oracle_batch
+from oracles import gradient_oracle_batch, kkt_residuals
 from test_allocator import random_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"

@@ -25,7 +25,6 @@ from cme.bestresponse import (
     influencer_best_response,
     producer_best_response_imperfect,
     producer_best_response_perfect,
-    producer_best_response_surrogate,
     producer_block,
     support_weights,
 )
@@ -60,6 +59,15 @@ from reference_search import (
 )
 
 SEARCH = TopicSearchParams(grid_resolution=128)
+
+
+def mass_argmax(z, omega, cfg, search):
+    """Producer z's best topic by follower-weighted match mass, and whether
+    that mass is zero at every candidate: the producer block restricted to
+    z under the rank-one weights delta(mu_i) 1^T."""
+    weights = PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
+    block = producer_block(weights, TopicGrid(cfg, search), cfg, cols=slice(z, z + 1))
+    return TopicPoint(tuple(block.topics[0])), bool(block.degenerate[0])
 
 
 def golden_split(w1, w2, budget, beta, iters=300):
@@ -331,12 +339,12 @@ class TestProducerImperfectAndSurrogate:
             z = int(rng.integers(0, cfg.n))
             x, value, degenerate = exact_imperfect_search(
                 z, omega.mu_i, omega.X, TopicGrid(cfg, SEARCH), cfg)
-            fast = producer_best_response_surrogate(z, omega, cfg, SEARCH)
+            fast, _ = mass_argmax(z, omega, cfg, SEARCH)
             if degenerate or value <= 0.0:
                 continue
             hits += 1
             cell = 1.0 / (SEARCH.grid_resolution - 1)
-            assert abs(x[0] - fast.topic.coords[0]) <= cell + 1e-12
+            assert abs(x[0] - fast.coords[0]) <= cell + 1e-12
         assert hits >= 5  # the agreement case must actually be exercised
 
     def test_two_member_market_matches_perfect_argmax(self):
@@ -368,9 +376,9 @@ class TestProducerImperfectAndSurrogate:
         rng = np.random.default_rng(46)
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
-        choice = producer_best_response_surrogate(
+        _, degenerate = mass_argmax(
             1, dataclasses.replace(omega, mu_i=np.zeros(cfg.n)), cfg, SEARCH)
-        assert choice.degenerate
+        assert degenerate
 
 
 def _dense_market(rng, dim, case):
@@ -486,9 +494,9 @@ class TestProducerBlockAgainstReference:
             1, d.mu_i, d.X, TopicGrid(cfg, SEARCH), cfg, prev_x=d.X[1])
         assert (value, degenerate, x[0]) == (1.0, False, 0.0)
         got = producer_best_response_imperfect(1, d, cfg, SEARCH, prev=TopicPoint((0.0,)))
-        mass = producer_best_response_surrogate(1, d, cfg, SEARCH)
+        mass, _ = mass_argmax(1, d, cfg, SEARCH)
         assert got.value == 1.0 and not got.degenerate
-        assert got.topic == mass.topic and mass.topic.coords[0] > 0.3
+        assert got.topic == mass and mass.coords[0] > 0.3
 
 
 def _round_market(rng, t):

@@ -118,6 +118,10 @@ def test_poi_cli(tmp_path, capsys):
     assert payload["poi"] == pytest.approx(
         payload["phi_perfect"] - payload["phi_imperfect"])
     assert payload["perfect"]["certificate"]["holds"]
+    # each regime's block is a sweep row's: welfare, flag, certificate, allocation
+    for mode in ("perfect", "imperfect"):
+        assert set(payload[mode]) == {"welfare", "converged", "certificate", "allocation"}
+        assert payload[mode]["welfare"] == payload[f"phi_{mode}"]
     assert "poi=" in out
 
 

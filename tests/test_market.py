@@ -21,13 +21,12 @@ from cme.market import (
     influencer_utility,
     match_matrix,
     producer_support,
-    producer_support_via_influencer,
     social_welfare,
 )
 from cme.bestresponse import GameMode
 from cme.equilibrium import random_init
 from markets_util import random_allocation, random_config, random_consumer, with_consumer, with_topic
-from oracles import match_prob
+from oracles import match_prob, producer_support_via_influencer
 
 
 # -- brute-force scalar reimplementations (the oracle for the vector core) --
