@@ -33,10 +33,21 @@ With C_k = a_1 + ... + a_k the test a_k > level_k reads
 
     key_k = C_k - k * a_k  <  beta * M,
 
-and key_k is nondecreasing in k (key_{k+1} - key_k = k * (a_k - a_{k+1})),
-so the active count is a binary search.  ``SortedChannels`` keeps one sort,
-its prefix sums, key_k and key_up_k = C_k - (k + 1) * a_k, and finds channel
-z's rate once its weight alone is replaced by w' with lookups.  Let
+and key_k is nondecreasing in k (key_{k+1} - key_k = k * (a_k - a_{k+1})).
+The rates sum to M, so a_1 - log nu <= sum over the active channels of
+(a_i - log nu) = beta * M: log nu >= a_1 - beta * M, and only a channel
+with w_i > max(w) * exp(-beta * M) can be active.  ``_water_fill_rows``
+sorts only those candidates, in a large community a handful of each
+consumer's N + 2 channels.  They are each row's top weights, so the
+sorted prefix a_1, a_2, ... up to the last candidate, its sums C_k and
+its levels are the floats a full sort gives; past it a full sort's test
+fails (key_k >= a_1 - a_k > beta * M), so both find the same active set
+and the same log nu.
+
+The active count is also a binary search on key_k.  ``SortedChannels``
+keeps one sort, its prefix sums, key_k and key_up_k = C_k - (k + 1) * a_k,
+and finds channel z's rate once its weight alone is replaced by w' with
+lookups.  Let
 a' = log(beta * w') and count z as active.  The channel at sorted position
 j != z is then active iff key_up_j < beta * M - a' when j lies ahead of z's
 old entry, and iff key_j < beta * M - a' + a_z behind it (its prefix sum
@@ -56,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DelayParams, InvalidInputError
+from .kernels import DelayParams, InvalidInputError, require_finite_nonnegative
 
 
 class DegenerateWeightsError(ValueError):
@@ -74,8 +85,7 @@ class WeightedChannels:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidInputError("weights must be a nonempty 1-D array")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise InvalidInputError("channel weights must be finite and nonnegative")
+        require_finite_nonnegative(w, "channel weights")
         if not (self.budget > 0.0 and math.isfinite(self.budget)):
             raise InvalidInputError(f"budget must be positive, got {self.budget}")
         w.setflags(write=False)
@@ -101,36 +111,58 @@ def _objective(rates: np.ndarray, weights: np.ndarray, beta: float) -> float:
     return float(np.dot(weights, -np.expm1(-beta * rates)))
 
 
+def _candidates(W: np.ndarray, bm: float) -> np.ndarray:
+    """Mask of the channels of each row of W that can be active at
+    beta * M = bm: w_i > max(w) * exp(-bm) (module docstring), the bound
+    lowered by a relative 1e-9 so that rounding never drops a channel.
+    Once exp(-bm) underflows, every positive weight is a candidate."""
+    return W > W.max(axis=1, keepdims=True) * (math.exp(-bm) * (1.0 - 1e-9))
+
+
 def _water_fill_rows(W: np.ndarray, budget: float, beta: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of the module docstring, row by row; returns (rates, log nu).
 
-    Every row must hold a positive weight.  Zero weights enter as
-    log(0) = -inf, sort last and never become active.
+    Every row must hold a positive weight.  Only each row's candidates
+    (``_candidates``) are sorted: they are gathered into an (n, K) table,
+    K the largest candidate count, padded with zero weights, which enter
+    as log(0) = -inf, sort last and never become active.  The rates are
+    scattered back into zeroed (n, N) rows.
     """
-    a = beta * W
+    n, N = W.shape
+    flat = np.flatnonzero(_candidates(W, beta * budget))
+    count = np.bincount(flat // N, minlength=n)
+    # row i's candidates, in channel order, fill the first count[i] slots
+    # of its table row
+    slots = np.arange(count.max()) < count[:, None]
+    K = slots.shape[1]
+    a = np.zeros((n, K))
+    a[slots] = W.take(flat)
+    a *= beta
     with np.errstate(divide="ignore"):
         np.log(a, out=a)
     desc = np.sort(a, axis=1)[:, ::-1]
     level = np.cumsum(desc, axis=1)
     level -= beta * budget
-    level /= np.arange(1, W.shape[1] + 1)
-    k_star = W.shape[1] - 1 - np.argmax((desc > level)[:, ::-1], axis=1)
-    log_nu = level[np.arange(W.shape[0]), k_star]
+    level /= np.arange(1, K + 1)
+    k_star = K - 1 - np.argmax((desc > level)[:, ::-1], axis=1)
+    log_nu = level[np.arange(n), k_star]
     a -= log_nu[:, None]
     np.maximum(a, 0.0, out=a)
     a /= beta
-    return a, log_nu
+    rates = np.zeros(n * N)
+    rates[flat] = a[slots]
+    return rates.reshape(n, N), log_nu
 
 
 def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
     """Exact budget split in closed form, no iteration.
 
-    Sorts a_i = log(beta * w_i), reads log nu off the prefix sums for the
-    largest consistent active set (Boyd & Vandenberghe, *Convex
-    Optimization*, section 5.5.3; derivation in the module docstring) and
-    returns mu_i = max(0, a_i - log nu) / beta, so zero-weight channels get
-    exactly 0.
+    Sorts a_i = log(beta * w_i) over the channels that can be active,
+    reads log nu off the prefix sums for the largest consistent active set
+    (Boyd & Vandenberghe, *Convex Optimization*, section 5.5.3; derivation
+    in the module docstring) and returns mu_i = max(0, a_i - log nu) / beta,
+    so zero-weight channels get exactly 0.
     """
     w = ch.weights
     if not np.any(w > 0.0):

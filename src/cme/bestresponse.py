@@ -181,15 +181,14 @@ _TILE = _CHUNK * 256  # kernel-table entries per tile of the candidate scan
 # dense cores -- the equilibrium loop calls these directly on its arrays
 # ---------------------------------------------------------------------------
 
-def influencer_br_dense(mu_i: np.ndarray, B: np.ndarray, cfg: MarketConfig) -> np.ndarray:
-    """Optimal influencer rates given consumer follow rates and topics.
-
-    Channel z is worth r_p * sum_{y != z} delta(mu_i(y)) * B[z, y].  When
-    every weight is zero -- nobody follows the influencer, or no follower's
-    match with any other producer is above 0 -- the uniform split of the
-    budget is the pinned-down fallback.
+def influencer_br_dense(gamma: np.ndarray, cfg: MarketConfig) -> np.ndarray:
+    """Optimal influencer rates given its channel weights gamma, channel z
+    worth gamma[z] = r_p * sum_{y != z} delta(mu_i(y)) * B[z, y]
+    (``influencer_followed_match``).  When every weight is zero -- nobody
+    follows the influencer, or no follower's match with any other producer
+    is above 0 -- the uniform split of the budget is the pinned-down
+    fallback.
     """
-    gamma = cfg.r_p * influencer_followed_match(discount(mu_i, cfg.delay), B)
     if not np.any(gamma > 0.0):
         return np.full(cfg.n, cfg.m_infl / cfg.n)
     sol = water_fill(WeightedChannels(weights=gamma, budget=cfg.m_infl), cfg.delay)
@@ -381,8 +380,9 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
 def influencer_best_response(omega: MarketAllocation, cfg: MarketConfig
                              ) -> InfluencerAllocation:
     """The influencer's optimal rates against omega's follow rates and topics."""
-    return InfluencerAllocation(
-        mu=influencer_br_dense(omega.mu_i, match_matrix(omega.X, cfg), cfg))
+    gamma = cfg.r_p * influencer_followed_match(discount(omega.mu_i, cfg.delay),
+                                                match_matrix(omega.X, cfg))
+    return InfluencerAllocation(mu=influencer_br_dense(gamma, cfg))
 
 
 def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,

@@ -195,7 +195,8 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     B.  In perfect/proxy mode they are also the producers' weights, and the
     incumbents' objectives are read from B.
     """
-    mu_infl = influencer_br_dense(state.mu_i, B, cfg)
+    gamma = cfg.r_p * influencer_followed_match(discount(state.mu_i, cfg.delay), B)
+    mu_infl = influencer_br_dense(gamma, cfg)
     lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
     weights = support_weights(mu_i, mu_infl, direct, cfg)
     if mode is GameMode.IMPERFECT:
@@ -272,10 +273,11 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         return float(np.max(vals)) if vals.size else 0.0
 
     res: dict[str, float] = {}
+    gamma = cfg.r_p * influencer_followed_match(d_i, B)  # the influencer's weights
 
     # --- producer topic optimality, certified on the search candidates ---
     if mode is GameMode.IMPERFECT:
-        res["a_producer_topic"] = _imperfect_producer_gap(omega, cfg, B, scanned)
+        res["a_producer_topic"] = _imperfect_producer_gap(gamma, cfg, scanned)
     else:
         res["a_producer_topic"] = _support_producer_gap(omega, cfg, B, scanned)
 
@@ -307,7 +309,6 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         res["e_direct_optimal"] = gated_max(direct > gate_m, shortfall)
 
     # --- influencer allocation marginals ---
-    gamma = cfg.r_p * influencer_followed_match(d_i, B)
     g_marginal = discount_deriv(omega.mu_infl, d) * gamma
     best = float(np.max(g_marginal)) if n else 0.0
     res["g_influencer_allocation"] = gated_max(omega.mu_infl > gate_infl,
@@ -332,19 +333,18 @@ def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, B: np.ndar
     return _relative_gap(scanned, weights.producer_values(B))
 
 
-def _imperfect_producer_gap(omega: MarketAllocation, cfg: MarketConfig, B: np.ndarray,
+def _imperfect_producer_gap(gamma: np.ndarray, cfg: MarketConfig,
                             scanned: np.ndarray) -> float:
     """Imperfect condition (a): for each producer, delta of the influencer's
     re-solved rate at the best candidate topic vs. at the current topic.  That
-    rate grows with z's match mass, so one sort of the current weights gives
-    every producer's rate at its best candidate mass (`scanned`).  The rates
-    at the current topics are the influencer's best response to them,
-    ``influencer_br_dense``, uniform when every weight is zero."""
-    d_i = discount(omega.mu_i, cfg.delay)
-    channels = SortedChannels(cfg.r_p * influencer_followed_match(d_i, B), cfg.m_infl,
-                              cfg.delay)
+    rate grows with z's match mass, so one sort of the influencer's current
+    channel weights gamma gives every producer's rate at its best candidate
+    mass (`scanned`).  The rates at the current topics are the influencer's
+    best response to gamma, ``influencer_br_dense``, uniform when every
+    weight is zero."""
+    channels = SortedChannels(gamma, cfg.m_infl, cfg.delay)
     at_best = channels.rates_with(np.arange(cfg.n), cfg.r_p * scanned)
-    current = influencer_br_dense(omega.mu_i, B, cfg)
+    current = influencer_br_dense(gamma, cfg)
     return _relative_gap(discount(at_best, cfg.delay), discount(current, cfg.delay))
 
 

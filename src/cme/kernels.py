@@ -76,14 +76,21 @@ class DelayParams:
             raise InvalidInputError(f"beta must be positive and finite, got {self.beta}")
 
 
+def require_finite_nonnegative(x: np.ndarray, what: str) -> None:
+    """Raise InvalidInputError unless every entry of x is finite and
+    nonnegative, in one min and one max pass.  A NaN anywhere makes the
+    min NaN, so it fails the comparison; an empty x passes."""
+    if x.size and not (x.min() >= 0.0 and math.isfinite(x.max())):
+        raise InvalidInputError(f"{what} must be finite and nonnegative")
+
+
 def discount(mu, p: DelayParams):
     """Delay discount delta(mu) = 1 - exp(-beta*mu) for rates mu >= 0.
 
     Accepts scalars or arrays; uses expm1 so values stay accurate near 0.
     """
     m = np.asarray(mu, dtype=float)
-    if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-        raise InvalidInputError("attention rates must be finite and nonnegative")
+    require_finite_nonnegative(m, "attention rates")
     out = np.multiply(m, -p.beta, out=np.empty_like(m))  # the one buffer
     np.expm1(out, out=out)
     np.negative(out, out=out)
@@ -93,8 +100,7 @@ def discount(mu, p: DelayParams):
 def discount_deriv(mu, p: DelayParams):
     """Derivative delta'(mu) = beta * exp(-beta*mu), scalar or array."""
     m = np.asarray(mu, dtype=float)
-    if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-        raise InvalidInputError("attention rates must be finite and nonnegative")
+    require_finite_nonnegative(m, "attention rates")
     out = p.beta * np.exp(-p.beta * m)
     return float(out) if out.ndim == 0 else out
 

@@ -61,6 +61,7 @@ from .kernels import (
     TopicPoint,
     discount,
     pairwise_distances,
+    require_finite_nonnegative,
 )
 
 # Absolute slack allowed on every budget constraint check.
@@ -124,8 +125,7 @@ class InfluencerAllocation:
         mu = np.asarray(self.mu, dtype=float)
         if mu.ndim != 1:
             raise InvalidInputError("influencer rates must be a 1-D array")
-        if np.any(mu < 0.0) or not np.all(np.isfinite(mu)):
-            raise InvalidInputError("influencer rates must be finite and nonnegative")
+        require_finite_nonnegative(mu, "influencer rates")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 

@@ -18,6 +18,9 @@
   agreement between the two certifies both;
 - ``kkt_residuals``: the named first-order optimality residuals of a
   candidate split;
+- ``water_fill_rows_sorted``: the closed form with every channel of every
+  row sorted, the reference that ``cme.allocator._water_fill_rows``, which
+  sorts only the channels that can be active, must equal bit for bit;
 - ``water_fill_batch``: the engine's closed form, ``cme.allocator``'s
   ``_water_fill_rows``, behind input checks, one independent solve per
   row, the reference for the one-weight-replaced rates of
@@ -230,6 +233,27 @@ def kkt_residuals(sol: AllocationSolution, ch: WeightedChannels,
         "complementary_slack": comp,
         "primal_feasibility": primal,
     }
+
+
+def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form with every channel of every row sorted: the
+    reference of ``cme.allocator._water_fill_rows``, which sorts only the
+    channels that can be active and must return the same floats.  Returns
+    (rates, log nu); every row must hold a positive weight."""
+    a = beta * W
+    with np.errstate(divide="ignore"):
+        np.log(a, out=a)
+    desc = np.sort(a, axis=1)[:, ::-1]
+    level = np.cumsum(desc, axis=1)
+    level -= beta * budget
+    level /= np.arange(1, W.shape[1] + 1)
+    k_star = W.shape[1] - 1 - np.argmax((desc > level)[:, ::-1], axis=1)
+    log_nu = level[np.arange(W.shape[0]), k_star]
+    a -= log_nu[:, None]
+    np.maximum(a, 0.0, out=a)
+    a /= beta
+    return a, log_nu
 
 
 def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams

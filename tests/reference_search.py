@@ -190,7 +190,8 @@ def gauss_seidel_round(state, cfg, mode, grid, values=None):
     (next state, degenerate producers, its match matrix, its welfare).
     `values`, when given, collects each producer's objective value."""
     B = match_matrix(state.X, cfg)
-    mu_infl = influencer_br_dense(state.mu_i, B, cfg)
+    mu_infl = influencer_br_dense(
+        cfg.r_p * influencer_followed_match(discount(state.mu_i, cfg.delay), B), cfg)
     lam, mu_i, direct = consumer_round(discount(mu_infl, cfg.delay), B, cfg, mode)
     X = state.X.copy()
     degenerate = set()

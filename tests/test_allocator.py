@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     SortedChannels,
     WeightedChannels,
+    _candidates,
+    _water_fill_rows,
     water_fill,
 )
 from cme.kernels import DelayParams, InvalidInputError
@@ -19,6 +24,7 @@ from oracles import (
     kkt_residuals,
     project_budget_box,
     water_fill_batch,
+    water_fill_rows_sorted,
 )
 
 
@@ -167,11 +173,79 @@ class TestBatch:
             W[np.max(W, axis=1) == 0.0, 0] = 1.0
             budget = float(rng.uniform(0.2, 5.0))
             d = DelayParams(beta=float(rng.uniform(0.4, 2.5)))
-            rates, nu = water_fill_batch(W, budget, d)
+            rates, log_nu = _water_fill_rows(W, budget, d.beta)
+            old_rates, old_log_nu = water_fill_rows_sorted(W, budget, d.beta)
+            assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
             for i in range(k):
                 sol = water_fill(WeightedChannels(weights=W[i], budget=budget), d)
                 np.testing.assert_allclose(rates[i], sol.rates, atol=1e-10)
-                assert abs(nu[i] - sol.multiplier) < 1e-9 * sol.multiplier
+                assert abs(np.exp(log_nu[i]) - sol.multiplier) < 1e-9 * sol.multiplier
+
+
+def candidate_stack(rng, kind, shape):
+    """A (k, n) weight stack, every row holding a positive weight: exact ties
+    with zeros among them, all-equal rows (every channel a candidate), one
+    lone positive weight, weights over 600 decades, or the consumers' shape
+    at an equilibrium, one or two weights far above the rest."""
+    k, n = shape
+    if kind == "ties":
+        W = rng.choice([0.0, 0.5, 1.0, 2.0], shape)
+    elif kind == "equal":
+        W = np.tile(rng.uniform(0.1, 2.0, (k, 1)), (1, n))
+    elif kind == "lone":
+        W = np.zeros(shape)
+        W[np.arange(k), rng.integers(0, n, k)] = rng.uniform(0.1, 2.0, k)
+    elif kind == "decades":
+        W = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    else:  # "peaked"
+        W = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.7)
+        W[np.arange(k)[:, None], rng.integers(0, n, (k, 2))] *= 10.0 ** rng.uniform(1, 4, (k, 2))
+    W[np.max(W, axis=1) == 0.0, 0] = 1.0
+    return W
+
+
+CANDIDATE_KINDS = ("ties", "equal", "lone", "decades", "peaked")
+
+
+class TestCandidateSort:
+    """Sorting only the candidates returns the full sort's floats."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (1, 1002), (7, 40), (64, 1002)])
+    @pytest.mark.parametrize("kind", CANDIDATE_KINDS)
+    def test_matches_the_full_sort_bit_for_bit(self, kind, shape):
+        rng = np.random.default_rng([23, CANDIDATE_KINDS.index(kind), *shape])
+        # beta * M from 1e-3 to 1e3; exp(-beta * M) underflows past about 745
+        for bm in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 744.0, 746.0, 1e3):
+            W = candidate_stack(rng, kind, shape)
+            beta = float(rng.uniform(0.3, 3.0))
+            rates, log_nu = _water_fill_rows(W, bm / beta, beta)
+            old_rates, old_log_nu = water_fill_rows_sorted(W, bm / beta, beta)
+            assert np.array_equal(rates, old_rates), (kind, bm)
+            assert np.array_equal(log_nu, old_log_nu), (kind, bm)
+            if kind == "equal":  # K = N: every channel is a candidate and active
+                assert np.all(_candidates(W, bm)) and np.all(rates > 0.0)
+
+    def test_a_channel_just_above_the_bound_stays_active(self):
+        # with w = (1, exp(-beta * M) * (1 + eps)) the second channel is
+        # active, at a rate of about eps / (2 * beta), for every eps > 0
+        for bm in (1e-3, 1.0, 30.0, 700.0):
+            for eps in (1e-8, 1e-6, 1e-3):
+                W = np.array([[1.0, math.exp(-bm) * (1.0 + eps)]])
+                rates, log_nu = _water_fill_rows(W, bm / 2.0, 2.0)
+                old_rates, old_log_nu = water_fill_rows_sorted(W, bm / 2.0, 2.0)
+                assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
+                assert rates[0, 1] == pytest.approx(eps / 4.0, rel=1e-3)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(W=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 24)),
+                    elements=st.floats(0.0, 1e300) | st.sampled_from([0.0, 1.0])),
+           bm=st.floats(1e-3, 1e3), beta=st.floats(0.1, 10.0))
+    def test_candidates_hold_the_active_set(self, W, bm, beta):
+        W[np.max(W, axis=1) == 0.0, 0] = 1.0
+        old_rates, old_log_nu = water_fill_rows_sorted(W, bm / beta, beta)
+        assert np.all(_candidates(W, bm)[old_rates > 0.0])
+        rates, log_nu = _water_fill_rows(W, bm / beta, beta)
+        assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
 
 
 def bisection_reference(W, budget, beta):
@@ -204,10 +278,10 @@ class TestAgainstBisection:
             W[np.max(W, axis=1) == 0.0, int(rng.integers(0, n))] = 1.0
             beta = float(rng.uniform(0.2, 5.0))
             budget = 10.0 ** float(rng.uniform(-2, 2)) / beta
-            rates, nu = water_fill_batch(W, budget, DelayParams(beta=beta))
+            rates, log_nu = _water_fill_rows(W, budget, beta)
             ref_rates, ref_nu = bisection_reference(W, budget, beta)
             np.testing.assert_allclose(rates, ref_rates, rtol=0.0, atol=1e-10 * budget)
-            np.testing.assert_allclose(nu, ref_nu, rtol=1e-9)
+            np.testing.assert_allclose(np.exp(log_nu), ref_nu, rtol=1e-9)
 
 
 def sorted_channels_row(rng, kind, n):

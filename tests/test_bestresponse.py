@@ -4,11 +4,12 @@ per-agent code the consumer and producer blocks replaced
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cme import allocator
+from cme import allocator, bestresponse, equilibrium
 from cme.bestresponse import (
     _CHUNK,
     _TILE,
@@ -28,6 +29,7 @@ from cme.bestresponse import (
     producer_block,
     support_weights,
 )
+from cme.equilibrium import DynamicsParams, run_dynamics
 from cme.kernels import (
     DelayParams,
     InvalidInputError,
@@ -47,7 +49,14 @@ from cme.market import (
     producer_support,
 )
 from markets_util import far_pair, random_allocation, random_config, with_consumer, with_topic
-from oracles import dense_objective, dense_support_weights, dense_tables, dense_weights
+from cme.scenario import parse_sweep
+from oracles import (
+    dense_objective,
+    dense_support_weights,
+    dense_tables,
+    dense_weights,
+    water_fill_rows_sorted,
+)
 from reference_search import (
     consumer_round,
     exact_imperfect_search,
@@ -794,6 +803,31 @@ class TestConsumerBlockAgainstReference:
                 assert np.all(direct == 0.0)
             if case == 2:
                 assert np.all(mu_i == 0.0)
+
+    @pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
+    def test_blocks_of_a_fixed_budget_run_equal_the_full_sort(self, mode):
+        # at M_infl = 5 and N = 200 consumers keep up to tens of direct
+        # channels, so the candidate sets vary from row to row; every block
+        # of the run must equal the one solved with every channel sorted
+        spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
+        cfg = spec.base.build_config(n=200, m_infl=5.0, seed=spec.base.seed)
+        block = bestresponse.consumers_br_dense
+        active = []
+
+        def checked(*args):
+            out = block(*args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bestresponse, "_water_fill_rows", water_fill_rows_sorted)
+                full = block(*args)
+            for a, b in zip(out, full):
+                assert np.array_equal(a, b)
+            active.append(int(np.max(np.count_nonzero(out[2], axis=1))))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibrium, "consumers_br_dense", checked)
+            run_dynamics(cfg, mode, params=DynamicsParams(restarts=0))
+        assert len(active) >= 5 and max(active) >= 10, active
 
 
 def _random_weights(rng, n, rows):

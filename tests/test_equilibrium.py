@@ -44,6 +44,7 @@ from cme.market import (
     MarketAllocation,
     MarketConfig,
     PeerWeights,
+    influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
     social_welfare,
@@ -674,12 +675,20 @@ def _reference_run(cfg, mode, params, search):
         new, degenerate, B[...], phi = ref.gauss_seidel_round(state, cfg, mode, grid, values)
         return new, degenerate, phi, None
 
+    certify = equilibrium._certify
+
+    def reference_certify(omega, cfg, mode, B, scanned, *tols):
+        # the engine's certificate with condition (a) from the reference gaps
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(equilibrium, "_imperfect_producer_gap",
+                          lambda *_: ref.imperfect_gap(omega, cfg, grid))
+            inner.setattr(equilibrium, "_support_producer_gap",
+                          lambda *_: ref.support_gap(omega, cfg, grid))
+            return certify(omega, cfg, mode, B, scanned, *tols)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibrium, "_one_round", one_round)
-        mp.setattr(equilibrium, "_imperfect_producer_gap",
-                   lambda omega, cfg, B, scanned: ref.imperfect_gap(omega, cfg, grid))
-        mp.setattr(equilibrium, "_support_producer_gap",
-                   lambda omega, cfg, B, scanned: ref.support_gap(omega, cfg, grid))
+        mp.setattr(equilibrium, "_certify", reference_certify)
         res = run_dynamics(cfg, mode, params=params, search=search)
     if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
         return None
@@ -730,7 +739,8 @@ def test_certificate_gaps_match_the_per_producer_gaps(dim):
         B = match_matrix(d.X, cfg)
         follow = grid_best(_producer_weights(d, cfg, GameMode.IMPERFECT), grid)
         support = grid_best(_producer_weights(d, cfg, GameMode.PERFECT), grid)
-        assert equilibrium._imperfect_producer_gap(d, cfg, B, follow) == pytest.approx(
+        gamma = cfg.r_p * influencer_followed_match(discount(d.mu_i, cfg.delay), B)
+        assert equilibrium._imperfect_producer_gap(gamma, cfg, follow) == pytest.approx(
             ref.imperfect_gap(d, cfg, grid), rel=0.0, abs=1e-12)
         assert equilibrium._support_producer_gap(d, cfg, B, support) == pytest.approx(
             ref.support_gap(d, cfg, grid), rel=0.0, abs=1e-12)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cme.allocator import WeightedChannels
 from cme.kernels import (
     DelayParams,
     InvalidInputError,
@@ -13,7 +14,9 @@ from cme.kernels import (
     discount,
     discount_deriv,
     pairwise_distances,
+    require_finite_nonnegative,
 )
+from cme.market import InfluencerAllocation
 from oracles import (
     DomainError,
     deriv_inverse,
@@ -169,6 +172,32 @@ class TestDiscount:
     def test_derivative_at_zero_is_beta(self):
         p = DelayParams(beta=2.5)
         assert abs(discount_deriv(0.0, p) - 2.5) < 1e-15
+
+
+RATE_INPUTS = [[], 0.0, -0.0, 5e-324, -1e-300, math.nan, math.inf, -math.inf,
+               [0.0, 5e-324, 2.5], [1.0, -0.0], [1.0, -1e-300], [1.0, math.nan],
+               [math.nan, -1.0], [0.5, math.inf], [-math.inf, 1.0], [math.inf, math.nan]]
+
+
+@pytest.mark.parametrize("x", RATE_INPUTS, ids=repr)
+def test_rate_checks_reject_what_the_two_pass_test_rejects(x):
+    # the min/max check raises exactly where any(x < 0) or not all(isfinite(x))
+    # holds, at each of the four places that check rates or weights
+    m = np.asarray(x, dtype=float)
+    bad = bool(np.any(m < 0.0) or not np.all(np.isfinite(m)))
+    checks = [lambda: require_finite_nonnegative(m, "rates"),
+              lambda: discount(m, DelayParams()),
+              lambda: discount_deriv(m, DelayParams())]
+    if m.ndim == 1:
+        checks.append(lambda: InfluencerAllocation(mu=m))
+        if m.size:
+            checks.append(lambda: WeightedChannels(weights=m, budget=1.0))
+    for check in checks:
+        if bad:
+            with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+                check()
+        else:
+            check()
 
 
 class TestDerivInverse:
