@@ -13,7 +13,13 @@ starts one perfect run from the imperfect result itself.  A run builds one
 match matrix B at its start and owns it: each round rebuilds in place only
 the rows of the producers whose topic changed, and the run certifies a
 state from the B and the candidate scan of the round that built it, the
-arrays ``check_nash`` builds afresh for the same state.
+arrays ``check_nash`` builds afresh for the same state.  A round reads
+only the consumers' influencer rates ``mu_i``, the topics ``X`` and B, so
+a round that hands back ``mu_i`` and ``X`` unchanged rebuilt no row of B,
+and the round after it can only repeat it bit for bit: the same state,
+degenerate set, potential and scan, with no change.  The run takes that
+repeated round as read rather than computing it, and it is the run's last
+(a change of 0 passes every stopping test).
 Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
 ``_best`` picks: the certified run with the largest welfare, or, when none
 certifies, the run with the smallest certificate residual.
@@ -190,6 +196,13 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     this round, the next state's potential (``social_welfare``) and each
     producer's best scanned objective, the ``grid_best`` of the next
     state's producer weights, which ``_certify`` takes with B.
+
+    Of ``state`` the round reads only ``mu_i`` and ``X``: the influencer
+    responds to the followers' rates and B, the consumers to the
+    influencer's rates and B, the producers to the new rates and their
+    current topics.  When the returned ``mu_i`` and ``X`` equal the given
+    ones bit for bit, B is unchanged and the next round would return this
+    round's results again; ``_run_single`` skips it.
 
     The next state's ``support_weights`` give its potential with the next
     B.  In perfect/proxy mode they are also the producers' weights, and the
@@ -387,10 +400,16 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
     best_state: MarketAllocation | None = None
     best_phi = phi
 
+    repeat = False
     for rnd in range(1, max_rounds + 1):
-        new, degenerate, new_phi, scanned = _one_round(state, cfg, mode, grid, B)
+        if repeat:  # the last round handed back its mu_i and X: this one repeats it
+            new, new_phi, change = state, phi, 0.0
+        else:
+            new, degenerate, new_phi, scanned = _one_round(state, cfg, mode, grid, B)
+            change = _sup_change(state, new)
+            repeat = (np.array_equal(new.X, state.X)
+                      and np.array_equal(new.mu_i, state.mu_i))
         rounds_used = rnd
-        change = _sup_change(state, new)
         state = new  # drops the previous state
         dphi = abs(new_phi - phi)
         phi = new_phi

@@ -106,7 +106,13 @@ def discount_deriv(mu, p: DelayParams):
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between two (n, dim) stacks of points."""
+    """Euclidean distance matrix between two (n, dim) stacks of points.
+
+    In dim 1 it is |a[i] - b[j]|.  Otherwise it is
+    sqrt(sum_k (a[i, k] - b[j, k])**2) with the squares added in
+    coordinate order into one (n, m) buffer, so no (n, m, dim) difference
+    table is built; in dim 2 that equals the ``einsum`` reduction of the
+    difference table bit for bit."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -117,5 +123,8 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # == sqrt(d*d) bit for bit, except where d*d underflows and exp(-a*d) is 1.0
         d = a - b.T
         return np.abs(d, out=d)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        out += np.multiply(d, d, out=d)
+    return np.sqrt(out, out=out)

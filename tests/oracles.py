@@ -27,7 +27,11 @@
   ``cme.allocator.SortedChannels`` and for one influencer re-solve per
   candidate in ``reference_search``;
 - ``producer_support_via_influencer``: the influencer-relayed share of a
-  producer's support, the other half of ``cme.market.producer_support``.
+  producer's support, the other half of ``cme.market.producer_support``;
+- ``run_single_every_round``: the dynamics loop that computes every round,
+  the repeated last one too, the reference that
+  ``cme.equilibrium._run_single``, which takes a round that can only
+  repeat the one before it as read, must equal bit for bit.
 """
 
 import math
@@ -35,12 +39,14 @@ from typing import Sequence
 
 import numpy as np
 
+from cme import equilibrium
 from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
     _water_fill_rows,
 )
+from cme.bestresponse import GameMode
 from cme.kernels import (
     DelayParams,
     InvalidInputError,
@@ -49,7 +55,7 @@ from cme.kernels import (
     discount,
     pairwise_distances,
 )
-from cme.market import match_matrix
+from cme.market import match_matrix, social_welfare
 
 
 class DomainError(ValueError):
@@ -279,3 +285,57 @@ def producer_support_via_influencer(z, omega, cfg, B=None) -> float:
     terms = B[z] * discount(omega.mu_i, d)
     terms[z] = 0.0
     return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum())
+
+
+def run_single_every_round(start, cfg, mode, max_rounds, grid):
+    """``cme.equilibrium._run_single`` computing every round with
+    ``_one_round`` and ``_sup_change``, the repeated last round too."""
+    rate_tol = 1e-8 * cfg.m
+    cert_window = 1e-3 * max(cfg.m, cfg.m_infl)
+
+    state = start()
+    B = match_matrix(state.X, cfg)
+    phi = social_welfare(state, cfg, B)
+    trace = [phi]
+    degenerate = set()
+    converged = False
+    rounds_used = 0
+    best_cert = best_state = None
+    best_phi = phi
+
+    for rnd in range(1, max_rounds + 1):
+        new, degenerate, new_phi, scanned = equilibrium._one_round(state, cfg, mode, grid, B)
+        rounds_used = rnd
+        change = equilibrium._sup_change(state, new)
+        state = new
+        dphi = abs(new_phi - phi)
+        phi = new_phi
+        trace.append(phi)
+
+        if mode is GameMode.IMPERFECT:
+            near_cap = rnd >= max_rounds - 25
+            if change < cert_window or near_cap:
+                cert = equilibrium._certify(state, cfg, mode, B, scanned)
+                if best_cert is None or cert.max_residual < best_cert.max_residual:
+                    best_cert, best_state, best_phi = cert, state, phi
+            if change < rate_tol:
+                converged = True
+                break
+        elif change < rate_tol and dphi <= 1e-10 * abs(phi):
+            converged = True
+            break
+
+    if mode is GameMode.IMPERFECT and best_cert is not None:
+        cert, final, welfare = best_cert, best_state, best_phi
+    else:
+        final, welfare = state, phi
+        cert = equilibrium._certify(final, cfg, mode, B, scanned)
+    return equilibrium.EquilibriumResult(
+        omega=final,
+        welfare=welfare,
+        potential_trace=tuple(trace),
+        certificate=cert,
+        rounds_used=rounds_used,
+        converged=converged,
+        degenerate_producers=frozenset(degenerate),
+    )

@@ -50,9 +50,9 @@ from cme.market import (
     social_welfare,
     support_weights,
 )
-from cme.scenario import parse_scenario
+from cme.scenario import _row_seed, parse_scenario, parse_sweep
 from markets_util import far_pair, random_allocation, random_config, with_consumer
-from oracles import dense_support_weights
+from oracles import dense_support_weights, run_single_every_round
 
 SEARCH = TopicSearchParams(grid_resolution=64)
 FAST = DynamicsParams(restarts=0)
@@ -637,6 +637,109 @@ def test_a_run_builds_b_once_and_scans_once_per_round(mode, monkeypatch):
     runs = run_dynamics_all(cfg, mode, params=DynamicsParams(restarts=1), search=SEARCH)
     assert sum(full) == len(runs) == 2
     assert len(scans) == sum(r.rounds_used for r in runs)
+
+
+def _poi_row():
+    """The poi_sweep.swp row at N = 20, replicate 0, with its proportional
+    influencer budget: (config, dynamics, search)."""
+    spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
+    cfg = spec.base.build_config(n=20, m_infl=spec.m_infl_for(20),
+                                 seed=_row_seed(spec.base.seed, 20, 0))
+    return cfg, spec.base.dynamics, spec.base.search
+
+
+def _repeat_cases():
+    """Random markets in both dims, symmetric.scn and the N = 20 sweep row."""
+    rng = np.random.default_rng(400)
+    scn = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "symmetric.scn")
+    cases = [(random_config(rng, n_min=3, n_max=6, dim=dim), DynamicsParams(restarts=1),
+              _search(dim)) for dim in (1, 1, 2, 2)]
+    return cases + [(scn.build_config(), scn.dynamics, scn.search), _poi_row()]
+
+
+def test_a_round_that_returns_its_input_repeats_bit_for_bit():
+    # a round reads only mu_i, X and B; one that hands mu_i and X back
+    # unchanged rebuilt no row of B, so the round after it returns the same
+    # state, degenerate set, potential and scan
+    repeats = 0
+    for cfg, params, search in _repeat_cases():
+        grid = TopicGrid(cfg, search)
+        for mode in GameMode:
+            starts = [equilibrium.default_init(cfg, mode)]
+            starts += [equilibrium.random_init(cfg, mode, np.random.default_rng([cfg.seed, 1000]))]
+            for state in starts:
+                B = match_matrix(state.X, cfg)
+                for _ in range(40):
+                    new, degenerate, phi, scanned = equilibrium._one_round(
+                        state, cfg, mode, grid, B)
+                    if (np.array_equal(new.X, state.X)
+                            and np.array_equal(new.mu_i, state.mu_i)):
+                        break
+                    state = new
+                else:
+                    continue
+                repeats += 1
+                before = B.copy()
+                again, degenerate2, phi2, scanned2 = equilibrium._one_round(
+                    new, cfg, mode, grid, B)
+                for f in FIELDS:
+                    assert np.array_equal(getattr(again, f), getattr(new, f)), f
+                assert degenerate2 == degenerate
+                assert phi2 == phi
+                assert np.array_equal(scanned2, scanned)
+                assert np.array_equal(B, before)
+                assert equilibrium._sup_change(new, again) == 0.0
+    assert repeats >= 20
+
+
+def _assert_same_run(new, old):
+    for f in FIELDS:
+        assert np.array_equal(getattr(new.omega, f), getattr(old.omega, f)), f
+    assert new.welfare == old.welfare
+    assert new.potential_trace == old.potential_trace
+    assert new.rounds_used == old.rounds_used
+    assert new.converged == old.converged
+    assert new.degenerate_producers == old.degenerate_producers
+    assert new.certificate == old.certificate
+
+
+def test_runs_equal_the_every_round_loop():
+    # taking the repeated round as read changes no returned field
+    for cfg, params, search in _repeat_cases():
+        for mode in GameMode:
+            new = run_dynamics_all(cfg, mode, params=params, search=search)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(equilibrium, "_run_single", run_single_every_round)
+                old = run_dynamics_all(cfg, mode, params=params, search=search)
+            assert len(new) == len(old)
+            for a, b in zip(new, old):
+                _assert_same_run(a, b)
+        new = price_of_influence(cfg, params=params, search=search)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibrium, "_run_single", run_single_every_round)
+            old = price_of_influence(cfg, params=params, search=search)
+        _assert_same_run(new.perfect, old.perfect)
+        _assert_same_run(new.imperfect, old.imperfect)
+        assert (new.poi, new.relative_poi) == (old.poi, old.relative_poi)
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_a_converged_run_skips_its_repeated_round(mode, monkeypatch):
+    # every run of the N = 20 sweep row ends on a round that can only
+    # repeat the one before it; that round computes nothing, so no round,
+    # scan or full match matrix is built for it
+    rounds, full, scans = [], [], []
+    one_round, build, scan = equilibrium._one_round, equilibrium.match_matrix, bestresponse._scan
+    monkeypatch.setattr(equilibrium, "_one_round",
+                        lambda *args: (rounds.append(1), one_round(*args))[1])
+    monkeypatch.setattr(equilibrium, "match_matrix", lambda X, cfg, producers=None: (
+        full.append(producers is None), build(X, cfg, producers))[1])
+    monkeypatch.setattr(bestresponse, "_scan", lambda *args: (scans.append(1), scan(*args))[1])
+    cfg, params, search = _poi_row()
+    runs = run_dynamics_all(cfg, mode, params=params, search=search)
+    assert len(runs) == 2 and all(r.converged for r in runs)
+    assert len(rounds) == len(scans) == sum(r.rounds_used - 1 for r in runs)
+    assert sum(full) == len(runs)
 
 
 def test_perfect_run_peak_memory():

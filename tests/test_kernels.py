@@ -27,6 +27,12 @@ from oracles import (
 )
 
 
+def einsum_distances(a, b):
+    """The distance table through the whole (n, m, dim) difference table."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 class TestTopicSpace:
     def test_distance_identity(self):
         x = TopicPoint((0.3, 0.7))
@@ -63,9 +69,18 @@ class TestTopicSpace:
         rng = np.random.default_rng(8)
         a, b = rng.uniform(0, 1, (50, 1)), rng.uniform(0, 1, (40, 1))
         b[:5] = a[:5]  # zero distances too
-        diff = a[:, None, :] - b[None, :, :]
-        general = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        assert np.array_equal(pairwise_distances(a, b), general)
+        assert np.array_equal(pairwise_distances(a, b), einsum_distances(a, b))
+
+    def test_pairwise_distances_in_dim_two_equal_the_einsum_formula(self):
+        # the per-coordinate sum replaced this einsum, bit for bit; the
+        # candidates are a dim-2 TopicGrid's, with zero distances too
+        rng = np.random.default_rng(9)
+        axis = np.linspace(0.0, 1.0, 33)
+        a = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        b = rng.uniform(0, 1, (40, 2))
+        b[:3] = a[[0, 17, 500]]
+        assert np.array_equal(pairwise_distances(a, b), einsum_distances(a, b))
+        assert pairwise_distances(a[:0], b).shape == (0, 40)
 
 
 class TestKernels:
