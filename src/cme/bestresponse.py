@@ -349,10 +349,9 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     weights with the moves before them written in.  When nobody follows the
     influencer every producer's mass is 0, so all are degenerate.
     """
-    d_i = discount(mu_i, cfg.delay)
-    mass = influencer_followed_match(d_i, B)  # each incumbent's objective
-    block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg,
-                           prev=X, prev_value=mass)
+    weights = PeerWeights.rank_one(discount(mu_i, cfg.delay), np.ones(cfg.n))
+    mass = weights.producer_values(B)  # each incumbent's objective, as _objective values it
+    block = producer_block(weights, grid, cfg, prev=X, prev_value=mass)
     todo = np.flatnonzero(~block.degenerate)
     at_best = cfg.r_p * block.grid_best[todo]
     old, new = cfg.r_p * mass, cfg.r_p * block.values

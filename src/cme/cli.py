@@ -106,6 +106,12 @@ def _cmd_sweep(args) -> int:
           + (f", {len(failed)} failed" if failed else "") + ")")
     for r in failed:
         print(f"  N={r['n']:4d}  replicate {r['replicate']} failed: {r['error']}")
+    for r in output.rows:
+        for regime in ("perfect", "imperfect"):
+            cert = r["detail"][regime]["certificate"] if r["detail"] else None
+            if cert is not None and not cert["holds"]:
+                print(f"  N={r['n']:4d}  replicate {r['replicate']} {regime} certificate "
+                      f"fails: max_residual {cert['max_residual']:.6g}")
     print(f"wrote {output.dat_path}")
     for n, med in median_relative_poi(output).items():
         print(f"  N={n:4d}  median relative poi = {med:.6g}")

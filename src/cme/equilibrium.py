@@ -5,8 +5,11 @@ then every producer) from one or more starting points.  In the perfect and
 proxy regimes the social welfare is an exact potential, so every round is
 a weak improvement and the trace is nondecreasing; convergence there means
 the allocation stopped moving and the potential stalled.  The imperfect
-regime is a plain fixed-point iteration with no monotone quantity -- rounds
-are capped and the iterate with the smallest certificate residual is kept.
+regime is a plain fixed-point iteration with no monotone quantity, and in
+some markets a producer flips between two topics until the round cap.  A
+run that reaches the cap, in any regime, settles the influencer's and the
+consumers' rates at its last topics (``_settle``), and a run certifies
+the state it returns once.
 Each round returns a new ``MarketAllocation``; states are read-only, so a
 run never writes into an array it was handed, and ``price_of_influence``
 starts one perfect run from the imperfect result itself.  A run builds one
@@ -85,7 +88,8 @@ PRODUCER_TOL = 1e-3
 class DynamicsParams:
     """Iteration controls.  A run stops once no rate moves by 1e-8 * M in a
     round and, in perfect/proxy mode, the potential moves by at most
-    1e-10 * |potential|."""
+    1e-10 * |potential|.  A run still moving after ``max_rounds`` rounds
+    settles its rates at its last topics in at most ``max_rounds`` passes."""
 
     max_rounds: int = 500
     restarts: int = 2
@@ -183,11 +187,22 @@ def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
     return change
 
 
+def _rates(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
+           B: np.ndarray) -> MarketAllocation:
+    """The influencer's best response to ``state.mu_i``, then the consumers'
+    block response to it, at the topics ``state.X`` whose match matrix is
+    B: ``state`` with every rate replaced and the same topics."""
+    gamma = cfg.r_p * influencer_followed_match(discount(state.mu_i, cfg.delay), B)
+    mu_infl = influencer_br_dense(gamma, cfg)
+    lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
+    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), state.X)
+
+
 def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                grid: TopicGrid, B: np.ndarray
                ) -> tuple[MarketAllocation, set[int], float, np.ndarray]:
     """One full best-response round -- the influencer, then the consumers as
-    one block, then the producers as one block.  B is
+    one block (``_rates``), then the producers as one block.  B is
     ``match_matrix(state.X, cfg)`` on entry and the next state's match
     matrix on return: the round updates it in place, rebuilding with
     ``match_matrix`` only the rows of the producers whose topic changed, so
@@ -208,22 +223,48 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     B.  In perfect/proxy mode they are also the producers' weights, and the
     incumbents' objectives are read from B.
     """
-    gamma = cfg.r_p * influencer_followed_match(discount(state.mu_i, cfg.delay), B)
-    mu_infl = influencer_br_dense(gamma, cfg)
-    lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
-    weights = support_weights(mu_i, mu_infl, direct, cfg)
+    rates = _rates(state, cfg, mode, B)
+    weights = support_weights(rates.mu_i, rates.mu_infl, rates.direct, cfg)
     if mode is GameMode.IMPERFECT:
         X = state.X.copy()
-        degenerate, scanned = imperfect_producer_round(mu_i, X, grid, cfg, B)
+        degenerate, scanned = imperfect_producer_round(rates.mu_i, X, grid, cfg, B)
     else:
         block = producer_block(weights, grid, cfg, prev=state.X,
                                prev_value=weights.producer_values(B))
         X, degenerate, scanned = block.topics, block.degenerate, block.grid_best
     moved = np.flatnonzero(np.any(X != state.X, axis=1))
     B[moved] = match_matrix(X[moved], cfg, moved)
-    phi = float(_utilities(B, weights, lam, cfg).sum())  # == social_welfare(next state, cfg, B)
-    return (MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X),
+    phi = float(_utilities(B, weights, rates.lam, cfg).sum())  # == social_welfare(next state, cfg, B)
+    return (MarketAllocation(rates.lam, rates.mu_i, rates.direct, rates.influencer, X),
             set(np.flatnonzero(degenerate).tolist()), phi, scanned)
+
+
+def _settle(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
+            grid: TopicGrid, B: np.ndarray, max_passes: int
+            ) -> tuple[MarketAllocation, float, np.ndarray]:
+    """``_rates`` repeated from ``state`` until no rate moves by 1e-8 * M in
+    a pass, for at most ``max_passes`` passes.  At fixed topics the welfare
+    is an exact potential of the influencer and the consumers in every
+    regime, so no pass lowers it.  B is ``match_matrix(state.X, cfg)``.
+    Returns the settled state, its potential and its scan for ``_certify``."""
+    for _ in range(max_passes):
+        new = _rates(state, cfg, mode, B)
+        change = _sup_change(state, new)
+        state = new
+        if change < 1e-8 * cfg.m:
+            break
+    return (state, social_welfare(state, cfg, B),
+            grid_best(_producer_weights(state, cfg, mode), grid))
+
+
+def _producer_weights(omega: MarketAllocation, cfg: MarketConfig,
+                      mode: GameMode) -> PeerWeights:
+    """The weights of the regime's producer objectives at omega's rates:
+    the imperfect rank-one weights with v = 1 (a producer's follower match
+    mass), the perfect/proxy ``support_weights``."""
+    if mode is GameMode.IMPERFECT:
+        return PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
+    return support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
 
 
 def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
@@ -233,11 +274,8 @@ def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     if tol < 0.0 or producer_tol < 0.0:
         raise InvalidInputError("tolerances must be nonnegative")
     omega.validate(cfg)
-    if mode is GameMode.IMPERFECT:
-        weights = PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
-    else:
-        weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    scanned = grid_best(weights, TopicGrid(cfg, search or TopicSearchParams()))
+    scanned = grid_best(_producer_weights(omega, cfg, mode),
+                        TopicGrid(cfg, search or TopicSearchParams()))
     return _certify(omega, cfg, mode, match_matrix(omega.X, cfg), scanned, tol, producer_tol)
 
 
@@ -245,9 +283,8 @@ def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
              B: np.ndarray, scanned: np.ndarray, tol: float = TOL,
              producer_tol: float = PRODUCER_TOL) -> NashCertificate:
     """The certificate of omega from its match matrix B and the
-    ``grid_best`` of its producer weights (the perfect/proxy
-    ``support_weights``, the imperfect rank-one weights with v = 1); a
-    round returns both for the state it builds."""
+    ``grid_best`` of its ``_producer_weights``; a round and a settle
+    return both for the state they build."""
     res = _residuals(omega, cfg, mode, B, scanned)
     max_ratio = max(_tol_ratio(name, value, tol, producer_tol)
                     for name, value in res.items())
@@ -387,7 +424,6 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
 def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
                 mode: GameMode, max_rounds: int, grid: TopicGrid) -> EquilibriumResult:
     rate_tol = 1e-8 * cfg.m
-    cert_window = 1e-3 * max(cfg.m, cfg.m_infl)
 
     state = start()
     B = match_matrix(state.X, cfg)
@@ -395,13 +431,9 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
     trace = [phi]
     degenerate: set[int] = set()
     converged = False
-    rounds_used = 0
-    best_cert: NashCertificate | None = None
-    best_state: MarketAllocation | None = None
-    best_phi = phi
 
     repeat = False
-    for rnd in range(1, max_rounds + 1):
+    for rounds_used in range(1, max_rounds + 1):
         if repeat:  # the last round handed back its mu_i and X: this one repeats it
             new, new_phi, change = state, phi, 0.0
         else:
@@ -409,35 +441,21 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
             change = _sup_change(state, new)
             repeat = (np.array_equal(new.X, state.X)
                       and np.array_equal(new.mu_i, state.mu_i))
-        rounds_used = rnd
         state = new  # drops the previous state
         dphi = abs(new_phi - phi)
         phi = new_phi
         trace.append(phi)
-
-        if mode is GameMode.IMPERFECT:
-            near_cap = rnd >= max_rounds - 25
-            if change < cert_window or near_cap:
-                cert = _certify(state, cfg, mode, B, scanned)
-                if best_cert is None or cert.max_residual < best_cert.max_residual:
-                    best_cert, best_state, best_phi = cert, state, phi
-            if change < rate_tol:
-                converged = True
-                break
-        elif change < rate_tol and dphi <= 1e-10 * abs(phi):
+        if change < rate_tol and (mode is GameMode.IMPERFECT or dphi <= 1e-10 * abs(phi)):
             converged = True
             break
 
-    if mode is GameMode.IMPERFECT and best_cert is not None:
-        cert, final, welfare = best_cert, best_state, best_phi
-    else:
-        final, welfare = state, phi  # phi is already the welfare at state
-        cert = _certify(final, cfg, mode, B, scanned)
+    if not converged:
+        state, phi, scanned = _settle(state, cfg, mode, grid, B, max_rounds)
     return EquilibriumResult(
-        omega=final,
-        welfare=welfare,
+        omega=state,
+        welfare=phi,
         potential_trace=tuple(trace),
-        certificate=cert,
+        certificate=_certify(state, cfg, mode, B, scanned),
         rounds_used=rounds_used,
         converged=converged,
         degenerate_producers=frozenset(degenerate),

@@ -29,9 +29,10 @@
 - ``producer_support_via_influencer``: the influencer-relayed share of a
   producer's support, the other half of ``cme.market.producer_support``;
 - ``run_single_every_round``: the dynamics loop that computes every round,
-  the repeated last one too, the reference that
-  ``cme.equilibrium._run_single``, which takes a round that can only
-  repeat the one before it as read, must equal bit for bit.
+  the repeated last one too, and settles a run that reaches its round cap
+  as the engine does, the reference that ``cme.equilibrium._run_single``,
+  which takes a round that can only repeat the one before it as read, must
+  equal bit for bit.
 """
 
 import math
@@ -291,7 +292,6 @@ def run_single_every_round(start, cfg, mode, max_rounds, grid):
     """``cme.equilibrium._run_single`` computing every round with
     ``_one_round`` and ``_sup_change``, the repeated last round too."""
     rate_tol = 1e-8 * cfg.m
-    cert_window = 1e-3 * max(cfg.m, cfg.m_infl)
 
     state = start()
     B = match_matrix(state.X, cfg)
@@ -299,42 +299,25 @@ def run_single_every_round(start, cfg, mode, max_rounds, grid):
     trace = [phi]
     degenerate = set()
     converged = False
-    rounds_used = 0
-    best_cert = best_state = None
-    best_phi = phi
 
-    for rnd in range(1, max_rounds + 1):
+    for rounds_used in range(1, max_rounds + 1):
         new, degenerate, new_phi, scanned = equilibrium._one_round(state, cfg, mode, grid, B)
-        rounds_used = rnd
         change = equilibrium._sup_change(state, new)
         state = new
         dphi = abs(new_phi - phi)
         phi = new_phi
         trace.append(phi)
-
-        if mode is GameMode.IMPERFECT:
-            near_cap = rnd >= max_rounds - 25
-            if change < cert_window or near_cap:
-                cert = equilibrium._certify(state, cfg, mode, B, scanned)
-                if best_cert is None or cert.max_residual < best_cert.max_residual:
-                    best_cert, best_state, best_phi = cert, state, phi
-            if change < rate_tol:
-                converged = True
-                break
-        elif change < rate_tol and dphi <= 1e-10 * abs(phi):
+        if change < rate_tol and (mode is GameMode.IMPERFECT or dphi <= 1e-10 * abs(phi)):
             converged = True
             break
 
-    if mode is GameMode.IMPERFECT and best_cert is not None:
-        cert, final, welfare = best_cert, best_state, best_phi
-    else:
-        final, welfare = state, phi
-        cert = equilibrium._certify(final, cfg, mode, B, scanned)
+    if not converged:
+        state, phi, scanned = equilibrium._settle(state, cfg, mode, grid, B, max_rounds)
     return equilibrium.EquilibriumResult(
-        omega=final,
-        welfare=welfare,
+        omega=state,
+        welfare=phi,
         potential_trace=tuple(trace),
-        certificate=cert,
+        certificate=equilibrium._certify(state, cfg, mode, B, scanned),
         rounds_used=rounds_used,
         converged=converged,
         degenerate_producers=frozenset(degenerate),

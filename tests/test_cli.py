@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, output files, and verdict wording."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -197,3 +198,24 @@ def test_sweep_prints_each_failed_row(tmp_path, capsys, monkeypatch):
                 f"ArithmeticError: no equilibrium at N={n}") in out
     rows = (tmp_path / "determinism.csv").read_text().splitlines()[1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["error=ArithmeticError"] * 4
+
+
+def test_sweep_prints_each_row_whose_certificate_fails(tmp_path, capsys, monkeypatch):
+    solve = scenario.price_of_influence
+
+    def uncertified(cfg, params=None, search=None):
+        rec = solve(cfg, params=params, search=search)
+        if cfg.n != 3:
+            return rec
+        cert = dataclasses.replace(rec.imperfect.certificate, max_residual=2.5, holds=False)
+        return dataclasses.replace(
+            rec, imperfect=dataclasses.replace(rec.imperfect, certificate=cert))
+
+    monkeypatch.setenv("CME_THREADS", "1")
+    monkeypatch.setattr(scenario, "price_of_influence", uncertified)
+    code, out, _ = run(["sweep", str(FIXTURES / "determinism.swp"),
+                        "--out", str(tmp_path)], capsys)
+    assert code == 0
+    fails = [line for line in out.splitlines() if "certificate fails" in line]
+    assert fails == [f"  N=   3  replicate {rep} imperfect certificate fails: max_residual 2.5"
+                     for rep in (0, 1)]

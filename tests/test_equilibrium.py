@@ -9,6 +9,7 @@ checked both for self-consistency and for catching named violations under
 controlled perturbations.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_search as ref
 from cme import bestresponse, equilibrium
@@ -608,9 +611,10 @@ def test_certificates_equal_a_fresh_check_nash(dim):
     _assert_fresh_certificate(rec.imperfect, cfg, GameMode.IMPERFECT, _search(dim))
 
 
-def test_imperfect_certificate_from_an_earlier_round_equals_check_nash(monkeypatch):
-    # this run's smallest residual is round 2's of 3, and round 3 moves
-    # producers, so it rewrites rows of the B that certificate read
+def test_a_capped_run_settles_its_last_topics(monkeypatch):
+    # this run reaches its cap of 3 rounds still moving producers: it keeps
+    # round 3's topics, settles the rates there (for at most 3 passes) and
+    # certifies the settled state as check_nash would from scratch
     states = []
     one_round = equilibrium._one_round
     monkeypatch.setattr(equilibrium, "_one_round",
@@ -618,43 +622,127 @@ def test_imperfect_certificate_from_an_earlier_round_equals_check_nash(monkeypat
     cfg = random_config(np.random.default_rng(306), n_min=3, n_max=6, dim=1)
     res = run_dynamics(cfg, GameMode.IMPERFECT, params=DynamicsParams(max_rounds=3, restarts=0),
                        search=SEARCH)
-    assert len(states) == 3 and res.omega is states[1]
-    assert not np.array_equal(states[2].X, res.omega.X)
+    assert len(states) == 3 and not res.converged
+    assert not np.array_equal(states[1].X, states[2].X)
+    assert np.array_equal(res.omega.X, states[2].X)
+    B = match_matrix(states[2].X, cfg)
+    settled, phi, _ = equilibrium._settle(states[2], cfg, GameMode.IMPERFECT,
+                                          TopicGrid(cfg, SEARCH), B, 3)
+    for f in FIELDS:
+        assert np.array_equal(getattr(res.omega, f), getattr(settled, f)), f
+    assert not np.array_equal(res.omega.mu_infl, states[2].mu_infl)
+    assert res.welfare == phi == social_welfare(res.omega, cfg, B)
+    assert res.welfare >= res.potential_trace[-1]
     _assert_fresh_certificate(res, cfg, GameMode.IMPERFECT, SEARCH)
+
+
+def test_the_cycling_seed4_row_settles_to_a_certified_state():
+    # the imperfect dynamics of this market cycle until the round cap; the
+    # state settled at the last round's topics is an equilibrium
+    cfg, params, search = _seed4_market()
+    res = run_dynamics(cfg, GameMode.IMPERFECT, params=params, search=search)
+    assert not res.converged and res.rounds_used == params.max_rounds
+    assert res.certificate.holds, res.certificate.worst()
+    assert check_nash(res.omega, cfg, GameMode.IMPERFECT, search=search).holds
+    assert res.welfare == pytest.approx(4.2097353, rel=0.0, abs=1e-7)
+
+
+def test_the_capped_seed5_row_settles_to_a_certified_state():
+    # seed 5, N = 20, replicate 0 of poi_sweep.swp under the fixed budget
+    cfg, params, search = _poi_row(seed=5, n=20, replicate=0, rule="fixed")
+    assert cfg.seed == 2912076504 and cfg.m_infl == 5.0
+    res = run_dynamics(cfg, GameMode.IMPERFECT, params=params, search=search)
+    assert not res.converged
+    assert res.certificate.holds, res.certificate.worst()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(GameMode)),
+       dim=st.sampled_from([1, 2]), passes=st.integers(1, 60))
+def test_settling_never_lowers_the_potential(seed, mode, dim, passes):
+    # with the topics fixed the welfare is an exact potential of the
+    # influencer and the consumers in every regime, so no pass lowers it,
+    # and a settle that stops before its cap leaves only the producers'
+    # condition to fail
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, n_min=2, n_max=6, dim=dim)
+    state = equilibrium.random_init(cfg, mode, rng)
+    B = match_matrix(state.X, cfg)
+    passed = [state]
+    rates = equilibrium._rates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_rates", lambda *args: (out := rates(*args), passed.append(out))[0])
+        settled, phi, scanned = equilibrium._settle(state, cfg, mode, TopicGrid(cfg, _search(dim)),
+                                                    B, passes)
+    assert settled is passed[-1] and np.array_equal(settled.X, state.X)
+    phis = [social_welfare(s, cfg, B) for s in passed]
+    assert phi == phis[-1]
+    for a, b in zip(phis, phis[1:]):
+        assert b >= a - 1e-9 * abs(a), f"potential dropped: {a} -> {b}"
+    if len(passed) - 1 < passes:
+        cert = equilibrium._certify(settled, cfg, mode, B, scanned)
+        rates_ok = {k: v for k, v in cert.residuals.items() if not k.startswith("a_")}
+        assert all(v <= cert.tol for v in rates_ok.values()), rates_ok
 
 
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_a_run_builds_b_once_and_scans_once_per_round(mode, monkeypatch):
     # the start builds the one full match matrix, a round rebuilds the
     # movers' rows and scans the candidates once, and the certificate reads
-    # the last round's B and scan
-    full, scans = [], []
-    build, scan = equilibrium.match_matrix, bestresponse._scan
+    # the last round's B and scan; a run that reaches its cap settles at
+    # that B and scans once more.  Every run certifies once.
+    full, scans, certs = [], [], []
+    build, scan, certify = equilibrium.match_matrix, bestresponse._scan, equilibrium._certify
     monkeypatch.setattr(equilibrium, "match_matrix", lambda X, cfg, producers=None: (
         full.append(producers is None), build(X, cfg, producers))[1])
     monkeypatch.setattr(bestresponse, "_scan", lambda *args: (scans.append(1), scan(*args))[1])
+    monkeypatch.setattr(equilibrium, "_certify",
+                        lambda *args: (certs.append(1), certify(*args))[1])
     cfg = random_config(np.random.default_rng(200), n_min=5, n_max=5, dim=1)
     runs = run_dynamics_all(cfg, mode, params=DynamicsParams(restarts=1), search=SEARCH)
-    assert sum(full) == len(runs) == 2
-    assert len(scans) == sum(r.rounds_used for r in runs)
+    runs += run_dynamics_all(cfg, mode, params=DynamicsParams(max_rounds=1, restarts=0),
+                             search=SEARCH)
+    assert [r.converged for r in runs] == [True, True, False]
+    assert sum(full) == len(certs) == len(runs) == 3
+    assert len(scans) == sum(r.rounds_used for r in runs) + 1
 
 
-def _poi_row():
-    """The poi_sweep.swp row at N = 20, replicate 0, with its proportional
-    influencer budget: (config, dynamics, search)."""
+def _poi_row(seed=2026, n=20, replicate=0, rule="proportional"):
+    """The poi_sweep.swp row at base seed `seed`, size n and `replicate`
+    under the budget `rule`, built as ``run_sweep`` builds it: (config,
+    dynamics, search).  By default the N = 20, replicate 0 row with its
+    proportional influencer budget."""
     spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
-    cfg = spec.base.build_config(n=20, m_infl=spec.m_infl_for(20),
-                                 seed=_row_seed(spec.base.seed, 20, 0))
+    spec = dataclasses.replace(spec, m_infl_rule=rule)
+    cfg = spec.base.build_config(n=n, m_infl=spec.m_infl_for(n),
+                                 seed=_row_seed(seed, n, replicate))
     return cfg, spec.base.dynamics, spec.base.search
 
 
+# The interests of the poi_sweep.swp row at seed 4, N = 5, replicate 0,
+# where the imperfect dynamics cycle until the round cap.
+SEED4_INTERESTS = (0.29639128389592456, 0.7718888111041159, 0.25694551060030996,
+                   0.686539082114556, 0.1550265519247474)
+
+
+def _seed4_market(max_rounds=500):
+    """That row's market with M_infl = 5 and at most `max_rounds` rounds:
+    (config, dynamics, search)."""
+    cfg, params, search = _poi_row(seed=4, n=5, replicate=0)
+    cfg = dataclasses.replace(cfg, interests=tuple(TopicPoint((y,)) for y in SEED4_INTERESTS))
+    assert cfg.m_infl == 5.0
+    return cfg, dataclasses.replace(params, max_rounds=max_rounds), search
+
+
 def _repeat_cases():
-    """Random markets in both dims, symmetric.scn and the N = 20 sweep row."""
+    """Random markets in both dims, symmetric.scn, the N = 20 sweep row and
+    the seed-4 market capped at 40 rounds."""
     rng = np.random.default_rng(400)
     scn = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "symmetric.scn")
     cases = [(random_config(rng, n_min=3, n_max=6, dim=dim), DynamicsParams(restarts=1),
               _search(dim)) for dim in (1, 1, 2, 2)]
-    return cases + [(scn.build_config(), scn.dynamics, scn.search), _poi_row()]
+    return cases + [(scn.build_config(), scn.dynamics, scn.search), _poi_row(),
+                    _seed4_market(max_rounds=40)]
 
 
 def test_a_round_that_returns_its_input_repeats_bit_for_bit():
@@ -704,10 +792,13 @@ def _assert_same_run(new, old):
 
 
 def test_runs_equal_the_every_round_loop():
-    # taking the repeated round as read changes no returned field
+    # taking the repeated round as read changes no returned field, and a
+    # capped run ends the same way
+    capped = 0
     for cfg, params, search in _repeat_cases():
         for mode in GameMode:
             new = run_dynamics_all(cfg, mode, params=params, search=search)
+            capped += sum(not r.converged for r in new)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(equilibrium, "_run_single", run_single_every_round)
                 old = run_dynamics_all(cfg, mode, params=params, search=search)
@@ -721,6 +812,7 @@ def test_runs_equal_the_every_round_loop():
         _assert_same_run(new.perfect, old.perfect)
         _assert_same_run(new.imperfect, old.imperfect)
         assert (new.poi, new.relative_poi) == (old.poi, old.relative_poi)
+    assert capped >= 2
 
 
 @pytest.mark.parametrize("mode", list(GameMode))
