@@ -29,12 +29,14 @@ cells that z's own term dominates again without it.  A running argmax with
 strict > keeps the first best candidate.  A winner other than the
 incumbent is valued once more with ``_objective``, the formula of
 ``PeerWeights.producer_values``, from which a round reads the incumbent's
-value, and the incumbent stays unless the winner is strictly better; a
-winner that is the incumbent keeps the incumbent's value, which in the
-perfect/proxy regimes is the same float.  A producer whose objective is
-zero at every candidate is degenerate and keeps its incumbent.  Each objective
-reads only its own topic, so the block equals N one-producer searches
-(Monderer & Shapley, *Potential Games*, 1996).
+value, and the incumbent stays unless the winner is strictly better; the
+match row built to value a winner that moves is the row the round writes
+into its match matrix.  A winner that is the incumbent keeps the
+incumbent's value, which in the perfect/proxy regimes is the same float.
+A producer whose objective is zero at every candidate is degenerate and
+keeps its incumbent.  Each objective reads only its own topic, so the
+block equals N one-producer searches (Monderer & Shapley, *Potential
+Games*, 1996).
 
 In dim 1 the candidates are the N + 2 breakpoints {0, 1} and the
 interests, and the search is exact.  Between two neighbouring breakpoints
@@ -42,8 +44,9 @@ each |x - y| is linear in x, so z's objective there is a sum of terms
 c * exp(s * x) with c >= 0 (W >= 0): a convex function, whose maximum
 over the segment lies on one of its ends.  A tile's kernel tables are
 built from its distances, since stored ones would be (N + 2) x N.  In
-dim 2 the candidates are a uniform grid with stored (G, N) tables, and the
-search is exact only to the grid's resolution.
+dim 2 the candidates are a uniform grid with stored (G, N) tables, built
+in place from each axis's squared differences, and the search is exact
+only to the grid's resolution.
 
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
@@ -133,7 +136,25 @@ class TopicGrid:
         else:
             axis = np.linspace(0.0, 1.0, search.grid_resolution)
             self.points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-            self.P, self.Q = self.tables(slice(None))
+            self.P, self.Q = self._grid_tables(axis)
+
+    def _grid_tables(self, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P and Q at the nodes (axis[i], axis[j]) of the dim-2 grid, in
+        the order of ``points``.  Each coordinate's squared differences
+        (axis - Y[:, k])**2 form an (R, N) table; their broadcast sum fills
+        the one (R, R, N) buffer that becomes P, and Q is the only other
+        (G, N) array.  ``pairwise_distances`` adds the same squares to a
+        zeroed buffer (0 + dx**2 == dx**2), so the floats are its, bit for
+        bit."""
+        kernel = self._cfg.kernel
+        Y = self._cfg.interest_array()
+        dx, dy = (np.square(np.subtract.outer(axis, Y[:, k])) for k in range(2))
+        D = np.add(dx[:, None, :], dy[None, :, :]).reshape(-1, Y.shape[0])
+        np.sqrt(D, out=D)
+        Q = np.multiply(D, -kernel.a_g)
+        np.exp(Q, out=Q)
+        D *= -kernel.a_f
+        return np.exp(D, out=D), Q
 
     def tables(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         """P and Q at the candidates `rows`, (g, N) each."""
@@ -297,7 +318,7 @@ def _objective(T: np.ndarray, weights: PeerWeights, cols: slice | np.ndarray,
 
 def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
                    prev: np.ndarray | None = None, prev_value: np.ndarray | None = None,
-                   cols: slice = slice(None)) -> ProducerBlock:
+                   cols: slice = slice(None), B: np.ndarray | None = None) -> ProducerBlock:
     """Best topics of the producers `cols` (a slice, default all N) under
     the peer weights.
 
@@ -307,24 +328,33 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
     matrix at prev): a degenerate producer keeps its incumbent (the first
     candidate when prev is None), and any other keeps it unless the best
     candidate is strictly better.  A best candidate other than the
-    incumbent is valued with ``_objective``, in chunks of _CHUNK
+    incumbent is valued by ``_objective``'s formula, in chunks of _CHUNK
     producers, so candidate and incumbent are compared by one formula; one
-    equal to the incumbent keeps prev_value.
+    equal to the incumbent keeps prev_value.  B, when given, is the
+    (N, N) match matrix at prev, and the row built to value each producer
+    that moves is written into it: B leaves at the returned topics, and no
+    table of the movers' rows is held.
     """
     start = cols.indices(cfg.n)[0]
     best, scanned = _scan(weights, grid, cols)
     topics = grid.points[best]
+    degen = scanned <= 0.0
     if prev is None:
-        values, valued = np.empty(best.size), np.arange(best.size)
+        values, valued = np.empty(best.size), np.flatnonzero(~degen)
     else:
-        values, valued = prev_value.copy(), np.flatnonzero(np.any(topics != prev, axis=1))
+        values = prev_value.copy()
+        valued = np.flatnonzero(~degen & np.any(topics != prev, axis=1))
     for sl in chunks(valued.size):
-        values[valued[sl]] = _objective(topics[valued[sl]], weights, start + valued[sl], cfg)
+        z = valued[sl]
+        D = match_matrix(topics[z], cfg, start + z)
+        values[z] = weights.producer_values(D, start + z)
+        if B is not None:
+            up = values[z] > prev_value[z]  # the movers, as `keep` below finds them
+            B[start + z[up]] = D[up]
     if prev is not None:
         keep = prev_value >= values  # move only on strict improvement
         topics[keep] = prev[keep]
         values[keep] = prev_value[keep]
-    degen = scanned <= 0.0
     topics[degen] = grid.points[0] if prev is None else prev[degen]
     values[degen] = 0.0
     return ProducerBlock(topics, values, scanned)
@@ -333,10 +363,11 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
                              cfg: MarketConfig, B: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """One imperfect-regime producer pass, in place on X; returns the
-    degenerate mask and each producer's best scanned match mass (the
+    """One imperfect-regime producer pass, in place on X and B; returns
+    the degenerate mask and each producer's best scanned match mass (the
     ``grid_best`` of the pass's weights).  B is ``match_matrix(X, cfg)`` on
-    entry.
+    entry and on return: the block writes each mover's row into it, and a
+    mover found inactive here gets its incumbent's row back.
 
     Producers move in index order, each against the influencer's channel
     weights at the current topics, with the earlier producers' moves in
@@ -351,7 +382,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     """
     weights = PeerWeights.rank_one(discount(mu_i, cfg.delay), np.ones(cfg.n))
     mass = weights.producer_values(B)  # each incumbent's objective, as _objective values it
-    block = producer_block(weights, grid, cfg, prev=X, prev_value=mass)
+    block = producer_block(weights, grid, cfg, prev=X, prev_value=mass, B=B)
     todo = np.flatnonzero(~block.degenerate)
     at_best = cfg.r_p * block.grid_best[todo]
     old, new = cfg.r_p * mass, cfg.r_p * block.values
@@ -369,6 +400,8 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     degenerate = block.degenerate.copy()
     degenerate[todo[~active]] = True
     X[todo[active]] = block.topics[todo[active]]
+    back = np.flatnonzero(np.any(block.topics != X, axis=1))  # movers found inactive
+    B[back] = match_matrix(X[back], cfg, back)
     return degenerate, block.grid_best
 
 

@@ -13,7 +13,7 @@ the state it returns once.
 Each round returns a new ``MarketAllocation``; states are read-only, so a
 run never writes into an array it was handed, and ``price_of_influence``
 starts one perfect run from the imperfect result itself.  A run builds one
-match matrix B at its start and owns it: each round rebuilds in place only
+match matrix B at its start and owns it: each round writes in place only
 the rows of the producers whose topic changed, and the run certifies a
 state from the B and the candidate scan of the round that built it, the
 arrays ``check_nash`` builds afresh for the same state.  A round reads
@@ -204,13 +204,14 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     """One full best-response round -- the influencer, then the consumers as
     one block (``_rates``), then the producers as one block.  B is
     ``match_matrix(state.X, cfg)`` on entry and the next state's match
-    matrix on return: the round updates it in place, rebuilding with
-    ``match_matrix`` only the rows of the producers whose topic changed, so
-    no caller may hold B for the state it was handed.  Returns the next
-    state, the indices of producers whose topic objective was degenerate
-    this round, the next state's potential (``social_welfare``) and each
-    producer's best scanned objective, the ``grid_best`` of the next
-    state's producer weights, which ``_certify`` takes with B.
+    matrix on return: the round updates it in place, writing only the rows
+    of the producers whose topic changed, the rows the producer block built
+    to value their new topics, so no caller may hold B for the state it
+    was handed.  Returns the next state, the indices of producers whose
+    topic objective was degenerate this round, the next state's potential
+    (``social_welfare``) and each producer's best scanned objective, the
+    ``grid_best`` of the next state's producer weights, which ``_certify``
+    takes with B.
 
     Of ``state`` the round reads only ``mu_i`` and ``X``: the influencer
     responds to the followers' rates and B, the consumers to the
@@ -230,10 +231,8 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         degenerate, scanned = imperfect_producer_round(rates.mu_i, X, grid, cfg, B)
     else:
         block = producer_block(weights, grid, cfg, prev=state.X,
-                               prev_value=weights.producer_values(B))
+                               prev_value=weights.producer_values(B), B=B)
         X, degenerate, scanned = block.topics, block.degenerate, block.grid_best
-    moved = np.flatnonzero(np.any(X != state.X, axis=1))
-    B[moved] = match_matrix(X[moved], cfg, moved)
     phi = float(_utilities(B, weights, rates.lam, cfg).sum())  # == social_welfare(next state, cfg, B)
     return (MarketAllocation(rates.lam, rates.mu_i, rates.direct, rates.influencer, X),
             set(np.flatnonzero(degenerate).tolist()), phi, scanned)
@@ -409,8 +408,15 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
     random allocations, then any `extra_inits`.  Each start is built when
     its run begins, so no start outlives its run's first round.
     """
+    return _run_all(cfg, mode, params, TopicGrid(cfg, search or TopicSearchParams()),
+                    extra_inits)
+
+
+def _run_all(cfg: MarketConfig, mode: GameMode, params: DynamicsParams | None,
+             grid: TopicGrid, extra_inits: Sequence[MarketAllocation] = ()
+             ) -> list[EquilibriumResult]:
+    """``run_dynamics_all`` on a candidate grid the caller built."""
     params = params or DynamicsParams()
-    grid = TopicGrid(cfg, search or TopicSearchParams())
     for omega in extra_inits:
         omega.validate(cfg)
 
@@ -499,13 +505,12 @@ def price_of_influence(cfg: MarketConfig, params: DynamicsParams | None = None,
     first and its allocation seeds one extra perfect-mode start; since
     perfect-mode dynamics never lower the potential, the gap cannot go
     meaningfully negative while a perfect run certifies.  A gap below -1e-9
-    is therefore a solver failure and raises.
+    is therefore a solver failure and raises.  Both regimes search one
+    candidate grid.
     """
-    imperfect = _best(
-        run_dynamics_all(cfg, GameMode.IMPERFECT, params=params, search=search))
-    perfect = _best(
-        run_dynamics_all(cfg, GameMode.PERFECT, params=params, search=search,
-                         extra_inits=(imperfect.omega,)))
+    grid = TopicGrid(cfg, search or TopicSearchParams())
+    imperfect = _best(_run_all(cfg, GameMode.IMPERFECT, params, grid))
+    perfect = _best(_run_all(cfg, GameMode.PERFECT, params, grid, (imperfect.omega,)))
     poi = perfect.welfare - imperfect.welfare
     if poi < -1e-9:
         raise ArithmeticError(

@@ -247,8 +247,14 @@ def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
     """The closed form with every channel of every row sorted: the
     reference of ``cme.allocator._water_fill_rows``, which sorts only the
     channels that can be active and must return the same floats.  Returns
-    (rates, log nu); every row must hold a positive weight."""
-    a = beta * W
+    (rates, log nu); every row must hold a positive weight.  A row whose
+    max(w) or beta * max(w) is not a normal float is solved scaled by 2**s,
+    s making beta * max(w) lie in [1/4, 1), and its log nu shifted back by
+    s * log 2."""
+    top = W.max(axis=1)
+    s = np.where(min(beta, 1.0) * top < np.finfo(float).tiny,
+                 -(np.frexp(top)[1] + np.frexp(beta)[1]), 0)
+    a = beta * np.ldexp(W, s[:, None])
     with np.errstate(divide="ignore"):
         np.log(a, out=a)
     desc = np.sort(a, axis=1)[:, ::-1]
@@ -260,7 +266,7 @@ def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
     a -= log_nu[:, None]
     np.maximum(a, 0.0, out=a)
     a /= beta
-    return a, log_nu
+    return a, log_nu - s * math.log(2.0)
 
 
 def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams

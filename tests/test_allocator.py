@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from cme.allocator import (
     SortedChannels,
     WeightedChannels,
     _candidates,
+    _normal_rows,
     _water_fill_rows,
     water_fill,
 )
@@ -236,14 +237,33 @@ class TestCandidateSort:
                 assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
                 assert rates[0, 1] == pytest.approx(eps / 4.0, rel=1e-3)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    def test_a_row_of_tiny_weights_splits_as_its_normal_copy(self, beta):
+        # 2**-1074 * (3, 2, 1, 0) is exact, the smallest subnormals, and the
+        # same split; beta * w would round them
+        W = np.array([[3.0, 2.0, 1.0, 0.0]])
+        rates, log_nu = _water_fill_rows(W, 4.0, beta)
+        tiny_rates, tiny_log_nu = _water_fill_rows(np.ldexp(W, -1074), 4.0, beta)
+        np.testing.assert_allclose(tiny_rates, rates, rtol=1e-12)
+        assert tiny_rates[0, 3] == 0.0 and tiny_rates.sum() == pytest.approx(4.0, rel=1e-14)
+        assert tiny_log_nu[0] == pytest.approx(log_nu[0] - 1074 * math.log(2.0), rel=1e-14)
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(W=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 24)),
                     elements=st.floats(0.0, 1e300) | st.sampled_from([0.0, 1.0])),
            bm=st.floats(1e-3, 1e3), beta=st.floats(0.1, 10.0))
+    # a subnormal max: its bound rounds back up to it; beta * w underflows
+    # to 0; the second weight's bound rounds up to it unless the row is
+    # scaled; beta * max(w) is normal but max(w) is not
+    @example(W=np.array([[5e-324]]), bm=0.5, beta=1.0)
+    @example(W=np.array([[5e-324]]), bm=1.0, beta=0.5)
+    @example(W=np.array([[1.5e-323, 1e-323]]), bm=0.5, beta=1.0)
+    @example(W=np.array([[5e-324, 0.0]]), bm=0.5, beta=10.0)
     def test_candidates_hold_the_active_set(self, W, bm, beta):
         W[np.max(W, axis=1) == 0.0, 0] = 1.0
         old_rates, old_log_nu = water_fill_rows_sorted(W, bm / beta, beta)
-        assert np.all(_candidates(W, bm)[old_rates > 0.0])
+        assert np.all(np.isfinite(old_log_nu))
+        assert np.all(_candidates(_normal_rows(W, beta)[0], bm)[old_rates > 0.0])
         rates, log_nu = _water_fill_rows(W, bm / beta, beta)
         assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
 

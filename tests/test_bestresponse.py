@@ -4,6 +4,7 @@ per-agent code the consumer and producer blocks replaced
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -555,11 +556,12 @@ class TestImperfectRoundAgainstReference:
             # the second round starts where the first ended: the mass
             # objective reads no other producer's topic, so nobody moves
             for _ in range(2):
-                got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg,
-                                                             match_matrix(got, cfg))
+                B_got = match_matrix(got, cfg)
+                got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg, B_got)
                 expect_degenerate = imperfect_round(mu_i, expect, grid, cfg,
                                                     match_matrix(expect, cfg))
                 assert np.array_equal(got, expect)
+                assert np.array_equal(B_got, match_matrix(got, cfg))
                 assert np.array_equal(got_degenerate, expect_degenerate)
             walked += len(replaced) > before
             degenerate += bool(np.any(got_degenerate & ~np.all(got_degenerate)))
@@ -949,3 +951,49 @@ class TestSearchParams:
         pts = [tuple(p) for p in grid.points]
         assert pts == sorted(pts)
         assert len(pts) == 64
+
+
+class TestGridTables:
+    """The dim-2 grid's stored tables, built in place from the per-axis
+    squares, are the dense tables of its points bit for bit."""
+
+    @staticmethod
+    def _market(rng, n, res):
+        axis = np.linspace(0.0, 1.0, res)
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+        on_node = rng.uniform(size=n) < 0.3
+        pts[on_node] = axis[rng.integers(0, res, (np.count_nonzero(on_node), 2))]
+        edge = rng.uniform(size=(n, 2)) < 0.1
+        pts[edge] = rng.integers(0, 2, np.count_nonzero(edge))
+        a_f, a_g = np.exp(rng.uniform(math.log(0.1), math.log(50.0), 2))
+        return MarketConfig(dim=2, interests=tuple(TopicPoint(tuple(p)) for p in pts),
+                            m=1.0, m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
+                            kernel=KernelParams(a_f=float(a_f), a_g=float(a_g)))
+
+    def test_tables_are_the_dense_tables_bit_for_bit(self):
+        rng = np.random.default_rng(170)
+        for t in range(60):
+            n = 2 if t == 0 else 60 if t == 1 else int(rng.integers(2, 61))
+            res = 8 if t == 0 else 140 if t == 1 else int(rng.integers(8, 141))
+            cfg = self._market(rng, n, res)
+            grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=res))
+            P, Q = dense_tables(grid.points, cfg)
+            assert np.array_equal(grid.P, P) and np.array_equal(grid.Q, Q), (t, n, res)
+
+    def test_build_peak_is_two_tables(self):
+        # P, Q, the points and two (R, N) squares; the distance buffer of
+        # pairwise_distances, its per-coordinate differences and the -a_g * D
+        # temporary made it 3.08 tables
+        n, res = 40, 128
+        cfg = self._market(np.random.default_rng(171), n, res)
+        search = TopicSearchParams(grid_resolution=res)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grid = TopicGrid(cfg, search)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        table = 8 * res * res * n
+        assert grid.P.nbytes == grid.Q.nbytes == table
+        assert peak <= 2.2 * table, f"peak {peak / table:.2f} tables"

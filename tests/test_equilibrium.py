@@ -523,6 +523,87 @@ def test_round_returns_the_next_match_matrix_and_potential(mode):
         assert {"none", "some"} <= movers, movers
 
 
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_round_builds_one_match_row_per_producer_valued(mode, monkeypatch):
+    # the row built to value a producer's best candidate is the row B takes
+    # when the producer moves, so a round builds one match row per
+    # nondegenerate producer whose best candidate is not its incumbent, and
+    # B is still the fresh match matrix.  An imperfect mover found inactive
+    # takes its incumbent's row again, one more row
+    built, scans, blocks = [], [], []
+
+    def building(X, cfg, producers=None):
+        built.append(len(X))
+        return match_matrix(X, cfg, producers)
+
+    def scanning(weights, grid, cols):
+        best, value = scan(weights, grid, cols)
+        scans.append((grid.points[best], value))
+        return best, value
+
+    def block_of(*args, **kwargs):
+        blocks.append(producer_block(*args, **kwargs))
+        return blocks[-1]
+
+    scan, producer_block = bestresponse._scan, bestresponse.producer_block
+    for module in (bestresponse, equilibrium):
+        monkeypatch.setattr(module, "match_matrix", building)
+        monkeypatch.setattr(module, "producer_block", block_of)
+    monkeypatch.setattr(bestresponse, "_scan", scanning)
+    rng = np.random.default_rng(160 + list(GameMode).index(mode))
+    valued = moved = 0
+    for dim in (1, 2):
+        for _ in range(2):
+            cfg = random_config(rng, n_min=3, n_max=8, dim=dim)
+            grid = TopicGrid(cfg, _search(dim))
+            state = equilibrium.random_init(cfg, mode, rng)
+            B = match_matrix(state.X, cfg)
+            for _ in range(3):
+                built.clear()
+                scans.clear()
+                blocks.clear()
+                before = state.X
+                state, *_ = equilibrium._one_round(state, cfg, mode, grid, B)
+                ((topics, value),) = scans
+                count = np.count_nonzero((value > 0.0) & np.any(topics != before, axis=1))
+                (block,) = blocks
+                reverted = np.count_nonzero(np.any(block.topics != state.X, axis=1))
+                assert mode is GameMode.IMPERFECT or reverted == 0
+                assert sum(built) == count + reverted
+                assert np.array_equal(B, match_matrix(state.X, cfg))
+                valued += count
+                moved += np.count_nonzero(np.any(state.X != before, axis=1))
+    assert moved > 0 and valued >= moved
+
+
+def test_price_of_influence_builds_one_grid(monkeypatch):
+    # both regimes search the same candidates, so one TopicGrid serves both,
+    # and the record is the one two separate run_dynamics_all calls give
+    cfg = random_config(np.random.default_rng(161), n_min=4, n_max=5, dim=2)
+    search = TopicSearchParams(grid_resolution=16)
+    imperfect = equilibrium._best(
+        run_dynamics_all(cfg, GameMode.IMPERFECT, params=FAST, search=search))
+    perfect = equilibrium._best(
+        run_dynamics_all(cfg, GameMode.PERFECT, params=FAST, search=search,
+                         extra_inits=(imperfect.omega,)))
+    built = []
+    init = TopicGrid.__init__
+
+    def building(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TopicGrid, "__init__", building)
+    rec = price_of_influence(cfg, params=FAST, search=search)
+    assert len(built) == 1
+    for got, want in ((rec.imperfect, imperfect), (rec.perfect, perfect)):
+        assert got.welfare == want.welfare
+        assert got.potential_trace == want.potential_trace
+        for field in ("lam", "mu_i", "direct", "mu_infl", "X"):
+            assert np.array_equal(getattr(got.omega, field), getattr(want.omega, field))
+    assert rec.phi_perfect == perfect.welfare and rec.phi_imperfect == imperfect.welfare
+
+
 @pytest.mark.parametrize("members,a_f,a_g,z", [((0.25, 0.75, 0.5), 8.0, 1e-17, 2),
                                                ((0.25, 0.75, 0.5), 1e-17, 1e-17, 2),
                                                ((0.5, 0.25, 0.75), 8.0, 0.5, 0)])
