@@ -111,32 +111,35 @@ def _objective(rates: np.ndarray, weights: np.ndarray, beta: float) -> float:
     return float(np.dot(weights, -np.expm1(-beta * rates)))
 
 
-def _candidates(W: np.ndarray, bm: float) -> np.ndarray:
+def _candidates(W: np.ndarray, top: np.ndarray, bm: float) -> np.ndarray:
     """Mask of the channels of each row of W that can be active at
-    beta * M = bm: w_i > max(w) * exp(-bm) (module docstring), the bound
-    lowered by a relative 1e-9 so that rounding never drops a channel.
-    Once exp(-bm) underflows, every positive weight is a candidate.  A
-    normal max(w) always lies above its bound, so it stays a candidate; a
-    subnormal one can round the bound up to itself (``_normal_rows``)."""
-    return W > W.max(axis=1, keepdims=True) * (math.exp(-bm) * (1.0 - 1e-9))
+    beta * M = bm: w_i > max(w) * exp(-bm) (module docstring), top (n,)
+    holding each row's max(w), the bound lowered by a relative 1e-9 so that
+    rounding never drops a channel.  Once exp(-bm) underflows, every
+    positive weight is a candidate.  A normal max(w) always lies above its
+    bound, so it stays a candidate; a subnormal one can round the bound up
+    to itself (``_normal_rows``)."""
+    return W > top[:, None] * (math.exp(-bm) * (1.0 - 1e-9))
 
 
-def _normal_rows(W: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _normal_rows(W: np.ndarray, beta: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """W with every row whose max(w) or beta * max(w) is not a normal float
     (its bound in ``_candidates`` could drop it, beta * w could lose bits
     or underflow to 0) scaled by the exact power of two 2**s that brings
-    beta * max(w) into [1/4, 1), and each row's s (0 on the other rows);
-    (W, None) when no row needs it.  A scaled row has the same split, its
-    log nu shifted by s * log 2."""
+    beta * max(w) into [1/4, 1), each row's max(w) as scaled, and each
+    row's s (0 on the other rows); (W, max(w), None) when no row needs it.
+    A scaled row has the same split, its log nu shifted by s * log 2."""
     top = W.max(axis=1)
     small = min(beta, 1.0) * top < np.finfo(float).tiny
     if not np.any(small):
-        return W, None
+        return W, top, None
     s = np.zeros(W.shape[0], dtype=int)
     s[small] = -(np.frexp(top[small])[1] + np.frexp(beta)[1])
     W = W.copy()
     W[small] = np.ldexp(W[small], s[small, None])
-    return W, s
+    top[small] = np.ldexp(top[small], s[small])
+    return W, top, s
 
 
 def _water_fill_rows(W: np.ndarray, budget: float, beta: float
@@ -151,8 +154,8 @@ def _water_fill_rows(W: np.ndarray, budget: float, beta: float
     scattered back into zeroed (n, N) rows.
     """
     n, N = W.shape
-    W, shift = _normal_rows(W, beta)
-    flat = np.flatnonzero(_candidates(W, beta * budget))
+    W, top, shift = _normal_rows(W, beta)
+    flat = np.flatnonzero(_candidates(W, top, beta * budget))
     count = np.bincount(flat // N, minlength=n)
     # row i's candidates, in channel order, fill the first count[i] slots
     # of its table row

@@ -305,15 +305,16 @@ def grid_best(weights: PeerWeights, grid: TopicGrid) -> np.ndarray:
 
 
 def _objective(T: np.ndarray, weights: PeerWeights, cols: slice | np.ndarray,
-               cfg: MarketConfig) -> np.ndarray:
+               cfg: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
     """Objective of the j-th producer of `cols` (a slice or indices) at
-    topic T[j].
+    topic T[j], and the match rows (k, N) it weighs.
 
     ``match_matrix`` builds row j, then ``PeerWeights.producer_values``
-    weighs it, so at T = X[cols] it equals ``weights.producer_values(B)``
-    bit for bit.
+    weighs it, so at T = X[cols] the rows are B[cols] and the values
+    ``weights.producer_values(B)``, bit for bit.
     """
-    return weights.producer_values(match_matrix(T, cfg, np.arange(cfg.n)[cols]), cols)
+    D = match_matrix(T, cfg, np.arange(cfg.n)[cols])
+    return weights.producer_values(D, cols), D
 
 
 def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
@@ -328,7 +329,7 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
     matrix at prev): a degenerate producer keeps its incumbent (the first
     candidate when prev is None), and any other keeps it unless the best
     candidate is strictly better.  A best candidate other than the
-    incumbent is valued by ``_objective``'s formula, in chunks of _CHUNK
+    incumbent is valued with ``_objective``, in chunks of _CHUNK
     producers, so candidate and incumbent are compared by one formula; one
     equal to the incumbent keeps prev_value.  B, when given, is the
     (N, N) match matrix at prev, and the row built to value each producer
@@ -339,6 +340,7 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
     best, scanned = _scan(weights, grid, cols)
     topics = grid.points[best]
     degen = scanned <= 0.0
+    moved = np.zeros(best.size, dtype=bool)
     if prev is None:
         values, valued = np.empty(best.size), np.flatnonzero(~degen)
     else:
@@ -346,15 +348,14 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
         valued = np.flatnonzero(~degen & np.any(topics != prev, axis=1))
     for sl in chunks(valued.size):
         z = valued[sl]
-        D = match_matrix(topics[z], cfg, start + z)
-        values[z] = weights.producer_values(D, start + z)
+        values[z], D = _objective(topics[z], weights, start + z, cfg)
+        # a producer with an incumbent moves only on strict improvement
+        moved[z] = True if prev is None else values[z] > prev_value[z]
         if B is not None:
-            up = values[z] > prev_value[z]  # the movers, as `keep` below finds them
-            B[start + z[up]] = D[up]
+            B[start + z[moved[z]]] = D[moved[z]]
     if prev is not None:
-        keep = prev_value >= values  # move only on strict improvement
-        topics[keep] = prev[keep]
-        values[keep] = prev_value[keep]
+        topics[~moved] = prev[~moved]
+        values[~moved] = prev_value[~moved]
     topics[degen] = grid.points[0] if prev is None else prev[degen]
     values[degen] = 0.0
     return ProducerBlock(topics, values, scanned)
@@ -439,7 +440,7 @@ def _one_producer(z: int, weights: PeerWeights, cfg: MarketConfig,
         return producer_block(weights, grid, cfg, cols=cols)
     x = prev.as_array()[None, :]
     return producer_block(weights, grid, cfg, prev=x,
-                          prev_value=_objective(x, weights, cols, cfg), cols=cols)
+                          prev_value=_objective(x, weights, cols, cfg)[0], cols=cols)
 
 
 def _choice(x: np.ndarray, val: float, degen: bool) -> ProducerChoice:

@@ -408,15 +408,8 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
     random allocations, then any `extra_inits`.  Each start is built when
     its run begins, so no start outlives its run's first round.
     """
-    return _run_all(cfg, mode, params, TopicGrid(cfg, search or TopicSearchParams()),
-                    extra_inits)
-
-
-def _run_all(cfg: MarketConfig, mode: GameMode, params: DynamicsParams | None,
-             grid: TopicGrid, extra_inits: Sequence[MarketAllocation] = ()
-             ) -> list[EquilibriumResult]:
-    """``run_dynamics_all`` on a candidate grid the caller built."""
     params = params or DynamicsParams()
+    grid = TopicGrid(cfg, search or TopicSearchParams())
     for omega in extra_inits:
         omega.validate(cfg)
 
@@ -505,12 +498,13 @@ def price_of_influence(cfg: MarketConfig, params: DynamicsParams | None = None,
     first and its allocation seeds one extra perfect-mode start; since
     perfect-mode dynamics never lower the potential, the gap cannot go
     meaningfully negative while a perfect run certifies.  A gap below -1e-9
-    is therefore a solver failure and raises.  Both regimes search one
-    candidate grid.
+    is therefore a solver failure and raises.
     """
-    grid = TopicGrid(cfg, search or TopicSearchParams())
-    imperfect = _best(_run_all(cfg, GameMode.IMPERFECT, params, grid))
-    perfect = _best(_run_all(cfg, GameMode.PERFECT, params, grid, (imperfect.omega,)))
+    imperfect = _best(
+        run_dynamics_all(cfg, GameMode.IMPERFECT, params=params, search=search))
+    perfect = _best(
+        run_dynamics_all(cfg, GameMode.PERFECT, params=params, search=search,
+                         extra_inits=(imperfect.omega,)))
     poi = perfect.welfare - imperfect.welfare
     if poi < -1e-9:
         raise ArithmeticError(

@@ -224,7 +224,7 @@ class TestCandidateSort:
             assert np.array_equal(rates, old_rates), (kind, bm)
             assert np.array_equal(log_nu, old_log_nu), (kind, bm)
             if kind == "equal":  # K = N: every channel is a candidate and active
-                assert np.all(_candidates(W, bm)) and np.all(rates > 0.0)
+                assert np.all(_candidates(W, W.max(axis=1), bm)) and np.all(rates > 0.0)
 
     def test_a_channel_just_above_the_bound_stays_active(self):
         # with w = (1, exp(-beta * M) * (1 + eps)) the second channel is
@@ -263,7 +263,9 @@ class TestCandidateSort:
         W[np.max(W, axis=1) == 0.0, 0] = 1.0
         old_rates, old_log_nu = water_fill_rows_sorted(W, bm / beta, beta)
         assert np.all(np.isfinite(old_log_nu))
-        assert np.all(_candidates(_normal_rows(W, beta)[0], bm)[old_rates > 0.0])
+        scaled, top, _ = _normal_rows(W, beta)
+        assert np.array_equal(top, scaled.max(axis=1))
+        assert np.all(_candidates(scaled, top, bm)[old_rates > 0.0])
         rates, log_nu = _water_fill_rows(W, bm / beta, beta)
         assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
 

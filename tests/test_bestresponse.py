@@ -595,10 +595,12 @@ class TestIncumbentValue:
             d = random_allocation(rng, cfg)
             for W in (support_weights(d.mu_i, d.mu_infl, d.direct, cfg),
                       PeerWeights.rank_one(discount(d.mu_i, cfg.delay), np.ones(cfg.n))):
-                from_b = W.producer_values(match_matrix(d.X, cfg))
-                chunked = np.concatenate([_objective(d.X[sl], W, sl, cfg)
-                                          for sl in (slice(0, _CHUNK), slice(_CHUNK, n))])
-                assert np.array_equal(from_b, chunked)
+                B = match_matrix(d.X, cfg)
+                valued = [_objective(d.X[sl], W, sl, cfg)
+                          for sl in (slice(0, _CHUNK), slice(_CHUNK, n))]
+                assert np.array_equal(W.producer_values(B),
+                                      np.concatenate([values for values, _ in valued]))
+                assert np.array_equal(B, np.concatenate([rows for _, rows in valued]))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_pick_at_the_incumbent_keeps_its_value(self, dim):
@@ -886,7 +888,7 @@ class TestPeerWeightsAgainstDense:
         np.testing.assert_allclose(influencer_followed_match(W.u, B),
                                    np.einsum("zy,yz->z", B, followers), **close)
         T = rng.uniform(0.0, 1.0, (n, dim))
-        np.testing.assert_allclose(_objective(T, W, slice(None), cfg),
+        np.testing.assert_allclose(_objective(T, W, slice(None), cfg)[0],
                                    dense_objective(T, dense, np.arange(n), cfg), **close)
         if case == 1:
             assert np.all(got == 0.0) == (density == "none")

@@ -576,34 +576,6 @@ def test_round_builds_one_match_row_per_producer_valued(mode, monkeypatch):
     assert moved > 0 and valued >= moved
 
 
-def test_price_of_influence_builds_one_grid(monkeypatch):
-    # both regimes search the same candidates, so one TopicGrid serves both,
-    # and the record is the one two separate run_dynamics_all calls give
-    cfg = random_config(np.random.default_rng(161), n_min=4, n_max=5, dim=2)
-    search = TopicSearchParams(grid_resolution=16)
-    imperfect = equilibrium._best(
-        run_dynamics_all(cfg, GameMode.IMPERFECT, params=FAST, search=search))
-    perfect = equilibrium._best(
-        run_dynamics_all(cfg, GameMode.PERFECT, params=FAST, search=search,
-                         extra_inits=(imperfect.omega,)))
-    built = []
-    init = TopicGrid.__init__
-
-    def building(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TopicGrid, "__init__", building)
-    rec = price_of_influence(cfg, params=FAST, search=search)
-    assert len(built) == 1
-    for got, want in ((rec.imperfect, imperfect), (rec.perfect, perfect)):
-        assert got.welfare == want.welfare
-        assert got.potential_trace == want.potential_trace
-        for field in ("lam", "mu_i", "direct", "mu_infl", "X"):
-            assert np.array_equal(getattr(got.omega, field), getattr(want.omega, field))
-    assert rec.phi_perfect == perfect.welfare and rec.phi_imperfect == imperfect.welfare
-
-
 @pytest.mark.parametrize("members,a_f,a_g,z", [((0.25, 0.75, 0.5), 8.0, 1e-17, 2),
                                                ((0.25, 0.75, 0.5), 1e-17, 1e-17, 2),
                                                ((0.5, 0.25, 0.75), 8.0, 0.5, 0)])
@@ -634,7 +606,7 @@ def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
     col = slice(z, z + 1)
     first = grid.points[bestresponse._scan(W, grid, col)[0]]
     assert first[0, 0] < 0.75  # the scan's pick is another topic
-    assert (bestresponse._objective(first, W, col, cfg)[0]
+    assert (bestresponse._objective(first, W, col, cfg)[0][0]
             == W.producer_values(match_matrix(state.X, cfg))[z])
     assert not degenerate and new.X[z, 0] == 0.75
 
