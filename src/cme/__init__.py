@@ -45,6 +45,7 @@ from .kernels import (
     discount_deriv,
 )
 from .market import (
+    DirectRates,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
@@ -68,6 +69,7 @@ __all__ = [
     "AllocationSolution",
     "DegenerateWeightsError",
     "DelayParams",
+    "DirectRates",
     "DynamicsParams",
     "EquilibriumResult",
     "GameMode",

@@ -25,7 +25,7 @@ order and the top k channels active,
 
 and the optimal active set is the largest k with a_k > level_k.  One sort
 and one prefix sum find it -- the same trick as the Euclidean projection
-onto the simplex (Duchi et al., ICML 2008).  ``_water_fill_rows`` runs it
+onto the simplex (Duchi et al., ICML 2008).  ``_water_fill_sparse`` runs it
 on a stack of channel sets at once, one per row; ``water_fill`` is its
 one-row call, and every full split the engine solves goes through it.
 
@@ -36,7 +36,7 @@ With C_k = a_1 + ... + a_k the test a_k > level_k reads
 and key_k is nondecreasing in k (key_{k+1} - key_k = k * (a_k - a_{k+1})).
 The rates sum to M, so a_1 - log nu <= sum over the active channels of
 (a_i - log nu) = beta * M: log nu >= a_1 - beta * M, and only a channel
-with w_i > max(w) * exp(-beta * M) can be active.  ``_water_fill_rows``
+with w_i > max(w) * exp(-beta * M) can be active.  ``_water_fill_sparse``
 sorts only those candidates, in a large community a handful of each
 consumer's N + 2 channels.  They are each row's top weights, so the
 sorted prefix a_1, a_2, ... up to the last candidate, its sums C_k and
@@ -68,6 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DelayParams, InvalidInputError, require_finite_nonnegative
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class DegenerateWeightsError(ValueError):
@@ -142,16 +144,18 @@ def _normal_rows(W: np.ndarray, beta: float
     return W, top, s
 
 
-def _water_fill_rows(W: np.ndarray, budget: float, beta: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of the module docstring, row by row; returns (rates, log nu).
+def _water_fill_sparse(W: np.ndarray, budget: float, beta: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form of the module docstring, row by row, on each row's
+    candidates only; returns (flat, rates, log nu): the ascending flat
+    indices into W of every row's candidates (``_candidates``), their
+    rates, zero for a candidate found inactive, and each row's log nu.
+    Every other channel's rate is zero.
 
     Every row must hold a positive weight.  A row of tiny weights is
-    solved scaled (``_normal_rows``).  Only each row's candidates
-    (``_candidates``) are sorted: they are gathered into an (n, K) table,
-    K the largest candidate count, padded with zero weights, which enter
-    as log(0) = -inf, sort last and never become active.  The rates are
-    scattered back into zeroed (n, N) rows.
+    solved scaled (``_normal_rows``).  The candidates are gathered into an
+    (n, K) table, K the largest candidate count, padded with zero weights,
+    which enter as log(0) = -inf, sort last and never become active.
     """
     n, N = W.shape
     W, top, shift = _normal_rows(W, beta)
@@ -175,11 +179,9 @@ def _water_fill_rows(W: np.ndarray, budget: float, beta: float
     a -= log_nu[:, None]
     np.maximum(a, 0.0, out=a)
     a /= beta
-    rates = np.zeros(n * N)
-    rates[flat] = a[slots]
     if shift is not None:
         log_nu -= shift * math.log(2.0)
-    return rates.reshape(n, N), log_nu
+    return flat, a[slots], log_nu
 
 
 def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
@@ -194,11 +196,34 @@ def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
     w = ch.weights
     if not np.any(w > 0.0):
         raise DegenerateWeightsError("all channel weights are zero")
-    rates, log_nu = _water_fill_rows(w[None, :], ch.budget, d.beta)
+    flat, active, log_nu = _water_fill_sparse(w[None, :], ch.budget, d.beta)
+    rates = np.zeros(w.size)
+    rates[flat] = active
     log_nu = float(log_nu[0])
-    return AllocationSolution(rates=rates[0], multiplier=float(np.exp(log_nu)),
-                              objective=_objective(rates[0], w, d.beta),
+    return AllocationSolution(rates=rates, multiplier=float(np.exp(log_nu)),
+                              objective=_objective(rates, w, d.beta),
                               log_multiplier=log_nu)
+
+
+def _log_weights(w: np.ndarray, beta: float) -> np.ndarray:
+    """log(beta * w), -inf for a zero weight.  Where beta * w is not a
+    normal float (it lost bits or underflowed to 0), w is scaled by the
+    exact power of two 2**s that brings beta * w into [1/4, 1), as in
+    ``_normal_rows``, and s * log 2 is taken off the log: every positive
+    weight gets a finite log.  The scale is per weight, because a weight
+    replaced later can be far larger than the sorted ones."""
+    w = np.asarray(w, dtype=float)
+    bw = beta * w
+    small = bw < _TINY
+    if not np.any(small):
+        return np.log(bw)
+    with np.errstate(divide="ignore"):
+        a = np.log(bw)
+    small &= w > 0.0  # a zero weight keeps log 0 = -inf
+    if np.any(small):
+        s = -(np.frexp(w[small])[1] + np.frexp(beta)[1])
+        a[small] = np.log(beta * np.ldexp(w[small], s)) - s * math.log(2.0)
+    return a
 
 
 class SortedChannels:
@@ -206,7 +231,7 @@ class SortedChannels:
     that a single weight can be replaced by lookups (module docstring).
 
     weights  (n,)    the current weights w
-    a        (n,)    log(beta * w), -inf for a zero weight
+    a        (n,)    log(beta * w), -inf for a zero weight (``_log_weights``)
     s        (n,)    a sorted in descending order; zero weights sort last
     order    (n,)    the channel at each sorted position; pos is its inverse
     C        (n + 1) prefix sums of s, C[0] = 0, held at C[f] past the f
@@ -226,8 +251,7 @@ class SortedChannels:
         self.weights = np.array(weights, dtype=float)
         self.budget, self.beta = budget, d.beta
         self._bm = d.beta * budget
-        with np.errstate(divide="ignore"):
-            self.a = np.log(d.beta * self.weights)
+        self.a = _log_weights(self.weights, d.beta)
         n = self.a.size
         self.order = np.argsort(-self.a)
         self.s = self.a[self.order]
@@ -261,7 +285,7 @@ class SortedChannels:
         p = self.pos[z]
         sp = self.s[p]
         zero = w <= 0.0
-        a = np.log(self.beta * np.where(zero, 1.0, w))
+        a = _log_weights(np.where(zero, 1.0, w), self.beta)
         t = self._bm - a
         # m other channels active with z counted in: those ahead of z's old
         # position by key_up, then any behind it by key (module docstring)
@@ -278,7 +302,7 @@ class SortedChannels:
         """Set channel z's weight to w: one deletion and one insertion in the
         sort, then the sums and keys from the first changed position."""
         p = int(self.pos[z])
-        a_new = float(np.log(self.beta * w)) if w > 0.0 else -math.inf
+        a_new = float(_log_weights(np.array([w]), self.beta)[0]) if w > 0.0 else -math.inf
         n = self.a.size
         above = n - int(np.searchsorted(self.s[::-1], a_new, side="right"))
         q = above - (p < above)  # z's position among the other channels

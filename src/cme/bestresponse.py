@@ -13,7 +13,9 @@ weights depend only on (B, delta(mu_infl)), so ``consumers_br_dense``
 builds them for all consumers at once -- the outside source r_0 * B_0, the
 influencer r_p * (B^T delta(mu_infl) - diag(B) * delta(mu_infl)), and the
 direct channels r_p * B^T with the self channel at weight 0 -- and runs the
-allocator's closed form on row chunks of that table.
+allocator's closed form on row chunks of that table.  Only a chunk's
+candidate channels can be active, so their rates are the whole answer:
+the positive direct ones go straight into a ``market.DirectRates``.
 
 Producers are searched as one block.  Producer z's objective at topic x is
 g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of the
@@ -69,13 +71,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import SortedChannels, WeightedChannels, _water_fill_rows, water_fill
+from .allocator import SortedChannels, WeightedChannels, _water_fill_sparse, water_fill
 from .kernels import InvalidInputError, TopicPoint, discount, pairwise_distances
 from .market import (
+    _CHUNK,
+    DirectRates,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
     PeerWeights,
+    chunks,
     influencer_followed_match,
     influencer_relayed_match,
     less_own,
@@ -194,7 +199,6 @@ class ProducerBlock(NamedTuple):
         return self.grid_best <= 0.0
 
 
-_CHUNK = 64
 _TILE = _CHUNK * 256  # kernel-table entries per tile of the candidate scan
 
 
@@ -217,52 +221,58 @@ def influencer_br_dense(gamma: np.ndarray, cfg: MarketConfig) -> np.ndarray:
 
 
 def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
-                    cfg: MarketConfig, mode: GameMode) -> np.ndarray:
-    """Optimal splits of consumers ys in one closed-form solve, (k, N + 2) rates.
+                    cfg: MarketConfig, mode: GameMode
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal splits of consumers ys in one closed-form solve: their
+    outside and influencer rates, (k,) each, and their positive direct
+    rates as (row in ys, producer, rate) in row-major order.
 
-    Columns are the outside source (weight r_0*B_0, always positive, so no
-    row is degenerate), the influencer (weight r_p * relayed[y], see
-    ``influencer_relayed_match``) and one direct channel per producer z with
-    weight r_p * B[z, y], zero on the self channel, which therefore gets
-    rate 0 exactly.  Proxy consumers hold no direct channels: (k, 2) rates.
+    The channels are the outside source (weight r_0*B_0, always positive,
+    so no row is degenerate), the influencer (weight r_p * relayed[y], see
+    ``influencer_relayed_match``) and one direct channel per producer z
+    with weight r_p * B[z, y], zero on the self channel, which therefore
+    gets no rate.  Proxy consumers hold no direct channels.  Only the
+    allocator's candidates can be active (``_water_fill_sparse``), so the
+    rates are read off them and no (k, N + 2) rate table is built.
     """
-    weights = np.empty((ys.size, 2 if mode is GameMode.PROXY else cfg.n + 2))
+    k = ys.size
+    weights = np.empty((k, 2 if mode is GameMode.PROXY else cfg.n + 2))
     weights[:, 0] = cfg.r_0 * cfg.b_0
     weights[:, 1] = cfg.r_p * relayed[ys]
     if mode is not GameMode.PROXY:
         np.multiply(B[:, ys].T, cfg.r_p, out=weights[:, 2:])
-        weights[np.arange(ys.size), 2 + ys] = 0.0
-    return _water_fill_rows(weights, cfg.m, cfg.delay.beta)[0]
+        weights[np.arange(k), 2 + ys] = 0.0
+    flat, rates, _ = _water_fill_sparse(weights, cfg.m, cfg.delay.beta)
+    row, col = np.divmod(flat, weights.shape[1])
+    split = np.zeros((k, 2))  # the outside source and the influencer
+    own = col < 2
+    split[row[own], col[own]] = rates[own]
+    held = ~own & (rates > 0.0)
+    return split[:, 0], split[:, 1], row[held], col[held] - 2, rates[held]
 
 
 def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
-                       mode: GameMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every consumer's best response as fresh (lam, mu_i, direct) arrays.
+                       mode: GameMode) -> tuple[np.ndarray, np.ndarray, DirectRates]:
+    """Every consumer's best response as fresh (lam, mu_i, direct).
 
     Within a round the consumers depend only on (B, delta(mu_infl)), not on
-    each other, so they are solved as one block, in row chunks of _CHUNK
-    outside proxy mode: (_CHUNK, N + 2) temporaries keep a round's peak
-    memory flat.
+    each other, so they are solved as one block, in row chunks of _CHUNK:
+    (_CHUNK, N + 2) temporaries keep a round's peak memory flat, and the
+    direct rates are gathered straight into compressed sparse rows.
     """
     n = cfg.n
     ys = np.arange(n)
     relayed = influencer_relayed_match(delta_infl, B)
-    if mode is GameMode.PROXY:
-        rates = _consumer_rates(ys, relayed, B, cfg, mode)
-        return rates[:, 0].copy(), rates[:, 1].copy(), np.zeros((n, n))
-    lam, mu_i, direct = np.empty(n), np.empty(n), np.empty((n, n))
+    lam, mu_i = np.empty(n), np.empty(n)
+    rows, cols, rates = [], [], []
     for sl in chunks(n):
-        rates = _consumer_rates(ys[sl], relayed, B, cfg, mode)
-        lam[sl], mu_i[sl] = rates[:, 0], rates[:, 1]
-        direct[sl] = rates[:, 2:]
+        lam[sl], mu_i[sl], row, col, rate = _consumer_rates(ys[sl], relayed, B, cfg, mode)
+        rows.append(row + sl.start)
+        cols.append(col)
+        rates.append(rate)
+    direct = DirectRates.from_entries((n, n), np.concatenate(rows), np.concatenate(cols),
+                                      np.concatenate(rates))
     return lam, mu_i, direct
-
-
-def chunks(k: int) -> list[slice]:
-    """Chunks of _CHUNK of k producers or consumers: a producer chunk's
-    (c, N) evaluation tables, a consumer chunk's (c, N + 2) weights and a
-    row chunk of two direct-rate tables' difference stay small."""
-    return [slice(s, min(s + _CHUNK, k)) for s in range(0, k, _CHUNK)]
 
 
 def _tile_objective(weights: PeerWeights, P: np.ndarray, Q: np.ndarray,
@@ -424,11 +434,11 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
     influencer rates and topics: the consumer block restricted to y."""
     B = match_matrix(omega.X, cfg)
     relayed = influencer_relayed_match(discount(omega.mu_infl, cfg.delay), B)
-    rates = _consumer_rates(np.array([y]), relayed, B, cfg, mode)[0]
-    lam, mu_i, direct = omega.lam.copy(), omega.mu_i.copy(), omega.direct.copy()
-    lam[y], mu_i[y] = rates[0], rates[1]
-    direct[y] = rates[2:] if mode is not GameMode.PROXY else 0.0
-    return MarketAllocation(lam, mu_i, direct, omega.influencer, omega.X)
+    lam_y, mu_i_y, _, cols, rates = _consumer_rates(np.array([y]), relayed, B, cfg, mode)
+    lam, mu_i = omega.lam.copy(), omega.mu_i.copy()
+    lam[y], mu_i[y] = lam_y[0], mu_i_y[0]
+    return MarketAllocation(lam, mu_i, omega.direct.with_row(y, cols, rates),
+                            omega.influencer, omega.X)
 
 
 def _one_producer(z: int, weights: PeerWeights, cfg: MarketConfig,

@@ -22,7 +22,11 @@ a round that hands back ``mu_i`` and ``X`` unchanged rebuilt no row of B,
 and the round after it can only repeat it bit for bit: the same state,
 degenerate set, potential and scan, with no change.  The run takes that
 repeated round as read rather than computing it, and it is the run's last
-(a change of 0 passes every stopping test).
+(a change of 0 passes every stopping test).  For the same reason no start
+holds a direct rate (``default_init``, ``random_init``): a start's direct
+share would move no round, only ``potential_trace[0]``, and every state's
+``direct`` is compressed sparse rows (``market.DirectRates``), so a run
+holds no (N, N) table but B.
 Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
 ``_best`` picks: the certified run with the largest welfare, or, when none
 certifies, the run with the smallest certificate residual.
@@ -55,7 +59,6 @@ from .bestresponse import (
     GameMode,
     TopicGrid,
     TopicSearchParams,
-    chunks,
     consumers_br_dense,
     grid_best,
     imperfect_producer_round,
@@ -64,18 +67,18 @@ from .bestresponse import (
 )
 from .kernels import InvalidInputError, discount, discount_deriv
 from .market import (
+    DirectRates,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
     PeerWeights,
     _utilities,
+    chunks,
     influencer_followed_match,
     influencer_relayed_match,
     match_matrix,
-    rated_rows,
     social_welfare,
     support_weights,
-    take_rows,
 )
 
 # Default certificate tolerances: absolute for the rate conditions, relative
@@ -145,46 +148,39 @@ class EquilibriumResult:
 
 
 def default_init(cfg: MarketConfig, mode: GameMode) -> MarketAllocation:
-    """Uniform rates over each agent's channels; every producer starts at
-    its own interest."""
+    """Uniform rates, every producer at its own interest.  Outside proxy
+    mode each consumer's influencer rate is M / (N + 1), its share of a
+    uniform split over its N + 1 channels, and the outside source takes the
+    rest: a start holds no direct rate, since a round reads only ``mu_i``
+    and ``X`` of the state it is handed."""
     n = cfg.n
-    if mode is GameMode.PROXY:
-        lam = np.full(n, cfg.m / 2.0)
-        mu_i = np.full(n, cfg.m / 2.0)
-        direct = np.zeros((n, n))
-    else:
-        share = cfg.m / (n + 1.0)
-        lam = np.full(n, share)
-        mu_i = np.full(n, share)
-        direct = np.full((n, n), share)
-        np.fill_diagonal(direct, 0.0)
+    share = cfg.m / 2.0 if mode is GameMode.PROXY else cfg.m / (n + 1.0)
     mu_infl = np.full(n, cfg.m_infl / n)
-    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl),
-                            cfg.interest_array())
+    return MarketAllocation(np.full(n, cfg.m - share), np.full(n, share), DirectRates.empty(n),
+                            InfluencerAllocation(mu_infl), cfg.interest_array())
 
 
 def random_init(cfg: MarketConfig, mode: GameMode, rng: np.random.Generator
                 ) -> MarketAllocation:
+    """A random start: each consumer's Dirichlet split over its outside
+    source, the influencer and (outside proxy mode) its N - 1 producers,
+    with the producers' share folded into the outside source, so the start
+    holds no direct rate; random influencer rates and topics."""
     n = cfg.n
-    direct = np.zeros((n, n))
     split = rng.dirichlet(np.ones(2 if mode is GameMode.PROXY else n + 1), size=n) * cfg.m
-    lam, mu_i = split[:, 0].copy(), split[:, 1].copy()
-    if mode is not GameMode.PROXY:
-        # row-major off-diagonal order: row y's entries skip column y
-        direct[~np.eye(n, dtype=bool)] = split[:, 2:].ravel()
+    lam = split[:, 0] + split[:, 2:].sum(axis=1)
     mu_infl = rng.dirichlet(np.ones(n)) * cfg.m_infl
     X = rng.uniform(0.0, 1.0, (n, cfg.dim))
-    return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X)
+    return MarketAllocation(lam, split[:, 1].copy(), DirectRates.empty(n),
+                            InfluencerAllocation(mu_infl), X)
 
 
 def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
-    """Largest change of any rate or topic; direct rates in row chunks, so
-    no (N, N) difference table is built."""
+    """Largest change of any rate or topic; the direct rates' change is
+    read off their stored entries (``DirectRates.max_change``)."""
     change = max(float(np.max(np.abs(getattr(a, f) - getattr(b, f))))
                  for f in ("lam", "mu_i", "mu_infl", "X"))
-    for sl in chunks(a.direct.shape[0]):
-        change = max(change, float(np.max(np.abs(a.direct[sl] - b.direct[sl]))))
-    return change
+    return max(change, a.direct.max_change(b.direct))
 
 
 def _rates(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
@@ -305,14 +301,16 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * S
     # the direct marginals delta'(direct[y, z]) * r_p * B[z, y], z != y: on a
     # row with no direct rate they are beta * r_p * B[z, y], so its best is
-    # beta * r_p times the column's off-diagonal max (rounding is monotone)
-    rows = rated_rows(omega.direct)
-    direct = take_rows(omega.direct, rows)
-    m_dir_best = (d.beta * cfg.r_p) * np.max(B, axis=0, where=~np.eye(n, dtype=bool),
-                                             initial=-np.inf)
-    m_dir = discount_deriv(direct, d) * cfg.r_p * take_rows(B, rows, axis=1).T
-    m_dir[np.arange(rows.size), rows] = -np.inf       # no self channel
-    m_dir_best[rows] = np.max(m_dir, axis=1)
+    # beta * r_p times the column's off-diagonal max (rounding is monotone);
+    # the rows holding a rate are read dense, a chunk at a time
+    direct = omega.direct
+    m_dir_best = (d.beta * cfg.r_p) * _other_match_max(B)
+    rows = direct.rated_rows()
+    for sl in chunks(rows.size):
+        ys = rows[sl]
+        m_dir = discount_deriv(direct.dense_rows(ys), d) * cfg.r_p * B[:, ys].T
+        m_dir[np.arange(ys.size), ys] = -np.inf       # no self channel
+        m_dir_best[ys] = np.max(m_dir, axis=1)
 
     gate_m = 1e-12 * cfg.m
     gate_infl = 1e-12 * cfg.m_infl
@@ -331,10 +329,10 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         res["a_producer_topic"] = _support_producer_gap(omega, cfg, B, scanned)
 
     # --- budgets ---
-    spent = omega.lam + omega.mu_i + omega.direct.sum(axis=1)
+    spent = omega.lam + omega.mu_i + direct.row_sums()
     infl_budget = abs(float(omega.mu_infl.sum()) - cfg.m_infl)
     if mode is GameMode.PROXY:
-        res["b_direct_rates_zero"] = float(omega.direct.sum())
+        res["b_direct_rates_zero"] = float(direct.rates.sum())
         res["c_consumer_budget"] = float(np.max(np.abs(omega.lam + omega.mu_i - cfg.m)))
     else:
         res["b_consumer_budget"] = float(np.max(np.abs(spent - cfg.m)))
@@ -354,8 +352,10 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         res["d_influencer_optimal"] = gated_max(omega.mu_i > gate_m,
                                                 np.maximum(0.0, best_rival_infl - m_infl))
         rival = np.maximum(np.maximum(m_out, m_infl), m_dir_best)
-        shortfall = np.maximum(0.0, rival[rows, None] - m_dir)
-        res["e_direct_optimal"] = gated_max(direct > gate_m, shortfall)
+        ys = direct.row_ids()  # each stored rate's marginal against its row's rival
+        m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
+        res["e_direct_optimal"] = gated_max(direct.rates > gate_m,
+                                            np.maximum(0.0, rival[ys] - m_held))
 
     # --- influencer allocation marginals ---
     g_marginal = discount_deriv(omega.mu_infl, d) * gamma
@@ -363,6 +363,18 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     res["g_influencer_allocation"] = gated_max(omega.mu_infl > gate_infl,
                                                np.maximum(0.0, best - g_marginal))
     return res
+
+
+def _other_match_max(B: np.ndarray) -> np.ndarray:
+    """max over z != y of B[z, y] for every consumer y: B's column maxima
+    over row chunks of _CHUNK, each chunk's diagonal entries set to -inf in
+    its copy, so no (N, N) mask is built."""
+    best = np.full(B.shape[1], -np.inf)
+    for sl in chunks(B.shape[0]):
+        C = B[sl].copy()
+        C[np.arange(C.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
+        np.maximum(best, C.max(axis=0), out=best)
+    return best
 
 
 def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
@@ -552,6 +564,6 @@ def proxy_equivalence_report(cfg: MarketConfig, params: DynamicsParams | None = 
                                        tol=tol, producer_tol=producer_tol, search=search),
         imperfect_under_proxy=check_nash(imperfect.omega, cfg, GameMode.PROXY,
                                          tol=tol, producer_tol=producer_tol, search=search),
-        direct_rate_mass_perfect=float(perfect.omega.direct.sum()),
-        direct_rate_mass_imperfect=float(imperfect.omega.direct.sum()),
+        direct_rate_mass_perfect=float(perfect.omega.direct.rates.sum()),
+        direct_rate_mass_imperfect=float(imperfect.omega.direct.rates.sum()),
     )

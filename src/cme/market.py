@@ -7,7 +7,10 @@ outside source of fixed quality B_0 at rate lam[y], the influencer at
 rate mu_i[y], and each other producer z directly at rate direct[y, z].
 The influencer splits its own budget M_infl over the producers, at rate
 mu_infl[z] on producer z, and relays their content to its followers.
-``MarketAllocation`` holds these arrays.
+``MarketAllocation`` holds these arrays.  In a large community most
+consumers hold no direct rate at all, so ``direct`` is a ``DirectRates``:
+compressed sparse rows of the positive rates only, never an (N, N) table
+(``toarray()`` builds one on request).
 
 Consumer utility adds three terms: content relayed by the influencer
 (discounted twice -- once for the influencer's production rate on z,
@@ -66,6 +69,15 @@ from .kernels import (
 
 # Absolute slack allowed on every budget constraint check.
 BUDGET_TOL = 1e-9
+
+_CHUNK = 64
+
+
+def chunks(k: int) -> list[slice]:
+    """Chunks of _CHUNK of k producers, consumers or rows: a producer
+    chunk's (c, N) evaluation tables, a consumer chunk's (c, N + 2) weights
+    and a chunk of dense rows stay small."""
+    return [slice(s, min(s + _CHUNK, k)) for s in range(0, k, _CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -130,13 +142,160 @@ class InfluencerAllocation:
         object.__setattr__(self, "mu", mu)
 
 
+@dataclass(frozen=True, eq=False)
+class DirectRates:
+    """The consumers' direct rates in compressed sparse rows (CSR):
+    consumer y's rates are ``rates[indptr[y]:indptr[y + 1]]``, on the
+    producers ``cols`` of the same slice.  Every array is read-only.
+
+    indptr  (R + 1,)  row starts, indptr[0] = 0, nondecreasing
+    cols    (nnz,)    each rate's producer, ascending within a row
+    rates   (nnz,)    the rates
+    n                 the number of producers, the table's width
+
+    The engine stores only positive rates and none on the diagonal;
+    ``MarketAllocation.validate`` checks both, and the rows' layout
+    (``check_rows``).  There is no ``__array__``:
+    ``toarray()`` is the one way to the (R, n) table.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    rates: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.intp), ("cols", np.intp), ("rates", float)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def check_rows(self) -> None:
+        """Raise InvalidInputError unless indptr runs from 0 to nnz without
+        falling and each row's producers ascend, below n."""
+        p, c = self.indptr, self.cols
+        ok = (p.ndim == c.ndim == self.rates.ndim == 1 and p.size > 0 and p[0] == 0
+              and p[-1] == c.size == self.rates.size and not np.any(np.diff(p) < 0)
+              and not (c.size and (c.min() < 0 or c.max() >= self.n)))
+        if not ok or np.any((np.diff(c) <= 0) & (np.diff(self.row_ids()) == 0)):
+            raise InvalidInputError(
+                "direct rates need indptr from 0 to nnz, and ascending producers "
+                f"below {self.n} within each row")
+
+    @classmethod
+    def from_entries(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                     rates: np.ndarray) -> "DirectRates":
+        """The (R, n) table holding rates[k] at (rows[k], cols[k]), the
+        entries given in row-major order."""
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols, rates, shape[1])
+
+    @classmethod
+    def empty(cls, n: int) -> "DirectRates":
+        """n consumers holding no direct rate on n producers."""
+        none = np.empty(0, dtype=np.intp)
+        return cls.from_entries((n, n), none, none, np.empty(0))
+
+    @classmethod
+    def from_dense(cls, A) -> "DirectRates":
+        """The nonzero entries of the table A, (R, n)."""
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise InvalidInputError(f"direct has shape {A.shape}, expected a table")
+        rows, cols = np.nonzero(A)
+        return cls.from_entries(A.shape, rows, cols, A[rows, cols])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.size - 1, self.n)
+
+    @property
+    def nnz(self) -> int:
+        return self.rates.size
+
+    def row_ids(self) -> np.ndarray:
+        """The consumer of each stored rate, (nnz,)."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+    def row(self, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """Consumer y's producers and rates."""
+        s = slice(self.indptr[y], self.indptr[y + 1])
+        return self.cols[s], self.rates[s]
+
+    def rated_rows(self) -> np.ndarray:
+        """The consumers holding any direct rate, ascending."""
+        return np.flatnonzero(np.diff(self.indptr))
+
+    def dense_rows(self, rows: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """The (k, n) rows of consumers ``rows``, a run of consecutive
+        entries of ``rated_rows()``, holding ``values`` (nnz,), one per
+        stored rate, default the rates, at the stored entries and zero
+        elsewhere."""
+        D = np.zeros((rows.size, self.n))
+        if rows.size:
+            held = slice(self.indptr[rows[0]], self.indptr[rows[-1] + 1])
+            at = np.repeat(np.arange(rows.size), np.diff(self.indptr)[rows])
+            D[at, self.cols[held]] = (self.rates if values is None else values)[held]
+        return D
+
+    def toarray(self) -> np.ndarray:
+        """The dense (R, n) table."""
+        A = np.zeros(self.shape)
+        A[self.row_ids(), self.cols] = self.rates
+        return A
+
+    def row_sums(self) -> np.ndarray:
+        """Each consumer's total direct rate, (R,): the dense rows' sums,
+        float for float."""
+        out = np.zeros(self.shape[0])
+        rows = self.rated_rows()
+        for sl in chunks(rows.size):
+            out[rows[sl]] = self.dense_rows(rows[sl]).sum(axis=1)
+        return out
+
+    def column(self, z: int) -> np.ndarray:
+        """Every consumer's rate on producer z, (R,)."""
+        out = np.zeros(self.shape[0])
+        hit = self.cols == z
+        out[self.row_ids()[hit]] = self.rates[hit]
+        return out
+
+    def with_row(self, y: int, cols: np.ndarray, rates: np.ndarray) -> "DirectRates":
+        """These rates with consumer y's replaced by ``rates`` on the
+        ascending producers ``cols``."""
+        lo, hi = self.indptr[y], self.indptr[y + 1]
+        indptr = self.indptr.copy()
+        indptr[y + 1:] += len(cols) - (hi - lo)
+        return DirectRates(indptr, np.concatenate((self.cols[:lo], cols, self.cols[hi:])),
+                           np.concatenate((self.rates[:lo], rates, self.rates[hi:])), self.n)
+
+    def max_change(self, other: "DirectRates") -> float:
+        """max |self - other| over every entry, as the dense tables'
+        difference gives it: the two ascending key lists are merged, and an
+        entry stored on one side only differs by its own rate."""
+        if not (self.nnz or other.nnz):
+            return 0.0
+        mine, theirs = (d.row_ids() * d.n + d.cols for d in (self, other))
+        at = np.searchsorted(theirs, mine)
+        both = at < theirs.size
+        both[both] = theirs[at[both]] == mine[both]
+        change = np.abs(self.rates)
+        change[both] = np.abs(self.rates[both] - other.rates[at[both]])
+        only_theirs = np.ones(theirs.size, dtype=bool)
+        only_theirs[at[both]] = False
+        return float(max(change.max(initial=0.0),
+                         np.abs(other.rates[only_theirs]).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class MarketAllocation:
     """Full market state as arrays; every array is read-only.
 
     lam         (N,)      consumer y's rate on the outside source
     mu_i        (N,)      consumer y's rate on the influencer
-    direct      (N, N)    direct[y, z] is consumer y's rate on producer z
+    direct      (N, N)    direct[y, z] is consumer y's rate on producer z, a
+                          ``DirectRates`` (CSR); a dense table is converted
     influencer            the influencer's rates, ``influencer.mu`` (N,)
     X           (N, dim)  X[z] is producer z's content topic
 
@@ -147,15 +306,17 @@ class MarketAllocation:
 
     lam: np.ndarray
     mu_i: np.ndarray
-    direct: np.ndarray
+    direct: DirectRates
     influencer: InfluencerAllocation
     X: np.ndarray
 
     def __post_init__(self):
-        for name in ("lam", "mu_i", "direct", "X"):
+        for name in ("lam", "mu_i", "X"):
             a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        if not isinstance(self.direct, DirectRates):
+            object.__setattr__(self, "direct", DirectRates.from_dense(self.direct))
 
     @property
     def mu_infl(self) -> np.ndarray:
@@ -165,25 +326,30 @@ class MarketAllocation:
     def validate(self, cfg: MarketConfig) -> None:
         """Raise InvalidInputError naming the field of the first violated invariant."""
         n = cfg.n
+        self.direct.check_rows()
         for name, a, shape in (("lam", self.lam, (n,)), ("mu_i", self.mu_i, (n,)),
                                ("direct", self.direct, (n, n)),
                                ("influencer.mu", self.mu_infl, (n,)),
                                ("X", self.X, (n, cfg.dim))):
             if a.shape != shape:
                 raise InvalidInputError(f"{name} has shape {a.shape}, expected {shape}")
-            ok = (a >= 0.0) & ((a <= 1.0) if name == "X" else (a < math.inf))
+            values = a.rates if name == "direct" else a.ravel()
+            ok = (values >= 0.0) & ((values <= 1.0) if name == "X" else (values < math.inf))
             if not ok.all():
-                at = tuple(int(i) for i in np.argwhere(~ok)[0])
+                k = int(np.argmin(ok))
+                at = ((a.row_ids()[k], a.cols[k]) if name == "direct"
+                      else np.unravel_index(k, a.shape))
                 what = "outside the unit box [0, 1]" if name == "X" else "negative or not finite"
-                raise InvalidInputError(
-                    f"{name}[{', '.join(map(str, at))}] = {float(a[at])!r} is {what}")
-        self_rated = np.flatnonzero(np.diagonal(self.direct))
+                raise InvalidInputError(f"{name}[{', '.join(str(int(i)) for i in at)}] = "
+                                        f"{float(values[k])!r} is {what}")
+        self_rated = np.flatnonzero(self.direct.cols == self.direct.row_ids())
         if self_rated.size:
-            y = self_rated[0]
+            k = self_rated[0]
+            y = int(self.direct.cols[k])
             raise InvalidInputError(
-                f"direct[{y}, {y}] = {float(self.direct[y, y])!r}: "
+                f"direct[{y}, {y}] = {float(self.direct.rates[k])!r}: "
                 f"consumer {y} holds a direct rate on itself")
-        spent = self.lam + self.mu_i + self.direct.sum(axis=1)
+        spent = self.lam + self.mu_i + self.direct.row_sums()
         over = np.flatnonzero(spent > cfg.m + BUDGET_TOL)
         if over.size:
             y = over[0]
@@ -230,11 +396,6 @@ def less_own(total: np.ndarray, own: np.ndarray, terms) -> np.ndarray:
         T[np.arange(z.size), z] = 0.0
         out[redo] = T.sum(axis=1)
     return out
-
-
-def rated_rows(direct: np.ndarray) -> np.ndarray:
-    """The consumers holding any direct rate, ascending."""
-    return np.flatnonzero(direct.any(axis=1))
 
 
 def take_rows(A: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -292,15 +453,16 @@ class PeerWeights:
         return vals
 
 
-def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: np.ndarray,
+def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: DirectRates,
                     cfg: MarketConfig) -> PeerWeights:
     """The peer weights W of the welfare and of the perfect/proxy producers:
     W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]),
-    zero at z = y, with delta(direct) kept on the rows holding a rate."""
-    rows = rated_rows(direct)
+    zero at z = y, with delta(direct) kept dense on the rows holding a rate
+    (delta(0) = 0, so only the stored rates are discounted)."""
+    rows = direct.rated_rows()
     d = cfg.delay
     return PeerWeights(discount(mu_i, d), discount(mu_infl, d), rows,
-                       discount(take_rows(direct, rows), d))
+                       direct.dense_rows(rows, discount(direct.rates, d)))
 
 
 def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
@@ -361,7 +523,7 @@ def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,
         B = match_matrix(omega.X, cfg)
     d = cfg.delay
     terms = B[z] * (discount(float(omega.mu_infl[z]), d) * discount(omega.mu_i, d)
-                    + discount(omega.direct[:, z], d))
+                    + discount(omega.direct.column(z), d))
     terms[z] = 0.0  # z's own term, zeroed rather than subtracted (see less_own)
     return cfg.r_p * float(terms.sum())
 

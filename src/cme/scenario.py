@@ -50,7 +50,7 @@ from .equilibrium import (
     price_of_influence,
 )
 from .kernels import DelayParams, KernelParams, TopicPoint
-from .market import InfluencerAllocation, MarketAllocation, MarketConfig
+from .market import DirectRates, InfluencerAllocation, MarketAllocation, MarketConfig
 
 
 class ScenarioError(ValueError):
@@ -398,11 +398,12 @@ def allocation_to_dict(omega: MarketAllocation) -> dict:
     positive direct rates keyed by producer index, then the influencer's
     rates and the content topics."""
     consumers = []
-    for y, row in enumerate(omega.direct):
-        nz = np.flatnonzero(row > 0.0)
+    for y in range(omega.lam.size):
+        cols, rates = omega.direct.row(y)
+        held = rates > 0.0
         consumers.append({
             "lambda_out": float(omega.lam[y]), "mu_infl_follow": float(omega.mu_i[y]),
-            "mu_direct": {str(z): r for z, r in zip(nz.tolist(), row[nz].tolist())}})
+            "mu_direct": {str(z): r for z, r in zip(cols[held].tolist(), rates[held].tolist())}})
     return {"consumers": consumers,
             "influencer": omega.mu_infl.tolist(),
             "content": omega.X.tolist()}
@@ -416,7 +417,7 @@ def allocation_from_dict(d: dict) -> MarketAllocation:
     if not isinstance(consumers, list):
         raise ScenarioError("allocation 'consumers' must be a list")
     n = len(consumers)
-    lam, mu_i, direct = np.zeros(n), np.zeros(n), np.zeros((n, n))
+    lam, mu_i, direct = np.zeros(n), np.zeros(n), []
     for y, c in enumerate(consumers):
         where = f"allocation consumer {y}"
         lam[y] = _number(c, "lambda_out", where)
@@ -424,6 +425,7 @@ def allocation_from_dict(d: dict) -> MarketAllocation:
         rates = _field(c, "mu_direct", where)
         if not isinstance(rates, dict):
             raise ScenarioError(f"{where} 'mu_direct' must map producer indices to rates")
+        row = {}
         for key in rates:
             try:
                 z = int(key)
@@ -432,9 +434,12 @@ def allocation_from_dict(d: dict) -> MarketAllocation:
                     f"{where}: mu_direct key {key!r} is not a producer index") from None
             if not 0 <= z < n:
                 raise ScenarioError(f"{where} rates unknown producer {z}")
-            direct[y, z] = _number(rates, key, f"{where} mu_direct")
+            row[z] = _number(rates, key, f"{where} mu_direct")
+        direct += [(y, z, r) for z, r in sorted(row.items()) if r != 0.0]
+    ys, zs, rs = zip(*direct) if direct else ((), (), ())
     return MarketAllocation(
-        lam, mu_i, direct,
+        lam, mu_i, DirectRates.from_entries((n, n), np.array(ys, dtype=np.intp),
+                                            np.array(zs, dtype=np.intp), np.array(rs, dtype=float)),
         InfluencerAllocation(mu=_numbers(d, "influencer", "allocation", 1)),
         _numbers(d, "content", "allocation", 2))
 

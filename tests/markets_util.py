@@ -52,7 +52,7 @@ def random_allocation(rng, cfg, spend_fraction=None) -> MarketAllocation:
 
 def with_consumer(omega, y, lam=None, mu_i=None, direct=None) -> MarketAllocation:
     """omega with consumer y's given rates replaced (direct: its whole row)."""
-    lams, mu_is, directs = omega.lam.copy(), omega.mu_i.copy(), omega.direct.copy()
+    lams, mu_is, directs = omega.lam.copy(), omega.mu_i.copy(), omega.direct.toarray()
     if lam is not None:
         lams[y] = lam
     if mu_i is not None:

@@ -18,14 +18,21 @@
   agreement between the two certifies both;
 - ``kkt_residuals``: the named first-order optimality residuals of a
   candidate split;
+- ``water_fill_rows``: ``cme.allocator._water_fill_sparse``, the
+  engine's closed form on each row's candidates, with its rates scattered
+  into full (n, N) rows;
 - ``water_fill_rows_sorted``: the closed form with every channel of every
-  row sorted, the reference that ``cme.allocator._water_fill_rows``, which
-  sorts only the channels that can be active, must equal bit for bit;
-- ``water_fill_batch``: the engine's closed form, ``cme.allocator``'s
-  ``_water_fill_rows``, behind input checks, one independent solve per
+  row sorted, the reference that ``water_fill_rows``, which sorts only the
+  channels that can be active, must equal bit for bit;
+- ``water_fill_batch``: the engine's closed form, ``water_fill_rows``,
+  behind input checks, one independent solve per
   row, the reference for the one-weight-replaced rates of
   ``cme.allocator.SortedChannels`` and for one influencer re-solve per
   candidate in ``reference_search``;
+- ``consumers_dense``: the consumer block as it was before the direct
+  rates became sparse, every consumer's full (N + 2)-channel split written
+  into an (N, N) table, the reference that
+  ``cme.bestresponse.consumers_br_dense`` must equal bit for bit;
 - ``producer_support_via_influencer``: the influencer-relayed share of a
   producer's support, the other half of ``cme.market.producer_support``;
 - ``run_single_every_round``: the dynamics loop that computes every round,
@@ -45,9 +52,9 @@ from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
-    _water_fill_rows,
+    _water_fill_sparse,
 )
-from cme.bestresponse import GameMode
+from cme.bestresponse import GameMode, chunks
 from cme.kernels import (
     DelayParams,
     InvalidInputError,
@@ -56,7 +63,7 @@ from cme.kernels import (
     discount,
     pairwise_distances,
 )
-from cme.market import match_matrix, social_welfare
+from cme.market import influencer_relayed_match, match_matrix, social_welfare
 
 
 class DomainError(ValueError):
@@ -242,10 +249,19 @@ def kkt_residuals(sol: AllocationSolution, ch: WeightedChannels,
     }
 
 
+def water_fill_rows(W: np.ndarray, budget: float, beta: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's split of every row of W, (rates, log nu), rates (n, N)."""
+    flat, active, log_nu = _water_fill_sparse(W, budget, beta)
+    rates = np.zeros(W.size)
+    rates[flat] = active
+    return rates.reshape(W.shape), log_nu
+
+
 def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
                            ) -> tuple[np.ndarray, np.ndarray]:
     """The closed form with every channel of every row sorted: the
-    reference of ``cme.allocator._water_fill_rows``, which sorts only the
+    reference of ``water_fill_rows``, which sorts only the
     channels that can be active and must return the same floats.  Returns
     (rates, log nu); every row must hold a positive weight.  A row whose
     max(w) or beta * max(w) is not a normal float is solved scaled by 2**s,
@@ -280,8 +296,32 @@ def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
         raise InvalidInputError("channel weights must be finite and nonnegative")
     if not np.all(np.max(W, axis=1) > 0.0):
         raise DegenerateWeightsError("a row has all channel weights zero")
-    rates, log_nu = _water_fill_rows(W, budget, d.beta)
+    rates, log_nu = water_fill_rows(W, budget, d.beta)
     return rates, np.exp(log_nu)
+
+
+def consumers_dense(delta_infl, B, cfg, mode, solve=water_fill_rows):
+    """Every consumer's best response as (lam, mu_i, direct), direct the
+    dense (N, N) table: each chunk of consumers' weights (outside source,
+    influencer, one channel per producer with the self channel at 0) split
+    by ``solve`` into full rate rows.  Proxy consumers hold only the first
+    two channels."""
+    n = cfg.n
+    relayed = influencer_relayed_match(delta_infl, B)
+    lam, mu_i, direct = np.empty(n), np.empty(n), np.zeros((n, n))
+    for sl in chunks(n):
+        ys = np.arange(n)[sl]
+        weights = np.empty((ys.size, 2 if mode is GameMode.PROXY else n + 2))
+        weights[:, 0] = cfg.r_0 * cfg.b_0
+        weights[:, 1] = cfg.r_p * relayed[ys]
+        if mode is not GameMode.PROXY:
+            np.multiply(B[:, ys].T, cfg.r_p, out=weights[:, 2:])
+            weights[np.arange(ys.size), 2 + ys] = 0.0
+        rates = solve(weights, cfg.m, cfg.delay.beta)[0]
+        lam[sl], mu_i[sl] = rates[:, 0], rates[:, 1]
+        if mode is not GameMode.PROXY:
+            direct[sl] = rates[:, 2:]
+    return lam, mu_i, direct
 
 
 def producer_support_via_influencer(z, omega, cfg, B=None) -> float:

@@ -269,7 +269,7 @@ def imperfect_gap(dense, cfg, grid, B=None):
 def support_gap(dense, cfg, grid, B=None):
     d_i = discount(dense.mu_i, cfg.delay)
     d_infl = discount(dense.mu_infl, cfg.delay)
-    d_direct = discount(dense.direct, cfg.delay)
+    d_direct = discount(dense.direct.toarray(), cfg.delay)
     worst = 0.0
     for z in range(cfg.n):
         wv = d_infl[z] * d_i + d_direct[:, z]

@@ -54,7 +54,7 @@ def test_acceptance_1_potential_identity():
                 u0 = float(consumer_utilities(omega, cfg, B)[y])
                 split = rng.dirichlet(np.ones(n + 1)) * rng.uniform(0.0, 1.0) * cfg.m
                 lam, mu_i = omega.lam.copy(), omega.mu_i.copy()
-                direct = omega.direct.copy()
+                direct = omega.direct.toarray()
                 lam[y], mu_i[y] = split[0], split[1]
                 row = np.zeros(n)
                 row[:y], row[y + 1:] = split[2:y + 2], split[y + 2:]
@@ -251,7 +251,7 @@ def test_acceptance_7_budget_saturation_everywhere():
             spent_infl = float(np.sum(res.omega.influencer.mu))
             assert abs(spent_infl - cfg.m_infl) <= 1e-9, \
                 f"influencer budget off by {spent_infl - cfg.m_infl:g}"
-            spent = res.omega.lam + res.omega.mu_i + res.omega.direct.sum(axis=1)
+            spent = res.omega.lam + res.omega.mu_i + res.omega.direct.toarray().sum(axis=1)
             off = float(np.max(np.abs(spent - cfg.m)))
             assert off <= 1e-9, f"consumer budget off by {off:g}"
     elapsed = time.perf_counter() - t0

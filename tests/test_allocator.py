@@ -15,7 +15,6 @@ from cme.allocator import (
     WeightedChannels,
     _candidates,
     _normal_rows,
-    _water_fill_rows,
     water_fill,
 )
 from cme.kernels import DelayParams, InvalidInputError
@@ -25,6 +24,7 @@ from oracles import (
     kkt_residuals,
     project_budget_box,
     water_fill_batch,
+    water_fill_rows,
     water_fill_rows_sorted,
 )
 
@@ -174,7 +174,7 @@ class TestBatch:
             W[np.max(W, axis=1) == 0.0, 0] = 1.0
             budget = float(rng.uniform(0.2, 5.0))
             d = DelayParams(beta=float(rng.uniform(0.4, 2.5)))
-            rates, log_nu = _water_fill_rows(W, budget, d.beta)
+            rates, log_nu = water_fill_rows(W, budget, d.beta)
             old_rates, old_log_nu = water_fill_rows_sorted(W, budget, d.beta)
             assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
             for i in range(k):
@@ -219,7 +219,7 @@ class TestCandidateSort:
         for bm in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 744.0, 746.0, 1e3):
             W = candidate_stack(rng, kind, shape)
             beta = float(rng.uniform(0.3, 3.0))
-            rates, log_nu = _water_fill_rows(W, bm / beta, beta)
+            rates, log_nu = water_fill_rows(W, bm / beta, beta)
             old_rates, old_log_nu = water_fill_rows_sorted(W, bm / beta, beta)
             assert np.array_equal(rates, old_rates), (kind, bm)
             assert np.array_equal(log_nu, old_log_nu), (kind, bm)
@@ -232,7 +232,7 @@ class TestCandidateSort:
         for bm in (1e-3, 1.0, 30.0, 700.0):
             for eps in (1e-8, 1e-6, 1e-3):
                 W = np.array([[1.0, math.exp(-bm) * (1.0 + eps)]])
-                rates, log_nu = _water_fill_rows(W, bm / 2.0, 2.0)
+                rates, log_nu = water_fill_rows(W, bm / 2.0, 2.0)
                 old_rates, old_log_nu = water_fill_rows_sorted(W, bm / 2.0, 2.0)
                 assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
                 assert rates[0, 1] == pytest.approx(eps / 4.0, rel=1e-3)
@@ -242,8 +242,8 @@ class TestCandidateSort:
         # 2**-1074 * (3, 2, 1, 0) is exact, the smallest subnormals, and the
         # same split; beta * w would round them
         W = np.array([[3.0, 2.0, 1.0, 0.0]])
-        rates, log_nu = _water_fill_rows(W, 4.0, beta)
-        tiny_rates, tiny_log_nu = _water_fill_rows(np.ldexp(W, -1074), 4.0, beta)
+        rates, log_nu = water_fill_rows(W, 4.0, beta)
+        tiny_rates, tiny_log_nu = water_fill_rows(np.ldexp(W, -1074), 4.0, beta)
         np.testing.assert_allclose(tiny_rates, rates, rtol=1e-12)
         assert tiny_rates[0, 3] == 0.0 and tiny_rates.sum() == pytest.approx(4.0, rel=1e-14)
         assert tiny_log_nu[0] == pytest.approx(log_nu[0] - 1074 * math.log(2.0), rel=1e-14)
@@ -266,7 +266,7 @@ class TestCandidateSort:
         scaled, top, _ = _normal_rows(W, beta)
         assert np.array_equal(top, scaled.max(axis=1))
         assert np.all(_candidates(scaled, top, bm)[old_rates > 0.0])
-        rates, log_nu = _water_fill_rows(W, bm / beta, beta)
+        rates, log_nu = water_fill_rows(W, bm / beta, beta)
         assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
 
 
@@ -300,7 +300,7 @@ class TestAgainstBisection:
             W[np.max(W, axis=1) == 0.0, int(rng.integers(0, n))] = 1.0
             beta = float(rng.uniform(0.2, 5.0))
             budget = 10.0 ** float(rng.uniform(-2, 2)) / beta
-            rates, log_nu = _water_fill_rows(W, budget, beta)
+            rates, log_nu = water_fill_rows(W, budget, beta)
             ref_rates, ref_nu = bisection_reference(W, budget, beta)
             np.testing.assert_allclose(rates, ref_rates, rtol=0.0, atol=1e-10 * budget)
             np.testing.assert_allclose(np.exp(log_nu), ref_nu, rtol=1e-9)
@@ -378,6 +378,30 @@ class TestSortedChannels:
                                    rtol=1e-15)
         ch = SortedChannels(np.array([0.0, 1.0, 0.0]), 2.0, DelayParams())
         np.testing.assert_array_equal(ch.rates_with(np.array([0, 1]), np.zeros(2)), [0.0, 2.0 / 3])
+
+    @pytest.mark.parametrize("w", [[5e-324, 1e-323, 0.0], [1e-323, 3e-310, 5e-324, 0.0],
+                                   [2.2e-308, 4e-308, 1e-310]])
+    def test_subnormal_weights_match_water_fill(self, w):
+        # beta * w loses bits or underflows to 0 for these weights: each log
+        # is taken scaled by an exact power of two, so every positive weight
+        # has a finite log and no key is NaN (warnings are errors here)
+        w, budget, d = np.array(w), 2.0, DelayParams(beta=0.5)
+        ch = SortedChannels(w, budget, d)
+        assert np.all(np.isfinite(ch.a[w > 0.0])) and not np.any(np.isnan(ch.key))
+        n = w.size
+        np.testing.assert_allclose(ch.rates_with(np.arange(n), w),
+                                   water_fill(WeightedChannels(w, budget), d).rates,
+                                   rtol=0.0, atol=1e-12 * budget)
+        # a replacement far above the sorted weights, and one as tiny
+        for z, new in ((n - 1, 1.0), (0, 5e-324)):
+            W = w.copy()
+            W[z] = new
+            want = water_fill(WeightedChannels(W, budget), d).rates[z]
+            assert abs(ch.rates_with(np.array([z]), np.array([new]))[0] - want) <= 1e-12 * budget
+            fresh = SortedChannels(W, budget, d)
+            ch.replace(z, new)
+            assert np.array_equal(ch.key, fresh.key) and np.array_equal(ch.a, fresh.a)
+            ch = SortedChannels(w, budget, d)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_replace_chains_match_fresh_builds(self, kind):

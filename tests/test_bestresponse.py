@@ -39,6 +39,7 @@ from cme.kernels import (
     discount,
 )
 from cme.market import (
+    DirectRates,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
@@ -52,6 +53,7 @@ from cme.market import (
 from markets_util import far_pair, random_allocation, random_config, with_consumer, with_topic
 from cme.scenario import parse_sweep
 from oracles import (
+    consumers_dense,
     dense_objective,
     dense_support_weights,
     dense_tables,
@@ -172,11 +174,11 @@ class TestConsumerBestResponse:
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg)
         br = consumer_best_response(0, omega, cfg, GameMode.PROXY)
-        assert np.all(br.direct[0] == 0.0)
+        assert np.all(br.direct.toarray()[0] == 0.0)
         assert abs(br.lam[0] + br.mu_i[0] - cfg.m) < 1e-12 * cfg.m
         for y in range(1, cfg.n):  # the other consumers keep their rates
             assert (br.lam[y], br.mu_i[y]) == (omega.lam[y], omega.mu_i[y])
-        assert np.array_equal(br.direct[1:], omega.direct[1:])
+        assert np.array_equal(br.direct.toarray()[1:], omega.direct.toarray()[1:])
 
     def test_idle_influencer_pushes_attention_elsewhere(self):
         rng = np.random.default_rng(35)
@@ -212,7 +214,7 @@ class TestConsumerBestResponse:
         omega = MarketAllocation(np.zeros(8), np.zeros(8), np.zeros((8, 8)),
                                  InfluencerAllocation(mu=np.full(8, 10.0)), np.full((8, 1), 0.5))
         br = consumer_best_response(3, omega, cfg, GameMode.PERFECT)
-        assert np.all(br.direct[3] == 0.0)
+        assert np.all(br.direct.toarray()[3] == 0.0)
         assert br.lam[3] == 0.0
         assert abs(br.mu_i[3] - cfg.m) < 1e-12
 
@@ -395,7 +397,7 @@ def _dense_market(rng, dim, case):
     """A random market state; some cases zero channels or every follow rate."""
     cfg = random_config(rng, n_min=3, n_max=7, dim=dim)
     omega = random_allocation(rng, cfg)
-    mu_i, direct, mu_infl = omega.mu_i.copy(), omega.direct.copy(), omega.mu_infl.copy()
+    mu_i, direct, mu_infl = omega.mu_i.copy(), omega.direct.toarray(), omega.mu_infl.copy()
     if case == 1:  # zero-weight channels
         mu_i[::2] = 0.0
         direct[:, 1] = 0.0
@@ -432,7 +434,7 @@ class TestProducerBlockAgainstReference:
             grid = TopicGrid(cfg, _search(dim))
             W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
             d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
-            d_direct = discount(d.direct, cfg.delay)
+            d_direct = discount(d.direct.toarray(), cfg.delay)
             for prev in (d.X, None):
                 block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
                 for z in range(cfg.n):
@@ -473,7 +475,7 @@ class TestProducerBlockAgainstReference:
                            m=100.0, m_infl=100.0, r_p=1.0, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(a_f=8.0, a_g=0.5))
         mu_i, mu_infl = np.array([0.0, 50.0, 50.0]), np.full(3, 50.0)
-        W = support_weights(mu_i, mu_infl, np.zeros((3, 3)), cfg)
+        W = support_weights(mu_i, mu_infl, DirectRates.empty(3), cfg)
         dense = dense_support_weights(mu_i, mu_infl, np.zeros((3, 3)), cfg)
         assert dense[1, 0] == dense[2, 0] == 1.0
         d_i = discount(mu_i, cfg.delay)
@@ -642,7 +644,7 @@ class TestTiledScan:
         grid = TopicGrid(cfg, SEARCH)
         rows = _TILE // self.N
         d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
-        d_direct = discount(d.direct, cfg.delay)
+        d_direct = discount(d.direct.toarray(), cfg.delay)
         for prev in (d.X, None):
             block = producer_block(W, grid, cfg, **_incumbent(prev, W, cfg))
             for z in range(self.N):
@@ -712,7 +714,7 @@ def _breakpoint_market(rng, t):
         kernel = KernelParams(a_f=1e-17, a_g=1e-17)
     cfg = dataclasses.replace(cfg, interests=tuple(TopicPoint((v,)) for v in y), kernel=kernel)
     d = random_allocation(rng, cfg)
-    mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.copy()
+    mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.toarray()
     if case == 1:
         mu_i[::2] = 0.0
         direct[:, 1] = 0.0
@@ -747,8 +749,8 @@ class TestExactSearch:
             dist = np.abs(y[:, None] - fine)  # (N, nodes): each producer's scan is a row
             P, Q = np.exp(-a_f * dist), np.exp(-a_g * dist)
             d_i = discount(mu_i, cfg.delay)
-            for W in (support_weights(mu_i, mu_infl, direct, cfg),
-                      support_weights(mu_i, mu_infl, np.zeros_like(direct), cfg),
+            for W in (support_weights(mu_i, mu_infl, DirectRates.from_dense(direct), cfg),
+                      support_weights(mu_i, mu_infl, DirectRates.empty(cfg.n), cfg),
                       PeerWeights.rank_one(d_i, np.ones(cfg.n))):
                 block = producer_block(W, grid, cfg)
                 dense = dense_weights(W)
@@ -785,7 +787,8 @@ class TestConsumerBlockAgainstReference:
             elif case == 2:  # the influencer relays nothing: nobody follows it
                 mu_infl[:] = 0.0
             delta_infl = discount(mu_infl, cfg.delay)
-            lam, mu_i, direct = consumers_br_dense(delta_infl, B, cfg, mode)
+            lam, mu_i, rates = consumers_br_dense(delta_infl, B, cfg, mode)
+            direct = rates.toarray()
             for a, b in zip((lam, mu_i, direct), consumer_round(delta_infl, B, cfg, mode)):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * cfg.m)
             assert np.all(np.diagonal(direct) == 0.0)
@@ -808,18 +811,43 @@ class TestConsumerBlockAgainstReference:
 
         def checked(*args):
             out = block(*args)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(bestresponse, "_water_fill_rows", water_fill_rows_sorted)
-                full = block(*args)
-            for a, b in zip(out, full):
+            full = consumers_dense(*args, solve=water_fill_rows_sorted)
+            for a, b in zip((*out[:2], out[2].toarray()), full):
                 assert np.array_equal(a, b)
-            active.append(int(np.max(np.count_nonzero(out[2], axis=1))))
+            active.append(int(np.max(np.diff(out[2].indptr))))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(equilibrium, "consumers_br_dense", checked)
             run_dynamics(cfg, mode, params=DynamicsParams(restarts=0))
         assert len(active) >= 5 and max(active) >= 10, active
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_consumer_block_equals_the_dense_block(mode, dim):
+    # the block reads each chunk's rates off the allocator's candidates and
+    # keeps the positive direct ones as CSR: the dense block's floats, bit
+    # for bit, on markets with zero-weight channels and a fixed budget small
+    # enough that consumers hold direct rates
+    rng = np.random.default_rng(120 + dim + 2 * list(GameMode).index(mode))
+    held = 0
+    for case in range(6):
+        cfg = random_config(rng, n_min=_CHUNK - 3, n_max=2 * _CHUNK + 3, dim=dim)
+        B = match_matrix(rng.uniform(0.0, 1.0, (cfg.n, dim)), cfg)
+        mu_infl = rng.dirichlet(np.ones(cfg.n)) * rng.uniform(0.5, 5.0)
+        if case % 2:  # zero-weight channels
+            B[rng.uniform(size=B.shape) < 0.3] = 0.0
+            mu_infl[::3] = 0.0
+        delta_infl = discount(mu_infl, cfg.delay)
+        lam, mu_i, direct = consumers_br_dense(delta_infl, B, cfg, mode)
+        want = consumers_dense(delta_infl, B, cfg, mode)
+        for a, b in zip((lam, mu_i, direct.toarray()), want):
+            assert np.array_equal(a, b)
+        assert np.all(direct.rates > 0.0) and direct.shape == (cfg.n, cfg.n)
+        assert not np.any(direct.cols == direct.row_ids())
+        held += direct.nnz
+    assert held > 0 or mode is GameMode.PROXY
 
 
 def _random_weights(rng, n, rows):
@@ -848,7 +876,7 @@ class TestPeerWeightsAgainstDense:
             # interest; exp(-450 * sqrt(2)) is still a normal float
             cfg = dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, a_f=450.0))
         d = random_allocation(rng, cfg)
-        mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.copy()
+        mu_i, mu_infl, direct = d.mu_i.copy(), d.mu_infl.copy(), d.direct.toarray()
         if density == "tenth":
             direct[rng.uniform(size=n) >= 0.1] = 0.0
         elif density == "none":
@@ -858,7 +886,7 @@ class TestPeerWeightsAgainstDense:
         elif case == 2:  # zero entries in v
             mu_infl[rng.uniform(size=n) < 0.3] = 0.0
         d = MarketAllocation(d.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl), d.X)
-        W = support_weights(mu_i, mu_infl, direct, cfg)
+        W = support_weights(mu_i, mu_infl, DirectRates.from_dense(direct), cfg)
         dense = dense_support_weights(mu_i, mu_infl, direct, cfg)
         assert np.array_equal(dense_weights(W), dense)
         assert W.rows.size == np.count_nonzero(direct.any(axis=1))

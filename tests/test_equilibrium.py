@@ -62,6 +62,11 @@ FAST = DynamicsParams(restarts=0)
 FIELDS = ("lam", "mu_i", "direct", "mu_infl", "X")
 
 
+def state_field(omega, f):
+    """omega's array f, the direct rates as their dense table."""
+    return omega.direct.toarray() if f == "direct" else getattr(omega, f)
+
+
 def symmetric_pair(m_infl=2.0) -> MarketConfig:
     """Two members at 0.2 / 0.8; quality kernel decays faster than interest,
     so each producer's unique best topic is its own interest."""
@@ -112,7 +117,7 @@ def test_symmetric_proxy_matches_scalar_water_fill():
     expect = water_fill(WeightedChannels(np.array([cfg.r_0 * cfg.b_0,
                                                    cfg.r_p * s]), cfg.m),
                         cfg.delay)
-    assert np.all(res.omega.direct == 0.0)
+    assert res.omega.direct.nnz == 0
     np.testing.assert_allclose(res.omega.lam, expect.rates[0], rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(res.omega.mu_i, expect.rates[1], rtol=0.0, atol=1e-9)
 
@@ -128,7 +133,7 @@ def test_symmetric_perfect_certified_and_fast():
     assert_nondecreasing(res.potential_trace, scale=abs(res.potential_trace[-1]))
     # all three channel kinds active in this market
     omega = res.omega
-    assert omega.lam[0] > 0 and omega.mu_i[0] > 0 and omega.direct[0].any()
+    assert omega.lam[0] > 0 and omega.mu_i[0] > 0 and omega.direct.toarray()[0].any()
 
 
 def test_symmetric_imperfect_certified():
@@ -168,7 +173,7 @@ def test_budgets_saturated_at_equilibrium():
         res = run_dynamics(cfg, mode, params=FAST, search=SEARCH)
         assert float(np.sum(res.omega.influencer.mu)) == pytest.approx(
             cfg.m_infl, abs=1e-9 * cfg.m_infl)
-        spent = res.omega.lam + res.omega.mu_i + res.omega.direct.sum(axis=1)
+        spent = res.omega.lam + res.omega.mu_i + res.omega.direct.toarray().sum(axis=1)
         np.testing.assert_allclose(spent, cfg.m, rtol=0.0, atol=1e-9 * cfg.m)
 
 
@@ -240,11 +245,11 @@ def _dense_direct_residuals(omega, cfg):
     m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
     m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * influencer_relayed_match(
         discount(omega.mu_infl, d), B)
-    m_dir = discount_deriv(omega.direct, d) * cfg.r_p * B.T
+    m_dir = discount_deriv(omega.direct.toarray(), d) * cfg.r_p * B.T
     np.fill_diagonal(m_dir, -np.inf)
     m_dir_best = np.max(m_dir, axis=1)
     rival = np.maximum(np.maximum(m_out, m_infl), m_dir_best)
-    shortfall = np.maximum(0.0, rival[:, None] - m_dir)[omega.direct > 1e-12 * cfg.m]
+    shortfall = np.maximum(0.0, rival[:, None] - m_dir)[omega.direct.toarray() > 1e-12 * cfg.m]
     return {
         "c_outside_optimal": float(np.max(np.maximum(
             0.0, np.maximum(m_infl, m_dir_best) - m_out)[omega.lam > 1e-12 * cfg.m])),
@@ -265,11 +270,31 @@ def test_direct_marginals_match_the_dense_table(mode, dim):
         for _ in range(3):
             cfg = random_config(rng, n_min=6, n_max=30, dim=dim)
             d = random_allocation(rng, cfg)
-            direct = d.direct * (rng.uniform(size=(cfg.n, 1)) < keep)
+            direct = d.direct.toarray() * (rng.uniform(size=(cfg.n, 1)) < keep)
             d = MarketAllocation(d.lam, d.mu_i, direct, d.influencer, d.X)
             got = check_nash(d, cfg, mode, search=_search(dim)).residuals
             for name, value in _dense_direct_residuals(d, cfg).items():
                 assert got[name] == value, name
+
+
+def test_direct_marginals_span_row_chunks():
+    # B's off-diagonal column max and the rated rows are read _CHUNK rows
+    # at a time; the residuals are the full table's floats at any count
+    rng = np.random.default_rng(178)
+    for n in (_CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        B = rng.uniform(size=(n, n))
+        B[np.diag_indices(n)] = 2.0  # the diagonal is every column's max
+        assert np.array_equal(equilibrium._other_match_max(B),
+                              np.max(B, axis=0, where=~np.eye(n, dtype=bool), initial=-np.inf))
+        cfg = random_config(rng, n_min=n, n_max=n, dim=1)
+        d = random_allocation(rng, cfg)
+        direct = d.direct.toarray() * (rng.uniform(size=(n, 1)) < 0.7)
+        d = MarketAllocation(d.lam, d.mu_i, direct, d.influencer, d.X)
+        got = check_nash(d, cfg, GameMode.PERFECT, search=SEARCH).residuals
+        for name, value in _dense_direct_residuals(d, cfg).items():
+            assert got[name] == value, name
+        assert got["b_consumer_budget"] == float(np.max(np.abs(
+            d.lam + d.mu_i + direct.sum(axis=1) - cfg.m)))
 
 
 @pytest.mark.parametrize("mode, m", [(GameMode.PROXY, 300.0), (GameMode.PERFECT, 1000.0)])
@@ -400,7 +425,20 @@ def test_deterministic_repeat():
                      params=DynamicsParams(restarts=1), search=SEARCH)
     assert a.potential_trace == b.potential_trace
     for f in FIELDS:
-        assert np.array_equal(getattr(a.omega, f), getattr(b.omega, f))
+        assert np.array_equal(state_field(a.omega, f), state_field(b.omega, f))
+
+
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_default_init_holds_no_direct_rate(mode):
+    # the influencer rate is the uniform split's share, bit for bit, and the
+    # outside source takes the rest of the budget
+    cfg = even_line(5)
+    start = equilibrium.default_init(cfg, mode)
+    share = cfg.m / 2.0 if mode is GameMode.PROXY else cfg.m / 6.0
+    assert np.array_equal(start.mu_i, np.full(5, share))
+    assert np.array_equal(start.lam, np.full(5, cfg.m - share))
+    assert start.direct.nnz == 0
+    start.validate(cfg)
 
 
 def test_params_validation():
@@ -417,14 +455,11 @@ def test_random_init_matches_the_per_row_fill(n):
         new = equilibrium.random_init(cfg, mode, np.random.default_rng(n))
         rng = np.random.default_rng(n)
         split = rng.dirichlet(np.ones(2 if mode is GameMode.PROXY else n + 1), size=n) * cfg.m
-        direct = np.zeros((n, n))
-        if mode is not GameMode.PROXY:
-            for y in range(n):
-                direct[y, :y] = split[y, 2:y + 2]
-                direct[y, y + 1:] = split[y, y + 2:]
-        assert np.array_equal(new.lam, split[:, 0])
+        # each row's producer share is folded into its outside source
+        lam = np.array([split[y, 0] + split[y, 2:].sum() for y in range(n)])
+        assert np.array_equal(new.lam, lam)
         assert np.array_equal(new.mu_i, split[:, 1])
-        assert np.array_equal(new.direct, direct)
+        assert new.direct.shape == (n, n) and new.direct.nnz == 0
         assert np.array_equal(new.mu_infl, rng.dirichlet(np.ones(n)) * cfg.m_infl)
         assert np.array_equal(new.X, rng.uniform(0.0, 1.0, (n, cfg.dim)))
 
@@ -458,7 +493,7 @@ def test_rounds_match_the_per_producer_round(mode, dim):
             compared += 1
             assert degenerate_new == degenerate_old
             for f in FIELDS:
-                np.testing.assert_allclose(getattr(new, f), getattr(old, f), rtol=1e-9,
+                np.testing.assert_allclose(state_field(new, f), state_field(old, f), rtol=1e-9,
                                            atol=1e-9 * max(cfg.m, cfg.m_infl))
     assert compared >= 6
 
@@ -600,7 +635,7 @@ def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
     grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9))
     new, degenerate, _, _ = equilibrium._one_round(state, cfg, GameMode.PERFECT, grid,
                                                    match_matrix(state.X, cfg))
-    dense = dense_support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
+    dense = dense_support_weights(new.mu_i, new.mu_infl, new.direct.toarray(), cfg)
     assert np.all(dense + 2.0 * np.eye(3) == 2.0)
     W = support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
     col = slice(z, z + 1)
@@ -631,16 +666,25 @@ def test_dim1_solve_imports_no_module_lazily():
 
 
 def test_sup_change_reads_every_row_chunk():
-    # direct is compared in row chunks of _CHUNK: a change in any row, the
-    # first, the first of the second chunk or the last, is the largest
+    # the direct rates' change is read off the two ascending key lists: a
+    # change in any row (the first, the first of the second chunk of
+    # _CHUNK, the last) is the largest, whether its entry is stored on both
+    # sides, on one side only (dropped, or new in a row holding no rate)
     rng = np.random.default_rng(180)
     cfg = random_config(rng, n_min=2 * _CHUNK + 5, n_max=2 * _CHUNK + 5, dim=1)
     a = random_allocation(rng, cfg)
+    dense = a.direct.toarray()
+    dense[::3] = 0.0
+    a = MarketAllocation(a.lam, a.mu_i, dense, a.influencer, a.X)
     for y in (0, _CHUNK, cfg.n - 1):
-        direct = a.direct.copy()
-        direct[y, (y + 1) % cfg.n] += 0.5
-        b = MarketAllocation(a.lam, a.mu_i, direct, a.influencer, a.X)
-        assert equilibrium._sup_change(a, b) == float(np.max(np.abs(a.direct - direct)))
+        z = (y + 1) % cfg.n
+        for change in (0.5, -dense[y, z]):
+            direct = dense.copy()
+            direct[y, z] += change
+            b = MarketAllocation(a.lam, a.mu_i, direct, a.influencer, a.X)
+            want = float(np.max(np.abs(dense - direct)))
+            assert equilibrium._sup_change(a, b) == equilibrium._sup_change(b, a) == want
+    assert equilibrium._sup_change(a, a) == 0.0
 
 
 def _assert_fresh_certificate(res, cfg, mode, search):
@@ -682,7 +726,7 @@ def test_a_capped_run_settles_its_last_topics(monkeypatch):
     settled, phi, _ = equilibrium._settle(states[2], cfg, GameMode.IMPERFECT,
                                           TopicGrid(cfg, SEARCH), B, 3)
     for f in FIELDS:
-        assert np.array_equal(getattr(res.omega, f), getattr(settled, f)), f
+        assert np.array_equal(state_field(res.omega, f), state_field(settled, f)), f
     assert not np.array_equal(res.omega.mu_infl, states[2].mu_infl)
     assert res.welfare == phi == social_welfare(res.omega, cfg, B)
     assert res.welfare >= res.potential_trace[-1]
@@ -719,7 +763,10 @@ def test_settling_never_lowers_the_potential(seed, mode, dim, passes):
     # condition to fail
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, n_min=2, n_max=6, dim=dim)
-    state = equilibrium.random_init(cfg, mode, rng)
+    state = random_allocation(rng, cfg)
+    if mode is GameMode.PROXY:  # a proxy consumer holds no direct rate
+        state = MarketAllocation(state.lam, state.mu_i, np.zeros((cfg.n, cfg.n)),
+                                 state.influencer, state.X)
     B = match_matrix(state.X, cfg)
     passed = [state]
     rates = equilibrium._rates
@@ -824,7 +871,7 @@ def test_a_round_that_returns_its_input_repeats_bit_for_bit():
                 again, degenerate2, phi2, scanned2 = equilibrium._one_round(
                     new, cfg, mode, grid, B)
                 for f in FIELDS:
-                    assert np.array_equal(getattr(again, f), getattr(new, f)), f
+                    assert np.array_equal(state_field(again, f), state_field(new, f)), f
                 assert degenerate2 == degenerate
                 assert phi2 == phi
                 assert np.array_equal(scanned2, scanned)
@@ -835,7 +882,7 @@ def test_a_round_that_returns_its_input_repeats_bit_for_bit():
 
 def _assert_same_run(new, old):
     for f in FIELDS:
-        assert np.array_equal(getattr(new.omega, f), getattr(old.omega, f)), f
+        assert np.array_equal(state_field(new.omega, f), state_field(old.omega, f)), f
     assert new.welfare == old.welfare
     assert new.potential_trace == old.potential_trace
     assert new.rounds_used == old.rounds_used
@@ -888,29 +935,54 @@ def test_a_converged_run_skips_its_repeated_round(mode, monkeypatch):
 
 
 def test_perfect_run_peak_memory():
-    # A perfect round holds three (N, N) float tables at its peak, in the
-    # consumer block: the previous and next direct rates and B, which the
-    # round updates in place and the certificate reads.  The rest is the
-    # consumer block's row-chunk temporaries.  The peer weights hold
-    # delta(direct) only on the rows with a direct rate (none after the
-    # first round here) and _sup_change compares direct in row chunks.
-    # Measured peak at N = 400: 3.92 tables of 8 * N**2 bytes; 4.14 while
-    # each round built the next B beside the previous one, 5.14 while the
-    # round built W as an (N, N) table and _sup_change built two (N, N)
-    # difference tables.
+    # A perfect round holds one (N, N) float table, B, which the round
+    # updates in place and the certificate reads; the direct rates are
+    # compressed sparse rows, and nobody holds one after the first round
+    # here.  The rest is the consumer block's and the producer scan's chunk
+    # temporaries.  Measured peak at N = 400: 1.52 tables of 8 * N**2 bytes;
+    # 3.57 while the states and their starts held dense (N, N) direct
+    # tables, 4.14 while each round built the next B beside the previous
+    # one, 5.14 while the round built W as an (N, N) table and _sup_change
+    # built two (N, N) difference tables.
     n = 400
     cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=1)
+    res, peak = _traced_run(cfg, GameMode.PERFECT)
+    assert res.rounds_used >= 2 and res.omega.direct.nnz == 0
+    assert peak <= 1.65 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
+
+
+def _traced_run(cfg, mode):
+    """A run from the default start, at most 4 rounds, and its tracemalloc peak."""
     grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=64))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = equilibrium._run_single(lambda: equilibrium.default_init(cfg, GameMode.PERFECT),
-                                      cfg, GameMode.PERFECT, 4, grid)
+        res = equilibrium._run_single(lambda: equilibrium.default_init(cfg, mode),
+                                      cfg, mode, 4, grid)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert res.rounds_used >= 2
-    assert peak <= 4.0 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
+    return res, peak
+
+
+@pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
+def test_fixed_budget_run_peak_memory(mode):
+    # At M_infl = 5 half the consumers hold direct rates, about 20 each.
+    # The run's peak is B, plus three tables over the r rated rows (their
+    # delta(direct) rows in the peer weights, B's columns at them and one
+    # product of the two), plus the chunk temporaries: no (N, N) direct.
+    # Measured at N = 600: 2.37 (perfect) and 2.44 (imperfect) tables of
+    # 8 * N**2 bytes against a bound of 2.93; 5.04 and 5.05 while every
+    # state held dense direct rates.
+    spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
+    n = 600
+    cfg = spec.base.build_config(n=n, m_infl=5.0, seed=spec.base.seed)
+    res, peak = _traced_run(cfg, mode)
+    direct = res.omega.direct
+    r = direct.rated_rows().size
+    assert direct.nnz > 10 * r > 10 * n // 4
+    bound = 8 * n * n + 3 * 8 * r * n + 4 * 8 * _CHUNK * (n + 2)
+    assert peak <= bound, f"peak {peak / bound:.2f} of the bound"
 
 
 def _reference_run(cfg, mode, params, search):
@@ -976,7 +1048,7 @@ def test_certificate_gaps_match_the_per_producer_gaps(dim):
             d = run_dynamics(cfg, mode, params=FAST, search=_search(dim)).omega
         else:
             d = random_allocation(rng, cfg)
-        mu_i, direct, mu_infl = d.mu_i.copy(), d.direct.copy(), d.mu_infl.copy()
+        mu_i, direct, mu_infl = d.mu_i.copy(), d.direct.toarray(), d.mu_infl.copy()
         if case == 3:  # zero-weight channels
             mu_i[::2] = 0.0
             direct[:, 1] = 0.0
@@ -1000,14 +1072,17 @@ def test_runs_leave_their_inputs_alone():
     cfg = even_line(4)
     rec = price_of_influence(cfg, params=FAST, search=SEARCH)
     for res in (rec.perfect, rec.imperfect):
-        assert not any(getattr(res.omega, f).flags.writeable for f in FIELDS)
+        d = res.omega.direct
+        assert not any(a.flags.writeable for a in (res.omega.lam, res.omega.mu_i, d.indptr,
+                                                   d.cols, d.rates, res.omega.mu_infl,
+                                                   res.omega.X))
     start = random_allocation(np.random.default_rng(5), cfg)
-    before = [getattr(start, f).copy() for f in FIELDS]
+    before = [state_field(start, f).copy() for f in FIELDS]
     runs = run_dynamics_all(cfg, GameMode.PERFECT, params=FAST, search=SEARCH,
                             extra_inits=(start,))
     assert len(runs) == 2
     for f, b in zip(FIELDS, before):
-        assert np.array_equal(getattr(start, f), b)
+        assert np.array_equal(state_field(start, f), b)
     wide = MarketAllocation(start.lam, start.mu_i, np.zeros((4, 5)), start.influencer, start.X)
     with pytest.raises(InvalidInputError, match="direct has shape"):
         run_dynamics_all(cfg, GameMode.PERFECT, params=FAST, search=SEARCH,

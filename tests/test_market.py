@@ -14,6 +14,7 @@ from cme.kernels import (
     discount,
 )
 from cme.market import (
+    DirectRates,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
@@ -24,7 +25,6 @@ from cme.market import (
     social_welfare,
 )
 from cme.bestresponse import GameMode
-from cme.equilibrium import random_init
 from markets_util import random_allocation, random_config, random_consumer, with_consumer, with_topic
 from oracles import match_prob, producer_support_via_influencer
 
@@ -44,7 +44,7 @@ def brute_consumer_utility(y, omega, cfg):
         b = _match(omega, cfg, z, y)
         total += cfg.r_p * b * discount(float(omega.mu_infl[z]), cfg.delay) \
             * discount(float(omega.mu_i[y]), cfg.delay)
-        total += cfg.r_p * b * discount(float(omega.direct[y, z]), cfg.delay)
+        total += cfg.r_p * b * discount(float(omega.direct.toarray()[y, z]), cfg.delay)
     return total
 
 
@@ -68,7 +68,7 @@ def brute_producer_support(z, omega, cfg):
         b = _match(omega, cfg, z, y)
         total += cfg.r_p * b * discount(float(omega.mu_infl[z]), cfg.delay) \
             * discount(float(omega.mu_i[y]), cfg.delay)
-        total += cfg.r_p * b * discount(float(omega.direct[y, z]), cfg.delay)
+        total += cfg.r_p * b * discount(float(omega.direct.toarray()[y, z]), cfg.delay)
     return total
 
 
@@ -98,7 +98,7 @@ class TestUtilitiesAgainstBruteForce:
             via = producer_support_via_influencer(z, omega, cfg)
             direct_only = sum(
                 cfg.r_p * _match(omega, cfg, z, y)
-                * discount(float(omega.direct[y, z]), cfg.delay)
+                * discount(float(omega.direct.toarray()[y, z]), cfg.delay)
                 for y in range(cfg.n) if y != z)
             assert abs(producer_support(z, omega, cfg) - (via + direct_only)) < 1e-12
 
@@ -119,7 +119,7 @@ def three_term_utilities(omega, cfg):
     d = cfg.delay
     d_infl = discount(omega.mu_infl, d)
     relayed = B.T @ d_infl - np.diagonal(B) * d_infl
-    direct = np.sum(B.T * discount(omega.direct, d), axis=1)
+    direct = np.sum(B.T * discount(omega.direct.toarray(), d), axis=1)
     return (cfg.r_p * (discount(omega.mu_i, d) * relayed + direct)
             + cfg.r_0 * cfg.b_0 * discount(omega.lam, d))
 
@@ -134,8 +134,10 @@ class TestUtilitiesFromSupportWeights:
         rng = np.random.default_rng(25 + 3 * list(GameMode).index(mode))
         for _ in range(6):
             cfg = random_config(rng, n_max=80)
-            omega = random_init(cfg, mode, rng)
-            mu_i, mu_infl, direct = omega.mu_i.copy(), omega.mu_infl.copy(), omega.direct.copy()
+            omega = random_allocation(rng, cfg)
+            mu_i, mu_infl, direct = omega.mu_i.copy(), omega.mu_infl.copy(), omega.direct.toarray()
+            if mode is GameMode.PROXY:
+                direct[:] = 0.0
             if case == "nobody_follows":
                 mu_i[:] = 0.0
             elif case == "zero_weight_channels":
@@ -185,7 +187,7 @@ class TestClosedForms:
         cfg = random_config(rng)
         omega = random_allocation(rng, cfg, spend_fraction=0.4)
         base = consumer_utilities(omega, cfg)[1]
-        row = omega.direct[1].copy()
+        row = omega.direct.toarray()[1].copy()
         row[0] += 0.1
         for more in (with_consumer(omega, 1, lam=omega.lam[1] + 0.1),
                      with_consumer(omega, 1, mu_i=omega.mu_i[1] + 0.1),
@@ -281,10 +283,11 @@ class TestValidation:
             Y[0, 0] = 0.5
 
     def test_arrays_are_read_only(self):
-        omega = self._omega(lam=[0.1, 0.2])
+        omega = self._omega(lam=[0.1, 0.2], direct=[[0.0, 0.3], [0.0, 0.0]])
         omega.validate(self._simple_cfg())
         assert omega.lam.dtype == float and omega.mu_infl is omega.influencer.mu
-        for a in (omega.lam, omega.mu_i, omega.direct, omega.mu_infl, omega.X):
+        d = omega.direct
+        for a in (omega.lam, omega.mu_i, d.indptr, d.cols, d.rates, omega.mu_infl, omega.X):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.5
 
@@ -339,3 +342,89 @@ class TestValidation:
         omega = self._omega(X=np.array([[0.2], [bad]]))
         with pytest.raises(InvalidInputError, match=r"^X\[1, 0\] = .* outside the unit box"):
             omega.validate(self._simple_cfg())
+
+
+def _sparse_table(rng, n_rows, n):
+    """A random (n_rows, n) direct-rate table: zero diagonal, some rows
+    empty, the others holding rates on about a third of the producers."""
+    A = rng.uniform(0.1, 2.0, (n_rows, n)) * (rng.uniform(size=(n_rows, n)) < 0.35)
+    A[rng.uniform(size=n_rows) < 0.4] = 0.0
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+class TestDirectRates:
+    """The CSR direct rates against their dense table."""
+
+    @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 150])
+    def test_dense_round_trip(self, n):
+        rng = np.random.default_rng(300 + n)
+        A = _sparse_table(rng, n, n)
+        d = DirectRates.from_dense(A)
+        assert np.array_equal(d.toarray(), A) and d.shape == (n, n)
+        assert d.nnz == np.count_nonzero(A) and np.all(d.rates > 0.0)
+        for y in range(n):
+            cols, rates = d.row(y)
+            assert np.array_equal(cols, np.flatnonzero(A[y]))
+            assert np.array_equal(rates, A[y, cols])
+        for a in (d.indptr, d.cols, d.rates):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        again = DirectRates(d.indptr, d.cols, d.rates, n)
+        assert np.array_equal(again.toarray(), A)
+        assert DirectRates.empty(n).nnz == 0
+        assert np.array_equal(DirectRates.empty(n).toarray(), np.zeros((n, n)))
+        omega = MarketAllocation(np.zeros(n), np.zeros(n), A, InfluencerAllocation(np.zeros(n)),
+                                 np.zeros((n, 1)))
+        assert isinstance(omega.direct, DirectRates)
+        assert np.array_equal(omega.direct.toarray(), A)
+
+    @pytest.mark.parametrize("n", [3, 64, 130])
+    def test_reads_match_the_dense_table(self, n):
+        # every read is the dense table's, float for float
+        rng = np.random.default_rng(310 + n)
+        A = _sparse_table(rng, n, n)
+        d = DirectRates.from_dense(A)
+        rows = np.flatnonzero(A.any(axis=1))
+        assert np.array_equal(d.rated_rows(), rows)
+        assert np.array_equal(d.row_ids(), np.nonzero(A)[0])
+        assert np.array_equal(d.dense_rows(rows), A[rows])
+        assert np.array_equal(d.dense_rows(rows[1:4]), A[rows[1:4]])
+        assert d.dense_rows(rows[:0]).shape == (0, n)
+        assert np.array_equal(d.dense_rows(rows, 2.0 * d.rates), 2.0 * A[rows])
+        assert np.array_equal(d.row_sums(), A.sum(axis=1))
+        for z in (0, n // 2, n - 1):
+            assert np.array_equal(d.column(z), A[:, z])
+        for y in (0, n // 2, n - 1):
+            row = _sparse_table(rng, 1, n)[0]
+            row[y] = 0.0
+            B = A.copy()
+            B[y] = row
+            cols = np.flatnonzero(row)
+            assert np.array_equal(d.with_row(y, cols, row[cols]).toarray(), B)
+            assert d.max_change(DirectRates.from_dense(B)) == float(np.max(np.abs(A - B)))
+        assert d.max_change(DirectRates.empty(n)) == float(np.max(A))
+        assert DirectRates.empty(n).max_change(DirectRates.empty(n)) == 0.0
+
+    @pytest.mark.parametrize("indptr, cols", [
+        ([1, 2, 2], [0, 1]),        # indptr must start at 0
+        ([0, 2, 1], [0, 1]),        # and never fall
+        ([0, 1, 3], [0, 1]),        # and end at nnz
+        ([0, 2, 2], [1, 0]),        # producers ascend within a row
+        ([0, 2, 2], [1, 1]),        # once each
+        ([0, 1, 2], [0, 3]),        # and exist
+    ])
+    def test_malformed_rows_rejected(self, indptr, cols):
+        # construction only converts; validate checks the rows' layout first
+        direct = DirectRates(np.array(indptr), np.array(cols), np.ones(len(cols)), 3)
+        with pytest.raises(InvalidInputError, match="ascending producers"):
+            direct.check_rows()
+        omega = MarketAllocation(np.zeros(2), np.zeros(2), direct,
+                                 InfluencerAllocation(np.zeros(2)), np.zeros((2, 1)))
+        with pytest.raises(InvalidInputError, match="ascending producers"):
+            omega.validate(TestValidation()._simple_cfg())
+
+    def test_row_boundaries_may_descend(self):
+        d = DirectRates(np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.25]), 2)
+        d.check_rows()
+        assert d.toarray().tolist() == [[0.0, 0.5], [0.25, 0.0]]

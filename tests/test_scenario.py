@@ -142,8 +142,9 @@ def test_refine_iters_still_parses_and_changes_nothing(tmp_path):
                 for s in (plain, keyed))
         assert a.welfare == b.welfare and a.potential_trace == b.potential_trace
         assert a.certificate == b.certificate
-        for f in ("lam", "mu_i", "direct", "mu_infl", "X"):
+        for f in ("lam", "mu_i", "mu_infl", "X"):
             assert np.array_equal(getattr(a.omega, f), getattr(b.omega, f))
+        assert np.array_equal(a.omega.direct.toarray(), b.omega.direct.toarray())
 
 
 def test_sweep_requires_sampled_interests(tmp_path):
@@ -213,6 +214,24 @@ def test_build_config_seed_controls_sampling(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_allocation_round_trip_keeps_sparse_rows():
+    # keys in any order, zero rates and rows holding no rate: the JSON
+    # form lists each consumer's positive rates by ascending producer
+    d = {"consumers": [{"lambda_out": 0.5, "mu_infl_follow": 0.1,
+                        "mu_direct": {"2": 0.25, "1": 0.125, "3": 0.0}},
+                       {"lambda_out": 0.5, "mu_infl_follow": 0.5, "mu_direct": {}},
+                       {"lambda_out": 0.25, "mu_infl_follow": 0.5, "mu_direct": {"0": 0.25}},
+                       {"lambda_out": 1.0, "mu_infl_follow": 0.0, "mu_direct": {}}],
+         "influencer": [1.0, 0.0, 0.5, 0.5], "content": [[0.1], [0.2], [0.3], [0.4]]}
+    omega = allocation_from_dict(d)
+    assert omega.direct.indptr.tolist() == [0, 2, 2, 3, 3]
+    assert omega.direct.cols.tolist() == [1, 2, 0]
+    assert omega.direct.rates.tolist() == [0.125, 0.25, 0.25]
+    back = json.loads(json.dumps(allocation_to_dict(omega)))
+    assert back["consumers"][0]["mu_direct"] == {"1": 0.125, "2": 0.25}
+    assert allocation_from_dict(back).direct.toarray().tolist() == omega.direct.toarray().tolist()
+
+
 def test_config_and_allocation_round_trip(tmp_path):
     import sys
     sys.path.insert(0, str(Path(__file__).parent))
@@ -226,8 +245,11 @@ def test_config_and_allocation_round_trip(tmp_path):
     omega = random_allocation(rng, cfg)
     omega2 = allocation_from_dict(
         json.loads(json.dumps(allocation_to_dict(omega))))
-    for f in ("lam", "mu_i", "direct", "mu_infl", "X"):
+    for f in ("lam", "mu_i", "mu_infl", "X"):
         assert np.array_equal(getattr(omega, f), getattr(omega2, f))
+    for f in ("indptr", "cols", "rates"):
+        assert np.array_equal(getattr(omega.direct, f), getattr(omega2.direct, f))
+    assert omega2.direct.n == cfg.n and omega.direct.nnz == cfg.n * (cfg.n - 1)
 
 
 @pytest.mark.parametrize("key, match", [("7", "unknown producer 7"), ("-1", "unknown producer -1"),

@@ -7,6 +7,10 @@ tests/oracles.py.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ PUBLIC = {
     "AllocationSolution",
     "DegenerateWeightsError",
     "DelayParams",
+    "DirectRates",
     "DynamicsParams",
     "EquilibriumResult",
     "GameMode",
@@ -80,3 +85,20 @@ def test_sorted_channels_holds_no_full_split():
     channels = cme.allocator.SortedChannels
     assert not hasattr(channels, "rates")
     assert callable(channels.rates_with) and callable(channels.replace)
+
+
+def test_importing_cme_loads_no_scipy():
+    # scipy.sparse alone takes 170-230 ms to import, most of a fresh
+    # process's set-up; the direct rates' CSR is plain numpy
+    script = "import sys, cme; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = Path(cme.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_direct_rates_have_no_array_conversion():
+    # nothing can turn the CSR into an (N, N) table by accident
+    direct = cme.DirectRates.from_dense([[0.0, 0.5], [0.25, 0.0]])
+    assert not hasattr(direct, "__array__") and not hasattr(cme.DirectRates, "__array__")
+    assert direct.toarray().tolist() == [[0.0, 0.5], [0.25, 0.0]]
