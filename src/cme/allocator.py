@@ -28,6 +28,9 @@ and one prefix sum find it -- the same trick as the Euclidean projection
 onto the simplex (Duchi et al., ICML 2008).  ``_water_fill_sparse`` runs it
 on a stack of channel sets at once, one per row; ``water_fill`` is its
 one-row call, and every full split the engine solves goes through it.
+It takes each a_i relative to a_1, which shifts every level by a_1 and
+leaves the active set and the rates as they are, but keeps the sums at the
+scale of beta * M rather than of |log(beta * w)|.
 
 With C_k = a_1 + ... + a_k the test a_k > level_k reads
 
@@ -154,34 +157,56 @@ def _water_fill_sparse(W: np.ndarray, budget: float, beta: float
 
     Every row must hold a positive weight.  A row of tiny weights is
     solved scaled (``_normal_rows``).  The candidates are gathered into an
-    (n, K) table, K the largest candidate count, padded with zero weights,
-    which enter as log(0) = -inf, sort last and never become active.
+    (n, K) table, K the largest candidate count, padded with -inf, the
+    log of a zero weight, which sorts last and never becomes active.
+
+    The logs are centred on the row's top, a_i - a_1 = log(w_i / max(w)),
+    so the top channel's is exactly 0 and every candidate's lies within
+    about beta * M of it (``_centred_logs``).  The level and the rates are
+    then sums of numbers of the size of beta * M, and the rates keep the
+    budget however small beta * M is against |log(beta * w)|; a row with
+    one active channel gives it exactly M.
     """
     n, N = W.shape
     W, top, shift = _normal_rows(W, beta)
-    flat = np.flatnonzero(_candidates(W, top, beta * budget))
+    bm = beta * budget
+    flat = np.flatnonzero(_candidates(W, top, bm))
     count = np.bincount(flat // N, minlength=n)
     # row i's candidates, in channel order, fill the first count[i] slots
     # of its table row
     slots = np.arange(count.max()) < count[:, None]
     K = slots.shape[1]
-    a = np.zeros((n, K))
-    a[slots] = W.take(flat)
-    a *= beta
-    with np.errstate(divide="ignore"):
-        np.log(a, out=a)
+    a = np.full((n, K), -np.inf)
+    a[slots] = _centred_logs(W.take(flat), top[flat // N])
     desc = np.sort(a, axis=1)[:, ::-1]
     level = np.cumsum(desc, axis=1)
-    level -= beta * budget
+    level -= bm
     level /= np.arange(1, K + 1)
     k_star = K - 1 - np.argmax((desc > level)[:, ::-1], axis=1)
-    log_nu = level[np.arange(n), k_star]
-    a -= log_nu[:, None]
+    level = level[np.arange(n), k_star]
+    a -= level[:, None]
     np.maximum(a, 0.0, out=a)
-    a /= beta
+    a /= bm
+    a *= budget
+    log_nu = level + np.log(beta * top)
     if shift is not None:
         log_nu -= shift * math.log(2.0)
     return flat, a[slots], log_nu
+
+
+def _centred_logs(w: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """log(w / top) for weights 0 <= w <= top, top a normal float: exact 0
+    at w = top, and off by at most the ratio's rounding, 1.1e-16, where
+    that ratio is a normal float.  Below it, where only beta * M > 708 can
+    make the channel active, log w - log top; a zero weight gives -inf."""
+    c = w / top
+    deep = c < _TINY
+    if not deep.any():
+        return np.log(c, out=c)
+    with np.errstate(divide="ignore"):
+        np.log(c, out=c)
+        c[deep] = np.log(w[deep]) - np.log(top[deep])
+    return c
 
 
 def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:

@@ -42,6 +42,17 @@ delta(mu_i[y]) for every producer z != y.
 ``support_weights`` per state: a producer's objective at topic x is its
 column of W weighted by the match of x.
 
+Every product of the (N, N) match matrix B is numpy's own single-threaded
+``einsum`` contraction, never ``B @ d``: the two match reductions and the
+producer values share ``sums_less_own``, and the round's rates, the
+consumer block, the potential and the certificate reach B through them.  A
+multithreaded BLAS splits a matrix-vector product of that size over its
+threads, and on a 2-vCPU host OpenBLAS's second thread is often slow to
+wake: there, 60 calls of ``B @ d`` at N = 1000 had a median of 8.0 ms,
+against 0.33 ms on one BLAS thread and 0.43-0.55 ms through ``einsum``,
+which never stalled.  The small tile products of the producer scan
+(``bestresponse``) stay on BLAS, where they are 2-3 times faster.
+
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
 agent (consumer, producer, or influencer) changes its strategy, the
@@ -398,6 +409,18 @@ def less_own(total: np.ndarray, own: np.ndarray, terms) -> np.ndarray:
     return out
 
 
+def sums_less_own(D: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_y D[j, y] * u[y] without the term at y = z[j], for each row j of
+    D (k, N): ``less_own`` of the rows' sums.  Row j depends only on D[j],
+    so any chunking of the rows gives the same floats.
+
+    The sums are numpy's own ``einsum`` contraction, never a BLAS product
+    (module docstring): D is often the (N, N) match matrix, or its
+    transpose as a view."""
+    return less_own(np.einsum("zy,y->z", D, u), D[np.arange(z.size), z] * u[z],
+                    lambda j: (D[j] * u, z[j]))
+
+
 def take_rows(A: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
     """A's entries at ``rows`` along ``axis``; A itself, not a copy, when
     rows holds every one of them."""
@@ -435,9 +458,7 @@ class PeerWeights:
         (k, N) holding their match rows: each producer's objective at its
         topic, and with D = B every incumbent's.  Row j depends only on D[j],
         so any chunking of the producers gives the same floats."""
-        z = np.arange(self.u.size)[cols]
-        vals = less_own(np.einsum("zy,y->z", D, self.u), D[np.arange(z.size), z] * self.u[z],
-                        lambda j: (D[j] * self.u, z[j]))
+        vals = sums_less_own(D, self.u, np.arange(self.u.size)[cols])
         vals *= self.v[cols]
         if self.rows.size:
             vals += np.einsum("zi,iz->z", self.at_rows(D), self.S[:, cols])
@@ -494,7 +515,7 @@ def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
     This is the influencer channel's value to each consumer without the r_p
     scale; the transpose twin of ``influencer_followed_match``.
     """
-    return less_own(B.T @ d_infl, np.diagonal(B) * d_infl, lambda y: (B[:, y].T * d_infl, y))
+    return sums_less_own(B.T, d_infl, np.arange(B.shape[1]))
 
 
 def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -503,7 +524,7 @@ def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
     This is each producer's follower-weighted match mass as seen from the
     influencer's chair; r_p * this vector is the influencer's channel weights.
     """
-    return less_own(B @ d_i, np.diagonal(B) * d_i, lambda z: (B[z] * d_i, z))
+    return sums_less_own(B, d_i, np.arange(B.shape[0]))
 
 
 def influencer_utility(omega: MarketAllocation, cfg: MarketConfig,

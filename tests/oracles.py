@@ -33,6 +33,9 @@
   rates became sparse, every consumer's full (N + 2)-channel split written
   into an (N, N) table, the reference that
   ``cme.bestresponse.consumers_br_dense`` must equal bit for bit;
+- ``relayed_match_blas`` and ``followed_match_blas``: the two match
+  reductions as BLAS computes them, ``B.T @ d`` and ``B @ d``, the
+  references of ``cme.market``'s ``einsum`` contraction of B;
 - ``producer_support_via_influencer``: the influencer-relayed share of a
   producer's support, the other half of ``cme.market.producer_support``;
 - ``run_single_every_round``: the dynamics loop that computes every round,
@@ -52,6 +55,7 @@ from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
+    _centred_logs,
     _water_fill_sparse,
 )
 from cme.bestresponse import GameMode, chunks
@@ -63,7 +67,7 @@ from cme.kernels import (
     discount,
     pairwise_distances,
 )
-from cme.market import influencer_relayed_match, match_matrix, social_welfare
+from cme.market import influencer_relayed_match, less_own, match_matrix, social_welfare
 
 
 class DomainError(ValueError):
@@ -266,23 +270,24 @@ def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
     (rates, log nu); every row must hold a positive weight.  A row whose
     max(w) or beta * max(w) is not a normal float is solved scaled by 2**s,
     s making beta * max(w) lie in [1/4, 1), and its log nu shifted back by
-    s * log 2."""
+    s * log 2.  The logs are centred on the row's top, as the engine's."""
     top = W.max(axis=1)
     s = np.where(min(beta, 1.0) * top < np.finfo(float).tiny,
                  -(np.frexp(top)[1] + np.frexp(beta)[1]), 0)
-    a = beta * np.ldexp(W, s[:, None])
-    with np.errstate(divide="ignore"):
-        np.log(a, out=a)
+    top = np.ldexp(top, s)
+    bm = beta * budget
+    a = _centred_logs(np.ldexp(W, s[:, None]), np.broadcast_to(top[:, None], W.shape))
     desc = np.sort(a, axis=1)[:, ::-1]
     level = np.cumsum(desc, axis=1)
-    level -= beta * budget
+    level -= bm
     level /= np.arange(1, W.shape[1] + 1)
     k_star = W.shape[1] - 1 - np.argmax((desc > level)[:, ::-1], axis=1)
-    log_nu = level[np.arange(W.shape[0]), k_star]
-    a -= log_nu[:, None]
+    level = level[np.arange(W.shape[0]), k_star]
+    a -= level[:, None]
     np.maximum(a, 0.0, out=a)
-    a /= beta
-    return a, log_nu - s * math.log(2.0)
+    a /= bm
+    a *= budget
+    return a, level + np.log(beta * top) - s * math.log(2.0)
 
 
 def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
@@ -322,6 +327,18 @@ def consumers_dense(delta_infl, B, cfg, mode, solve=water_fill_rows):
         if mode is not GameMode.PROXY:
             direct[sl] = rates[:, 2:]
     return lam, mu_i, direct
+
+
+def relayed_match_blas(d_infl, B) -> np.ndarray:
+    """``cme.market.influencer_relayed_match`` with the sums taken by BLAS,
+    B.T @ d_infl."""
+    return less_own(B.T @ d_infl, np.diagonal(B) * d_infl, lambda y: (B[:, y].T * d_infl, y))
+
+
+def followed_match_blas(d_i, B) -> np.ndarray:
+    """``cme.market.influencer_followed_match`` with the sums taken by BLAS,
+    B @ d_i."""
+    return less_own(B @ d_i, np.diagonal(B) * d_i, lambda z: (B[z] * d_i, z))
 
 
 def producer_support_via_influencer(z, omega, cfg, B=None) -> float:

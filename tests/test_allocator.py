@@ -18,6 +18,7 @@ from cme.allocator import (
     water_fill,
 )
 from cme.kernels import DelayParams, InvalidInputError
+from cme.market import BUDGET_TOL
 from oracles import (
     gradient_oracle,
     gradient_oracle_batch,
@@ -94,6 +95,37 @@ class TestWaterFill:
             ch, d = random_instance(rng)
             sol = water_fill(ch, d)
             assert abs(sol.rates.sum() - ch.budget) < 1e-12 * ch.budget
+
+    @pytest.mark.parametrize("beta", 10.0 ** np.arange(-17, 4))
+    def test_budget_kept_however_small_beta_m(self, beta):
+        # |log(beta * w)| reaches 39 while beta * M falls to 1e-17: a level
+        # log(beta) - beta * M would round back to log(beta) and the rates
+        # lose the budget (0 at beta = 1e-15); the second channel is
+        # active only once beta * M > log 2
+        sol = water_fill(WeightedChannels(np.array([1.0, 0.5]), 1.0), DelayParams(beta))
+        assert abs(sol.rates.sum() - 1.0) <= BUDGET_TOL
+        if beta < math.log(2.0):
+            np.testing.assert_array_equal(sol.rates, [1.0, 0.0])
+
+    def test_budget_kept_in_rows_at_every_scale(self):
+        # one active channel gets exactly M; the rows of several active
+        # channels keep the budget to BUDGET_TOL
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            k, n = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+            beta = float(10.0 ** rng.uniform(-17.0, 3.0))
+            budget = float(rng.uniform(0.1, 10.0))
+            W = rng.uniform(0.0, 3.0, (k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
+            W[rng.uniform(size=W.shape) < 0.2] = 0.0
+            W[np.max(W, axis=1) == 0.0, 0] = 1.0
+            # near-ties that stay active at tiny beta * M
+            W[:, -1] = W.max(axis=1) * (1.0 - rng.uniform(0.0, min(2.0 * beta * budget, 1.0), k))
+            lone = np.zeros(n)
+            lone[int(rng.integers(0, n))] = float(rng.uniform(0.1, 3.0))
+            W[0] = lone
+            rates, _ = water_fill_rows(W, budget, beta)
+            assert rates[0].sum() == budget and np.count_nonzero(rates[0]) == 1
+            assert np.all(np.abs(rates.sum(axis=1) - budget) <= BUDGET_TOL)
 
     def test_kkt_residuals_tiny(self):
         rng = np.random.default_rng(4)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_search as ref
-from cme import bestresponse, equilibrium
+from cme import bestresponse, equilibrium, market
 from cme.allocator import WeightedChannels, water_fill
 from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams, grid_best
 from cme.equilibrium import (
@@ -53,9 +53,14 @@ from cme.market import (
     social_welfare,
     support_weights,
 )
-from cme.scenario import _row_seed, parse_scenario, parse_sweep
+from cme.scenario import InterestSpec, _row_seed, parse_scenario, parse_sweep
 from markets_util import far_pair, random_allocation, random_config, with_consumer
-from oracles import dense_support_weights, run_single_every_round
+from oracles import (
+    dense_support_weights,
+    followed_match_blas,
+    relayed_match_blas,
+    run_single_every_round,
+)
 
 SEARCH = TopicSearchParams(grid_resolution=64)
 FAST = DynamicsParams(restarts=0)
@@ -913,6 +918,59 @@ def test_runs_equal_the_every_round_loop():
         _assert_same_run(new.imperfect, old.imperfect)
         assert (new.poi, new.relative_poi) == (old.poi, old.relative_poi)
     assert capped >= 2
+
+
+def _bench_and_bundled_markets():
+    """(cfg, modes, params, search) of the benchmark's markets at seeds 2026
+    and 7, built as ``bench/workloads.py`` builds them, and of every market
+    of the three bundled scenarios."""
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    sweep = parse_sweep(root / "poi_sweep.swp")
+    base, both = sweep.base, (GameMode.PERFECT, GameMode.IMPERFECT)
+    once = dataclasses.replace(base.dynamics, restarts=0)
+    dim2 = dataclasses.replace(base, dim=2, interests=InterestSpec(
+        kind="two_cluster", n=20, centers=(TopicPoint((0.2, 0.2)), TopicPoint((0.8, 0.8))),
+        spread=base.interests.spread))
+    cases = []
+    for seed in (2026, 7):
+        def row(scn, n, rep=0):
+            return scn.build_config(n=n, m_infl=sweep.m_infl_for(n), seed=_row_seed(seed, n, rep))
+        cases += [(row(base, 40), both, base.dynamics, base.search),
+                  (row(base, 1000), (GameMode.PERFECT,), once, base.search),
+                  (row(dim2, 20), (GameMode.IMPERFECT,), once, TopicSearchParams(grid_resolution=128)),
+                  (row(base, 20, 0), both, once, base.search),
+                  (row(base, 20, 1), both, once, base.search)]
+    for name in ("determinism.swp", "poi_sweep.swp"):
+        spec = parse_sweep(root / name)
+        cases += [(spec.base.build_config(n=n, m_infl=spec.m_infl_for(n),
+                                          seed=_row_seed(spec.base.seed, n, rep)),
+                   both, spec.base.dynamics, spec.base.search)
+                  for n in spec.n_values for rep in range(spec.replicates)]
+    scn = parse_scenario(root / "symmetric.scn")
+    return cases + [(scn.build_config(), scn.modes, scn.dynamics, scn.search)]
+
+
+def test_runs_equal_those_of_the_blas_reductions():
+    # the match reductions' einsum contraction moves their floats in the
+    # last bits (test_market.py::TestMatchReductionsAgainstBlas); every
+    # start of every benchmark and bundled market keeps its topics, round
+    # count, flag, degenerate producers and verdict, its potential to 1e-12
+    runs = 0
+    for cfg, modes, params, search in _bench_and_bundled_markets():
+        for mode in modes:
+            new = run_dynamics_all(cfg, mode, params=params, search=search)
+            with pytest.MonkeyPatch.context() as mp:
+                for module in (market, bestresponse, equilibrium):
+                    mp.setattr(module, "influencer_relayed_match", relayed_match_blas)
+                    mp.setattr(module, "influencer_followed_match", followed_match_blas)
+                old = run_dynamics_all(cfg, mode, params=params, search=search)
+            for a, b in zip(new, old, strict=True):
+                assert np.array_equal(a.omega.X, b.omega.X)
+                assert (a.rounds_used, a.converged, a.degenerate_producers, a.certificate.holds) \
+                    == (b.rounds_used, b.converged, b.degenerate_producers, b.certificate.holds)
+                assert a.welfare == pytest.approx(b.welfare, rel=1e-12, abs=0.0)
+                runs += 1
+    assert runs == 114
 
 
 @pytest.mark.parametrize("mode", list(GameMode))

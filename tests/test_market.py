@@ -18,15 +18,25 @@ from cme.market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    PeerWeights,
     consumer_utilities,
+    influencer_followed_match,
+    influencer_relayed_match,
     influencer_utility,
     match_matrix,
     producer_support,
     social_welfare,
+    support_weights,
 )
-from cme.bestresponse import GameMode
+from cme.bestresponse import GameMode, TopicSearchParams
+from cme.equilibrium import DynamicsParams, run_dynamics
 from markets_util import random_allocation, random_config, random_consumer, with_consumer, with_topic
-from oracles import match_prob, producer_support_via_influencer
+from oracles import (
+    followed_match_blas,
+    match_prob,
+    producer_support_via_influencer,
+    relayed_match_blas,
+)
 
 
 # -- brute-force scalar reimplementations (the oracle for the vector core) --
@@ -428,3 +438,126 @@ class TestDirectRates:
         d = DirectRates(np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.25]), 2)
         d.check_rows()
         assert d.toarray().tolist() == [[0.0, 0.5], [0.25, 0.0]]
+
+
+# -- the reductions of the match matrix: numpy's contraction, not BLAS --
+
+_BLAS_FUNCTIONS = (np.dot, np.inner, np.vdot, np.tensordot)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a product with the match matrix went to BLAS")
+
+
+class NoBlas(np.ndarray):
+    """A match matrix that refuses every product numpy hands to BLAS: the
+    @ operators, ``np.matmul``, ``dot`` and the functions of
+    _BLAS_FUNCTIONS.  Everything else runs on the plain array."""
+
+    __matmul__ = __rmatmul__ = __imatmul__ = dot = _refuse
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in _BLAS_FUNCTIONS:
+            _refuse()
+        return super().__array_function__(func, types, args, kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            _refuse()
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, NoBlas) else x for x in xs)
+
+        if out is not None:
+            kwargs["out"] = plain(out)
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+def _market_at(n, seed):
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, n_max=n, n_min=n)
+    omega = random_allocation(rng, cfg)
+    return cfg, omega, match_matrix(omega.X, cfg)
+
+
+def _sharp_market(n, seed):
+    """Producers at their own interests under a kernel so sharp that each
+    one's own term is most of its sums: ``less_own`` sums those again."""
+    cfg, omega, _ = _market_at(n, seed)
+    cfg = dataclasses.replace(cfg, kernel=KernelParams(a_f=400.0, a_g=1.0))
+    return cfg, omega, match_matrix(cfg.interest_array(), cfg)
+
+
+class TestMatchReductions:
+    """Every sum over the match matrix B is numpy's own ``einsum``
+    contraction: no product with B goes to BLAS."""
+
+    def test_the_guard_refuses_every_blas_product(self):
+        B = np.eye(3).view(NoBlas)
+        d = np.ones(3)
+        for product in (lambda: B @ d, lambda: d @ B, lambda: B.T @ d, lambda: B.dot(d),
+                        lambda: np.dot(B, d), lambda: np.matmul(B, d), lambda: np.inner(B, d),
+                        lambda: np.vdot(B, B), lambda: np.tensordot(B, d, 1)):
+            with pytest.raises(AssertionError, match="BLAS"):
+                product()
+        assert type(np.einsum("zy,y->z", B, d)) is np.ndarray
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_no_product_with_b_goes_to_blas(self, seed):
+        cfg, omega, B = _market_at(300, seed)
+        W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+        assert W.rows.size
+        guarded = B.view(NoBlas)
+        for reduce in (lambda B: influencer_relayed_match(W.v, B),
+                       lambda B: influencer_followed_match(W.u, B),
+                       W.producer_values, W.consumer_values):
+            got = reduce(guarded)
+            assert np.array_equal(np.asarray(got), reduce(B))
+
+    @pytest.mark.parametrize("market", [_market_at, _sharp_market])
+    def test_followed_is_the_rank_one_producer_values(self, market):
+        cfg, omega, B = market(300, 33)
+        n = cfg.n
+        for d in (discount(omega.mu_i, cfg.delay), np.where(np.arange(n) % 3, 0.0, 1.0)):
+            assert np.array_equal(influencer_followed_match(d, B),
+                                  PeerWeights.rank_one(d, np.ones(n)).producer_values(B))
+
+
+class TestMatchReductionsAgainstBlas:
+    """The ``einsum`` contraction against the BLAS products it replaced,
+    ``B.T @ d`` and ``B @ d``, to 1e-13 relative: both sum N <= 300
+    nonnegative terms, and ``less_own`` at most doubles their rounding."""
+
+    @staticmethod
+    def _agree(d, B):
+        for new, old in ((influencer_relayed_match, relayed_match_blas),
+                         (influencer_followed_match, followed_match_blas)):
+            np.testing.assert_allclose(new(d, B), old(d, B), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mode", list(GameMode))
+    def test_states_of_the_dynamics(self, mode, dim):
+        rng = np.random.default_rng([34, dim, list(GameMode).index(mode)])
+        for _ in range(2):
+            cfg = random_config(rng, n_max=300, n_min=100, dim=dim)
+            omega = run_dynamics(cfg, mode, params=DynamicsParams(max_rounds=2, restarts=0),
+                                 search=TopicSearchParams(grid_resolution=16)).omega
+            B = match_matrix(omega.X, cfg)
+            zeros = rng.uniform(size=cfg.n) < 0.5
+            for d in (omega.mu_i, omega.mu_infl):
+                d = discount(d, cfg.delay)
+                self._agree(d, B)
+                self._agree(np.where(zeros, 0.0, d), B)  # zero-weight channels
+
+    def test_nobody_follows(self):
+        _, _, B = _market_at(300, 35)
+        for reduce in (influencer_relayed_match, influencer_followed_match,
+                       relayed_match_blas, followed_match_blas):
+            assert np.array_equal(reduce(np.zeros(300), B), np.zeros(300))
+
+    def test_a_dominant_own_term(self):
+        cfg, omega, B = _sharp_market(300, 36)
+        d = discount(omega.mu_i, cfg.delay)
+        assert np.any(np.diagonal(B) * d > 0.5 * (B @ d))  # the redo branch runs
+        assert np.any(np.diagonal(B) * d > 0.5 * (B.T @ d))
+        self._agree(d, B)
