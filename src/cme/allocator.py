@@ -47,11 +47,12 @@ its levels are the floats a full sort gives; past it a full sort's test
 fails (key_k >= a_1 - a_k > beta * M), so both find the same active set
 and the same log nu.
 
-The active count is also a binary search on key_k.  ``SortedChannels``
-keeps one sort, its prefix sums, key_k and key_up_k = C_k - (k + 1) * a_k,
-and finds channel z's rate once its weight alone is replaced by w' with
-lookups.  Let
-a' = log(beta * w') and count z as active.  The channel at sorted position
+The active count is also a binary search on key_k.  ``rates_with`` finds
+channel z's rate once its weight alone is replaced by w', for a batch of
+such questions, from one sort of the weights, its prefix sums, key_k and
+key_up_k = C_k - (k + 1) * a_k.  Its logs are centred as the water fill's
+are, on the largest weight.  Let a' be the log of w' so centred and count
+z as active.  The channel at sorted position
 j != z is then active iff key_up_j < beta * M - a' when j lies ahead of z's
 old entry, and iff key_j < beta * M - a' + a_z behind it (its prefix sum
 loses a_z); both tests are monotone in j.  With m other channels active and
@@ -195,9 +196,9 @@ def _water_fill_sparse(W: np.ndarray, budget: float, beta: float
 
 
 def _centred_logs(w: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """log(w / top) for weights 0 <= w <= top, top a normal float: exact 0
-    at w = top, and off by at most the ratio's rounding, 1.1e-16, where
-    that ratio is a normal float.  Below it, where only beta * M > 708 can
+    """log(w / top) for weights 0 <= w <= top, top > 0: exact 0 at w = top,
+    and off by at most the ratio's rounding, 1.1e-16, where that ratio is
+    a normal float.  Below it, where only beta * M > 708 can
     make the channel active, log w - log top; a zero weight gives -inf."""
     c = w / top
     deep = c < _TINY
@@ -230,116 +231,53 @@ def water_fill(ch: WeightedChannels, d: DelayParams) -> AllocationSolution:
                               log_multiplier=log_nu)
 
 
-def _log_weights(w: np.ndarray, beta: float) -> np.ndarray:
-    """log(beta * w), -inf for a zero weight.  Where beta * w is not a
-    normal float (it lost bits or underflowed to 0), w is scaled by the
-    exact power of two 2**s that brings beta * w into [1/4, 1), as in
-    ``_normal_rows``, and s * log 2 is taken off the log: every positive
-    weight gets a finite log.  The scale is per weight, because a weight
-    replaced later can be far larger than the sorted ones."""
-    w = np.asarray(w, dtype=float)
-    bw = beta * w
-    small = bw < _TINY
-    if not np.any(small):
-        return np.log(bw)
-    with np.errstate(divide="ignore"):
-        a = np.log(bw)
-    small &= w > 0.0  # a zero weight keeps log 0 = -inf
-    if np.any(small):
-        s = -(np.frexp(w[small])[1] + np.frexp(beta)[1])
-        a[small] = np.log(beta * np.ldexp(w[small], s)) - s * math.log(2.0)
-    return a
+def rates_with(weights: np.ndarray, budget: float, beta: float,
+               z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rate of channel z[j] in the optimal split of budget over weights once
+    its weight alone is w[j], for every j; the other weights stay as they
+    are.  One sort of the weights answers every j by binary searches
+    (module docstring), and nothing is kept between calls.
 
-
-class SortedChannels:
-    """One channel set in one descending sort of a = log(beta * w), kept so
-    that a single weight can be replaced by lookups (module docstring).
-
-    weights  (n,)    the current weights w
-    a        (n,)    log(beta * w), -inf for a zero weight (``_log_weights``)
-    s        (n,)    a sorted in descending order; zero weights sort last
-    order    (n,)    the channel at each sorted position; pos is its inverse
-    C        (n + 1) prefix sums of s, C[0] = 0, held at C[f] past the f
-                     positive weights
-    key      (n,)    C_k - k * s_k at position k - 1 (the full set's test)
-    key_up   (n,)    C_k - (k + 1) * s_k (the test with a channel added ahead)
-
-    Both keys are +inf past the f positive weights, which are never active.
-    It answers only one-weight replacements (``rates_with``, ``replace``);
-    the full split over the current weights is ``water_fill``'s.  When a
-    replacement leaves no positive weight, the rate is the uniform split,
-    the fallback the influencer takes when nobody's attention is worth
-    anything to it (``bestresponse.influencer_br_dense``).
+    The logs are centred on the largest weight, as the water fill centres
+    each row's (``_centred_logs``), so the sums stay at the size of
+    beta * M, and tiny weights need no scaling.  The centre does not depend
+    on the replacements, so each answer depends on its own question only.
+    When a replacement leaves no positive weight, the rate is the uniform
+    split, the fallback the influencer takes when nobody's attention is
+    worth anything to it (``bestresponse.influencer_br_dense``).
     """
-
-    def __init__(self, weights: np.ndarray, budget: float, d: DelayParams):
-        self.weights = np.array(weights, dtype=float)
-        self.budget, self.beta = budget, d.beta
-        self._bm = d.beta * budget
-        self.a = _log_weights(self.weights, d.beta)
-        n = self.a.size
-        self.order = np.argsort(-self.a)
-        self.s = self.a[self.order]
-        self.pos = np.empty(n, dtype=np.intp)
-        self.pos[self.order] = np.arange(n)
-        self.f = int(np.count_nonzero(self.weights > 0.0))
-        self.C = np.zeros(n + 1)
-        self.key = np.empty(n)
-        self.key_up = np.empty(n)
-        self._rebuild(0)
-
-    def _rebuild(self, start: int) -> None:
-        """Prefix sums and keys from sorted position `start` on, summed in
-        the order a fresh build sums them."""
-        s, C, f = self.s, self.C, self.f
-        if start < f:
-            run = s[start:f].copy()
-            run[0] += C[start]
-            np.cumsum(run, out=C[start + 1:f + 1])
-        C[f + 1:] = C[f]
-        k = np.arange(start + 1, f + 1)
-        self.key[start:f] = C[start + 1:f + 1] - k * s[start:f]
-        self.key_up[start:f] = C[start + 1:f + 1] - (k + 1) * s[start:f]
-        self.key[max(start, f):] = np.inf
-        self.key_up[max(start, f):] = np.inf
-
-    def rates_with(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Rate of channel z[j] in the optimal split once its weight alone is
-        w[j], for every j at once; the other weights stay as they are."""
-        z, w = np.asarray(z), np.asarray(w, dtype=float)
-        p = self.pos[z]
-        sp = self.s[p]
-        zero = w <= 0.0
-        a = _log_weights(np.where(zero, 1.0, w), self.beta)
-        t = self._bm - a
-        # m other channels active with z counted in: those ahead of z's old
-        # position by key_up, then any behind it by key (module docstring)
-        ahead = np.searchsorted(self.key_up, t)
-        behind = np.searchsorted(self.key, t + sp)
-        m = np.where(behind > p + 1, behind - 1, np.minimum(ahead, p))
-        S = np.where(m <= p, self.C[m], self.C[m + 1] - sp)
-        rate = np.maximum((self._bm + m * a - S) / ((m + 1) * self.beta), 0.0)
-        rate[zero] = 0.0
-        rate[zero & (self.f - np.isfinite(sp) == 0)] = self.budget / self.a.size
-        return rate
-
-    def replace(self, z: int, w: float) -> None:
-        """Set channel z's weight to w: one deletion and one insertion in the
-        sort, then the sums and keys from the first changed position."""
-        p = int(self.pos[z])
-        a_new = float(_log_weights(np.array([w]), self.beta)[0]) if w > 0.0 else -math.inf
-        n = self.a.size
-        above = n - int(np.searchsorted(self.s[::-1], a_new, side="right"))
-        q = above - (p < above)  # z's position among the other channels
-        s, order = self.s, self.order
-        if q <= p:
-            s[q + 1:p + 1], order[q + 1:p + 1] = s[q:p], order[q:p]
-        else:
-            s[p:q], order[p:q] = s[p + 1:q + 1], order[p + 1:q + 1]
-        s[q], order[q] = a_new, z
-        lo, hi = min(p, q), max(p, q) + 1
-        self.pos[order[lo:hi]] = np.arange(lo, hi)
-        self.f += int(w > 0.0) - int(self.weights[z] > 0.0)
-        self.weights[z], self.a[z] = w, a_new
-        self._rebuild(lo)
-
+    n = weights.size
+    top = weights.max()
+    if top == 0.0:  # z's new weight is the only positive one, or none is
+        return np.where(w > 0.0, budget, budget / n)
+    logs = _centred_logs(weights, np.full(n, top))
+    order = np.argsort(-logs)  # descending, zero weights (log -inf) last
+    s = logs[order]
+    f = int(np.count_nonzero(weights > 0.0))
+    # prefix sums held at C_f past the f positive weights, so that both keys
+    # are +inf there
+    C = np.cumsum(np.concatenate(([0.0], s[:f], np.zeros(n - f))))
+    key = C[1:] - np.arange(1, n + 1) * s
+    key_up = key - s
+    # each question: z's sorted position p, its old log sp, and its new log
+    # a from the ratio of the smaller to the larger of w and top, which
+    # cannot overflow; a zero weight's answer is set below
+    p = np.empty(n, dtype=np.intp)
+    p[order] = np.arange(n)
+    p = p[z]
+    sp = s[p]
+    zero = w <= 0.0
+    a = _centred_logs(np.minimum(w, top), np.maximum(w, top))
+    a = np.where(zero, 0.0, np.where(w > top, -a, a))
+    bm = beta * budget
+    t = bm - a
+    # m other channels active with z counted in: those ahead of z's old
+    # position by key_up, then any behind it by key (module docstring)
+    ahead = np.searchsorted(key_up, t)
+    behind = np.searchsorted(key, t + sp)
+    m = np.where(behind > p + 1, behind - 1, np.minimum(ahead, p))
+    S = np.where(m <= p, C[m], C[m + 1] - sp)
+    rate = np.maximum((bm + m * a - S) / ((m + 1) * bm), 0.0) * budget
+    rate[zero] = 0.0
+    rate[zero & (f - np.isfinite(sp) == 0)] = budget / n
+    return rate

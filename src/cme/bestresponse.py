@@ -53,14 +53,14 @@ only to the grid's resolution.
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
 increasing while z is active, so both share their argmax whenever z earns
-attention at its best candidate mass.  ``imperfect_producer_round`` sorts the
-influencer's weights once (``allocator.SortedChannels``) and asks whether
-each producer is active at that mass: a few binary searches per producer,
-no re-solve.  An inactive producer is degenerate; an active one moves.
-Each producer sees the earlier producers' moves (Gauss-Seidel), so the
-answers are taken against two bracketing weight sets, and only the
-producers on which they disagree are asked again, in order, with the moves
-before them written into the sort.
+attention at its best candidate mass.  ``imperfect_producer_round`` asks
+whether each producer is active at that mass with one sort of the
+influencer's weights (``allocator.rates_with``): a few binary searches per
+producer, no re-solve.  An inactive producer is degenerate; an active one
+moves.  Each producer sees the earlier producers' moves (Gauss-Seidel), so
+the answers are taken against two bracketing weight sets, and only the
+producers on which they disagree are asked again, in order, each against
+the weights with the moves before it written in, one more sort apiece.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import SortedChannels, WeightedChannels, _water_fill_sparse, water_fill
+from .allocator import WeightedChannels, _water_fill_sparse, rates_with, water_fill
 from .kernels import InvalidInputError, TopicPoint, discount, pairwise_distances
 from .market import (
     _CHUNK,
@@ -400,17 +400,16 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     todo = np.flatnonzero(~block.degenerate)
     at_best = cfg.r_p * block.grid_best[todo]
     old, new = cfg.r_p * mass, cfg.r_p * block.values
-    channels = SortedChannels(old, cfg.m_infl, cfg.delay)
-    active = channels.rates_with(todo, at_best) > 0.0
+    M, beta = cfg.m_infl, cfg.delay.beta
+    active = rates_with(old, M, beta, todo, at_best) > 0.0
     moves = new[todo] != old[todo]
     if np.any(moves):
-        raised = SortedChannels(np.maximum(old, new), cfg.m_infl, cfg.delay)
-        applied = 0
-        for i in np.flatnonzero(active & ~(raised.rates_with(todo, at_best) > 0.0)):
-            for k in applied + np.flatnonzero(moves[applied:i] & active[applied:i]):
-                channels.replace(todo[k], new[todo[k]])
-            applied = i
-            active[i] = channels.rates_with(todo[i:i + 1], at_best[i:i + 1])[0] > 0.0
+        raised = rates_with(np.maximum(old, new), M, beta, todo, at_best) > 0.0
+        current = old.copy()
+        for i in np.flatnonzero(active & ~raised):
+            done = todo[:i][moves[:i] & active[:i]]
+            current[done] = new[done]
+            active[i] = rates_with(current, M, beta, todo[i:i + 1], at_best[i:i + 1])[0] > 0.0
     degenerate = block.degenerate.copy()
     degenerate[todo[~active]] = True
     X[todo[active]] = block.topics[todo[active]]
@@ -481,8 +480,8 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
     d_i = discount(omega.mu_i, cfg.delay)
     block = _one_producer(z, PeerWeights.rank_one(d_i, np.ones(cfg.n)), cfg, search, prev)
     gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(omega.X, cfg))
-    at_best, at_value = SortedChannels(gamma, cfg.m_infl, cfg.delay).rates_with(
-        np.array([z, z]), cfg.r_p * np.array([block.grid_best[0], block.values[0]]))
+    at_best, at_value = rates_with(gamma, cfg.m_infl, cfg.delay.beta, np.array([z, z]),
+                                   cfg.r_p * np.array([block.grid_best[0], block.values[0]]))
     if block.degenerate[0] or at_best == 0.0:
         keep = np.zeros(cfg.dim) if prev is None else prev.as_array()
         return _choice(keep, discount(at_best, cfg.delay), True)

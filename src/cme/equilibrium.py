@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocator import SortedChannels
+from .allocator import rates_with
 from .bestresponse import (
     GameMode,
     TopicGrid,
@@ -403,8 +403,7 @@ def _imperfect_producer_gap(gamma: np.ndarray, cfg: MarketConfig,
     mass (`scanned`).  The rates at the current topics are the influencer's
     best response to gamma, ``influencer_br_dense``, uniform when every
     weight is zero."""
-    channels = SortedChannels(gamma, cfg.m_infl, cfg.delay)
-    at_best = channels.rates_with(np.arange(cfg.n), cfg.r_p * scanned)
+    at_best = rates_with(gamma, cfg.m_infl, cfg.delay.beta, np.arange(cfg.n), cfg.r_p * scanned)
     current = influencer_br_dense(gamma, cfg)
     return _relative_gap(discount(at_best, cfg.delay), discount(current, cfg.delay))
 

@@ -27,7 +27,7 @@
 - ``water_fill_batch``: the engine's closed form, ``water_fill_rows``,
   behind input checks, one independent solve per
   row, the reference for the one-weight-replaced rates of
-  ``cme.allocator.SortedChannels`` and for one influencer re-solve per
+  ``cme.allocator.rates_with`` and for one influencer re-solve per
   candidate in ``reference_search``;
 - ``consumers_dense``: the consumer block as it was before the direct
   rates became sparse, every consumer's full (N + 2)-channel split written

@@ -11,10 +11,10 @@ from hypothesis.extra.numpy import arrays
 from cme.allocator import (
     AllocationSolution,
     DegenerateWeightsError,
-    SortedChannels,
     WeightedChannels,
     _candidates,
     _normal_rows,
+    rates_with,
     water_fill,
 )
 from cme.kernels import DelayParams, InvalidInputError
@@ -338,10 +338,12 @@ class TestAgainstBisection:
             np.testing.assert_allclose(np.exp(log_nu), ref_nu, rtol=1e-9)
 
 
-def sorted_channels_row(rng, kind, n):
-    """Weights, budget and beta of one SortedChannels test row; the kinds
+def rates_with_row(rng, kind, n):
+    """Weights, budget and beta of one ``rates_with`` test row; the kinds
     are exact ties, zero weights, one lone positive weight, weights over
-    600 decades, and beta * M past 745, where nu = exp(log nu) underflows."""
+    600 decades, beta * M past 745, where nu = exp(log nu) underflows, and
+    beta * M down to 1e-15 with two near-tied channels on top, where logs
+    of beta * w would be about 35 and lose the budget."""
     beta = float(rng.uniform(0.3, 3.0))
     budget = float(rng.uniform(0.1, 10.0))
     if kind == "ties":
@@ -356,9 +358,13 @@ def sorted_channels_row(rng, kind, n):
         # up to 1.5e-13 here, so beta * M stays at 1 or more
         w = 10.0 ** rng.uniform(-300.0, 300.0, n)
         budget = float(rng.uniform(1.0, 10.0)) / beta
-    else:  # "huge"
+    elif kind == "huge":
         w = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         budget = float(rng.uniform(750.0, 5000.0)) / beta
+    else:  # "small"
+        beta, budget = float(rng.choice([1e-15, 1e-12, 1e-9])), 1.0
+        w = np.concatenate(([1.0, 1.0 - 1e-3 * beta, 0.3],
+                            rng.uniform(0.0, 0.3, max(n - 3, 0))))[:n]
     return w, budget, DelayParams(beta=beta)
 
 
@@ -371,11 +377,11 @@ def reference_rates(W, budget, d):
     return rates
 
 
-KINDS = ("ties", "zeros", "lone", "decades", "huge")
-SIZES = (1, 2, 3, 7, 40, 200)
+KINDS = ("ties", "zeros", "lone", "decades", "huge", "small")
+SIZES = (1, 2, 3, 7, 40, 200, 1000, 2000)
 
 
-class TestSortedChannels:
+class TestRatesWith:
     """One sort answers every one-weight replacement as water_fill would."""
 
     def test_rates_with_matches_water_fill(self):
@@ -383,45 +389,61 @@ class TestSortedChannels:
         answers = np.zeros(2, dtype=int)  # clear inactive, clear active
         for kind in KINDS:
             for n in SIZES:
-                for _ in range(4):
-                    w, budget, d = sorted_channels_row(rng, kind, n)
-                    ch = SortedChannels(w, budget, d)
-                    # each channel's new weight: zero, a tie with another
-                    # channel, or a fresh draw on the row's scale
-                    pick = rng.integers(0, 3, n)
+                for _ in range(4 if n <= 200 else 1):
+                    w, budget, d = rates_with_row(rng, kind, n)
+                    # every channel asked at its own weight: the full split,
+                    # also when a question in the same call raises channel
+                    # 0 above every weight (each answer is its own)
+                    own = rates_with(w, budget, d.beta, np.arange(n + 1) % n,
+                                     np.append(w, 3.0 * w.max()))[:n]
+                    np.testing.assert_allclose(own, reference_rates(w[None, :], budget, d)[0],
+                                               rtol=0.0, atol=1e-12 * budget)
+                    if kind == "small":
+                        # only the two near-tied channels are active, and
+                        # their rates are the whole budget
+                        assert abs(own[:2].sum() - budget) <= 1e-12 * budget
+                    # each asked channel's new weight: zero, a tie with
+                    # another channel, or a fresh draw on the row's scale;
+                    # past 200 channels a sample of 100 of them is asked
+                    z = np.arange(n) if n <= 200 else np.sort(rng.choice(n, 100, replace=False))
+                    pick = rng.integers(0, 3, z.size)
                     new = np.where(pick == 0, 0.0, np.where(
-                        pick == 1, w[rng.integers(n, size=n)],
-                        rng.permutation(w) * rng.uniform(0.5, 2.0, n)))
-                    W = np.tile(w, (n, 1))
-                    W[np.arange(n), np.arange(n)] = new
-                    expect = reference_rates(W, budget, d)[np.arange(n), np.arange(n)]
-                    got = ch.rates_with(np.arange(n), new)
+                        pick == 1, w[rng.integers(n, size=z.size)],
+                        rng.permutation(w)[:z.size] * rng.uniform(0.5, 2.0, z.size)))
+                    W = np.tile(w, (z.size, 1))
+                    W[np.arange(z.size), z] = new
+                    expect = reference_rates(W, budget, d)[np.arange(z.size), z]
+                    got = rates_with(w, budget, d.beta, z, new)
                     np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12 * budget)
                     # one side may round a rate of a few ulps to 0
                     near = (np.maximum(got, expect) <= 1e-12 * budget)
                     assert np.array_equal(got[~near] > 0.0, expect[~near] > 0.0)
+                    # with hundreds of channels active too, each rate clear
+                    # of 0 to a relative 1e-13; a rate near 0 is a small
+                    # difference of logs and keeps only the absolute bound
+                    clear = expect > 1e-4 * budget
+                    np.testing.assert_allclose(got[clear], expect[clear], rtol=1e-13, atol=0.0)
                     answers += np.bincount(expect > 0.0, minlength=2)
         assert np.all(answers >= 100), answers  # both answers occur often
 
     def test_all_zero_weights_split_uniformly(self):
-        ch = SortedChannels(np.zeros(4), 2.0, DelayParams(beta=1.5))
-        np.testing.assert_array_equal(ch.rates_with(np.arange(4), np.zeros(4)), 0.5)
-        np.testing.assert_allclose(ch.rates_with(np.array([1, 2]), np.array([3.0, 1e-300])), 2.0,
-                                   rtol=1e-15)
-        ch = SortedChannels(np.array([0.0, 1.0, 0.0]), 2.0, DelayParams())
-        np.testing.assert_array_equal(ch.rates_with(np.array([0, 1]), np.zeros(2)), [0.0, 2.0 / 3])
+        np.testing.assert_array_equal(
+            rates_with(np.zeros(4), 2.0, 1.5, np.arange(4), np.zeros(4)), 0.5)
+        np.testing.assert_array_equal(
+            rates_with(np.zeros(4), 2.0, 1.5, np.array([1, 2]), np.array([3.0, 1e-300])), 2.0)
+        np.testing.assert_array_equal(
+            rates_with(np.array([0.0, 1.0, 0.0]), 2.0, 1.0, np.array([0, 1]), np.zeros(2)),
+            [0.0, 2.0 / 3])
 
     @pytest.mark.parametrize("w", [[5e-324, 1e-323, 0.0], [1e-323, 3e-310, 5e-324, 0.0],
                                    [2.2e-308, 4e-308, 1e-310]])
     def test_subnormal_weights_match_water_fill(self, w):
-        # beta * w loses bits or underflows to 0 for these weights: each log
-        # is taken scaled by an exact power of two, so every positive weight
-        # has a finite log and no key is NaN (warnings are errors here)
+        # beta * w loses bits or underflows to 0 for these weights, but the
+        # logs are of ratios to the largest weight, so every positive weight
+        # has a finite log (warnings are errors here)
         w, budget, d = np.array(w), 2.0, DelayParams(beta=0.5)
-        ch = SortedChannels(w, budget, d)
-        assert np.all(np.isfinite(ch.a[w > 0.0])) and not np.any(np.isnan(ch.key))
         n = w.size
-        np.testing.assert_allclose(ch.rates_with(np.arange(n), w),
+        np.testing.assert_allclose(rates_with(w, budget, d.beta, np.arange(n), w),
                                    water_fill(WeightedChannels(w, budget), d).rates,
                                    rtol=0.0, atol=1e-12 * budget)
         # a replacement far above the sorted weights, and one as tiny
@@ -429,31 +451,8 @@ class TestSortedChannels:
             W = w.copy()
             W[z] = new
             want = water_fill(WeightedChannels(W, budget), d).rates[z]
-            assert abs(ch.rates_with(np.array([z]), np.array([new]))[0] - want) <= 1e-12 * budget
-            fresh = SortedChannels(W, budget, d)
-            ch.replace(z, new)
-            assert np.array_equal(ch.key, fresh.key) and np.array_equal(ch.a, fresh.a)
-            ch = SortedChannels(w, budget, d)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_replace_chains_match_fresh_builds(self, kind):
-        rng = np.random.default_rng(22 + KINDS.index(kind))
-        for n in SIZES:
-            w, budget, d = sorted_channels_row(rng, kind, n)
-            ch = SortedChannels(w, budget, d)
-            for _ in range(12):
-                z = int(rng.integers(n))
-                w[z] = (0.0, float(rng.choice(w)), float(rng.uniform(0.0, 3.0) * np.max(w)),
-                        float(rng.uniform(0.0, 1.0) * np.min(w)))[int(rng.integers(4))]
-                ch.replace(z, w[z])
-                fresh = SortedChannels(w, budget, d)
-                for field in ("weights", "a", "s", "C", "key", "key_up", "f"):
-                    assert np.array_equal(getattr(ch, field), getattr(fresh, field)), field
-                assert np.array_equal(ch.order[ch.pos], np.arange(n))
-                assert np.array_equal(ch.a[ch.order], ch.s)
-                new = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
-                np.testing.assert_array_equal(ch.rates_with(np.arange(n), new),
-                                              fresh.rates_with(np.arange(n), new))
+            got = rates_with(w, budget, d.beta, np.array([z]), np.array([new]))[0]
+            assert abs(got - want) <= 1e-12 * budget
 
 
 class TestProjection:

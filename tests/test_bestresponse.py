@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cme import allocator, bestresponse, equilibrium
+from cme import bestresponse, equilibrium
 from cme.bestresponse import (
     _CHUNK,
     _TILE,
@@ -541,20 +541,25 @@ def _round_market(rng, t):
 
 
 class TestImperfectRoundAgainstReference:
-    """The sorted-channel round against one influencer re-solve per producer."""
+    """The binary-search round against one influencer re-solve per producer."""
 
     def test_round_matches_one_re_solve_per_producer(self, monkeypatch):
-        replaced = []
-        replace = allocator.SortedChannels.replace
-        monkeypatch.setattr(allocator.SortedChannels, "replace",
-                            lambda self, z, w: (replaced.append(z), replace(self, z, w)))
+        asked = []  # the producers asked again one at a time
+        rates_with = bestresponse.rates_with
+
+        def counted(weights, budget, beta, z, w):
+            if z.size == 1:
+                asked.append(int(z[0]))
+            return rates_with(weights, budget, beta, z, w)
+
+        monkeypatch.setattr(bestresponse, "rates_with", counted)
         rng = np.random.default_rng(160)
         walked = saturating = degenerate = tied = 0
         for t in range(600):
             cfg, mu_i, X, grid = _round_market(rng, t)
             B = match_matrix(X, cfg)
             got, expect = X.copy(), X.copy()
-            before = len(replaced)
+            before = len(asked)
             # the second round starts where the first ended: the mass
             # objective reads no other producer's topic, so nobody moves
             for _ in range(2):
@@ -565,7 +570,7 @@ class TestImperfectRoundAgainstReference:
                 assert np.array_equal(got, expect)
                 assert np.array_equal(B_got, match_matrix(got, cfg))
                 assert np.array_equal(got_degenerate, expect_degenerate)
-            walked += len(replaced) > before
+            walked += len(asked) > before
             degenerate += bool(np.any(got_degenerate & ~np.all(got_degenerate)))
             if np.any(mu_i > 0.0):
                 gamma = cfg.r_p * influencer_followed_match(discount(mu_i, cfg.delay), B)
@@ -575,7 +580,7 @@ class TestImperfectRoundAgainstReference:
                 saturating += any(resolved_rate(gamma, z, at_best[z], cfg)
                                   >= cfg.m_infl * (1.0 - 1e-12)
                                   for z in np.flatnonzero(at_best > 0.0))
-        # the ordered walk (rounds whose answer needs an earlier move),
+        # the ordered walk (rounds that ask a producer again on its own),
         # mixed degenerate rounds, tied weights and lone active channels
         # all occur
         counts = (walked, degenerate, tied, saturating)

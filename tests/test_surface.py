@@ -80,11 +80,12 @@ def test_test_only_names_are_not_in_the_package(module, name):
     assert not hasattr(cme, name)
 
 
-def test_sorted_channels_holds_no_full_split():
-    # the full split is water_fill's; the sort answers one-weight replacements
-    channels = cme.allocator.SortedChannels
-    assert not hasattr(channels, "rates")
-    assert callable(channels.rates_with) and callable(channels.replace)
+def test_one_weight_rates_keep_no_state():
+    # one stateless function answers the one-weight replacements, on the
+    # water fill's centred logs: no sort kept between calls, no log of its own
+    assert callable(cme.allocator.rates_with)
+    assert not hasattr(cme.allocator, "SortedChannels")
+    assert not hasattr(cme.allocator, "_log_weights")
 
 
 def test_importing_cme_loads_no_scipy():
