@@ -454,6 +454,33 @@ class TestRatesWith:
             got = rates_with(w, budget, d.beta, np.array([z]), np.array([new]))[0]
             assert abs(got - want) <= 1e-12 * budget
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chained_moves_answer_each_question_alone(self, kind):
+        # the imperfect round writes earlier moves into a copy of the
+        # weights and asks one producer at a time: after each move, possibly
+        # to a new largest weight (a new centre), every answer is bitwise the
+        # same alone as in a batch, and the split of the moved row
+        rng = np.random.default_rng(22 + KINDS.index(kind))
+        for n in SIZES[:6]:
+            w, budget, d = rates_with_row(rng, kind, n)
+            for _ in range(12):
+                z = int(rng.integers(n))
+                w[z] = (0.0, float(rng.choice(w)), float(rng.uniform(0.0, 3.0) * np.max(w)),
+                        float(rng.uniform(0.0, 1.0) * np.min(w)))[int(rng.integers(4))]
+                np.testing.assert_allclose(rates_with(w, budget, d.beta, np.arange(n), w),
+                                           reference_rates(w[None, :], budget, d)[0],
+                                           rtol=0.0, atol=1e-12 * budget)
+                q = rng.integers(n, size=n)
+                new = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
+                batch = rates_with(w, budget, d.beta, q, new)
+                for j in rng.choice(n, min(n, 8), replace=False):
+                    alone = rates_with(w, budget, d.beta, q[j:j + 1], new[j:j + 1])
+                    assert alone[0] == batch[j]
+                W = np.tile(w, (n, 1))
+                W[np.arange(n), q] = new
+                np.testing.assert_allclose(batch, reference_rates(W, budget, d)[np.arange(n), q],
+                                           rtol=0.0, atol=1e-12 * budget)
+
 
 class TestProjection:
     def test_interior_points_unchanged(self):
