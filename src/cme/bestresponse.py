@@ -24,10 +24,13 @@ delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
 ``support_weights``) or delta(mu_i(y)) (imperfect, the rank-one weights
 with v = 1).  W is never a table: ``producer_block`` scans the candidate
 topics in tiles of at most _TILE kernel-table entries, each tile's
-objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
-(g, r) @ (r, k) product over the r consumers holding a direct rate, times
-Q -- O(G * N) per scan when nobody holds one; ``market.less_own`` sums the
-cells that z's own term dominates again without it.  A running argmax with
+objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus the rows term,
+times Q -- O(G * N) per scan when nobody holds a direct rate;
+``market.less_own`` sums the cells that z's own term dominates again
+without it.  The rows term is one (g, r) @ (r, k) BLAS product over the r
+consumers holding a direct rate, with their rows of delta(direct), which
+``_scan`` builds dense once per scan: the only dense copy of the direct
+weights, dropped when the scan ends.  A running argmax with
 strict > keeps the first best candidate.  A winner other than the
 incumbent is valued once more with ``_objective``, the formula of
 ``PeerWeights.producer_values``, from which a round reads the incumbent's
@@ -275,14 +278,15 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
     return lam, mu_i, direct
 
 
-def _tile_objective(weights: PeerWeights, P: np.ndarray, Q: np.ndarray,
-                    cols: slice) -> np.ndarray:
+def _tile_objective(weights: PeerWeights, rows: np.ndarray, S: np.ndarray,
+                    P: np.ndarray, Q: np.ndarray, cols: slice) -> np.ndarray:
     """(g, k) objective of producers `cols` at the g candidates of a tile
     whose kernel tables are P and Q: ((P @ u)[g] - P[g, z] * u[z]) * v[z]
-    plus the rows term, times Q[g, z].  The self term leaves before v
-    scales the sum, as in ``PeerWeights.producer_values`` and by
-    ``market.less_own``, so a column whose only weight is z's own scans to
-    exactly 0 (degenerate).  Unlike the sums over the match matrix
+    plus the rows term P[:, rows] @ S[:, cols], times Q[g, z], where S
+    (r, N) holds the dense rows ``rows`` of ``weights.S``.  The self term
+    leaves before v scales the sum, as in ``PeerWeights.producer_values``
+    and by ``market.less_own``, so a column whose only weight is z's own
+    scans to exactly 0 (degenerate).  Unlike the sums over the match matrix
     (``market.sums_less_own``), both products stay on BLAS: at tile shapes
     ``einsum`` is 2-3 times slower (2.6 ms against 0.24 ms for the rows
     term at 16 x 500 x 1000)."""
@@ -290,8 +294,8 @@ def _tile_objective(weights: PeerWeights, P: np.ndarray, Q: np.ndarray,
     z = np.arange(u.size)[cols]
     vals = less_own((P @ u)[:, None], P[:, cols] * u[cols], lambda g, j: (P[g] * u, z[j]))
     vals *= weights.v[cols]
-    if weights.rows.size:
-        vals += weights.at_rows(P) @ weights.S[:, cols]
+    if rows.size:
+        vals += P[:, rows] @ S[:, cols]
     vals *= Q[:, cols]
     return vals
 
@@ -299,12 +303,16 @@ def _tile_objective(weights: PeerWeights, P: np.ndarray, Q: np.ndarray,
 def _scan(weights: PeerWeights, grid: TopicGrid, cols: slice) -> tuple[np.ndarray, np.ndarray]:
     """Index and objective of the best candidate of each producer of
     `cols`: a running argmax over tiles of at most _TILE (g, N) table
-    entries, where strict > keeps the first best candidate."""
+    entries, where strict > keeps the first best candidate.  The rows of
+    ``weights.S`` holding an entry are built dense here, once per scan,
+    for the tiles' products."""
     k = len(range(*cols.indices(weights.u.size)))
     best, value = np.zeros(k, dtype=np.intp), np.full(k, -np.inf)
+    rows = weights.S.rated_rows()
+    S = weights.S.dense_rows(rows)
     step = max(1, _TILE // weights.u.size)
     for s in range(0, len(grid.points), step):
-        vals = _tile_objective(weights, *grid.tables(slice(s, s + step)), cols)
+        vals = _tile_objective(weights, rows, S, *grid.tables(slice(s, s + step)), cols)
         top = vals.max(axis=0)
         up = np.flatnonzero(top > value)
         best[up] = s + np.argmax(vals[:, up], axis=0)

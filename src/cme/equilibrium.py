@@ -266,11 +266,17 @@ def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                tol: float = TOL, producer_tol: float = PRODUCER_TOL,
                search: TopicSearchParams | None = None) -> NashCertificate:
     """First-order equilibrium certificate for the requested regime."""
+    return _check(omega, cfg, mode, TopicGrid(cfg, search or TopicSearchParams()),
+                  tol, producer_tol)
+
+
+def _check(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode, grid: TopicGrid,
+           tol: float, producer_tol: float) -> NashCertificate:
+    """``check_nash`` on the candidates of ``grid``."""
     if tol < 0.0 or producer_tol < 0.0:
         raise InvalidInputError("tolerances must be nonnegative")
     omega.validate(cfg)
-    scanned = grid_best(_producer_weights(omega, cfg, mode),
-                        TopicGrid(cfg, search or TopicSearchParams()))
+    scanned = grid_best(_producer_weights(omega, cfg, mode), grid)
     return _certify(omega, cfg, mode, match_matrix(omega.X, cfg), scanned, tol, producer_tol)
 
 
@@ -299,18 +305,21 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     S = influencer_relayed_match(d_infl, B)           # follower value ahead of mu_i
     m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
     m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * S
-    # the direct marginals delta'(direct[y, z]) * r_p * B[z, y], z != y: on a
-    # row with no direct rate they are beta * r_p * B[z, y], so its best is
-    # beta * r_p times the column's off-diagonal max (rounding is monotone);
-    # the rows holding a rate are read dense, a chunk at a time
+    # the direct marginals delta'(direct[y, z]) * r_p * B[z, y], z != y, and
+    # each consumer's best: delta'(0) = beta, so off the stored rates they
+    # are B scaled by beta * r_p, read a chunk of producer rows at a time
+    # with each stored rate's own marginal written in and the diagonal (no
+    # self channel) at -inf; a positive scale keeps each column's max
     direct = omega.direct
-    m_dir_best = (d.beta * cfg.r_p) * _other_match_max(B)
-    rows = direct.rated_rows()
-    for sl in chunks(rows.size):
-        ys = rows[sl]
-        m_dir = discount_deriv(direct.dense_rows(ys), d) * cfg.r_p * B[:, ys].T
-        m_dir[np.arange(ys.size), ys] = -np.inf       # no self channel
-        m_dir_best[ys] = np.max(m_dir, axis=1)
+    ys = direct.row_ids()
+    m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
+    m_dir_best = np.full(n, -np.inf)
+    for sl in chunks(n):
+        m_dir = B[sl] * (d.beta * cfg.r_p)
+        here = (direct.cols >= sl.start) & (direct.cols < sl.stop)
+        m_dir[direct.cols[here] - sl.start, ys[here]] = m_held[here]
+        m_dir[np.arange(m_dir.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
+        np.maximum(m_dir_best, m_dir.max(axis=0), out=m_dir_best)
 
     gate_m = 1e-12 * cfg.m
     gate_infl = 1e-12 * cfg.m_infl
@@ -352,8 +361,6 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         res["d_influencer_optimal"] = gated_max(omega.mu_i > gate_m,
                                                 np.maximum(0.0, best_rival_infl - m_infl))
         rival = np.maximum(np.maximum(m_out, m_infl), m_dir_best)
-        ys = direct.row_ids()  # each stored rate's marginal against its row's rival
-        m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
         res["e_direct_optimal"] = gated_max(direct.rates > gate_m,
                                             np.maximum(0.0, rival[ys] - m_held))
 
@@ -363,18 +370,6 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     res["g_influencer_allocation"] = gated_max(omega.mu_infl > gate_infl,
                                                np.maximum(0.0, best - g_marginal))
     return res
-
-
-def _other_match_max(B: np.ndarray) -> np.ndarray:
-    """max over z != y of B[z, y] for every consumer y: B's column maxima
-    over row chunks of _CHUNK, each chunk's diagonal entries set to -inf in
-    its copy, so no (N, N) mask is built."""
-    best = np.full(B.shape[1], -np.inf)
-    for sl in chunks(B.shape[0]):
-        C = B[sl].copy()
-        C[np.arange(C.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
-        np.maximum(best, C.max(axis=0), out=best)
-    return best
 
 
 def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
@@ -419,8 +414,15 @@ def run_dynamics_all(cfg: MarketConfig, mode: GameMode,
     random allocations, then any `extra_inits`.  Each start is built when
     its run begins, so no start outlives its run's first round.
     """
+    return _run_all(cfg, mode, params, TopicGrid(cfg, search or TopicSearchParams()),
+                    extra_inits)
+
+
+def _run_all(cfg: MarketConfig, mode: GameMode, params: DynamicsParams | None,
+             grid: TopicGrid, extra_inits: Sequence[MarketAllocation] = ()
+             ) -> list[EquilibriumResult]:
+    """``run_dynamics_all`` on the candidates of ``grid``."""
     params = params or DynamicsParams()
-    grid = TopicGrid(cfg, search or TopicSearchParams())
     for omega in extra_inits:
         omega.validate(cfg)
 
@@ -511,11 +513,9 @@ def price_of_influence(cfg: MarketConfig, params: DynamicsParams | None = None,
     meaningfully negative while a perfect run certifies.  A gap below -1e-9
     is therefore a solver failure and raises.
     """
-    imperfect = _best(
-        run_dynamics_all(cfg, GameMode.IMPERFECT, params=params, search=search))
-    perfect = _best(
-        run_dynamics_all(cfg, GameMode.PERFECT, params=params, search=search,
-                         extra_inits=(imperfect.omega,)))
+    grid = TopicGrid(cfg, search or TopicSearchParams())
+    imperfect = _best(_run_all(cfg, GameMode.IMPERFECT, params, grid))
+    perfect = _best(_run_all(cfg, GameMode.PERFECT, params, grid, (imperfect.omega,)))
     poi = perfect.welfare - imperfect.welfare
     if poi < -1e-9:
         raise ArithmeticError(
@@ -552,17 +552,16 @@ def proxy_equivalence_report(cfg: MarketConfig, params: DynamicsParams | None = 
                              search: TopicSearchParams | None = None,
                              tol: float = TOL, producer_tol: float = PRODUCER_TOL
                              ) -> ProxyEquivalenceReport:
-    """Solve all three regimes and cross-certify against the proxy conditions."""
-    perfect = run_dynamics(cfg, GameMode.PERFECT, params=params, search=search)
-    imperfect = run_dynamics(cfg, GameMode.IMPERFECT, params=params, search=search)
-    proxy = run_dynamics(cfg, GameMode.PROXY, params=params, search=search)
-
+    """Solve all three regimes and cross-certify against the proxy conditions,
+    every run and certificate on one candidate grid."""
+    grid = TopicGrid(cfg, search or TopicSearchParams())
+    perfect, imperfect, proxy = (_best(_run_all(cfg, mode, params, grid)) for mode in
+                                 (GameMode.PERFECT, GameMode.IMPERFECT, GameMode.PROXY))
     return ProxyEquivalenceReport(
         perfect=perfect, imperfect=imperfect, proxy=proxy,
-        perfect_under_proxy=check_nash(perfect.omega, cfg, GameMode.PROXY,
-                                       tol=tol, producer_tol=producer_tol, search=search),
-        imperfect_under_proxy=check_nash(imperfect.omega, cfg, GameMode.PROXY,
-                                         tol=tol, producer_tol=producer_tol, search=search),
+        perfect_under_proxy=_check(perfect.omega, cfg, GameMode.PROXY, grid, tol, producer_tol),
+        imperfect_under_proxy=_check(imperfect.omega, cfg, GameMode.PROXY, grid, tol,
+                                     producer_tol),
         direct_rate_mass_perfect=float(perfect.omega.direct.rates.sum()),
         direct_rate_mass_imperfect=float(imperfect.omega.direct.rates.sum()),
     )

@@ -30,28 +30,29 @@ at z = y, so
 
 W is a rank-one matrix u v^T (u = delta(mu_i), v = delta(mu_infl)) plus
 delta(direct), which is zero on the row of every consumer holding no
-direct rate.  ``PeerWeights`` keeps exactly that: u, v, the rows holding
-a direct rate and delta(direct) on those rows, never the (N, N) table.  A
-product with W is a product with u or v, minus the self term at z = y,
-plus one product over those rows; at full density it costs what the dense
-table did.  Where the self term is most of a sum, ``less_own`` sums that
-entry again without it, so no entry is left as rounding noise.  The same
-structure with v = 1 and no rows is the imperfect producers' weights,
-delta(mu_i[y]) for every producer z != y.
-``consumer_utilities`` and the perfect/proxy producers read one
+direct rate.  ``PeerWeights`` keeps exactly that: u, v and delta(direct)
+as a ``DirectRates`` on the state's own rows and producers, never a
+table.  A product with W is a product with u or v, minus the self term at
+z = y, plus one ``np.bincount`` over the stored rates, which reads the
+other factor at those entries only.  Where the self term is most of a
+sum, ``less_own`` sums that entry again without it, so no entry is left
+as rounding noise.  The same structure with v = 1 and no stored rate is
+the imperfect producers' weights, delta(mu_i[y]) for every producer
+z != y.  ``consumer_utilities`` and the perfect/proxy producers read one
 ``support_weights`` per state: a producer's objective at topic x is its
 column of W weighted by the match of x.
 
 Every product of the (N, N) match matrix B is numpy's own single-threaded
 ``einsum`` contraction, never ``B @ d``: the two match reductions and the
 producer values share ``sums_less_own``, and the round's rates, the
-consumer block, the potential and the certificate reach B through them.  A
-multithreaded BLAS splits a matrix-vector product of that size over its
-threads, and on a 2-vCPU host OpenBLAS's second thread is often slow to
-wake: there, 60 calls of ``B @ d`` at N = 1000 had a median of 8.0 ms,
-against 0.33 ms on one BLAS thread and 0.43-0.55 ms through ``einsum``,
-which never stalled.  The small tile products of the producer scan
-(``bestresponse``) stay on BLAS, where they are 2-3 times faster.
+consumer block, the potential and the certificate reach B through them or
+at the stored direct rates.  A multithreaded BLAS splits a matrix-vector
+product of that size over its threads, and on a 2-vCPU host OpenBLAS's
+second thread is often slow to wake: there, 60 calls of ``B @ d`` at
+N = 1000 had a median of 8.0 ms, against 0.33 ms on one BLAS thread and
+0.43-0.55 ms through ``einsum``, which never stalled.  Only the small tile
+products of the producer scan (``bestresponse``) use BLAS, where they are
+2-3 times faster.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
@@ -238,16 +239,15 @@ class DirectRates:
         """The consumers holding any direct rate, ascending."""
         return np.flatnonzero(np.diff(self.indptr))
 
-    def dense_rows(self, rows: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
         """The (k, n) rows of consumers ``rows``, a run of consecutive
-        entries of ``rated_rows()``, holding ``values`` (nnz,), one per
-        stored rate, default the rates, at the stored entries and zero
-        elsewhere."""
+        entries of ``rated_rows()``, holding their rates at the stored
+        entries and zero elsewhere."""
         D = np.zeros((rows.size, self.n))
         if rows.size:
             held = slice(self.indptr[rows[0]], self.indptr[rows[-1] + 1])
             at = np.repeat(np.arange(rows.size), np.diff(self.indptr)[rows])
-            D[at, self.cols[held]] = (self.rates if values is None else values)[held]
+            D[at, self.cols[held]] = self.rates[held]
         return D
 
     def toarray(self) -> np.ndarray:
@@ -263,13 +263,6 @@ class DirectRates:
         rows = self.rated_rows()
         for sl in chunks(rows.size):
             out[rows[sl]] = self.dense_rows(rows[sl]).sum(axis=1)
-        return out
-
-    def column(self, z: int) -> np.ndarray:
-        """Every consumer's rate on producer z, (R,)."""
-        out = np.zeros(self.shape[0])
-        hit = self.cols == z
-        out[self.row_ids()[hit]] = self.rates[hit]
         return out
 
     def with_row(self, y: int, cols: np.ndarray, rates: np.ndarray) -> "DirectRates":
@@ -421,47 +414,45 @@ def sums_less_own(D: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
                     lambda j: (D[j] * u, z[j]))
 
 
-def take_rows(A: np.ndarray, rows: np.ndarray, axis: int = 0) -> np.ndarray:
-    """A's entries at ``rows`` along ``axis``; A itself, not a copy, when
-    rows holds every one of them."""
-    return A if rows.size == A.shape[axis] else np.take(A, rows, axis=axis)
-
-
 @dataclass(frozen=True)
 class PeerWeights:
-    """Peer weights W[y, z] = u[y] * v[z] + S[i, z] where y = rows[i] (the
-    S term is absent on every other row), zero at z = y; never built as a
-    table.
+    """Peer weights W[y, z] = u[y] * v[z] + S[y, z], zero at z = y; never
+    built as a table.
 
     u     (N,)     the consumer factor of the rank-one term
     v     (N,)     the producer factor of the rank-one term
-    rows  (r,)     the consumers the S term applies to, ascending
-    S     (r, N)   their extra weights, zero at their own column
+    S     (N, N)   the extra weights, a ``DirectRates`` storing none on
+                   the diagonal
     """
 
     u: np.ndarray
     v: np.ndarray
-    rows: np.ndarray
-    S: np.ndarray
+    S: DirectRates
 
     @classmethod
     def rank_one(cls, u: np.ndarray, v: np.ndarray) -> "PeerWeights":
         """W[y, z] = u[y] * v[z], zero at z = y."""
-        return cls(u, v, np.empty(0, dtype=np.intp), np.empty((0, u.size)))
+        return cls(u, v, DirectRates.empty(u.size))
 
-    def at_rows(self, A: np.ndarray) -> np.ndarray:
-        """A's columns at ``rows``."""
-        return take_rows(A, self.rows, axis=1)
-
-    def producer_values(self, D: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
-        """sum_y D[j, y] * W[y, z_j] for the producers z_j of ``cols``, D
-        (k, N) holding their match rows: each producer's objective at its
-        topic, and with D = B every incumbent's.  Row j depends only on D[j],
-        so any chunking of the producers gives the same floats."""
-        vals = sums_less_own(D, self.u, np.arange(self.u.size)[cols])
+    def producer_values(self, D: np.ndarray, cols: slice | np.ndarray = slice(None)
+                        ) -> np.ndarray:
+        """sum_y D[j, y] * W[y, z_j] for the producers z_j of ``cols`` (a
+        slice or indices), D (k, N) holding their match rows: each
+        producer's objective at its topic, and with D = B every
+        incumbent's.  The S term reads D at the stored entries only.  Row j
+        depends only on D[j], so any chunking of the producers gives the
+        same floats."""
+        z = np.arange(self.u.size)[cols]
+        vals = sums_less_own(D, self.u, z)
         vals *= self.v[cols]
-        if self.rows.size:
-            vals += np.einsum("zi,iz->z", self.at_rows(D), self.S[:, cols])
+        if self.S.nnz:
+            at = np.full(self.u.size, -1)  # producer -> its row of D
+            at[z] = np.arange(z.size)
+            j = at[self.S.cols]
+            held = j >= 0
+            j = j[held]
+            vals += np.bincount(j, D[j, self.S.row_ids()[held]] * self.S.rates[held],
+                                minlength=z.size)
         return vals
 
     def consumer_values(self, B: np.ndarray) -> np.ndarray:
@@ -469,8 +460,9 @@ class PeerWeights:
         (N, N) match matrix: the transpose twin of ``producer_values``."""
         vals = influencer_relayed_match(self.v, B)
         vals *= self.u
-        if self.rows.size:
-            vals[self.rows] += np.einsum("zi,iz->i", self.at_rows(B), self.S)
+        if self.S.nnz:
+            ys = self.S.row_ids()
+            vals += np.bincount(ys, B[self.S.cols, ys] * self.S.rates, minlength=vals.size)
         return vals
 
 
@@ -478,12 +470,11 @@ def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: DirectRates,
                     cfg: MarketConfig) -> PeerWeights:
     """The peer weights W of the welfare and of the perfect/proxy producers:
     W[y, z] = delta(mu_i[y]) * delta(mu_infl[z]) + delta(direct[y, z]),
-    zero at z = y, with delta(direct) kept dense on the rows holding a rate
-    (delta(0) = 0, so only the stored rates are discounted)."""
-    rows = direct.rated_rows()
+    zero at z = y, with delta(direct) on the rows and producers of
+    ``direct`` (delta(0) = 0, so only the stored rates are discounted)."""
     d = cfg.delay
-    return PeerWeights(discount(mu_i, d), discount(mu_infl, d), rows,
-                       direct.dense_rows(rows, discount(direct.rates, d)))
+    return PeerWeights(discount(mu_i, d), discount(mu_infl, d),
+                       DirectRates(direct.indptr, direct.cols, discount(direct.rates, d), direct.n))
 
 
 def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
@@ -539,12 +530,8 @@ def influencer_utility(omega: MarketAllocation, cfg: MarketConfig,
 
 def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,
                      B: np.ndarray | None = None) -> float:
-    """Producer z's objective: consumption of z's content via both routes."""
-    if B is None:
-        B = match_matrix(omega.X, cfg)
-    d = cfg.delay
-    terms = B[z] * (discount(float(omega.mu_infl[z]), d) * discount(omega.mu_i, d)
-                    + discount(omega.direct.column(z), d))
-    terms[z] = 0.0  # z's own term, zeroed rather than subtracted (see less_own)
-    return cfg.r_p * float(terms.sum())
-
+    """Producer z's objective: consumption of z's content via both routes,
+    r_p times ``support_weights(...).producer_values`` at z's match row."""
+    D = match_matrix(omega.X[z:z + 1], cfg, np.array([z])) if B is None else B[z:z + 1]
+    weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+    return cfg.r_p * float(weights.producer_values(D, slice(z, z + 1))[0])

@@ -120,10 +120,10 @@ def dense_support_weights(mu_i, mu_infl, direct, cfg) -> np.ndarray:
 
 
 def dense_weights(weights) -> np.ndarray:
-    """The (N, N) table of a ``PeerWeights``: u v^T plus S on its rows,
-    zero on the diagonal."""
+    """The (N, N) table of a ``PeerWeights``: u v^T plus S's table, zero
+    on the diagonal."""
     W = np.outer(weights.u, weights.v)
-    W[weights.rows] += weights.S
+    W += weights.S.toarray()
     np.fill_diagonal(W, 0.0)
     return W
 

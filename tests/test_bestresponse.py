@@ -589,7 +589,8 @@ class TestImperfectRoundAgainstReference:
 
 class TestIncumbentValue:
     """The round reads each incumbent's objective from its match matrix B,
-    where ``producer_block`` used to evaluate ``_objective`` at prev."""
+    where ``producer_block`` used to evaluate ``_objective`` at prev; the
+    two are the same floats for producers given by a slice or by indices."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [5, _CHUNK + 11])
@@ -608,6 +609,9 @@ class TestIncumbentValue:
                 assert np.array_equal(W.producer_values(B),
                                       np.concatenate([values for values, _ in valued]))
                 assert np.array_equal(B, np.concatenate([rows for _, rows in valued]))
+                idx = np.arange(1, n, 3)  # producer_block values its movers by index
+                assert np.array_equal(W.producer_values(B)[idx],
+                                      _objective(d.X[idx], W, idx, cfg)[0])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_pick_at_the_incumbent_keeps_its_value(self, dim):
@@ -857,13 +861,16 @@ def test_consumer_block_equals_the_dense_block(mode, dim):
 
 def _random_weights(rng, n, rows):
     """PeerWeights with u, v and S uniform on [0, 2) and about 20% of each
-    zero; u and v overlap, so most producers have a self term to leave out."""
+    zero, S stored on the consumers ``rows``; u and v overlap, so most
+    producers have a self term to leave out."""
     u, v = rng.uniform(0.0, 2.0, (2, n))
     S = rng.uniform(0.0, 2.0, (rows.size, n))
     for a in (u, v, S):
         a[rng.uniform(size=a.shape) < 0.2] = 0.0
     S[np.arange(rows.size), rows] = 0.0
-    return PeerWeights(u, v, rows, S)
+    table = np.zeros((n, n))
+    table[rows] = S
+    return PeerWeights(u, v, DirectRates.from_dense(table))
 
 
 class TestPeerWeightsAgainstDense:
@@ -891,10 +898,11 @@ class TestPeerWeightsAgainstDense:
         elif case == 2:  # zero entries in v
             mu_infl[rng.uniform(size=n) < 0.3] = 0.0
         d = MarketAllocation(d.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl), d.X)
-        W = support_weights(mu_i, mu_infl, DirectRates.from_dense(direct), cfg)
+        held = DirectRates.from_dense(direct)
+        W = support_weights(mu_i, mu_infl, held, cfg)
         dense = dense_support_weights(mu_i, mu_infl, direct, cfg)
         assert np.array_equal(dense_weights(W), dense)
-        assert W.rows.size == np.count_nonzero(direct.any(axis=1))
+        assert W.S.indptr is held.indptr and W.S.cols is held.cols  # the state's rows
         return rng, cfg, d, W, dense
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3])
@@ -907,7 +915,9 @@ class TestPeerWeightsAgainstDense:
 
         P, Q = dense_tables(grid.points, cfg)
         scan = Q * (P @ dense)
-        got = np.concatenate([_tile_objective(W, *grid.tables(slice(None)), c)
+        rows = W.S.rated_rows()
+        got = np.concatenate([_tile_objective(W, rows, W.S.dense_rows(rows),
+                                              *grid.tables(slice(None)), c)
                               for c in chunks(n)], axis=1)
         np.testing.assert_allclose(got, scan, **close)
         np.testing.assert_allclose(grid_best(W, grid), scan.max(axis=0), **close)

@@ -283,18 +283,21 @@ def test_direct_marginals_match_the_dense_table(mode, dim):
 
 
 def test_direct_marginals_span_row_chunks():
-    # B's off-diagonal column max and the rated rows are read _CHUNK rows
-    # at a time; the residuals are the full table's floats at any count
+    # the certificate reads B _CHUNK producer rows at a time; with every
+    # producer at its own interest B's diagonal is every column's max, and
+    # with no influencer rate a direct channel is each consumer's best
+    # rival to the outside source, so a chunk that let a consumer rate
+    # itself would show; the residuals are the full table's floats at any
+    # count
     rng = np.random.default_rng(178)
     for n in (_CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
-        B = rng.uniform(size=(n, n))
-        B[np.diag_indices(n)] = 2.0  # the diagonal is every column's max
-        assert np.array_equal(equilibrium._other_match_max(B),
-                              np.max(B, axis=0, where=~np.eye(n, dtype=bool), initial=-np.inf))
         cfg = random_config(rng, n_min=n, n_max=n, dim=1)
         d = random_allocation(rng, cfg)
         direct = d.direct.toarray() * (rng.uniform(size=(n, 1)) < 0.7)
-        d = MarketAllocation(d.lam, d.mu_i, direct, d.influencer, d.X)
+        d = MarketAllocation(d.lam, d.mu_i, direct, InfluencerAllocation(np.zeros(n)),
+                             cfg.interest_array())
+        B = match_matrix(d.X, cfg)
+        assert np.array_equal(B.max(axis=0), np.diagonal(B))
         got = check_nash(d, cfg, GameMode.PERFECT, search=SEARCH).residuals
         for name, value in _dense_direct_residuals(d, cfg).items():
             assert got[name] == value, name
@@ -368,6 +371,19 @@ def test_proxy_equivalence_report_fields():
     assert rep.perfect_is_proxy == rep.perfect_under_proxy.holds
     if rep.direct_rate_mass_perfect <= 1e-9:
         assert rep.perfect_under_proxy.residuals["b_direct_rates_zero"] <= 1e-9
+
+
+@pytest.mark.parametrize("solve", [price_of_influence, proxy_equivalence_report])
+def test_one_call_builds_one_topic_grid(solve, monkeypatch):
+    # every run and certificate of one call scans the same candidates; in
+    # dim 2 each grid is a full (G, N) build of P and Q
+    built = []
+    init = TopicGrid.__init__
+    monkeypatch.setattr(TopicGrid, "__init__",
+                        lambda self, *args: (built.append(1), init(self, *args))[1])
+    cfg = random_config(np.random.default_rng(24), n_min=4, n_max=4, dim=2)
+    solve(cfg, params=FAST, search=TopicSearchParams(grid_resolution=16))
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1026,12 +1042,16 @@ def _traced_run(cfg, mode):
 @pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
 def test_fixed_budget_run_peak_memory(mode):
     # At M_infl = 5 half the consumers hold direct rates, about 20 each.
-    # The run's peak is B, plus three tables over the r rated rows (their
-    # delta(direct) rows in the peer weights, B's columns at them and one
-    # product of the two), plus the chunk temporaries: no (N, N) direct.
-    # Measured at N = 600: 2.37 (perfect) and 2.44 (imperfect) tables of
-    # 8 * N**2 bytes against a bound of 2.93; 5.04 and 5.05 while every
-    # state held dense direct rates.
+    # The peer weights hold delta(direct) on the state's sparse rows, and
+    # every value reads B at the stored entries only.  The run's peak is B,
+    # plus one (r, N) table over the r rated consumers (the producer scan's
+    # dense rows of delta(direct), or the imperfect round's rebuilt rows of
+    # the movers found inactive), plus the scan's tile and the blocks' chunk
+    # temporaries: no (N, N) direct and no (N, r) gather of B.  Measured at
+    # N = 600: 1.98 (perfect) and 1.96 (imperfect) tables of 8 * N**2 bytes
+    # against a bound of 2.18; 2.37 and 2.42 while the peer weights held
+    # dense (r, N) rows and each value gathered B's (N, r) rated columns;
+    # 5.04 and 5.05 while every state held dense direct rates.
     spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
     n = 600
     cfg = spec.base.build_config(n=n, m_infl=5.0, seed=spec.base.seed)
@@ -1039,7 +1059,7 @@ def test_fixed_budget_run_peak_memory(mode):
     direct = res.omega.direct
     r = direct.rated_rows().size
     assert direct.nnz > 10 * r > 10 * n // 4
-    bound = 8 * n * n + 3 * 8 * r * n + 4 * 8 * _CHUNK * (n + 2)
+    bound = 8 * n * n + 1.5 * 8 * r * n + 4 * 8 * _CHUNK * (n + 2)
     assert peak <= bound, f"peak {peak / bound:.2f} of the bound"
 
 

@@ -401,10 +401,7 @@ class TestDirectRates:
         assert np.array_equal(d.dense_rows(rows), A[rows])
         assert np.array_equal(d.dense_rows(rows[1:4]), A[rows[1:4]])
         assert d.dense_rows(rows[:0]).shape == (0, n)
-        assert np.array_equal(d.dense_rows(rows, 2.0 * d.rates), 2.0 * A[rows])
         assert np.array_equal(d.row_sums(), A.sum(axis=1))
-        for z in (0, n // 2, n - 1):
-            assert np.array_equal(d.column(z), A[:, z])
         for y in (0, n // 2, n - 1):
             row = _sparse_table(rng, 1, n)[0]
             row[y] = 0.0
@@ -506,7 +503,7 @@ class TestMatchReductions:
     def test_no_product_with_b_goes_to_blas(self, seed):
         cfg, omega, B = _market_at(300, seed)
         W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-        assert W.rows.size
+        assert W.S.nnz
         guarded = B.view(NoBlas)
         for reduce in (lambda B: influencer_relayed_match(W.v, B),
                        lambda B: influencer_followed_match(W.u, B),

@@ -6,7 +6,9 @@ calls of the blocks the dynamics run.  Test-only references live in
 tests/oracles.py.
 """
 
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -74,6 +76,8 @@ def test_all_is_the_decided_surface():
     ("allocator", "kkt_residuals"),
     ("market", "producer_support_via_influencer"),
     ("bestresponse", "producer_best_response_surrogate"),
+    ("market", "take_rows"),
+    ("equilibrium", "_other_match_max"),
 ])
 def test_test_only_names_are_not_in_the_package(module, name):
     assert not hasattr(importlib.import_module(f"cme.{module}"), name)
@@ -86,6 +90,15 @@ def test_one_weight_rates_keep_no_state():
     assert callable(cme.allocator.rates_with)
     assert not hasattr(cme.allocator, "SortedChannels")
     assert not hasattr(cme.allocator, "_log_weights")
+
+
+def test_peer_weights_hold_the_sparse_direct_rates():
+    # delta(direct) stays the state's compressed sparse rows: no dense rows
+    # in the weights, no gather of B's rated columns, no column read
+    assert [f.name for f in dataclasses.fields(cme.market.PeerWeights)] == ["u", "v", "S"]
+    assert not hasattr(cme.market.PeerWeights, "at_rows")
+    assert not hasattr(cme.DirectRates, "column")
+    assert list(inspect.signature(cme.DirectRates.dense_rows).parameters) == ["self", "rows"]
 
 
 def test_importing_cme_loads_no_scipy():
