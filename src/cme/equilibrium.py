@@ -28,8 +28,9 @@ share would move no round, only ``potential_trace[0]``, and every state's
 ``direct`` is compressed sparse rows (``market.DirectRates``), so a run
 holds no (N, N) table but B.
 Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
-``_best`` picks: the certified run with the largest welfare, or, when none
-certifies, the run with the smallest certificate residual.
+``_best`` picks: the first certified run within a relative 1e-12 of the
+largest certified welfare, or, when none certifies, the run with the
+smallest certificate residual.
 
 ``check_nash`` evaluates the first-order equilibrium conditions of the
 requested regime on any admissible allocation and returns one named
@@ -482,12 +483,14 @@ def run_dynamics(cfg: MarketConfig, mode: GameMode,
 
 
 def _best(results: Sequence[EquilibriumResult]) -> EquilibriumResult:
-    """The reported run: the certified run with the largest welfare; if none
-    certifies, the run with the smallest certificate residual (honest
-    failure)."""
+    """The reported run: the first certified run whose welfare lies within a
+    relative 1e-12 of the largest certified welfare, so that starts reaching
+    one equilibrium are not told apart by rounding; if none certifies, the
+    run with the smallest certificate residual (honest failure)."""
     certified = [r for r in results if r.certificate.holds]
     if certified:
-        return max(certified, key=lambda r: r.welfare)
+        top = max(r.welfare for r in certified)
+        return next(r for r in certified if r.welfare >= top - 1e-12 * abs(top))
     return min(results, key=lambda r: r.certificate.max_residual)
 
 

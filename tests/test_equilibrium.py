@@ -427,6 +427,20 @@ def test_best_selection_rule():
     assert equilibrium._best(runs) is runs[1]
 
 
+def test_best_ties_within_rounding_keep_the_first_start():
+    # starts that reach one equilibrium differ in welfare by rounding: a
+    # later start one ulp higher does not move the pick, one 1e-11 higher
+    # (relative) does
+    w = 1234.5678
+    runs = [_result(w, 0.5), _result(np.nextafter(w, np.inf), 0.5), _result(w, 0.5)]
+    assert equilibrium._best(runs) is runs[0]
+    runs.append(_result(w * (1.0 + 1e-11), 0.5))
+    assert equilibrium._best(runs) is runs[3]
+    # the margin is relative to the best certified welfare only
+    runs = [_result(w * (1.0 - 1e-11), 0.5), _result(w, 0.5), _result(2.0 * w, 3.0)]
+    assert equilibrium._best(runs) is runs[1]
+
+
 def test_round_cap_reports_nonconvergence():
     cfg = even_line(4)
     res = run_dynamics(cfg, GameMode.PERFECT,
