@@ -24,13 +24,11 @@ delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
 ``support_weights``) or delta(mu_i(y)) (imperfect, the rank-one weights
 with v = 1).  W is never a table: ``producer_block`` scans the candidate
 topics in tiles of at most _TILE kernel-table entries, each tile's
-objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus the rows term,
-times Q -- O(G * N) per scan when nobody holds a direct rate;
-``market.less_own`` sums the cells that z's own term dominates again
-without it.  The rows term is one (g, r) @ (r, k) BLAS product over the r
-consumers holding a direct rate, with their rows of delta(direct), which
-``_scan`` builds dense once per scan: the only dense copy of the direct
-weights, dropped when the scan ends.  A running argmax with
+objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
+(g, r) @ (r, k) product over the r consumers holding a direct rate, with
+their rows of delta(direct) built dense once per scan, times Q -- O(G * N)
+per scan when nobody holds one; ``market.less_own`` sums the cells that
+z's own term dominates again without it.  A running argmax with
 strict > keeps the first best candidate.  A winner other than the
 incumbent is valued once more with ``_objective``, the formula of
 ``PeerWeights.producer_values``, from which a round reads the incumbent's
@@ -303,9 +301,8 @@ def _tile_objective(weights: PeerWeights, rows: np.ndarray, S: np.ndarray,
 def _scan(weights: PeerWeights, grid: TopicGrid, cols: slice) -> tuple[np.ndarray, np.ndarray]:
     """Index and objective of the best candidate of each producer of
     `cols`: a running argmax over tiles of at most _TILE (g, N) table
-    entries, where strict > keeps the first best candidate.  The rows of
-    ``weights.S`` holding an entry are built dense here, once per scan,
-    for the tiles' products."""
+    entries, where strict > keeps the first best candidate.  The rated
+    rows of ``weights.S`` are built dense once, for the tiles' products."""
     k = len(range(*cols.indices(weights.u.size)))
     best, value = np.zeros(k, dtype=np.intp), np.full(k, -np.inf)
     rows = weights.S.rated_rows()

@@ -267,16 +267,16 @@ def check_nash(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                tol: float = TOL, producer_tol: float = PRODUCER_TOL,
                search: TopicSearchParams | None = None) -> NashCertificate:
     """First-order equilibrium certificate for the requested regime."""
+    if tol < 0.0 or producer_tol < 0.0:
+        raise InvalidInputError("tolerances must be nonnegative")
+    omega.validate(cfg)
     return _check(omega, cfg, mode, TopicGrid(cfg, search or TopicSearchParams()),
                   tol, producer_tol)
 
 
 def _check(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode, grid: TopicGrid,
            tol: float, producer_tol: float) -> NashCertificate:
-    """``check_nash`` on the candidates of ``grid``."""
-    if tol < 0.0 or producer_tol < 0.0:
-        raise InvalidInputError("tolerances must be nonnegative")
-    omega.validate(cfg)
+    """``check_nash`` of a valid state on the candidates of ``grid``."""
     scanned = grid_best(_producer_weights(omega, cfg, mode), grid)
     return _certify(omega, cfg, mode, match_matrix(omega.X, cfg), scanned, tol, producer_tol)
 
@@ -310,7 +310,7 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     # each consumer's best: delta'(0) = beta, so off the stored rates they
     # are B scaled by beta * r_p, read a chunk of producer rows at a time
     # with each stored rate's own marginal written in and the diagonal (no
-    # self channel) at -inf; a positive scale keeps each column's max
+    # self channel) at -inf
     direct = omega.direct
     ys = direct.row_ids()
     m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
@@ -557,6 +557,8 @@ def proxy_equivalence_report(cfg: MarketConfig, params: DynamicsParams | None = 
                              ) -> ProxyEquivalenceReport:
     """Solve all three regimes and cross-certify against the proxy conditions,
     every run and certificate on one candidate grid."""
+    if tol < 0.0 or producer_tol < 0.0:
+        raise InvalidInputError("tolerances must be nonnegative")
     grid = TopicGrid(cfg, search or TopicSearchParams())
     perfect, imperfect, proxy = (_best(_run_all(cfg, mode, params, grid)) for mode in
                                  (GameMode.PERFECT, GameMode.IMPERFECT, GameMode.PROXY))

@@ -371,6 +371,8 @@ def test_proxy_equivalence_report_fields():
     assert rep.perfect_is_proxy == rep.perfect_under_proxy.holds
     if rep.direct_rate_mass_perfect <= 1e-9:
         assert rep.perfect_under_proxy.residuals["b_direct_rates_zero"] <= 1e-9
+    with pytest.raises(InvalidInputError, match="tolerances"):
+        proxy_equivalence_report(cfg, params=FAST, search=SEARCH, tol=-1.0)
 
 
 @pytest.mark.parametrize("solve", [price_of_influence, proxy_equivalence_report])
