@@ -1060,14 +1060,15 @@ def test_fixed_budget_run_peak_memory(mode):
     # At M_infl = 5 half the consumers hold direct rates, about 20 each.
     # The peer weights hold delta(direct) on the state's sparse rows, and
     # every value reads B at the stored entries only.  The run's peak is B,
-    # plus one (r, N) table over the r rated consumers (the producer scan's
-    # dense rows of delta(direct), or the imperfect round's rebuilt rows of
-    # the movers found inactive), plus the scan's tile and the blocks' chunk
-    # temporaries: no (N, N) direct and no (N, r) gather of B.  Measured at
-    # N = 600: 1.98 (perfect) and 1.96 (imperfect) tables of 8 * N**2 bytes
-    # against a bound of 2.18; 2.37 and 2.42 while the peer weights held
-    # dense (r, N) rows and each value gathered B's (N, r) rated columns;
-    # 5.04 and 5.05 while every state held dense direct rates.
+    # plus the producer scan's dense (r, N) rows of delta(direct) over the r
+    # rated consumers (perfect) or the imperfect round's rebuilt match rows
+    # of its movers found inactive, plus the scan's tile and the blocks'
+    # chunk temporaries: no (N, N) direct and no (N, r) gather of B.
+    # Measured at N = 600: 1.98 (perfect) and 1.96 (imperfect) tables of
+    # 8 * N**2 bytes against a bound of 2.18; 2.37 and 2.42 while the peer
+    # weights held dense (r, N) rows and each value gathered B's (N, r)
+    # rated columns; 5.04 and 5.05 while every state held dense direct
+    # rates.
     spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
     n = 600
     cfg = spec.base.build_config(n=n, m_infl=5.0, seed=spec.base.seed)
