@@ -22,14 +22,9 @@ g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of the
 ``market.PeerWeights`` W holds z's consumer weights: delta(mu_i(y)) *
 delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
 ``support_weights``) or delta(mu_i(y)) (imperfect, the rank-one weights
-with v = 1).  W is never a table: ``producer_block`` scans the candidate
-topics in tiles of at most _TILE kernel-table entries, each tile's
-objective being ((P @ u)[g] - P[g, z] * u[z]) * v[z], plus one
-(g, r) @ (r, k) product over the r consumers holding a direct rate, with
-their rows of delta(direct) built dense once per scan, times Q -- O(G * N)
-per scan when nobody holds one; ``market.less_own`` sums the cells that
-z's own term dominates again without it.  A running argmax with
-strict > keeps the first best candidate.  A winner other than the
+with v = 1).  W is never a table, and ``producer_block`` scans the
+candidate topics for every producer at once (``_scan``), the first best
+candidate winning a tie.  A winner other than the
 incumbent is valued once more with ``_objective``, the formula of
 ``PeerWeights.producer_values``, from which a round reads the incumbent's
 value, and the incumbent stays unless the winner is strictly better; the
@@ -45,11 +40,26 @@ In dim 1 the candidates are the N + 2 breakpoints {0, 1} and the
 interests, and the search is exact.  Between two neighbouring breakpoints
 each |x - y| is linear in x, so z's objective there is a sum of terms
 c * exp(s * x) with c >= 0 (W >= 0): a convex function, whose maximum
-over the segment lies on one of its ends.  A tile's kernel tables are
-built from its distances, since stored ones would be (N + 2) x N.  In
-dim 2 the candidates are a uniform grid with stored (G, N) tables, built
-in place from each axis's squared differences, and the search is exact
-only to the grid's resolution.
+over the segment lies on one of its ends.  The scan builds no kernel
+table there (``_LineScan``): z's objective at candidate g is
+Q[g, z] * (v[z] * (A[g] - P[g, z] * u[z]) + R_z(g)), where the rank-one
+sum A and z's direct term R_z are kernel sums along the sorted
+candidates, two cumulative sums each (``TopicGrid.kernel_sums``), and
+``market.less_own`` sums again without it any pair that z's own term
+dominates.  Without a direct term the objective is at most a cone
+exp(-a_g |x - y_z|) times the curve A shared by every producer, so
+running maxima give each producer a value it surely reaches and the run
+of candidates that can reach it (``_LineScan.ranges``), and only those
+runs are valued, in chunks of at most _TILE pairs.
+
+In dim 2 the candidates are a uniform grid with stored (G, N) tables,
+built in place from each axis's squared differences, and the search is
+exact only to the grid's resolution.  The scan walks the tables in tiles
+of at most _TILE entries, each tile's objective being ((P @ u)[g] -
+P[g, z] * u[z]) * v[z], plus one (g, r) @ (r, k) product over the r
+consumers holding a direct rate, with their rows of delta(direct) built
+dense once per scan, times Q, and a running argmax whose strict > keeps
+the first best candidate.
 
 The imperfect search runs on the match mass: the influencer's re-solved
 rate on z is nondecreasing in z's weight (r_p times the mass) and strictly
@@ -66,6 +76,7 @@ the weights with the moves before it written in, one more sort apiece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -73,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocator import WeightedChannels, _water_fill_sparse, rates_with, water_fill
-from .kernels import InvalidInputError, TopicPoint, discount, pairwise_distances
+from .kernels import InvalidInputError, TopicPoint, discount
 from .market import (
     _CHUNK,
     DirectRates,
@@ -125,20 +136,28 @@ class TopicSearchParams:
 class TopicGrid:
     """The candidate topics of the producer search.
 
-    points  (G, dim) candidates in lexicographic order: in dim 1 the N + 2
-            breakpoints {0, 1} and the interests, sorted (a repeated
-            interest is only a tie); in dim 2 a uniform grid of
-            grid_resolution nodes per axis
-    P, Q    (G, N) interest kernel f and production kernel g at each
-            (candidate, member) pair, stored in dim 2 only; ``tables``
-            builds them per tile in dim 1
+    points   (G, dim) candidates in lexicographic order: in dim 1 the N + 2
+             breakpoints {0, 1} and the interests, sorted (a repeated
+             interest is only a tie); in dim 2 a uniform grid of
+             grid_resolution nodes per axis
+    members  (N,) in dim 1, the candidate at each member's interest (the
+             first of equal ones)
+    P, Q     (G, N) interest kernel f and production kernel g at each
+             (candidate, member) pair, stored in dim 2 only
     """
 
     def __init__(self, cfg: MarketConfig, search: TopicSearchParams):
         self._cfg = cfg
         self.P = self.Q = None
         if cfg.dim == 1:
-            self.points = np.sort(np.concatenate(([0.0, 1.0], cfg.interest_array()[:, 0])))[:, None]
+            y = cfg.interest_array()[:, 0]
+            x = np.sort(np.concatenate(([0.0, 1.0], y)))
+            self.points = x[:, None]
+            self.members = np.searchsorted(x, y)
+            a = cfg.kernel.a_f
+            self._up = self._down = None
+            if a <= _STEEP:
+                self._up, self._down = np.exp(a * (x - 0.5)), np.exp(-a * (x - 0.5))
         else:
             axis = np.linspace(0.0, 1.0, search.grid_resolution)
             self.points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -162,15 +181,37 @@ class TopicGrid:
         D *= -kernel.a_f
         return np.exp(D, out=D), Q
 
-    def tables(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """P and Q at the candidates `rows`, (g, N) each."""
-        if self.P is not None:
-            return self.P[rows], self.Q[rows]
-        kernel = self._cfg.kernel
-        D = pairwise_distances(self.points[rows], self._cfg.interest_array())
-        Q = np.exp(-kernel.a_g * D)
-        D *= -kernel.a_f
-        return np.exp(D, out=D), Q
+    def kernel_sums(self, h: np.ndarray) -> np.ndarray:
+        """sum_c h[j, c] * f(|x_g - x_c|) at every candidate g, for each row
+        j of h (k, G), nonnegative weights at the dim-1 candidates x; f is
+        the interest kernel.
+
+        |x_g - x_c| is x_g - x_c for c <= g and x_c - x_g for c >= g, so the
+        sum is exp(-a x_g) * sum_{c <= g} h exp(a x_c) plus its mirror, less
+        h[g], counted in both: two cumulative sums, the exact
+        one-dimensional case of fast summation (Greengard & Rokhlin, 1987).
+        Every term is nonnegative, so nothing cancels.  The factors
+        exp(+-a (x - 1/2)) are stored, within exp(+-_STEEP / 2); above
+        a_f = _STEEP they could overflow, so the two sides run the
+        recurrence L[g] = f(x_g - x_{g-1}) * L[g - 1] + h[g] by doubling,
+        every factor at most 1: log2(G) passes."""
+        if self._up is not None:
+            left = h * self._up
+            np.cumsum(left, axis=1, out=left)
+            left *= self._down
+            right = h * self._down
+            np.cumsum(right[:, ::-1], axis=1, out=right[:, ::-1])
+            right *= self._up
+        else:
+            x, left, right, d = self.points[:, 0], h.copy(), h.copy(), 1
+            while d < x.size:
+                f = np.exp(-self._cfg.kernel.a_f * (x[d:] - x[:-d]))
+                left[:, d:] += f * left[:, :-d]
+                right[:, :-d] += f * right[:, d:]
+                d *= 2
+        left += right
+        left -= h
+        return left
 
 
 class ProducerChoice(NamedTuple):
@@ -200,7 +241,9 @@ class ProducerBlock(NamedTuple):
         return self.grid_best <= 0.0
 
 
-_TILE = _CHUNK * 256  # kernel-table entries per tile of the candidate scan
+_TILE = _CHUNK * 256  # kernel-table entries per tile, (candidate, producer) pairs per chunk
+_STEEP = 64.0  # the largest a_f whose dim-1 kernel sums take the stored factors
+_SLACK = 1e-9  # relative margin of the dim-1 candidate bounds over rounding
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +321,10 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
 
 def _tile_objective(weights: PeerWeights, rows: np.ndarray, S: np.ndarray,
                     P: np.ndarray, Q: np.ndarray, cols: slice) -> np.ndarray:
-    """(g, k) objective of producers `cols` at the g candidates of a tile
-    whose kernel tables are P and Q: ((P @ u)[g] - P[g, z] * u[z]) * v[z]
-    plus the rows term P[:, rows] @ S[:, cols], times Q[g, z], where S
-    (r, N) holds the dense rows ``rows`` of ``weights.S``.  The self term
+    """(g, k) objective of producers `cols` at the g dim-2 grid nodes of a
+    tile whose kernel tables are P and Q: ((P @ u)[g] - P[g, z] * u[z]) *
+    v[z] plus the rows term P[:, rows] @ S[:, cols], times Q[g, z], where
+    S (r, N) holds the dense rows ``rows`` of ``weights.S``.  The self term
     leaves before v scales the sum, as in ``PeerWeights.producer_values``
     and by ``market.less_own``, so a column whose only weight is z's own
     scans to exactly 0 (degenerate).  Unlike the sums over the match matrix
@@ -298,18 +341,158 @@ def _tile_objective(weights: PeerWeights, rows: np.ndarray, S: np.ndarray,
     return vals
 
 
+class _LineScan:
+    """The dim-1 objectives of producers z under the peer weights:
+    Q[g, z] * (v[z] * (A[g] - P[g, z] * u[z]) + R_z(g)) at candidate g, with
+    P and Q the kernels f and g at (x_g, y_z), A = sum_y u[y] f(|x_g - y|)
+    and R_z = sum_i S[i, z] f(|x_g - y_i|), both ``TopicGrid.kernel_sums``.
+    A is summed once, at every candidate, and R_z from z's stored weights,
+    kept by producer, for a chunk of producers at a time."""
+
+    def __init__(self, weights: PeerWeights, grid: TopicGrid, z: np.ndarray):
+        cfg = grid._cfg
+        self.weights, self.grid, self.z = weights, grid, z
+        self.x, self.y = grid.points[:, 0], cfg.interest_array()[:, 0]
+        self.a_f, self.a_g = cfg.kernel.a_f, cfg.kernel.a_g
+        self.every = np.arange(self.x.size)[None]
+        h = np.bincount(grid.members, weights.u, minlength=self.x.size)
+        self.A = grid.kernel_sums(h[None])[0]
+        S = weights.S
+        self.count = np.bincount(S.cols, minlength=weights.u.size)  # stored weights a producer
+        if S.nnz:
+            order = np.argsort(S.cols, kind="stable")
+            self.held, self.rates = grid.members[S.row_ids()[order]], S.rates[order]
+            self.start = np.cumsum(self.count) - self.count
+
+    def _runs(self, lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
+        """The candidates lo to hi of each row, (c, w), a shorter run
+        repeating its last; every candidate, (1, G), when lo is None."""
+        if lo is None:
+            return self.every
+        return np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), hi[:, None])
+
+    def values(self, j: np.ndarray | slice, lo: np.ndarray | None = None,
+               hi: np.ndarray | None = None) -> np.ndarray:
+        """The objectives of producers z[j] (c,) at their runs of candidates
+        lo to hi (``_runs``), (c, w); at every candidate when lo is None.  A
+        producer holding a stored weight is valued at every candidate
+        (``ranges``), so a chunk with one spans them all."""
+        u, v, a_f = self.weights.u, self.weights.v, self.a_f
+        z = self.z[j]
+        g = self._runs(lo, hi)
+        d = np.subtract(self.x[g], self.y[z][:, None])
+        np.abs(d, out=d)
+        total = self.A[g]
+        del g
+        own = np.multiply(d, -a_f)
+        np.exp(own, out=own)
+        own *= u[z][:, None]
+        vals = less_own(total, own, lambda r, c: (np.exp(-a_f * np.abs(
+            self.x[c if lo is None else np.minimum(lo[r] + c, hi[r])][:, None] - self.y)) * u,
+            z[r]))
+        del total
+        vals *= v[z][:, None]
+        if self.count[z].any():
+            vals += self._direct(z)
+        vals *= np.exp(np.multiply(d, -self.a_g, out=d), out=d)
+        return vals
+
+    def _direct(self, z: np.ndarray) -> np.ndarray:
+        """R_z at every candidate, (c, G): z's stored weights at their
+        members' candidates, and the kernel sums."""
+        G, count = self.x.size, self.count[z]
+        row = np.repeat(np.arange(z.size), count)
+        at = np.arange(row.size) + np.repeat(self.start[z] - (np.cumsum(count) - count), count)
+        h = np.bincount(row * G + self.held[at], self.rates[at], minlength=z.size * G)
+        return self.grid.kernel_sums(h.reshape(z.size, G))
+
+    def best_in(self, lo: np.ndarray | None, hi: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Index and objective of the first best candidate of each producer
+        among candidates lo to hi, or among every candidate when lo is None.
+        The runs are taken in order of length, in chunks of at most _TILE
+        pairs (one producer at least); a shorter run repeats its last
+        candidate, which, coming after it, cannot be the first best."""
+        if lo is None:
+            vals = self.values(slice(None))
+            best = np.argmax(vals, axis=1)
+            return best, vals[np.arange(best.size), best]
+        best, value = np.empty(lo.size, dtype=np.intp), np.empty(lo.size)
+        order = np.argsort(hi - lo, kind="stable")
+        s = 0
+        while s < order.size:
+            w = hi[order[s:]] - lo[order[s:]] + 1
+            c = max(1, int(np.searchsorted(np.arange(1, w.size + 1) * w, _TILE, side="right")))
+            j = order[s:s + c]
+            vals = self.values(j, lo[j], hi[j])
+            top = np.argmax(vals, axis=1)
+            best[j], value[j] = lo[j] + top, vals[np.arange(c), top]
+            s += c
+        return best, value
+
+    def ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each producer's candidates lo to hi, which hold every candidate
+        whose objective can reach a value already found.
+
+        Without a direct term z's objective is at most v[z] * exp(-a_g |x_g
+        - y_z|) * A[g], a cone times a curve shared by every producer.  Left
+        of y_z that is v[z] exp(-a_g y_z) exp(log A + a_g x), right of it
+        v[z] exp(a_g y_z) exp(log A - a_g x), so a running maximum of each
+        log from its end gives every producer's largest bound on either
+        side, and where it is reached, in O(G + N) (Piyavskii 1972, Shubert
+        1972).  The objective there is a value L reached, and the running
+        maxima are monotone, so one ``searchsorted`` a side gives the
+        candidates past which no bound reaches L.  The threshold gives up
+        _SLACK times (1 + a_f + a_g) in logs to rounding.  A producer with
+        v[z] = 0 or A = 0 has an objective of 0 everywhere and keeps the
+        first candidate.  A producer holding any stored weight keeps every
+        candidate: at a fixed budget a bound from the rows' largest weights
+        left 99-100% of them."""
+        G, a, k = self.x.size, self.a_g, self.z.size
+        me, y, v = self.grid.members[self.z], self.y[self.z], self.weights.v[self.z]
+        with np.errstate(divide="ignore"):
+            west, east = np.log(self.A) + a * self.x, (np.log(self.A) - a * self.x)[::-1]
+        left, right = np.maximum.accumulate(west), np.maximum.accumulate(east)
+        at_left = np.maximum.accumulate(np.where(west == left, self.every[0], 0))
+        at_right = G - 1 - np.maximum.accumulate(np.where(east == right, self.every[0], 0))
+        on_left = left[me] - a * y >= right[G - 1 - me] + a * y
+        seed = np.where(on_left, at_left[me], at_right[G - 1 - me])
+        rated = self.count[self.z] > 0
+        live = np.flatnonzero((v > 0.0) & np.isfinite(left[-1]) & ~rated)
+        reached = np.empty(live.size)
+        for s in range(0, live.size, _TILE):
+            j = live[s:s + _TILE]
+            reached[s:s + _TILE] = self.values(j, seed[j], seed[j])[:, 0]
+        with np.errstate(divide="ignore"):
+            t = np.log(reached) - np.log(v[live]) - _SLACK * (1.0 + self.a_f + a)
+        lo, hi = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp)
+        lo[live] = np.minimum(np.searchsorted(left, t + a * y[live]), me[live])
+        hi[live] = np.maximum(G - 1 - np.searchsorted(right, t - a * y[live]), me[live])
+        lo[rated], hi[rated] = 0, G - 1
+        return lo, hi
+
+
 def _scan(weights: PeerWeights, grid: TopicGrid, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Index and objective of the best candidate of each producer of
-    `cols`: a running argmax over tiles of at most _TILE (g, N) table
-    entries, where strict > keeps the first best candidate.  The rated
-    rows of ``weights.S`` are built dense once, for the tiles' products."""
-    k = len(range(*cols.indices(weights.u.size)))
-    best, value = np.zeros(k, dtype=np.intp), np.full(k, -np.inf)
+    """Index and objective of the first best candidate of each producer of
+    `cols`.  In dim 1 (``_LineScan``) each producer's objective is valued
+    on its ``ranges`` only, or on every candidate when there are at most
+    _TILE (candidate, producer) pairs in all.  In dim 2 it is a running
+    argmax over tiles of at most _TILE (g, N) entries of the stored tables,
+    where strict > keeps the first best candidate; the rated rows of
+    ``weights.S`` are built dense once, for the tiles' products."""
+    z = np.arange(weights.u.size)[cols]
+    if grid.P is None:
+        line = _LineScan(weights, grid, z)
+        if len(grid.points) * z.size <= _TILE:
+            return line.best_in(None)
+        return line.best_in(*line.ranges())
+    best, value = np.zeros(z.size, dtype=np.intp), np.full(z.size, -np.inf)
     rows = weights.S.rated_rows()
     S = weights.S.dense_rows(rows)
     step = max(1, _TILE // weights.u.size)
     for s in range(0, len(grid.points), step):
-        vals = _tile_objective(weights, rows, S, *grid.tables(slice(s, s + step)), cols)
+        tile = slice(s, s + step)
+        vals = _tile_objective(weights, rows, S, grid.P[tile], grid.Q[tile], cols)
         top = vals.max(axis=0)
         up = np.flatnonzero(top > value)
         best[up] = s + np.argmax(vals[:, up], axis=0)
@@ -386,7 +569,8 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     the degenerate mask and each producer's best scanned match mass (the
     ``grid_best`` of the pass's weights).  B is ``match_matrix(X, cfg)`` on
     entry and on return: the block writes each mover's row into it, and a
-    mover found inactive here gets its incumbent's row back.
+    mover found inactive here gets its incumbent's row back, built in
+    chunks of _CHUNK rows.
 
     Producers move in index order, each against the influencer's channel
     weights at the current topics, with the earlier producers' moves in
@@ -419,7 +603,8 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     degenerate[todo[~active]] = True
     X[todo[active]] = block.topics[todo[active]]
     back = np.flatnonzero(np.any(block.topics != X, axis=1))  # movers found inactive
-    B[back] = match_matrix(X[back], cfg, back)
+    for sl in chunks(back.size):
+        B[back[sl]] = match_matrix(X[back[sl]], cfg, back[sl])
     return degenerate, block.grid_best
 
 

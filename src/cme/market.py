@@ -51,8 +51,8 @@ product of that size over its threads, and on a 2-vCPU host OpenBLAS's
 second thread is often slow to wake: there, 60 calls of ``B @ d`` at
 N = 1000 had a median of 8.0 ms, against 0.33 ms on one BLAS thread and
 0.43-0.55 ms through ``einsum``, which never stalled.  Only the small tile
-products of the producer scan (``bestresponse``) use BLAS, where they are
-2-3 times faster.
+products of the dim-2 producer scan (``bestresponse``) use BLAS, where
+they are 2-3 times faster; the dim-1 scan makes no matrix product.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single

@@ -12,6 +12,10 @@
   of it, the oracles of every product with ``PeerWeights``;
 - ``dense_tables``: the kernel tables P and Q at a stack of candidate
   topics, built whole, the oracle of the producer scan's tiles;
+- ``tiled_scan``: the dim-1 producer scan as it was before it read kernel
+  sums and pruned candidates, every candidate of every producer valued on
+  tiles of kernel tables with ``cme.bestresponse._tile_objective``, the
+  reference of ``cme.bestresponse._scan``;
 - ``project_budget_box``, ``gradient_oracle`` and ``gradient_oracle_batch``:
   accelerated projected gradient ascent on the allocation program, a route
   that shares no machinery with ``cme.allocator``'s closed form, so
@@ -58,7 +62,7 @@ from cme.allocator import (
     _centred_logs,
     _water_fill_sparse,
 )
-from cme.bestresponse import GameMode, chunks
+from cme.bestresponse import _TILE, GameMode, _tile_objective, chunks
 from cme.kernels import (
     DelayParams,
     InvalidInputError,
@@ -141,6 +145,27 @@ def dense_tables(points, cfg) -> tuple[np.ndarray, np.ndarray]:
     of every producer at every point is Q * (P @ W) for the table W."""
     D = pairwise_distances(points, cfg.interest_array())
     return np.exp(-cfg.kernel.a_f * D), np.exp(-cfg.kernel.a_g * D)
+
+
+def tiled_scan(weights, grid, cfg, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Index and objective of the best candidate of each producer of `cols`:
+    a running argmax over tiles of at most _TILE (g, N) entries of
+    ``dense_tables``, valued by ``_tile_objective`` with the rated rows of
+    ``weights.S`` built dense once; strict > keeps the first best
+    candidate."""
+    k = len(range(*cols.indices(weights.u.size)))
+    best, value = np.zeros(k, dtype=np.intp), np.full(k, -np.inf)
+    rows = weights.S.rated_rows()
+    S = weights.S.dense_rows(rows)
+    step = max(1, _TILE // weights.u.size)
+    for s in range(0, len(grid.points), step):
+        P, Q = dense_tables(grid.points[s:s + step], cfg)
+        vals = _tile_objective(weights, rows, S, P, Q, cols)
+        top = vals.max(axis=0)
+        up = np.flatnonzero(top > value)
+        best[up] = s + np.argmax(vals[:, up], axis=0)
+        value[up] = top[up]
+    return best, value
 
 
 def project_budget_box(v: np.ndarray, budget) -> np.ndarray:

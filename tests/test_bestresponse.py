@@ -14,6 +14,7 @@ from cme import bestresponse, equilibrium
 from cme.bestresponse import (
     _CHUNK,
     _TILE,
+    _LineScan,
     GameMode,
     TopicGrid,
     TopicSearchParams,
@@ -51,13 +52,14 @@ from cme.market import (
     producer_support,
 )
 from markets_util import far_pair, random_allocation, random_config, with_consumer, with_topic
-from cme.scenario import parse_sweep
+from cme.scenario import _row_seed, parse_sweep
 from oracles import (
     consumers_dense,
     dense_objective,
     dense_support_weights,
     dense_tables,
     dense_weights,
+    tiled_scan,
     water_fill_rows_sorted,
 )
 from reference_search import (
@@ -632,8 +634,10 @@ class TestIncumbentValue:
 
 
 class TestTiledScan:
-    """The scan walks the candidates in tiles of _TILE // N rows: at N = 200
-    the 202 candidates take three tiles."""
+    """At N = 200 the 202 x 200 (candidate, producer) pairs exceed _TILE:
+    the dim-1 scan values each producer on the run of candidates its cone
+    bounds leave, in chunks of at most _TILE pairs; in dim 2 the scan walks
+    the stored tables in tiles of _TILE // N rows."""
 
     N = 200
 
@@ -646,12 +650,12 @@ class TestTiledScan:
         return cfg, d, support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
 
     def test_block_matches_per_producer_search(self):
-        # quality decays faster than interest, so the picks spread over
-        # every tile; every consumer holds direct rates (the rows term)
+        # quality decays faster than interest, so the picks spread over the
+        # whole line; every consumer holds direct rates, so every producer
+        # is valued at every candidate, and without them each on its own run
         rng = np.random.default_rng(140)
         cfg, d, W = self._market(rng, 3.0, 6.0)
         grid = TopicGrid(cfg, SEARCH)
-        rows = _TILE // self.N
         d_i, d_infl = discount(d.mu_i, cfg.delay), discount(d.mu_infl, cfg.delay)
         d_direct = discount(d.direct.toarray(), cfg.delay)
         for prev in (d.X, None):
@@ -663,13 +667,20 @@ class TestTiledScan:
                 assert block.degenerate[z] == degenerate
                 np.testing.assert_allclose(block.topics[z], x, rtol=0.0, atol=1e-9)
                 assert cfg.r_p * block.values[z] == pytest.approx(value, rel=1e-9, abs=0.0)
-        picks = np.searchsorted(grid.points[:, 0], block.topics[:, 0])
-        assert set(picks // rows) == {0, 1, 2}
+        G = len(grid.points)
+        assert set(np.searchsorted(grid.points[:, 0], block.topics[:, 0]) * 3 // G) == {0, 1, 2}
+        lo, hi = _LineScan(W, grid, np.arange(self.N)).ranges()
+        assert np.all(lo == 0) and np.all(hi == G - 1)
+        one = PeerWeights.rank_one(W.u, W.v)
+        best = bestresponse._scan(one, grid, slice(None))[0]
+        lo, hi = _LineScan(one, grid, np.arange(self.N)).ranges()
+        assert np.all((lo <= best) & (best <= hi)) and np.sum(hi - lo + 1) < G * self.N / 2
 
     def test_ties_go_to_the_first_candidate_across_tiles(self):
         # every exp rounds to 1.0 and one consumer alone follows, so each
-        # sum holds one nonzero term: every candidate of every tile ties
-        # bit for bit, in any summation order, and the first, 0, must win
+        # sum holds one nonzero term: every candidate ties bit for bit, in
+        # any summation order, no bound can drop one, and the first, 0,
+        # must win
         rng = np.random.default_rng(141)
         cfg, _, _ = self._market(rng, 1e-17, 1e-17)
         u = np.zeros(self.N)
@@ -697,6 +708,133 @@ class TestTiledScan:
         W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
         block = producer_block(W, grid, cfg)
         assert block.topics[0].tolist() == [1.0, 1.0]
+
+
+_A_F = [0.5, 3.0, 450.0, 1e3, 5000.0]
+
+
+def _line_market(rng, n, a_f, layout):
+    """A dim-1 market of n members at uniform interests, each of them
+    repeated ("twins") or with members at 0 and at 1, one of them twice
+    ("ends")."""
+    y = rng.uniform(0.0, 1.0, n)
+    if layout == "twins":
+        y = np.repeat(y[:(n + 1) // 2], 2)[:n]
+    elif layout == "ends":
+        y[0], y[-1] = 0.0, 1.0
+        y[1 % n] = rng.choice([0.0, 1.0])
+    return MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y), m=1.0,
+                        m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
+                        kernel=KernelParams(a_f=a_f, a_g=float(rng.uniform(0.5, 8.0))))
+
+
+def _line_weights(rng, n, density, case):
+    """PeerWeights with direct weights on every row ("all", each row
+    holding a random share of the producers), on about a tenth of the rows
+    or on none; u = 0 ("u0") or most of v zero ("v0", as at a fixed
+    budget)."""
+    u, v = rng.uniform(0.0, 1.0, (2, n))
+    if case == "u0":
+        u[:] = 0.0
+    elif case == "v0":
+        v[rng.uniform(size=n) < 0.7] = 0.0
+    rated = {"all": np.ones(n, dtype=bool), "tenth": rng.uniform(size=n) < 0.1,
+             "none": np.zeros(n, dtype=bool)}[density]
+    table = rng.uniform(0.0, 1.0, (n, n))
+    table[rng.uniform(size=(n, n)) >= rng.uniform(size=(n, 1))] = 0.0
+    table[~rated] = 0.0
+    np.fill_diagonal(table, 0.0)
+    return PeerWeights(u, v, DirectRates.from_dense(table))
+
+
+class TestLineScanAgainstTiles:
+    """The dim-1 scan (kernel sums, cone bounds, runs of candidates) against
+    the tiled scan it replaced, ``oracles.tiled_scan``, on random markets
+    either side of G * N = _TILE (N = 127 and 128), under steep and flat
+    interest kernels, with direct weights on every row, a tenth of the rows
+    and none, u = 0, zeros in v, twin interests and members at 0 and 1."""
+
+    @pytest.mark.parametrize("a_f", _A_F)
+    @pytest.mark.parametrize("n", [5, 63, 126, 127, 128, 200, 1100])
+    def test_scan_matches_the_tiles(self, n, a_f):
+        k = _A_F.index(a_f)
+        rng = np.random.default_rng(230 + 7 * n + k)
+        rel, tiny = 1e-12, 4 * np.finfo(float).smallest_subnormal
+        for i, density in enumerate(("all", "tenth", "none")):
+            cfg = _line_market(rng, n, a_f, ("plain", "twins", "ends")[(i + 2 * k) % 3])
+            W = _line_weights(rng, n, density, ("plain", "u0", "v0")[(i + k) % 3])
+            grid = TopicGrid(cfg, SEARCH)
+            for cols in (slice(None), slice(n // 3, n)):
+                best, value = bestresponse._scan(W, grid, cols)
+                want_best, want = tiled_scan(W, grid, cfg, cols)
+                np.testing.assert_allclose(value, want, rtol=rel, atol=tiny)
+                # another pick only where the oracle's top two lie within rel
+                other = np.flatnonzero(best != want_best)
+                if other.size:
+                    z = np.arange(n)[cols][other]
+                    at = dense_objective(grid.points[best[other]], dense_weights(W), z, cfg)
+                    assert np.all(at >= want[other] * (1.0 - rel) - tiny)
+
+
+class TestKernelSums:
+    """``TopicGrid.kernel_sums`` against the dense sums, and what the dim-1
+    scan holds and values."""
+
+    @pytest.mark.parametrize("a_f", [0.5, 3.0, 64.0, 64.5, 450.0, 1e3, 5000.0])
+    def test_sums_match_the_dense_sums(self, a_f):
+        # members at 0 and 1 and twins; exp(a_f * y) alone would overflow
+        # from a_f = 710, and warnings are errors here
+        rng = np.random.default_rng(250 + int(a_f))
+        cfg = _line_market(rng, 300, a_f, "ends")
+        grid = TopicGrid(cfg, SEARCH)
+        x = grid.points[:, 0]
+        h = rng.uniform(0.0, 1.0, (4, x.size))
+        h[rng.uniform(size=h.shape) < 0.3] = 0.0
+        h[1] *= 1e-30
+        h[2, 1:] = 0.0
+        want = h @ np.exp(-a_f * np.abs(x[:, None] - x))
+        np.testing.assert_allclose(grid.kernel_sums(h), want, rtol=1e-12,
+                                   atol=4 * np.finfo(float).smallest_subnormal)
+
+    def test_scan_holds_no_table(self):
+        # one grid_best at N = 2000, half the consumers holding about
+        # 2 sqrt(N) direct weights, as at a fixed budget: the kernel sums,
+        # the weights by producer and chunks of at most _TILE pairs, well
+        # under one (G, N) table
+        n = 2000
+        rng = np.random.default_rng(260)
+        cfg = _line_market(rng, n, 3.0, "plain")
+        rows = np.repeat(np.flatnonzero(rng.uniform(size=n) < 0.5), 90)
+        cols = (rows + rng.integers(1, n, rows.size)) % n
+        key = np.unique(rows * n + cols)
+        S = DirectRates.from_entries((n, n), key // n, key % n, rng.uniform(0.0, 1.0, key.size))
+        W = PeerWeights(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n), S)
+        grid = TopicGrid(cfg, SEARCH)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grid_best(W, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        table = 8 * len(grid.points) * n
+        assert peak < table / 4, f"peak {peak / table:.3f} tables"
+
+    def test_few_pairs_are_valued_on_the_bench_market(self, monkeypatch):
+        # the perfect run at N = 1000 and M_infl = N of the benchmark's
+        # seed-2026 market: its two scans value 9.4% of the G * N pairs,
+        # padding and the bounds' own values included
+        spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
+        n = 1000
+        cfg = spec.base.build_config(n=n, m_infl=spec.m_infl_for(n), seed=_row_seed(2026, n, 0))
+        values, valued, scans = _LineScan.values, [], []
+        monkeypatch.setattr(_LineScan, "values",
+                            lambda *args: (valued.append((out := values(*args)).size), out)[1])
+        scan = bestresponse._scan
+        monkeypatch.setattr(bestresponse, "_scan", lambda *args: (scans.append(1), scan(*args))[1])
+        run_dynamics(cfg, GameMode.PERFECT, params=DynamicsParams(restarts=0))
+        assert len(scans) >= 2
+        assert sum(valued) < 0.1 * len(scans) * (n + 2) * n
 
 
 def _breakpoint_market(rng, t):
@@ -915,10 +1053,13 @@ class TestPeerWeightsAgainstDense:
 
         P, Q = dense_tables(grid.points, cfg)
         scan = Q * (P @ dense)
-        rows = W.S.rated_rows()
-        got = np.concatenate([_tile_objective(W, rows, W.S.dense_rows(rows),
-                                              *grid.tables(slice(None)), c)
-                              for c in chunks(n)], axis=1)
+        if dim == 1:  # every candidate of every producer
+            got = _LineScan(W, grid, np.arange(n)).values(slice(None)).T
+        else:
+            rows = W.S.rated_rows()
+            got = np.concatenate([_tile_objective(W, rows, W.S.dense_rows(rows),
+                                                  grid.P, grid.Q, c)
+                                  for c in chunks(n)], axis=1)
         np.testing.assert_allclose(got, scan, **close)
         np.testing.assert_allclose(grid_best(W, grid), scan.max(axis=0), **close)
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import reference_search as ref
 from cme import bestresponse, equilibrium, market
 from cme.allocator import WeightedChannels, water_fill
-from cme.bestresponse import _CHUNK, GameMode, TopicGrid, TopicSearchParams, grid_best
+from cme.bestresponse import _CHUNK, _TILE, GameMode, TopicGrid, TopicSearchParams, grid_best
 from cme.equilibrium import (
     DynamicsParams,
     check_nash,
@@ -1058,17 +1058,21 @@ def _traced_run(cfg, mode):
 @pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
 def test_fixed_budget_run_peak_memory(mode):
     # At M_infl = 5 half the consumers hold direct rates, about 20 each.
-    # The peer weights hold delta(direct) on the state's sparse rows, and
-    # every value reads B at the stored entries only.  The run's peak is B,
-    # plus the producer scan's dense (r, N) rows of delta(direct) over the r
-    # rated consumers (perfect) or the imperfect round's rebuilt match rows
-    # of its movers found inactive, plus the scan's tile and the blocks'
-    # chunk temporaries: no (N, N) direct and no (N, r) gather of B.
-    # Measured at N = 600: 1.98 (perfect) and 1.96 (imperfect) tables of
-    # 8 * N**2 bytes against a bound of 2.18; 2.37 and 2.42 while the peer
-    # weights held dense (r, N) rows and each value gathered B's (N, r)
-    # rated columns; 5.04 and 5.05 while every state held dense direct
-    # rates.
+    # The run's peak holds B; about eight arrays of nnz entries (two
+    # states' columns and rates, the peer weights' discounted rates, the
+    # dim-1 scan's copy by producer); and the larger of the consumer
+    # block's four (_CHUNK, N + 2) temporaries and the scan's chunk of at
+    # most _TILE (candidate, producer) pairs, at most ten arrays of it with
+    # the direct term's kernel sums.  No (r, N) rows of delta(direct), no
+    # (N, r) gather of B, and the imperfect round rebuilds its movers' match
+    # rows in chunks of _CHUNK.  Measured at N = 600: 1.62 (perfect, in the
+    # scan) and 1.63 (imperfect, in the consumer block) tables of
+    # 8 * N**2 bytes against a bound of 1.76; 1.98 and 1.96 while the scan
+    # built the rated rows of delta(direct) dense for its tiles' products
+    # and the imperfect round rebuilt its movers' rows as one table; 2.37
+    # and 2.42 while the peer weights held dense (r, N) rows and each value
+    # gathered B's (N, r) rated columns; 5.04 and 5.05 while every state
+    # held dense direct rates.
     spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
     n = 600
     cfg = spec.base.build_config(n=n, m_infl=5.0, seed=spec.base.seed)
@@ -1076,7 +1080,7 @@ def test_fixed_budget_run_peak_memory(mode):
     direct = res.omega.direct
     r = direct.rated_rows().size
     assert direct.nnz > 10 * r > 10 * n // 4
-    bound = 8 * n * n + 1.5 * 8 * r * n + 4 * 8 * _CHUNK * (n + 2)
+    bound = 8 * n * n + 8 * 8 * direct.nnz + max(4 * 8 * _CHUNK * (n + 2), 10 * 8 * _TILE)
     assert peak <= bound, f"peak {peak / bound:.2f} of the bound"
 
 
