@@ -194,7 +194,10 @@ class TopicGrid:
         exp(+-a (x - 1/2)) are stored, within exp(+-_STEEP / 2); above
         a_f = _STEEP they could overflow, so the two sides run the
         recurrence L[g] = f(x_g - x_{g-1}) * L[g - 1] + h[g] by doubling,
-        every factor at most 1: log2(G) passes."""
+        every factor at most 1: log2(G) passes.  The doubling alone would
+        serve every a_f, but it takes 4-5 times as long as the cumulative
+        sums, and it made a fixed-budget run at N = 2000 about 1.5 times as
+        slow (1.1 s against 1.6 s on a 2-core host)."""
         if self._up is not None:
             left = h * self._up
             np.cumsum(left, axis=1, out=left)
@@ -354,7 +357,6 @@ class _LineScan:
         self.weights, self.grid, self.z = weights, grid, z
         self.x, self.y = grid.points[:, 0], cfg.interest_array()[:, 0]
         self.a_f, self.a_g = cfg.kernel.a_f, cfg.kernel.a_g
-        self.every = np.arange(self.x.size)[None]
         h = np.bincount(grid.members, weights.u, minlength=self.x.size)
         self.A = grid.kernel_sums(h[None])[0]
         S = weights.S
@@ -364,22 +366,14 @@ class _LineScan:
             self.held, self.rates = grid.members[S.row_ids()[order]], S.rates[order]
             self.start = np.cumsum(self.count) - self.count
 
-    def _runs(self, lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
-        """The candidates lo to hi of each row, (c, w), a shorter run
-        repeating its last; every candidate, (1, G), when lo is None."""
-        if lo is None:
-            return self.every
-        return np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), hi[:, None])
-
-    def values(self, j: np.ndarray | slice, lo: np.ndarray | None = None,
-               hi: np.ndarray | None = None) -> np.ndarray:
+    def values(self, j: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The objectives of producers z[j] (c,) at their runs of candidates
-        lo to hi (``_runs``), (c, w); at every candidate when lo is None.  A
-        producer holding a stored weight is valued at every candidate
-        (``ranges``), so a chunk with one spans them all."""
+        lo to hi, (c, w), a shorter run repeating its last.  A producer
+        holding a stored weight is valued at every candidate (``ranges``),
+        so a chunk with one spans them all."""
         u, v, a_f = self.weights.u, self.weights.v, self.a_f
         z = self.z[j]
-        g = self._runs(lo, hi)
+        g = np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), hi[:, None])
         d = np.subtract(self.x[g], self.y[z][:, None])
         np.abs(d, out=d)
         total = self.A[g]
@@ -388,7 +382,7 @@ class _LineScan:
         np.exp(own, out=own)
         own *= u[z][:, None]
         vals = less_own(total, own, lambda r, c: (np.exp(-a_f * np.abs(
-            self.x[c if lo is None else np.minimum(lo[r] + c, hi[r])][:, None] - self.y)) * u,
+            self.x[np.minimum(lo[r] + c, hi[r])][:, None] - self.y)) * u,
             z[r]))
         del total
         vals *= v[z][:, None]
@@ -406,17 +400,12 @@ class _LineScan:
         h = np.bincount(row * G + self.held[at], self.rates[at], minlength=z.size * G)
         return self.grid.kernel_sums(h.reshape(z.size, G))
 
-    def best_in(self, lo: np.ndarray | None, hi: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+    def best_in(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index and objective of the first best candidate of each producer
-        among candidates lo to hi, or among every candidate when lo is None.
-        The runs are taken in order of length, in chunks of at most _TILE
-        pairs (one producer at least); a shorter run repeats its last
-        candidate, which, coming after it, cannot be the first best."""
-        if lo is None:
-            vals = self.values(slice(None))
-            best = np.argmax(vals, axis=1)
-            return best, vals[np.arange(best.size), best]
+        among candidates lo to hi.  The runs are taken in order of length,
+        in chunks of at most _TILE pairs (one producer at least); a shorter
+        run repeats its last candidate, which, coming after it, cannot be
+        the first best."""
         best, value = np.empty(lo.size, dtype=np.intp), np.empty(lo.size)
         order = np.argsort(hi - lo, kind="stable")
         s = 0
@@ -453,8 +442,8 @@ class _LineScan:
         with np.errstate(divide="ignore"):
             west, east = np.log(self.A) + a * self.x, (np.log(self.A) - a * self.x)[::-1]
         left, right = np.maximum.accumulate(west), np.maximum.accumulate(east)
-        at_left = np.maximum.accumulate(np.where(west == left, self.every[0], 0))
-        at_right = G - 1 - np.maximum.accumulate(np.where(east == right, self.every[0], 0))
+        at_left = np.maximum.accumulate(np.where(west == left, np.arange(G), 0))
+        at_right = G - 1 - np.maximum.accumulate(np.where(east == right, np.arange(G), 0))
         on_left = left[me] - a * y >= right[G - 1 - me] + a * y
         seed = np.where(on_left, at_left[me], at_right[G - 1 - me])
         rated = self.count[self.z] > 0
@@ -483,8 +472,9 @@ def _scan(weights: PeerWeights, grid: TopicGrid, cols: slice) -> tuple[np.ndarra
     z = np.arange(weights.u.size)[cols]
     if grid.P is None:
         line = _LineScan(weights, grid, z)
-        if len(grid.points) * z.size <= _TILE:
-            return line.best_in(None)
+        G = len(grid.points)
+        if G * z.size <= _TILE:
+            return line.best_in(np.zeros(z.size, dtype=np.intp), np.full(z.size, G - 1))
         return line.best_in(*line.ranges())
     best, value = np.zeros(z.size, dtype=np.intp), np.full(z.size, -np.inf)
     rows = weights.S.rated_rows()

@@ -1054,7 +1054,9 @@ class TestPeerWeightsAgainstDense:
         P, Q = dense_tables(grid.points, cfg)
         scan = Q * (P @ dense)
         if dim == 1:  # every candidate of every producer
-            got = _LineScan(W, grid, np.arange(n)).values(slice(None)).T
+            G = len(grid.points)
+            got = _LineScan(W, grid, np.arange(n)).values(
+                np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, G - 1)).T
         else:
             rows = W.S.rated_rows()
             got = np.concatenate([_tile_objective(W, rows, W.S.dense_rows(rows),
