@@ -119,33 +119,13 @@ def _objective(rates: np.ndarray, weights: np.ndarray, beta: float) -> float:
 
 def _candidates(W: np.ndarray, top: np.ndarray, bm: float) -> np.ndarray:
     """Mask of the channels of each row of W that can be active at
-    beta * M = bm: w_i > max(w) * exp(-bm) (module docstring), top (n,)
+    beta * M = bm: w_i >= max(w) * exp(-bm) (module docstring), top (n,)
     holding each row's max(w), the bound lowered by a relative 1e-9 so that
-    rounding never drops a channel.  Once exp(-bm) underflows, every
-    positive weight is a candidate.  A normal max(w) always lies above its
-    bound, so it stays a candidate; a subnormal one can round the bound up
-    to itself (``_normal_rows``)."""
-    return W > top[:, None] * (math.exp(-bm) * (1.0 - 1e-9))
-
-
-def _normal_rows(W: np.ndarray, beta: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """W with every row whose max(w) or beta * max(w) is not a normal float
-    (its bound in ``_candidates`` could drop it, beta * w could lose bits
-    or underflow to 0) scaled by the exact power of two 2**s that brings
-    beta * max(w) into [1/4, 1), each row's max(w) as scaled, and each
-    row's s (0 on the other rows); (W, max(w), None) when no row needs it.
-    A scaled row has the same split, its log nu shifted by s * log 2."""
-    top = W.max(axis=1)
-    small = min(beta, 1.0) * top < np.finfo(float).tiny
-    if not np.any(small):
-        return W, top, None
-    s = np.zeros(W.shape[0], dtype=int)
-    s[small] = -(np.frexp(top[small])[1] + np.frexp(beta)[1])
-    W = W.copy()
-    W[small] = np.ldexp(W[small], s[small, None])
-    top[small] = np.ldexp(top[small], s[small])
-    return W, top, s
+    rounding never drops a channel.  The bound never exceeds max(w), so
+    each row's top stays a candidate, even a subnormal one that the bound
+    rounds back up to.  Once the bound underflows to 0, every channel is a
+    candidate; a zero weight's log is -inf, and it never becomes active."""
+    return W >= top[:, None] * (math.exp(-bm) * (1.0 - 1e-9))
 
 
 def _water_fill_sparse(W: np.ndarray, budget: float, beta: float
@@ -156,20 +136,22 @@ def _water_fill_sparse(W: np.ndarray, budget: float, beta: float
     rates, zero for a candidate found inactive, and each row's log nu.
     Every other channel's rate is zero.
 
-    Every row must hold a positive weight.  A row of tiny weights is
-    solved scaled (``_normal_rows``).  The candidates are gathered into an
-    (n, K) table, K the largest candidate count, padded with -inf, the
-    log of a zero weight, which sorts last and never becomes active.
+    Every row must hold a positive weight.  The candidates are gathered
+    into an (n, K) table, K the largest candidate count, padded with -inf,
+    the log of a zero weight, which sorts last and never becomes active.
 
     The logs are centred on the row's top, a_i - a_1 = log(w_i / max(w)),
     so the top channel's is exactly 0 and every candidate's lies within
     about beta * M of it (``_centred_logs``).  The level and the rates are
     then sums of numbers of the size of beta * M, and the rates keep the
     budget however small beta * M is against |log(beta * w)|; a row with
-    one active channel gives it exactly M.
+    one active channel gives it exactly M.  An exact power-of-two scale of
+    a row leaves every w_i / max(w), and so its split, as it is, and log
+    nu = level + (log beta + log max(w)) needs no product beta * max(w):
+    a row of tiny weights, even subnormal ones, is solved as it stands.
     """
     n, N = W.shape
-    W, top, shift = _normal_rows(W, beta)
+    top = W.max(axis=1)
     bm = beta * budget
     flat = np.flatnonzero(_candidates(W, top, bm))
     count = np.bincount(flat // N, minlength=n)
@@ -189,10 +171,7 @@ def _water_fill_sparse(W: np.ndarray, budget: float, beta: float
     np.maximum(a, 0.0, out=a)
     a /= bm
     a *= budget
-    log_nu = level + np.log(beta * top)
-    if shift is not None:
-        log_nu -= shift * math.log(2.0)
-    return flat, a[slots], log_nu
+    return flat, a[slots], level + (math.log(beta) + np.log(top))
 
 
 def _centred_logs(w: np.ndarray, top: np.ndarray) -> np.ndarray:

@@ -388,17 +388,21 @@ def less_own(total: np.ndarray, own: np.ndarray, terms) -> np.ndarray:
     Where own is more than half of total, the difference would keep little
     but rounding noise (a member whose own weight dominates the sum, as
     under a sharply peaked kernel), so those entries are summed again
-    without it: ``terms(*idx)`` gives their (f, N) terms and the (f,)
-    columns z, idx being ``np.nonzero`` of the entries.  Each entry reads
-    only its own row, so any chunking of the rows gives the same floats.
+    without it, in ``chunks``: ``terms(*idx)`` gives a chunk's (c, N)
+    terms and its (c,) columns z, idx being that chunk of the entries'
+    ``np.nonzero``.  Each entry reads only its own row, so any chunking of
+    the rows gives the same floats, and no more than one chunk's terms are
+    held, however many entries are summed again.
     """
     redo = own > 0.5 * total
     out = np.subtract(total, own, out=own)
-    if redo.any():
+    if redo.any():  # np.nonzero of a 2-D mask costs tens of microseconds
         redo = np.nonzero(redo)
-        T, z = terms(*redo)
-        T[np.arange(z.size), z] = 0.0
-        out[redo] = T.sum(axis=1)
+        for c in chunks(redo[0].size):
+            idx = tuple(i[c] for i in redo)
+            T, z = terms(*idx)
+            T[np.arange(z.size), z] = 0.0
+            out[idx] = T.sum(axis=1)
     return out
 
 

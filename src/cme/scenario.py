@@ -411,8 +411,10 @@ def allocation_to_dict(omega: MarketAllocation) -> dict:
 
 def allocation_from_dict(d: dict) -> MarketAllocation:
     """Inverse of ``allocation_to_dict``; a missing or wrongly typed value,
-    or a direct rate on an unknown producer, raises ScenarioError naming
-    it.  Values are checked by ``MarketAllocation.validate``."""
+    a producer key other than the str(z) that ``allocation_to_dict``
+    writes ("01", "+1", " 1", "1_0" would each read as a producer too), or
+    a direct rate on an unknown producer, raises ScenarioError naming it.
+    Values are checked by ``MarketAllocation.validate``."""
     consumers = _field(d, "consumers", "allocation")
     if not isinstance(consumers, list):
         raise ScenarioError("allocation 'consumers' must be a list")
@@ -429,6 +431,8 @@ def allocation_from_dict(d: dict) -> MarketAllocation:
         for key in rates:
             try:
                 z = int(key)
+                if key != str(z):
+                    raise ValueError(key)
             except ValueError:
                 raise ScenarioError(
                     f"{where}: mu_direct key {key!r} is not a producer index") from None
@@ -479,12 +483,25 @@ def write_json(payload: dict, path: Path) -> None:
                     encoding="utf-8")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice, of
+    which ``json.loads`` would silently keep only the last."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ScenarioError(f"repeated key {key!r} in one JSON object")
+        d[key] = value
+    return d
+
+
 def load_result(path: str | os.PathLike) -> dict:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot load result file ({exc})") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     for key in ("config", "allocation", "mode"):
         if key not in payload:
             raise ScenarioError(f"{path}: result file missing '{key}'")

@@ -292,16 +292,12 @@ def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
     """The closed form with every channel of every row sorted: the
     reference of ``water_fill_rows``, which sorts only the
     channels that can be active and must return the same floats.  Returns
-    (rates, log nu); every row must hold a positive weight.  A row whose
-    max(w) or beta * max(w) is not a normal float is solved scaled by 2**s,
-    s making beta * max(w) lie in [1/4, 1), and its log nu shifted back by
-    s * log 2.  The logs are centred on the row's top, as the engine's."""
+    (rates, log nu); every row must hold a positive weight.  The logs are
+    centred on the row's top and log nu is level + (log beta + log max(w)),
+    as the engine's, so a row of tiny weights needs no scaling."""
     top = W.max(axis=1)
-    s = np.where(min(beta, 1.0) * top < np.finfo(float).tiny,
-                 -(np.frexp(top)[1] + np.frexp(beta)[1]), 0)
-    top = np.ldexp(top, s)
     bm = beta * budget
-    a = _centred_logs(np.ldexp(W, s[:, None]), np.broadcast_to(top[:, None], W.shape))
+    a = _centred_logs(W, np.broadcast_to(top[:, None], W.shape))
     desc = np.sort(a, axis=1)[:, ::-1]
     level = np.cumsum(desc, axis=1)
     level -= bm
@@ -312,7 +308,7 @@ def water_fill_rows_sorted(W: np.ndarray, budget: float, beta: float
     np.maximum(a, 0.0, out=a)
     a /= bm
     a *= budget
-    return a, level + np.log(beta * top) - s * math.log(2.0)
+    return a, level + (math.log(beta) + np.log(top))
 
 
 def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams

@@ -13,7 +13,6 @@ from cme.allocator import (
     DegenerateWeightsError,
     WeightedChannels,
     _candidates,
-    _normal_rows,
     rates_with,
     water_fill,
 )
@@ -276,7 +275,7 @@ class TestCandidateSort:
         W = np.array([[3.0, 2.0, 1.0, 0.0]])
         rates, log_nu = water_fill_rows(W, 4.0, beta)
         tiny_rates, tiny_log_nu = water_fill_rows(np.ldexp(W, -1074), 4.0, beta)
-        np.testing.assert_allclose(tiny_rates, rates, rtol=1e-12)
+        assert np.array_equal(tiny_rates, rates)  # every w / max(w) is the same float
         assert tiny_rates[0, 3] == 0.0 and tiny_rates.sum() == pytest.approx(4.0, rel=1e-14)
         assert tiny_log_nu[0] == pytest.approx(log_nu[0] - 1074 * math.log(2.0), rel=1e-14)
 
@@ -285,19 +284,18 @@ class TestCandidateSort:
                     elements=st.floats(0.0, 1e300) | st.sampled_from([0.0, 1.0])),
            bm=st.floats(1e-3, 1e3), beta=st.floats(0.1, 10.0))
     # a subnormal max: its bound rounds back up to it; beta * w underflows
-    # to 0; the second weight's bound rounds up to it unless the row is
-    # scaled; beta * max(w) is normal but max(w) is not
+    # to 0; the second weight's bound rounds up to it, and >= keeps it;
+    # beta * max(w) is normal but max(w) is not; beta * max(w) overflows
     @example(W=np.array([[5e-324]]), bm=0.5, beta=1.0)
     @example(W=np.array([[5e-324]]), bm=1.0, beta=0.5)
     @example(W=np.array([[1.5e-323, 1e-323]]), bm=0.5, beta=1.0)
     @example(W=np.array([[5e-324, 0.0]]), bm=0.5, beta=10.0)
+    @example(W=np.array([[1e308, 5e307, 0.0]]), bm=10.0, beta=10.0)
     def test_candidates_hold_the_active_set(self, W, bm, beta):
         W[np.max(W, axis=1) == 0.0, 0] = 1.0
         old_rates, old_log_nu = water_fill_rows_sorted(W, bm / beta, beta)
         assert np.all(np.isfinite(old_log_nu))
-        scaled, top, _ = _normal_rows(W, beta)
-        assert np.array_equal(top, scaled.max(axis=1))
-        assert np.all(_candidates(scaled, top, bm)[old_rates > 0.0])
+        assert np.all(_candidates(W, W.max(axis=1), bm)[old_rates > 0.0])
         rates, log_nu = water_fill_rows(W, bm / beta, beta)
         assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
 

@@ -796,11 +796,14 @@ class TestKernelSums:
         np.testing.assert_allclose(grid.kernel_sums(h), want, rtol=1e-12,
                                    atol=4 * np.finfo(float).smallest_subnormal)
 
-    def test_scan_holds_no_table(self):
+    @pytest.mark.parametrize("follower", ["spread", "dominant"])
+    def test_scan_holds_no_table(self, follower):
         # one grid_best at N = 2000, half the consumers holding about
         # 2 sqrt(N) direct weights, as at a fixed budget: the kernel sums,
         # the weights by producer and chunks of at most _TILE pairs, well
-        # under one (G, N) table
+        # under one (G, N) table.  With one dominant follower, its own term
+        # is most of every candidate's sum, and ``less_own`` sums all of
+        # that producer's candidates again, a chunk at a time
         n = 2000
         rng = np.random.default_rng(260)
         cfg = _line_market(rng, n, 3.0, "plain")
@@ -808,7 +811,10 @@ class TestKernelSums:
         cols = (rows + rng.integers(1, n, rows.size)) % n
         key = np.unique(rows * n + cols)
         S = DirectRates.from_entries((n, n), key // n, key % n, rng.uniform(0.0, 1.0, key.size))
-        W = PeerWeights(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n), S)
+        u, v = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        if follower == "dominant":
+            u = np.r_[1.0, np.full(n - 1, 1e-9)]
+        W = PeerWeights(u, v, S)
         grid = TopicGrid(cfg, SEARCH)
         tracemalloc.start()
         try:

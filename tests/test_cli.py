@@ -183,6 +183,19 @@ def test_check_malformed_result_exits_2_naming_file_and_key(tmp_path, capsys, ed
         assert str(path) in err
 
 
+def test_check_refuses_a_repeated_key(tmp_path, capsys):
+    # json.loads alone keeps the last of two equal keys, here the 0.1
+    run(["solve", SYMMETRIC, "--mode", "perfect", "--out", str(tmp_path)]
+        + FAST, capsys)
+    path = tmp_path / "symmetric_perfect.json"
+    payload = json.loads(path.read_text())
+    payload["allocation"]["consumers"][0]["mu_direct"] = {"1": 0.1}
+    path.write_text(json.dumps(payload).replace('{"1": 0.1}', '{"1": 0.4, "1": 0.1}'))
+    code, out, err = run(["check", str(path), "--grid", "64"], capsys)
+    assert code == 2 and out == ""
+    assert str(path) in err and "repeated key '1'" in err
+
+
 def test_sweep_prints_each_failed_row(tmp_path, capsys, monkeypatch):
     def fail(cfg, params=None, search=None):
         raise ArithmeticError(f"no equilibrium at N={cfg.n}")

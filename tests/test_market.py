@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,3 +559,24 @@ class TestMatchReductionsAgainstBlas:
         assert np.any(np.diagonal(B) * d > 0.5 * (B @ d))  # the redo branch runs
         assert np.any(np.diagonal(B) * d > 0.5 * (B.T @ d))
         self._agree(d, B)
+
+    def test_a_steep_kernel_sums_again_in_chunks(self):
+        # N = 2000 producers at evenly spaced interests under a_f = 1e4: each
+        # one's own term is most of its row's sum, so every row is summed
+        # again without it, a chunk of rows at a time, well under a copy of B
+        n = 2000
+        y = (np.arange(n) + 0.5) / n
+        cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y), m=1.0,
+                           m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
+                           kernel=KernelParams(a_f=1e4, a_g=1.0))
+        B = match_matrix(cfg.interest_array(), cfg)
+        d = np.random.default_rng(37).uniform(0.1, 1.0, n)
+        assert np.all(np.diagonal(B) * d > 0.5 * np.einsum("zy,y->z", B, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            influencer_followed_match(d, B)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < B.nbytes / 4, f"peak {peak / B.nbytes:.3f} B"

@@ -253,12 +253,15 @@ def test_config_and_allocation_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("key, match", [("7", "unknown producer 7"), ("-1", "unknown producer -1"),
-                                        ("x", "mu_direct key 'x'")])
+                                        ("x", "mu_direct key 'x'"), ("01", "mu_direct key '01'"),
+                                        ("+1", "mu_direct key '\\+1'"),
+                                        (" 1", "mu_direct key ' 1'"),
+                                        ("1_0", "mu_direct key '1_0'")])
 def test_allocation_from_dict_rejects_unknown_producers(key, match):
     d = {"consumers": [{"lambda_out": 0.5, "mu_infl_follow": 0.5, "mu_direct": {key: 0.1}},
                        {"lambda_out": 0.5, "mu_infl_follow": 0.5, "mu_direct": {}}],
          "influencer": [0.5, 0.5], "content": [[0.2], [0.8]]}
-    with pytest.raises(ScenarioError, match=match):
+    with pytest.raises(ScenarioError, match=f"consumer 0.*{match}"):
         allocation_from_dict(d)
 
 

@@ -92,6 +92,12 @@ def test_one_weight_rates_keep_no_state():
     assert not hasattr(cme.allocator, "_log_weights")
 
 
+def test_tiny_weights_take_one_path():
+    # the water fill's centred logs alone handle a row of tiny weights: no
+    # second path that scales such a row by a power of two
+    assert not hasattr(cme.allocator, "_normal_rows")
+
+
 def test_peer_weights_hold_the_sparse_direct_rates():
     # delta(direct) stays the state's compressed sparse rows: no dense rows
     # in the weights, no gather of B's rated columns, no column read
