@@ -178,9 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "attention-constrained influencer.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
-        if seed:
-            sp.add_argument("--seed", type=int, help="override the scenario seed")
+    def common(sp):
+        sp.add_argument("--seed", type=int, help="override the scenario seed")
         sp.add_argument("--restarts", type=int,
                         help="override the number of random restarts")
         sp.add_argument("--grid", type=int,

@@ -297,30 +297,14 @@ def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
 
 def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                B: np.ndarray, scanned: np.ndarray) -> dict[str, float]:
-    n = cfg.n
     d = cfg.delay
     d_i = discount(omega.mu_i, d)
     d_infl = discount(omega.mu_infl, d)
 
-    # marginal utilities of the three channel kinds, per consumer
+    # marginal utilities of the outside and influencer channels, per consumer
     S = influencer_relayed_match(d_infl, B)           # follower value ahead of mu_i
     m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
     m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * S
-    # the direct marginals delta'(direct[y, z]) * r_p * B[z, y], z != y, and
-    # each consumer's best: delta'(0) = beta, so off the stored rates they
-    # are B scaled by beta * r_p, read a chunk of producer rows at a time
-    # with each stored rate's own marginal written in and the diagonal (no
-    # self channel) at -inf
-    direct = omega.direct
-    ys = direct.row_ids()
-    m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
-    m_dir_best = np.full(n, -np.inf)
-    for sl in chunks(n):
-        m_dir = B[sl] * (d.beta * cfg.r_p)
-        here = (direct.cols >= sl.start) & (direct.cols < sl.stop)
-        m_dir[direct.cols[here] - sl.start, ys[here]] = m_held[here]
-        m_dir[np.arange(m_dir.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
-        np.maximum(m_dir_best, m_dir.max(axis=0), out=m_dir_best)
 
     gate_m = 1e-12 * cfg.m
     gate_infl = 1e-12 * cfg.m_infl
@@ -338,23 +322,33 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     else:
         res["a_producer_topic"] = _support_producer_gap(omega, cfg, B, scanned)
 
-    # --- budgets ---
-    spent = omega.lam + omega.mu_i + direct.row_sums()
-    infl_budget = abs(float(omega.mu_infl.sum()) - cfg.m_infl)
+    # --- consumer budgets and channel marginals (KKT comparisons, gated on
+    # activity); the proxy regime has no direct channel to read ---
+    direct = omega.direct
     if mode is GameMode.PROXY:
         res["b_direct_rates_zero"] = float(direct.rates.sum())
         res["c_consumer_budget"] = float(np.max(np.abs(omega.lam + omega.mu_i - cfg.m)))
-    else:
-        res["b_consumer_budget"] = float(np.max(np.abs(spent - cfg.m)))
-    res["f_influencer_budget"] = infl_budget
-
-    # --- consumer channel marginals (KKT comparisons, gated on activity) ---
-    if mode is GameMode.PROXY:
         res["d_outside_optimal"] = gated_max(omega.lam > gate_m,
                                              np.maximum(0.0, m_infl - m_out))
         res["e_influencer_optimal"] = gated_max(omega.mu_i > gate_m,
                                                 np.maximum(0.0, m_out - m_infl))
     else:
+        # the direct marginals delta'(direct[y, z]) * r_p * B[z, y], z != y, and
+        # each consumer's best: delta'(0) = beta, so off the stored rates they
+        # are B scaled by beta * r_p, read a chunk of producer rows at a time
+        # with each stored rate's own marginal written in and the diagonal (no
+        # self channel) at -inf
+        ys = direct.row_ids()
+        m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
+        m_dir_best = np.full(cfg.n, -np.inf)
+        for sl in chunks(cfg.n):
+            m_dir = B[sl] * (d.beta * cfg.r_p)
+            here = (direct.cols >= sl.start) & (direct.cols < sl.stop)
+            m_dir[direct.cols[here] - sl.start, ys[here]] = m_held[here]
+            m_dir[np.arange(m_dir.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
+            np.maximum(m_dir_best, m_dir.max(axis=0), out=m_dir_best)
+        spent = omega.lam + omega.mu_i + direct.row_sums()
+        res["b_consumer_budget"] = float(np.max(np.abs(spent - cfg.m)))
         best_rival_out = np.maximum(m_infl, m_dir_best)
         res["c_outside_optimal"] = gated_max(omega.lam > gate_m,
                                              np.maximum(0.0, best_rival_out - m_out))
@@ -365,9 +359,10 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         res["e_direct_optimal"] = gated_max(direct.rates > gate_m,
                                             np.maximum(0.0, rival[ys] - m_held))
 
-    # --- influencer allocation marginals ---
+    # --- influencer budget and allocation marginals ---
+    res["f_influencer_budget"] = abs(float(omega.mu_infl.sum()) - cfg.m_infl)
     g_marginal = discount_deriv(omega.mu_infl, d) * gamma
-    best = float(np.max(g_marginal)) if n else 0.0
+    best = float(np.max(g_marginal))
     res["g_influencer_allocation"] = gated_max(omega.mu_infl > gate_infl,
                                                np.maximum(0.0, best - g_marginal))
     return res

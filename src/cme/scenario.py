@@ -26,6 +26,10 @@ Sweep files (`.swp`) add a ``[sweep]`` section scaling the community size,
 with the influencer budget either fixed or proportional (``k_infl * N``).
 Each (N, replicate) row derives its own seed from the base seed, so output
 is byte-identical across repeat runs and worker counts.
+
+A bad value fails at parse time, naming the file: the types a file builds
+check their own rules (``InterestSpec``, ``SweepSpec``, ``MarketConfig``
+through the market built once from the file), for specs built in code too.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .equilibrium import (
     NashCertificate,
     price_of_influence,
 )
-from .kernels import DelayParams, KernelParams, TopicPoint
+from .kernels import DelayParams, InvalidInputError, KernelParams, TopicPoint
 from .market import DirectRates, InfluencerAllocation, MarketAllocation, MarketConfig
 
 
@@ -71,6 +75,16 @@ class InterestSpec:
     n: int = 0
     centers: tuple[TopicPoint, ...] = ()
     spread: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("explicit", "uniform", "two_cluster"):
+            raise InvalidInputError("[interests] kind must be explicit, uniform or "
+                                    f"two_cluster, got {self.kind!r}")
+        if self.kind != "explicit" and self.n < 2:
+            raise InvalidInputError("[interests] n must be at least 2")
+        if self.kind == "two_cluster" and not (self.centers and self.spread > 0.0):
+            raise InvalidInputError(
+                "[interests] two_cluster needs centers, and spread must be positive")
 
     def sample(self, n: int, dim: int, rng: np.random.Generator
                ) -> tuple[TopicPoint, ...]:
@@ -137,6 +151,23 @@ class SweepSpec:
     k_infl: float
     replicates: int
 
+    def __post_init__(self):
+        if self.base.interests.kind == "explicit":
+            raise InvalidInputError(
+                "sweeps resize the community; [interests] kind must be "
+                "uniform or two_cluster, not explicit")
+        n = self.n_values
+        if not n or n[0] < 2 or any(b <= a for a, b in zip(n, n[1:])):
+            raise InvalidInputError(
+                f"[sweep] n_values must be strictly increasing and at least 2, got {n!r}")
+        if self.m_infl_rule not in ("fixed", "proportional"):
+            raise InvalidInputError("[sweep] m_infl_rule must be fixed or proportional, "
+                                    f"got {self.m_infl_rule!r}")
+        if self.replicates < 1:
+            raise InvalidInputError("[sweep] replicates must be at least 1")
+        if not self.k_infl > 0.0:
+            raise InvalidInputError("[sweep] k_infl must be positive")
+
     def m_infl_for(self, n: int) -> float:
         return self.k_infl * n if self.m_infl_rule == "proportional" \
             else self.base.m_infl
@@ -177,63 +208,51 @@ def _load_ini(path: Path, allow_sweep: bool) -> configparser.ConfigParser:
     return cp
 
 
-def _need(cp, path: Path, section: str, key: str) -> str:
+def _value(cp, path: Path, section: str, key: str, kind=str, default=...):
+    """`key` of `section` converted by `kind`, or `default` where the file
+    leaves it out; without a default, a key left out is an error."""
     if section not in cp or key not in cp[section]:
-        raise ScenarioError(f"{path}: missing required key '{key}' in [{section}]")
-    return cp[section][key]
-
-
-def _conv(path: Path, section: str, key: str, raw: str, kind):
+        if default is ...:
+            raise ScenarioError(f"{path}: missing required key '{key}' in [{section}]")
+        return default
+    raw = cp[section][key]
     try:
         return kind(raw)
     except ValueError:
-        raise ScenarioError(
-            f"{path}: [{section}] {key} = {raw!r} is not a valid "
-            f"{kind.__name__}") from None
-
-
-def _get(cp, path, section, key, kind, default):
-    if section in cp and key in cp[section]:
-        return _conv(path, section, key, cp[section][key], kind)
-    return default
+        raise ScenarioError(f"{path}: [{section}] {key} = {raw!r} is not a valid "
+                            f"{kind.__name__}") from None
 
 
 def _given(cp, path, section, **kinds) -> dict:
     """The keys of `section` that the file sets, converted, as keyword
     arguments: the keys it leaves out keep their dataclass defaults."""
-    if section not in cp:
-        return {}
-    return {key: _conv(path, section, key, cp[section][key], kind)
-            for key, kind in kinds.items() if key in cp[section]}
+    return {key: _value(cp, path, section, key, kind) for key, kind in kinds.items()
+            if section in cp and key in cp[section]}
 
 
-def _parse_points(path: Path, section: str, key: str, raw: str, dim: int
-                  ) -> tuple[TopicPoint, ...]:
+def _points(cp, path: Path, key: str, dim: int) -> tuple[TopicPoint, ...]:
     pts = []
-    for token in raw.split():
+    for token in _value(cp, path, "interests", key).split():
         coords = token.split(",")
         if len(coords) != dim:
             raise ScenarioError(
-                f"{path}: [{section}] {key}: point {token!r} has "
+                f"{path}: [interests] {key}: point {token!r} has "
                 f"{len(coords)} coordinates, expected {dim}")
         try:
             pts.append(TopicPoint(tuple(float(c) for c in coords)))
         except ValueError as exc:
             raise ScenarioError(
-                f"{path}: [{section}] {key}: bad point {token!r} ({exc})"
+                f"{path}: [interests] {key}: bad point {token!r} ({exc})"
             ) from None
-    if not pts:
-        raise ScenarioError(f"{path}: [{section}] {key} lists no points")
     return tuple(pts)
 
 
 def parse_scenario(path: str | os.PathLike, _cp=None) -> Scenario:
+    """A ``.scn`` file's scenario; its market is built once, so a bad value names the file."""
     path = Path(path)
     cp = _cp if _cp is not None else _load_ini(path, allow_sweep=False)
 
-    name = _get(cp, path, "scenario", "name", str, path.stem)
-    seed = _get(cp, path, "scenario", "seed", int, 0)
-    modes_raw = _get(cp, path, "scenario", "modes", str, "perfect")
+    modes_raw = _value(cp, path, "scenario", "modes", str, "perfect")
     try:
         modes = tuple(GameMode.parse(tok)
                       for tok in modes_raw.replace(",", " ").split())
@@ -241,92 +260,58 @@ def parse_scenario(path: str | os.PathLike, _cp=None) -> Scenario:
         raise ScenarioError(f"{path}: [scenario] modes: {exc}") from None
     if not modes:
         raise ScenarioError(f"{path}: [scenario] modes lists no modes")
-
-    dim = _get(cp, path, "market", "dim", int, 1)
+    dim = _value(cp, path, "market", "dim", int, 1)
     if dim not in (1, 2):
         raise ScenarioError(f"{path}: [market] dim must be 1 or 2, got {dim}")
-    m = _conv(path, "market", "m", _need(cp, path, "market", "m"), float)
-    m_infl = _conv(path, "market", "m_infl",
-                   _need(cp, path, "market", "m_infl"), float)
 
-    kind = _need(cp, path, "interests", "kind").strip().lower()
-    if kind not in ("explicit", "uniform", "two_cluster"):
-        raise ScenarioError(
-            f"{path}: [interests] kind must be explicit, uniform or "
-            f"two_cluster, got {kind!r}")
+    kind = _value(cp, path, "interests", "kind").strip().lower()
+    interests = {}
     if kind == "explicit":
-        interests = InterestSpec(
-            kind=kind,
-            points=_parse_points(path, "interests", "points",
-                                 _need(cp, path, "interests", "points"), dim))
-    else:
-        n = _conv(path, "interests", "n", _need(cp, path, "interests", "n"), int)
-        if n < 2:
-            raise ScenarioError(f"{path}: [interests] n must be at least 2")
-        if kind == "two_cluster":
-            centers = _parse_points(path, "interests", "centers",
-                                    _need(cp, path, "interests", "centers"), dim)
-            spread = _conv(path, "interests", "spread",
-                           _need(cp, path, "interests", "spread"), float)
-            if not spread > 0.0:
-                raise ScenarioError(f"{path}: [interests] spread must be positive")
-            interests = InterestSpec(kind=kind, n=n, centers=centers, spread=spread)
-        else:
-            interests = InterestSpec(kind=kind, n=n)
-
+        interests["points"] = _points(cp, path, "points", dim)
+    elif kind in ("uniform", "two_cluster"):
+        interests["n"] = _value(cp, path, "interests", "n", int)
+    if kind == "two_cluster":
+        interests.update(centers=_points(cp, path, "centers", dim),
+                         spread=_value(cp, path, "interests", "spread", float))
     try:
-        dynamics = DynamicsParams(
-            **_given(cp, path, "dynamics", max_rounds=int, restarts=int))
-        search = TopicSearchParams(
-            **_given(cp, path, "search", grid_resolution=int, refine_iters=int))
-        return Scenario(
-            name=name, modes=modes, seed=seed, dim=dim, m=m, m_infl=m_infl,
-            r_p=_get(cp, path, "market", "r_p", float, 1.0),
-            r_0=_get(cp, path, "market", "r_0", float, 1.0),
-            b_0=_get(cp, path, "market", "b_0", float, 0.5),
+        scn = Scenario(
+            name=_value(cp, path, "scenario", "name", str, path.stem),
+            modes=modes, seed=_value(cp, path, "scenario", "seed", int, 0), dim=dim,
+            m=_value(cp, path, "market", "m", float),
+            m_infl=_value(cp, path, "market", "m_infl", float),
+            r_p=_value(cp, path, "market", "r_p", float, 1.0),
+            r_0=_value(cp, path, "market", "r_0", float, 1.0),
+            b_0=_value(cp, path, "market", "b_0", float, 0.5),
             kernel=KernelParams(**_given(cp, path, "market", a_f=float, a_g=float)),
             delay=DelayParams(**_given(cp, path, "market", beta=float)),
-            interests=interests, dynamics=dynamics, search=search)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
+            interests=InterestSpec(kind=kind, **interests),
+            dynamics=DynamicsParams(
+                **_given(cp, path, "dynamics", max_rounds=int, restarts=int)),
+            search=TopicSearchParams(
+                **_given(cp, path, "search", grid_resolution=int, refine_iters=int)))
+        scn.build_config()
+    except InvalidInputError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    return scn
 
 
 def parse_sweep(path: str | os.PathLike) -> SweepSpec:
     path = Path(path)
     cp = _load_ini(path, allow_sweep=True)
     base = parse_scenario(path, _cp=cp)
-    if base.interests.kind == "explicit":
-        raise ScenarioError(
-            f"{path}: sweeps resize the community; [interests] kind must be "
-            f"uniform or two_cluster, not explicit")
-
-    raw = _need(cp, path, "sweep", "n_values")
+    raw = _value(cp, path, "sweep", "n_values")
     try:
         n_values = tuple(int(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
-        raise ScenarioError(f"{path}: [sweep] n_values: {raw!r} is not an "
-                            f"integer list") from None
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ScenarioError(
-            f"{path}: [sweep] n_values must be strictly increasing, got {raw!r}")
-    if any(n < 2 for n in n_values):
-        raise ScenarioError(f"{path}: [sweep] n_values must all be at least 2")
-
-    rule = _get(cp, path, "sweep", "m_infl_rule", str, "proportional").strip().lower()
-    if rule not in ("fixed", "proportional"):
-        raise ScenarioError(
-            f"{path}: [sweep] m_infl_rule must be fixed or proportional, "
-            f"got {rule!r}")
-    replicates = _get(cp, path, "sweep", "replicates", int, 1)
-    if replicates < 1:
-        raise ScenarioError(f"{path}: [sweep] replicates must be at least 1")
-    k_infl = _get(cp, path, "sweep", "k_infl", float, 1.0)
-    if not k_infl > 0.0:
-        raise ScenarioError(f"{path}: [sweep] k_infl must be positive")
-    return SweepSpec(base=base, n_values=n_values, m_infl_rule=rule,
-                     k_infl=k_infl, replicates=replicates)
+        raise ScenarioError(f"{path}: [sweep] n_values: {raw!r} is not an integer list") from None
+    try:
+        return SweepSpec(
+            base=base, n_values=n_values,
+            m_infl_rule=_value(cp, path, "sweep", "m_infl_rule", str, "proportional").strip().lower(),
+            k_infl=_value(cp, path, "sweep", "k_infl", float, 1.0),
+            replicates=_value(cp, path, "sweep", "replicates", int, 1))
+    except InvalidInputError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_malformed_scenario_exits_nonzero_with_field(tmp_path, capsys):
     assert "m_infl" in err
 
 
+def test_sweep_of_bad_market_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.swp"
+    bad.write_text((FIXTURES / "determinism.swp").read_text(encoding="utf-8")
+                   .replace("b_0 = 0.5", "b_0 = 3"), encoding="utf-8")
+    code, out, err = run(["sweep", str(bad), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and out == ""
+    assert f"{bad}: b_0 must lie in" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exits_nonzero(capsys):
     code, _, err = run(["solve", "/nonexistent/nothing.scn"], capsys)
     assert code == 2

@@ -219,6 +219,26 @@ def test_proxy_certificate_reports_direct_mass():
     assert cert.residuals["b_direct_rates_zero"] == pytest.approx(eps, rel=1e-12)
 
 
+def test_proxy_certificate_reads_no_direct_channel(monkeypatch):
+    # a perfect answer holds direct rates, and proxy_equivalence_report
+    # certifies it under the proxy conditions, which read only the outside
+    # and influencer channels: no consumer's direct row sum and no chunked
+    # pass over B for the direct marginals
+    cfg = symmetric_pair()
+    omega = run_dynamics(cfg, GameMode.PERFECT, params=FAST, search=SEARCH).omega
+    assert omega.direct.rates.sum() > 0.0
+    want = check_nash(omega, cfg, GameMode.PROXY, search=SEARCH)
+
+    def unread(*_):
+        raise AssertionError("the proxy certificate reads a direct channel")
+
+    monkeypatch.setattr(market.DirectRates, "row_sums", unread)
+    monkeypatch.setattr(equilibrium, "chunks", unread)
+    got = equilibrium._check(omega, cfg, GameMode.PROXY, TopicGrid(cfg, SEARCH),
+                             equilibrium.TOL, equilibrium.PRODUCER_TOL)
+    assert got == want
+
+
 def test_certificate_self_consistent_through_public_types():
     cfg = even_line(3)
     for mode in GameMode:

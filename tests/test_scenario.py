@@ -1,5 +1,6 @@
 """Scenario/sweep parsing, sampling determinism, and sweep output integrity."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from cme import scenario
 from cme.bestresponse import GameMode
 from cme.equilibrium import run_dynamics
-from cme.kernels import TopicPoint
+from cme.kernels import InvalidInputError, TopicPoint
 from cme.market import social_welfare
 from cme.scenario import (
     CSV_HEADER,
@@ -108,6 +109,10 @@ def test_dim2_points_parse(tmp_path):
      "sideways"),
     (lambda t: t.replace("[interests]\nkind = explicit\n", "[interests]\n"),
      "missing required key 'kind'"),
+    # the market's own rules, met when the file is parsed rather than solved
+    (lambda t: t.replace("m = 1.0", "m = -1.0"), r"bad\.scn: m must be positive"),
+    (lambda t: t.replace("m = 1.0", "m = 1.0\nb_0 = 3"), r"bad\.scn: b_0 must lie in"),
+    (lambda t: t.replace("m = 1.0", "m = 1.0\nr_p = 0"), r"bad\.scn: r_p must be positive"),
 ])
 def test_malformed_scenarios_name_the_field(tmp_path, mangle, fragment):
     path = write(tmp_path, "bad.scn", mangle(MINIMAL))
@@ -161,6 +166,31 @@ def test_sweep_rejects_unsorted_axis(tmp_path):
         parse_sweep(write(tmp_path, "bad.swp", text))
 
 
+@pytest.mark.parametrize("rule", ["fixed", "proportional"])
+def test_sweep_file_market_fails_at_parse(tmp_path, rule):
+    # the base market is built from the file's own m_infl, which must be
+    # positive even where the proportional rule replaces it in every row
+    text = (FIXTURES / "poi_sweep.swp").read_text(encoding="utf-8").replace(
+        "m_infl = 5.0", "m_infl = -2.0").replace(
+        "m_infl_rule = proportional", f"m_infl_rule = {rule}")
+    with pytest.raises(ScenarioError, match=r"bad\.swp: m_infl must be positive"):
+        parse_sweep(write(tmp_path, "bad.swp", text))
+
+
+@pytest.mark.parametrize("change, fragment", [
+    ({"m_infl_rule": "bogus"}, "m_infl_rule must be fixed or proportional"),
+    ({"k_infl": -1.0}, "k_infl must be positive"),
+    ({"replicates": 0}, "replicates must be at least 1"),
+    ({"n_values": (5, 5)}, "strictly increasing"),
+    ({"n_values": (1, 5)}, "at least 2"),
+    ({"n_values": ()}, "strictly increasing"),
+])
+def test_sweep_spec_built_in_code_is_checked(change, fragment):
+    spec = parse_sweep(FIXTURES / "poi_sweep.swp")
+    with pytest.raises(InvalidInputError, match=fragment):
+        dataclasses.replace(spec, **change)
+
+
 def test_scenario_file_rejects_sweep_section(tmp_path):
     text = MINIMAL + "\n[sweep]\nn_values = 3 5\n"
     with pytest.raises(ScenarioError, match="unknown section"):
@@ -189,6 +219,18 @@ def test_two_cluster_alternates_and_clips():
         center = 0.1 if i % 2 == 0 else 0.9
         assert abs(p.coords[0] - center) < 0.12  # few sigma, clipped to box
         assert 0.0 <= p.coords[0] <= 1.0
+
+
+@pytest.mark.parametrize("fields, fragment", [
+    ({"kind": "gaussian", "n": 4}, "kind must be explicit, uniform or two_cluster"),
+    ({"kind": "uniform", "n": 1}, "n must be at least 2"),
+    ({"kind": "two_cluster", "n": 4, "spread": 0.1}, "needs centers"),
+    ({"kind": "two_cluster", "n": 4, "centers": (TopicPoint((0.5,)),)},
+     "spread must be positive"),
+])
+def test_interest_spec_built_in_code_is_checked(fields, fragment):
+    with pytest.raises(InvalidInputError, match=fragment):
+        InterestSpec(**fields)
 
 
 def test_explicit_spec_rejects_resizing():

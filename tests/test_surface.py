@@ -98,6 +98,13 @@ def test_tiny_weights_take_one_path():
     assert not hasattr(cme.allocator, "_normal_rows")
 
 
+def test_scenario_files_read_through_one_accessor():
+    # every key of a scenario file is read by one function, and the rules on
+    # a file are checked by the types it builds, not by a second copy here
+    for name in ("_need", "_conv", "_get"):
+        assert not hasattr(cme.scenario, name), name
+
+
 def test_peer_weights_hold_the_sparse_direct_rates():
     # delta(direct) stays the state's compressed sparse rows: no dense rows
     # in the weights, no gather of B's rated columns, no column read
