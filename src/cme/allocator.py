@@ -74,6 +74,7 @@ import numpy as np
 from .kernels import DelayParams, InvalidInputError, require_finite_nonnegative
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_LEAST = np.finfo(float).smallest_subnormal  # the smallest positive float
 
 
 class DegenerateWeightsError(ValueError):
@@ -117,15 +118,23 @@ def _objective(rates: np.ndarray, weights: np.ndarray, beta: float) -> float:
     return float(np.dot(weights, -np.expm1(-beta * rates)))
 
 
+def _candidate_floor(top: np.ndarray, bm: float) -> np.ndarray:
+    """The least weight that can be active at beta * M = bm in a row whose
+    largest weight is top: max(w) * exp(-bm) (module docstring), lowered by
+    a relative 1e-9 so that rounding never drops a channel, and never below
+    the smallest positive float.  The floor never exceeds a positive top,
+    so each row's top stays a candidate, even a subnormal one, and a zero
+    weight never is one, even once top * exp(-bm) underflows to 0.  A
+    caller that knows a bound on some of a row's weights can tell from it,
+    before building the row, that none of them is a candidate."""
+    return np.maximum(top * (math.exp(-bm) * (1.0 - 1e-9)), _LEAST)
+
+
 def _candidates(W: np.ndarray, top: np.ndarray, bm: float) -> np.ndarray:
     """Mask of the channels of each row of W that can be active at
-    beta * M = bm: w_i >= max(w) * exp(-bm) (module docstring), top (n,)
-    holding each row's max(w), the bound lowered by a relative 1e-9 so that
-    rounding never drops a channel.  The bound never exceeds max(w), so
-    each row's top stays a candidate, even a subnormal one that the bound
-    rounds back up to.  Once the bound underflows to 0, every channel is a
-    candidate; a zero weight's log is -inf, and it never becomes active."""
-    return W >= top[:, None] * (math.exp(-bm) * (1.0 - 1e-9))
+    beta * M = bm, top (n,) holding each row's max(w): the weights at or
+    above the row's ``_candidate_floor``."""
+    return W >= _candidate_floor(top, bm)[:, None]
 
 
 def _water_fill_sparse(W: np.ndarray, budget: float, beta: float

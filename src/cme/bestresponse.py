@@ -15,7 +15,14 @@ influencer r_p * (B^T delta(mu_infl) - diag(B) * delta(mu_infl)), and the
 direct channels r_p * B^T with the self channel at weight 0 -- and runs the
 allocator's closed form on row chunks of that table.  Only a chunk's
 candidate channels can be active, so their rates are the whole answer:
-the positive direct ones go straight into a ``market.DirectRates``.
+the positive direct ones go straight into a ``market.DirectRates``.  No
+entry of B exceeds 1, so no direct weight exceeds r_p, and a consumer
+whose candidate floor (``allocator._candidate_floor``) under its outside
+and influencer weights lies above r_p has no direct candidate at all.  Its
+row's top, candidates and rates are those of those two channels alone, so
+it is solved on a row of width 2, and its direct weights are never built:
+the same floats.  In the bundled sweep's rows at N = 300 and 1000, whose
+influencer budget grows with N, that is every consumer.
 
 Producers are searched as one block.  Producer z's objective at topic x is
 g(d(x, z)) * sum_y f(d(x, y)) * W[y, z], where column z of the
@@ -83,7 +90,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import WeightedChannels, _water_fill_sparse, rates_with, water_fill
+from .allocator import (
+    WeightedChannels,
+    _candidate_floor,
+    _water_fill_sparse,
+    rates_with,
+    water_fill,
+)
 from .kernels import InvalidInputError, TopicPoint, discount
 from .market import (
     _CHUNK,
@@ -268,25 +281,26 @@ def influencer_br_dense(gamma: np.ndarray, cfg: MarketConfig) -> np.ndarray:
 
 
 def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
-                    cfg: MarketConfig, mode: GameMode
+                    cfg: MarketConfig, direct: bool
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Optimal splits of consumers ys in one closed-form solve: their
     outside and influencer rates, (k,) each, and their positive direct
-    rates as (row in ys, producer, rate) in row-major order.
+    rates as (consumer, producer, rate) in row-major order.
 
     The channels are the outside source (weight r_0*B_0, always positive,
     so no row is degenerate), the influencer (weight r_p * relayed[y], see
-    ``influencer_relayed_match``) and one direct channel per producer z
-    with weight r_p * B[z, y], zero on the self channel, which therefore
-    gets no rate.  Proxy consumers hold no direct channels.  Only the
-    allocator's candidates can be active (``_water_fill_sparse``), so the
-    rates are read off them and no (k, N + 2) rate table is built.
+    ``influencer_relayed_match``) and, when ``direct``, one direct channel
+    per producer z with weight r_p * B[z, y], zero on the self channel,
+    which therefore gets no rate.  Without them each row holds the first
+    two channels only.  Only the allocator's candidates can be active
+    (``_water_fill_sparse``), so the rates are read off them and no
+    (k, N + 2) rate table is built.
     """
     k = ys.size
-    weights = np.empty((k, 2 if mode is GameMode.PROXY else cfg.n + 2))
+    weights = np.empty((k, cfg.n + 2 if direct else 2))
     weights[:, 0] = cfg.r_0 * cfg.b_0
     weights[:, 1] = cfg.r_p * relayed[ys]
-    if mode is not GameMode.PROXY:
+    if direct:
         np.multiply(B[:, ys].T, cfg.r_p, out=weights[:, 2:])
         weights[np.arange(k), 2 + ys] = 0.0
     flat, rates, _ = _water_fill_sparse(weights, cfg.m, cfg.delay.beta)
@@ -295,26 +309,38 @@ def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
     own = col < 2
     split[row[own], col[own]] = rates[own]
     held = ~own & (rates > 0.0)
-    return split[:, 0], split[:, 1], row[held], col[held] - 2, rates[held]
+    return split[:, 0], split[:, 1], ys[row[held]], col[held] - 2, rates[held]
 
 
 def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
                        mode: GameMode) -> tuple[np.ndarray, np.ndarray, DirectRates]:
-    """Every consumer's best response as fresh (lam, mu_i, direct).
+    """Every consumer's best response as fresh (lam, mu_i, direct), B being
+    the match matrix, every entry at most 1.
 
     Within a round the consumers depend only on (B, delta(mu_infl)), not on
-    each other, so they are solved as one block, in row chunks of _CHUNK:
-    (_CHUNK, N + 2) temporaries keep a round's peak memory flat, and the
+    each other, so they are solved as one block.  A direct weight r_p *
+    B[z, y] is at most r_p, so a consumer whose ``_candidate_floor`` under
+    its two other weights already lies above r_p has no direct candidate:
+    its row's top is the larger of those two weights, and its candidates,
+    its split and every float of it are those of its first two channels
+    alone.  Those consumers, and every proxy consumer, are solved in one
+    call on rows of width 2; the rest in row chunks of _CHUNK, whose
+    (_CHUNK, N + 2) temporaries keep a round's peak memory flat, and their
     direct rates are gathered straight into compressed sparse rows.
     """
     n = cfg.n
-    ys = np.arange(n)
     relayed = influencer_relayed_match(delta_infl, B)
+    top = np.maximum(cfg.r_0 * cfg.b_0, cfg.r_p * relayed)
+    narrow = (mode is GameMode.PROXY) | (_candidate_floor(top, cfg.delay.beta * cfg.m) > cfg.r_p)
+    wide = np.flatnonzero(~narrow)
+    blocks = [(wide[sl], True) for sl in chunks(wide.size)]
+    if narrow.any():
+        blocks.append((np.flatnonzero(narrow), False))
     lam, mu_i = np.empty(n), np.empty(n)
     rows, cols, rates = [], [], []
-    for sl in chunks(n):
-        lam[sl], mu_i[sl], row, col, rate = _consumer_rates(ys[sl], relayed, B, cfg, mode)
-        rows.append(row + sl.start)
+    for ys, full in blocks:
+        lam[ys], mu_i[ys], row, col, rate = _consumer_rates(ys, relayed, B, cfg, full)
+        rows.append(row)
         cols.append(col)
         rates.append(rate)
     direct = DirectRates.from_entries((n, n), np.concatenate(rows), np.concatenate(cols),
@@ -616,7 +642,8 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
     influencer rates and topics: the consumer block restricted to y."""
     B = match_matrix(omega.X, cfg)
     relayed = influencer_relayed_match(discount(omega.mu_infl, cfg.delay), B)
-    lam_y, mu_i_y, _, cols, rates = _consumer_rates(np.array([y]), relayed, B, cfg, mode)
+    lam_y, mu_i_y, _, cols, rates = _consumer_rates(np.array([y]), relayed, B, cfg,
+                                                    mode is not GameMode.PROXY)
     lam, mu_i = omega.lam.copy(), omega.mu_i.copy()
     lam[y], mu_i[y] = lam_y[0], mu_i_y[0]
     return MarketAllocation(lam, mu_i, omega.direct.with_row(y, cols, rates),

@@ -297,6 +297,20 @@ def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
 
 def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
                B: np.ndarray, scanned: np.ndarray) -> dict[str, float]:
+    """The named residuals of omega, B being its match matrix and scanned
+    the ``grid_best`` of its ``_producer_weights``.
+
+    Conditions c, d and e compare each consumer's outside, influencer and
+    best direct marginals.  A direct marginal delta'(direct[y, z]) * r_p *
+    B[z, y] is at most beta * r_p, in floats too: delta' is at most
+    delta'(0) = beta, and every entry of B at most 1.  For a consumer with
+    beta * r_p <= max(m_out, m_infl) any best direct marginal up to that
+    max leaves c, d and e the same floats, -inf among them.  So when every
+    consumer is such, as in a large community whose influencer budget grows
+    with it, the direct marginals are not read off B at all.  Otherwise
+    they are read for every consumer: a gather of only the columns that
+    need them was slower at a fixed budget, where half of them do.
+    """
     d = cfg.delay
     d_i = discount(omega.mu_i, d)
     d_infl = discount(omega.mu_infl, d)
@@ -337,16 +351,17 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         # each consumer's best: delta'(0) = beta, so off the stored rates they
         # are B scaled by beta * r_p, read a chunk of producer rows at a time
         # with each stored rate's own marginal written in and the diagonal (no
-        # self channel) at -inf
+        # self channel) at -inf; only when some consumer's can matter
         ys = direct.row_ids()
         m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
         m_dir_best = np.full(cfg.n, -np.inf)
-        for sl in chunks(cfg.n):
-            m_dir = B[sl] * (d.beta * cfg.r_p)
-            here = (direct.cols >= sl.start) & (direct.cols < sl.stop)
-            m_dir[direct.cols[here] - sl.start, ys[here]] = m_held[here]
-            m_dir[np.arange(m_dir.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
-            np.maximum(m_dir_best, m_dir.max(axis=0), out=m_dir_best)
+        if np.any(d.beta * cfg.r_p > np.maximum(m_out, m_infl)):
+            for sl in chunks(cfg.n):
+                m_dir = B[sl] * (d.beta * cfg.r_p)
+                here = (direct.cols >= sl.start) & (direct.cols < sl.stop)
+                m_dir[direct.cols[here] - sl.start, ys[here]] = m_held[here]
+                m_dir[np.arange(m_dir.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
+                np.maximum(m_dir_best, m_dir.max(axis=0), out=m_dir_best)
         spent = omega.lam + omega.mu_i + direct.row_sums()
         res["b_consumer_budget"] = float(np.max(np.abs(spent - cfg.m)))
         best_rival_out = np.maximum(m_infl, m_dir_best)

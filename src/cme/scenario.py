@@ -123,6 +123,10 @@ class Scenario:
     dynamics: DynamicsParams
     search: TopicSearchParams
 
+    def __post_init__(self):
+        if self.seed < 0:  # the interests are sampled before the market checks it
+            raise InvalidInputError(f"[scenario] seed must be nonnegative, got {self.seed}")
+
     def community_size(self) -> int:
         return len(self.interests.points) if self.interests.kind == "explicit" \
             else self.interests.n

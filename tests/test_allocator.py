@@ -13,6 +13,7 @@ from cme.allocator import (
     DegenerateWeightsError,
     WeightedChannels,
     _candidates,
+    _water_fill_sparse,
     rates_with,
     water_fill,
 )
@@ -267,6 +268,22 @@ class TestCandidateSort:
                 old_rates, old_log_nu = water_fill_rows_sorted(W, bm / 2.0, 2.0)
                 assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
                 assert rates[0, 1] == pytest.approx(eps / 4.0, rel=1e-3)
+
+    def test_zero_weights_stay_out_once_the_bound_underflows(self):
+        # top * exp(-1000) is 0, but the floor stays at the smallest
+        # positive float: the zero weights are no candidates, the sort
+        # takes two channels, and the rates are the full sort's
+        W = np.array([[1.0, 0.0, 0.5, 0.0]])
+        for beta in (0.5, 1.0, 4.0):
+            assert np.array_equal(_candidates(W, W.max(axis=1), 1000.0),
+                                  [[True, False, True, False]])
+            flat, _, _ = _water_fill_sparse(W, 1000.0 / beta, beta)
+            assert flat.tolist() == [0, 2]
+            rates, log_nu = water_fill_rows(W, 1000.0 / beta, beta)
+            old_rates, old_log_nu = water_fill_rows_sorted(W, 1000.0 / beta, beta)
+            assert np.array_equal(rates, old_rates) and np.array_equal(log_nu, old_log_nu)
+        tiny = np.array([[5e-324, 0.0]])  # a subnormal top stays a candidate
+        assert np.array_equal(_candidates(tiny, tiny.max(axis=1), 1000.0), [[True, False]])
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
     def test_a_row_of_tiny_weights_splits_as_its_normal_copy(self, beta):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cme import bestresponse, equilibrium
+from cme.allocator import _candidate_floor
 from cme.bestresponse import (
     _CHUNK,
     _TILE,
@@ -47,6 +48,7 @@ from cme.market import (
     PeerWeights,
     consumer_utilities,
     influencer_followed_match,
+    influencer_relayed_match,
     influencer_utility,
     match_matrix,
     producer_support,
@@ -1001,6 +1003,85 @@ def test_consumer_block_equals_the_dense_block(mode, dim):
         assert not np.any(direct.cols == direct.row_ids())
         held += direct.nnz
     assert held > 0 or mode is GameMode.PROXY
+
+
+def _straddling_market(rng, n, dim, case):
+    """(cfg, B, delta_infl) for a block whose consumers straddle the
+    candidate bound: beta * m is about log of the median relayed match, so
+    consumers above it have a candidate floor over r_p and hold no direct
+    candidate, and those below it do.  In cases 0 and 3 the outside weight
+    r_0 * b_0 is a top whose floor is r_p exactly, every consumer below the
+    median sits at the floor, and one holds a direct weight r_p equal to
+    it, a candidate that stays inactive; in cases 2 and 5 the outside
+    weight alone puts every floor over r_p; the others draw r_p and
+    r_0 * b_0 freely."""
+    cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
+    # producers at their own interests in cases 1 and 4, where the wide
+    # consumers hold direct rates
+    X = cfg.interest_array() if case % 3 == 1 else rng.uniform(0.0, 1.0, (n, dim))
+    B = match_matrix(X, cfg)
+    mu_infl = rng.uniform(0.5, 1.0, n) * 8.0  # a large influencer budget
+    if case >= 3:  # zero-weight channels
+        B[rng.uniform(size=B.shape) < 0.3] = 0.0
+        mu_infl[::4] = 0.0
+    delta_infl = discount(mu_infl, cfg.delay)
+    if case % 3 == 0:  # a direct weight of r_p, at the floor of the least relayed consumer
+        y = int(np.argmin(influencer_relayed_match(delta_infl, B)))
+        B[(y + 1) % n, y] = 1.0
+    relayed = influencer_relayed_match(delta_infl, B)
+    beta = cfg.delay.beta
+    m = math.log(max(float(np.median(relayed)), 1.5)) / beta
+    if case % 3 == 0:
+        r_0 = float(rng.uniform(0.5, 2.0))
+        floor = float(_candidate_floor(np.array([r_0]), beta * m)[0])
+        cfg = dataclasses.replace(cfg, m=m, r_0=r_0, b_0=1.0, r_p=floor)
+    elif case % 3 == 1:
+        cfg = dataclasses.replace(cfg, m=m)
+    else:
+        cfg = dataclasses.replace(cfg, m=m, r_0=2.0 * cfg.r_p * math.exp(beta * m), b_0=1.0)
+    return cfg, B, delta_infl
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_consumers_past_the_candidate_bound_take_two_channels(mode, dim):
+    # a consumer whose candidate floor lies above r_p, the largest direct
+    # weight, is solved on its outside and influencer channels alone: the
+    # dense block's floats, bit for bit, while the others take all N + 2
+    rng = np.random.default_rng(130 + dim + 2 * list(GameMode).index(mode))
+    real = bestresponse._water_fill_sparse
+    widths, held = [], 0
+
+    def spy(W, budget, beta):
+        widths.append(W.shape)
+        return real(W, budget, beta)
+
+    for case in range(6):
+        cfg, B, delta_infl = _straddling_market(rng, int(rng.integers(_CHUNK, 2 * _CHUNK + 8)),
+                                                dim, case)
+        top = np.maximum(cfg.r_0 * cfg.b_0, cfg.r_p * influencer_relayed_match(delta_infl, B))
+        floor = _candidate_floor(top, cfg.delay.beta * cfg.m)
+        narrow = int(np.count_nonzero(floor > cfg.r_p))
+        if case % 3 == 0:
+            (y,), = np.nonzero(np.any(B == 1.0, axis=0))
+            assert floor[y] == cfg.r_p
+        widths.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bestresponse, "_water_fill_sparse", spy)
+            lam, mu_i, direct = consumers_br_dense(delta_infl, B, cfg, mode)
+        want = consumers_dense(delta_infl, B, cfg, mode)
+        for a, b in zip((lam, mu_i, direct.toarray()), want):
+            assert np.array_equal(a, b), case
+        two = sum(k for k, w in widths if w == 2)
+        assert all(w in (2, cfg.n + 2) for _, w in widths)
+        if mode is GameMode.PROXY:
+            assert two == cfg.n
+        elif case % 3 == 2:
+            assert two == narrow == cfg.n
+        else:
+            assert two == narrow and 0 < narrow < cfg.n, (case, narrow)
+        held += direct.nnz
+    assert held > 0 or mode is GameMode.PROXY, held
 
 
 def _random_weights(rng, n, rows):

@@ -101,6 +101,16 @@ def test_sweep_of_bad_market_exits_2_naming_the_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_override_exits_2_naming_the_key(tmp_path, capsys):
+    # the interests are sampled from the seed, so the scenario refuses a
+    # negative one before any market is built
+    code, out, err = run(["solve", SYMMETRIC, "--seed", "-1", "--out", str(tmp_path / "o")],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "[scenario] seed must be nonnegative, got -1" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_file_exits_nonzero(capsys):
     code, _, err = run(["solve", "/nonexistent/nothing.scn"], capsys)
     assert code == 2

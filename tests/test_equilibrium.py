@@ -325,6 +325,67 @@ def test_direct_marginals_span_row_chunks():
             d.lam + d.mu_i + direct.sum(axis=1) - cfg.m)))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
+def test_direct_marginals_past_the_cap_are_not_read(mode, dim):
+    # no direct marginal exceeds beta * r_p, so the certificate reads them
+    # off B only when some consumer's outside and influencer marginals lie
+    # below it; with r_0 * b_0 = r_p a consumer spending nothing outside
+    # sits exactly at the cap, and with nobody followed the influencer
+    # marginals are 0: the residuals are the full table's floats, and no
+    # chunk of B is read when no consumer needs one
+    rng = np.random.default_rng(183 + dim + 2 * list(GameMode).index(mode))
+    real, reads = equilibrium.chunks, []
+    seen = {"none": 0, "some": 0, "all": 0, "at_cap": 0}
+    for case in range(8):
+        cfg = random_config(rng, n_min=_CHUNK - 4, n_max=2 * _CHUNK + 4, dim=dim)
+        cfg = dataclasses.replace(cfg, r_0=cfg.r_p, b_0=1.0)
+        d = random_allocation(rng, cfg)
+        lam, mu_infl = d.lam.copy(), d.mu_infl.copy()
+        lam[rng.uniform(size=cfg.n) < (0.3, 0.0, 0.9, 0.6)[case % 4]] = 0.0
+        if case % 2:  # nobody followed: every influencer marginal is 0
+            mu_infl[:] = 0.0
+        d = MarketAllocation(lam, d.mu_i, d.direct, InfluencerAllocation(mu_infl), d.X)
+        B = match_matrix(d.X, cfg)
+        m_out = discount_deriv(d.lam, cfg.delay) * cfg.r_0 * cfg.b_0
+        m_infl = discount_deriv(d.mu_i, cfg.delay) * cfg.r_p * influencer_relayed_match(
+            discount(d.mu_infl, cfg.delay), B)
+        cap = cfg.delay.beta * cfg.r_p
+        need = int(np.count_nonzero(cap > np.maximum(m_out, m_infl)))
+        seen["none" if need == 0 else "all" if need == cfg.n else "some"] += 1
+        seen["at_cap"] += int(np.count_nonzero(np.maximum(m_out, m_infl) == cap))
+        reads.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibrium, "chunks", lambda k: reads.append(k) or real(k))
+            got = check_nash(d, cfg, mode, search=_search(dim)).residuals
+        for name, value in _dense_direct_residuals(d, cfg).items():
+            assert got[name] == value, (name, case)
+        assert bool(reads) == (need > 0)
+    assert min(seen.values()) > 0, seen
+
+
+def test_proportional_budget_run_reads_no_direct_channel(monkeypatch):
+    # at M_infl = N no consumer of the poi_sweep.swp row at N = 300 can
+    # hold a direct rate: a perfect run solves every consumer on rows of
+    # its outside source and influencer alone, and its certificate reads
+    # no chunk of B for direct marginals
+    cfg, _, _ = _poi_row(n=300)
+    assert cfg.m_infl == 300.0
+    real_fill, real_chunks = bestresponse._water_fill_sparse, equilibrium.chunks
+    widths, reads = [], []
+
+    def fill(W, budget, beta):
+        widths.append(W.shape[1])
+        return real_fill(W, budget, beta)
+
+    monkeypatch.setattr(bestresponse, "_water_fill_sparse", fill)
+    monkeypatch.setattr(equilibrium, "chunks", lambda k: reads.append(k) or real_chunks(k))
+    res = run_dynamics(cfg, GameMode.PERFECT, params=FAST)
+    assert res.certificate.holds and res.omega.direct.nnz == 0
+    assert widths and max(widths) <= 2
+    assert reads == []
+
+
 @pytest.mark.parametrize("mode, m", [(GameMode.PROXY, 300.0), (GameMode.PERFECT, 1000.0)])
 def test_huge_consumer_budget_certifies(mode, m):
     # consumer multipliers here are 1e-65 and below

@@ -102,6 +102,8 @@ def test_dim2_points_parse(tmp_path):
     (lambda t: t.replace("points = 0.1 0.9", "points = 0.1,0.2 0.9"),
      "coordinates"),
     (lambda t: t.replace("seed = 5", "seed = five"), "not a valid int"),
+    (lambda t: t.replace("seed = 5", "seed = -5"),
+     r"bad\.scn: \[scenario\] seed must be nonnegative, got -5"),
     (lambda t: t + "\n[extra]\nfoo = 1\n", "unknown section"),
     (lambda t: t.replace("m_infl = 2.0", "m_infl = 2.0\nwobble = 1"),
      "unknown key 'wobble'"),
