@@ -11,10 +11,12 @@ to the water-filling allocator.
 Consumers are solved as one block.  Within a round each consumer's channel
 weights depend only on (B, delta(mu_infl)), so ``consumers_br_dense``
 builds them for all consumers at once -- the outside source r_0 * B_0, the
-influencer r_p * (B^T delta(mu_infl) - diag(B) * delta(mu_infl)), and the
-direct channels r_p * B^T with the self channel at weight 0 -- and runs the
-allocator's closed form on row chunks of that table.  Only a chunk's
-candidate channels can be active, so their rates are the whole answer:
+influencer r_p * (B^T delta(mu_infl) - diag(B) * delta(mu_infl)) (the
+match's ``relayed``), and the direct channels r_p * B^T with the self
+channel at weight 0, a chunk of B's columns at a time (the match's
+``columns``) -- and runs the allocator's closed form on row chunks of
+that table.  Only a chunk's candidate channels can be active, so their
+rates are the whole answer:
 the positive direct ones go straight into a ``market.DirectRates``.  No
 entry of B exceeds 1, so no direct weight exceeds r_p, and a consumer
 whose candidate floor (``allocator._candidate_floor``) under its outside
@@ -32,12 +34,14 @@ delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
 with v = 1).  W is never a table, and ``producer_block`` scans the
 candidate topics for every producer at once (``_scan``), the first best
 candidate winning a tie.  A winner other than the
-incumbent is valued once more with ``_objective``, the formula of
-``PeerWeights.producer_values``, from which a round reads the incumbent's
-value, and the incumbent stays unless the winner is strictly better; the
-match row built to value a winner that moves is the row the round writes
-into its match matrix.  A winner that is the incumbent keeps the
-incumbent's value, which in the perfect/proxy regimes is the same float.
+incumbent is valued once more by the function from which a round reads
+the incumbent's value, the match's ``values_at`` and ``producer_values``
+(``_objective`` and ``PeerWeights.producer_values`` without a match), and
+the incumbent stays unless the winner is strictly better.  A winner that
+moves is moved in the match: the dense match takes the row built to value
+it, the line match only its topic.  A winner that is the incumbent keeps
+the incumbent's value, which in the perfect/proxy regimes is the same
+float.
 A producer whose objective is zero at every candidate is degenerate and
 keeps its incumbent.  Each objective reads only its own topic, so the
 block equals N one-producer searches (Monderer & Shapley, *Potential
@@ -57,7 +61,8 @@ dominates.  Without a direct term the objective is at most a cone
 exp(-a_g |x - y_z|) times the curve A shared by every producer, so
 running maxima give each producer a value it surely reaches and the run
 of candidates that can reach it (``_LineScan.ranges``), and only those
-runs are valued, in chunks of at most _TILE pairs.
+runs are valued: flat, one after another, with no run padded to another's
+length, consecutive producers' runs in chunks of at most _TILE pairs.
 
 In dim 2 the candidates are a uniform grid with stored (G, N) tables,
 built in place from each axis's squared differences, and the search is
@@ -83,7 +88,6 @@ the weights with the moves before it written in, one more sort apiece.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -97,19 +101,19 @@ from .allocator import (
     rates_with,
     water_fill,
 )
-from .kernels import InvalidInputError, TopicPoint, discount
+from .kernels import InvalidInputError, LineSums, TopicPoint, discount
 from .market import (
     _CHUNK,
     DirectRates,
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    Match,
     PeerWeights,
     chunks,
-    influencer_followed_match,
-    influencer_relayed_match,
     less_own,
     match_matrix,
+    match_of,
     support_weights,
 )
 
@@ -167,10 +171,7 @@ class TopicGrid:
             x = np.sort(np.concatenate(([0.0, 1.0], y)))
             self.points = x[:, None]
             self.members = np.searchsorted(x, y)
-            a = cfg.kernel.a_f
-            self._up = self._down = None
-            if a <= _STEEP:
-                self._up, self._down = np.exp(a * (x - 0.5)), np.exp(-a * (x - 0.5))
+            self._line = LineSums(x, cfg.kernel.a_f)
         else:
             axis = np.linspace(0.0, 1.0, search.grid_resolution)
             self.points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -197,34 +198,9 @@ class TopicGrid:
     def kernel_sums(self, h: np.ndarray) -> np.ndarray:
         """sum_c h[j, c] * f(|x_g - x_c|) at every candidate g, for each row
         j of h (k, G), nonnegative weights at the dim-1 candidates x; f is
-        the interest kernel.
-
-        |x_g - x_c| is x_g - x_c for c <= g and x_c - x_g for c >= g, so the
-        sum is exp(-a x_g) * sum_{c <= g} h exp(a x_c) plus its mirror, less
-        h[g], counted in both: two cumulative sums, the exact
-        one-dimensional case of fast summation (Greengard & Rokhlin, 1987).
-        Every term is nonnegative, so nothing cancels.  The factors
-        exp(+-a (x - 1/2)) are stored, within exp(+-_STEEP / 2); above
-        a_f = _STEEP they could overflow, so the two sides run the
-        recurrence L[g] = f(x_g - x_{g-1}) * L[g - 1] + h[g] by doubling,
-        every factor at most 1: log2(G) passes.  The doubling alone would
-        serve every a_f, but it takes 4-5 times as long as the cumulative
-        sums, and it made a fixed-budget run at N = 2000 about 1.5 times as
-        slow (1.1 s against 1.6 s on a 2-core host)."""
-        if self._up is not None:
-            left = h * self._up
-            np.cumsum(left, axis=1, out=left)
-            left *= self._down
-            right = h * self._down
-            np.cumsum(right[:, ::-1], axis=1, out=right[:, ::-1])
-            right *= self._up
-        else:
-            x, left, right, d = self.points[:, 0], h.copy(), h.copy(), 1
-            while d < x.size:
-                f = np.exp(-self._cfg.kernel.a_f * (x[d:] - x[:-d]))
-                left[:, d:] += f * left[:, :-d]
-                right[:, :-d] += f * right[:, d:]
-                d *= 2
+        the interest kernel (``kernels.LineSums``): both sides, less h[g],
+        counted in both."""
+        left, right = self._line.sides(h)
         left += right
         left -= h
         return left
@@ -258,7 +234,6 @@ class ProducerBlock(NamedTuple):
 
 
 _TILE = _CHUNK * 256  # kernel-table entries per tile, (candidate, producer) pairs per chunk
-_STEEP = 64.0  # the largest a_f whose dim-1 kernel sums take the stored factors
 _SLACK = 1e-9  # relative margin of the dim-1 candidate bounds over rounding
 
 
@@ -280,7 +255,7 @@ def influencer_br_dense(gamma: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     return sol.rates
 
 
-def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
+def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, match: Match,
                     cfg: MarketConfig, direct: bool
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Optimal splits of consumers ys in one closed-form solve: their
@@ -289,19 +264,19 @@ def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
 
     The channels are the outside source (weight r_0*B_0, always positive,
     so no row is degenerate), the influencer (weight r_p * relayed[y], see
-    ``influencer_relayed_match``) and, when ``direct``, one direct channel
-    per producer z with weight r_p * B[z, y], zero on the self channel,
-    which therefore gets no rate.  Without them each row holds the first
-    two channels only.  Only the allocator's candidates can be active
-    (``_water_fill_sparse``), so the rates are read off them and no
-    (k, N + 2) rate table is built.
+    ``Match.relayed``) and, when ``direct``, one direct channel per
+    producer z with weight r_p * B[z, y] (``Match.columns``), zero on the
+    self channel, which therefore gets no rate.  Without them each row
+    holds the first two channels only.  Only the allocator's candidates
+    can be active (``_water_fill_sparse``), so the rates are read off them
+    and no (k, N + 2) rate table is built.
     """
     k = ys.size
     weights = np.empty((k, cfg.n + 2 if direct else 2))
     weights[:, 0] = cfg.r_0 * cfg.b_0
     weights[:, 1] = cfg.r_p * relayed[ys]
     if direct:
-        np.multiply(B[:, ys].T, cfg.r_p, out=weights[:, 2:])
+        np.multiply(match.columns(ys).T, cfg.r_p, out=weights[:, 2:])
         weights[np.arange(k), 2 + ys] = 0.0
     flat, rates, _ = _water_fill_sparse(weights, cfg.m, cfg.delay.beta)
     row, col = np.divmod(flat, weights.shape[1])
@@ -312,10 +287,10 @@ def _consumer_rates(ys: np.ndarray, relayed: np.ndarray, B: np.ndarray,
     return split[:, 0], split[:, 1], ys[row[held]], col[held] - 2, rates[held]
 
 
-def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
+def consumers_br_dense(delta_infl: np.ndarray, match: Match, cfg: MarketConfig,
                        mode: GameMode) -> tuple[np.ndarray, np.ndarray, DirectRates]:
-    """Every consumer's best response as fresh (lam, mu_i, direct), B being
-    the match matrix, every entry at most 1.
+    """Every consumer's best response as fresh (lam, mu_i, direct) at the
+    match matrix B of ``match``, every entry at most 1.
 
     Within a round the consumers depend only on (B, delta(mu_infl)), not on
     each other, so they are solved as one block.  A direct weight r_p *
@@ -326,10 +301,11 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
     alone.  Those consumers, and every proxy consumer, are solved in one
     call on rows of width 2; the rest in row chunks of _CHUNK, whose
     (_CHUNK, N + 2) temporaries keep a round's peak memory flat, and their
-    direct rates are gathered straight into compressed sparse rows.
+    direct rates are gathered straight into compressed sparse rows.  Only
+    the wide rows read B's columns.
     """
     n = cfg.n
-    relayed = influencer_relayed_match(delta_infl, B)
+    relayed = match.relayed(delta_infl)
     top = np.maximum(cfg.r_0 * cfg.b_0, cfg.r_p * relayed)
     narrow = (mode is GameMode.PROXY) | (_candidate_floor(top, cfg.delay.beta * cfg.m) > cfg.r_p)
     wide = np.flatnonzero(~narrow)
@@ -339,7 +315,7 @@ def consumers_br_dense(delta_infl: np.ndarray, B: np.ndarray, cfg: MarketConfig,
     lam, mu_i = np.empty(n), np.empty(n)
     rows, cols, rates = [], [], []
     for ys, full in blocks:
-        lam[ys], mu_i[ys], row, col, rate = _consumer_rates(ys, relayed, B, cfg, full)
+        lam[ys], mu_i[ys], row, col, rate = _consumer_rates(ys, relayed, match, cfg, full)
         rows.append(row)
         cols.append(col)
         rates.append(rate)
@@ -394,26 +370,30 @@ class _LineScan:
 
     def values(self, j: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The objectives of producers z[j] (c,) at their runs of candidates
-        lo to hi, (c, w), a shorter run repeating its last.  A producer
-        holding a stored weight is valued at every candidate (``ranges``),
-        so a chunk with one spans them all."""
+        lo to hi, flat: the runs one after another, (sum(hi - lo + 1),).
+        Each pair's value is elementwise, so a run's floats do not depend
+        on the runs valued with it."""
         u, v, a_f = self.weights.u, self.weights.v, self.a_f
-        z = self.z[j]
-        g = np.minimum(lo[:, None] + np.arange(np.max(hi - lo, initial=0) + 1), hi[:, None])
-        d = np.subtract(self.x[g], self.y[z][:, None])
+        z, width = self.z[j], hi - lo + 1
+        starts = np.cumsum(width) - width
+        k = np.repeat(np.arange(j.size), width)  # each pair's producer, by place in j
+        g = np.repeat(lo - starts, width)
+        g += np.arange(g.size)  # each pair's candidate
+        d = self.x[g]
+        d -= self.y[z][k]
         np.abs(d, out=d)
-        total = self.A[g]
-        del g
         own = np.multiply(d, -a_f)
         np.exp(own, out=own)
-        own *= u[z][:, None]
-        vals = less_own(total, own, lambda r, c: (np.exp(-a_f * np.abs(
-            self.x[np.minimum(lo[r] + c, hi[r])][:, None] - self.y)) * u,
-            z[r]))
-        del total
-        vals *= v[z][:, None]
-        if self.count[z].any():
-            vals += self._direct(z)
+        own *= u[z][k]
+        vals = less_own(self.A[g], own, lambda p: (
+            np.exp(-a_f * np.abs(self.x[g[p]][:, None] - self.y)) * u, z[k[p]]))
+        del g
+        vals *= v[z][k]
+        del k
+        rated = np.flatnonzero(self.count[z])
+        if rated.size:  # R_z on the run of each producer holding a stored weight
+            for R, p in zip(self._direct(z[rated]), rated):
+                vals[starts[p]:starts[p] + width[p]] += R[lo[p]:hi[p] + 1]
         vals *= np.exp(np.multiply(d, -self.a_g, out=d), out=d)
         return vals
 
@@ -428,21 +408,24 @@ class _LineScan:
 
     def best_in(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index and objective of the first best candidate of each producer
-        among candidates lo to hi.  The runs are taken in order of length,
-        in chunks of at most _TILE pairs (one producer at least); a shorter
-        run repeats its last candidate, which, coming after it, cannot be
-        the first best."""
+        among candidates lo to hi.  Consecutive producers are valued
+        together, their runs flat, in chunks of at most _TILE pairs (one
+        producer at least)."""
         best, value = np.empty(lo.size, dtype=np.intp), np.empty(lo.size)
-        order = np.argsort(hi - lo, kind="stable")
+        ends = np.cumsum(hi - lo + 1)  # the pairs up to each producer's last
         s = 0
-        while s < order.size:
-            w = hi[order[s:]] - lo[order[s:]] + 1
-            c = max(1, int(np.searchsorted(np.arange(1, w.size + 1) * w, _TILE, side="right")))
-            j = order[s:s + c]
+        while s < lo.size:
+            e = max(s + 1, int(np.searchsorted(ends, (ends[s - 1] if s else 0) + _TILE,
+                                               side="right")))
+            j = np.arange(s, e)
             vals = self.values(j, lo[j], hi[j])
-            top = np.argmax(vals, axis=1)
-            best[j], value[j] = lo[j] + top, vals[np.arange(c), top]
-            s += c
+            width = hi[j] - lo[j] + 1
+            starts = np.cumsum(width) - width
+            top = np.maximum.reduceat(vals, starts)
+            hits = np.flatnonzero(vals == np.repeat(top, width))
+            first = hits[np.searchsorted(hits, starts)]
+            best[j], value[j] = lo[j] + first - starts, vals[first]
+            s = e
         return best, value
 
     def ranges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +460,7 @@ class _LineScan:
         reached = np.empty(live.size)
         for s in range(0, live.size, _TILE):
             j = live[s:s + _TILE]
-            reached[s:s + _TILE] = self.values(j, seed[j], seed[j])[:, 0]
+            reached[s:s + _TILE] = self.values(j, seed[j], seed[j])
         with np.errstate(divide="ignore"):
             t = np.log(reached) - np.log(v[live]) - _SLACK * (1.0 + self.a_f + a)
         lo, hi = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp)
@@ -524,7 +507,8 @@ def grid_best(weights: PeerWeights, grid: TopicGrid) -> np.ndarray:
 def _objective(T: np.ndarray, weights: PeerWeights, cols: slice | np.ndarray,
                cfg: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
     """Objective of the j-th producer of `cols` (a slice or indices) at
-    topic T[j], and the match rows (k, N) it weighs.
+    topic T[j], and the match rows (k, N) it weighs, held by no match:
+    ``DenseMatch.values_at`` without a table.
 
     ``match_matrix`` builds row j, then ``PeerWeights.producer_values``
     weighs it, so at T = X[cols] the rows are B[cols] and the values
@@ -536,22 +520,22 @@ def _objective(T: np.ndarray, weights: PeerWeights, cols: slice | np.ndarray,
 
 def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
                    prev: np.ndarray | None = None, prev_value: np.ndarray | None = None,
-                   cols: slice = slice(None), B: np.ndarray | None = None) -> ProducerBlock:
+                   cols: slice = slice(None), match: Match | None = None) -> ProducerBlock:
     """Best topics of the producers `cols` (a slice, default all N) under
     the peer weights.
 
     prev (k, dim) holds the incumbent topics and prev_value (k,) their
-    objective values, which the caller supplies (``_objective`` at prev,
-    or the same numbers from ``weights.producer_values`` on the match
-    matrix at prev): a degenerate producer keeps its incumbent (the first
-    candidate when prev is None), and any other keeps it unless the best
-    candidate is strictly better.  A best candidate other than the
-    incumbent is valued with ``_objective``, in chunks of _CHUNK
-    producers, so candidate and incumbent are compared by one formula; one
-    equal to the incumbent keeps prev_value.  B, when given, is the
-    (N, N) match matrix at prev, and the row built to value each producer
-    that moves is written into it: B leaves at the returned topics, and no
-    table of the movers' rows is held.
+    objective values, which the caller supplies: a degenerate producer
+    keeps its incumbent (the first candidate when prev is None), and any
+    other keeps it unless the best candidate is strictly better.  A best
+    candidate other than the incumbent is valued in chunks of _CHUNK
+    producers, with ``match.values_at`` when a match at prev is given and
+    with ``_objective`` otherwise; the caller reads prev_value from the
+    same function (``match.producer_values``, or ``_objective`` at prev),
+    so candidate and incumbent are compared by one formula.  One equal to
+    the incumbent keeps prev_value.  Each producer that moves is moved in
+    ``match`` (``Match.move``), with the rows built to value it where the
+    match holds rows, so the match leaves at the returned topics.
     """
     start = cols.indices(cfg.n)[0]
     best, scanned = _scan(weights, grid, cols)
@@ -565,11 +549,15 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
         valued = np.flatnonzero(~degen & np.any(topics != prev, axis=1))
     for sl in chunks(valued.size):
         z = valued[sl]
-        values[z], D = _objective(topics[z], weights, start + z, cfg)
+        if match is None:
+            values[z], D = _objective(topics[z], weights, start + z, cfg)
+        else:
+            values[z], D = match.values_at(weights, topics[z], start + z)
         # a producer with an incumbent moves only on strict improvement
         moved[z] = True if prev is None else values[z] > prev_value[z]
-        if B is not None:
-            B[start + z[moved[z]]] = D[moved[z]]
+        if match is not None:
+            go = moved[z]
+            match.move(start + z[go], topics[z[go]], None if D is None else D[go])
     if prev is not None:
         topics[~moved] = prev[~moved]
         values[~moved] = prev_value[~moved]
@@ -579,14 +567,13 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
 
 
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
-                             cfg: MarketConfig, B: np.ndarray
+                             cfg: MarketConfig, match: Match
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """One imperfect-regime producer pass, in place on X and B; returns
-    the degenerate mask and each producer's best scanned match mass (the
-    ``grid_best`` of the pass's weights).  B is ``match_matrix(X, cfg)`` on
-    entry and on return: the block writes each mover's row into it, and a
-    mover found inactive here gets its incumbent's row back, built in
-    chunks of _CHUNK rows.
+    """One imperfect-regime producer pass, in place on X and on the match
+    at X; returns the degenerate mask and each producer's best scanned
+    match mass (the ``grid_best`` of the pass's weights).  The block moves
+    each mover in the match, and a mover found inactive here is moved back
+    to its incumbent.
 
     Producers move in index order, each against the influencer's channel
     weights at the current topics, with the earlier producers' moves in
@@ -600,8 +587,8 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     influencer every producer's mass is 0, so all are degenerate.
     """
     weights = PeerWeights.rank_one(discount(mu_i, cfg.delay), np.ones(cfg.n))
-    mass = weights.producer_values(B)  # each incumbent's objective, as _objective values it
-    block = producer_block(weights, grid, cfg, prev=X, prev_value=mass, B=B)
+    mass = match.producer_values(weights)  # each incumbent's objective, as values_at values it
+    block = producer_block(weights, grid, cfg, prev=X, prev_value=mass, match=match)
     todo = np.flatnonzero(~block.degenerate)
     at_best = cfg.r_p * block.grid_best[todo]
     old, new = cfg.r_p * mass, cfg.r_p * block.values
@@ -619,8 +606,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     degenerate[todo[~active]] = True
     X[todo[active]] = block.topics[todo[active]]
     back = np.flatnonzero(np.any(block.topics != X, axis=1))  # movers found inactive
-    for sl in chunks(back.size):
-        B[back[sl]] = match_matrix(X[back[sl]], cfg, back[sl])
+    match.move(back, X[back])
     return degenerate, block.grid_best
 
 
@@ -631,8 +617,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
 def influencer_best_response(omega: MarketAllocation, cfg: MarketConfig
                              ) -> InfluencerAllocation:
     """The influencer's optimal rates against omega's follow rates and topics."""
-    gamma = cfg.r_p * influencer_followed_match(discount(omega.mu_i, cfg.delay),
-                                                match_matrix(omega.X, cfg))
+    gamma = cfg.r_p * match_of(omega.X, cfg).followed(discount(omega.mu_i, cfg.delay))
     return InfluencerAllocation(mu=influencer_br_dense(gamma, cfg))
 
 
@@ -640,9 +625,9 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
                            mode: GameMode) -> MarketAllocation:
     """omega with consumer y's rates replaced by its best response to omega's
     influencer rates and topics: the consumer block restricted to y."""
-    B = match_matrix(omega.X, cfg)
-    relayed = influencer_relayed_match(discount(omega.mu_infl, cfg.delay), B)
-    lam_y, mu_i_y, _, cols, rates = _consumer_rates(np.array([y]), relayed, B, cfg,
+    match = match_of(omega.X, cfg)
+    relayed = match.relayed(discount(omega.mu_infl, cfg.delay))
+    lam_y, mu_i_y, _, cols, rates = _consumer_rates(np.array([y]), relayed, match, cfg,
                                                     mode is not GameMode.PROXY)
     lam, mu_i = omega.lam.copy(), omega.mu_i.copy()
     lam[y], mu_i[y] = lam_y[0], mu_i_y[0]
@@ -686,7 +671,7 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
     """
     d_i = discount(omega.mu_i, cfg.delay)
     block = _one_producer(z, PeerWeights.rank_one(d_i, np.ones(cfg.n)), cfg, search, prev)
-    gamma = cfg.r_p * influencer_followed_match(d_i, match_matrix(omega.X, cfg))
+    gamma = cfg.r_p * match_of(omega.X, cfg).followed(d_i)
     at_best, at_value = rates_with(gamma, cfg.m_infl, cfg.delay.beta, np.array([z, z]),
                                    cfg.r_p * np.array([block.grid_best[0], block.values[0]]))
     if block.degenerate[0] or at_best == 0.0:

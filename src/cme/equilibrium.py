@@ -12,21 +12,22 @@ consumers' rates at its last topics (``_settle``), and a run certifies
 the state it returns once.
 Each round returns a new ``MarketAllocation``; states are read-only, so a
 run never writes into an array it was handed, and ``price_of_influence``
-starts one perfect run from the imperfect result itself.  A run builds one
-match matrix B at its start and owns it: each round writes in place only
-the rows of the producers whose topic changed, and the run certifies a
-state from the B and the candidate scan of the round that built it, the
-arrays ``check_nash`` builds afresh for the same state.  A round reads
-only the consumers' influencer rates ``mu_i``, the topics ``X`` and B, so
-a round that hands back ``mu_i`` and ``X`` unchanged rebuilt no row of B,
-and the round after it can only repeat it bit for bit: the same state,
-degenerate set, potential and scan, with no change.  The run takes that
-repeated round as read rather than computing it, and it is the run's last
-(a change of 0 passes every stopping test).  For the same reason no start
-holds a direct rate (``default_init``, ``random_init``): a start's direct
-share would move no round, only ``potential_trace[0]``, and every state's
-``direct`` is compressed sparse rows (``market.DirectRates``), so a run
-holds no (N, N) table but B.
+starts one perfect run from the imperfect result itself.  A run makes one
+match at its start (``market.match_of``) and owns it: each round moves in
+it only the producers whose topic changed, and the run certifies a state
+from the match and the candidate scan of the round that built it, the
+match and scan ``check_nash`` makes afresh for the same state.  A round
+reads only the consumers' influencer rates ``mu_i``, the topics ``X`` and
+the match, so a round that hands back ``mu_i`` and ``X`` unchanged moved
+nobody, and the round after it can only repeat it bit for bit: the same
+state, degenerate set, potential and scan, with no change.  The run takes
+that repeated round as read rather than computing it, and it is the run's
+last (a change of 0 passes every stopping test).  For the same reason no
+start holds a direct rate (``default_init``, ``random_init``): a start's
+direct share would move no round, only ``potential_trace[0]``, and every
+state's ``direct`` is compressed sparse rows (``market.DirectRates``).  So
+a run holds no (N, N) table but the dense match's B, and a dim-1 run of
+``market._LINE_FROM`` members or more holds none at all.
 Of several runs, ``run_dynamics`` and ``price_of_influence`` report the one
 ``_best`` picks: the first certified run within a relative 1e-12 of the
 largest certified welfare, or, when none certifies, the run with the
@@ -72,13 +73,11 @@ from .market import (
     InfluencerAllocation,
     MarketAllocation,
     MarketConfig,
+    Match,
     PeerWeights,
     _utilities,
     chunks,
-    influencer_followed_match,
-    influencer_relayed_match,
-    match_matrix,
-    social_welfare,
+    match_of,
     support_weights,
 )
 
@@ -185,72 +184,78 @@ def _sup_change(a: MarketAllocation, b: MarketAllocation) -> float:
 
 
 def _rates(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-           B: np.ndarray) -> MarketAllocation:
+           match: Match) -> MarketAllocation:
     """The influencer's best response to ``state.mu_i``, then the consumers'
-    block response to it, at the topics ``state.X`` whose match matrix is
-    B: ``state`` with every rate replaced and the same topics."""
-    gamma = cfg.r_p * influencer_followed_match(discount(state.mu_i, cfg.delay), B)
+    block response to it, at the topics ``state.X`` of ``match``: ``state``
+    with every rate replaced and the same topics."""
+    gamma = cfg.r_p * match.followed(discount(state.mu_i, cfg.delay))
     mu_infl = influencer_br_dense(gamma, cfg)
-    lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), B, cfg, mode)
+    lam, mu_i, direct = consumers_br_dense(discount(mu_infl, cfg.delay), match, cfg, mode)
     return MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), state.X)
 
 
 def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-               grid: TopicGrid, B: np.ndarray
+               grid: TopicGrid, match: Match
                ) -> tuple[MarketAllocation, set[int], float, np.ndarray]:
     """One full best-response round -- the influencer, then the consumers as
-    one block (``_rates``), then the producers as one block.  B is
-    ``match_matrix(state.X, cfg)`` on entry and the next state's match
-    matrix on return: the round updates it in place, writing only the rows
-    of the producers whose topic changed, the rows the producer block built
-    to value their new topics, so no caller may hold B for the state it
-    was handed.  Returns the next state, the indices of producers whose
-    topic objective was degenerate this round, the next state's potential
+    one block (``_rates``), then the producers as one block.  ``match`` is
+    the match at ``state.X`` on entry and at the next state's topics on
+    return: the round moves in it only the producers whose topic changed
+    (``Match.move``), so no caller may hold it for the state it was handed.
+    Returns the next state, the indices of producers whose topic objective
+    was degenerate this round, the next state's potential
     (``social_welfare``) and each producer's best scanned objective, the
     ``grid_best`` of the next state's producer weights, which ``_certify``
-    takes with B.
+    takes with the match.
 
     Of ``state`` the round reads only ``mu_i`` and ``X``: the influencer
     responds to the followers' rates and B, the consumers to the
     influencer's rates and B, the producers to the new rates and their
     current topics.  When the returned ``mu_i`` and ``X`` equal the given
-    ones bit for bit, B is unchanged and the next round would return this
-    round's results again; ``_run_single`` skips it.
+    ones bit for bit, the match is unchanged and the next round would
+    return this round's results again; ``_run_single`` skips it.
 
-    The next state's ``support_weights`` give its potential with the next
-    B.  In perfect/proxy mode they are also the producers' weights, and the
-    incumbents' objectives are read from B.
+    The next state's ``support_weights`` give its potential at the next
+    topics.  In perfect/proxy mode they are also the producers' weights, and
+    the incumbents' objectives are read from the match, by the function
+    that values the winners.
     """
-    rates = _rates(state, cfg, mode, B)
+    rates = _rates(state, cfg, mode, match)
     weights = support_weights(rates.mu_i, rates.mu_infl, rates.direct, cfg)
     if mode is GameMode.IMPERFECT:
         X = state.X.copy()
-        degenerate, scanned = imperfect_producer_round(rates.mu_i, X, grid, cfg, B)
+        degenerate, scanned = imperfect_producer_round(rates.mu_i, X, grid, cfg, match)
     else:
         block = producer_block(weights, grid, cfg, prev=state.X,
-                               prev_value=weights.producer_values(B), B=B)
+                               prev_value=match.producer_values(weights), match=match)
         X, degenerate, scanned = block.topics, block.degenerate, block.grid_best
-    phi = float(_utilities(B, weights, rates.lam, cfg).sum())  # == social_welfare(next state, cfg, B)
+    phi = float(_utilities(match, weights, rates.lam, cfg).sum())  # social_welfare of the next state
     return (MarketAllocation(rates.lam, rates.mu_i, rates.direct, rates.influencer, X),
             set(np.flatnonzero(degenerate).tolist()), phi, scanned)
 
 
 def _settle(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-            grid: TopicGrid, B: np.ndarray, max_passes: int
+            grid: TopicGrid, match: Match, max_passes: int
             ) -> tuple[MarketAllocation, float, np.ndarray]:
     """``_rates`` repeated from ``state`` until no rate moves by 1e-8 * M in
     a pass, for at most ``max_passes`` passes.  At fixed topics the welfare
     is an exact potential of the influencer and the consumers in every
-    regime, so no pass lowers it.  B is ``match_matrix(state.X, cfg)``.
+    regime, so no pass lowers it.  ``match`` is the match at ``state.X``.
     Returns the settled state, its potential and its scan for ``_certify``."""
     for _ in range(max_passes):
-        new = _rates(state, cfg, mode, B)
+        new = _rates(state, cfg, mode, match)
         change = _sup_change(state, new)
         state = new
         if change < 1e-8 * cfg.m:
             break
-    return (state, social_welfare(state, cfg, B),
+    return (state, _welfare(state, cfg, match),
             grid_best(_producer_weights(state, cfg, mode), grid))
+
+
+def _welfare(omega: MarketAllocation, cfg: MarketConfig, match: Match) -> float:
+    """``social_welfare`` of omega at the match at its topics."""
+    weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+    return float(_utilities(match, weights, omega.lam, cfg).sum())
 
 
 def _producer_weights(omega: MarketAllocation, cfg: MarketConfig,
@@ -278,16 +283,16 @@ def _check(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode, grid: Top
            tol: float, producer_tol: float) -> NashCertificate:
     """``check_nash`` of a valid state on the candidates of ``grid``."""
     scanned = grid_best(_producer_weights(omega, cfg, mode), grid)
-    return _certify(omega, cfg, mode, match_matrix(omega.X, cfg), scanned, tol, producer_tol)
+    return _certify(omega, cfg, mode, match_of(omega.X, cfg), scanned, tol, producer_tol)
 
 
 def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-             B: np.ndarray, scanned: np.ndarray, tol: float = TOL,
+             match: Match, scanned: np.ndarray, tol: float = TOL,
              producer_tol: float = PRODUCER_TOL) -> NashCertificate:
-    """The certificate of omega from its match matrix B and the
+    """The certificate of omega from the match at its topics and the
     ``grid_best`` of its ``_producer_weights``; a round and a settle
     return both for the state they build."""
-    res = _residuals(omega, cfg, mode, B, scanned)
+    res = _residuals(omega, cfg, mode, match, scanned)
     max_ratio = max(_tol_ratio(name, value, tol, producer_tol)
                     for name, value in res.items())
     return NashCertificate(mode=mode, residuals=res, tol=tol,
@@ -296,9 +301,9 @@ def _certify(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
 
 
 def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
-               B: np.ndarray, scanned: np.ndarray) -> dict[str, float]:
-    """The named residuals of omega, B being its match matrix and scanned
-    the ``grid_best`` of its ``_producer_weights``.
+               match: Match, scanned: np.ndarray) -> dict[str, float]:
+    """The named residuals of omega, ``match`` being the match at its
+    topics and scanned the ``grid_best`` of its ``_producer_weights``.
 
     Conditions c, d and e compare each consumer's outside, influencer and
     best direct marginals.  A direct marginal delta'(direct[y, z]) * r_p *
@@ -308,15 +313,16 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
     max leaves c, d and e the same floats, -inf among them.  So when every
     consumer is such, as in a large community whose influencer budget grows
     with it, the direct marginals are not read off B at all.  Otherwise
-    they are read for every consumer: a gather of only the columns that
-    need them was slower at a fixed budget, where half of them do.
+    they are read for every consumer, a chunk of B's rows at a time
+    (``Match.rows``): a gather of only the columns that need them was
+    slower at a fixed budget, where half of them do.
     """
     d = cfg.delay
     d_i = discount(omega.mu_i, d)
     d_infl = discount(omega.mu_infl, d)
 
     # marginal utilities of the outside and influencer channels, per consumer
-    S = influencer_relayed_match(d_infl, B)           # follower value ahead of mu_i
+    S = match.relayed(d_infl)                         # follower value ahead of mu_i
     m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
     m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * S
 
@@ -328,13 +334,13 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         return float(np.max(vals)) if vals.size else 0.0
 
     res: dict[str, float] = {}
-    gamma = cfg.r_p * influencer_followed_match(d_i, B)  # the influencer's weights
+    gamma = cfg.r_p * match.followed(d_i)  # the influencer's weights
 
     # --- producer topic optimality, certified on the search candidates ---
     if mode is GameMode.IMPERFECT:
         res["a_producer_topic"] = _imperfect_producer_gap(gamma, cfg, scanned)
     else:
-        res["a_producer_topic"] = _support_producer_gap(omega, cfg, B, scanned)
+        res["a_producer_topic"] = _support_producer_gap(omega, cfg, match, scanned)
 
     # --- consumer budgets and channel marginals (KKT comparisons, gated on
     # activity); the proxy regime has no direct channel to read ---
@@ -353,11 +359,11 @@ def _residuals(omega: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         # with each stored rate's own marginal written in and the diagonal (no
         # self channel) at -inf; only when some consumer's can matter
         ys = direct.row_ids()
-        m_held = discount_deriv(direct.rates, d) * cfg.r_p * B[direct.cols, ys]
+        m_held = discount_deriv(direct.rates, d) * cfg.r_p * match.entries(direct.cols, ys)
         m_dir_best = np.full(cfg.n, -np.inf)
         if np.any(d.beta * cfg.r_p > np.maximum(m_out, m_infl)):
             for sl in chunks(cfg.n):
-                m_dir = B[sl] * (d.beta * cfg.r_p)
+                m_dir = match.rows(sl) * (d.beta * cfg.r_p)
                 here = (direct.cols >= sl.start) & (direct.cols < sl.stop)
                 m_dir[direct.cols[here] - sl.start, ys[here]] = m_held[here]
                 m_dir[np.arange(m_dir.shape[0]), np.arange(sl.start, sl.stop)] = -np.inf
@@ -391,13 +397,12 @@ def _relative_gap(best: np.ndarray, current: np.ndarray) -> float:
     return float(np.max(np.maximum(0.0, best[ok] - current[ok]) / best[ok]))
 
 
-def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, B: np.ndarray,
+def _support_producer_gap(omega: MarketAllocation, cfg: MarketConfig, match: Match,
                           scanned: np.ndarray) -> float:
     """Perfect/proxy condition (a): relative gap of each producer's support
     between its best candidate (`scanned`) and its current topic."""
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    # B[z] already holds g(d(x(z), z)) * f(d(x(z), y)) at the current topics
-    return _relative_gap(scanned, weights.producer_values(B))
+    return _relative_gap(scanned, match.producer_values(weights))
 
 
 def _imperfect_producer_gap(gamma: np.ndarray, cfg: MarketConfig,
@@ -449,8 +454,8 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
     rate_tol = 1e-8 * cfg.m
 
     state = start()
-    B = match_matrix(state.X, cfg)
-    phi = social_welfare(state, cfg, B)
+    match = match_of(state.X, cfg)
+    phi = _welfare(state, cfg, match)
     trace = [phi]
     degenerate: set[int] = set()
     converged = False
@@ -460,7 +465,7 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
         if repeat:  # the last round handed back its mu_i and X: this one repeats it
             new, new_phi, change = state, phi, 0.0
         else:
-            new, degenerate, new_phi, scanned = _one_round(state, cfg, mode, grid, B)
+            new, degenerate, new_phi, scanned = _one_round(state, cfg, mode, grid, match)
             change = _sup_change(state, new)
             repeat = (np.array_equal(new.X, state.X)
                       and np.array_equal(new.mu_i, state.mu_i))
@@ -473,12 +478,12 @@ def _run_single(start: Callable[[], MarketAllocation], cfg: MarketConfig,
             break
 
     if not converged:
-        state, phi, scanned = _settle(state, cfg, mode, grid, B, max_rounds)
+        state, phi, scanned = _settle(state, cfg, mode, grid, match, max_rounds)
     return EquilibriumResult(
         omega=state,
         welfare=phi,
         potential_trace=tuple(trace),
-        certificate=_certify(state, cfg, mode, B, scanned),
+        certificate=_certify(state, cfg, mode, match, scanned),
         rounds_used=rounds_used,
         converged=converged,
         degenerate_producers=frozenset(degenerate),

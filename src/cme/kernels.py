@@ -105,6 +105,86 @@ def discount_deriv(mu, p: DelayParams):
     return float(out) if out.ndim == 0 else out
 
 
+_STEEP = 64.0  # the largest a_f whose line sums take the stored factors
+
+
+class LineSums:
+    """Sums of nonnegative weights h[c] at sorted points s of [0, 1] under
+    the interest kernel f(d) = exp(-a d): sum_c h[c] f(|t - s_c|), at the
+    points themselves (both ``sides``, less h, counted in both) or at any
+    query points t (``at``).
+
+    |t - s_c| is t - s_c for s_c <= t and s_c - t beyond, so the sum is
+    exp(-a t) * sum_{s_c <= t} h exp(a s_c) plus its mirror: two cumulative
+    sums, the exact one-dimensional case of fast summation (Greengard &
+    Rokhlin, 1987).  Every term is nonnegative, so nothing cancels.  The
+    factors exp(+-a (s - 1/2)) are stored, within exp(+-_STEEP / 2); above
+    a = _STEEP they could overflow, so the two sides run the recurrence
+    L[g] = f(s_g - s_{g-1}) * L[g - 1] + h[g] by doubling, every factor at
+    most 1: log2(n) passes.  The doubling alone would serve every a, but it
+    takes 4-5 times as long as the cumulative sums, and it made a
+    fixed-budget run at N = 2000 about 1.5 times as slow (1.1 s against
+    1.6 s on a 2-core host)."""
+
+    def __init__(self, s: np.ndarray, a: float):
+        self.s, self.a = s, a
+        self._up = self._down = None
+        if a <= _STEEP:
+            self._up, self._down = np.exp(a * (s - 0.5)), np.exp(-a * (s - 0.5))
+
+    def sides(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_{c <= g} h[j, c] f(s_g - s_c) and sum_{c >= g} h[j, c] f(s_c -
+        s_g) at every point g, for each row j of h (k, n)."""
+        if self._up is not None:
+            left = h * self._up
+            np.cumsum(left, axis=1, out=left)
+            left *= self._down
+            right = h * self._down
+            np.cumsum(right[:, ::-1], axis=1, out=right[:, ::-1])
+            right *= self._up
+        else:
+            s, left, right, d = self.s, h.copy(), h.copy(), 1
+            while d < s.size:
+                f = np.exp(-self.a * (s[d:] - s[:-d]))
+                left[:, d:] += f * left[:, :-d]
+                right[:, :-d] += f * right[:, d:]
+                d *= 2
+        return left, right
+
+    def query(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where each query point t (m,) falls among the points, s[:i] <= t
+        < s[i:], and the factors that carry the sums of those two sides to
+        it: exp(-+a (t - 1/2)) with the stored factors, and by doubling f of
+        the distance to its two neighbouring points.  ``at`` reads them."""
+        i = np.searchsorted(self.s, t, side="right")
+        if self._up is not None:
+            e = np.multiply(t - 0.5, self.a)
+            return i, np.exp(-e), np.exp(e)
+        s = np.concatenate(([-np.inf], self.s, [np.inf]))
+        return i, np.exp(-self.a * (t - s[i])), np.exp(-self.a * (s[i + 1] - t))
+
+    def at(self, h: np.ndarray, q: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """The sums of h (n,) at the query points of q (``query``), as at
+        points of weight 0 in the sorted union of s and the queries: the
+        two sides' sums, the cumulative sums themselves with the stored
+        factors and by doubling those at the two neighbouring points, each
+        times its factor.  A query's sum reads only its own point, so it is
+        the same float whichever other queries are asked with it."""
+        i, to_left, to_right = q
+        n = self.s.size
+        left, right = np.zeros(n + 1), np.zeros(n + 1)  # left[i]: s[:i]; right[i]: s[i:]
+        if self._up is not None:
+            np.multiply(h, self._up, out=left[1:])
+            left.cumsum(out=left)
+            np.multiply(h, self._down, out=right[:-1])
+            right[::-1].cumsum(out=right[::-1])
+        else:
+            left[1:], right[:-1] = (side[0] for side in self.sides(h[None]))
+        out = to_left * left[i]
+        out += to_right * right[i]
+        return out
+
+
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between two (n, dim) stacks of points.
 

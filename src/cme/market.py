@@ -42,17 +42,20 @@ z != y.  ``consumer_utilities`` and the perfect/proxy producers read one
 ``support_weights`` per state: a producer's objective at topic x is its
 column of W weighted by the match of x.
 
-Every product of the (N, N) match matrix B is numpy's own single-threaded
-``einsum`` contraction, never ``B @ d``: the two match reductions and the
-producer values share ``sums_less_own``, and the round's rates, the
-consumer block, the potential and the certificate reach B through them or
-at the stored direct rates.  A multithreaded BLAS splits a matrix-vector
-product of that size over its threads, and on a 2-vCPU host OpenBLAS's
-second thread is often slow to wake: there, 60 calls of ``B @ d`` at
-N = 1000 had a median of 8.0 ms, against 0.33 ms on one BLAS thread and
-0.43-0.55 ms through ``einsum``, which never stalled.  Only the small tile
-products of the dim-2 producer scan (``bestresponse``) use BLAS, where
-they are 2-3 times faster; the dim-1 scan makes no matrix product.
+The engine reads B only through a ``Match``: the two match reductions
+(each consumer's influencer-relayed match, each producer's
+follower-weighted match mass), the producers' and consumers' values under
+W, B at the stored direct rates, a few consumers' columns for the
+consumer block and a chunk of producers' rows for the certificate.
+``match_of`` picks one of two implementations.  ``DenseMatch`` holds the
+(N, N) table, in dim 2 and for small dim-1 markets, and sums over it with
+numpy's own single-threaded ``einsum`` contraction, never ``B @ d``
+(``sums_less_own``).  ``LineMatch`` holds none: in dim 1 each sum is two
+cumulative sums along the sorted line (``kernels.LineSums``), and its
+entries, columns and rows are built from the topics with
+``match_matrix``'s own formula.  Only the dim-2 producer scan's small tile
+products (``bestresponse``) use BLAS, where they are 2-3 times faster; the
+dim-1 scan makes no matrix product.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
@@ -73,6 +76,7 @@ from .kernels import (
     DelayParams,
     InvalidInputError,
     KernelParams,
+    LineSums,
     TopicPoint,
     discount,
     pairwise_distances,
@@ -374,11 +378,17 @@ def match_matrix(X: np.ndarray, cfg: MarketConfig,
     rows are the full table's bit for bit."""
     B = pairwise_distances(np.asarray(X, dtype=float), cfg.interest_array())
     own = np.diagonal(B) if producers is None else B[np.arange(B.shape[0]), producers]
-    quality = np.exp(-cfg.kernel.a_g * own)
-    B *= -cfg.kernel.a_f
-    np.exp(B, out=B)
-    B *= quality[:, None]
-    return B
+    return _weigh(B, np.exp(-cfg.kernel.a_g * own), cfg)
+
+
+def _weigh(d: np.ndarray, quality: np.ndarray, cfg: MarketConfig) -> np.ndarray:
+    """The match entries f(d) * quality, in place on the (k, m) distances
+    d, quality (k,) being each row's producer's g at its own interest:
+    ``match_matrix``'s one formula, wherever its entries are built."""
+    d *= -cfg.kernel.a_f
+    np.exp(d, out=d)
+    d *= quality[:, None]
+    return d
 
 
 def less_own(total: np.ndarray, own: np.ndarray, terms) -> np.ndarray:
@@ -450,24 +460,20 @@ class PeerWeights:
         vals = sums_less_own(D, self.u, z)
         vals *= self.v[cols]
         if self.S.nnz:
-            at = np.full(self.u.size, -1)  # producer -> its row of D
-            at[z] = np.arange(z.size)
-            j = at[self.S.cols]
-            held = j >= 0
-            j = j[held]
-            vals += np.bincount(j, D[j, self.S.row_ids()[held]] * self.S.rates[held],
-                                minlength=z.size)
+            vals += self.direct_values(z, lambda j, y: D[j, y])
         return vals
 
-    def consumer_values(self, B: np.ndarray) -> np.ndarray:
-        """sum_z B[z, y] * W[y, z] for every consumer y, B being the
-        (N, N) match matrix: the transpose twin of ``producer_values``."""
-        vals = influencer_relayed_match(self.v, B)
-        vals *= self.u
-        if self.S.nnz:
-            ys = self.S.row_ids()
-            vals += np.bincount(ys, B[self.S.cols, ys] * self.S.rates, minlength=vals.size)
-        return vals
+    def direct_values(self, z: np.ndarray, entry) -> np.ndarray:
+        """sum_y S[y, z_j] * B[z_j, y] for the producers z (k,): the S term
+        of their values, read at the stored entries only, ``entry(j, y)``
+        giving B[z[j], y] at those entries (j indexing z)."""
+        at = np.full(self.u.size, -1)  # producer -> its place in z
+        at[z] = np.arange(z.size)
+        j = at[self.S.cols]
+        held = j >= 0
+        j = j[held]
+        return np.bincount(j, entry(j, self.S.row_ids()[held]) * self.S.rates[held],
+                           minlength=z.size)
 
 
 def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: DirectRates,
@@ -481,20 +487,234 @@ def support_weights(mu_i: np.ndarray, mu_infl: np.ndarray, direct: DirectRates,
                        DirectRates(direct.indptr, direct.cols, discount(direct.rates, d), direct.n))
 
 
+class Match:
+    """The match matrix B[z, y] at the topics X, behind the only reads the
+    engine makes of it.  ``match_of`` picks the implementation:
+    ``LineMatch`` in dim 1 stores no (N, N) array, ``DenseMatch`` holds B.
+
+    X                      (N, dim) the topics, the match's own copy
+    relayed(delta)         per consumer y, sum_{z != y} delta[z] * B[z, y]
+                           (``influencer_relayed_match``)
+    followed(delta)        per producer z, sum_{y != z} delta[y] * B[z, y]
+                           (``influencer_followed_match``)
+    producer_values(W, cols)  the producers' objectives at their topics
+                           (``PeerWeights.producer_values`` on B's rows)
+    values_at(W, T, cols)  the same at topics T, and the rows built there
+                           for ``move``, if any
+    consumer_values(W)     sum_z B[z, y] * W[y, z] for every consumer y
+    entries(z, y)          B[z, y]
+    columns(ys)            B[:, ys], (N, k)
+    rows(sl)               B[sl], (k, N)
+    move(z, T, rows)       producers z take topics T
+    """
+
+    def __init__(self, X: np.ndarray, cfg: MarketConfig):
+        self.cfg = cfg
+        self.X = np.array(X, dtype=float)
+
+    def consumer_values(self, weights: PeerWeights) -> np.ndarray:
+        """sum_z B[z, y] * W[y, z] for every consumer y: the rank-one term
+        through ``relayed``, the stored weights from B at their entries."""
+        vals = self.relayed(weights.v)
+        vals *= weights.u
+        S = weights.S
+        if S.nnz:
+            ys = S.row_ids()
+            vals += np.bincount(ys, self.entries(S.cols, ys) * S.rates, minlength=vals.size)
+        return vals
+
+
+class DenseMatch(Match):
+    """B held as the (N, N) table, in any dimension.  Every sum over it is
+    numpy's own ``einsum`` contraction (``sums_less_own``), never a BLAS
+    product: on a 2-vCPU host OpenBLAS's second thread is often slow to
+    wake, and 60 calls of ``B @ d`` at N = 1000 had a median of 8.0 ms,
+    against 0.33 ms on one BLAS thread and 0.43-0.55 ms through ``einsum``,
+    which never stalled."""
+
+    def __init__(self, X: np.ndarray, cfg: MarketConfig, B: np.ndarray | None = None):
+        super().__init__(X, cfg)
+        self.B = match_matrix(self.X, cfg) if B is None else B
+
+    def relayed(self, delta: np.ndarray) -> np.ndarray:
+        return influencer_relayed_match(delta, self.B)
+
+    def followed(self, delta: np.ndarray) -> np.ndarray:
+        return influencer_followed_match(delta, self.B)
+
+    def producer_values(self, weights: PeerWeights, cols: slice | np.ndarray = slice(None)
+                        ) -> np.ndarray:
+        """Each producer's objective at its topic, from its row of B."""
+        return weights.producer_values(self.B[cols], cols)
+
+    def values_at(self, weights: PeerWeights, T: np.ndarray, cols: slice | np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The objectives of the producers ``cols`` at topics T (k, dim),
+        and their match rows there, which ``move`` takes: at T = X[cols]
+        the rows and values are ``producer_values``' bit for bit."""
+        D = match_matrix(T, self.cfg, np.arange(self.cfg.n)[cols])
+        return weights.producer_values(D, cols), D
+
+    def entries(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.B[z, y]
+
+    def columns(self, ys: np.ndarray) -> np.ndarray:
+        return self.B[:, ys]
+
+    def rows(self, sl: slice) -> np.ndarray:
+        return self.B[sl]
+
+    def move(self, z: np.ndarray, T: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Producers z take topics T, and their rows of B the given rows or,
+        without them, rows rebuilt in chunks of _CHUNK."""
+        self.X[z] = T
+        if rows is not None:
+            self.B[z] = rows
+            return
+        for sl in chunks(z.size):
+            self.B[z[sl]] = match_matrix(T[sl], self.cfg, z[sl])
+
+
+class LineMatch(Match):
+    """B in dim 1, never stored: each reduction is a sum of nonnegative
+    weights under the interest kernel f (``kernels.LineSums``), taken at
+    the query points from sums over the sorted sources.  ``relayed`` weighs
+    the topics by delta[z] * g(|x_z - y_z|) and reads the sums at the
+    interests; ``followed`` and the producers' values weigh the interests
+    and read them at the topics, times each producer's quality.  The own
+    term comes off through ``less_own``.  Entries, columns and rows are
+    built from X with ``match_matrix``'s own formula, so they are B's
+    floats; only the sums differ from ``DenseMatch``'s, in the last bits.
+    The sorted topics and where each query point falls are kept until a
+    producer moves.
+
+    A producer's value at a topic is one function of that producer and
+    topic (``_values``): an incumbent's and a winner's are computed alike,
+    so a winner that ties the incumbent exactly keeps the incumbent."""
+
+    def __init__(self, X: np.ndarray, cfg: MarketConfig):
+        super().__init__(X, cfg)
+        self._y = cfg.interest_array()[:, 0]
+        order = np.argsort(self._y, kind="stable")
+        self._interests = order, LineSums(self._y[order], cfg.kernel.a_f)
+        self._quality, self._diag = np.empty(cfg.n), np.empty(cfg.n)
+        self.move(np.arange(cfg.n), self.X)
+
+    def move(self, z: np.ndarray, T: np.ndarray, rows: None = None) -> None:
+        """Producers z take topics T, and their quality g(|x_z - y_z|) and
+        diagonal entry B[z, z] with them."""
+        if not z.size:
+            return
+        self.X[z] = T
+        self._quality[z], self._diag[z] = self._own(z, self.X[z, 0])
+        self._by_topic = self._at_topics = None
+
+    def relayed(self, delta: np.ndarray) -> np.ndarray:
+        if self._by_topic is None:  # the topics sorted, and the interests among them
+            x = self.X[:, 0]
+            order = np.argsort(x, kind="stable")
+            line = LineSums(x[order], self.cfg.kernel.a_f)
+            self._by_topic = order, line, line.query(self._y)
+        order, line, q = self._by_topic
+        total = line.at((delta * self._quality)[order], q)
+        return less_own(total, self._diag * delta, lambda y: (self.columns(y).T * delta, y))
+
+    def followed(self, delta: np.ndarray) -> np.ndarray:
+        return self.producer_values(PeerWeights.rank_one(delta, np.ones(self.cfg.n)))
+
+    def producer_values(self, weights: PeerWeights, cols: slice | np.ndarray = slice(None)
+                        ) -> np.ndarray:
+        z = np.arange(self.cfg.n)[cols]
+        return self._values(weights, z, self.X[z, 0], tuple(a[z] for a in self._topic_query()),
+                            self._quality[z], self._diag[z])
+
+    def values_at(self, weights: PeerWeights, T: np.ndarray, cols: slice | np.ndarray
+                  ) -> tuple[np.ndarray, None]:
+        """The objectives of the producers ``cols`` at topics T (k, 1); no
+        row is built for ``move``."""
+        z, t = np.arange(self.cfg.n)[cols], T[:, 0]
+        return self._values(weights, z, t, self._interests[1].query(t), *self._own(z, t)), None
+
+    def _topic_query(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``LineSums.query`` of every topic among the sorted interests."""
+        if self._at_topics is None:
+            self._at_topics = self._interests[1].query(self.X[:, 0])
+        return self._at_topics
+
+    def _values(self, weights: PeerWeights, z: np.ndarray, t: np.ndarray, q: tuple,
+                quality: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """sum_y B_t[z_j, y] * W[y, z_j] for producers z (k,) at topics t
+        (k,), B_t being the match rows there: the kernel sum of u at t (q
+        being t's ``query`` among the interests) times the quality
+        g(|t - y_z|), less the own term u[z] * B_t[z, z], times v[z], plus S
+        times B_t at its entries.  Entry j reads only (z_j, t_j), and every
+        argument is elementwise in it."""
+        u = weights.u
+        order, line = self._interests
+        total = line.at(u[order], q)
+        total *= quality
+        vals = less_own(total, own * u[z],
+                        lambda j: (match_matrix(t[j][:, None], self.cfg, z[j]) * u, z[j]))
+        vals *= weights.v[z]
+        if weights.S.nnz:
+            vals += weights.direct_values(z, lambda j, y: self._entry(t[j], quality[j], y))
+        return vals
+
+    def _own(self, z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The quality g(|t - y_z|) and own entry B_t[z, z] of producers z
+        (k,) at topics t (k,)."""
+        quality = np.exp(-self.cfg.kernel.a_g * np.abs(t - self._y[z]))
+        return quality, self._entry(t, quality, z)
+
+    def _entry(self, t: np.ndarray, quality: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """B_t[z, y] of producers at topics t (k,) with qualities (k,) for
+        consumers y (k,), by ``match_matrix``'s formula."""
+        return _weigh(np.abs(t - self._y[y])[:, None], quality, self.cfg)[:, 0]
+
+    def entries(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._entry(self.X[z, 0], self._quality[z], y)
+
+    def columns(self, ys: np.ndarray) -> np.ndarray:
+        return _weigh(pairwise_distances(self.X, self.cfg.interest_array()[ys]),
+                      self._quality, self.cfg)
+
+    def rows(self, sl: slice | np.ndarray) -> np.ndarray:
+        return match_matrix(self.X[sl], self.cfg, np.arange(self.cfg.n)[sl])
+
+
+_LINE_FROM = 256  # the fewest members whose dim-1 match holds no table
+
+
+def match_of(X: np.ndarray, cfg: MarketConfig) -> Match:
+    """The match at topics X: a ``LineMatch`` in dim 1 from _LINE_FROM
+    members, a ``DenseMatch`` otherwise.  Below that size B takes at most
+    half a megabyte, and the dense sums, fewer numpy calls each, are the
+    faster on small markets.  In paired runs on a 2-core host a
+    ``price_of_influence`` row (M_infl = N) took 15% longer on the line at
+    N = 40, and 5%, 8% and 33% less at N = 128, 256 and 512; a
+    fixed-budget perfect run, whose consumer block builds B's columns from
+    the topics, 2% longer at N = 128 and 256 and 2% less at N = 512."""
+    return LineMatch(X, cfg) if cfg.dim == 1 and cfg.n >= _LINE_FROM else DenseMatch(X, cfg)
+
+
+def _match(omega: MarketAllocation, cfg: MarketConfig, B: np.ndarray | None) -> Match:
+    """The match at omega's topics, on the dense table B when one is given."""
+    return match_of(omega.X, cfg) if B is None else DenseMatch(omega.X, cfg, B)
+
+
 def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
                        B: np.ndarray | None = None) -> np.ndarray:
-    """All N consumer utilities at once; B defaults to ``match_matrix(omega.X, cfg)``."""
-    if B is None:
-        B = match_matrix(omega.X, cfg)
+    """All N consumer utilities at once; B, when given, is the dense
+    ``match_matrix(omega.X, cfg)``."""
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    return _utilities(B, weights, omega.lam, cfg)
+    return _utilities(_match(omega, cfg, B), weights, omega.lam, cfg)
 
 
-def _utilities(B: np.ndarray, weights: PeerWeights, lam: np.ndarray,
+def _utilities(match: Match, weights: PeerWeights, lam: np.ndarray,
                cfg: MarketConfig) -> np.ndarray:
     """r_p * sum_z B[z, y] * W[y, z] + r_0 * B_0 * delta(lam[y]) for every y,
     W being ``support_weights`` of the same state."""
-    return (cfg.r_p * weights.consumer_values(B)
+    return (cfg.r_p * match.consumer_values(weights)
             + cfg.r_0 * cfg.b_0 * discount(lam, cfg.delay))
 
 
@@ -505,7 +725,8 @@ def social_welfare(omega: MarketAllocation, cfg: MarketConfig,
 
 
 def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per consumer y: sum over z != y of delta(mu_infl(z)) * B[z, y].
+    """Per consumer y: sum over z != y of delta(mu_infl(z)) * B[z, y], B the
+    dense table.
 
     This is the influencer channel's value to each consumer without the r_p
     scale; the transpose twin of ``influencer_followed_match``.
@@ -514,7 +735,8 @@ def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """gamma(z)/r_p without the r_p scale: sum over y != z of delta(mu_i(y)) * B[z, y].
+    """gamma(z)/r_p without the r_p scale: sum over y != z of delta(mu_i(y)) * B[z, y],
+    B the dense table.
 
     This is each producer's follower-weighted match mass as seen from the
     influencer's chair; r_p * this vector is the influencer's channel weights.
@@ -525,11 +747,9 @@ def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
 def influencer_utility(omega: MarketAllocation, cfg: MarketConfig,
                        B: np.ndarray | None = None) -> float:
     """The influencer's objective: total relayed consumption it mediates."""
-    if B is None:
-        B = match_matrix(omega.X, cfg)
     d = cfg.delay
     return cfg.r_p * float(np.dot(discount(omega.mu_infl, d),
-                                  influencer_followed_match(discount(omega.mu_i, d), B)))
+                                  _match(omega, cfg, B).followed(discount(omega.mu_i, d))))
 
 
 def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,

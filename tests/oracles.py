@@ -71,7 +71,7 @@ from cme.kernels import (
     discount,
     pairwise_distances,
 )
-from cme.market import influencer_relayed_match, less_own, match_matrix, social_welfare
+from cme.market import less_own, match_matrix, match_of
 
 
 class DomainError(ValueError):
@@ -326,14 +326,14 @@ def water_fill_batch(weight_rows: np.ndarray, budget: float, d: DelayParams
     return rates, np.exp(log_nu)
 
 
-def consumers_dense(delta_infl, B, cfg, mode, solve=water_fill_rows):
+def consumers_dense(delta_infl, match, cfg, mode, solve=water_fill_rows):
     """Every consumer's best response as (lam, mu_i, direct), direct the
-    dense (N, N) table: each chunk of consumers' weights (outside source,
-    influencer, one channel per producer with the self channel at 0) split
-    by ``solve`` into full rate rows.  Proxy consumers hold only the first
-    two channels."""
+    dense (N, N) table, at the match matrix B of ``match``: each chunk of
+    consumers' weights (outside source, influencer, one channel per
+    producer with the self channel at 0) split by ``solve`` into full rate
+    rows.  Proxy consumers hold only the first two channels."""
     n = cfg.n
-    relayed = influencer_relayed_match(delta_infl, B)
+    relayed = match.relayed(delta_infl)
     lam, mu_i, direct = np.empty(n), np.empty(n), np.zeros((n, n))
     for sl in chunks(n):
         ys = np.arange(n)[sl]
@@ -341,7 +341,7 @@ def consumers_dense(delta_infl, B, cfg, mode, solve=water_fill_rows):
         weights[:, 0] = cfg.r_0 * cfg.b_0
         weights[:, 1] = cfg.r_p * relayed[ys]
         if mode is not GameMode.PROXY:
-            np.multiply(B[:, ys].T, cfg.r_p, out=weights[:, 2:])
+            np.multiply(match.columns(ys).T, cfg.r_p, out=weights[:, 2:])
             weights[np.arange(ys.size), 2 + ys] = 0.0
         rates = solve(weights, cfg.m, cfg.delay.beta)[0]
         lam[sl], mu_i[sl] = rates[:, 0], rates[:, 1]
@@ -372,20 +372,26 @@ def producer_support_via_influencer(z, omega, cfg, B=None) -> float:
     return cfg.r_p * discount(float(omega.mu_infl[z]), d) * float(terms.sum())
 
 
+def match_table(match) -> np.ndarray:
+    """The (N, N) table a ``cme.market.Match`` stands for: the B a dense
+    match holds, or ``match_matrix`` at the topics of a line match."""
+    return match.B.copy() if hasattr(match, "B") else match_matrix(match.X, match.cfg)
+
+
 def run_single_every_round(start, cfg, mode, max_rounds, grid):
     """``cme.equilibrium._run_single`` computing every round with
     ``_one_round`` and ``_sup_change``, the repeated last round too."""
     rate_tol = 1e-8 * cfg.m
 
     state = start()
-    B = match_matrix(state.X, cfg)
-    phi = social_welfare(state, cfg, B)
+    match = match_of(state.X, cfg)
+    phi = equilibrium._welfare(state, cfg, match)
     trace = [phi]
     degenerate = set()
     converged = False
 
     for rounds_used in range(1, max_rounds + 1):
-        new, degenerate, new_phi, scanned = equilibrium._one_round(state, cfg, mode, grid, B)
+        new, degenerate, new_phi, scanned = equilibrium._one_round(state, cfg, mode, grid, match)
         change = equilibrium._sup_change(state, new)
         state = new
         dphi = abs(new_phi - phi)
@@ -396,12 +402,12 @@ def run_single_every_round(start, cfg, mode, max_rounds, grid):
             break
 
     if not converged:
-        state, phi, scanned = equilibrium._settle(state, cfg, mode, grid, B, max_rounds)
+        state, phi, scanned = equilibrium._settle(state, cfg, mode, grid, match, max_rounds)
     return equilibrium.EquilibriumResult(
         omega=state,
         welfare=phi,
         potential_trace=tuple(trace),
-        certificate=equilibrium._certify(state, cfg, mode, B, scanned),
+        certificate=equilibrium._certify(state, cfg, mode, match, scanned),
         rounds_used=rounds_used,
         converged=converged,
         degenerate_producers=frozenset(degenerate),

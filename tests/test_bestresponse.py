@@ -41,8 +41,10 @@ from cme.kernels import (
     discount,
 )
 from cme.market import (
+    DenseMatch,
     DirectRates,
     InfluencerAllocation,
+    LineMatch,
     MarketAllocation,
     MarketConfig,
     PeerWeights,
@@ -61,6 +63,7 @@ from oracles import (
     dense_support_weights,
     dense_tables,
     dense_weights,
+    match_table,
     tiled_scan,
     water_fill_rows_sorted,
 )
@@ -567,12 +570,13 @@ class TestImperfectRoundAgainstReference:
             # the second round starts where the first ended: the mass
             # objective reads no other producer's topic, so nobody moves
             for _ in range(2):
-                B_got = match_matrix(got, cfg)
-                got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg, B_got)
+                match = (LineMatch if cfg.dim == 1 else DenseMatch)(got, cfg)
+                got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg, match)
                 expect_degenerate = imperfect_round(mu_i, expect, grid, cfg,
                                                     match_matrix(expect, cfg))
                 assert np.array_equal(got, expect)
-                assert np.array_equal(B_got, match_matrix(got, cfg))
+                assert np.array_equal(match.X, got)
+                assert np.array_equal(match_table(match), match_matrix(got, cfg))
                 assert np.array_equal(got_degenerate, expect_degenerate)
             walked += len(asked) > before
             degenerate += bool(np.any(got_degenerate & ~np.all(got_degenerate)))
@@ -592,30 +596,40 @@ class TestImperfectRoundAgainstReference:
 
 
 class TestIncumbentValue:
-    """The round reads each incumbent's objective from its match matrix B,
-    where ``producer_block`` used to evaluate ``_objective`` at prev; the
-    two are the same floats for producers given by a slice or by indices."""
+    """A round reads each incumbent's objective from its match
+    (``producer_values``), and ``producer_block`` values a winner with the
+    same match's ``values_at``: one function, the same floats for
+    producers given by a slice or by indices, on either match type.  On
+    the dense match both are ``_objective``'s floats, and the rows built
+    are B's."""
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim,kind", [(1, DenseMatch), (1, LineMatch), (2, DenseMatch)])
     @pytest.mark.parametrize("n", [5, _CHUNK + 11])
-    def test_value_from_b_is_the_objective_bit_for_bit(self, dim, n):
+    def test_incumbent_and_winner_values_are_one_function(self, dim, n, kind):
         # the perfect/proxy support weights and the imperfect follower
         # weights, with which the imperfect round values its incumbents
         rng = np.random.default_rng(130 + n + dim)
         for _ in range(3):
             cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
             d = random_allocation(rng, cfg)
+            match = kind(d.X, cfg)
             for W in (support_weights(d.mu_i, d.mu_infl, d.direct, cfg),
                       PeerWeights.rank_one(discount(d.mu_i, cfg.delay), np.ones(cfg.n))):
-                B = match_matrix(d.X, cfg)
-                valued = [_objective(d.X[sl], W, sl, cfg)
+                valued = [match.values_at(W, d.X[sl], sl)
                           for sl in (slice(0, _CHUNK), slice(_CHUNK, n))]
-                assert np.array_equal(W.producer_values(B),
+                assert np.array_equal(match.producer_values(W),
                                       np.concatenate([values for values, _ in valued]))
-                assert np.array_equal(B, np.concatenate([rows for _, rows in valued]))
                 idx = np.arange(1, n, 3)  # producer_block values its movers by index
-                assert np.array_equal(W.producer_values(B)[idx],
-                                      _objective(d.X[idx], W, idx, cfg)[0])
+                assert np.array_equal(match.producer_values(W)[idx],
+                                      match.values_at(W, d.X[idx], idx)[0])
+                assert np.array_equal(match.producer_values(W, idx),
+                                      match.producer_values(W)[idx])
+                if kind is DenseMatch:
+                    B = match_matrix(d.X, cfg)
+                    assert np.array_equal(B, np.concatenate([rows for _, rows in valued]))
+                    assert np.array_equal(match.producer_values(W), W.producer_values(B))
+                    assert np.array_equal(W.producer_values(B)[idx],
+                                          _objective(d.X[idx], W, idx, cfg)[0])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_pick_at_the_incumbent_keeps_its_value(self, dim):
@@ -934,7 +948,8 @@ class TestConsumerBlockAgainstReference:
         rng = np.random.default_rng(110 + n + 3 * list(GameMode).index(mode))
         for case in range(3):
             cfg = random_config(rng, n_min=n, n_max=n)
-            B = match_matrix(rng.uniform(0.0, 1.0, (n, cfg.dim)), cfg)
+            X = rng.uniform(0.0, 1.0, (n, cfg.dim))
+            B = match_matrix(X, cfg)
             mu_infl = rng.dirichlet(np.ones(n)) * cfg.m_infl
             if case == 1:  # zero-weight channels
                 B[rng.uniform(size=B.shape) < 0.3] = 0.0
@@ -942,7 +957,7 @@ class TestConsumerBlockAgainstReference:
             elif case == 2:  # the influencer relays nothing: nobody follows it
                 mu_infl[:] = 0.0
             delta_infl = discount(mu_infl, cfg.delay)
-            lam, mu_i, rates = consumers_br_dense(delta_infl, B, cfg, mode)
+            lam, mu_i, rates = consumers_br_dense(delta_infl, DenseMatch(X, cfg, B), cfg, mode)
             direct = rates.toarray()
             for a, b in zip((lam, mu_i, direct), consumer_round(delta_infl, B, cfg, mode)):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * cfg.m)
@@ -989,14 +1004,16 @@ def test_consumer_block_equals_the_dense_block(mode, dim):
     held = 0
     for case in range(6):
         cfg = random_config(rng, n_min=_CHUNK - 3, n_max=2 * _CHUNK + 3, dim=dim)
-        B = match_matrix(rng.uniform(0.0, 1.0, (cfg.n, dim)), cfg)
+        X = rng.uniform(0.0, 1.0, (cfg.n, dim))
+        B = match_matrix(X, cfg)
         mu_infl = rng.dirichlet(np.ones(cfg.n)) * rng.uniform(0.5, 5.0)
         if case % 2:  # zero-weight channels
             B[rng.uniform(size=B.shape) < 0.3] = 0.0
             mu_infl[::3] = 0.0
         delta_infl = discount(mu_infl, cfg.delay)
-        lam, mu_i, direct = consumers_br_dense(delta_infl, B, cfg, mode)
-        want = consumers_dense(delta_infl, B, cfg, mode)
+        match = DenseMatch(X, cfg, B)
+        lam, mu_i, direct = consumers_br_dense(delta_infl, match, cfg, mode)
+        want = consumers_dense(delta_infl, match, cfg, mode)
         for a, b in zip((lam, mu_i, direct.toarray()), want):
             assert np.array_equal(a, b)
         assert np.all(direct.rates > 0.0) and direct.shape == (cfg.n, cfg.n)
@@ -1006,7 +1023,7 @@ def test_consumer_block_equals_the_dense_block(mode, dim):
 
 
 def _straddling_market(rng, n, dim, case):
-    """(cfg, B, delta_infl) for a block whose consumers straddle the
+    """(cfg, match, delta_infl) for a block whose consumers straddle the
     candidate bound: beta * m is about log of the median relayed match, so
     consumers above it have a candidate floor over r_p and hold no direct
     candidate, and those below it do.  In cases 0 and 3 the outside weight
@@ -1039,7 +1056,7 @@ def _straddling_market(rng, n, dim, case):
         cfg = dataclasses.replace(cfg, m=m)
     else:
         cfg = dataclasses.replace(cfg, m=m, r_0=2.0 * cfg.r_p * math.exp(beta * m), b_0=1.0)
-    return cfg, B, delta_infl
+    return cfg, DenseMatch(X, cfg, B), delta_infl
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1057,8 +1074,9 @@ def test_consumers_past_the_candidate_bound_take_two_channels(mode, dim):
         return real(W, budget, beta)
 
     for case in range(6):
-        cfg, B, delta_infl = _straddling_market(rng, int(rng.integers(_CHUNK, 2 * _CHUNK + 8)),
-                                                dim, case)
+        cfg, match, delta_infl = _straddling_market(
+            rng, int(rng.integers(_CHUNK, 2 * _CHUNK + 8)), dim, case)
+        B = match.B
         top = np.maximum(cfg.r_0 * cfg.b_0, cfg.r_p * influencer_relayed_match(delta_infl, B))
         floor = _candidate_floor(top, cfg.delay.beta * cfg.m)
         narrow = int(np.count_nonzero(floor > cfg.r_p))
@@ -1068,8 +1086,8 @@ def test_consumers_past_the_candidate_bound_take_two_channels(mode, dim):
         widths.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bestresponse, "_water_fill_sparse", spy)
-            lam, mu_i, direct = consumers_br_dense(delta_infl, B, cfg, mode)
-        want = consumers_dense(delta_infl, B, cfg, mode)
+            lam, mu_i, direct = consumers_br_dense(delta_infl, match, cfg, mode)
+        want = consumers_dense(delta_infl, match, cfg, mode)
         for a, b in zip((lam, mu_i, direct.toarray()), want):
             assert np.array_equal(a, b), case
         two = sum(k for k, w in widths if w == 2)
@@ -1143,7 +1161,7 @@ class TestPeerWeightsAgainstDense:
         if dim == 1:  # every candidate of every producer
             G = len(grid.points)
             got = _LineScan(W, grid, np.arange(n)).values(
-                np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, G - 1)).T
+                np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, G - 1)).reshape(n, G).T
         else:
             rows = W.S.rated_rows()
             got = np.concatenate([_tile_objective(W, rows, W.S.dense_rows(rows),
@@ -1155,8 +1173,8 @@ class TestPeerWeightsAgainstDense:
         B = match_matrix(d.X, cfg)
         np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense),
                                    **close)
-        np.testing.assert_allclose(W.consumer_values(B), np.einsum("zy,yz->y", B, dense),
-                                   **close)
+        np.testing.assert_allclose(DenseMatch(d.X, cfg, B).consumer_values(W),
+                                   np.einsum("zy,yz->y", B, dense), **close)
         followers = dense_weights(PeerWeights.rank_one(W.u, np.ones(n)))
         np.testing.assert_allclose(influencer_followed_match(W.u, B),
                                    np.einsum("zy,yz->z", B, followers), **close)
@@ -1180,9 +1198,11 @@ class TestPeerWeightsAgainstDense:
         P, Q = dense_tables(grid.points, cfg)
         close = dict(rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(grid_best(W, grid), (Q * (P @ dense)).max(axis=0), **close)
-        B = match_matrix(np.array([[0.75], [0.25]]), cfg)
+        X = np.array([[0.75], [0.25]])
+        B = match_matrix(X, cfg)
         np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense), **close)
-        np.testing.assert_allclose(W.consumer_values(B), np.einsum("zy,yz->y", B, dense), **close)
+        np.testing.assert_allclose(DenseMatch(X, cfg, B).consumer_values(W),
+                                   np.einsum("zy,yz->y", B, dense), **close)
         block = producer_block(W, grid, cfg)
         assert not block.degenerate.any() and block.topics[0, 0] == 0.75
 

@@ -43,13 +43,15 @@ from cme.kernels import (
     discount_deriv,
 )
 from cme.market import (
+    DenseMatch,
     InfluencerAllocation,
+    LineMatch,
     MarketAllocation,
     MarketConfig,
     PeerWeights,
     influencer_followed_match,
-    influencer_relayed_match,
     match_matrix,
+    match_of,
     social_welfare,
     support_weights,
 )
@@ -58,6 +60,7 @@ from markets_util import far_pair, random_allocation, random_config, with_consum
 from oracles import (
     dense_support_weights,
     followed_match_blas,
+    match_table,
     relayed_match_blas,
     run_single_every_round,
 )
@@ -264,12 +267,13 @@ def test_certificate_tolerance_scaling():
 
 def _dense_direct_residuals(omega, cfg):
     """Conditions c, d and e with every direct marginal in one (N, N)
-    table, the self channel masked out."""
+    table, the self channel masked out; the influencer marginals are the
+    engine's, ``Match.relayed``."""
     d = cfg.delay
     B = match_matrix(omega.X, cfg)
     m_out = discount_deriv(omega.lam, d) * cfg.r_0 * cfg.b_0
-    m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * influencer_relayed_match(
-        discount(omega.mu_infl, d), B)
+    m_infl = discount_deriv(omega.mu_i, d) * cfg.r_p * match_of(omega.X, cfg).relayed(
+        discount(omega.mu_infl, d))
     m_dir = discount_deriv(omega.direct.toarray(), d) * cfg.r_p * B.T
     np.fill_diagonal(m_dir, -np.inf)
     m_dir_best = np.max(m_dir, axis=1)
@@ -346,10 +350,9 @@ def test_direct_marginals_past_the_cap_are_not_read(mode, dim):
         if case % 2:  # nobody followed: every influencer marginal is 0
             mu_infl[:] = 0.0
         d = MarketAllocation(lam, d.mu_i, d.direct, InfluencerAllocation(mu_infl), d.X)
-        B = match_matrix(d.X, cfg)
         m_out = discount_deriv(d.lam, cfg.delay) * cfg.r_0 * cfg.b_0
-        m_infl = discount_deriv(d.mu_i, cfg.delay) * cfg.r_p * influencer_relayed_match(
-            discount(d.mu_infl, cfg.delay), B)
+        m_infl = discount_deriv(d.mu_i, cfg.delay) * cfg.r_p * match_of(d.X, cfg).relayed(
+            discount(d.mu_infl, cfg.delay))
         cap = cfg.delay.beta * cfg.r_p
         need = int(np.count_nonzero(cap > np.maximum(m_out, m_infl)))
         seen["none" if need == 0 else "all" if need == cfg.n else "some"] += 1
@@ -592,6 +595,11 @@ def _search(dim):
     return SEARCH if dim == 1 else TopicSearchParams(grid_resolution=24)
 
 
+def _line_match(X, cfg):
+    """The line match in dim 1, at any size; the dense match in dim 2."""
+    return (LineMatch if cfg.dim == 1 else DenseMatch)(X, cfg)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_rounds_match_the_per_producer_round(mode, dim):
@@ -605,7 +613,7 @@ def test_rounds_match_the_per_producer_round(mode, dim):
             values = []
             old, degenerate_old, _, _ = ref.gauss_seidel_round(old, cfg, mode, grid, values)
             new, degenerate_new, _, _ = equilibrium._one_round(new, cfg, mode, grid,
-                                                               match_matrix(new.X, cfg))
+                                                               _line_match(new.X, cfg))
             if mode is GameMode.IMPERFECT and any(ref.saturated(v, cfg) for v in values):
                 break  # flat exact objective: the topics part by design
             compared += 1
@@ -631,7 +639,7 @@ def test_imperfect_round_moves_producers_in_order():
         old, degenerate_old, _, _ = ref.gauss_seidel_round(start, cfg, GameMode.IMPERFECT,
                                                            grid, values)
         new, degenerate_new, _, _ = equilibrium._one_round(start, cfg, GameMode.IMPERFECT,
-                                                           grid, match_matrix(start.X, cfg))
+                                                           grid, _line_match(start.X, cfg))
         if any(ref.saturated(v, cfg) for v in values):
             continue
         assert degenerate_new == degenerate_old
@@ -648,26 +656,29 @@ def _producer_weights(omega, cfg, mode):
 
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_round_returns_the_next_match_matrix_and_potential(mode):
-    # each round's B is fed to the next, as _run_single does: the round
-    # rebuilds only the rows of the producers that moved, in place.  The
-    # second leg restarts from the first's state with every other topic
-    # redrawn, so some producers move and some stay
+    # each round's match is fed to the next, as _run_single does: the round
+    # moves only the producers that moved, in place (on the dense match,
+    # rebuilding their rows of B).  The second leg restarts from the first's
+    # state with every other topic redrawn, so some producers move and some
+    # stay.  In dim 1 on both match types
     rng = np.random.default_rng(150 + list(GameMode).index(mode))
-    for dim in (1, 2):
+    for dim, kind in ((1, LineMatch), (1, DenseMatch), (2, DenseMatch)):
         movers = set()
         for _ in range(2):
             cfg = random_config(rng, n_min=3, n_max=8, dim=dim)
             grid = TopicGrid(cfg, _search(dim))
             state = equilibrium.random_init(cfg, mode, rng)
             for rounds in (3, 2):
-                B = match_matrix(state.X, cfg)
+                match = kind(state.X, cfg)
                 for _ in range(rounds):
                     before = state.X
-                    state, _, phi, scanned = equilibrium._one_round(state, cfg, mode, grid, B)
+                    state, _, phi, scanned = equilibrium._one_round(state, cfg, mode, grid,
+                                                                    match)
                     moved = np.count_nonzero(np.any(state.X != before, axis=1))
                     movers.add("none" if moved == 0 else "some" if moved < cfg.n else "all")
-                    assert np.array_equal(B, match_matrix(state.X, cfg))
-                    assert phi == social_welfare(state, cfg, B)
+                    assert np.array_equal(match.X, state.X)
+                    assert np.array_equal(match_table(match), match_matrix(state.X, cfg))
+                    assert phi == equilibrium._welfare(state, cfg, kind(state.X, cfg))
                     assert np.array_equal(
                         scanned, grid_best(_producer_weights(state, cfg, mode), grid))
                 X = state.X.copy()
@@ -678,16 +689,22 @@ def test_round_returns_the_next_match_matrix_and_potential(mode):
 
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_round_builds_one_match_row_per_producer_valued(mode, monkeypatch):
-    # the row built to value a producer's best candidate is the row B takes
-    # when the producer moves, so a round builds one match row per
-    # nondegenerate producer whose best candidate is not its incumbent, and
-    # B is still the fresh match matrix.  An imperfect mover found inactive
-    # takes its incumbent's row again, one more row
-    built, scans, blocks = [], [], []
+    # on the dense match the row built to value a producer's best candidate
+    # is the row B takes when the producer moves, so a round builds one
+    # match row per nondegenerate producer whose best candidate is not its
+    # incumbent, and B is still the fresh match matrix.  An imperfect mover
+    # found inactive takes its incumbent's row again, one more row.  The
+    # line match (dim 1) moves each producer whose topic changed, and
+    # builds no row to value or move it
+    built, scans, blocks, moves = [], [], [], []
 
     def building(X, cfg, producers=None):
         built.append(len(X))
         return match_matrix(X, cfg, producers)
+
+    def moving(self, z, T, rows=None):
+        moves.append(z.size)
+        return line_move(self, z, T, rows)
 
     def scanning(weights, grid, cols):
         best, value = scan(weights, grid, cols)
@@ -699,31 +716,36 @@ def test_round_builds_one_match_row_per_producer_valued(mode, monkeypatch):
         return blocks[-1]
 
     scan, producer_block = bestresponse._scan, bestresponse.producer_block
+    line_move = market.LineMatch.move
     for module in (bestresponse, equilibrium):
-        monkeypatch.setattr(module, "match_matrix", building)
         monkeypatch.setattr(module, "producer_block", block_of)
+    monkeypatch.setattr(market, "match_matrix", building)
+    monkeypatch.setattr(market.LineMatch, "move", moving)
     monkeypatch.setattr(bestresponse, "_scan", scanning)
     rng = np.random.default_rng(160 + list(GameMode).index(mode))
     valued = moved = 0
-    for dim in (1, 2):
+    for dim, kind in ((1, LineMatch), (1, DenseMatch), (2, DenseMatch)):
         for _ in range(2):
             cfg = random_config(rng, n_min=3, n_max=8, dim=dim)
             grid = TopicGrid(cfg, _search(dim))
             state = equilibrium.random_init(cfg, mode, rng)
-            B = match_matrix(state.X, cfg)
+            match = kind(state.X, cfg)
             for _ in range(3):
-                built.clear()
-                scans.clear()
-                blocks.clear()
+                for spied in (built, scans, blocks, moves):
+                    spied.clear()
                 before = state.X
-                state, *_ = equilibrium._one_round(state, cfg, mode, grid, B)
+                state, *_ = equilibrium._one_round(state, cfg, mode, grid, match)
                 ((topics, value),) = scans
                 count = np.count_nonzero((value > 0.0) & np.any(topics != before, axis=1))
                 (block,) = blocks
                 reverted = np.count_nonzero(np.any(block.topics != state.X, axis=1))
                 assert mode is GameMode.IMPERFECT or reverted == 0
-                assert sum(built) == count + reverted
-                assert np.array_equal(B, match_matrix(state.X, cfg))
+                if kind is DenseMatch:
+                    assert sum(built) == count + reverted and not moves
+                else:
+                    assert sum(moves) == np.count_nonzero(np.any(block.topics != before, axis=1)) \
+                        + reverted
+                assert np.array_equal(match_table(match), match_matrix(state.X, cfg))
                 valued += count
                 moved += np.count_nonzero(np.any(state.X != before, axis=1))
     assert moved > 0 and valued >= moved
@@ -752,7 +774,7 @@ def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
                              InfluencerAllocation(mu=np.full(3, 100.0 / 3)), X)
     grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=9))
     new, degenerate, _, _ = equilibrium._one_round(state, cfg, GameMode.PERFECT, grid,
-                                                   match_matrix(state.X, cfg))
+                                                   match_of(state.X, cfg))
     dense = dense_support_weights(new.mu_i, new.mu_infl, new.direct.toarray(), cfg)
     assert np.all(dense + 2.0 * np.eye(3) == 2.0)
     W = support_weights(new.mu_i, new.mu_infl, new.direct, cfg)
@@ -840,13 +862,12 @@ def test_a_capped_run_settles_its_last_topics(monkeypatch):
     assert len(states) == 3 and not res.converged
     assert not np.array_equal(states[1].X, states[2].X)
     assert np.array_equal(res.omega.X, states[2].X)
-    B = match_matrix(states[2].X, cfg)
     settled, phi, _ = equilibrium._settle(states[2], cfg, GameMode.IMPERFECT,
-                                          TopicGrid(cfg, SEARCH), B, 3)
+                                          TopicGrid(cfg, SEARCH), match_of(states[2].X, cfg), 3)
     for f in FIELDS:
         assert np.array_equal(state_field(res.omega, f), state_field(settled, f)), f
     assert not np.array_equal(res.omega.mu_infl, states[2].mu_infl)
-    assert res.welfare == phi == social_welfare(res.omega, cfg, B)
+    assert res.welfare == phi == social_welfare(res.omega, cfg)
     assert res.welfare >= res.potential_trace[-1]
     _assert_fresh_certificate(res, cfg, GameMode.IMPERFECT, SEARCH)
 
@@ -885,33 +906,34 @@ def test_settling_never_lowers_the_potential(seed, mode, dim, passes):
     if mode is GameMode.PROXY:  # a proxy consumer holds no direct rate
         state = MarketAllocation(state.lam, state.mu_i, np.zeros((cfg.n, cfg.n)),
                                  state.influencer, state.X)
-    B = match_matrix(state.X, cfg)
+    match = match_of(state.X, cfg)
     passed = [state]
     rates = equilibrium._rates
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibrium, "_rates", lambda *args: (out := rates(*args), passed.append(out))[0])
         settled, phi, scanned = equilibrium._settle(state, cfg, mode, TopicGrid(cfg, _search(dim)),
-                                                    B, passes)
+                                                    match, passes)
     assert settled is passed[-1] and np.array_equal(settled.X, state.X)
-    phis = [social_welfare(s, cfg, B) for s in passed]
+    phis = [social_welfare(s, cfg) for s in passed]
     assert phi == phis[-1]
     for a, b in zip(phis, phis[1:]):
         assert b >= a - 1e-9 * abs(a), f"potential dropped: {a} -> {b}"
     if len(passed) - 1 < passes:
-        cert = equilibrium._certify(settled, cfg, mode, B, scanned)
+        cert = equilibrium._certify(settled, cfg, mode, match, scanned)
         rates_ok = {k: v for k, v in cert.residuals.items() if not k.startswith("a_")}
         assert all(v <= cert.tol for v in rates_ok.values()), rates_ok
 
 
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_a_run_builds_b_once_and_scans_once_per_round(mode, monkeypatch):
-    # the start builds the one full match matrix, a round rebuilds the
-    # movers' rows and scans the candidates once, and the certificate reads
-    # the last round's B and scan; a run that reaches its cap settles at
-    # that B and scans once more.  Every run certifies once.
+    # the start builds the one full match matrix (five members take the
+    # dense match), a round rebuilds the movers' rows and scans the
+    # candidates once, and the certificate reads the last round's B and
+    # scan; a run that reaches its cap settles at that B and scans once
+    # more.  Every run certifies once.
     full, scans, certs = [], [], []
-    build, scan, certify = equilibrium.match_matrix, bestresponse._scan, equilibrium._certify
-    monkeypatch.setattr(equilibrium, "match_matrix", lambda X, cfg, producers=None: (
+    build, scan, certify = market.match_matrix, bestresponse._scan, equilibrium._certify
+    monkeypatch.setattr(market, "match_matrix", lambda X, cfg, producers=None: (
         full.append(producers is None), build(X, cfg, producers))[1])
     monkeypatch.setattr(bestresponse, "_scan", lambda *args: (scans.append(1), scan(*args))[1])
     monkeypatch.setattr(equilibrium, "_certify",
@@ -974,10 +996,10 @@ def test_a_round_that_returns_its_input_repeats_bit_for_bit():
             starts = [equilibrium.default_init(cfg, mode)]
             starts += [equilibrium.random_init(cfg, mode, np.random.default_rng([cfg.seed, 1000]))]
             for state in starts:
-                B = match_matrix(state.X, cfg)
+                match = match_of(state.X, cfg)
                 for _ in range(40):
                     new, degenerate, phi, scanned = equilibrium._one_round(
-                        state, cfg, mode, grid, B)
+                        state, cfg, mode, grid, match)
                     if (np.array_equal(new.X, state.X)
                             and np.array_equal(new.mu_i, state.mu_i)):
                         break
@@ -985,15 +1007,15 @@ def test_a_round_that_returns_its_input_repeats_bit_for_bit():
                 else:
                     continue
                 repeats += 1
-                before = B.copy()
+                before = match_table(match)
                 again, degenerate2, phi2, scanned2 = equilibrium._one_round(
-                    new, cfg, mode, grid, B)
+                    new, cfg, mode, grid, match)
                 for f in FIELDS:
                     assert np.array_equal(state_field(again, f), state_field(new, f)), f
                 assert degenerate2 == degenerate
                 assert phi2 == phi
                 assert np.array_equal(scanned2, scanned)
-                assert np.array_equal(B, before)
+                assert np.array_equal(match_table(match), before)
                 assert equilibrium._sup_change(new, again) == 0.0
     assert repeats >= 20
 
@@ -1063,55 +1085,123 @@ def _bench_and_bundled_markets():
     return cases + [(scn.build_config(), scn.modes, scn.dynamics, scn.search)]
 
 
-def test_runs_equal_those_of_the_blas_reductions():
-    # the match reductions' einsum contraction moves their floats in the
-    # last bits (test_market.py::TestMatchReductionsAgainstBlas); every
-    # start of every benchmark and bundled market keeps its topics, round
-    # count, flag, degenerate producers and verdict, its potential to 1e-12
+def _assert_runs_alike(a, b, cfg):
+    """Two runs of one start on the two match types: the same topics, round
+    count, flag, degenerate producers and verdict, rates within 1e-12 of
+    the budgets and the potential within 1e-12 relative."""
+    assert np.array_equal(a.omega.X, b.omega.X)
+    assert (a.rounds_used, a.converged, a.degenerate_producers, a.certificate.holds) \
+        == (b.rounds_used, b.converged, b.degenerate_producers, b.certificate.holds)
+    for f, budget in (("lam", cfg.m), ("mu_i", cfg.m), ("mu_infl", cfg.m_infl)):
+        np.testing.assert_allclose(getattr(a.omega, f), getattr(b.omega, f),
+                                   rtol=0.0, atol=1e-12 * budget)
+    assert a.omega.direct.max_change(b.omega.direct) <= 1e-12 * cfg.m
+    assert a.welfare == pytest.approx(b.welfare, rel=1e-12, abs=0.0)
+
+
+def _on_the_dense_match(mp):
+    """Every match a ``DenseMatch`` with its sums taken by BLAS."""
+    mp.setattr(market, "influencer_relayed_match", relayed_match_blas)
+    mp.setattr(market, "influencer_followed_match", followed_match_blas)
+    for module in (market, bestresponse, equilibrium):
+        mp.setattr(module, "match_of", lambda X, cfg: DenseMatch(X, cfg))
+
+
+def _on_the_line_match(mp):
+    """Every dim-1 match a ``LineMatch``, at any size."""
+    for module in (market, bestresponse, equilibrium):
+        mp.setattr(module, "match_of", _line_match)
+
+
+def test_runs_equal_those_of_the_dense_match():
+    # every start of every benchmark and bundled market runs alike on the
+    # line match in dim 1 (at every size, the bundled ones are below
+    # _LINE_FROM) and on the dense table with BLAS sums: in dim 1 the prefix
+    # sums of LineMatch against the table, in dim 2 the einsum contraction
+    # against BLAS (test_market.py::TestMatchReductionsAgainstBlas)
     runs = 0
     for cfg, modes, params, search in _bench_and_bundled_markets():
         for mode in modes:
-            new = run_dynamics_all(cfg, mode, params=params, search=search)
             with pytest.MonkeyPatch.context() as mp:
-                for module in (market, bestresponse, equilibrium):
-                    mp.setattr(module, "influencer_relayed_match", relayed_match_blas)
-                    mp.setattr(module, "influencer_followed_match", followed_match_blas)
+                _on_the_line_match(mp)
+                new = run_dynamics_all(cfg, mode, params=params, search=search)
+            with pytest.MonkeyPatch.context() as mp:
+                _on_the_dense_match(mp)
                 old = run_dynamics_all(cfg, mode, params=params, search=search)
             for a, b in zip(new, old, strict=True):
-                assert np.array_equal(a.omega.X, b.omega.X)
-                assert (a.rounds_used, a.converged, a.degenerate_producers, a.certificate.holds) \
-                    == (b.rounds_used, b.converged, b.degenerate_producers, b.certificate.holds)
-                assert a.welfare == pytest.approx(b.welfare, rel=1e-12, abs=0.0)
+                _assert_runs_alike(a, b, cfg)
                 runs += 1
     assert runs == 114
 
 
+def _line_markets():
+    """Dim-1 markets for the whole-run differential test: random markets
+    of up to 300 members at the a_f of the kernel-sum guard, and rows of
+    poi_sweep.swp under both budget rules."""
+    rng = np.random.default_rng(410)
+    cases = []
+    for a_f in (0.5, 3.0, 64.0, 64.5, 1e3):
+        for n in (int(rng.integers(3, 40)), int(rng.integers(100, 301))):
+            cfg = random_config(rng, n_min=n, n_max=n, dim=1)
+            cases.append(dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, a_f=a_f)))
+    for rule in ("proportional", "fixed"):
+        for n in (20, 300):
+            cases.append(_poi_row(n=n, rule=rule)[0])
+    return cases
+
+
 @pytest.mark.parametrize("mode", list(GameMode))
-def test_a_converged_run_skips_its_repeated_round(mode, monkeypatch):
-    # every run of the N = 20 sweep row ends on a round that can only
-    # repeat the one before it; that round computes nothing, so no round,
-    # scan or full match matrix is built for it
+def test_dim1_runs_equal_those_of_the_dense_match(mode):
+    # every start, the random ones at off-candidate topics too
+    params = DynamicsParams(max_rounds=60, restarts=1)
+    differ = 0
+    for cfg in _line_markets():
+        with pytest.MonkeyPatch.context() as mp:
+            _on_the_line_match(mp)
+            new = run_dynamics_all(cfg, mode, params=params, search=SEARCH)
+        with pytest.MonkeyPatch.context() as mp:
+            _on_the_dense_match(mp)
+            old = run_dynamics_all(cfg, mode, params=params, search=SEARCH)
+        for a, b in zip(new, old, strict=True):
+            _assert_runs_alike(a, b, cfg)
+            differ += a.welfare != b.welfare
+    assert differ > 0  # the sums part in the last bits: two paths were run
+
+
+@pytest.mark.parametrize("dim,n", [(1, 20), (1, 300), (2, 20)])
+@pytest.mark.parametrize("mode", list(GameMode))
+def test_a_converged_run_skips_its_repeated_round(mode, dim, n, monkeypatch):
+    # every run of the sweep row of n members (in dim 2, on a twin of its
+    # interests) ends on a round that can only repeat the one before it;
+    # that round computes nothing, so no round or scan is built for it.  A
+    # dim-1 run from _LINE_FROM members builds no full match matrix; below
+    # it, and in dim 2, each run builds its B once
     rounds, full, scans = [], [], []
-    one_round, build, scan = equilibrium._one_round, equilibrium.match_matrix, bestresponse._scan
+    one_round, build, scan = equilibrium._one_round, market.match_matrix, bestresponse._scan
     monkeypatch.setattr(equilibrium, "_one_round",
                         lambda *args: (rounds.append(1), one_round(*args))[1])
-    monkeypatch.setattr(equilibrium, "match_matrix", lambda X, cfg, producers=None: (
+    monkeypatch.setattr(market, "match_matrix", lambda X, cfg, producers=None: (
         full.append(producers is None), build(X, cfg, producers))[1])
     monkeypatch.setattr(bestresponse, "_scan", lambda *args: (scans.append(1), scan(*args))[1])
-    cfg, params, search = _poi_row()
+    cfg, params, search = _poi_row(n=n)
+    if dim == 2:
+        cfg = dataclasses.replace(cfg, dim=2, interests=tuple(
+            TopicPoint((y, 1.0 - y)) for (y,) in cfg.interest_array()))
+        search = TopicSearchParams(grid_resolution=32)
     runs = run_dynamics_all(cfg, mode, params=params, search=search)
     assert len(runs) == 2 and all(r.converged for r in runs)
     assert len(rounds) == len(scans) == sum(r.rounds_used - 1 for r in runs)
-    assert sum(full) == len(runs)
+    assert sum(full) == (0 if n >= market._LINE_FROM else len(runs))
 
 
 def test_perfect_run_peak_memory():
-    # A perfect round holds one (N, N) float table, B, which the round
-    # updates in place and the certificate reads; the direct rates are
-    # compressed sparse rows, and nobody holds one after the first round
-    # here.  The rest is the consumer block's and the producer scan's chunk
-    # temporaries.  Measured peak at N = 400: 1.52 tables of 8 * N**2 bytes;
-    # 3.57 while the states and their starts held dense (N, N) direct
+    # A dim-1 perfect run holds no (N, N) table: its match is a LineMatch,
+    # O(N), and the direct rates are compressed sparse rows, which nobody
+    # holds after the first round here.  The rest is the producer scan's
+    # chunk of at most _TILE (candidate, producer) pairs and the own-term
+    # re-sum's (_CHUNK, N) terms.  Measured peak at N = 400: 0.49 of this
+    # bound, 0.23 tables of 8 * N**2 bytes; 1.52 tables while the run held
+    # B, 3.57 while the states and their starts held dense (N, N) direct
     # tables, 4.14 while each round built the next B beside the previous
     # one, 5.14 while the round built W as an (N, N) table and _sup_change
     # built two (N, N) difference tables.
@@ -1119,7 +1209,20 @@ def test_perfect_run_peak_memory():
     cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=1)
     res, peak = _traced_run(cfg, GameMode.PERFECT)
     assert res.rounds_used >= 2 and res.omega.direct.nnz == 0
-    assert peak <= 1.65 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
+    bound = 8 * (3 * _TILE + _CHUNK * n)
+    assert bound < 8 * n * n / 2
+    assert peak <= bound, f"peak {peak / bound:.2f} of the bound"
+
+
+def test_dim2_perfect_run_peak_memory():
+    # A dim-2 run holds B, and B's build sets the peak: pairwise_distances
+    # holds its sum and two coordinates' differences, three tables of
+    # 8 * N**2 bytes (measured 3.12 at N = 400)
+    n = 400
+    cfg = random_config(np.random.default_rng(7), n_min=n, n_max=n, dim=2)
+    res, peak = _traced_run(cfg, GameMode.PERFECT)
+    assert res.rounds_used >= 2
+    assert peak <= 3.2 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} tables of 8 N^2 bytes"
 
 
 def _traced_run(cfg, mode):
@@ -1136,32 +1239,52 @@ def _traced_run(cfg, mode):
     return res, peak
 
 
+def _fixed_budget_market(n, dim):
+    """The poi_sweep.swp market of size n at M_infl = 5; in dim 2 on its
+    two-cluster interests."""
+    spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
+    base = spec.base
+    if dim == 2:
+        base = dataclasses.replace(base, dim=2, interests=InterestSpec(
+            kind="two_cluster", n=n, centers=(TopicPoint((0.2, 0.2)), TopicPoint((0.8, 0.8))),
+            spread=base.interests.spread))
+    return base.build_config(n=n, m_infl=5.0, seed=spec.base.seed)
+
+
 @pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
 def test_fixed_budget_run_peak_memory(mode):
     # At M_infl = 5 half the consumers hold direct rates, about 20 each.
-    # The run's peak holds B; about eight arrays of nnz entries (two
-    # states' columns and rates, the peer weights' discounted rates, the
-    # dim-1 scan's copy by producer); and the larger of the consumer
-    # block's four (_CHUNK, N + 2) temporaries and the scan's chunk of at
-    # most _TILE (candidate, producer) pairs, at most ten arrays of it with
-    # the direct term's kernel sums.  No (r, N) rows of delta(direct), no
-    # (N, r) gather of B, and the imperfect round rebuilds its movers' match
-    # rows in chunks of _CHUNK.  Measured at N = 600: 1.62 (perfect, in the
-    # scan) and 1.63 (imperfect, in the consumer block) tables of
-    # 8 * N**2 bytes against a bound of 1.76; 1.98 and 1.96 while the scan
-    # built the rated rows of delta(direct) dense for its tiles' products
-    # and the imperfect round rebuilt its movers' rows as one table; 2.37
-    # and 2.42 while the peer weights held dense (r, N) rows and each value
-    # gathered B's (N, r) rated columns; 5.04 and 5.05 while every state
-    # held dense direct rates.
-    spec = parse_sweep(Path(__file__).resolve().parent.parent / "scenarios" / "poi_sweep.swp")
+    # The dim-1 run's peak holds no (N, N) table: about eight arrays of nnz
+    # entries (two states' columns and rates, the peer weights' discounted
+    # rates, the dim-1 scan's copy by producer), and the larger of the
+    # consumer block's five (_CHUNK, N + 2) temporaries (four of its water
+    # fill, and the chunk's columns of B, built from X) and the scan's
+    # chunk of at most _TILE (candidate, producer) pairs, at most ten
+    # arrays of it with the direct term's kernel sums.  Measured at
+    # N = 600: 0.81 (perfect) and 0.83 (imperfect) of this bound; 1.62
+    # and 1.63 tables of 8 * N**2 bytes, against a bound of 1.76, while the
+    # run held B.
     n = 600
-    cfg = spec.base.build_config(n=n, m_infl=5.0, seed=spec.base.seed)
-    res, peak = _traced_run(cfg, mode)
+    res, peak = _traced_run(_fixed_budget_market(n, 1), mode)
     direct = res.omega.direct
     r = direct.rated_rows().size
     assert direct.nnz > 10 * r > 10 * n // 4
-    bound = 8 * n * n + 8 * 8 * direct.nnz + max(4 * 8 * _CHUNK * (n + 2), 10 * 8 * _TILE)
+    bound = 8 * 8 * direct.nnz + max(5 * 8 * _CHUNK * (n + 2), 10 * 8 * _TILE)
+    assert bound < 8 * n * n
+    assert peak <= bound, f"peak {peak / bound:.2f} of the bound"
+
+
+@pytest.mark.parametrize("mode", [GameMode.PERFECT, GameMode.IMPERFECT])
+def test_dim2_fixed_budget_run_peak_memory(mode):
+    # The dim-2 run holds B besides the arrays above, and B's build sets
+    # the peak at three tables of 8 * N**2 bytes
+    # (test_dim2_perfect_run_peak_memory); measured at N = 600: 0.82 of
+    # this bound in both modes
+    n = 600
+    res, peak = _traced_run(_fixed_budget_market(n, 2), mode)
+    assert res.omega.direct.nnz > n
+    bound = 3 * 8 * n * n + 8 * 8 * res.omega.direct.nnz + max(
+        5 * 8 * _CHUNK * (n + 2), 10 * 8 * _TILE)
     assert peak <= bound, f"peak {peak / bound:.2f} of the bound"
 
 
@@ -1171,20 +1294,21 @@ def _reference_run(cfg, mode, params, search):
     values = []
     grid = TopicGrid(cfg, search)
 
-    def one_round(state, cfg, mode, grid, B):
-        new, degenerate, B[...], phi = ref.gauss_seidel_round(state, cfg, mode, grid, values)
+    def one_round(state, cfg, mode, grid, match):
+        new, degenerate, _, phi = ref.gauss_seidel_round(state, cfg, mode, grid, values)
+        match.move(np.arange(cfg.n), new.X)
         return new, degenerate, phi, None
 
     certify = equilibrium._certify
 
-    def reference_certify(omega, cfg, mode, B, scanned, *tols):
+    def reference_certify(omega, cfg, mode, match, scanned, *tols):
         # the engine's certificate with condition (a) from the reference gaps
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(equilibrium, "_imperfect_producer_gap",
                           lambda *_: ref.imperfect_gap(omega, cfg, grid))
             inner.setattr(equilibrium, "_support_producer_gap",
                           lambda *_: ref.support_gap(omega, cfg, grid))
-            return certify(omega, cfg, mode, B, scanned, *tols)
+            return certify(omega, cfg, mode, match, scanned, *tols)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibrium, "_one_round", one_round)
@@ -1242,7 +1366,7 @@ def test_certificate_gaps_match_the_per_producer_gaps(dim):
         gamma = cfg.r_p * influencer_followed_match(discount(d.mu_i, cfg.delay), B)
         assert equilibrium._imperfect_producer_gap(gamma, cfg, follow) == pytest.approx(
             ref.imperfect_gap(d, cfg, grid), rel=0.0, abs=1e-12)
-        assert equilibrium._support_producer_gap(d, cfg, B, support) == pytest.approx(
+        assert equilibrium._support_producer_gap(d, cfg, match_of(d.X, cfg), support) == pytest.approx(
             ref.support_gap(d, cfg, grid), rel=0.0, abs=1e-12)
 
 

@@ -14,9 +14,12 @@ from cme.kernels import (
     TopicPoint,
     discount,
 )
+from cme import market
 from cme.market import (
+    DenseMatch,
     DirectRates,
     InfluencerAllocation,
+    LineMatch,
     MarketAllocation,
     MarketConfig,
     PeerWeights,
@@ -35,6 +38,7 @@ from markets_util import random_allocation, random_config, random_consumer, with
 from oracles import (
     followed_match_blas,
     match_prob,
+    match_table,
     producer_support_via_influencer,
     relayed_match_blas,
 )
@@ -508,7 +512,8 @@ class TestMatchReductions:
         guarded = B.view(NoBlas)
         for reduce in (lambda B: influencer_relayed_match(W.v, B),
                        lambda B: influencer_followed_match(W.u, B),
-                       W.producer_values, W.consumer_values):
+                       W.producer_values,
+                       lambda B: DenseMatch(omega.X, cfg, B).consumer_values(W)):
             got = reduce(guarded)
             assert np.array_equal(np.asarray(got), reduce(B))
 
@@ -580,3 +585,128 @@ class TestMatchReductionsAgainstBlas:
         finally:
             tracemalloc.stop()
         assert peak < B.nbytes / 4, f"peak {peak / B.nbytes:.3f} B"
+
+
+def _line_market(n, a_f, seed, own):
+    """A dim-1 market of n members under a_f: members at 0 and at 1 and a
+    pair of twins; with ``own`` every producer at its own interest (whose
+    own term dominates its sums under a steep kernel), otherwise at topics
+    off the candidates, one at 0, one at 1 and one at a twin's interest.
+    Returns (cfg, X, support weights with stored rates, follower weights)."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.0, 1.0, n)
+    y[:4] = (0.0, 1.0, y[2], y[2])
+    cfg = MarketConfig(dim=1, interests=tuple(TopicPoint((v,)) for v in y), m=1.0,
+                       m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
+                       kernel=KernelParams(a_f=a_f, a_g=float(rng.uniform(0.5, 4.0))))
+    omega = random_allocation(rng, cfg)
+    X = cfg.interest_array().copy() if own else rng.uniform(0.0, 1.0, (n, 1))
+    if not own:
+        X[4:7, 0] = (0.0, 1.0, y[2])
+    mu_i = np.where(rng.uniform(size=n) < 0.2, 0.0, omega.mu_i)
+    direct = omega.direct.toarray() * (rng.uniform(size=(n, 1)) < 0.3)
+    W = support_weights(mu_i, omega.mu_infl, DirectRates.from_dense(direct), cfg)
+    return cfg, X, W, PeerWeights.rank_one(W.u, np.ones(n))
+
+
+class TestLineMatchAgainstDense:
+    """``LineMatch``'s sums against ``DenseMatch``'s, on either side of the
+    stored-factor bound a_f = 64 and past a_f = 700, where e^{-a_f}
+    underflows.  Entries, columns and rows are B's floats; every sum is a
+    sum of nonnegative terms, so it agrees to rounding, relative to itself."""
+
+    A_F = (0.5, 3.0, 64.0, 64.5, 1e3)
+    close = dict(rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("own", [False, True])
+    @pytest.mark.parametrize("a_f", A_F)
+    def test_reductions_match_the_dense_type(self, a_f, own):
+        cfg, X, W, follow = _line_market(150, a_f, 40 + int(a_f) + own, own)
+        line, dense = LineMatch(X, cfg), DenseMatch(X, cfg)
+        B = dense.B
+        for d in (W.u, W.v, np.zeros(cfg.n)):
+            np.testing.assert_allclose(line.relayed(d), dense.relayed(d), **self.close)
+            np.testing.assert_allclose(line.followed(d), dense.followed(d), **self.close)
+        assert not np.any(line.relayed(np.zeros(cfg.n))) and not np.any(line.followed(0 * W.u))
+        for weights in (W, follow):
+            np.testing.assert_allclose(line.producer_values(weights),
+                                       dense.producer_values(weights), **self.close)
+        np.testing.assert_allclose(line.consumer_values(W), dense.consumer_values(W),
+                                   **self.close)
+        if own and a_f >= 64.0:  # own-dominant terms: the less_own re-sum runs
+            assert np.any(np.diagonal(B) * W.u > 0.5 * np.einsum("zy,y->z", B, W.u))
+        ys = np.arange(0, cfg.n, 7)
+        assert np.array_equal(line.columns(ys), B[:, ys])
+        assert np.array_equal(line.rows(slice(3, 70)), B[3:70])
+        assert np.array_equal(line.entries(W.S.cols, W.S.row_ids()), B[W.S.cols, W.S.row_ids()])
+        assert np.array_equal(match_table(line), B)
+
+    @pytest.mark.parametrize("a_f", A_F)
+    def test_a_value_is_one_function_of_producer_and_topic(self, a_f):
+        # a winner at topic t and an incumbent at t get the same float,
+        # whichever other producers are valued with them; both agree with
+        # the dense rows to rounding
+        cfg, X, W, follow = _line_market(120, a_f, 50 + int(a_f), False)
+        line, dense = LineMatch(X, cfg), DenseMatch(X, cfg)
+        T = np.random.default_rng(51).uniform(0.0, 1.0, (cfg.n, 1))
+        T[::5] = X[::5]
+        idx = np.arange(2, cfg.n, 3)
+        for weights in (W, follow):
+            at, _ = line.values_at(weights, T, slice(None))
+            np.testing.assert_allclose(at, dense.values_at(weights, T, slice(None))[0],
+                                       **self.close)
+            assert np.array_equal(line.values_at(weights, T[idx], idx)[0], at[idx])
+            assert np.array_equal(at[::5], line.producer_values(weights)[::5])
+            assert np.array_equal(line.producer_values(weights, idx),
+                                  line.producer_values(weights)[idx])
+
+    def test_moves_keep_the_match_at_the_topics(self):
+        cfg, X, W, _ = _line_market(90, 3.0, 60, False)
+        line, dense = LineMatch(X, cfg), DenseMatch(X, cfg)
+        z = np.array([1, 4, 50, 89])
+        T = np.array([[0.0], [0.5], [1.0], [X[3, 0]]])
+        line.move(z, T)
+        dense.move(z, T)
+        assert np.array_equal(line.X, dense.X) and np.array_equal(match_table(line), dense.B)
+        np.testing.assert_allclose(line.relayed(W.v), dense.relayed(W.v), **self.close)
+        np.testing.assert_allclose(line.producer_values(W), dense.producer_values(W), **self.close)
+
+
+def test_dim1_calls_build_no_match_matrix(monkeypatch):
+    # from _LINE_FROM members, the public one-agent calls, the payoffs
+    # without B, the dynamics and the certificate build no (N, N) match
+    # matrix in dim 1: at most a chunk of rows at a time
+    from cme import bestresponse, equilibrium
+    from cme.bestresponse import (consumer_best_response, influencer_best_response,
+                                  producer_best_response_imperfect)
+    from cme.equilibrium import check_nash, run_dynamics
+
+    shapes = []
+    build = match_matrix
+
+    def spy(X, cfg, producers=None):
+        out = build(X, cfg, producers)
+        shapes.append(out.shape)
+        return out
+
+    for module in (market, bestresponse, equilibrium):
+        if hasattr(module, "match_matrix"):
+            monkeypatch.setattr(module, "match_matrix", spy)
+    n = market._LINE_FROM
+    cfg = random_config(np.random.default_rng(61), n_min=n, n_max=n, dim=1)
+    omega = random_allocation(np.random.default_rng(62), cfg)
+    search = TopicSearchParams(grid_resolution=16)
+    influencer_best_response(omega, cfg)
+    consumer_best_response(3, omega, cfg, GameMode.PERFECT)
+    producer_best_response_imperfect(5, omega, cfg, search, prev=TopicPoint((0.5,)))
+    consumer_utilities(omega, cfg)
+    social_welfare(omega, cfg)
+    influencer_utility(omega, cfg)
+    for mode in GameMode:
+        res = run_dynamics(cfg, mode, params=DynamicsParams(max_rounds=5, restarts=1),
+                           search=search)
+        check_nash(res.omega, cfg, mode, search=search)
+    assert all(rows <= market._CHUNK for rows, _ in shapes), sorted(set(shapes))
+    shapes.clear()
+    consumer_utilities(omega, cfg, match_matrix(omega.X, cfg))  # a dense table given
+    assert not shapes
