@@ -34,14 +34,14 @@ delta(mu_infl(z)) + delta(mu_direct(y, z)) (perfect/proxy,
 with v = 1).  W is never a table, and ``producer_block`` scans the
 candidate topics for every producer at once (``_scan``), the first best
 candidate winning a tie.  A winner other than the
-incumbent is valued once more by the function from which a round reads
-the incumbent's value, the match's ``values_at`` and ``producer_values``
-(``_objective`` and ``PeerWeights.producer_values`` without a match), and
-the incumbent stays unless the winner is strictly better.  A winner that
-moves is moved in the match: the dense match takes the row built to value
-it, the line match only its topic.  A winner that is the incumbent keeps
-the incumbent's value, which in the perfect/proxy regimes is the same
-float.
+incumbent is valued once more by the function from which the caller reads
+the incumbent's value, the match's ``values_at`` and ``producer_values``,
+and the incumbent stays unless the winner is strictly better.  A winner
+that moves is moved in the match: the dense match takes the row built to
+value it, the line match only its topic.  A winner that is the incumbent
+keeps the incumbent's value, which in the perfect/proxy regimes is the
+same float.  The one-producer calls run the block on the match that the
+dynamics would select (``match_of``), so they return its floats.
 A producer whose objective is zero at every candidate is degenerate and
 keeps its incumbent.  Each objective reads only its own topic, so the
 block equals N one-producer searches (Monderer & Shapley, *Potential
@@ -112,8 +112,8 @@ from .market import (
     PeerWeights,
     chunks,
     less_own,
-    match_matrix,
     match_of,
+    require_member,
     support_weights,
 )
 
@@ -244,7 +244,7 @@ _SLACK = 1e-9  # relative margin of the dim-1 candidate bounds over rounding
 def influencer_br_dense(gamma: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     """Optimal influencer rates given its channel weights gamma, channel z
     worth gamma[z] = r_p * sum_{y != z} delta(mu_i(y)) * B[z, y]
-    (``influencer_followed_match``).  When every weight is zero -- nobody
+    (``Match.followed``).  When every weight is zero -- nobody
     follows the influencer, or no follower's match with any other producer
     is above 0 -- the uniform split of the budget is the pinned-down
     fallback.
@@ -504,38 +504,23 @@ def grid_best(weights: PeerWeights, grid: TopicGrid) -> np.ndarray:
     return _scan(weights, grid, slice(None))[1]
 
 
-def _objective(T: np.ndarray, weights: PeerWeights, cols: slice | np.ndarray,
-               cfg: MarketConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Objective of the j-th producer of `cols` (a slice or indices) at
-    topic T[j], and the match rows (k, N) it weighs, held by no match:
-    ``DenseMatch.values_at`` without a table.
-
-    ``match_matrix`` builds row j, then ``PeerWeights.producer_values``
-    weighs it, so at T = X[cols] the rows are B[cols] and the values
-    ``weights.producer_values(B)``, bit for bit.
-    """
-    D = match_matrix(T, cfg, np.arange(cfg.n)[cols])
-    return weights.producer_values(D, cols), D
-
-
-def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
+def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig, match: Match,
                    prev: np.ndarray | None = None, prev_value: np.ndarray | None = None,
-                   cols: slice = slice(None), match: Match | None = None) -> ProducerBlock:
+                   cols: slice = slice(None)) -> ProducerBlock:
     """Best topics of the producers `cols` (a slice, default all N) under
-    the peer weights.
+    the peer weights, ``match`` being the match at the incumbents.
 
     prev (k, dim) holds the incumbent topics and prev_value (k,) their
-    objective values, which the caller supplies: a degenerate producer
-    keeps its incumbent (the first candidate when prev is None), and any
-    other keeps it unless the best candidate is strictly better.  A best
-    candidate other than the incumbent is valued in chunks of _CHUNK
-    producers, with ``match.values_at`` when a match at prev is given and
-    with ``_objective`` otherwise; the caller reads prev_value from the
-    same function (``match.producer_values``, or ``_objective`` at prev),
-    so candidate and incumbent are compared by one formula.  One equal to
-    the incumbent keeps prev_value.  Each producer that moves is moved in
-    ``match`` (``Match.move``), with the rows built to value it where the
-    match holds rows, so the match leaves at the returned topics.
+    objective values, which the caller reads from ``match.producer_values``:
+    a degenerate producer keeps its incumbent (the first candidate when
+    prev is None), and any other keeps it unless the best candidate is
+    strictly better.  A best candidate other than the incumbent is valued
+    in chunks of _CHUNK producers with ``match.values_at``, the same
+    function, so candidate and incumbent are compared by one formula.  One
+    equal to the incumbent keeps prev_value.  Each producer that moves is
+    moved in ``match`` (``Match.move``), with the rows built to value it
+    where the match holds rows, so the match leaves at the returned topics
+    of every producer that is not degenerate.
     """
     start = cols.indices(cfg.n)[0]
     best, scanned = _scan(weights, grid, cols)
@@ -549,15 +534,11 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig,
         valued = np.flatnonzero(~degen & np.any(topics != prev, axis=1))
     for sl in chunks(valued.size):
         z = valued[sl]
-        if match is None:
-            values[z], D = _objective(topics[z], weights, start + z, cfg)
-        else:
-            values[z], D = match.values_at(weights, topics[z], start + z)
+        values[z], D = match.values_at(weights, topics[z], start + z)
         # a producer with an incumbent moves only on strict improvement
         moved[z] = True if prev is None else values[z] > prev_value[z]
-        if match is not None:
-            go = moved[z]
-            match.move(start + z[go], topics[z[go]], None if D is None else D[go])
+        go = moved[z]
+        match.move(start + z[go], topics[z[go]], None if D is None else D[go])
     if prev is not None:
         topics[~moved] = prev[~moved]
         values[~moved] = prev_value[~moved]
@@ -588,7 +569,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
     """
     weights = PeerWeights.rank_one(discount(mu_i, cfg.delay), np.ones(cfg.n))
     mass = match.producer_values(weights)  # each incumbent's objective, as values_at values it
-    block = producer_block(weights, grid, cfg, prev=X, prev_value=mass, match=match)
+    block = producer_block(weights, grid, cfg, match, prev=X, prev_value=mass)
     todo = np.flatnonzero(~block.degenerate)
     at_best = cfg.r_p * block.grid_best[todo]
     old, new = cfg.r_p * mass, cfg.r_p * block.values
@@ -625,6 +606,7 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
                            mode: GameMode) -> MarketAllocation:
     """omega with consumer y's rates replaced by its best response to omega's
     influencer rates and topics: the consumer block restricted to y."""
+    require_member(y, cfg, "consumer")
     match = match_of(omega.X, cfg)
     relayed = match.relayed(discount(omega.mu_infl, cfg.delay))
     lam_y, mu_i_y, _, cols, rates = _consumer_rates(np.array([y]), relayed, match, cfg,
@@ -635,16 +617,18 @@ def consumer_best_response(y: int, omega: MarketAllocation, cfg: MarketConfig,
                             omega.influencer, omega.X)
 
 
-def _one_producer(z: int, weights: PeerWeights, cfg: MarketConfig,
-                  search: TopicSearchParams, prev: TopicPoint | None) -> ProducerBlock:
-    """The block restricted to producer z."""
-    cols = slice(z, z + 1)
+def _one_producer(z: int, weights: PeerWeights, match: Match, search: TopicSearchParams,
+                  prev: TopicPoint | None) -> ProducerBlock:
+    """The block restricted to producer z, on the match at omega's topics,
+    with z moved to its incumbent prev when one is given."""
+    cfg, cols = match.cfg, slice(z, z + 1)
     grid = TopicGrid(cfg, search)
     if prev is None:
-        return producer_block(weights, grid, cfg, cols=cols)
+        return producer_block(weights, grid, cfg, match, cols=cols)
     x = prev.as_array()[None, :]
-    return producer_block(weights, grid, cfg, prev=x,
-                          prev_value=_objective(x, weights, cols, cfg)[0], cols=cols)
+    match.move(np.array([z]), x)
+    return producer_block(weights, grid, cfg, match, prev=x,
+                          prev_value=match.producer_values(weights, cols), cols=cols)
 
 
 def _choice(x: np.ndarray, val: float, degen: bool) -> ProducerChoice:
@@ -655,8 +639,9 @@ def producer_best_response_perfect(z: int, omega: MarketAllocation, cfg: MarketC
                                    search: TopicSearchParams,
                                    prev: TopicPoint | None = None) -> ProducerChoice:
     """Topic maximizing z's support under omega's rates; prev is the incumbent."""
+    require_member(z, cfg, "producer")
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    block = _one_producer(z, weights, cfg, search, prev)
+    block = _one_producer(z, weights, match_of(omega.X, cfg), search, prev)
     return _choice(block.topics[0], cfg.r_p * block.values[0], block.degenerate[0])
 
 
@@ -669,9 +654,11 @@ def producer_best_response_imperfect(z: int, omega: MarketAllocation, cfg: Marke
     Assumption-4 fallback (every influencer weight zero, z's best mass
     included), which scores every topic alike at delta(M_infl / N).
     """
+    require_member(z, cfg, "producer")
     d_i = discount(omega.mu_i, cfg.delay)
-    block = _one_producer(z, PeerWeights.rank_one(d_i, np.ones(cfg.n)), cfg, search, prev)
-    gamma = cfg.r_p * match_of(omega.X, cfg).followed(d_i)
+    match = match_of(omega.X, cfg)
+    gamma = cfg.r_p * match.followed(d_i)
+    block = _one_producer(z, PeerWeights.rank_one(d_i, np.ones(cfg.n)), match, search, prev)
     at_best, at_value = rates_with(gamma, cfg.m_infl, cfg.delay.beta, np.array([z, z]),
                                    cfg.r_p * np.array([block.grid_best[0], block.values[0]]))
     if block.degenerate[0] or at_best == 0.0:

@@ -226,8 +226,8 @@ def _one_round(state: MarketAllocation, cfg: MarketConfig, mode: GameMode,
         X = state.X.copy()
         degenerate, scanned = imperfect_producer_round(rates.mu_i, X, grid, cfg, match)
     else:
-        block = producer_block(weights, grid, cfg, prev=state.X,
-                               prev_value=match.producer_values(weights), match=match)
+        block = producer_block(weights, grid, cfg, match, prev=state.X,
+                               prev_value=match.producer_values(weights))
         X, degenerate, scanned = block.topics, block.degenerate, block.grid_best
     phi = float(_utilities(match, weights, rates.lam, cfg).sum())  # social_welfare of the next state
     return (MarketAllocation(rates.lam, rates.mu_i, rates.direct, rates.influencer, X),

@@ -42,20 +42,21 @@ z != y.  ``consumer_utilities`` and the perfect/proxy producers read one
 ``support_weights`` per state: a producer's objective at topic x is its
 column of W weighted by the match of x.
 
-The engine reads B only through a ``Match``: the two match reductions
-(each consumer's influencer-relayed match, each producer's
-follower-weighted match mass), the producers' and consumers' values under
-W, B at the stored direct rates, a few consumers' columns for the
-consumer block and a chunk of producers' rows for the certificate.
-``match_of`` picks one of two implementations.  ``DenseMatch`` holds the
-(N, N) table, in dim 2 and for small dim-1 markets, and sums over it with
-numpy's own single-threaded ``einsum`` contraction, never ``B @ d``
-(``sums_less_own``).  ``LineMatch`` holds none: in dim 1 each sum is two
-cumulative sums along the sorted line (``kernels.LineSums``), and its
-entries, columns and rows are built from the topics with
-``match_matrix``'s own formula.  Only the dim-2 producer scan's small tile
-products (``bestresponse``) use BLAS, where they are 2-3 times faster; the
-dim-1 scan makes no matrix product.
+The engine, the payoffs and the one-agent calls read B only through a
+``Match``: the two match reductions (each consumer's influencer-relayed
+match ``relayed``, each producer's follower-weighted match mass
+``followed``), the producers' and consumers' values under W, B at the
+stored direct rates, a few consumers' columns for the consumer block and
+a chunk of producers' rows for the certificate.  Only this module builds
+B's entries.  ``match_of`` picks one of two implementations.
+``DenseMatch`` holds the (N, N) table, in dim 2 and for small dim-1
+markets, and sums over it with numpy's own single-threaded ``einsum``
+contraction, never ``B @ d`` (``sums_less_own``).  ``LineMatch`` holds
+none: in dim 1 each sum is two cumulative sums along the sorted line
+(``kernels.LineSums``), and its entries, columns and rows are built from
+the topics with ``match_matrix``'s own formula.  Only the dim-2 producer
+scan's small tile products (``bestresponse``) use BLAS, where they are
+2-3 times faster; the dim-1 scan makes no matrix product.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
@@ -141,6 +142,15 @@ class MarketConfig:
     def interest_array(self) -> np.ndarray:
         """The (N, dim) interests, built once per config and read-only."""
         return self._interest_array
+
+
+def require_member(i, cfg: MarketConfig, role: str) -> None:
+    """Raise InvalidInputError unless i is an integer index of one of the
+    N members; a negative index would wrap around to the end."""
+    if not (isinstance(i, (int, np.integer)) and 0 <= i < cfg.n):
+        raise InvalidInputError(
+            f"{role} index {i!r} is not a member of N = {cfg.n}: expected an integer "
+            f"0 <= index < {cfg.n}")
 
 
 @dataclass(frozen=True)
@@ -493,10 +503,11 @@ class Match:
     ``LineMatch`` in dim 1 stores no (N, N) array, ``DenseMatch`` holds B.
 
     X                      (N, dim) the topics, the match's own copy
-    relayed(delta)         per consumer y, sum_{z != y} delta[z] * B[z, y]
-                           (``influencer_relayed_match``)
-    followed(delta)        per producer z, sum_{y != z} delta[y] * B[z, y]
-                           (``influencer_followed_match``)
+    relayed(delta)         per consumer y, sum_{z != y} delta[z] * B[z, y]:
+                           the influencer channel's value to y without r_p
+    followed(delta)        per producer z, sum_{y != z} delta[y] * B[z, y]:
+                           z's follower-weighted match mass, the
+                           influencer's weight on z without r_p
     producer_values(W, cols)  the producers' objectives at their topics
                            (``PeerWeights.producer_values`` on B's rows)
     values_at(W, T, cols)  the same at topics T, and the rows built there
@@ -537,10 +548,10 @@ class DenseMatch(Match):
         self.B = match_matrix(self.X, cfg) if B is None else B
 
     def relayed(self, delta: np.ndarray) -> np.ndarray:
-        return influencer_relayed_match(delta, self.B)
+        return sums_less_own(self.B.T, delta, np.arange(self.B.shape[1]))
 
     def followed(self, delta: np.ndarray) -> np.ndarray:
-        return influencer_followed_match(delta, self.B)
+        return sums_less_own(self.B, delta, np.arange(self.B.shape[0]))
 
     def producer_values(self, weights: PeerWeights, cols: slice | np.ndarray = slice(None)
                         ) -> np.ndarray:
@@ -697,17 +708,10 @@ def match_of(X: np.ndarray, cfg: MarketConfig) -> Match:
     return LineMatch(X, cfg) if cfg.dim == 1 and cfg.n >= _LINE_FROM else DenseMatch(X, cfg)
 
 
-def _match(omega: MarketAllocation, cfg: MarketConfig, B: np.ndarray | None) -> Match:
-    """The match at omega's topics, on the dense table B when one is given."""
-    return match_of(omega.X, cfg) if B is None else DenseMatch(omega.X, cfg, B)
-
-
-def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig,
-                       B: np.ndarray | None = None) -> np.ndarray:
-    """All N consumer utilities at once; B, when given, is the dense
-    ``match_matrix(omega.X, cfg)``."""
+def consumer_utilities(omega: MarketAllocation, cfg: MarketConfig) -> np.ndarray:
+    """All N consumer utilities at once."""
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
-    return _utilities(_match(omega, cfg, B), weights, omega.lam, cfg)
+    return _utilities(match_of(omega.X, cfg), weights, omega.lam, cfg)
 
 
 def _utilities(match: Match, weights: PeerWeights, lam: np.ndarray,
@@ -718,44 +722,22 @@ def _utilities(match: Match, weights: PeerWeights, lam: np.ndarray,
             + cfg.r_0 * cfg.b_0 * discount(lam, cfg.delay))
 
 
-def social_welfare(omega: MarketAllocation, cfg: MarketConfig,
-                   B: np.ndarray | None = None) -> float:
+def social_welfare(omega: MarketAllocation, cfg: MarketConfig) -> float:
     """Total consumer utility; exact potential for unilateral deviations."""
-    return float(consumer_utilities(omega, cfg, B).sum())
+    return float(consumer_utilities(omega, cfg).sum())
 
 
-def influencer_relayed_match(d_infl: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per consumer y: sum over z != y of delta(mu_infl(z)) * B[z, y], B the
-    dense table.
-
-    This is the influencer channel's value to each consumer without the r_p
-    scale; the transpose twin of ``influencer_followed_match``.
-    """
-    return sums_less_own(B.T, d_infl, np.arange(B.shape[1]))
-
-
-def influencer_followed_match(d_i: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """gamma(z)/r_p without the r_p scale: sum over y != z of delta(mu_i(y)) * B[z, y],
-    B the dense table.
-
-    This is each producer's follower-weighted match mass as seen from the
-    influencer's chair; r_p * this vector is the influencer's channel weights.
-    """
-    return sums_less_own(B, d_i, np.arange(B.shape[0]))
-
-
-def influencer_utility(omega: MarketAllocation, cfg: MarketConfig,
-                       B: np.ndarray | None = None) -> float:
+def influencer_utility(omega: MarketAllocation, cfg: MarketConfig) -> float:
     """The influencer's objective: total relayed consumption it mediates."""
     d = cfg.delay
     return cfg.r_p * float(np.dot(discount(omega.mu_infl, d),
-                                  _match(omega, cfg, B).followed(discount(omega.mu_i, d))))
+                                  match_of(omega.X, cfg).followed(discount(omega.mu_i, d))))
 
 
-def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig,
-                     B: np.ndarray | None = None) -> float:
+def producer_support(z: int, omega: MarketAllocation, cfg: MarketConfig) -> float:
     """Producer z's objective: consumption of z's content via both routes,
     r_p times ``support_weights(...).producer_values`` at z's match row."""
-    D = match_matrix(omega.X[z:z + 1], cfg, np.array([z])) if B is None else B[z:z + 1]
+    require_member(z, cfg, "producer")
+    D = match_matrix(omega.X[z:z + 1], cfg, np.array([z]))
     weights = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
     return cfg.r_p * float(weights.producer_values(D, slice(z, z + 1))[0])

@@ -39,7 +39,7 @@
   ``cme.bestresponse.consumers_br_dense`` must equal bit for bit;
 - ``relayed_match_blas`` and ``followed_match_blas``: the two match
   reductions as BLAS computes them, ``B.T @ d`` and ``B @ d``, the
-  references of ``cme.market``'s ``einsum`` contraction of B;
+  references of ``cme.market.DenseMatch``'s ``einsum`` contraction of B;
 - ``producer_support_via_influencer``: the influencer-relayed share of a
   producer's support, the other half of ``cme.market.producer_support``;
 - ``run_single_every_round``: the dynamics loop that computes every round,
@@ -351,21 +351,20 @@ def consumers_dense(delta_infl, match, cfg, mode, solve=water_fill_rows):
 
 
 def relayed_match_blas(d_infl, B) -> np.ndarray:
-    """``cme.market.influencer_relayed_match`` with the sums taken by BLAS,
+    """``cme.market.DenseMatch.relayed`` with the sums taken by BLAS,
     B.T @ d_infl."""
     return less_own(B.T @ d_infl, np.diagonal(B) * d_infl, lambda y: (B[:, y].T * d_infl, y))
 
 
 def followed_match_blas(d_i, B) -> np.ndarray:
-    """``cme.market.influencer_followed_match`` with the sums taken by BLAS,
+    """``cme.market.DenseMatch.followed`` with the sums taken by BLAS,
     B @ d_i."""
     return less_own(B @ d_i, np.diagonal(B) * d_i, lambda z: (B[z] * d_i, z))
 
 
-def producer_support_via_influencer(z, omega, cfg, B=None) -> float:
+def producer_support_via_influencer(z, omega, cfg) -> float:
     """The influencer-mediated share of producer z's support."""
-    if B is None:
-        B = match_matrix(omega.X, cfg)
+    B = match_matrix(omega.X, cfg)
     d = cfg.delay
     terms = B[z] * discount(omega.mu_i, d)
     terms[z] = 0.0

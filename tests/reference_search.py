@@ -34,8 +34,8 @@ import numpy as np
 from cme.allocator import WeightedChannels, water_fill
 from cme.bestresponse import GameMode, influencer_br_dense, producer_block
 from cme.kernels import discount, pairwise_distances
-from cme.market import (InfluencerAllocation, MarketAllocation, PeerWeights,
-                        influencer_followed_match, match_matrix, social_welfare)
+from cme.market import (DenseMatch, InfluencerAllocation, MarketAllocation, PeerWeights,
+                        match_matrix, social_welfare)
 from oracles import water_fill_batch
 
 
@@ -191,7 +191,7 @@ def gauss_seidel_round(state, cfg, mode, grid, values=None):
     `values`, when given, collects each producer's objective value."""
     B = match_matrix(state.X, cfg)
     mu_infl = influencer_br_dense(
-        cfg.r_p * influencer_followed_match(discount(state.mu_i, cfg.delay), B), cfg)
+        cfg.r_p * DenseMatch(state.X, cfg, B).followed(discount(state.mu_i, cfg.delay)), cfg)
     lam, mu_i, direct = consumer_round(discount(mu_infl, cfg.delay), B, cfg, mode)
     X = state.X.copy()
     degenerate = set()
@@ -210,8 +210,7 @@ def gauss_seidel_round(state, cfg, mode, grid, values=None):
         if degen:
             degenerate.add(z)
     new = MarketAllocation(lam, mu_i, direct, InfluencerAllocation(mu_infl), X)
-    B = match_matrix(X, cfg)
-    return new, degenerate, B, social_welfare(new, cfg, B)
+    return new, degenerate, match_matrix(X, cfg), social_welfare(new, cfg)
 
 
 def resolved_rate(gamma, z, weight, cfg):
@@ -223,13 +222,15 @@ def resolved_rate(gamma, z, weight, cfg):
 
 
 def imperfect_round(mu_i, X, grid, cfg, B):
-    """One imperfect producer pass in place on X, one re-solve per producer;
-    returns the degenerate mask."""
+    """One imperfect producer pass in place on X, one re-solve per producer,
+    B being the match matrix at X, which it leaves as it is; returns the
+    degenerate mask."""
     if float(np.sum(mu_i)) == 0.0:
         return np.ones(cfg.n, dtype=bool)
     d_i = discount(mu_i, cfg.delay)
-    mass = influencer_followed_match(d_i, B)
-    block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg,
+    match = DenseMatch(X, cfg, B.copy())  # the block moves its winners in the match
+    mass = match.followed(d_i)
+    block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg, match,
                            prev=X, prev_value=mass)
     gamma = cfg.r_p * mass
     degenerate = block.degenerate.copy()
@@ -242,7 +243,7 @@ def imperfect_round(mu_i, X, grid, cfg, B):
     return degenerate
 
 
-def imperfect_gap(dense, cfg, grid, B=None):
+def imperfect_gap(dense, cfg, grid):
     if float(np.sum(dense.mu_i)) == 0.0:
         return 0.0
     d_i = discount(dense.mu_i, cfg.delay)
@@ -266,7 +267,7 @@ def imperfect_gap(dense, cfg, grid, B=None):
     return worst
 
 
-def support_gap(dense, cfg, grid, B=None):
+def support_gap(dense, cfg, grid):
     d_i = discount(dense.mu_i, cfg.delay)
     d_infl = discount(dense.mu_infl, cfg.delay)
     d_direct = discount(dense.direct.toarray(), cfg.delay)

@@ -24,7 +24,6 @@ from cme.market import (
     MarketConfig,
     consumer_utilities,
     influencer_utility,
-    match_matrix,
     producer_support,
 )
 from cme.scenario import InterestSpec, median_relative_poi, parse_sweep, run_sweep
@@ -46,12 +45,11 @@ def test_acceptance_1_potential_identity():
         n = cfg.n
         omega = random_allocation(rng, cfg)
         for _ in range(50):
-            B = match_matrix(omega.X, cfg)
-            phi0 = float(consumer_utilities(omega, cfg, B).sum())
+            phi0 = float(consumer_utilities(omega, cfg).sum())
             kind = int(rng.integers(0, 3))
             if kind == 0:
                 y = int(rng.integers(n))
-                u0 = float(consumer_utilities(omega, cfg, B)[y])
+                u0 = float(consumer_utilities(omega, cfg)[y])
                 split = rng.dirichlet(np.ones(n + 1)) * rng.uniform(0.0, 1.0) * cfg.m
                 lam, mu_i = omega.lam.copy(), omega.mu_i.copy()
                 direct = omega.direct.toarray()
@@ -60,23 +58,22 @@ def test_acceptance_1_potential_identity():
                 row[:y], row[y + 1:] = split[2:y + 2], split[y + 2:]
                 direct[y] = row
                 new = MarketAllocation(lam, mu_i, direct, omega.influencer, omega.X)
-                u1 = float(consumer_utilities(new, cfg, B)[y])
-                phi1 = float(consumer_utilities(new, cfg, B).sum())
+                u1 = float(consumer_utilities(new, cfg)[y])
+                phi1 = float(consumer_utilities(new, cfg).sum())
             elif kind == 1:
-                u0 = influencer_utility(omega, cfg, B)
+                u0 = influencer_utility(omega, cfg)
                 mu_infl = rng.dirichlet(np.ones(n)) * rng.uniform(0.0, 1.0) * cfg.m_infl
                 new = dataclasses.replace(omega, influencer=InfluencerAllocation(mu=mu_infl))
-                u1 = influencer_utility(new, cfg, B)
-                phi1 = float(consumer_utilities(new, cfg, B).sum())
+                u1 = influencer_utility(new, cfg)
+                phi1 = float(consumer_utilities(new, cfg).sum())
             else:
                 z = int(rng.integers(n))
-                u0 = producer_support(z, omega, cfg, B)
+                u0 = producer_support(z, omega, cfg)
                 X = omega.X.copy()
                 X[z] = rng.uniform(0.0, 1.0, cfg.dim)
                 new = dataclasses.replace(omega, X=X)
-                B1 = match_matrix(X, cfg)
-                u1 = producer_support(z, new, cfg, B1)
-                phi1 = float(consumer_utilities(new, cfg, B1).sum())
+                u1 = producer_support(z, new, cfg)
+                phi1 = float(consumer_utilities(new, cfg).sum())
             worst = max(worst, abs((phi1 - phi0) - (u1 - u0)))
             deviations += 1
             omega = new  # random-walk the state so deviations compound

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cme import bestresponse, equilibrium
-from cme.allocator import _candidate_floor
+from cme.allocator import _candidate_floor, rates_with
 from cme.bestresponse import (
     _CHUNK,
     _TILE,
@@ -19,7 +19,6 @@ from cme.bestresponse import (
     GameMode,
     TopicGrid,
     TopicSearchParams,
-    _objective,
     _tile_objective,
     chunks,
     consumer_best_response,
@@ -49,10 +48,9 @@ from cme.market import (
     MarketConfig,
     PeerWeights,
     consumer_utilities,
-    influencer_followed_match,
-    influencer_relayed_match,
     influencer_utility,
     match_matrix,
+    match_of,
     producer_support,
 )
 from markets_util import far_pair, random_allocation, random_config, with_consumer, with_topic
@@ -85,7 +83,8 @@ def mass_argmax(z, omega, cfg, search):
     that mass is zero at every candidate: the producer block restricted to
     z under the rank-one weights delta(mu_i) 1^T."""
     weights = PeerWeights.rank_one(discount(omega.mu_i, cfg.delay), np.ones(cfg.n))
-    block = producer_block(weights, TopicGrid(cfg, search), cfg, cols=slice(z, z + 1))
+    block = producer_block(weights, TopicGrid(cfg, search), cfg, match_of(omega.X, cfg),
+                           cols=slice(z, z + 1))
     return TopicPoint(tuple(block.topics[0])), bool(block.degenerate[0])
 
 
@@ -126,8 +125,7 @@ class TestInfluencerBestResponse:
         omega = MarketAllocation(np.full(2, 0.3), np.full(2, 0.3), np.zeros((2, 2)),
                                  InfluencerAllocation(mu=np.array([2.0, 0.0])),
                                  cfg.interest_array())
-        assert not np.any(influencer_followed_match(discount(omega.mu_i, cfg.delay),
-                                                    match_matrix(omega.X, cfg)))
+        assert not np.any(DenseMatch(omega.X, cfg).followed(discount(omega.mu_i, cfg.delay)))
         np.testing.assert_array_equal(influencer_best_response(omega, cfg).mu, 1.0)
 
     def test_symmetric_market_splits_evenly(self):
@@ -422,12 +420,20 @@ def _search(dim):
     return SEARCH if dim == 1 else TopicSearchParams(grid_resolution=24)
 
 
+def _free(cfg):
+    """A dense match for a block with no incumbent, whose winners' values
+    read no topic of the match: at the members' interests."""
+    return DenseMatch(cfg.interest_array(), cfg)
+
+
 def _incumbent(prev, W, cfg):
-    """producer_block's incumbent arguments as a round passes them: the
-    topics and their objectives read from the match matrix at prev."""
+    """producer_block's match and incumbent arguments as a round passes
+    them: the dense match at prev, and the topics and their objectives read
+    from it."""
     if prev is None:
-        return {}
-    return {"prev": prev, "prev_value": W.producer_values(match_matrix(prev, cfg))}
+        return {"match": _free(cfg)}
+    match = DenseMatch(prev, cfg)
+    return {"match": match, "prev": prev, "prev_value": match.producer_values(W)}
 
 
 class TestProducerBlockAgainstReference:
@@ -564,7 +570,6 @@ class TestImperfectRoundAgainstReference:
         walked = saturating = degenerate = tied = 0
         for t in range(600):
             cfg, mu_i, X, grid = _round_market(rng, t)
-            B = match_matrix(X, cfg)
             got, expect = X.copy(), X.copy()
             before = len(asked)
             # the second round starts where the first ended: the mass
@@ -581,7 +586,7 @@ class TestImperfectRoundAgainstReference:
             walked += len(asked) > before
             degenerate += bool(np.any(got_degenerate & ~np.all(got_degenerate)))
             if np.any(mu_i > 0.0):
-                gamma = cfg.r_p * influencer_followed_match(discount(mu_i, cfg.delay), B)
+                gamma = cfg.r_p * DenseMatch(X, cfg).followed(discount(mu_i, cfg.delay))
                 at_best = cfg.r_p * grid_best(PeerWeights.rank_one(
                     discount(mu_i, cfg.delay), np.ones(cfg.n)), grid)
                 tied += np.unique(gamma[gamma > 0.0]).size < np.count_nonzero(gamma > 0.0)
@@ -600,8 +605,8 @@ class TestIncumbentValue:
     (``producer_values``), and ``producer_block`` values a winner with the
     same match's ``values_at``: one function, the same floats for
     producers given by a slice or by indices, on either match type.  On
-    the dense match both are ``_objective``'s floats, and the rows built
-    are B's."""
+    the dense match both are ``PeerWeights.producer_values`` of the rows
+    ``match_matrix`` builds at the topics, and those rows are B's."""
 
     @pytest.mark.parametrize("dim,kind", [(1, DenseMatch), (1, LineMatch), (2, DenseMatch)])
     @pytest.mark.parametrize("n", [5, _CHUNK + 11])
@@ -628,8 +633,8 @@ class TestIncumbentValue:
                     B = match_matrix(d.X, cfg)
                     assert np.array_equal(B, np.concatenate([rows for _, rows in valued]))
                     assert np.array_equal(match.producer_values(W), W.producer_values(B))
-                    assert np.array_equal(W.producer_values(B)[idx],
-                                          _objective(d.X[idx], W, idx, cfg)[0])
+                    assert np.array_equal(W.producer_values(B)[idx], W.producer_values(
+                        match_matrix(d.X[idx], cfg, idx), idx))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_pick_at_the_incumbent_keeps_its_value(self, dim):
@@ -642,11 +647,76 @@ class TestIncumbentValue:
         grid = TopicGrid(cfg, _search(dim))
         for W in (support_weights(d.mu_i, d.mu_infl, d.direct, cfg),
                   PeerWeights.rank_one(discount(d.mu_i, cfg.delay), np.ones(cfg.n))):
-            first = producer_block(W, grid, cfg)
+            first = producer_block(W, grid, cfg, _free(cfg))
             low = np.nextafter(first.values, 0.0)
-            block = producer_block(W, grid, cfg, prev=first.topics, prev_value=low)
+            block = producer_block(W, grid, cfg, DenseMatch(first.topics, cfg),
+                                   prev=first.topics, prev_value=low)
             assert np.array_equal(block.topics, first.topics)
             assert np.array_equal(block.values, low)
+
+
+def _round_block(omega, cfg, W, grid):
+    """The producer block as a round runs it: every producer, on the match
+    ``match_of`` selects at omega's topics, the incumbents at omega.X."""
+    match = match_of(omega.X, cfg)
+    return producer_block(W, grid, cfg, match, prev=omega.X, prev_value=match.producer_values(W))
+
+
+@pytest.mark.parametrize("n,dim,kind", [(40, 1, DenseMatch), (300, 1, LineMatch),
+                                        (40, 2, DenseMatch)])
+def test_one_producer_calls_are_the_block(n, dim, kind):
+    # the public one-producer calls return the topic, value and flag of the
+    # block a round runs, bit for bit, on either match type; on the dense
+    # one every value is the support of the row match_matrix builds at the
+    # returned topic
+    rng = np.random.default_rng(148 + n + dim)
+    search = _search(dim)
+    for _ in range(2):
+        cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
+        omega = random_allocation(rng, cfg)
+        assert type(match_of(omega.X, cfg)) is kind
+        grid = TopicGrid(cfg, search)
+        d_i = discount(omega.mu_i, cfg.delay)
+        gamma = cfg.r_p * match_of(omega.X, cfg).followed(d_i)
+        support = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
+        follow = PeerWeights.rank_one(d_i, np.ones(n))
+        perfect, imperfect = (_round_block(omega, cfg, W, grid) for W in (support, follow))
+        free = producer_block(support, grid, cfg, match_of(omega.X, cfg))
+        for z in range(0, n, 7):
+            prev = TopicPoint(tuple(omega.X[z]))
+            got = producer_best_response_perfect(z, omega, cfg, search, prev=prev)
+            assert got == (TopicPoint(tuple(perfect.topics[z])), cfg.r_p * perfect.values[z],
+                           perfect.degenerate[z]), z
+            got = producer_best_response_perfect(z, omega, cfg, search)
+            assert got == (TopicPoint(tuple(free.topics[z])), cfg.r_p * free.values[z],
+                           free.degenerate[z]), z
+            if kind is DenseMatch and not got.degenerate:
+                row = match_matrix(free.topics[z:z + 1], cfg, np.array([z]))
+                assert got.value == cfg.r_p * support.producer_values(row, slice(z, z + 1))[0]
+            got = producer_best_response_imperfect(z, omega, cfg, search, prev=prev)
+            at_best, at_value = rates_with(
+                gamma, cfg.m_infl, cfg.delay.beta, np.array([z, z]),
+                cfg.r_p * np.array([imperfect.grid_best[z], imperfect.values[z]]))
+            assert got.degenerate == (imperfect.degenerate[z] or at_best == 0.0), z
+            if not got.degenerate:
+                assert got == (TopicPoint(tuple(imperfect.topics[z])),
+                               discount(at_value, cfg.delay), False), z
+
+
+@pytest.mark.parametrize("call", [
+    lambda i, omega, cfg: consumer_best_response(i, omega, cfg, GameMode.PERFECT),
+    lambda i, omega, cfg: producer_best_response_perfect(i, omega, cfg, SEARCH),
+    lambda i, omega, cfg: producer_best_response_imperfect(i, omega, cfg, SEARCH),
+    producer_support,
+], ids=["consumer", "perfect", "imperfect", "support"])
+@pytest.mark.parametrize("index", [-1, 6])
+def test_one_agent_calls_refuse_an_index_outside_the_members(call, index):
+    # -1 would wrap around to the last member and rewrite its rates, and 6
+    # would fail deep inside with a bare IndexError
+    rng = np.random.default_rng(149)
+    cfg = random_config(rng, n_min=6, n_max=6)
+    with pytest.raises(InvalidInputError, match=rf"index {index} is not a member of N = 6"):
+        call(index, random_allocation(rng, cfg), cfg)
 
 
 class TestTiledScan:
@@ -702,7 +772,7 @@ class TestTiledScan:
         u = np.zeros(self.N)
         u[7] = 0.5
         W = PeerWeights.rank_one(u, rng.uniform(0.5, 1.0, self.N))
-        block = producer_block(W, TopicGrid(cfg, SEARCH), cfg)
+        block = producer_block(W, TopicGrid(cfg, SEARCH), cfg, _free(cfg))
         assert list(np.flatnonzero(block.degenerate)) == [7]
         assert np.all(block.topics == 0.0)
 
@@ -722,7 +792,7 @@ class TestTiledScan:
         assert len(grid.points) % (_TILE // n) == 1
         d = random_allocation(rng, cfg, spend_fraction=1.0)
         W = support_weights(d.mu_i, d.mu_infl, d.direct, cfg)
-        block = producer_block(W, grid, cfg)
+        block = producer_block(W, grid, cfg, _free(cfg))
         assert block.topics[0].tolist() == [1.0, 1.0]
 
 
@@ -921,7 +991,7 @@ class TestExactSearch:
             for W in (support_weights(mu_i, mu_infl, DirectRates.from_dense(direct), cfg),
                       support_weights(mu_i, mu_infl, DirectRates.empty(cfg.n), cfg),
                       PeerWeights.rank_one(d_i, np.ones(cfg.n))):
-                block = producer_block(W, grid, cfg)
+                block = producer_block(W, grid, cfg, _free(cfg))
                 dense = dense_weights(W)
                 np.testing.assert_allclose(
                     block.values, dense_objective(block.topics, dense, np.arange(cfg.n), cfg),
@@ -1042,10 +1112,11 @@ def _straddling_market(rng, n, dim, case):
         B[rng.uniform(size=B.shape) < 0.3] = 0.0
         mu_infl[::4] = 0.0
     delta_infl = discount(mu_infl, cfg.delay)
+    sums = DenseMatch(X, cfg, B)  # reads B as it is changed below
     if case % 3 == 0:  # a direct weight of r_p, at the floor of the least relayed consumer
-        y = int(np.argmin(influencer_relayed_match(delta_infl, B)))
+        y = int(np.argmin(sums.relayed(delta_infl)))
         B[(y + 1) % n, y] = 1.0
-    relayed = influencer_relayed_match(delta_infl, B)
+    relayed = sums.relayed(delta_infl)
     beta = cfg.delay.beta
     m = math.log(max(float(np.median(relayed)), 1.5)) / beta
     if case % 3 == 0:
@@ -1077,7 +1148,7 @@ def test_consumers_past_the_candidate_bound_take_two_channels(mode, dim):
         cfg, match, delta_infl = _straddling_market(
             rng, int(rng.integers(_CHUNK, 2 * _CHUNK + 8)), dim, case)
         B = match.B
-        top = np.maximum(cfg.r_0 * cfg.b_0, cfg.r_p * influencer_relayed_match(delta_infl, B))
+        top = np.maximum(cfg.r_0 * cfg.b_0, cfg.r_p * match.relayed(delta_infl))
         floor = _candidate_floor(top, cfg.delay.beta * cfg.m)
         narrow = int(np.count_nonzero(floor > cfg.r_p))
         if case % 3 == 0:
@@ -1170,16 +1241,17 @@ class TestPeerWeightsAgainstDense:
         np.testing.assert_allclose(got, scan, **close)
         np.testing.assert_allclose(grid_best(W, grid), scan.max(axis=0), **close)
 
-        B = match_matrix(d.X, cfg)
-        np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense),
+        match = DenseMatch(d.X, cfg)
+        B = match.B
+        np.testing.assert_allclose(match.producer_values(W), np.einsum("zy,yz->z", B, dense),
                                    **close)
-        np.testing.assert_allclose(DenseMatch(d.X, cfg, B).consumer_values(W),
+        np.testing.assert_allclose(match.consumer_values(W),
                                    np.einsum("zy,yz->y", B, dense), **close)
         followers = dense_weights(PeerWeights.rank_one(W.u, np.ones(n)))
-        np.testing.assert_allclose(influencer_followed_match(W.u, B),
+        np.testing.assert_allclose(match.followed(W.u),
                                    np.einsum("zy,yz->z", B, followers), **close)
         T = rng.uniform(0.0, 1.0, (n, dim))
-        np.testing.assert_allclose(_objective(T, W, slice(None), cfg)[0],
+        np.testing.assert_allclose(match.values_at(W, T, slice(None))[0],
                                    dense_objective(T, dense, np.arange(n), cfg), **close)
         if case == 1:
             assert np.all(got == 0.0) == (density == "none")
@@ -1203,7 +1275,7 @@ class TestPeerWeightsAgainstDense:
         np.testing.assert_allclose(W.producer_values(B), np.einsum("zy,yz->z", B, dense), **close)
         np.testing.assert_allclose(DenseMatch(X, cfg, B).consumer_values(W),
                                    np.einsum("zy,yz->y", B, dense), **close)
-        block = producer_block(W, grid, cfg)
+        block = producer_block(W, grid, cfg, _free(cfg))
         assert not block.degenerate.any() and block.topics[0, 0] == 0.75
 
     def test_a_producer_followed_only_by_itself_is_degenerate(self):
@@ -1217,7 +1289,7 @@ class TestPeerWeightsAgainstDense:
         grid = TopicGrid(cfg, SEARCH)
         best = grid_best(W, grid)
         assert best[4] == 0.0 and np.all(np.delete(best, 4) > 0.0)
-        block = producer_block(W, grid, cfg)
+        block = producer_block(W, grid, cfg, _free(cfg))
         assert list(np.flatnonzero(block.degenerate)) == [4]
 
 

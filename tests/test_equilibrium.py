@@ -49,7 +49,6 @@ from cme.market import (
     MarketAllocation,
     MarketConfig,
     PeerWeights,
-    influencer_followed_match,
     match_matrix,
     match_of,
     social_welfare,
@@ -758,8 +757,8 @@ def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
     # producer z at 0.5 between mirror members at 0.25 and 0.75, its
     # incumbent at 0.75; budgets so large that every delta rounds to 1.0,
     # so W is 2.0 off the diagonal.  The candidate 0.25 mirrors the
-    # incumbent, so the one formula that values both (``_objective`` and
-    # ``producer_values`` on B) adds the same terms, and the incumbent
+    # incumbent, so the one formula that values both (the dense match's
+    # ``values_at`` and ``producer_values``) adds the same terms, and the incumbent
     # stays.  With z last, each sum adds the two members' terms in swapped
     # order, then z's own: the same floats, and with a_g = 1e-17 the scan
     # reads the same value too.  With z first, the scan's own formula
@@ -781,8 +780,8 @@ def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
     col = slice(z, z + 1)
     first = grid.points[bestresponse._scan(W, grid, col)[0]]
     assert first[0, 0] < 0.75  # the scan's pick is another topic
-    assert (bestresponse._objective(first, W, col, cfg)[0][0]
-            == W.producer_values(match_matrix(state.X, cfg))[z])
+    match = DenseMatch(state.X, cfg)
+    assert match.values_at(W, first, col)[0][0] == match.producer_values(W)[z]
     assert not degenerate and new.X[z, 0] == 0.75
 
 
@@ -1101,8 +1100,8 @@ def _assert_runs_alike(a, b, cfg):
 
 def _on_the_dense_match(mp):
     """Every match a ``DenseMatch`` with its sums taken by BLAS."""
-    mp.setattr(market, "influencer_relayed_match", relayed_match_blas)
-    mp.setattr(market, "influencer_followed_match", followed_match_blas)
+    mp.setattr(DenseMatch, "relayed", lambda self, d: relayed_match_blas(d, self.B))
+    mp.setattr(DenseMatch, "followed", lambda self, d: followed_match_blas(d, self.B))
     for module in (market, bestresponse, equilibrium):
         mp.setattr(module, "match_of", lambda X, cfg: DenseMatch(X, cfg))
 
@@ -1360,10 +1359,9 @@ def test_certificate_gaps_match_the_per_producer_gaps(dim):
         elif case == 4:  # nobody follows the influencer
             mu_i[:] = 0.0
         d = MarketAllocation(d.lam, mu_i, direct, InfluencerAllocation(mu=mu_infl), d.X)
-        B = match_matrix(d.X, cfg)
         follow = grid_best(_producer_weights(d, cfg, GameMode.IMPERFECT), grid)
         support = grid_best(_producer_weights(d, cfg, GameMode.PERFECT), grid)
-        gamma = cfg.r_p * influencer_followed_match(discount(d.mu_i, cfg.delay), B)
+        gamma = cfg.r_p * DenseMatch(d.X, cfg).followed(discount(d.mu_i, cfg.delay))
         assert equilibrium._imperfect_producer_gap(gamma, cfg, follow) == pytest.approx(
             ref.imperfect_gap(d, cfg, grid), rel=0.0, abs=1e-12)
         assert equilibrium._support_producer_gap(d, cfg, match_of(d.X, cfg), support) == pytest.approx(

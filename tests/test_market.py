@@ -24,8 +24,6 @@ from cme.market import (
     MarketConfig,
     PeerWeights,
     consumer_utilities,
-    influencer_followed_match,
-    influencer_relayed_match,
     influencer_utility,
     match_matrix,
     producer_support,
@@ -510,9 +508,9 @@ class TestMatchReductions:
         W = support_weights(omega.mu_i, omega.mu_infl, omega.direct, cfg)
         assert W.S.nnz
         guarded = B.view(NoBlas)
-        for reduce in (lambda B: influencer_relayed_match(W.v, B),
-                       lambda B: influencer_followed_match(W.u, B),
-                       W.producer_values,
+        for reduce in (lambda B: DenseMatch(omega.X, cfg, B).relayed(W.v),
+                       lambda B: DenseMatch(omega.X, cfg, B).followed(W.u),
+                       lambda B: DenseMatch(omega.X, cfg, B).producer_values(W),
                        lambda B: DenseMatch(omega.X, cfg, B).consumer_values(W)):
             got = reduce(guarded)
             assert np.array_equal(np.asarray(got), reduce(B))
@@ -521,9 +519,10 @@ class TestMatchReductions:
     def test_followed_is_the_rank_one_producer_values(self, market):
         cfg, omega, B = market(300, 33)
         n = cfg.n
+        match = DenseMatch(omega.X, cfg, B)
         for d in (discount(omega.mu_i, cfg.delay), np.where(np.arange(n) % 3, 0.0, 1.0)):
-            assert np.array_equal(influencer_followed_match(d, B),
-                                  PeerWeights.rank_one(d, np.ones(n)).producer_values(B))
+            assert np.array_equal(match.followed(d),
+                                  match.producer_values(PeerWeights.rank_one(d, np.ones(n))))
 
 
 class TestMatchReductionsAgainstBlas:
@@ -532,10 +531,10 @@ class TestMatchReductionsAgainstBlas:
     nonnegative terms, and ``less_own`` at most doubles their rounding."""
 
     @staticmethod
-    def _agree(d, B):
-        for new, old in ((influencer_relayed_match, relayed_match_blas),
-                         (influencer_followed_match, followed_match_blas)):
-            np.testing.assert_allclose(new(d, B), old(d, B), rtol=1e-13, atol=0.0)
+    def _agree(d, match):
+        for new, old in ((match.relayed, relayed_match_blas),
+                         (match.followed, followed_match_blas)):
+            np.testing.assert_allclose(new(d), old(d, match.B), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("mode", list(GameMode))
@@ -545,16 +544,17 @@ class TestMatchReductionsAgainstBlas:
             cfg = random_config(rng, n_max=300, n_min=100, dim=dim)
             omega = run_dynamics(cfg, mode, params=DynamicsParams(max_rounds=2, restarts=0),
                                  search=TopicSearchParams(grid_resolution=16)).omega
-            B = match_matrix(omega.X, cfg)
+            match = DenseMatch(omega.X, cfg)
             zeros = rng.uniform(size=cfg.n) < 0.5
             for d in (omega.mu_i, omega.mu_infl):
                 d = discount(d, cfg.delay)
-                self._agree(d, B)
-                self._agree(np.where(zeros, 0.0, d), B)  # zero-weight channels
+                self._agree(d, match)
+                self._agree(np.where(zeros, 0.0, d), match)  # zero-weight channels
 
     def test_nobody_follows(self):
-        _, _, B = _market_at(300, 35)
-        for reduce in (influencer_relayed_match, influencer_followed_match,
+        cfg, omega, B = _market_at(300, 35)
+        match = DenseMatch(omega.X, cfg, B)
+        for reduce in (lambda d, B: match.relayed(d), lambda d, B: match.followed(d),
                        relayed_match_blas, followed_match_blas):
             assert np.array_equal(reduce(np.zeros(300), B), np.zeros(300))
 
@@ -563,7 +563,7 @@ class TestMatchReductionsAgainstBlas:
         d = discount(omega.mu_i, cfg.delay)
         assert np.any(np.diagonal(B) * d > 0.5 * (B @ d))  # the redo branch runs
         assert np.any(np.diagonal(B) * d > 0.5 * (B.T @ d))
-        self._agree(d, B)
+        self._agree(d, DenseMatch(cfg.interest_array(), cfg, B))
 
     def test_a_steep_kernel_sums_again_in_chunks(self):
         # N = 2000 producers at evenly spaced interests under a_f = 1e4: each
@@ -575,12 +575,13 @@ class TestMatchReductionsAgainstBlas:
                            m_infl=float(n), r_p=1.0, r_0=1.0, b_0=0.5,
                            kernel=KernelParams(a_f=1e4, a_g=1.0))
         B = match_matrix(cfg.interest_array(), cfg)
+        match = DenseMatch(cfg.interest_array(), cfg, B)
         d = np.random.default_rng(37).uniform(0.1, 1.0, n)
         assert np.all(np.diagonal(B) * d > 0.5 * np.einsum("zy,y->z", B, d))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            influencer_followed_match(d, B)
+            match.followed(d)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -673,12 +674,13 @@ class TestLineMatchAgainstDense:
 
 
 def test_dim1_calls_build_no_match_matrix(monkeypatch):
-    # from _LINE_FROM members, the public one-agent calls, the payoffs
-    # without B, the dynamics and the certificate build no (N, N) match
-    # matrix in dim 1: at most a chunk of rows at a time
+    # from _LINE_FROM members, the public one-agent calls, the payoffs,
+    # the dynamics and the certificate build no (N, N) match matrix in dim
+    # 1: at most a chunk of rows at a time
     from cme import bestresponse, equilibrium
     from cme.bestresponse import (consumer_best_response, influencer_best_response,
-                                  producer_best_response_imperfect)
+                                  producer_best_response_imperfect,
+                                  producer_best_response_perfect)
     from cme.equilibrium import check_nash, run_dynamics
 
     shapes = []
@@ -699,6 +701,8 @@ def test_dim1_calls_build_no_match_matrix(monkeypatch):
     influencer_best_response(omega, cfg)
     consumer_best_response(3, omega, cfg, GameMode.PERFECT)
     producer_best_response_imperfect(5, omega, cfg, search, prev=TopicPoint((0.5,)))
+    producer_best_response_perfect(6, omega, cfg, search, prev=TopicPoint((0.5,)))
+    producer_best_response_perfect(7, omega, cfg, search)
     consumer_utilities(omega, cfg)
     social_welfare(omega, cfg)
     influencer_utility(omega, cfg)
@@ -708,5 +712,5 @@ def test_dim1_calls_build_no_match_matrix(monkeypatch):
         check_nash(res.omega, cfg, mode, search=search)
     assert all(rows <= market._CHUNK for rows, _ in shapes), sorted(set(shapes))
     shapes.clear()
-    consumer_utilities(omega, cfg, match_matrix(omega.X, cfg))  # a dense table given
-    assert not shapes
+    DenseMatch(omega.X, cfg)  # the spy sees a dense table's build
+    assert shapes == [(n, n)]

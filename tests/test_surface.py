@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,3 +130,26 @@ def test_direct_rates_have_no_array_conversion():
     direct = cme.DirectRates.from_dense([[0.0, 0.5], [0.25, 0.0]])
     assert not hasattr(direct, "__array__") and not hasattr(cme.DirectRates, "__array__")
     assert direct.toarray().tolist() == [[0.0, 0.5], [0.25, 0.0]]
+
+
+def test_the_match_matrix_is_read_through_one_type():
+    # only market builds B's entries and every read goes through a Match:
+    # no dense objective beside it, no free reductions of a table, no B=
+    for module, name in (("market", "influencer_relayed_match"),
+                         ("market", "influencer_followed_match"), ("market", "_match"),
+                         ("bestresponse", "_objective"), ("bestresponse", "match_matrix")):
+        assert not hasattr(importlib.import_module(f"cme.{module}"), name), name
+    for payoff in (cme.consumer_utilities, cme.social_welfare, cme.influencer_utility,
+                   cme.producer_support):
+        assert "B" not in inspect.signature(payoff).parameters, payoff.__name__
+    match = inspect.signature(cme.bestresponse.producer_block).parameters["match"]
+    assert match.default is inspect.Parameter.empty
+
+
+def test_the_test_extra_holds_what_the_tests_import():
+    # tests/test_allocator.py and tests/test_equilibrium.py import
+    # hypothesis at module level
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+    assert {"pytest", "hypothesis"} <= {re.match(r"[A-Za-z0-9_.-]+", req)[0] for req in extra}
