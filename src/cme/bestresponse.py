@@ -37,11 +37,11 @@ candidate winning a tie.  A winner other than the
 incumbent is valued once more by the function from which the caller reads
 the incumbent's value, the match's ``values_at`` and ``producer_values``,
 and the incumbent stays unless the winner is strictly better.  A winner
-that moves is moved in the match: the dense match takes the row built to
-value it, the line match only its topic.  A winner that is the incumbent
-keeps the incumbent's value, which in the perfect/proxy regimes is the
-same float.  The one-producer calls run the block on the match that the
-dynamics would select (``match_of``), so they return its floats.
+that is the incumbent keeps the incumbent's value, which in the
+perfect/proxy regimes is the same float.  The block only reads the match:
+the round that called it moves the producers whose topic changed.  The
+one-producer calls run the block on the match that the dynamics would
+select (``match_of``), so they return its floats.
 A producer whose objective is zero at every candidate is degenerate and
 keeps its incumbent.  Each objective reads only its own topic, so the
 block equals N one-producer searches (Monderer & Shapley, *Potential
@@ -101,7 +101,7 @@ from .allocator import (
     rates_with,
     water_fill,
 )
-from .kernels import InvalidInputError, LineSums, TopicPoint, discount
+from .kernels import InvalidInputError, LineSums, TopicPoint, discount, require_count
 from .market import (
     _CHUNK,
     DirectRates,
@@ -125,6 +125,8 @@ class GameMode(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "GameMode":
+        if not isinstance(text, str):
+            raise InvalidInputError(f"game mode must be a string, got {text!r}")
         try:
             return cls(text.strip().lower())
         except ValueError:
@@ -143,11 +145,8 @@ class TopicSearchParams:
     refine_iters: int = 40
 
     def __post_init__(self):
-        if self.grid_resolution < 8:
-            raise InvalidInputError(
-                f"grid_resolution must be at least 8, got {self.grid_resolution}")
-        if self.refine_iters < 0:
-            raise InvalidInputError("refine_iters must be nonnegative")
+        require_count(self.grid_resolution, "grid_resolution", 8)
+        require_count(self.refine_iters, "refine_iters", 0)
 
 
 class TopicGrid:
@@ -517,16 +516,12 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig, mat
     strictly better.  A best candidate other than the incumbent is valued
     in chunks of _CHUNK producers with ``match.values_at``, the same
     function, so candidate and incumbent are compared by one formula.  One
-    equal to the incumbent keeps prev_value.  Each producer that moves is
-    moved in ``match`` (``Match.move``), with the rows built to value it
-    where the match holds rows, so the match leaves at the returned topics
-    of every producer that is not degenerate.
+    equal to the incumbent keeps prev_value.  ``match`` is only read.
     """
     start = cols.indices(cfg.n)[0]
     best, scanned = _scan(weights, grid, cols)
     topics = grid.points[best]
     degen = scanned <= 0.0
-    moved = np.zeros(best.size, dtype=bool)
     if prev is None:
         values, valued = np.empty(best.size), np.flatnonzero(~degen)
     else:
@@ -534,14 +529,11 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig, mat
         valued = np.flatnonzero(~degen & np.any(topics != prev, axis=1))
     for sl in chunks(valued.size):
         z = valued[sl]
-        values[z], D = match.values_at(weights, topics[z], start + z)
-        # a producer with an incumbent moves only on strict improvement
-        moved[z] = True if prev is None else values[z] > prev_value[z]
-        go = moved[z]
-        match.move(start + z[go], topics[z[go]], None if D is None else D[go])
-    if prev is not None:
-        topics[~moved] = prev[~moved]
-        values[~moved] = prev_value[~moved]
+        values[z] = match.values_at(weights, topics[z], start + z)
+    if prev is not None:  # a producer with an incumbent moves only on strict improvement
+        stay = ~(values > prev_value)
+        topics[stay] = prev[stay]
+        values[stay] = prev_value[stay]
     topics[degen] = grid.points[0] if prev is None else prev[degen]
     values[degen] = 0.0
     return ProducerBlock(topics, values, scanned)
@@ -549,12 +541,11 @@ def producer_block(weights: PeerWeights, grid: TopicGrid, cfg: MarketConfig, mat
 
 def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
                              cfg: MarketConfig, match: Match
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """One imperfect-regime producer pass, in place on X and on the match
-    at X; returns the degenerate mask and each producer's best scanned
-    match mass (the ``grid_best`` of the pass's weights).  The block moves
-    each mover in the match, and a mover found inactive here is moved back
-    to its incumbent.
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One imperfect-regime producer pass from the topics X, ``match``
+    being the match at X; returns the new topics, the degenerate mask and
+    each producer's best scanned match mass (the ``grid_best`` of the
+    pass's weights).  It reads X and the match and writes neither.
 
     Producers move in index order, each against the influencer's channel
     weights at the current topics, with the earlier producers' moves in
@@ -585,10 +576,7 @@ def imperfect_producer_round(mu_i: np.ndarray, X: np.ndarray, grid: TopicGrid,
             active[i] = rates_with(current, M, beta, todo[i:i + 1], at_best[i:i + 1])[0] > 0.0
     degenerate = block.degenerate.copy()
     degenerate[todo[~active]] = True
-    X[todo[active]] = block.topics[todo[active]]
-    back = np.flatnonzero(np.any(block.topics != X, axis=1))  # movers found inactive
-    match.move(back, X[back])
-    return degenerate, block.grid_best
+    return np.where(degenerate[:, None], X, block.topics), degenerate, block.grid_best
 
 
 # ---------------------------------------------------------------------------

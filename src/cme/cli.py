@@ -83,9 +83,9 @@ def _cmd_check(args) -> int:
     try:
         cfg = config_from_dict(payload["config"])
         omega = allocation_from_dict(payload["allocation"])
-    except ScenarioError as exc:
+        mode = GameMode.parse(args.mode or payload["mode"])
+    except (ScenarioError, InvalidInputError) as exc:
         raise ScenarioError(f"{args.result}: {exc}") from None
-    mode = GameMode.parse(args.mode or payload["mode"])
     cert = check_nash(omega, cfg, mode, tol=args.tol,
                       producer_tol=args.producer_tol,
                       search=TopicSearchParams(grid_resolution=args.grid))

@@ -84,6 +84,13 @@ def require_finite_nonnegative(x: np.ndarray, what: str) -> None:
         raise InvalidInputError(f"{what} must be finite and nonnegative")
 
 
+def require_count(value, what: str, least: int) -> None:
+    """Raise InvalidInputError unless value is an integer, Python's or
+    numpy's, of at least ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise InvalidInputError(f"{what} must be an integer of at least {least}, got {value!r}")
+
+
 def discount(mu, p: DelayParams):
     """Delay discount delta(mu) = 1 - exp(-beta*mu) for rates mu >= 0.
 

@@ -46,17 +46,18 @@ The engine, the payoffs and the one-agent calls read B only through a
 ``Match``: the two match reductions (each consumer's influencer-relayed
 match ``relayed``, each producer's follower-weighted match mass
 ``followed``), the producers' and consumers' values under W, B at the
-stored direct rates, a few consumers' columns for the consumer block and
-a chunk of producers' rows for the certificate.  Only this module builds
-B's entries.  ``match_of`` picks one of two implementations.
-``DenseMatch`` holds the (N, N) table, in dim 2 and for small dim-1
-markets, and sums over it with numpy's own single-threaded ``einsum``
-contraction, never ``B @ d`` (``sums_less_own``).  ``LineMatch`` holds
-none: in dim 1 each sum is two cumulative sums along the sorted line
-(``kernels.LineSums``), and its entries, columns and rows are built from
-the topics with ``match_matrix``'s own formula.  Only the dim-2 producer
-scan's small tile products (``bestresponse``) use BLAS, where they are
-2-3 times faster; the dim-1 scan makes no matrix product.
+stored direct rates and a few consumers' columns for the consumer block
+and the certificate.  Only this module builds B's entries, and a run's
+round alone moves its match.  ``match_of`` picks one of two
+implementations.  ``DenseMatch`` holds the (N, N) table, in dim 2 and
+for small dim-1 markets, and sums over it with numpy's own
+single-threaded ``einsum`` contraction, never ``B @ d``
+(``sums_less_own``).  ``LineMatch`` holds none: in dim 1 each sum is two
+cumulative sums along the sorted line (``kernels.LineSums``), and its
+entries and columns are built from the topics with ``match_matrix``'s own
+formula.  Only the dim-2 producer scan's small tile products
+(``bestresponse``) use BLAS, where they are 2-3 times faster; the dim-1
+scan makes no matrix product.
 
 The social welfare sum_y U_c(y) is an exact potential for unilateral
 deviations (Monderer & Shapley, *Potential Games*, 1996): whichever single
@@ -81,6 +82,7 @@ from .kernels import (
     TopicPoint,
     discount,
     pairwise_distances,
+    require_count,
     require_finite_nonnegative,
 )
 
@@ -128,8 +130,7 @@ class MarketConfig:
                 raise InvalidInputError(f"{name} must be positive, got {v}")
         if not (0.0 < self.b_0 <= 1.0):
             raise InvalidInputError(f"b_0 must lie in (0, 1], got {self.b_0}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed}")
+        require_count(self.seed, "seed", 0)
         object.__setattr__(self, "interests", interests)
         Y = np.array([p.coords for p in interests], dtype=float)
         Y.setflags(write=False)
@@ -510,13 +511,12 @@ class Match:
                            influencer's weight on z without r_p
     producer_values(W, cols)  the producers' objectives at their topics
                            (``PeerWeights.producer_values`` on B's rows)
-    values_at(W, T, cols)  the same at topics T, and the rows built there
-                           for ``move``, if any
+    values_at(W, T, cols)  the same at topics T, the match left as it is
     consumer_values(W)     sum_z B[z, y] * W[y, z] for every consumer y
     entries(z, y)          B[z, y]
     columns(ys)            B[:, ys], (N, k)
-    rows(sl)               B[sl], (k, N)
-    move(z, T, rows)       producers z take topics T
+    move(z, T)             producers z take topics T: the only write, which
+                           a round makes once for the producers it moved
     """
 
     def __init__(self, X: np.ndarray, cfg: MarketConfig):
@@ -559,12 +559,12 @@ class DenseMatch(Match):
         return weights.producer_values(self.B[cols], cols)
 
     def values_at(self, weights: PeerWeights, T: np.ndarray, cols: slice | np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> np.ndarray:
         """The objectives of the producers ``cols`` at topics T (k, dim),
-        and their match rows there, which ``move`` takes: at T = X[cols]
-        the rows and values are ``producer_values``' bit for bit."""
+        from their match rows there, which ``move`` builds alike: at T =
+        X[cols] the values are ``producer_values``' bit for bit."""
         D = match_matrix(T, self.cfg, np.arange(self.cfg.n)[cols])
-        return weights.producer_values(D, cols), D
+        return weights.producer_values(D, cols)
 
     def entries(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.B[z, y]
@@ -572,16 +572,11 @@ class DenseMatch(Match):
     def columns(self, ys: np.ndarray) -> np.ndarray:
         return self.B[:, ys]
 
-    def rows(self, sl: slice) -> np.ndarray:
-        return self.B[sl]
-
-    def move(self, z: np.ndarray, T: np.ndarray, rows: np.ndarray | None = None) -> None:
-        """Producers z take topics T, and their rows of B the given rows or,
-        without them, rows rebuilt in chunks of _CHUNK."""
+    def move(self, z: np.ndarray, T: np.ndarray) -> None:
+        """Producers z take topics T, and their rows of B are rebuilt in
+        chunks of _CHUNK.  Each entry of ``match_matrix`` reads one topic
+        and one interest, so these are the rows ``values_at`` built."""
         self.X[z] = T
-        if rows is not None:
-            self.B[z] = rows
-            return
         for sl in chunks(z.size):
             self.B[z[sl]] = match_matrix(T[sl], self.cfg, z[sl])
 
@@ -593,10 +588,10 @@ class LineMatch(Match):
     the topics by delta[z] * g(|x_z - y_z|) and reads the sums at the
     interests; ``followed`` and the producers' values weigh the interests
     and read them at the topics, times each producer's quality.  The own
-    term comes off through ``less_own``.  Entries, columns and rows are
-    built from X with ``match_matrix``'s own formula, so they are B's
-    floats; only the sums differ from ``DenseMatch``'s, in the last bits.
-    The sorted topics and where each query point falls are kept until a
+    term comes off through ``less_own``.  Entries and columns are built
+    from X with ``match_matrix``'s own formula, so they are B's floats;
+    only the sums differ from ``DenseMatch``'s, in the last bits.  The
+    sorted topics and where each query point falls are kept until a
     producer moves.
 
     A producer's value at a topic is one function of that producer and
@@ -611,7 +606,7 @@ class LineMatch(Match):
         self._quality, self._diag = np.empty(cfg.n), np.empty(cfg.n)
         self.move(np.arange(cfg.n), self.X)
 
-    def move(self, z: np.ndarray, T: np.ndarray, rows: None = None) -> None:
+    def move(self, z: np.ndarray, T: np.ndarray) -> None:
         """Producers z take topics T, and their quality g(|x_z - y_z|) and
         diagonal entry B[z, z] with them."""
         if not z.size:
@@ -640,11 +635,11 @@ class LineMatch(Match):
                             self._quality[z], self._diag[z])
 
     def values_at(self, weights: PeerWeights, T: np.ndarray, cols: slice | np.ndarray
-                  ) -> tuple[np.ndarray, None]:
-        """The objectives of the producers ``cols`` at topics T (k, 1); no
-        row is built for ``move``."""
+                  ) -> np.ndarray:
+        """The objectives of the producers ``cols`` at topics T (k, 1),
+        from the kernel sums at T; no row is built."""
         z, t = np.arange(self.cfg.n)[cols], T[:, 0]
-        return self._values(weights, z, t, self._interests[1].query(t), *self._own(z, t)), None
+        return self._values(weights, z, t, self._interests[1].query(t), *self._own(z, t))
 
     def _topic_query(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``LineSums.query`` of every topic among the sorted interests."""
@@ -688,9 +683,6 @@ class LineMatch(Match):
     def columns(self, ys: np.ndarray) -> np.ndarray:
         return _weigh(pairwise_distances(self.X, self.cfg.interest_array()[ys]),
                       self._quality, self.cfg)
-
-    def rows(self, sl: slice | np.ndarray) -> np.ndarray:
-        return match_matrix(self.X[sl], self.cfg, np.arange(self.cfg.n)[sl])
 
 
 _LINE_FROM = 256  # the fewest members whose dim-1 match holds no table

@@ -491,6 +491,8 @@ def load_result(path: str | os.PathLike) -> dict:
         raise ScenarioError(f"{path}: cannot load result file ({exc})") from exc
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"{path}: result file is not a JSON object")
     for key in ("config", "allocation", "mode"):
         if key not in payload:
             raise ScenarioError(f"{path}: result file missing '{key}'")

@@ -19,8 +19,9 @@ and test_equilibrium.py:
 - ``gauss_seidel_round``: a full round with one solve per consumer and one
   search per producer in index order (drop-in for ``equilibrium._one_round``);
 - ``imperfect_round``: the imperfect producer pass with one water-filling
-  re-solve of the influencer per producer (drop-in for
-  ``bestresponse.imperfect_producer_round``);
+  re-solve of the influencer per producer, in place on the topics (the
+  reference for ``bestresponse.imperfect_producer_round``, which returns
+  them);
 - ``imperfect_gap`` and ``support_gap``: certificate condition (a) with a
   re-solve per candidate and a scalar support evaluation per producer
   (drop-ins for ``equilibrium._imperfect_producer_gap`` /
@@ -228,7 +229,7 @@ def imperfect_round(mu_i, X, grid, cfg, B):
     if float(np.sum(mu_i)) == 0.0:
         return np.ones(cfg.n, dtype=bool)
     d_i = discount(mu_i, cfg.delay)
-    match = DenseMatch(X, cfg, B.copy())  # the block moves its winners in the match
+    match = DenseMatch(X, cfg, B)
     mass = match.followed(d_i)
     block = producer_block(PeerWeights.rank_one(d_i, np.ones(cfg.n)), grid, cfg, match,
                            prev=X, prev_value=mass)

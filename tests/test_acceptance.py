@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from cme.allocator import water_fill
 from cme.bestresponse import GameMode, TopicSearchParams

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cme.allocator import (
-    AllocationSolution,
     DegenerateWeightsError,
     WeightedChannels,
     _candidates,

@@ -33,13 +33,13 @@ from cme.bestresponse import (
 )
 from cme.equilibrium import DynamicsParams, run_dynamics
 from cme.kernels import (
-    DelayParams,
     InvalidInputError,
     KernelParams,
     TopicPoint,
     discount,
 )
 from cme.market import (
+    _LINE_FROM,
     DenseMatch,
     DirectRates,
     InfluencerAllocation,
@@ -576,12 +576,10 @@ class TestImperfectRoundAgainstReference:
             # objective reads no other producer's topic, so nobody moves
             for _ in range(2):
                 match = (LineMatch if cfg.dim == 1 else DenseMatch)(got, cfg)
-                got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg, match)
+                got, got_degenerate, _ = imperfect_producer_round(mu_i, got, grid, cfg, match)
                 expect_degenerate = imperfect_round(mu_i, expect, grid, cfg,
                                                     match_matrix(expect, cfg))
                 assert np.array_equal(got, expect)
-                assert np.array_equal(match.X, got)
-                assert np.array_equal(match_table(match), match_matrix(got, cfg))
                 assert np.array_equal(got_degenerate, expect_degenerate)
             walked += len(asked) > before
             degenerate += bool(np.any(got_degenerate & ~np.all(got_degenerate)))
@@ -600,13 +598,47 @@ class TestImperfectRoundAgainstReference:
         assert min(counts) >= 60, counts
 
 
+@pytest.mark.parametrize("dim,n,kind", [(1, _LINE_FROM + 4, LineMatch), (1, 30, DenseMatch),
+                                        (2, 30, DenseMatch)])
+def test_the_blocks_only_read(dim, n, kind):
+    # producer_block, with and without incumbents, under the perfect/proxy
+    # and the imperfect weights, and the imperfect round leave the caller's
+    # topics and the match as they were, though producers would move: only
+    # the round that called them moves the match
+    rng = np.random.default_rng(190 + dim + n)
+    cfg = random_config(rng, n_min=n, n_max=n, dim=dim)
+    d = random_allocation(rng, cfg)
+    grid = TopicGrid(cfg, TopicSearchParams(grid_resolution=17))
+    X = d.X.copy()
+    match = match_of(X, cfg)
+    assert type(match) is kind
+    table = match_table(match)
+
+    def unchanged():
+        assert np.array_equal(X, d.X) and np.array_equal(match.X, d.X)
+        assert np.array_equal(match_table(match), table)
+
+    moved = 0
+    for W in (support_weights(d.mu_i, d.mu_infl, d.direct, cfg),
+              PeerWeights.rank_one(discount(d.mu_i, cfg.delay), np.ones(cfg.n))):
+        for prev in (None, X):
+            value = None if prev is None else match.producer_values(W)
+            block = producer_block(W, grid, cfg, match, prev=prev, prev_value=value)
+            unchanged()
+            moved += np.count_nonzero(np.any(block.topics != X, axis=1))
+    topics, _, _ = imperfect_producer_round(d.mu_i, X, grid, cfg, match)
+    unchanged()
+    moved += np.count_nonzero(np.any(topics != X, axis=1))
+    assert moved > 0
+
+
 class TestIncumbentValue:
     """A round reads each incumbent's objective from its match
     (``producer_values``), and ``producer_block`` values a winner with the
     same match's ``values_at``: one function, the same floats for
     producers given by a slice or by indices, on either match type.  On
     the dense match both are ``PeerWeights.producer_values`` of the rows
-    ``match_matrix`` builds at the topics, and those rows are B's."""
+    ``match_matrix`` builds at the topics."""
 
     @pytest.mark.parametrize("dim,kind", [(1, DenseMatch), (1, LineMatch), (2, DenseMatch)])
     @pytest.mark.parametrize("n", [5, _CHUNK + 11])
@@ -622,16 +654,14 @@ class TestIncumbentValue:
                       PeerWeights.rank_one(discount(d.mu_i, cfg.delay), np.ones(cfg.n))):
                 valued = [match.values_at(W, d.X[sl], sl)
                           for sl in (slice(0, _CHUNK), slice(_CHUNK, n))]
-                assert np.array_equal(match.producer_values(W),
-                                      np.concatenate([values for values, _ in valued]))
+                assert np.array_equal(match.producer_values(W), np.concatenate(valued))
                 idx = np.arange(1, n, 3)  # producer_block values its movers by index
                 assert np.array_equal(match.producer_values(W)[idx],
-                                      match.values_at(W, d.X[idx], idx)[0])
+                                      match.values_at(W, d.X[idx], idx))
                 assert np.array_equal(match.producer_values(W, idx),
                                       match.producer_values(W)[idx])
                 if kind is DenseMatch:
                     B = match_matrix(d.X, cfg)
-                    assert np.array_equal(B, np.concatenate([rows for _, rows in valued]))
                     assert np.array_equal(match.producer_values(W), W.producer_values(B))
                     assert np.array_equal(W.producer_values(B)[idx], W.producer_values(
                         match_matrix(d.X[idx], cfg, idx), idx))
@@ -1251,7 +1281,7 @@ class TestPeerWeightsAgainstDense:
         np.testing.assert_allclose(match.followed(W.u),
                                    np.einsum("zy,yz->z", B, followers), **close)
         T = rng.uniform(0.0, 1.0, (n, dim))
-        np.testing.assert_allclose(match.values_at(W, T, slice(None))[0],
+        np.testing.assert_allclose(match.values_at(W, T, slice(None)),
                                    dense_objective(T, dense, np.arange(n), cfg), **close)
         if case == 1:
             assert np.all(got == 0.0) == (density == "none")
@@ -1299,8 +1329,16 @@ class TestSearchParams:
             TopicSearchParams(grid_resolution=4)
         with pytest.raises(InvalidInputError):
             TopicSearchParams(refine_iters=-1)
+        # a count that is no integer would fail in the run, "16" at the < 8
+        for field, value in (("grid_resolution", 8.5), ("grid_resolution", "16"),
+                             ("refine_iters", 2.5)):
+            with pytest.raises(InvalidInputError, match=field):
+                TopicSearchParams(**{field: value})
+        assert TopicSearchParams(grid_resolution=np.int64(16)).grid_resolution == 16
         with pytest.raises(InvalidInputError):
             GameMode.parse("osmosis")
+        with pytest.raises(InvalidInputError, match="game mode"):
+            GameMode.parse(3)
 
     def test_dim1_candidates_are_the_breakpoints(self):
         # 0, 1 and every interest, sorted; a repeated value is only a tie

@@ -188,6 +188,7 @@ def test_seed_override_changes_sampled_market(tmp_path, capsys):
                  "'mu_direct'", id="list-for-direct-rates"),
     pytest.param(lambda p: p["allocation"]["content"][0].append(0.5),
                  "'content'", id="ragged-content"),
+    pytest.param(lambda p: p.update({"mode": 3}), "game mode", id="numeric-mode"),
 ])
 def test_check_malformed_result_exits_2_naming_file_and_key(tmp_path, capsys, edit, key):
     run(["solve", SYMMETRIC, "--mode", "perfect", "--out", str(tmp_path)]
@@ -214,6 +215,18 @@ def test_check_refuses_a_repeated_key(tmp_path, capsys):
     code, out, err = run(["check", str(path), "--grid", "64"], capsys)
     assert code == 2 and out == ""
     assert str(path) in err and "repeated key '1'" in err
+
+
+@pytest.mark.parametrize("text", ["5", json.dumps("config allocation mode")],
+                         ids=["number", "key-names"])
+def test_check_refuses_a_result_that_is_no_json_object(tmp_path, capsys, text):
+    # a string holding every key's name would pass a check by ``in``,
+    # which matches substrings
+    path = tmp_path / "result.json"
+    path.write_text(text)
+    code, out, err = run(["check", str(path), "--grid", "64"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(path) in err and "not a JSON object" in err
 
 
 def test_sweep_prints_each_failed_row(tmp_path, capsys, monkeypatch):

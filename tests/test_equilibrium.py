@@ -306,10 +306,10 @@ def test_direct_marginals_match_the_dense_table(mode, dim):
 
 
 def test_direct_marginals_span_row_chunks():
-    # the certificate reads B _CHUNK producer rows at a time; with every
-    # producer at its own interest B's diagonal is every column's max, and
-    # with no influencer rate a direct channel is each consumer's best
-    # rival to the outside source, so a chunk that let a consumer rate
+    # the certificate reads B's columns _CHUNK consumers at a time; with
+    # every producer at its own interest B's diagonal is every column's
+    # max, and with no influencer rate a direct channel is each consumer's
+    # best rival to the outside source, so a chunk that let a consumer rate
     # itself would show; the residuals are the full table's floats at any
     # count
     rng = np.random.default_rng(178)
@@ -566,6 +566,12 @@ def test_params_validation():
         DynamicsParams(max_rounds=0)
     with pytest.raises(InvalidInputError):
         DynamicsParams(restarts=-1)
+    # a count that is no integer would pass construction and fail in the run
+    for field, value in (("max_rounds", 2.5), ("restarts", 1.5), ("max_rounds", "3"),
+                         ("restarts", None)):
+        with pytest.raises(InvalidInputError, match=field):
+            DynamicsParams(**{field: value})
+    assert DynamicsParams(max_rounds=np.int64(3)) == DynamicsParams(max_rounds=3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -688,36 +694,29 @@ def test_round_returns_the_next_match_matrix_and_potential(mode):
 
 @pytest.mark.parametrize("mode", list(GameMode))
 def test_round_builds_one_match_row_per_producer_valued(mode, monkeypatch):
-    # on the dense match the row built to value a producer's best candidate
-    # is the row B takes when the producer moves, so a round builds one
-    # match row per nondegenerate producer whose best candidate is not its
-    # incumbent, and B is still the fresh match matrix.  An imperfect mover
-    # found inactive takes its incumbent's row again, one more row.  The
-    # line match (dim 1) moves each producer whose topic changed, and
-    # builds no row to value or move it
-    built, scans, blocks, moves = [], [], [], []
+    # on the dense match a round builds one match row per nondegenerate
+    # producer whose best candidate is not its incumbent, to value it, and
+    # one more per producer whose topic changed, when the round moves it,
+    # and B is still the fresh match matrix.  The line match (dim 1) moves
+    # each producer whose topic changed, and builds no row to value or
+    # move it
+    built, scans, moves = [], [], []
 
     def building(X, cfg, producers=None):
         built.append(len(X))
         return match_matrix(X, cfg, producers)
 
-    def moving(self, z, T, rows=None):
+    def moving(self, z, T):
         moves.append(z.size)
-        return line_move(self, z, T, rows)
+        return line_move(self, z, T)
 
     def scanning(weights, grid, cols):
         best, value = scan(weights, grid, cols)
         scans.append((grid.points[best], value))
         return best, value
 
-    def block_of(*args, **kwargs):
-        blocks.append(producer_block(*args, **kwargs))
-        return blocks[-1]
-
-    scan, producer_block = bestresponse._scan, bestresponse.producer_block
+    scan = bestresponse._scan
     line_move = market.LineMatch.move
-    for module in (bestresponse, equilibrium):
-        monkeypatch.setattr(module, "producer_block", block_of)
     monkeypatch.setattr(market, "match_matrix", building)
     monkeypatch.setattr(market.LineMatch, "move", moving)
     monkeypatch.setattr(bestresponse, "_scan", scanning)
@@ -730,23 +729,20 @@ def test_round_builds_one_match_row_per_producer_valued(mode, monkeypatch):
             state = equilibrium.random_init(cfg, mode, rng)
             match = kind(state.X, cfg)
             for _ in range(3):
-                for spied in (built, scans, blocks, moves):
+                for spied in (built, scans, moves):
                     spied.clear()
                 before = state.X
                 state, *_ = equilibrium._one_round(state, cfg, mode, grid, match)
                 ((topics, value),) = scans
                 count = np.count_nonzero((value > 0.0) & np.any(topics != before, axis=1))
-                (block,) = blocks
-                reverted = np.count_nonzero(np.any(block.topics != state.X, axis=1))
-                assert mode is GameMode.IMPERFECT or reverted == 0
+                changed = np.count_nonzero(np.any(state.X != before, axis=1))
                 if kind is DenseMatch:
-                    assert sum(built) == count + reverted and not moves
+                    assert sum(built) == count + changed and not moves
                 else:
-                    assert sum(moves) == np.count_nonzero(np.any(block.topics != before, axis=1)) \
-                        + reverted
+                    assert sum(moves) == changed
                 assert np.array_equal(match_table(match), match_matrix(state.X, cfg))
                 valued += count
-                moved += np.count_nonzero(np.any(state.X != before, axis=1))
+                moved += changed
     assert moved > 0 and valued >= moved
 
 
@@ -781,7 +777,7 @@ def test_round_keeps_a_tied_incumbent(members, a_f, a_g, z):
     first = grid.points[bestresponse._scan(W, grid, col)[0]]
     assert first[0, 0] < 0.75  # the scan's pick is another topic
     match = DenseMatch(state.X, cfg)
-    assert match.values_at(W, first, col)[0][0] == match.producer_values(W)[z]
+    assert match.values_at(W, first, col)[0] == match.producer_values(W)[z]
     assert not degenerate and new.X[z, 0] == 0.75
 
 

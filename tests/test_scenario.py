@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path

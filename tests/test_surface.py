@@ -6,6 +6,7 @@ calls of the blocks the dynamics run.  Test-only references live in
 tests/oracles.py.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import cme
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = {
     "AllocationSolution",
@@ -153,3 +156,48 @@ def test_the_test_extra_holds_what_the_tests_import():
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
         extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
     assert {"pytest", "hypothesis"} <= {re.match(r"[A-Za-z0-9_.-]+", req)[0] for req in extra}
+
+
+def test_the_match_is_moved_only_by_the_round():
+    # the blocks only read the match: a round moves it once for the
+    # producers whose topic changed, and a one-producer call moves its own
+    # throwaway match to the incumbent; no rows are handed to a move
+    for kind in (cme.market.DenseMatch, cme.market.LineMatch):
+        assert not hasattr(kind, "rows"), kind.__name__
+        assert list(inspect.signature(kind.move).parameters) == ["self", "z", "T"]
+        assert inspect.signature(kind.values_at).return_annotation == "np.ndarray"
+    callers = set()
+    for path in sorted((ROOT / "src" / "cme").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "move"}
+    # LineMatch.__init__ places every producer through its own move
+    assert callers == {"_one_round", "_one_producer", "__init__"}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads: a name counts as read
+    where it appears as a name anywhere in the module, or in ``__all__``;
+    ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}: {name}" for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package and the tests; bench/ imports cme for its side effect
+    paths = sorted((ROOT / "src" / "cme").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 10
+    assert [u for path in paths for u in _unused_imports(path)] == []
